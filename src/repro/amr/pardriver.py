@@ -273,9 +273,10 @@ class ParAmrPipeline:
         with schedule_phase("advance"):
             t0 = time.perf_counter()
             with obs.phase("advection"):
-                eq = ParAdvectionDiffusion(
-                    self.pm, self.workload.kappa, self.workload.velocity
-                )
+                with obs.phase("build"):
+                    eq = ParAdvectionDiffusion(
+                        self.pm, self.workload.kappa, self.workload.velocity
+                    )
                 dt = eq.cfl_dt(cfl)
                 self.T = eq.advance(self.T, dt, n_steps)
                 obs.counter("advection_steps", n_steps)
@@ -288,11 +289,14 @@ class ParAmrPipeline:
         """Advance by a fixed physical time (however many CFL steps that
         takes on the current mesh); returns the step count."""
         with schedule_phase("advance_time"):
-            eq = ParAdvectionDiffusion(self.pm, self.workload.kappa, self.workload.velocity)
-            dt = eq.cfl_dt(cfl)
-            n = max(int(np.ceil(t_span / dt)), 1)
             t0 = time.perf_counter()
             with obs.phase("advection"):
+                with obs.phase("build"):
+                    eq = ParAdvectionDiffusion(
+                        self.pm, self.workload.kappa, self.workload.velocity
+                    )
+                dt = eq.cfl_dt(cfl)
+                n = max(int(np.ceil(t_span / dt)), 1)
                 self.T = eq.advance(self.T, t_span / n, n)
                 obs.counter("advection_steps", n)
             self.steps_taken += n

@@ -157,8 +157,9 @@ def assemble_rhs(mesh: Mesh, elem_vecs: np.ndarray, constrain: bool = True) -> n
     """Assemble (ne, 8) element load vectors into a global rhs."""
     if elem_vecs.shape != (mesh.n_elements, 8):
         raise ValueError("element vector array has wrong shape")
-    b = np.zeros(mesh.n_nodes, dtype=np.float64)
-    np.add.at(b, mesh.element_nodes.ravel(), elem_vecs.ravel())
+    b = np.bincount(
+        mesh.element_nodes.ravel(), weights=elem_vecs.ravel(), minlength=mesh.n_nodes
+    )
     if not constrain:
         return b
     return mesh.Z.T @ b
@@ -167,11 +168,11 @@ def assemble_rhs(mesh: Mesh, elem_vecs: np.ndarray, constrain: bool = True) -> n
 def lumped_mass(mesh: Mesh, elem_mass: np.ndarray, constrain: bool = True) -> np.ndarray:
     """Row-sum lumped mass vector from (ne, 8, 8) element mass matrices.
 
-    Lumping happens after constraint folding so the lumped operator is
-    consistent with the constrained Galerkin mass (``Z^T M Z`` row sums).
+    The lumped operator is consistent with the constrained Galerkin mass:
+    rows of ``Z`` sum to one, so the row sums of ``Z^T M Z`` are ``Z^T``
+    applied to the scattered element row sums — no matrix is assembled.
     """
-    M = assemble_scalar(mesh, elem_mass, constrain=constrain)
-    d = np.asarray(M.sum(axis=1)).ravel()
+    d = assemble_rhs(mesh, elem_mass.sum(axis=2), constrain=constrain)
     if np.any(d <= 0):
         raise AssertionError("non-positive lumped mass entry")
     return d

@@ -72,15 +72,15 @@ class ParAdvectionDiffusion:
         elem += _OPS.convection(sizes, vel)
         elem += self.tau[:, None, None] * _OPS.grad_grad(sizes, vel)
         self.A = self._assemble_owned(elem)
-        ml_local = self._lumped_owned(_OPS.mass(sizes))
-        self.ML = pm.exchange_sum(ml_local)
+        mass_rows = _OPS.mass(sizes).sum(axis=2)
+        # rows of Z sum to one, so lumping Z^T M Z needs no matrix
+        self.ML = pm.exchange_sum(self._rhs_owned(mass_rows))
         self.ML[~pm.active] = 1.0  # avoid divide-by-zero at inactive dofs
 
-        load = source * _OPS.mass(sizes).sum(axis=2)
+        load = source * mass_rows
         if source != 0.0:
             load += source * self.tau[:, None] * _OPS.convection(sizes, vel).sum(axis=2)
-        b_local = self._rhs_owned(load)
-        self.b = pm.exchange_sum(b_local)
+        self.b = pm.exchange_sum(self._rhs_owned(load))
 
         self.dirichlet = dirichlet or []
         self._bc_mask = np.zeros(mesh.n_independent, dtype=bool)
@@ -109,13 +109,8 @@ class ParAdvectionDiffusion:
     def _rhs_owned(self, elem_vecs: np.ndarray) -> np.ndarray:
         mesh = self.pm.mesh
         en = mesh.element_nodes[self.pm.owned_elements]
-        b = np.zeros(mesh.n_nodes, dtype=np.float64)
-        np.add.at(b, en.ravel(), elem_vecs.ravel())
+        b = np.bincount(en.ravel(), weights=elem_vecs.ravel(), minlength=mesh.n_nodes)
         return mesh.Z.T @ b
-
-    def _lumped_owned(self, elem_mass: np.ndarray) -> np.ndarray:
-        M = self._assemble_owned(elem_mass)
-        return np.asarray(M.sum(axis=1)).ravel()
 
     # -- operator -------------------------------------------------------------------
 

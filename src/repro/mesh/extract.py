@@ -301,6 +301,24 @@ def _find_hanging_constraints(
     return child, parent, weight
 
 
+def _first_discovery(
+    child: np.ndarray, parent: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deduplicate constraint rows: a hanging node is discovered once per
+    coarse element touching it and all discoveries agree, so keep the
+    first block of rows of each node (2 rows at weight 1/2 for an edge
+    node, 4 at 1/4 for a face node)."""
+    order = np.argsort(child, kind="stable")
+    child, parent, weight = child[order], parent[order], weight[order]
+    new = np.ones(len(child), dtype=bool)
+    new[1:] = child[1:] != child[:-1]
+    starts = np.flatnonzero(new)
+    take = np.where(weight[starts] == 0.5, 2, 4)
+    first = np.cumsum(take) - take
+    keep = np.repeat(starts - first, take) + np.arange(take.sum())
+    return child[keep], parent[keep], weight[keep]
+
+
 def extract_mesh(
     tree: _LinearOctree, domain=(1.0, 1.0, 1.0), *, face_algorithm: str = "search"
 ) -> Mesh:
@@ -337,27 +355,11 @@ def extract_submesh(
     coords = np.stack([x, y, z], axis=1)
     n_nodes = len(keys)
 
-    child, parent, weight = _find_hanging_constraints(
-        coords, keys, leaves, face_algorithm
+    child, parent, weight = _first_discovery(
+        *_find_hanging_constraints(coords, keys, leaves, face_algorithm)
     )
     hanging = np.zeros(n_nodes, dtype=bool)
     hanging[child] = True
-
-    # Deduplicate constraint rows (a hanging node is discovered once per
-    # coarse element touching it; all discoveries agree, keep the first).
-    if len(child):
-        order = np.argsort(child, kind="stable")
-        child_s, parent_s, weight_s = child[order], parent[order], weight[order]
-        starts = np.flatnonzero(np.r_[True, child_s[1:] != child_s[:-1]])
-        # within one hanging node, keep the first group of rows: edge rows
-        # have 2 parents, face rows 4; group size identified by weights.
-        keep_rows = []
-        ends = np.r_[starts[1:], len(child_s)]
-        for s, e in zip(starts, ends):
-            take = 2 if weight_s[s] == 0.5 else 4
-            keep_rows.append(np.arange(s, s + take))
-        keep = np.concatenate(keep_rows)
-        child, parent, weight = child_s[keep], parent_s[keep], weight_s[keep]
 
     # Transitive closure: replace hanging parents by their own parents.
     direct = sp.csr_matrix(

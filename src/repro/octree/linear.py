@@ -148,9 +148,7 @@ class LinearOctree:
             raise ValueError("mask length mismatch")
         if not mask.any():
             return self
-        kept = self.leaves[~mask]
-        refined = self.leaves[mask].children()
-        return LinearOctree(OctantArray.concat([kept, refined]))
+        return LinearOctree(self.leaves.refine(mask), presorted=True)
 
     def coarsen(self, mask: np.ndarray) -> tuple["LinearOctree", int]:
         """Replace complete families of 8 marked sibling leaves by their

@@ -236,6 +236,31 @@ class OctantArray:
         lv = np.repeat(self.level + 1, 8)
         return OctantArray(x, y, z, lv)
 
+    def refine(self, mask: np.ndarray) -> "OctantArray":
+        """Replace each marked octant by its 8 children where it stood.
+
+        Children occupy exactly their parent's key interval, so a
+        Morton-sorted array stays sorted without a re-sort; the keys are
+        derived from the parents' (child ``c`` starts ``c`` child-ranges
+        in) instead of re-encoded.
+        """
+        if np.any(self.level[mask] >= MAX_LEVEL):
+            raise ValueError("cannot refine past MAX_LEVEL")
+        count = np.where(mask, 8, 1)
+        src = np.repeat(np.arange(len(self)), count)
+        first = np.cumsum(count) - count
+        c = np.arange(len(src)) - first[src]  # child id under a mark, else 0
+        level = self.level[src] + mask[src]
+        ch = (np.int64(ROOT_LEN) >> level.astype(np.int64)) * mask[src]
+        out = OctantArray(
+            self.x[src] + (c & 1) * ch,
+            self.y[src] + ((c >> 1) & 1) * ch,
+            self.z[src] + (c >> 2) * ch,
+            level,
+        )
+        out._keys = self.keys()[src] + c.astype(np.uint64) * key_range_size(level)
+        return out
+
     def sibling_ids(self) -> np.ndarray:
         """Which of its parent's 8 children each octant is (Morton order)."""
         h = self.lengths()

@@ -121,9 +121,7 @@ def refine_tree(pt: ParTree, mask: np.ndarray) -> ParTree:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         return pt
-    kept = pt.local[~mask]
-    refined = pt.local[mask].children()
-    return ParTree(pt.comm, OctantArray.concat([kept, refined]).sort())
+    return ParTree(pt.comm, pt.local.refine(mask))
 
 
 def coarsen_tree(pt: ParTree, mask: np.ndarray) -> tuple[ParTree, int]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .balance import _ripple_local
 from .morton import ROOT_LEN, morton_encode
 from .octants import OctantArray, directions_for
 from .partree import ParTree, owners_of_keys, partition_markers
@@ -193,51 +194,6 @@ def ghost_destinations(
 # low-collective 2:1 balance
 
 
-def _ripple_local(
-    local: OctantArray,
-    dirs: np.ndarray,
-    klo: np.uint64,
-    khi: np.uint64,
-    extra: OctantArray | None,
-) -> tuple[OctantArray, bool]:
-    """Balance this rank's subtree against itself plus the (static) set of
-    received remote boundary leaves, refining until a local fixed point.
-
-    Marking rule is identical to the ripple's: the leaf containing the
-    center of a source octant's same-size neighbor region refines when it
-    is two or more levels coarser.  Only sample points inside this rank's
-    key interval ``[klo, khi)`` are answered — out-of-range constraints
-    are the sending side's job, delivered through ``extra``.
-    """
-    changed = False
-    while True:
-        srcs = local if extra is None else OctantArray.concat([local, extra])
-        keys = local.keys()
-        levels = local.level.astype(np.int64)
-        mark = np.zeros(len(local), dtype=bool)
-        h = srcs.lengths()
-        slv = srcs.level.astype(np.int64)
-        for d in dirs:
-            nx, ny, nz, ok = srcs.neighbor_anchors(d)
-            if not ok.any():
-                continue
-            pk = morton_encode(
-                nx[ok] + h[ok] // 2, ny[ok] + h[ok] // 2, nz[ok] + h[ok] // 2
-            )
-            keep = (pk >= klo) & (pk < khi)
-            if not keep.any():
-                continue
-            idx = np.searchsorted(keys, pk[keep], side="right") - 1
-            viol = levels[idx] < slv[ok][keep] - 1
-            mark[idx[viol]] = True
-        if not mark.any():
-            return local, changed
-        kept = local[~mark]
-        refined = local[mark].children()
-        local = OctantArray.concat([kept, refined]).sort()
-        changed = True
-
-
 def balance_tree_recursive(
     pt: ParTree, connectivity: str = "edge", max_rounds: int = 64
 ) -> tuple[ParTree, int, int]:
@@ -274,15 +230,11 @@ def balance_tree_recursive(
             buf[:, 2] = local.z[sel]
             buf[:, 3] = local.level[sel]
             sendbufs.append(buf)
-        recv = [b for b in comm.alltoall(sendbufs) if len(b)]
+        blk = np.concatenate(comm.alltoall(sendbufs), axis=0)
         exchanges += 1
-        if recv:
-            blk = np.concatenate(recv, axis=0)
-            extra = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
-        else:
-            extra = None
-        local, changed = _ripple_local(local, dirs, klo, khi, extra)
-        if not comm.allreduce(changed, op="lor"):
+        extra = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
+        local, rounds = _ripple_local(local, dirs, klo, khi, extra)
+        if not comm.allreduce(rounds > 0, op="lor"):
             break
     else:
         raise RuntimeError("recursive balance did not converge")

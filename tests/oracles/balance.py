@@ -1,0 +1,98 @@
+"""Full-sweep local ripple and the balance drivers built on it.
+
+This is the kernel ``repro.octree.balance._ripple_local`` replaced: every
+round samples *all* leaves (plus the received remote boundary leaves) in
+every direction.  The frontier kernel must mark the same set each round,
+so trees, round counts, exchange counts and collectives are identical.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.octree import LinearOctree, OctantArray, directions_for, morton_encode
+from repro.octree.balance import BalanceResult
+from repro.octree.morton import key_range_size
+from repro.octree.partree import ParTree, partition_markers
+from repro.octree.traverse import ghost_destinations
+
+
+def ripple_full_sweep(local, dirs, klo, khi, extra):
+    """``(leaves, rounds)`` of the whole-tree sweep, repeated to a fixed
+    point; ``extra`` may be ``None`` or empty."""
+    rounds = 0
+    while True:
+        srcs = local if extra is None else OctantArray.concat([local, extra])
+        keys = local.keys()
+        levels = local.level.astype(np.int64)
+        mark = np.zeros(len(local), dtype=bool)
+        h = srcs.lengths()
+        slv = srcs.level.astype(np.int64)
+        for d in dirs:
+            nx, ny, nz, ok = srcs.neighbor_anchors(d)
+            if not ok.any():
+                continue
+            pk = morton_encode(
+                nx[ok] + h[ok] // 2, ny[ok] + h[ok] // 2, nz[ok] + h[ok] // 2
+            )
+            keep = (pk >= klo) & (pk < khi)
+            if not keep.any():
+                continue
+            idx = np.searchsorted(keys, pk[keep], side="right") - 1
+            viol = levels[idx] < slv[ok][keep] - 1
+            mark[idx[viol]] = True
+        if not mark.any():
+            return local, rounds
+        kept = local[~mark]
+        refined = local[mark].children()
+        local = OctantArray.concat([kept, refined]).sort()
+        rounds += 1
+
+
+def balance_full_sweep(tree: LinearOctree, connectivity: str = "edge") -> BalanceResult:
+    """Serial BALANCETREE by full sweeps."""
+    leaves, rounds = ripple_full_sweep(
+        tree.leaves, directions_for(connectivity), np.uint64(0), key_range_size(0), None
+    )
+    return BalanceResult(
+        tree=LinearOctree(leaves, presorted=True),
+        leaves_added=len(leaves) - len(tree),
+        rounds=rounds,
+    )
+
+
+def balance_tree_full_sweep(pt: ParTree, connectivity: str = "edge", kernel=None):
+    """Low-collective BALANCETREE around a local ripple ``kernel`` (the
+    full sweep unless given).  Returns ``(tree, leaves_added, exchanges,
+    rounds_per_kernel_call)`` — the last is what the public entry point
+    does not report."""
+    kernel = kernel or ripple_full_sweep
+    comm = pt.comm
+    dirs = directions_for(connectivity)
+    local = pt.local
+    n0 = comm.allreduce(len(local))
+    markers = partition_markers(comm, local)
+    klo, khi = markers[comm.rank], markers[comm.rank + 1]
+    local, r = kernel(local, dirs, klo, khi, None)
+    rounds = [r]
+    exchanges = 0
+    while True:
+        idx, dst = ghost_destinations(local, markers, comm.rank)
+        sendbufs = []
+        for rank in range(comm.size):
+            sel = idx[dst == rank]
+            sendbufs.append(
+                np.stack(
+                    [local.x[sel], local.y[sel], local.z[sel], local.level[sel].astype(np.int64)],
+                    axis=1,
+                )
+            )
+        blk = np.concatenate(comm.alltoall(sendbufs), axis=0)
+        exchanges += 1
+        extra = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
+        local, r = kernel(local, dirs, klo, khi, extra)
+        rounds.append(r)
+        if not comm.allreduce(r > 0, op="lor"):
+            break
+    added = comm.allreduce(len(local)) - n0
+    return ParTree(comm, local), added, exchanges, rounds
