@@ -17,7 +17,8 @@ experiment reported for Ranger (between p = 2 and p = 4); the benchmark
 variants with the paper's sustained rates.
 
 Both kernels return ``(du/dr, du/ds, du/dt)`` in reference coordinates;
-the DG solver composes them with metric terms.
+the DG solver composes the tensor-product one with metric terms (the
+matrix-based kernel exists for the Section VII kernel study).
 
 This module is the shared kernel layer for *all* element-batched tensor
 algebra in the code base: the DG solver uses :class:`DerivativeKernel`
@@ -93,13 +94,18 @@ def contract_axis(A: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
     the sum-factorized (tensor-product) variant: one gradient is three
     calls, ``6 (p+1)^4`` flops per element instead of ``6 (p+1)^6``.
     """
-    # operate on the last three axes; einsum handles leading batch dims
+    # each case is a BLAS product on a reshaped view (einsum runs the same
+    # contraction an order of magnitude slower): r is one large GEMM, s
+    # and t broadcast ``A`` over the leading axes
+    batch = u.shape[:-3]
+    nt, ns, nr = u.shape[-3:]
+    m = len(A)
     if axis == 0:
-        return np.einsum("ab,...tsb->...tsa", A, u)
+        return (u.reshape(-1, nr) @ A.T).reshape(*batch, nt, ns, m)
     if axis == 1:
-        return np.einsum("ab,...tbr->...tar", A, u)
+        return np.matmul(A, u)
     if axis == 2:
-        return np.einsum("ab,...bsr->...asr", A, u)
+        return np.matmul(A, u.reshape(*batch, nt, ns * nr)).reshape(*batch, m, ns, nr)
     raise ValueError(f"axis must be 0, 1, or 2, got {axis}")
 
 
@@ -132,7 +138,9 @@ class DerivativeKernel:
         return (u @ self.Dr_full.T, u @ self.Ds_full.T, u @ self.Dt_full.T)
 
     def gradient_tensor(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tensor-product: contract D along each axis of (..., n, n, n)."""
+        """Tensor-product: contract D along each axis of (..., n, n, n) —
+        three BLAS products (:func:`contract_axis`); the results are
+        fresh contiguous arrays the caller may overwrite."""
         n = self.n
         batch = u.shape[:-1]
         v = u.reshape(*batch, n, n, n)  # [..., t, s, r]

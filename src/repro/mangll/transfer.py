@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import obs
 from ..octree import morton_encode
 from .lgl import lagrange_basis_at
 
@@ -49,6 +50,11 @@ def dg_transfer(dg_old, u_old: np.ndarray, dg_new) -> np.ndarray:
     (level-delta, child-octant) group with a single batched matmul, and
     coarsening samples all nodes of all coarsened elements in one einsum.
     """
+    with obs.phase("dg/transfer"):
+        return _transfer(dg_old, u_old, dg_new)
+
+
+def _transfer(dg_old, u_old: np.ndarray, dg_new) -> np.ndarray:
     if dg_old.p != dg_new.p:
         raise ValueError("transfer requires equal polynomial order")
     if dg_old.conn is not dg_new.conn and dg_old.conn.n_trees != dg_new.conn.n_trees:

@@ -84,15 +84,6 @@ class TestRate:
         r = dg.rate(u)
         np.testing.assert_allclose(r, -2.0, atol=1e-9)
 
-    def test_kernel_variants_same_rate(self):
-        f = cube_forest(1, refine_first=True)
-        wind = const_wind([1, -0.5, 0.25])
-        dg_t = DGAdvection(f, p=3, velocity=wind, variant="tensor")
-        dg_m = DGAdvection(f, p=3, velocity=wind, variant="matrix")
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal(dg_t.n_dof)
-        np.testing.assert_allclose(dg_t.rate(u), dg_m.rate(u), atol=1e-9)
-
 
 class TestAdvectionAccuracy:
     def _advect_error(self, p, level, t_final=0.2):

@@ -12,6 +12,7 @@ from repro.mangll import (
     matrix_flops,
     tensor_flops,
 )
+from repro.mangll.tensor import contract_axis
 
 
 class TestLglNodes:
@@ -81,13 +82,37 @@ class TestLagrange:
 
 
 class TestDerivativeKernel:
-    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("p", range(1, 9))
     def test_variants_agree(self, p):
         kern = DerivativeKernel(p)
         rng = np.random.default_rng(0)
         u = rng.standard_normal((5, (p + 1) ** 3))
         for a, b in zip(kern.gradient_matrix(u), kern.gradient_tensor(u)):
-            np.testing.assert_allclose(a, b, atol=1e-11)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_variants_agree_leading_axes(self, p):
+        """The (ne, nfields, n^3) form: every leading axis is a batch axis,
+        and each field's gradient equals that of the field alone."""
+        kern = DerivativeKernel(p)
+        u = np.random.default_rng(p).standard_normal((4, 3, (p + 1) ** 3))
+        tensor = kern.gradient(u, "tensor")
+        for a, b in zip(kern.gradient(u, "matrix"), tensor):
+            assert b.shape == u.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+        for a, b in zip(kern.gradient_tensor(u[:, 1]), tensor):
+            np.testing.assert_array_equal(a, b[:, 1])
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_contract_axis_rectangular(self, axis):
+        """contract_axis takes any (m, n) operator and leading axes."""
+        rng = np.random.default_rng(axis)
+        A = rng.standard_normal((6, 4))
+        u = rng.standard_normal((3, 2, 4, 4, 4))
+        spec = ["ab,...tsb->...tsa", "ab,...tbr->...tar", "ab,...bsr->...asr"][axis]
+        np.testing.assert_allclose(
+            contract_axis(A, u, axis), np.einsum(spec, A, u), rtol=0, atol=1e-13
+        )
 
     def test_gradient_exact_on_trilinear(self):
         p = 3
