@@ -6,7 +6,9 @@ smoothed aggregation (Vanek/Mandel/Brezina), which for variable-coefficient
 scalar Poisson operators yields a bounded-convergence-factor V-cycle —
 the property the Figure-2 iteration counts depend on.
 
-Pipeline per level:
+Rows that couple to nothing (the identity rows of eliminated Dirichlet
+dofs) are split off first and solved by a division; the hierarchy lives
+on the remaining free block (DESIGN.md §4k).  Pipeline per level:
 
 1. *Strength graph*: ``|a_ij| >= theta * sqrt(a_ii a_jj)``.
 2. *Aggregation*: greedy root-point aggregation (three passes).
@@ -14,7 +16,8 @@ Pipeline per level:
    (near-nullspace = constants for Poisson).
 4. *Prolongator smoothing*: ``P = (I - omega D^{-1} A) T`` with
    ``omega = 4/3 / rho(D^{-1} A)`` estimated by power iteration.
-5. *Galerkin coarsening*: ``A_c = P^T A P``.
+5. *Galerkin coarsening*: ``A_c = R A P`` with ``R = P^T`` kept as CSR
+   for the cycle.
 
 The V-cycle uses symmetric Gauss-Seidel (forward pre-, backward
 post-smoothing) so that a single cycle with zero initial guess is an SPD
@@ -247,11 +250,14 @@ def _estimate_rho(DinvA: sp.csr_matrix, iters: int = 12, seed: int = 0) -> float
 @dataclass
 class AMGLevel:
     """One grid level of the AMG hierarchy: the (Galerkin-coarsened)
-    operator, the prolongator from this level to the next finer one, and
-    the precomputed Gauss-Seidel triangular factors."""
+    operator, the transfer pair between this level and the next finer
+    one, and the precomputed Gauss-Seidel triangular factors."""
 
     A: sp.csr_matrix
     P: sp.csr_matrix | None  # prolongator to this level's fine grid (None on finest)
+    #: restriction ``P^T`` stored as CSR at setup (a per-call ``P.T``
+    #: builds a CSC wrapper on every level of every cycle)
+    R: sp.csr_matrix | None = None
     L: sp.csr_matrix | None = None  # lower triangle incl. diag (GS)
     U: sp.csr_matrix | None = None  # upper triangle incl. diag (GS)
     #: factorized triangular solves, precomputed at setup: calling
@@ -272,8 +278,34 @@ def _triangular_solver(T: sp.csr_matrix):
     return lu.solve
 
 
+def _decoupled_rows(A: sp.csr_matrix) -> np.ndarray:
+    """Boolean mask of the rows of ``A`` that couple to nothing: no
+    non-zero off-diagonal entry in the row or in the column, and a
+    non-zero diagonal.  These are the identity rows symmetric Dirichlet
+    elimination leaves behind; ``A`` is block-diagonal across them."""
+    C = A.tocoo()
+    off = (C.row != C.col) & (C.data != 0)
+    coupled = np.zeros(A.shape[0], dtype=bool)
+    coupled[C.row[off]] = True
+    coupled[C.col[off]] = True
+    return ~coupled & (A.diagonal() != 0)
+
+
 class SmoothedAggregationAMG:
     """AMG hierarchy with a symmetric V-cycle.
+
+    Decoupled rows (no off-diagonal entry in row or column, non-zero
+    diagonal: what symmetric Dirichlet elimination leaves behind) are
+    solved exactly by one division and kept out of the hierarchy, which
+    is built on the remaining *free* block ``A[free][:, free]``: a
+    decoupled row has no strong neighbor, so aggregation would carry it
+    as a singleton down every level and the "coarsest" operator could
+    never get below their count.  The cycle is
+    ``diag(D_fixed^{-1}, V_free)`` — block-diagonal like ``A`` itself, so
+    it is the same SPD operator in exact arithmetic.  :attr:`levels`,
+    :meth:`grid_sizes`, :attr:`n_levels` and :attr:`operator_complexity`
+    describe the free hierarchy; :attr:`n_decoupled` counts the rows left
+    out of it.
 
     Parameters
     ----------
@@ -298,12 +330,25 @@ class SmoothedAggregationAMG:
     ):
         with obs.phase("amg_setup"):
             self._setup(A, theta, max_coarse, max_levels, presmooth, postsmooth)
+            obs.counter("amg_levels", self.n_levels)
+            obs.counter("amg_coarse_dofs", (self.grid_sizes() or [0])[-1])
+            obs.counter("amg_decoupled_rows", self.n_decoupled)
 
     def _setup(self, A, theta, max_coarse, max_levels, presmooth, postsmooth):
         A = sp.csr_matrix(A)
+        self.A = A  # the full operator (the residual of :meth:`solve`)
         self.presmooth = presmooth
         self.postsmooth = postsmooth
-        self.levels: list[AMGLevel] = [AMGLevel(A=A, P=None)]
+        fixed = _decoupled_rows(A)
+        self.fixed = np.flatnonzero(fixed)
+        self.free = np.flatnonzero(~fixed)
+        self.fixed_diag = A.diagonal()[self.fixed]
+        self.levels: list[AMGLevel] = []
+        self._coarse_inv = None
+        if len(self.free) == 0:
+            return  # diagonal matrix: the cycle is the division alone
+        Afree = A[self.free][:, self.free] if len(self.fixed) else A
+        self.levels.append(AMGLevel(A=Afree, P=None))
         while (
             self.levels[-1].A.shape[0] > max_coarse
             and len(self.levels) < max_levels
@@ -326,46 +371,70 @@ class SmoothedAggregationAMG:
             DinvA = sp.diags(1.0 / d) @ Af
             omega = (4.0 / 3.0) / max(_estimate_rho(sp.csr_matrix(DinvA)), 1e-12)
             P = sp.csr_matrix(T - omega * (DinvA @ T))
-            Ac = sp.csr_matrix(P.T @ Af @ P)
-            self.levels.append(AMGLevel(A=Ac, P=P))
+            R = sp.csr_matrix(P.T)
+            self.levels.append(AMGLevel(A=sp.csr_matrix(R @ Af @ P), P=P, R=R))
         for lvl in self.levels[:-1]:
             lvl.L = sp.csr_matrix(sp.tril(lvl.A, format="csr"))
             lvl.U = sp.csr_matrix(sp.triu(lvl.A, format="csr"))
             if USE_FACTORIZED_SMOOTHER:
                 lvl.Lsolve = _triangular_solver(lvl.L)
                 lvl.Usolve = _triangular_solver(lvl.U)
-        # coarse direct solve
-        Acoarse = self.levels[-1].A.toarray()
-        # pinv tolerates a semidefinite coarse operator (pure Neumann)
-        self._coarse_inv = np.linalg.pinv(Acoarse)
+        # coarse direct solve: the symmetric pinv tolerates a semidefinite
+        # coarse operator (pure Neumann)
+        Ac = self.levels[-1].A.toarray()
+        self._coarse_inv = np.linalg.pinv(0.5 * (Ac + Ac.T), hermitian=True)
 
     # -- stats ---------------------------------------------------------------
 
     @property
+    def n_decoupled(self) -> int:
+        """Rows solved by the diagonal division, outside the hierarchy."""
+        return len(self.fixed)
+
+    @property
     def n_levels(self) -> int:
-        """Number of grid levels (including the dense coarsest one)."""
+        """Number of grid levels of the free hierarchy (including the
+        dense coarsest one; 0 when every row is decoupled)."""
         return len(self.levels)
 
     @property
     def operator_complexity(self) -> float:
-        """Total nnz over all levels / fine nnz (setup quality metric)."""
+        """Total nnz over all levels / fine nnz of the free hierarchy
+        (setup quality metric; 1.0 when there is no hierarchy)."""
+        if not self.levels:
+            return 1.0
         fine = self.levels[0].A.nnz
         return sum(l.A.nnz for l in self.levels) / max(fine, 1)
 
     def grid_sizes(self) -> list[int]:
-        """Unknown count per level, finest first."""
+        """Unknown count per level of the free hierarchy, finest first."""
         return [l.A.shape[0] for l in self.levels]
+
+    def frozen_state(self) -> list:
+        """Arrays fingerprinted by the lagged-preconditioner sanitizer:
+        every level's operator, transfer pair and Gauss-Seidel triangles,
+        the coarse dense inverse and the free/fixed split of the cycle —
+        in-place mutation of any of these would break the lagging premise
+        silently."""
+        return [[l.A, l.P, l.R, l.L, l.U] for l in self.levels] + [
+            self._coarse_inv, self.free, self.fixed, self.fixed_diag
+        ]
 
     # -- cycle ------------------------------------------------------------------
 
-    def _smooth_forward(self, lvl: AMGLevel, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _smooth_forward(
+        self, lvl: AMGLevel, x: np.ndarray | None, b: np.ndarray
+    ) -> np.ndarray:
+        """``presmooth`` forward Gauss-Seidel sweeps; ``x=None`` is the
+        zero guess, whose first sweep is ``L^{-1} b`` with no residual."""
         for _ in range(self.presmooth):  # lint: allow-loop (sweep count)
-            r = b - lvl.A @ x
+            r = b if x is None else b - lvl.A @ x
             if lvl.Lsolve is not None:
-                x = x + lvl.Lsolve(r)
+                dx = lvl.Lsolve(r)
             else:
-                x = x + spla.spsolve_triangular(lvl.L, r, lower=True)
-        return x
+                dx = spla.spsolve_triangular(lvl.L, r, lower=True)
+            x = dx if x is None else x + dx
+        return np.zeros_like(b) if x is None else x
 
     def _smooth_backward(self, lvl: AMGLevel, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         for _ in range(self.postsmooth):  # lint: allow-loop (sweep count)
@@ -380,18 +449,26 @@ class SmoothedAggregationAMG:
         if k == len(self.levels) - 1:
             return self._coarse_inv @ b
         lvl = self.levels[k]
-        x = self._smooth_forward(lvl, np.zeros_like(b), b)
-        P = self.levels[k + 1].P
-        r = b - lvl.A @ x
-        xc = self._cycle(k + 1, P.T @ r)
-        x = x + P @ xc
+        coarse = self.levels[k + 1]
+        x = self._smooth_forward(lvl, None, b)
+        xc = self._cycle(k + 1, coarse.R @ (b - lvl.A @ x))
+        x = x + coarse.P @ xc
         return self._smooth_backward(lvl, x, b)
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle with zero initial guess: an SPD approximation of
-        ``A^{-1}`` suitable as a MINRES preconditioner block."""
+        ``A^{-1}`` suitable as a MINRES preconditioner block.  ``b`` is
+        one right-hand side ``(n,)`` or a block of them ``(n, nb)``."""
         obs.counter("amg_vcycles")
-        return self._cycle(0, b)
+        if not len(self.fixed):
+            return self._cycle(0, b)
+        z = np.empty_like(b, dtype=np.float64)
+        z[self.fixed] = b[self.fixed] / self.fixed_diag.reshape(
+            (-1,) + (1,) * (b.ndim - 1)
+        )
+        if self.levels:
+            z[self.free] = self._cycle(0, b[self.free])
+        return z
 
     def solve(
         self, b: np.ndarray, tol: float = 1e-8, maxiter: int = 100
@@ -402,7 +479,7 @@ class SmoothedAggregationAMG:
         if nb == 0:
             return x, 0, True
         for it in range(1, maxiter + 1):  # lint: allow-loop (solver iteration)
-            r = b - self.levels[0].A @ x
+            r = b - self.A @ x
             if np.linalg.norm(r) <= tol * nb:
                 return x, it - 1, True
             x = x + self.vcycle(r)

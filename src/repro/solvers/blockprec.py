@@ -82,6 +82,11 @@ class StokesBlockPreconditioner:
         if np.any(self.schur_diag <= 0):
             raise AssertionError("Schur diagonal must be positive")
 
+    def frozen_state(self) -> list:
+        """Arrays fingerprinted by the lagged-preconditioner sanitizer
+        (the three component hierarchies)."""
+        return [a.frozen_state() for a in self.amg]
+
     @property
     def operator_complexity(self) -> float:
         """Mean AMG operator complexity (total nnz over all levels /
@@ -136,12 +141,7 @@ class LaggedStokesPreconditioner:
 
     def _frozen_state(self) -> list:
         assert self._prec is not None
-        if self.kind == "gmg":
-            return self._prec.frozen_state() + [self._eta_ref]
-        return [
-            [[lvl.A, lvl.P, lvl.L, lvl.U] for lvl in amg.levels]
-            for amg in self._prec.amg
-        ] + [self._eta_ref]
+        return self._prec.frozen_state() + [self._eta_ref]
 
     def drift(self, eta: np.ndarray) -> float:
         """Relative max-norm viscosity drift since the last AMG build."""

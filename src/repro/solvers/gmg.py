@@ -408,11 +408,13 @@ class GMGLevel:
     """One grid level of a component hierarchy: the matrix-free operator,
     its Chebyshev smoother (``None`` on the coarsest level), and the
     Dirichlet-masked prolongation from this level up to the next finer
-    one (``None`` on the finest level)."""
+    one with its transpose, the restriction, stored as CSR (both ``None``
+    on the finest level)."""
 
     op: MatFreeScalarPoisson
     smoother: ChebyshevSmoother | None
     P: sp.csr_matrix | None
+    R: sp.csr_matrix | None = None
 
 
 class GeometricMultigrid:
@@ -459,10 +461,10 @@ class GeometricMultigrid:
         with obs.phase(f"stokes/gmg/level{k}"):
             x = lvl.smoother.apply(b)
             r = b - lvl.op.apply(x)
-        P = self.levels[k + 1].P
-        xc = self._cycle(k + 1, P.T @ r)
+        coarse = self.levels[k + 1]
+        xc = self._cycle(k + 1, coarse.R @ r)
         with obs.phase(f"stokes/gmg/level{k}"):
-            x = x + P @ xc
+            x = x + coarse.P @ xc
             x = x + lvl.smoother.apply(b - lvl.op.apply(x))
         return x
 
@@ -540,14 +542,15 @@ class GMGStokesPreconditioner:
                     op, degree=degree, lmax_scale=lmax_scale, lmin_ratio=lmin_ratio
                 )
             )
-            P = None
+            P = R = None
             if i > 0:
                 fine_mask = levels[i - 1].op.mask
                 P = sp.csr_matrix(
                     sp.diags(fine_mask) @ prolongs[i - 1] @ sp.diags(op.mask)
                 )
                 P.eliminate_zeros()
-            levels.append(GMGLevel(op=op, smoother=smoother, P=P))
+                R = sp.csr_matrix(P.T)  # once here, not per V-cycle level
+            levels.append(GMGLevel(op=op, smoother=smoother, P=P, R=R))
         return GeometricMultigrid(levels)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -612,6 +615,6 @@ class GMGStokesPreconditioner:
         out = []
         for g in self.gmg:
             for lvl in g.levels:
-                out.append([lvl.op.cb, lvl.op.diagonal(), lvl.P])
+                out.append([lvl.op.cb, lvl.op.diagonal(), lvl.P, lvl.R])
             out.append(g._coarse_inv)
         return out

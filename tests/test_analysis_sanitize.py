@@ -318,6 +318,28 @@ class TestLaggedPrecGuard:
         with pytest.raises(CacheMutationError, match="AMG hierarchy"):
             lag.get(st)
 
+    @pytest.mark.parametrize("poison", ["R", "free", "fixed", "fixed_diag"])
+    def test_split_state_mutation_detected(self, monkeypatch, poison):
+        """The stored restriction and the free/fixed bookkeeping of the
+        AMG cycle are part of the lagged state."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        st = _stokes(level=2)  # 75 free dofs per component: two levels
+        lag = LaggedStokesPreconditioner(rtol=0.5)
+        amg = lag.get(st).amg[0]
+        target = amg.levels[1].R.data if poison == "R" else getattr(amg, poison)
+        target[0] += 1
+        with pytest.raises(CacheMutationError, match="AMG hierarchy"):
+            lag.get(st)
+
+    def test_gmg_restriction_mutation_detected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        st = _stokes(level=2)
+        lag = LaggedStokesPreconditioner(rtol=0.5, kind="gmg", max_coarse=30)
+        prec = lag.get(st)
+        prec.gmg[0].levels[1].R.data[0] += 1.0
+        with pytest.raises(CacheMutationError, match="GMG hierarchy"):
+            lag.get(st)
+
     def test_invalidate_clears_guard(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         st = _stokes()

@@ -4,19 +4,32 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.fem import apply_dirichlet, assemble_scalar
+from repro import obs
+from repro.fem import StokesSystem, apply_dirichlet, assemble_scalar
 from repro.fem.hexops import ElementOps
 from repro.mesh import extract_mesh
 from repro.octree import LinearOctree, balance
-from repro.solvers import SmoothedAggregationAMG, aggregate, strength_graph
+from repro.solvers import (
+    SmoothedAggregationAMG,
+    StokesBlockPreconditioner,
+    aggregate,
+    strength_graph,
+)
+
+from .oracles.amg_cycle import AMGCycleOracle
 
 OPS = ElementOps()
 
 
-def laplace_7pt(n):
-    """Standard 7-point Laplacian on an n^3 grid (the Fig. 9 reference)."""
+def laplace_7pt(n, neumann=False):
+    """Standard 7-point Laplacian on an n^3 grid (the Fig. 9 reference);
+    ``neumann`` gives it natural boundaries: semidefinite, constant null
+    vector, no decoupled row."""
     e = np.ones(n)
-    T = sp.diags([-e[:-1], 2 * e, -e[:-1]], [-1, 0, 1])
+    d = 2 * e
+    if neumann:
+        d[0] = d[-1] = 1.0
+    T = sp.diags([-e[:-1], d, -e[:-1]], [-1, 0, 1])
     I = sp.identity(n)
     return sp.csr_matrix(
         sp.kron(sp.kron(T, I), I) + sp.kron(sp.kron(I, T), I) + sp.kron(sp.kron(I, I), T)
@@ -38,6 +51,17 @@ def poisson_fem(level=3, viscosity_contrast=1.0, seed=0):
     bdofs = np.unique(bdofs[bdofs >= 0])
     K, _ = apply_dirichlet(K, None, bdofs)
     return sp.csr_matrix(K)
+
+
+def free_slip_blocks(level, contrast=1e3):
+    """The three scalar Poisson blocks of a free-slip Stokes system on a
+    uniform level-``level`` box (component ``a`` is pinned on its two
+    normal faces: identity rows in the block)."""
+    mesh = extract_mesh(LinearOctree.uniform(level))
+    c = mesh.element_centers()
+    eta = np.exp(np.log(contrast) * np.exp(-((c - 0.5) ** 2).sum(axis=1) / 0.08))
+    st = StokesSystem(mesh, eta, np.zeros((mesh.n_nodes, 3)), bc="free_slip")
+    return [sp.csr_matrix(K) for K in st.poisson_blocks()]
 
 
 class TestStrengthAndAggregation:
@@ -261,3 +285,185 @@ class TestVectorizedAggregation:
         z_fast = amg_fast.vcycle(b)
         z_slow = amg_slow.vcycle(b)
         np.testing.assert_allclose(z_fast, z_slow, rtol=1e-10, atol=1e-12)
+
+
+class TestDecoupledRows:
+    """Dirichlet identity rows stay out of the hierarchy: the cycle is
+    ``diag(D_fixed^-1, V_free)`` with ``V_free`` the parent's cycle
+    (``tests/oracles/amg_cycle.py``) on the free block."""
+
+    def _scaled_block(self):
+        """A level-2 free-slip block whose Dirichlet rows carry a
+        non-unit diagonal (so the division is visible)."""
+        A = free_slip_blocks(2)[2].tolil()
+        amg = SmoothedAggregationAMG(sp.csr_matrix(A))
+        assert amg.n_decoupled == 50 and len(amg.free) == 75
+        for k, i in enumerate(amg.fixed):
+            A[i, i] = 1.5 + 0.25 * k
+        return sp.csr_matrix(A)
+
+    def test_fixed_rows_are_one_exact_division(self):
+        A = self._scaled_block()
+        amg = SmoothedAggregationAMG(A)
+        b = np.cos(np.arange(A.shape[0]))
+        d = A.diagonal()
+        np.testing.assert_array_equal(
+            amg.vcycle(b)[amg.fixed], b[amg.fixed] / d[amg.fixed]
+        )
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    def test_free_rows_match_oracle_on_free_block(self, sweeps):
+        A = self._scaled_block()
+        amg = SmoothedAggregationAMG(A, presmooth=sweeps, postsmooth=sweeps)
+        assert amg.n_levels == 2  # 75 free dofs: one real coarsening
+        free = amg.free
+        oracle = AMGCycleOracle(A[free][:, free], presmooth=sweeps, postsmooth=sweeps)
+        assert oracle.grid_sizes() == amg.grid_sizes()
+        b = np.sin(np.arange(A.shape[0]))
+        z, z_ref = amg.vcycle(b)[free], oracle.vcycle(b[free])
+        assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+
+    def test_cycle_is_spd_on_free_slip_block(self):
+        A = free_slip_blocks(2)[0]
+        amg = SmoothedAggregationAMG(A)
+        M = amg.vcycle(np.eye(A.shape[0]))
+        assert np.max(np.abs(M - M.T)) <= 1e-12 * np.max(np.abs(M))
+        assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0
+
+    def test_block_rhs_equals_columns(self):
+        A = self._scaled_block()
+        amg = SmoothedAggregationAMG(A)
+        B = np.random.default_rng(2).standard_normal((A.shape[0], 5))
+        Z = amg.vcycle(B)
+        assert Z.shape == B.shape
+        for j in range(B.shape[1]):
+            np.testing.assert_allclose(
+                Z[:, j], amg.vcycle(B[:, j].copy()), rtol=1e-13, atol=1e-15
+            )
+
+    def test_level4_box_coarsens_to_max_coarse(self):
+        """The regression: identity rows were pass-3 singletons on every
+        level, so the hierarchy bottomed out at their count, far above
+        ``max_coarse``, and paid a dense SVD of that size per build."""
+        blocks = free_slip_blocks(4, contrast=1.0)
+        for A in blocks:
+            amg = SmoothedAggregationAMG(A)
+            assert amg.n_decoupled == 2 * 17 * 17
+            assert amg.grid_sizes()[0] == A.shape[0] - amg.n_decoupled
+            assert amg.grid_sizes()[-1] <= 64
+            assert amg.n_levels <= 5
+            assert amg._coarse_inv.shape[0] <= 64
+        stalled = AMGCycleOracle(blocks[0])
+        assert stalled.grid_sizes()[-1] > 2 * 17 * 17  # the parent's floor
+
+    def test_legacy_smoother_same_cycle_with_decoupled_rows(self):
+        from repro.solvers import legacy_smoother
+
+        A = self._scaled_block()
+        b = np.sin(np.arange(A.shape[0]))
+        with legacy_smoother():
+            slow = SmoothedAggregationAMG(A, presmooth=2)
+            assert slow.levels[0].Lsolve is None
+            z_slow = slow.vcycle(b)
+        z_fast = SmoothedAggregationAMG(A, presmooth=2).vcycle(b)
+        np.testing.assert_allclose(z_fast, z_slow, rtol=1e-10, atol=1e-12)
+
+    def test_solve_uses_the_full_operator(self):
+        A = self._scaled_block()
+        amg = SmoothedAggregationAMG(A)
+        b = np.ones(A.shape[0])
+        x, its, ok = amg.solve(b, tol=1e-10)
+        assert ok and its < 30
+        assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+class TestEdgeCases:
+    def test_no_decoupled_row_semidefinite(self):
+        """Pure Neumann: nothing to split off, the singular coarse
+        operator goes through the symmetric pinv."""
+        A = laplace_7pt(6, neumann=True)
+        amg = SmoothedAggregationAMG(A, max_coarse=30)
+        assert amg.n_decoupled == 0 and amg.grid_sizes()[0] == A.shape[0]
+        assert amg.n_levels >= 2
+        b = np.sin(np.arange(A.shape[0]))
+        b -= b.mean()  # compatible right-hand side
+        x, its, ok = amg.solve(b, tol=1e-8, maxiter=60)
+        assert ok and np.all(np.isfinite(x))
+
+    def test_all_rows_decoupled(self):
+        d = np.array([2.0, -4.0, 0.5])
+        amg = SmoothedAggregationAMG(sp.csr_matrix(np.diag(d)))
+        assert amg.n_decoupled == 3
+        assert amg.n_levels == 0 and amg.grid_sizes() == []
+        assert amg.operator_complexity == 1.0
+        b = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(amg.vcycle(b), b / d)
+        B = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(amg.vcycle(B), B / d[:, None])
+        x, its, ok = amg.solve(b)
+        assert ok and its == 1
+
+    def test_free_block_within_max_coarse_is_dense_only(self):
+        A = free_slip_blocks(1)[1]  # 27 dofs, 9 of them free
+        amg = SmoothedAggregationAMG(A)
+        assert amg.n_decoupled == 18 and amg.grid_sizes() == [9]
+        assert amg.levels[0].Lsolve is None and amg.levels[0].R is None
+        b = np.arange(1.0, 28.0)
+        np.testing.assert_allclose(A @ amg.vcycle(b), b, rtol=1e-10)
+
+    def test_zero_diagonal_isolated_row_stays_free(self):
+        """A row of zeros is not divided by: it stays in the free block
+        and the dense pinv maps it to zero, as before the split."""
+        A = sp.block_diag(
+            [laplace_7pt(2), sp.csr_matrix((1, 1)), sp.identity(2) * 3.0], format="csr"
+        )
+        amg = SmoothedAggregationAMG(A)
+        np.testing.assert_array_equal(amg.fixed, [9, 10])
+        assert 8 in amg.free
+        with np.errstate(all="raise"):
+            z = amg.vcycle(np.ones(11))
+        assert np.all(np.isfinite(z)) and z[8] == 0.0
+        np.testing.assert_array_equal(z[9:], [1.0 / 3.0, 1.0 / 3.0])
+
+    def test_explicit_zero_couplings_do_not_count(self):
+        """Stored zeros (what a masked product can leave behind) are not
+        couplings."""
+        C = sp.block_diag([sp.identity(1) * 2.0, laplace_7pt(2)], format="coo")
+        A = sp.csr_matrix(
+            (np.append(C.data, [0.0, 0.0]), (np.append(C.row, [0, 1]), np.append(C.col, [1, 0]))),
+            shape=C.shape,
+        )
+        assert A.nnz == C.nnz + 2  # the zeros are stored
+        amg = SmoothedAggregationAMG(A)
+        np.testing.assert_array_equal(amg.fixed, [0])
+
+
+class TestStokesIntegration:
+    def test_minres_iterations_pinned(self):
+        """A level-3 yielding Stokes solve (two Picard passes, free slip)
+        took 190 MINRES iterations with the hierarchy on the full matrix;
+        the free-block hierarchy draws aggregation priorities and the
+        omega estimate over a different n, so the count may move, within
+        3 % (186 when this was written)."""
+        from repro.rhea import MantleConvection, RheaConfig, YieldingViscosity
+
+        cfg = RheaConfig(
+            viscosity=YieldingViscosity(sigma_y=10.0),
+            initial_level=3,
+            picard_iterations=2,
+            stokes_tol=1e-8,
+        )
+        stats = MantleConvection(cfg).solve_stokes()
+        assert stats["converged"]
+        assert abs(stats["minres_iterations"] - 190) <= 0.03 * 190
+
+    def test_setup_counters_show_the_coarsening(self):
+        mesh = extract_mesh(LinearOctree.uniform(3))
+        st = StokesSystem(mesh, np.ones(mesh.n_elements), np.zeros((mesh.n_nodes, 3)))
+        timer = obs.PhaseTimer()
+        with obs.attached(timer):
+            prec = StokesBlockPreconditioner(st)
+        c = timer.records["prec_setup/amg_setup"]["counters"]
+        assert c["amg_decoupled_rows"] == 3 * 2 * 81
+        assert c["amg_coarse_dofs"] <= 3 * 64
+        assert c["amg_levels"] == sum(a.n_levels for a in prec.amg) <= 3 * 4

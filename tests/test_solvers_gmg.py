@@ -238,6 +238,30 @@ class TestVcycleSPD:
         w = np.linalg.eigvalsh(0.5 * (M + M.T))
         assert w.min() > 0
 
+    def test_stored_restriction_matches_per_call_transpose(self):
+        """The cycle restricts through the CSR ``R`` built next to the
+        masked prolongation; the reference below takes ``P.T`` per call,
+        as the cycle did before (summation order may differ)."""
+        mesh = _mesh(level=2, frac=0.3, seed=4)
+        eta, bf = _problem(mesh, contrast=1e3)
+        st = StokesSystem(mesh, eta, bf, bc="free_slip", variant="tensor")
+        g = GMGStokesPreconditioner(st, max_coarse=20).gmg[2]
+        assert g.n_levels >= 3
+
+        def cycle_ref(k, b):
+            if k == g.n_levels - 1:
+                return g._coarse_inv @ b
+            lvl, P = g.levels[k], g.levels[k + 1].P
+            x = lvl.smoother.apply(b)
+            x = x + P @ cycle_ref(k + 1, P.T @ (b - lvl.op.apply(x)))
+            return x + lvl.smoother.apply(b - lvl.op.apply(x))
+
+        for lvl in g.levels[1:]:
+            assert lvl.R.format == "csr" and (lvl.R != lvl.P.T).nnz == 0
+        b = np.sin(np.arange(g.levels[0].op.n))
+        z, z_ref = g.vcycle(b), cycle_ref(0, b)
+        assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+
 
 class TestStokesPreconditioner:
     def test_matches_amg_solution(self):
