@@ -42,9 +42,9 @@ checkpoint:
     digest-verified shards, resume onto any rank count via Morton-curve
     repartition.
 perf:
-    Scaling-experiment harnesses, table formatters for the paper's
-    figures, and the ``regress`` benchmark suites behind the
-    ``BENCH_*.json`` artifacts.
+    Scaling-experiment harness and table formatters behind the paper
+    figure scripts in ``benchmarks/`` (the benchmark itself is
+    ``python3 -m bench`` at the repository root).
 obs:
     Observability: hierarchical per-rank phase timers with
     communication attribution, Chrome-trace export, and the paper's

@@ -52,7 +52,6 @@ def adapt_mesh(
     min_level: int = 0,
     max_level: int = 18,
     connectivity: str = "corner",
-    face_algorithm: str = "search",
     **mark_kwargs,
 ) -> tuple[Mesh, dict, AdaptReport]:
     """Run one full adaptation step on a serial mesh.
@@ -110,7 +109,7 @@ def adapt_mesh(
     t["BalanceTree"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    new_mesh = extract_mesh(bres.tree, mesh.domain, face_algorithm=face_algorithm)
+    new_mesh = extract_mesh(bres.tree, mesh.domain)
     t["ExtractMesh"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -98,20 +98,12 @@ class ParAmrPipeline:
         max_level: int = 6,
         connectivity: str = "corner",
         tree=None,
-        ghost_algorithm: str = "recursive",
-        balance_algorithm: str = "recursive",
-        face_algorithm: str = "recursive",
     ):
         self.comm = comm
         self.workload = workload or RotatingFrontWorkload()
         self.min_level = min_level
         self.max_level = max_level
         self.connectivity = connectivity
-        # recursive and search variants are bitwise-identical; the
-        # defaults take the low-collective path (see DESIGN.md section 4e)
-        self.ghost_algorithm = ghost_algorithm
-        self.balance_algorithm = balance_algorithm
-        self.face_algorithm = face_algorithm
         self.timings: dict[str, float] = {}
         self.adapt_history: list[ParAdaptStats] = []
         self.steps_taken = 0
@@ -130,16 +122,10 @@ class ParAmrPipeline:
                 self.pt = new_tree(comm, coarse_level)
                 self._tic("NewTree", t0)
                 t0 = time.perf_counter()
-                self.pt, _, _ = balance_tree(
-                    self.pt, connectivity, algorithm=balance_algorithm
-                )
+                self.pt, _, _ = balance_tree(self.pt, connectivity)
                 self._tic("BalanceTree", t0)
             t0 = time.perf_counter()
-            self.pm: ParMesh = extract_parmesh(
-                self.pt,
-                ghost_algorithm=ghost_algorithm,
-                face_algorithm=face_algorithm,
-            )
+            self.pm: ParMesh = extract_parmesh(self.pt)
             self._tic("ExtractMesh", t0)
             coords = self.pm.mesh.node_coords()
             T0 = self.workload.initial(coords)
@@ -215,9 +201,7 @@ class ParAmrPipeline:
 
             t0 = time.perf_counter()
             with obs.phase("amr/balance"):
-                pt, added, _ = balance_tree(
-                    pt, self.connectivity, algorithm=self.balance_algorithm
-                )
+                pt, added, _ = balance_tree(pt, self.connectivity)
                 obs.counter("balance_added", added)
             self._tic("BalanceTree", t0)
 
@@ -228,11 +212,7 @@ class ParAmrPipeline:
 
             t0 = time.perf_counter()
             with obs.phase("amr/extract_mesh"):
-                pm = extract_parmesh(
-                    pt,
-                    ghost_algorithm=self.ghost_algorithm,
-                    face_algorithm=self.face_algorithm,
-                )
+                pm = extract_parmesh(pt)
             self._tic("ExtractMesh", t0)
 
             t0 = time.perf_counter()

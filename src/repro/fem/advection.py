@@ -56,6 +56,10 @@ def supg_tau(sizes: np.ndarray, vel: np.ndarray, kappa: float, dt: float | None 
 class AdvectionDiffusion:
     """SUPG advection-diffusion operator with explicit time stepping.
 
+    The operator is applied matrix-free through
+    :class:`repro.fem.matfree.MatFreeAdvectionOperator`; the assembled
+    ``A`` is built lazily on access.
+
     Parameters
     ----------
     mesh:
@@ -69,11 +73,6 @@ class AdvectionDiffusion:
     dirichlet:
         List of ``(axis, side, value)`` tuples fixing the field on domain
         faces; remaining boundaries are natural (insulated).
-    variant:
-        ``"tensor"`` (default) applies the SUPG operator matrix-free
-        through :class:`repro.fem.matfree.MatFreeAdvectionOperator`; the
-        assembled ``A`` is built lazily on access.  ``"matrix"`` is the
-        legacy assembled path.
     """
 
     def __init__(
@@ -83,12 +82,8 @@ class AdvectionDiffusion:
         vel: np.ndarray,
         source: float = 0.0,
         dirichlet: list[tuple[int, int, float]] | None = None,
-        variant: str = "tensor",
     ):
-        if variant not in ("tensor", "matrix"):
-            raise ValueError(f"unknown variant {variant!r}")
         self.mesh = mesh
-        self.variant = variant
         self.kappa = float(kappa)
         self.vel = np.asarray(vel, dtype=np.float64)
         if self.vel.shape != (mesh.n_elements, 3):
@@ -97,11 +92,7 @@ class AdvectionDiffusion:
         self.tau = supg_tau(sizes, self.vel, self.kappa)
 
         self._A = None
-        self.matfree = None
-        if variant == "tensor":
-            self.matfree = MatFreeAdvectionOperator(mesh, self.kappa, self.vel, self.tau)
-        else:
-            self._A = self._assemble_operator()
+        self.matfree = MatFreeAdvectionOperator(mesh, self.kappa, self.vel, self.tau)
 
         cache = operator_cache(mesh)
         mass_e = cache.get("elem_mass", lambda: _OPS.mass(sizes))
@@ -142,7 +133,7 @@ class AdvectionDiffusion:
 
     @property
     def A(self):
-        """Assembled SUPG operator (built on demand in tensor mode)."""
+        """Assembled SUPG operator (built on demand)."""
         if self._A is None:
             self._A = self._assemble_operator()
         return self._A
@@ -155,8 +146,7 @@ class AdvectionDiffusion:
 
     def rate(self, T: np.ndarray) -> np.ndarray:
         """dT/dt on independent dofs (Dirichlet rows frozen)."""
-        AT = self.matfree.apply(T) if self.matfree is not None else self.A @ T
-        r = (self.b - AT) / self.ML
+        r = (self.b - self.matfree.apply(T)) / self.ML
         r[self._bc_mask] = 0.0
         return r
 

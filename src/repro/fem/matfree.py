@@ -35,9 +35,9 @@ mesh-derived state lives in :func:`repro.mesh.opcache.operator_cache`,
 so it participates in the same structural invalidation and
 ``REPRO_SANITIZE=1`` freeze/verify guards as the assembly scatters.
 
-The assembled CSR path remains the source of truth for AMG setup,
-Dirichlet elimination of the rhs, and the ``variant="matrix"`` legacy
-path; parity between the two applies is pinned to ~1e-12 by the tests.
+The assembled CSR blocks remain the source of truth for AMG setup;
+parity between the assembled and the matrix-free apply is pinned to
+~1e-12 by the tests.
 """
 
 from __future__ import annotations

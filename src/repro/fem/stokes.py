@@ -52,8 +52,13 @@ class _BCInfo:
 
 
 class StokesSystem:
-    """Assembled Stokes blocks, boundary conditions, and the saddle
-    operator used by MINRES.
+    """Stokes blocks, boundary conditions, and the saddle operator used
+    by MINRES.
+
+    The saddle operator is applied matrix-free through
+    :class:`repro.fem.matfree.MatFreeStokesOperator`; the assembled
+    blocks ``A``/``B``/``C`` are built lazily, only if something asks for
+    them (AMG setup assembles its own scalar Poisson blocks either way).
 
     Parameters
     ----------
@@ -67,13 +72,6 @@ class StokesSystem:
         consistent load is the nodal mass applied per component.
     bc:
         ``"free_slip"`` or ``"no_slip"``.
-    variant:
-        ``"tensor"`` (default) applies the saddle operator matrix-free
-        through :class:`repro.fem.matfree.MatFreeStokesOperator`; the
-        assembled blocks ``A``/``B``/``C`` are then built lazily, only if
-        something asks for them (AMG setup assembles its own scalar
-        Poisson blocks either way).  ``"matrix"`` is the legacy fully
-        assembled path.
     """
 
     def __init__(
@@ -82,12 +80,8 @@ class StokesSystem:
         viscosity: np.ndarray,
         body_force: np.ndarray | None = None,
         bc: str = "free_slip",
-        variant: str = "tensor",
     ):
-        if variant not in ("tensor", "matrix"):
-            raise ValueError(f"unknown variant {variant!r}")
         self.mesh = mesh
-        self.variant = variant
         self.viscosity = np.asarray(viscosity, dtype=np.float64)
         if self.viscosity.shape != (mesh.n_elements,):
             raise ValueError("viscosity must be per-element")
@@ -114,28 +108,16 @@ class StokesSystem:
         # velocity boundary conditions
         self.bc_kind = bc
         self.bc = cache.get(("stokes_bcs", bc), lambda: self._build_bcs(bc))
-        self.matfree = None
-        if variant == "tensor":
-            # Dirichlet values are homogeneous, so eliminating them from
-            # the rhs is just zeroing the constrained entries; the
-            # operator-side elimination is folded into the matfree gather
-            self.f[self.bc.dofs] = 0.0
-            self.matfree = MatFreeStokesOperator(
-                mesh, self.viscosity, bc, self.bc.dofs
-            )
-        else:
-            self._A = assemble_vector(
-                mesh, _OPS.strain_stiffness(sizes, self.viscosity)
-            )
-            self._C = assemble_scalar(
-                mesh, _OPS.pressure_stabilization(sizes, self.viscosity)
-            )
-            self._A, self.f = apply_dirichlet(self._A, self.f, self.bc.dofs)
+        # Dirichlet values are homogeneous, so eliminating them from the
+        # rhs is just zeroing the constrained entries; the operator-side
+        # elimination is folded into the matfree gather
+        self.f[self.bc.dofs] = 0.0
+        self.matfree = MatFreeStokesOperator(mesh, self.viscosity, bc, self.bc.dofs)
 
         self.n_u = 3 * n
         self.n_p = n
 
-    # -- assembled blocks (lazy in tensor mode) ---------------------------------
+    # -- assembled blocks (lazy) -------------------------------------------------
 
     @property
     def A(self) -> sp.csr_matrix:
@@ -211,13 +193,7 @@ class StokesSystem:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the full saddle operator [[A, B^T], [B, -C]]."""
-        if self.matfree is not None:
-            return self.matfree.apply(x)
-        u, p = x[: self.n_u], x[self.n_u :]
-        out = np.empty_like(x)
-        out[: self.n_u] = self.A @ u + self.B.T @ p
-        out[self.n_u :] = self.B @ u - self.C @ p
-        return out
+        return self.matfree.apply(x)
 
     def rhs(self) -> np.ndarray:
         b = np.zeros(self.n_dof, dtype=np.float64)
@@ -249,16 +225,8 @@ class StokesSystem:
 
     def schur_diagonal(self) -> np.ndarray:
         """``Stilde``: inverse-viscosity-weighted lumped pressure mass."""
-        if self.matfree is not None:
-            return lumped_scalar_mass(self.mesh, 1.0 / self.viscosity)
-        sizes = self.mesh.element_sizes()
-        from .assembly import lumped_mass
-
-        d = lumped_mass(self.mesh, _OPS.mass(sizes, 1.0 / self.viscosity))
-        return d
+        return lumped_scalar_mass(self.mesh, 1.0 / self.viscosity)
 
     def velocity_divergence_norm(self, x: np.ndarray) -> float:
         """||B u|| — discrete divergence residual of a solution vector."""
-        if self.matfree is not None:
-            return float(np.linalg.norm(self.matfree.apply_divergence(x[: self.n_u])))
-        return float(np.linalg.norm(self.B @ x[: self.n_u]))
+        return float(np.linalg.norm(self.matfree.apply_divergence(x[: self.n_u])))

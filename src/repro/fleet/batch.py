@@ -263,10 +263,9 @@ class BatchGroup:
 
     Every sim must hold the *same* :class:`~repro.mesh.Mesh` object (the
     fleet's :class:`~repro.fleet.service.MeshRegistry` interns structures
-    to guarantee this), the same velocity BC and domain, the tensor FEM
-    variant, and zero internal heating — everything else (Rayleigh
-    number, viscosity law, tolerances, Picard budget, step counts) may
-    differ per tenant.
+    to guarantee this), the same velocity BC and domain, and zero
+    internal heating — everything else (Rayleigh number, viscosity law,
+    tolerances, Picard budget, step counts) may differ per tenant.
 
     :meth:`cycle` mirrors one serial
     :meth:`~repro.rhea.convection.MantleConvection.run` cycle without
@@ -296,8 +295,6 @@ class BatchGroup:
                 raise ValueError("velocity_bc must be uniform across a batch group")
             if tuple(c.domain) != tuple(cfg0.domain):
                 raise ValueError("domain must be uniform across a batch group")
-            if c.fem_variant != "tensor":
-                raise ValueError("batched execution requires fem_variant='tensor'")
             if c.gamma != 0.0:
                 raise ValueError("batched advection supports gamma = 0 only")
         self.sims = list(sims)
@@ -360,9 +357,7 @@ class BatchGroup:
                 # the group; per-job deviations are absorbed by the
                 # Jacobi congruence correction below.
                 eta_ref = np.exp(np.mean(np.log(eta_b), axis=0))
-                st_ref = StokesSystem(
-                    mesh, eta_ref, None, bc=bc_kind, variant="tensor"
-                )
+                st_ref = StokesSystem(mesh, eta_ref, None, bc=bc_kind)
                 bc = st_ref.bc
                 with obs.phase("prec_setup"):
                     amg = [

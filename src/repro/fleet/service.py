@@ -84,16 +84,12 @@ class MeshRegistry:
 
     def uniform(self, cfg):
         """The interned uniform mesh for a config's initial level/domain."""
-        key = (
-            int(cfg.initial_level),
-            tuple(float(d) for d in cfg.domain),
-            cfg.face_algorithm,
-        )
+        key = (int(cfg.initial_level), tuple(float(d) for d in cfg.domain))
         if key in self._uniform:
             self.shared += 1
             return self._uniform[key]
         tree = LinearOctree.uniform(cfg.initial_level)
-        mesh = extract_mesh(tree, cfg.domain, face_algorithm=cfg.face_algorithm)
+        mesh = extract_mesh(tree, cfg.domain)
         self._uniform[key] = mesh
         self._by_key[self.structure_key(mesh)] = mesh
         self.built += 1

@@ -10,7 +10,7 @@ from .cubed_sphere import RadialProjectionGeometry, cap_axes, cubed_sphere_conne
 from .faces import FaceClassification, match_faces
 from .forest import Forest
 from .parforest import FOREST_MAX_LEVEL, ParForest, forest_key, sample_queries
-from .recursive import balance_forest_recursive, ghost_recursive
+from .recursive import balance_forest_recursive
 
 __all__ = [
     "Connectivity",
@@ -25,7 +25,6 @@ __all__ = [
     "FOREST_MAX_LEVEL",
     "forest_key",
     "sample_queries",
-    "ghost_recursive",
     "balance_forest_recursive",
     "FaceClassification",
     "match_faces",

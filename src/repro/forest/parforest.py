@@ -5,10 +5,10 @@ each rank owns a contiguous segment of it.  As in the single-octree case
 (:mod:`repro.octree.partree`), the only global metadata is one composite
 key per rank, and all operations are bulk-synchronous:
 
-- :meth:`ParForest.balance` — ripple-propagated 2:1 balance, with
-  neighbor queries that leave a tree through a face transformed into the
-  adjacent tree's coordinates by the connectivity's exact lattice
-  transforms and routed to the owning rank;
+- :meth:`ParForest.balance` — 2:1 balance by local refinement plus
+  boundary-leaf exchanges; neighbor samples that leave a tree through a
+  face are transformed into the adjacent tree's coordinates by the
+  connectivity's exact lattice transforms;
 - :meth:`ParForest.partition` — equal-count repartition of the global
   (tree, Morton) curve with one all-to-all.
 
@@ -156,66 +156,20 @@ class ParForest:
 
     # -- balance -----------------------------------------------------------------------
 
-    def _sample_queries(self, connectivity: str):
-        """(query_fkeys, query_levels) of all neighbor sample points of
-        local leaves: within-tree for all directions, cross-tree through
-        faces (exact lattice transforms)."""
-        return sample_queries(self.tree_ids, self.octs, self.conn, connectivity)
-
     def balance(
-        self,
-        connectivity: str = "edge",
-        max_rounds: int = 64,
-        algorithm: str = "search",
+        self, connectivity: str = "edge", max_rounds: int = 64
     ) -> tuple["ParForest", int]:
-        """Distributed 2:1 balance across and within trees (recorded
-        under the ``amr/balance`` phase when an obs timer is bound).
+        """Distributed 2:1 balance across and within trees: local balance,
+        then boundary-leaf exchanges until a global fixed point
+        (:func:`repro.forest.recursive.balance_forest_recursive`, at most
+        ``max_rounds`` exchanges).  Recorded under the ``amr/balance``
+        phase when an obs timer is bound.  Returns
+        ``(forest, leaves_added)``."""
+        from .recursive import balance_forest_recursive
 
-        ``algorithm="search"`` is the ripple (one alltoall round per
-        propagated level); ``"recursive"`` is the low-collective variant
-        of :mod:`repro.forest.recursive` — same forest, bitwise."""
         with obs.phase("amr/balance"):
-            if algorithm == "recursive":
-                from .recursive import balance_forest_recursive
-
-                pf, added, _ = balance_forest_recursive(
-                    self, connectivity, max_rounds
-                )
-                return pf, added
-            if algorithm != "search":
-                raise ValueError(f"unknown balance algorithm {algorithm!r}")
-            return self._balance_impl(connectivity, max_rounds)
-
-    def _balance_impl(self, connectivity: str, max_rounds: int) -> tuple["ParForest", int]:
-        pf = self
-        n0 = pf.global_count()
-        comm = self.comm
-        for _ in range(max_rounds):
-            markers = pf.markers()
-            qfk, qlv = pf._sample_queries(connectivity)
-            owners = pf.owners(markers, qfk)
-            send = []
-            for r in range(comm.size):
-                s = owners == r
-                buf = np.empty((int(s.sum()), 2), dtype=np.uint64)
-                buf[:, 0] = qfk[s]
-                buf[:, 1] = qlv[s].astype(np.uint64)
-                send.append(buf)
-            recv = comm.alltoall(send)
-            fkeys = pf.fkeys()
-            mark = np.zeros(len(pf), dtype=bool)
-            for buf in recv:
-                if len(buf) == 0:
-                    continue
-                idx = np.searchsorted(fkeys, buf[:, 0], side="right") - 1
-                viol = pf.octs.level[idx].astype(np.int64) < buf[:, 1].astype(np.int64) - 1
-                mark[idx[viol]] = True
-            changed = comm.allreduce(bool(mark.any()), op="lor")
-            if mark.any():
-                pf = pf.refine(mark)
-            if not changed:
-                return pf, pf.global_count() - n0
-        raise RuntimeError("parallel forest balance did not converge")
+            pf, added, _ = balance_forest_recursive(self, connectivity, max_rounds)
+            return pf, added
 
     # -- partition ---------------------------------------------------------------------
 
@@ -299,9 +253,8 @@ def sample_queries(
     given leaves: within-tree for all directions of ``connectivity``,
     cross-tree through faces (exact lattice transforms).
 
-    Shared by the ripple balance (on local leaves) and the recursive
-    balance (also on received remote boundary leaves), so both paths mark
-    from identical sample sets."""
+    :func:`repro.forest.recursive.balance_forest_recursive` samples the
+    local leaves and the received remote boundary leaves with it."""
     dirs = directions_for(connectivity)
     face_dirs = directions_for("face")
     qf, ql = [], []

@@ -1,44 +1,27 @@
-"""Recursive distributed-forest algorithms (ghost + low-collective balance).
+"""Low-collective 2:1 balance of the distributed forest.
 
-Ports the production p4est replacements of Isaac, Burstedde, Wilcox &
-Ghattas ("Recursive Algorithms for Distributed Forests of Octrees") for
-this paper's search-based ALPS kernels:
-
-- :func:`ghost_recursive` — search-free ghost construction for the
-  distributed octree.  Instead of sampling 26 directions x 8 child
-  centers per leaf and paying a query/reply alltoall pair, each rank
-  recursively intersects its boundary leaves' one-cell-dilated boxes with
-  the partition markers (:mod:`repro.octree.traverse`), determines
-  *exactly* which remote ranks are adjacent to each leaf, and ships the
-  boundary leaves in a single targeted alltoall.
-- :func:`balance_forest_recursive` — low-collective 2:1 balance of a
-  :class:`~repro.forest.parforest.ParForest`: the local subtree is
-  balanced with zero communication, then boundary leaves are merged into
-  the insulation layers of neighboring ranks (within-tree via dilated
-  boxes, cross-tree via the connectivity's exact lattice transforms of
-  the one-cell face slabs) and re-balanced until a single convergence
-  allreduce reports a global fixed point — typically two exchanges
-  instead of one alltoall round per propagated level.
-
-Both produce results bitwise identical to the search paths: the exact
-ghost layer is unique, and so is the 2:1 closure of a complete forest.
+Ports the p4est algorithm of Isaac, Burstedde, Wilcox & Ghattas
+("Recursive Algorithms for Distributed Forests of Octrees",
+arXiv:1406.0089) to :class:`~repro.forest.parforest.ParForest`:
+:func:`balance_forest_recursive` — the body of :meth:`ParForest.balance`
+— balances the local subtree with zero communication, then merges
+boundary leaves into the insulation layers of neighboring ranks
+(within-tree via dilated boxes, cross-tree via the connectivity's exact
+lattice transforms of the one-cell face slabs) and re-balances until a
+single convergence allreduce reports a global fixed point — typically
+two exchanges.  The 2:1 closure of a complete forest is unique, so the
+result is the serial :meth:`Forest.balance` of the gathered forest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..octree import OctantArray, ROOT_LEN
-from ..octree.partree import ParTree, partition_markers
-from ..octree.traverse import boundary_leaf_mask, box_owner_pairs, dilated_boxes
-from .parforest import (
-    FOREST_MAX_LEVEL,
-    ParForest,
-    forest_key,
-    sample_queries,
-)
+from ..octree import OctantArray, ROOT_LEN, morton_encode
+from ..octree.traverse import box_owner_pairs, dilated_boxes
+from .parforest import ParForest, forest_key, sample_queries
 
-__all__ = ["ghost_recursive", "balance_forest_recursive"]
+__all__ = ["balance_forest_recursive"]
 
 #: Side length of a forest-reduced cell in finest-cell units: the
 #: composite ordering drops the lowest 6 Morton bits (2 per axis), so the
@@ -48,51 +31,6 @@ _UNIT = 4
 _SHIFT = np.uint64(57)
 
 
-def ghost_recursive(pt: ParTree) -> tuple[OctantArray, np.ndarray]:
-    """Recursive GHOST: the exact 26-adjacency ghost layer in one
-    alltoall.
-
-    Each rank computes, per boundary leaf, the remote ranks owning any
-    cell of the leaf's one-cell-dilated shell — by marker recursion, not
-    sampling — and sends the leaf to exactly those ranks.  Returns
-    ``(ghosts, ghost_owner_ranks)`` sorted by Morton key, the same layer
-    (bitwise) as the search path's sampled-and-filtered result.
-    """
-    comm = pt.comm
-    local = pt.local
-    markers = partition_markers(comm, local)
-    from ..octree.traverse import ghost_destinations
-
-    idx, dst = ghost_destinations(local, markers, comm.rank)
-    sendbufs = []
-    for r in range(comm.size):  # lint: allow-loop (per-rank, not per-element)
-        sel = idx[dst == r]
-        buf = np.empty((len(sel), 4), dtype=np.int64)
-        buf[:, 0] = local.x[sel]
-        buf[:, 1] = local.y[sel]
-        buf[:, 2] = local.z[sel]
-        buf[:, 3] = local.level[sel]
-        sendbufs.append(buf)
-    got = comm.alltoall(sendbufs)
-    parts, owners_out = [], []
-    for r, buf in enumerate(got):  # lint: allow-loop (per-rank, not per-element)
-        if len(buf):
-            parts.append(buf)
-            owners_out.append(np.full(len(buf), r, dtype=np.int64))
-    if not parts:
-        return OctantArray.empty(), np.zeros(0, dtype=np.int64)
-    blk = np.concatenate(parts, axis=0)
-    own = np.concatenate(owners_out)
-    ghosts = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
-    # each ghost arrives exactly once (from its owner): sort by key only
-    order = np.argsort(ghosts.keys())
-    return ghosts[order], own[order]
-
-
-# --------------------------------------------------------------------------
-# low-collective forest balance
-
-
 def _forest_destinations(
     pf: ParForest, markers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +38,8 @@ def _forest_destinations(
     any reduced cell adjacent to each local leaf — within its tree via
     the dilated box, across connected tree faces via the transformed
     one-cell face slab.  Cross-tree adjacency through edges/corners is
-    (like the ripple's queries) not propagated directly; it is covered
-    transitively by face balance."""
+    (like :func:`~repro.forest.parforest.sample_queries`) not propagated
+    directly; it is covered transitively by face balance."""
     tids = pf.tree_ids
     octs = pf.octs
     rank = pf.comm.rank
@@ -186,8 +124,6 @@ def _forest_destinations(
 
 def _encode_full(pts: np.ndarray) -> np.ndarray:
     """Morton keys of (n, 3) full-resolution coordinate rows."""
-    from ..octree import morton_encode
-
     return morton_encode(pts[:, 0], pts[:, 1], pts[:, 2])
 
 
@@ -202,8 +138,7 @@ def _forest_ripple(
     """Balance this rank's forest segment against itself plus the static
     received boundary leaves, refining until a local fixed point.  Only
     sample queries landing in this rank's composite-key interval are
-    answered (the identical marking rule as the ripple's routed
-    queries)."""
+    answered."""
     changed = False
     while True:
         if extra_o is None:
@@ -235,11 +170,10 @@ def balance_forest_recursive(
     Markers are fixed for the whole call (balancing never changes a
     rank's first composite key): one allgather up front, then per
     exchange one alltoall of boundary leaves plus one allreduce —
-    typically two exchanges total, versus the ripple's per-level
-    allgather + query alltoall + reply processing.
+    typically two exchanges total.
 
-    Returns ``(forest, leaves_added, exchanges)`` — the same forest,
-    bitwise, as :meth:`ParForest._balance_impl` (unique 2:1 closure).
+    Returns ``(forest, leaves_added, exchanges)``; ``max_rounds`` bounds
+    the exchanges.
     """
     comm = pf.comm
     n0 = pf.global_count()

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .. import obs
-from ..forest import Connectivity, Forest
+from ..forest import Connectivity, Forest, match_faces
 from ..octree import OctantArray, ROOT_LEN
 from ..solvers.timestep import LowStorageRK45
 from .lgl import lagrange_basis_at
@@ -115,17 +115,11 @@ class DGAdvection:
         Callable giving the exterior trace on forest-boundary faces
         (default zero).
     batch_faces:
-        When True (default), same-tree faces are classified and built
-        with array operations (one batched neighbor probe per tree and
-        face direction); only cross-tree faces go through the per-face
-        loop.  False forces the per-face loop everywhere — the
-        pre-vectorization path, kept as the equivalence oracle.
-    face_algorithm:
-        ``"recursive"`` (default) classifies same-tree faces by
+        When True (default), same-tree faces are classified by
         descriptor sort-merge joins (:func:`repro.forest.faces.match_faces`)
-        instead of per-direction containment probes; ``"search"`` keeps
-        the probe classifier.  Bitwise-identical operators; only the
-        batched path is affected.
+        and built with array operations; only cross-tree faces go through
+        the per-face loop.  False forces the per-face loop everywhere —
+        the pre-vectorization path, kept as the equivalence oracle.
     """
 
     def __init__(
@@ -135,15 +129,11 @@ class DGAdvection:
         velocity: Callable[[np.ndarray], np.ndarray],
         inflow: Callable[[np.ndarray], np.ndarray] | None = None,
         batch_faces: bool = True,
-        face_algorithm: str = "recursive",
     ):
         self.forest = forest
         self.conn: Connectivity = forest.conn
         self.p = p
         self.batch_faces = batch_faces
-        if face_algorithm not in ("recursive", "search"):
-            raise ValueError(f"unknown face algorithm {face_algorithm!r}")
-        self.face_algorithm = face_algorithm
         self.kern = DerivativeKernel(p)
         n = p + 1
         self.n = n
@@ -474,55 +464,23 @@ class DGAdvection:
 
     def _build_faces_batched(self, velocity, interior, bdry) -> None:
         """Array-op face construction: classify every (element, face) with
-        one batched neighbor probe per (tree, direction), then build
-        boundary / conforming / fine-driver batches per direction without
-        per-face Python work.  Cross-tree faces (rotated frames, inter-tree
+        :func:`~repro.forest.faces.match_faces`, then build boundary /
+        conforming / fine-driver batches per direction without per-face
+        Python work.  Cross-tree faces (rotated frames, inter-tree
         mortars) fall through to :meth:`_build_face_single`."""
-        n2, n3, ne = self.n2, self.n3, self.ne
+        n2, n3 = self.n2, self.n3
         octs = self.octs
-        hi = octs.lengths().astype(np.int64)
-        ai = np.stack([octs.x, octs.y, octs.z], axis=1).astype(np.int64)
-        hf = hi.astype(np.float64)
-        af = ai.astype(np.float64)
-        lvl = octs.level.astype(np.int64)
-        tids = self.tree_ids
+        hf = octs.lengths().astype(np.float64)
+        af = np.stack([octs.x, octs.y, octs.z], axis=1).astype(np.float64)
         w2 = np.einsum("i,j->ij", self.kern.weights, self.kern.weights).ravel()
 
-        if self.face_algorithm == "recursive":
-            # sort-merge joins on face descriptors classify every face —
-            # and resolve coarse-face sub-neighbors — with no probes
-            from ..forest.faces import match_faces
-
-            fcls = match_faces(tids, octs, self.conn)
-            valid, same = fcls.valid, fcls.same
-            idrive, coarse = fcls.idrive, fcls.coarse
-            g_nb, subs_all = fcls.g_nb, fcls.subs
-        else:
-            # one probe per (tree, direction) classifies all faces at once
-            t_nb = np.full((ne, 6), -1, dtype=np.int64)
-            g_nb = np.zeros((ne, 6), dtype=np.int64)
-            utrees = np.unique(tids)
-            for f in range(6):
-                axis, side = _FACE_AXIS_SIDE[f]
-                d = np.zeros(3, dtype=np.int64)
-                d[axis] = 1 if side else -1
-                centers = ai + (hi // 2)[:, None] + d[None, :] * hi[:, None]
-                for t in utrees:
-                    sel = np.flatnonzero(tids == t)
-                    tt, ll = self.forest.neighbor_leaf(int(t), centers[sel])
-                    t_nb[sel, f] = tt
-                    ok = tt >= 0
-                    g_nb[sel[ok], f] = self._offsets[tt[ok]] + ll[ok]
-
-            valid = t_nb >= 0
-            same = valid & (t_nb == tids[:, None])
-            nblvl = lvl[g_nb]
-            idrive = same & (nblvl <= lvl[:, None])
-            coarse = same & (nblvl > lvl[:, None])
-            subs_all = None
+        # sort-merge joins on face descriptors classify every face and
+        # resolve the four fine neighbors of each coarse face
+        fcls = match_faces(self.tree_ids, octs, self.conn)
+        valid, idrive, coarse, g_nb = fcls.valid, fcls.idrive, fcls.coarse, fcls.g_nb
 
         fallback: list[tuple[int, int]] = [
-            (int(e), int(f)) for e, f in zip(*np.nonzero(valid & ~same))
+            (int(e), int(f)) for e, f in zip(*np.nonzero(valid & ~fcls.same))
         ]
 
         def face_quads(E, f):
@@ -544,9 +502,18 @@ class DGAdvection:
             interior["an"].append(np.einsum("mqd,mqd->mq", v, normal))
             interior["key"].append(E * 6 + f)
 
+        def trace_operator(R, quad, tangential):
+            """Interpolation from the face nodes of elements ``R`` to the
+            tree-frame points ``quad`` lying on that face."""
+            loc = 2.0 * (quad - af[R][:, None, :]) / hf[R][:, None, None] - 1.0
+            st = loc[:, :, tangential]
+            if np.any(np.abs(st) > 1 + 1e-9):
+                raise AssertionError("face point outside element face")
+            return self._batched_interp(np.clip(st, -1.0, 1.0))
+
         for f in range(6):
-            axis, side = _FACE_AXIS_SIDE[f]
-            t1, t2 = [a2 for a2 in range(3) if a2 != axis]
+            axis = _FACE_AXIS_SIDE[f][0]
+            tang = [a2 for a2 in range(3) if a2 != axis]
             fnb = f ^ 1  # same-tree frames are aligned
 
             # boundary faces of this direction
@@ -569,64 +536,16 @@ class DGAdvection:
             if len(E):
                 G = g_nb[E, f]
                 quad = face_quads(E, f)
-                loc = 2.0 * (quad - af[G][:, None, :]) / hf[G][:, None, None] - 1.0
-                st = loc[:, :, [t1, t2]]
-                if np.any(np.abs(st) > 1 + 1e-9):
-                    raise AssertionError("face point outside element face")
-                st = np.clip(st, -1.0, 1.0)
-                emit_interior(E, G, f, fnb, quad, self._batched_interp(st), True)
+                emit_interior(E, G, f, fnb, quad, trace_operator(G, quad, tang), True)
 
-            # coarse-side faces: each of the 4 fine neighbors drives
+            # coarse-side faces: each of the 4 fine neighbors drives (always
+            # in-tree: cross-tree coarse faces went to fallback)
             E = np.flatnonzero(coarse[:, f])
             if len(E):
-                if subs_all is not None:
-                    # matched path: sub-neighbors already resolved, always
-                    # in-tree (cross-tree coarse faces went to fallback)
-                    subs = [
-                        (tids[subs_all[E, f, q]], subs_all[E, f, q])
-                        for q in range(4)
-                    ]
-                    okall = np.ones(len(E), dtype=bool)
-                else:
-                    d = np.zeros(3, dtype=np.int64)
-                    d[axis] = 1 if side else -1
-                    base = (
-                        ai[E]
-                        + (hi[E] // 2)[:, None]
-                        + d[None, :] * (hi[E] // 2 + hi[E] // 4)[:, None]
-                    )
-                    subs = []
-                    okall = np.ones(len(E), dtype=bool)
-                    for j2 in range(2):
-                        for j1 in range(2):
-                            q = base.copy()
-                            q[:, t1] = ai[E, t1] + hi[E] // 4 + j1 * (hi[E] // 2)
-                            q[:, t2] = ai[E, t2] + hi[E] // 4 + j2 * (hi[E] // 2)
-                            tq = np.full(len(E), -1, dtype=np.int64)
-                            gq = np.zeros(len(E), dtype=np.int64)
-                            for t in np.unique(tids[E]):
-                                s = np.flatnonzero(tids[E] == t)
-                                tt, ll = self.forest.neighbor_leaf(int(t), q[s])
-                                tq[s] = tt
-                                ok = tt >= 0
-                                gq[s[ok]] = self._offsets[tt[ok]] + ll[ok]
-                            subs.append((tq, gq))
-                            okall &= tq == tids[E]
-                Eb = E[okall]
-                if len(Eb):
-                    for tq, gq in subs:
-                        G = gq[okall]
-                        quad = face_quads(G, fnb)  # fine neighbor's face nodes
-                        loc = (
-                            2.0 * (quad - af[Eb][:, None, :]) / hf[Eb][:, None, None]
-                            - 1.0
-                        )
-                        st = loc[:, :, [t1, t2]]
-                        if np.any(np.abs(st) > 1 + 1e-9):
-                            raise AssertionError("face point outside element face")
-                        st = np.clip(st, -1.0, 1.0)
-                        emit_interior(Eb, G, f, fnb, quad, self._batched_interp(st), False)
-                fallback.extend((int(e), f) for e in E[~okall])
+                for q in range(4):
+                    G = fcls.subs[E, f, q]
+                    quad = face_quads(G, fnb)  # fine neighbor's face nodes
+                    emit_interior(E, G, f, fnb, quad, trace_operator(E, quad, tang), False)
 
         for e, f in fallback:
             self._build_face_single(e, f, velocity, interior, bdry)

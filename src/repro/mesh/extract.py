@@ -215,17 +215,13 @@ def _find_hanging_constraints(
     coords: np.ndarray,
     keys: np.ndarray,
     elements,  # OctantArray of the leaves
-    face_algorithm: str = "search",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Identify hanging nodes and their direct parent lists.
 
     Returns ``(child_idx, parent_idx, weight)`` COO triplets where
     ``child_idx`` are node indices of hanging nodes (repeated per parent).
-
-    ``face_algorithm`` selects how candidate node keys are resolved:
-    ``"search"`` binary-searches the sorted key array per candidate,
-    ``"recursive"`` answers all candidates in one stable merge
-    (:func:`repro.octree.faces.merge_lookup`).  Identical results.
+    Candidate node keys are resolved by binary search in the sorted key
+    array.
     """
     h = elements.lengths()
     if len(h) and int(h.min()) < 2:
@@ -235,25 +231,12 @@ def _find_hanging_constraints(
     key_sorter = np.argsort(keys)
     keys_sorted = keys[key_sorter]
 
-    if face_algorithm == "recursive":
-        from ..octree.faces import merge_lookup
-
-        def lookup(cand_keys: np.ndarray) -> np.ndarray:
-            """Node index of each key, or -1 if not a mesh node."""
-            return merge_lookup(keys_sorted, key_sorter, cand_keys)
-
-    elif face_algorithm == "search":
-
-        def lookup(cand_keys: np.ndarray) -> np.ndarray:
-            """Node index of each key, or -1 if not a mesh node."""
-            pos = np.searchsorted(keys_sorted, cand_keys)
-            pos_c = np.clip(pos, 0, len(keys_sorted) - 1)
-            hit = keys_sorted[pos_c] == cand_keys
-            out = np.where(hit, key_sorter[pos_c], -1)
-            return out
-
-    else:
-        raise ValueError(f"unknown face algorithm {face_algorithm!r}")
+    def lookup(cand_keys: np.ndarray) -> np.ndarray:
+        """Node index of each key, or -1 if not a mesh node."""
+        pos = np.searchsorted(keys_sorted, cand_keys)
+        pos_c = np.clip(pos, 0, len(keys_sorted) - 1)
+        hit = keys_sorted[pos_c] == cand_keys
+        return np.where(hit, key_sorter[pos_c], -1)
 
     children, parents, weights = [], [], []
 
@@ -319,21 +302,17 @@ def _first_discovery(
     return child[keep], parent[keep], weight[keep]
 
 
-def extract_mesh(
-    tree: _LinearOctree, domain=(1.0, 1.0, 1.0), *, face_algorithm: str = "search"
-) -> Mesh:
+def extract_mesh(tree: _LinearOctree, domain=(1.0, 1.0, 1.0)) -> Mesh:
     """Extract the hexahedral mesh and hanging-node constraints.
 
     ``tree`` must be complete and fully (corner-)balanced.
     """
-    mesh = extract_submesh(tree.leaves, domain, face_algorithm=face_algorithm)
+    mesh = extract_submesh(tree.leaves, domain)
     mesh.tree = tree
     return mesh
 
 
-def extract_submesh(
-    leaves, domain=(1.0, 1.0, 1.0), *, face_algorithm: str = "search"
-) -> Mesh:
+def extract_submesh(leaves, domain=(1.0, 1.0, 1.0)) -> Mesh:
     """Extract a mesh from an arbitrary (sorted, fully balanced) octant
     set — the local + ghost element union of a distributed mesh.
 
@@ -356,12 +335,11 @@ def extract_submesh(
     n_nodes = len(keys)
 
     child, parent, weight = _first_discovery(
-        *_find_hanging_constraints(coords, keys, leaves, face_algorithm)
+        *_find_hanging_constraints(coords, keys, leaves)
     )
     hanging = np.zeros(n_nodes, dtype=bool)
     hanging[child] = True
 
-    # Transitive closure: replace hanging parents by their own parents.
     direct = sp.csr_matrix(
         (weight, (child, parent)), shape=(n_nodes, n_nodes)
     )

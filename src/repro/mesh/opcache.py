@@ -11,7 +11,7 @@ The cache attaches lazily to a :class:`~repro.mesh.extract.Mesh`
 instance, so invalidation is structural: ``adapt()`` produces a *new*
 mesh object, and with it a fresh, empty cache — no generation counters
 to keep in sync, nothing stale to drop.  Global hit/miss counters are
-kept for the perf-regression harness.
+kept for the benchmark (``mesh.opcache_hits`` / ``_misses``).
 
 Memoization never changes arithmetic: cached values are exactly the
 arrays the builder would produce, so solver results with the cache on

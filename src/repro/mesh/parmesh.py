@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..octree import OctantArray, ROOT_LEN, morton_encode
-from ..octree.partree import ParTree, owners_of_keys, partition_markers
+from ..octree.partree import (
+    ParTree,
+    exchange_boundary_leaves,
+    owners_of_keys,
+    partition_markers,
+)
 from ..parallel import SimComm
 from .extract import Mesh, extract_submesh, node_keys
 
@@ -40,7 +45,7 @@ __all__ = [
 
 class UnbalancedTreeError(RuntimeError):
     """Raised under ``REPRO_SANITIZE=1`` when ghost collection is
-    attempted on a tree that violates corner 2:1 balance — the sampled
+    attempted on a tree that violates corner 2:1 balance — the one-deep
     ghost layer would silently be incomplete."""
 
     def __init__(self, violations: int):
@@ -67,116 +72,33 @@ def _check_corner_balanced(pt: ParTree) -> None:
         raise UnbalancedTreeError(violations)
 
 
-def _adjacency_filter(
-    local: OctantArray, ghosts: OctantArray, own: np.ndarray
-) -> tuple[OctantArray, np.ndarray]:
-    """Trim ghost candidates to the exact 26-adjacency layer: keep a
-    ghost iff its closed box shares at least a point with some local
-    leaf's closed box.  The child-center sampling can pick up near-miss
-    leaves (far-half children of a neighbor region that only *contains* a
-    sample, without touching the sampler); filtering makes the search
-    path emit the same canonical layer as the recursive path."""
-    if not len(ghosts) or not len(local):
-        return ghosts, own
-    llo = np.stack([local.x, local.y, local.z], axis=1)
-    lhi = llo + local.lengths()[:, None]
-    glo = np.stack([ghosts.x, ghosts.y, ghosts.z], axis=1)
-    ghi = glo + ghosts.lengths()[:, None]
-    keep = np.zeros(len(ghosts), dtype=bool)
-    step = max(1, 2_000_000 // max(len(local), 1))
-    for s in range(0, len(ghosts), step):
-        e = s + step
-        touch = (glo[s:e, None, :] <= lhi[None, :, :]) & (
-            ghi[s:e, None, :] >= llo[None, :, :]
-        )
-        keep[s:e] = touch.all(axis=2).any(axis=1)
-    return ghosts[keep], own[keep]
-
-
-def collect_ghosts(
-    pt: ParTree, algorithm: str = "search"
-) -> tuple[OctantArray, np.ndarray]:
+def collect_ghosts(pt: ParTree) -> tuple[OctantArray, np.ndarray]:
     """Gather the ghost layer: all remote leaves adjacent (26-connectivity)
-    to local leaves.
+    to local leaves, in one alltoall.
 
-    Requires a fully (corner-)balanced tree (checked under
-    ``REPRO_SANITIZE=1``): the mesh layer needs one-deep ghost layers,
-    and the search path's child-center sampling finds every adjacent leaf
-    only on balanced trees.  ``algorithm="search"`` samples 26 directions
-    x 8 child centers and pays a query/reply alltoall pair;
-    ``"recursive"`` computes exact per-rank adjacency by marker recursion
-    (:func:`repro.forest.recursive.ghost_recursive`) and ships boundary
-    leaves in a single alltoall.  Both return the identical (bitwise)
-    exact adjacency layer ``(ghosts, ghost_owner_ranks)``, sorted by key.
+    Each rank computes, per boundary leaf, the remote ranks owning any
+    cell of the leaf's one-cell-dilated shell — by marker recursion
+    (:func:`repro.octree.traverse.ghost_destinations`), not sampling —
+    and sends the leaf to exactly those ranks
+    (:func:`repro.octree.partree.exchange_boundary_leaves`; Isaac et
+    al., arXiv:1406.0089).  The mesh layer needs one-deep ghost layers,
+    so the tree must be fully (corner-)balanced (checked under
+    ``REPRO_SANITIZE=1``).
+
+    Returns the exact adjacency layer ``(ghosts, ghost_owner_ranks)``,
+    sorted by Morton key.
     """
     _check_corner_balanced(pt)
-    if algorithm == "recursive":
-        from ..forest.recursive import ghost_recursive
-
-        return ghost_recursive(pt)
-    if algorithm != "search":
-        raise ValueError(f"unknown ghost algorithm {algorithm!r}")
     comm = pt.comm
-    local = pt.local
-    markers = partition_markers(comm, local)
-    samples = []
-    if len(local):
-        h = local.lengths()
-        q = h // 4  # child-center offsets within the neighbor region
-        from ..octree.octants import DIRECTIONS
-
-        for d in DIRECTIONS:
-            nx, ny, nz, ok = local.neighbor_anchors(d)
-            if not ok.any():
-                continue
-            bx, by, bz = nx[ok], ny[ok], nz[ok]
-            hh = h[ok]
-            qq = q[ok]
-            for cx in (1, 3):
-                for cy in (1, 3):
-                    for cz in (1, 3):
-                        samples.append(
-                            morton_encode(
-                                bx + cx * qq, by + cy * qq, bz + cz * qq
-                            )
-                        )
-    pkeys = np.unique(np.concatenate(samples)) if samples else np.zeros(0, dtype=np.uint64)
-    owners = owners_of_keys(markers, pkeys)
-    remote = owners != comm.rank
-    sendbufs = [pkeys[remote & (owners == r)] for r in range(comm.size)]
-    recv = comm.alltoall(sendbufs)
-    # answer queries: containing local leaf of each key
-    replies = []
-    for buf in recv:
-        if len(buf) == 0:
-            replies.append(np.zeros((0, 4), dtype=np.int64))
-            continue
-        idx = np.unique(np.searchsorted(local.keys(), buf, side="right") - 1)
-        out = np.empty((len(idx), 4), dtype=np.int64)
-        out[:, 0] = local.x[idx]
-        out[:, 1] = local.y[idx]
-        out[:, 2] = local.z[idx]
-        out[:, 3] = local.level[idx]
-        replies.append(out)
-    got = comm.alltoall(replies)
-    parts = []
-    owners_out = []
-    for r, buf in enumerate(got):
-        if len(buf):
-            parts.append(buf)
-            owners_out.append(np.full(len(buf), r, dtype=np.int64))
-    if not parts:
+    got = exchange_boundary_leaves(comm, pt.local, partition_markers(comm, pt.local))
+    blk = np.concatenate(got, axis=0)
+    if not len(blk):
         return OctantArray.empty(), np.zeros(0, dtype=np.int64)
-    blk = np.concatenate(parts, axis=0)
-    own = np.concatenate(owners_out)
+    own = np.repeat(np.arange(comm.size, dtype=np.int64), [len(b) for b in got])
     ghosts = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
-    # dedup (an octant may answer queries from several directions)
-    order = np.lexsort((ghosts.level, ghosts.keys()))
-    ghosts = ghosts[order]
-    own = own[order]
-    keep = np.ones(len(ghosts), dtype=bool)
-    keep[1:] = ghosts.keys()[1:] != ghosts.keys()[:-1]
-    return _adjacency_filter(local, ghosts[keep], own[keep])
+    # each ghost arrives exactly once (from its owner): sort by key only
+    order = np.argsort(ghosts.keys())
+    return ghosts[order], own[order]
 
 
 @dataclass
@@ -253,22 +175,11 @@ class ParMesh:
         return out
 
 
-def extract_parmesh(
-    pt: ParTree,
-    domain=(1.0, 1.0, 1.0),
-    *,
-    ghost_algorithm: str = "search",
-    face_algorithm: str = "search",
-) -> ParMesh:
+def extract_parmesh(pt: ParTree, domain=(1.0, 1.0, 1.0)) -> ParMesh:
     """Parallel EXTRACTMESH: ghost layer, union submesh, node ownership,
-    global numbering, and the shared-dof exchange plan.
-
-    ``ghost_algorithm`` selects :func:`collect_ghosts`' strategy and
-    ``face_algorithm`` the hanging-constraint matcher of
-    :func:`~repro.mesh.extract.extract_submesh`; both pairs produce
-    bitwise-identical meshes."""
+    global numbering, and the shared-dof exchange plan."""
     comm = pt.comm
-    ghosts, ghost_owner = collect_ghosts(pt, ghost_algorithm)
+    ghosts, ghost_owner = collect_ghosts(pt)
     # union, sorted by Morton key; track ownership
     union = OctantArray.concat([pt.local, ghosts])
     owner_elem = np.concatenate(
@@ -279,7 +190,7 @@ def extract_parmesh(
     owner_elem = owner_elem[order]
     owned_mask = owner_elem == comm.rank
 
-    mesh = extract_submesh(union, domain, face_algorithm=face_algorithm)
+    mesh = extract_submesh(union, domain)
 
     # node ownership: the rank whose leaf-key interval contains the node's
     # (clamped) position — i.e. the owner of the leaf the node sits on the

@@ -18,7 +18,7 @@ from .morton import (
     morton_encode,
     octant_length,
 )
-from .faces import merge_lookup, row_lookup
+from .faces import row_lookup
 from .octants import DIRECTIONS, OctantArray, directions_for
 from .partree import (
     ParTree,
@@ -33,7 +33,6 @@ from .partree import (
     refine_tree,
 )
 from .traverse import (
-    balance_tree_recursive,
     boundary_leaf_mask,
     box_owner_pairs,
     dilated_boxes,
@@ -70,7 +69,5 @@ __all__ = [
     "dilated_boxes",
     "boundary_leaf_mask",
     "ghost_destinations",
-    "balance_tree_recursive",
-    "merge_lookup",
     "row_lookup",
 ]

@@ -15,8 +15,8 @@ levels coarser it violates balance and must refine.
 
 :func:`_ripple_local` is the one refinement kernel: the serial
 :func:`balance` is its single-rank case, and the distributed
-:func:`~repro.octree.traverse.balance_tree_recursive` runs it on each
-rank's key interval.  It is *frontier-driven* — each round looks only at
+:func:`~repro.octree.partree.balance_tree` runs it on each rank's key
+interval.  It is *frontier-driven* — each round looks only at
 the samples that can newly violate (DESIGN.md section 4e) — while
 :func:`is_balanced` / :func:`balance_violations` keep the full sweep:
 they are the check.

@@ -1,47 +1,16 @@
-"""Sort-merge join kernels for face iteration and node lookup.
+"""Sort-merge join kernel for face iteration.
 
-The original mesh-extraction and DG face code locate counterparts by
-per-candidate binary search (``searchsorted`` probes against a sorted key
-array, one probe per candidate).  These kernels replace that with single
-stable merge joins in the style of p4est's recursive ``iterate``: sort
-once, sweep once, answer every candidate in the same pass.  Both return
-exactly the probe results (-1 for misses), so callers are bitwise
-interchangeable.
+:func:`row_lookup` joins two integer tables in one stable sort and one
+sweep, in the style of p4est's recursive ``iterate``; the forest face
+matcher (:func:`repro.forest.faces.match_faces`) pairs every element
+face with its neighbor through it, with no per-face search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["merge_lookup", "row_lookup"]
-
-
-def merge_lookup(
-    keys_sorted: np.ndarray, key_sorter: np.ndarray, cand: np.ndarray
-) -> np.ndarray:
-    """Index (into the original unsorted key array) of each candidate
-    key, or -1 where absent.
-
-    ``keys_sorted = keys[key_sorter]`` must be strictly increasing
-    (unique keys); ``cand`` may repeat and be unsorted.  One stable
-    argsort of the concatenation puts each candidate directly after its
-    key (keys win ties because they come first), so a running maximum of
-    key positions answers every lookup without per-candidate probes.
-    """
-    out = np.full(len(cand), -1, dtype=np.int64)
-    if len(cand) == 0 or len(keys_sorted) == 0:
-        return out
-    n = len(keys_sorted)
-    order = np.argsort(np.concatenate([keys_sorted, cand]), kind="stable")
-    is_key = order < n
-    last = np.maximum.accumulate(np.where(is_key, order, -1))
-    cslot = np.flatnonzero(~is_key)
-    cidx = order[cslot] - n
-    li = last[cslot]
-    lic = np.maximum(li, 0)
-    hit = (li >= 0) & (keys_sorted[lic] == cand[cidx])
-    out[cidx[hit]] = key_sorter[li[hit]]
-    return out
+__all__ = ["row_lookup"]
 
 
 def row_lookup(a_cols: tuple, b_cols: tuple) -> np.ndarray:

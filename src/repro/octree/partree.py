@@ -14,8 +14,8 @@ Implemented here, with the paper's names:
 - :func:`coarsen_tree` — local for fully-owned families; families that
   straddle a partition marker are resolved with one exchange so the
   result is identical for every rank count.
-- :func:`balance_tree` — BALANCETREE: parallel prioritized ripple
-  propagation; one communication round per propagated level.
+- :func:`balance_tree` — BALANCETREE: communication-free local balance,
+  then boundary-leaf exchanges (typically two) until a global fixed point.
 - :func:`partition_tree` — PARTITIONTREE: equal-count (or weighted)
   repartition along the space-filling curve via all-to-all; returns the
   routing plan that TRANSFERFIELDS reuses for element data.
@@ -28,9 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..parallel import SimComm
+from .balance import _ripple_local
 from .linear import LinearOctree
-from .morton import MAX_LEVEL, key_range_size, morton_encode
+from .morton import MAX_LEVEL, key_range_size
 from .octants import OctantArray, directions_for
+from .traverse import ghost_destinations
 
 __all__ = [
     "ParTree",
@@ -38,6 +40,7 @@ __all__ = [
     "refine_tree",
     "coarsen_tree",
     "balance_tree",
+    "exchange_boundary_leaves",
     "partition_tree",
     "partition_markers",
     "owners_of_keys",
@@ -239,97 +242,68 @@ def coarsen_tree(pt: ParTree, mask: np.ndarray) -> tuple[ParTree, int]:
     return ParTree(comm, leaves), nfam + len(accepted)
 
 
-def _local_find(local: OctantArray, pkeys: np.ndarray) -> np.ndarray:
-    """Containing-leaf index among this rank's leaves; the caller routes
-    keys to owners first, so every query hits (asserted)."""
-    idx = np.searchsorted(local.keys(), pkeys, side="right") - 1
-    return idx
+def exchange_boundary_leaves(
+    comm: SimComm, local: OctantArray, markers: np.ndarray
+) -> list[np.ndarray]:
+    """Send every local leaf to exactly the remote ranks that own a leaf
+    26-adjacent to it (destinations by marker recursion,
+    :func:`~repro.octree.traverse.ghost_destinations`), in one alltoall.
+    Returns the received ``(n, 4)`` int64 blocks ``x, y, z, level``, one
+    per source rank."""
+    idx, dst = ghost_destinations(local, markers, comm.rank)
+    sendbufs = []
+    for r in range(comm.size):  # lint: allow-loop (per-rank, not per-element)
+        sel = idx[dst == r]
+        buf = np.empty((len(sel), 4), dtype=np.int64)
+        buf[:, 0] = local.x[sel]
+        buf[:, 1] = local.y[sel]
+        buf[:, 2] = local.z[sel]
+        buf[:, 3] = local.level[sel]
+        sendbufs.append(buf)
+    return comm.alltoall(sendbufs)
 
 
 def balance_tree(
     pt: ParTree,
     connectivity: str = "edge",
     max_rounds: int = 64,
-    algorithm: str = "search",
 ) -> tuple[ParTree, int, int]:
-    """BALANCETREE: parallel prioritized ripple propagation.
+    """BALANCETREE: local 2:1 balance, then boundary-leaf exchanges with
+    the insulation-layer neighbors until a convergence allreduce reports
+    a global fixed point (Isaac et al., arXiv:1406.0089).
 
-    Each round: every leaf samples the centers of its same-size neighbor
-    regions; queries owned locally are answered locally, the rest are
-    routed to their owning rank with one all-to-all (this aggregation of
-    requests is the paper's communication buffering — rounds scale with
-    the number of refinement levels, not with the number of leaves).  A
-    leaf at least two levels coarser than a querying neighbor is refined.
-    Terminates when a global fixed point is reached.
+    Balancing only refines in place, so partition markers are fixed for
+    the whole call: one allgather up front, then per exchange one
+    alltoall of boundary leaves (:func:`exchange_boundary_leaves`) plus
+    one convergence allreduce.  The 2:1 closure of a complete octree is
+    unique, so the result is the serial :func:`~repro.octree.balance.balance`
+    of the gathered tree for every rank count.
 
-    ``algorithm="recursive"`` switches to the low-collective variant of
-    :mod:`repro.octree.traverse` (same tree, bitwise; the third return
-    value then counts boundary exchanges instead of ripple rounds).
-
-    Returns ``(tree, leaves_added, rounds)``.
+    Returns ``(tree, leaves_added, exchanges)``: the third value is the
+    number of boundary exchanges (the insulation-propagation depth,
+    almost always <= 2), which ``max_rounds`` bounds — exceeding it
+    raises ``RuntimeError``.
     """
-    if algorithm == "recursive":
-        from .traverse import balance_tree_recursive
-
-        return balance_tree_recursive(pt, connectivity, max_rounds)
-    if algorithm != "search":
-        raise ValueError(f"unknown balance algorithm {algorithm!r}")
     comm = pt.comm
     dirs = directions_for(connectivity)
     local = pt.local
-    n0_global = comm.allreduce(len(local))
-    rounds = 0
-    while rounds < max_rounds:
-        markers = partition_markers(comm, local)
-        h = local.lengths()
-        levels = local.level.astype(np.int64)
-        all_pk = []
-        all_lv = []
-        for d in dirs:
-            nx, ny, nz, ok = local.neighbor_anchors(d)
-            if not ok.any():
-                continue
-            pk = morton_encode(nx[ok] + h[ok] // 2, ny[ok] + h[ok] // 2, nz[ok] + h[ok] // 2)
-            all_pk.append(pk)
-            all_lv.append(levels[ok])
-        if all_pk:
-            pkeys = np.concatenate(all_pk)
-            plevels = np.concatenate(all_lv)
-        else:
-            pkeys = np.zeros(0, dtype=np.uint64)
-            plevels = np.zeros(0, dtype=np.int64)
-        owners = owners_of_keys(markers, pkeys)
-        # Route queries: keep local ones, alltoall the rest.
-        sendbufs = []
-        for r in range(comm.size):
-            sel = owners == r
-            buf = np.empty((int(sel.sum()), 2), dtype=np.uint64)
-            buf[:, 0] = pkeys[sel]
-            buf[:, 1] = plevels[sel].astype(np.uint64)
-            sendbufs.append(buf)
-        recv = comm.alltoall(sendbufs)
-        mark = np.zeros(len(local), dtype=bool)
-        for buf in recv:
-            if len(buf) == 0:
-                continue
-            qk = buf[:, 0]
-            ql = buf[:, 1].astype(np.int64)
-            idx = _local_find(local, qk)
-            viol = local.level[idx].astype(np.int64) < ql - 1
-            mark[idx[viol]] = True
-        changed = comm.allreduce(bool(mark.any()), op="lor")
-        if mark.any():
-            kept = local[~mark]
-            refined = local[mark].children()
-            local = OctantArray.concat([kept, refined]).sort()
-        rounds += 1
-        if not changed:
+    n0 = comm.allreduce(len(local))
+    markers = partition_markers(comm, local)
+    klo, khi = markers[comm.rank], markers[comm.rank + 1]
+    local, _ = _ripple_local(local, dirs, klo, khi, None)
+    exchanges = 0
+    while exchanges < max_rounds:
+        blk = np.concatenate(exchange_boundary_leaves(comm, local, markers), axis=0)
+        exchanges += 1
+        extra = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
+        local, rounds = _ripple_local(local, dirs, klo, khi, extra)
+        if not comm.allreduce(rounds > 0, op="lor"):
             break
     else:
         raise RuntimeError("parallel balance did not converge")
     out = ParTree(comm, local)
-    added = comm.allreduce(len(local)) - n0_global
-    return out, added, rounds
+    added = comm.allreduce(len(local)) - n0
+    return out, added, exchanges
 
 
 @dataclass

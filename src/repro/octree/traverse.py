@@ -1,17 +1,17 @@
 """Recursive partition-marker traversals (p4est-style, search-free).
 
-The search-based parallel kernels (:func:`~repro.octree.partree.balance_tree`,
-``collect_ghosts``) locate every neighbor by *sampling* candidate points
-and binary-searching sorted Morton arrays, paying one query/reply
-communication round (balance: one per propagated level).  Isaac,
-Burstedde, Wilcox & Ghattas ("Recursive Algorithms for Distributed
-Forests of Octrees") replace the sampling with top-down traversals of the
-partition markers: because each rank owns a *contiguous* Morton-key
-interval and no leaf straddles a marker, the set of ranks owning any
-axis-aligned box of finest-level cells can be computed locally by
-recursive bisection of the box — no communication at all.
+Isaac, Burstedde, Wilcox & Ghattas ("Recursive Algorithms for Distributed
+Forests of Octrees", arXiv:1406.0089) find a leaf's remote neighbors by
+top-down traversals of the partition markers instead of sampling
+candidate points and querying their owners: because each rank owns a
+*contiguous* Morton-key interval and no leaf straddles a marker, the set
+of ranks owning any axis-aligned box of finest-level cells can be
+computed locally by recursive bisection of the box — no communication at
+all.
 
-This module provides those kernels for the single-octree case:
+This module provides those kernels for the single-octree case; the
+parallel BALANCETREE (:func:`~repro.octree.partree.balance_tree`) and the
+ghost layer (:func:`~repro.mesh.parmesh.collect_ghosts`) are built on them:
 
 - :func:`box_owner_pairs` — all ``(item, rank)`` pairs such that ``rank``
   owns at least one finest cell of ``item``'s inclusive coordinate box.
@@ -20,35 +20,22 @@ This module provides those kernels for the single-octree case:
   coordinate bit, so each box resolves in ``O(#ranks touched · levels)``.
 - :func:`ghost_destinations` — for every local leaf, the remote ranks
   owning cells of its one-cell-dilated shell; by the marker-interval
-  structure these are exactly the ranks owning a 26-adjacent leaf.
-- :func:`balance_tree_recursive` — low-collective 2:1 balance: balance
-  the local subtree with zero communication, then exchange boundary
-  leaves with insulation-layer neighbors and re-balance until a single
-  convergence allreduce reports a global fixed point (typically two
-  exchanges, versus one alltoall round per propagated level for the
-  ripple).
-
-All kernels produce results bitwise identical to the search-based
-implementations: ghost destination sets are *exact* adjacency (not an
-over-approximation), and the 2:1 closure of a complete octree is unique,
-so the recursive balance reaches the same leaf set as the ripple.
+  structure these are exactly the ranks owning a 26-adjacent leaf (exact
+  adjacency, not an over-approximation).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .balance import _ripple_local
 from .morton import ROOT_LEN, morton_encode
-from .octants import OctantArray, directions_for
-from .partree import ParTree, owners_of_keys, partition_markers
+from .octants import OctantArray
 
 __all__ = [
     "box_owner_pairs",
     "dilated_boxes",
     "boundary_leaf_mask",
     "ghost_destinations",
-    "balance_tree_recursive",
 ]
 
 
@@ -188,56 +175,3 @@ def ghost_destinations(
     it, rk = box_owner_pairs(lo[cand], hi[cand], cand, markers)
     remote = rk != rank
     return it[remote], rk[remote]
-
-
-# --------------------------------------------------------------------------
-# low-collective 2:1 balance
-
-
-def balance_tree_recursive(
-    pt: ParTree, connectivity: str = "edge", max_rounds: int = 64
-) -> tuple[ParTree, int, int]:
-    """Low-collective BALANCETREE: local recursive balance, then boundary
-    insertion/merge rounds until a convergence allreduce fires.
-
-    Balancing only refines in place, so partition markers are fixed for
-    the whole call: one allgather up front, then per exchange one
-    alltoall of boundary leaves plus one convergence allreduce — the
-    ripple's per-round marker allgather and query/reply traffic are gone,
-    and the exchange count is the insulation-propagation depth (almost
-    always <= 2) instead of the number of propagated levels.
-
-    Returns ``(tree, leaves_added, exchanges)`` — same tree, bitwise, as
-    :func:`~repro.octree.partree.balance_tree` (the 2:1 closure is
-    unique, and both algorithms apply only forced refinements).
-    """
-    comm = pt.comm
-    dirs = directions_for(connectivity)
-    local = pt.local
-    n0 = comm.allreduce(len(local))
-    markers = partition_markers(comm, local)
-    klo, khi = markers[comm.rank], markers[comm.rank + 1]
-    local, _ = _ripple_local(local, dirs, klo, khi, None)
-    exchanges = 0
-    while exchanges < max_rounds:
-        idx, dst = ghost_destinations(local, markers, comm.rank)
-        sendbufs = []
-        for r in range(comm.size):  # lint: allow-loop (per-rank, not per-element)
-            sel = idx[dst == r]
-            buf = np.empty((len(sel), 4), dtype=np.int64)
-            buf[:, 0] = local.x[sel]
-            buf[:, 1] = local.y[sel]
-            buf[:, 2] = local.z[sel]
-            buf[:, 3] = local.level[sel]
-            sendbufs.append(buf)
-        blk = np.concatenate(comm.alltoall(sendbufs), axis=0)
-        exchanges += 1
-        extra = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
-        local, rounds = _ripple_local(local, dirs, klo, khi, extra)
-        if not comm.allreduce(rounds > 0, op="lor"):
-            break
-    else:
-        raise RuntimeError("recursive balance did not converge")
-    out = ParTree(comm, local)
-    added = comm.allreduce(len(local)) - n0
-    return out, added, exchanges

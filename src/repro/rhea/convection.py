@@ -112,22 +112,10 @@ class RheaConfig:
     stokes_preconditioner: str = "amg"
     #: warm-start MINRES from the previous velocity/pressure solution
     warm_start: bool = True
-    #: element-apply kernel for the MINRES and SUPG hot loops:
-    #: ``"tensor"`` (matrix-free sum-factorized, Section VII) or
-    #: ``"matrix"`` (legacy assembled CSR)
-    fem_variant: str = "tensor"
     #: bind a :class:`repro.obs.PhaseTimer` for the duration of
     #: :meth:`MantleConvection.run` if none is active (per-phase wall
     #: times, solver counters); read it back via ``repro.obs.active()``
     observe: bool = False
-    #: AMR hot-path algorithm selectors (see DESIGN.md section 4e):
-    #: ``"recursive"`` uses the search-free ghost construction,
-    #: low-collective balance and sort-merge face iteration;
-    #: ``"search"`` keeps the original sampling/probe kernels.  Both
-    #: produce bitwise-identical meshes and fields.
-    ghost_algorithm: str = "recursive"
-    balance_algorithm: str = "recursive"
-    face_algorithm: str = "recursive"
 
     def __post_init__(self):
         """Validate eagerly so a bad configuration fails at construction
@@ -149,11 +137,7 @@ class RheaConfig:
                 op = ">" if strict else ">="
                 errors.append((field, f"must be {op} {minimum:g}, got {v!r}"))
 
-        choice("fem_variant", ("tensor", "matrix"))
         choice("stokes_preconditioner", ("amg", "gmg"))
-        choice("ghost_algorithm", ("recursive", "search"))
-        choice("balance_algorithm", ("recursive", "search"))
-        choice("face_algorithm", ("recursive", "search"))
         choice("velocity_bc", ("free_slip", "no_slip"))
         positive("Ra", strict=False)
         positive("cfl")
@@ -221,9 +205,7 @@ class MantleConvection:
         else:
             if tree is None:
                 tree = LinearOctree.uniform(cfg.initial_level)
-            self.mesh = extract_mesh(
-                tree, cfg.domain, face_algorithm=cfg.face_algorithm
-            )
+            self.mesh = extract_mesh(tree, cfg.domain)
         t_init = T_init or (lambda c: conductive_profile(c, domain=cfg.domain))
         self._t_init = t_init
         Tn = t_init(self.mesh.node_coords())
@@ -308,10 +290,7 @@ class MantleConvection:
             eta = cfg.viscosity(T_e, z_e, edot)
             self.eta_elem = eta
             self.edot_elem = edot
-            st = StokesSystem(
-                mesh, eta, self._body_force(), bc=cfg.velocity_bc,
-                variant=cfg.fem_variant,
-            )
+            st = StokesSystem(mesh, eta, self._body_force(), bc=cfg.velocity_bc)
             if self._prec_lag is not None:
                 prec = self._prec_lag.get(st)
             elif cfg.stokes_preconditioner == "gmg":
@@ -380,7 +359,6 @@ class MantleConvection:
         eq = AdvectionDiffusion(
             self.mesh, cfg.kappa, vel_e, source=cfg.gamma,
             dirichlet=[(2, 0, 1.0), (2, 1, 0.0)],  # hot bottom, cold top
-            variant=cfg.fem_variant,
         )
         dt = eq.cfl_dt(cfg.cfl)
         T_ind = self.T[self.mesh.indep_nodes]
@@ -424,7 +402,7 @@ class MantleConvection:
         new_mesh, new_fields, report = adapt_mesh(
             self.mesh, eta_ind, target, fields,
             min_level=cfg.min_level, max_level=cfg.max_level,
-            tol=cfg.mark_tol, face_algorithm=cfg.face_algorithm,
+            tol=cfg.mark_tol,
         )
         self.mesh = new_mesh
         self.T = np.clip(new_fields["T"], 0.0, 1.5)

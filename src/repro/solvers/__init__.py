@@ -11,9 +11,6 @@ from .amg import (
     AMGLevel,
     SmoothedAggregationAMG,
     aggregate,
-    aggregate_reference,
-    legacy_aggregation,
-    legacy_smoother,
     strength_graph,
 )
 from .blockprec import LaggedStokesPreconditioner, StokesBlockPreconditioner
@@ -35,9 +32,6 @@ __all__ = [
     "SmoothedAggregationAMG",
     "AMGLevel",
     "aggregate",
-    "aggregate_reference",
-    "legacy_aggregation",
-    "legacy_smoother",
     "strength_graph",
     "StokesBlockPreconditioner",
     "LaggedStokesPreconditioner",

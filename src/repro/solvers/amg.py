@@ -26,7 +26,6 @@ operator — required for use inside MINRES.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,47 +38,7 @@ __all__ = [
     "SmoothedAggregationAMG",
     "AMGLevel",
     "aggregate",
-    "aggregate_reference",
-    "legacy_smoother",
-    "legacy_aggregation",
 ]
-
-#: When True (default), Gauss-Seidel triangular solves are factorized once
-#: at setup (``splu`` in natural order, which performs exactly the
-#: substitution sweep).  The False path re-runs ``spsolve_triangular``
-#: per sweep — the pre-optimization behavior, kept for the perf harness's
-#: before/after baseline.
-USE_FACTORIZED_SMOOTHER = True
-
-#: When True (default), setup uses the vectorized :func:`aggregate`;
-#: False restores the sequential :func:`aggregate_reference`.
-USE_VECTORIZED_AGGREGATION = True
-
-
-@contextmanager
-def legacy_smoother():
-    """Run with the per-sweep ``spsolve_triangular`` smoother (baseline
-    timing mode for :mod:`repro.perf.regress`)."""
-    global USE_FACTORIZED_SMOOTHER
-    prev = USE_FACTORIZED_SMOOTHER
-    USE_FACTORIZED_SMOOTHER = False
-    try:
-        yield
-    finally:
-        USE_FACTORIZED_SMOOTHER = prev
-
-
-@contextmanager
-def legacy_aggregation():
-    """Run AMG setup with the sequential greedy aggregation (baseline
-    timing mode for :mod:`repro.perf.regress`)."""
-    global USE_VECTORIZED_AGGREGATION
-    prev = USE_VECTORIZED_AGGREGATION
-    USE_VECTORIZED_AGGREGATION = False
-    try:
-        yield
-    finally:
-        USE_VECTORIZED_AGGREGATION = prev
 
 
 def strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
@@ -92,42 +51,6 @@ def strength_graph(A: sp.csr_matrix, theta: float) -> sp.csr_matrix:
     return sp.csr_matrix(
         (np.ones(keep.sum()), (C.row[keep], C.col[keep])), shape=A.shape
     )
-
-
-def aggregate_reference(S: sp.csr_matrix) -> tuple[np.ndarray, int]:
-    """Sequential greedy root-point aggregation (pre-vectorization form,
-    kept as the oracle for :func:`aggregate`'s equivalence/quality tests
-    and as the perf harness baseline).
-
-    Returns ``(agg, n_agg)`` where ``agg[i]`` is the aggregate index of
-    node ``i`` (every node is assigned).
-    """
-    n = S.shape[0]
-    agg = np.full(n, -1, dtype=np.int64)
-    indptr, indices = S.indptr, S.indices
-    n_agg = 0
-    # pass 1: roots whose whole strong neighborhood is free
-    for i in range(n):  # lint: allow-loop (sequential reference impl)
-        if agg[i] >= 0:
-            continue
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        if len(nbrs) and np.any(agg[nbrs] >= 0):
-            continue
-        agg[i] = n_agg
-        agg[nbrs] = n_agg
-        n_agg += 1
-    # pass 2: attach stragglers to a neighboring aggregate
-    unassigned = np.flatnonzero(agg < 0)
-    for i in unassigned:
-        nbrs = indices[indptr[i] : indptr[i + 1]]
-        hit = nbrs[agg[nbrs] >= 0] if len(nbrs) else nbrs
-        if len(hit):
-            agg[i] = agg[hit[0]]
-    # pass 3: remaining isolated nodes become singleton aggregates
-    for i in np.flatnonzero(agg < 0):
-        agg[i] = n_agg
-        n_agg += 1
-    return agg, n_agg
 
 
 def _row_min(indptr: np.ndarray, indices: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -159,10 +82,9 @@ def _gather_rows(
 def aggregate(
     S: sp.csr_matrix, prio: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
-    """Vectorized root-point aggregation (same three-pass structure as
-    :func:`aggregate_reference`, no per-node Python loop).  ``prio``
-    overrides the pass-1 selection priorities (tests use this to pin a
-    specific root layout).
+    """Vectorized three-pass root-point aggregation (no per-node Python
+    loop).  ``prio`` overrides the pass-1 selection priorities (tests use
+    this to pin a specific root layout).
 
     Pass 1 is a round-parallel maximal-independent-set sweep on the
     distance-2 graph: fixed seeded random priorities, and a node becomes
@@ -260,9 +182,7 @@ class AMGLevel:
     R: sp.csr_matrix | None = None
     L: sp.csr_matrix | None = None  # lower triangle incl. diag (GS)
     U: sp.csr_matrix | None = None  # upper triangle incl. diag (GS)
-    #: factorized triangular solves, precomputed at setup: calling
-    #: ``spsolve_triangular`` per smoothing sweep revalidates and copies
-    #: the triangle every time, which dominated V-cycle cost
+    #: factorized triangular solves, precomputed at setup
     Lsolve: object = None
     Usolve: object = None
 
@@ -355,8 +275,7 @@ class SmoothedAggregationAMG:
         ):
             Af = self.levels[-1].A
             S = strength_graph(Af, theta)
-            agg_fn = aggregate if USE_VECTORIZED_AGGREGATION else aggregate_reference
-            agg, n_agg = agg_fn(S)
+            agg, n_agg = aggregate(S)
             if n_agg >= Af.shape[0]:
                 break  # no coarsening possible
             T = sp.csr_matrix(
@@ -376,9 +295,8 @@ class SmoothedAggregationAMG:
         for lvl in self.levels[:-1]:
             lvl.L = sp.csr_matrix(sp.tril(lvl.A, format="csr"))
             lvl.U = sp.csr_matrix(sp.triu(lvl.A, format="csr"))
-            if USE_FACTORIZED_SMOOTHER:
-                lvl.Lsolve = _triangular_solver(lvl.L)
-                lvl.Usolve = _triangular_solver(lvl.U)
+            lvl.Lsolve = _triangular_solver(lvl.L)
+            lvl.Usolve = _triangular_solver(lvl.U)
         # coarse direct solve: the symmetric pinv tolerates a semidefinite
         # coarse operator (pure Neumann)
         Ac = self.levels[-1].A.toarray()
@@ -428,21 +346,13 @@ class SmoothedAggregationAMG:
         """``presmooth`` forward Gauss-Seidel sweeps; ``x=None`` is the
         zero guess, whose first sweep is ``L^{-1} b`` with no residual."""
         for _ in range(self.presmooth):  # lint: allow-loop (sweep count)
-            r = b if x is None else b - lvl.A @ x
-            if lvl.Lsolve is not None:
-                dx = lvl.Lsolve(r)
-            else:
-                dx = spla.spsolve_triangular(lvl.L, r, lower=True)
+            dx = lvl.Lsolve(b if x is None else b - lvl.A @ x)
             x = dx if x is None else x + dx
         return np.zeros_like(b) if x is None else x
 
     def _smooth_backward(self, lvl: AMGLevel, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         for _ in range(self.postsmooth):  # lint: allow-loop (sweep count)
-            r = b - lvl.A @ x
-            if lvl.Usolve is not None:
-                x = x + lvl.Usolve(r)
-            else:
-                x = x + spla.spsolve_triangular(lvl.U, r, lower=False)
+            x = x + lvl.Usolve(b - lvl.A @ x)
         return x
 
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:

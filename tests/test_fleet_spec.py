@@ -108,14 +108,17 @@ class TestRheaConfigValidation:
 
     def test_collects_every_violation(self):
         with pytest.raises(ConfigError) as exc:
-            RheaConfig(Ra=-1.0, cfl=0.0, fem_variant="banana")
+            RheaConfig(Ra=-1.0, cfl=0.0, stokes_preconditioner="banana")
         fields = {f for f, _ in exc.value.errors}
-        assert {"Ra", "cfl", "fem_variant"} <= fields
+        assert {"Ra", "cfl", "stokes_preconditioner"} <= fields
 
     def test_choice_message(self):
-        with pytest.raises(ConfigError, match=r"fem_variant: must be "
-                           r"'tensor' or 'matrix', got 'banana'"):
-            RheaConfig(fem_variant="banana")
+        with pytest.raises(ConfigError, match=r"stokes_preconditioner: must be "
+                           r"'amg' or 'gmg', got 'banana'"):
+            RheaConfig(stokes_preconditioner="banana")
+        # a removed selector is not accepted and ignored
+        with pytest.raises(TypeError, match="face_algorithm"):
+            RheaConfig(face_algorithm="recursive")
         with pytest.raises(ConfigError, match=r"velocity_bc: must be "
                            r"'free_slip' or 'no_slip'"):
             RheaConfig(velocity_bc="periodic")

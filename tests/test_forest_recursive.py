@@ -1,10 +1,17 @@
-"""Equivalence suite for the recursive forest algorithms (PR: search-free
-ghost, low-collective balance, recursive face iteration).
+"""The recursive forest algorithms (search-free ghost, low-collective
+balance, sort-merge face iteration) against independent references.
 
-Every recursive variant must be *bitwise identical* to its search oracle:
-ghost layers (octants + owners), balanced trees/forests, extracted
-parallel meshes, and DG advection rates.  The suite runs the randomized
-comparisons across rank counts including non-powers-of-two.
+- ghost layers (octants + owners) == the brute-force 26-adjacency set of
+  the gathered tree: nothing missing, nothing extra;
+- distributed balance == the full-sweep ripple of
+  ``tests/oracles/balance.py`` and the serial ``balance`` /
+  ``Forest.balance`` of the gathered tree, bitwise;
+- the distributed mesh == the serial mesh of the gathered tree on every
+  owned element (nodes, hanging flags, constraint rows, dof count);
+- batched DG face construction == the per-face loop, bitwise.
+
+The randomized comparisons run across rank counts including
+non-powers-of-two.
 """
 
 import numpy as np
@@ -18,20 +25,23 @@ from repro.forest import (
     unit_cube,
 )
 from repro.mangll import DGAdvection
-from repro.mesh import extract_mesh
+from repro.mesh import extract_mesh, node_keys
 from repro.mesh.parmesh import UnbalancedTreeError, collect_ghosts, extract_parmesh
 from repro.octree import (
     LinearOctree,
     balance,
     balance_tree,
     gather_tree,
-    merge_lookup,
     new_tree,
+    owners_of_keys,
+    partition_markers,
     refine_tree,
     row_lookup,
 )
 from repro.octree.partree import partition_tree
 from repro.parallel import run_spmd
+
+from .oracles.balance import balance_tree_full_sweep
 
 PS = [1, 2, 3, 4, 7]
 
@@ -62,30 +72,7 @@ def build_pforest(comm, conn, level=1, refine_seed=None, frac=0.3):
 
 
 class TestLookupKernels:
-    """merge_lookup / row_lookup against brute-force references."""
-
-    def test_merge_lookup_matches_bruteforce(self):
-        rng = np.random.default_rng(0)
-        keys = np.unique(rng.integers(0, 500, 80).astype(np.uint64))
-        sorter = np.argsort(keys, kind="stable")
-        cand = rng.integers(0, 500, 200).astype(np.uint64)
-        got = merge_lookup(keys[sorter], sorter, cand)
-        want = np.array(
-            [
-                int(np.flatnonzero(keys == c)[0]) if np.any(keys == c) else -1
-                for c in cand
-            ],
-            dtype=np.int64,
-        )
-        np.testing.assert_array_equal(got, want)
-
-    def test_merge_lookup_empty(self):
-        e = np.empty(0, dtype=np.uint64)
-        np.testing.assert_array_equal(
-            merge_lookup(e, np.empty(0, dtype=np.int64), e), np.empty(0)
-        )
-        got = merge_lookup(e, np.empty(0, dtype=np.int64), np.array([3], dtype=np.uint64))
-        np.testing.assert_array_equal(got, [-1])
+    """row_lookup against brute-force references."""
 
     def test_row_lookup_matches_bruteforce(self):
         rng = np.random.default_rng(1)
@@ -106,44 +93,55 @@ class TestLookupKernels:
         np.testing.assert_array_equal(row_lookup(a, b), [2, 0, -1, 1])
 
 
+def bruteforce_ghosts(pt):
+    """``(keys, levels, owners)`` of every remote leaf of the gathered
+    tree whose closed box touches (face, edge or corner) the closed box
+    of a local leaf, sorted by key.  Collective."""
+    g = gather_tree(pt)
+    lv = g.leaves
+    lo = np.stack([lv.x, lv.y, lv.z], axis=1)
+    hi = lo + lv.lengths()[:, None]
+    is_local = np.isin(g.keys, pt.keys)
+    adjacent = np.zeros(len(lv), dtype=bool)
+    for i in np.flatnonzero(is_local):
+        adjacent |= np.all((lo <= hi[i]) & (hi >= lo[i]), axis=1)
+    ghost = adjacent & ~is_local
+    markers = partition_markers(pt.comm, pt.local)
+    return g.keys[ghost], lv.level[ghost], owners_of_keys(markers, g.keys[ghost])
+
+
+def assert_ghosts_exact(pt):
+    ghosts, owners = collect_ghosts(pt)
+    keys, levels, want_owners = bruteforce_ghosts(pt)
+    np.testing.assert_array_equal(ghosts.keys(), keys)  # no missing, no extra
+    np.testing.assert_array_equal(ghosts.level, levels)
+    np.testing.assert_array_equal(owners, want_owners)
+
+
 class TestRecursiveGhost:
     @pytest.mark.parametrize("p", PS)
     def test_bitwise_matches_search(self, p):
+        """The reference is the exhaustive search over the gathered tree."""
+
         def kernel(comm):
             for seed in (3, 7, 11):
-                pt = build_ptree(comm, 2, refine_seed=seed)
-                gs, os_ = collect_ghosts(pt, algorithm="search")
-                gr, or_ = collect_ghosts(pt, algorithm="recursive")
-                np.testing.assert_array_equal(gs.keys(), gr.keys())
-                np.testing.assert_array_equal(gs.level, gr.level)
-                np.testing.assert_array_equal(os_, or_)
+                assert_ghosts_exact(build_ptree(comm, 2, refine_seed=seed))
             return True
 
         assert all(run_spmd(p, kernel))
 
     def test_recursive_ghosts_complete_for_26_adjacency(self):
-        """Brute-force reference: every global leaf touching (face, edge,
-        or corner) a local leaf must be local or a recursive ghost."""
+        """Equality with the brute-force 26-adjacency set at every rank
+        count: every global leaf touching (face, edge, or corner) a local
+        leaf is local or a ghost, nothing else is, and each ghost carries
+        its owner."""
 
         def kernel(comm):
-            pt = build_ptree(comm, 2, refine_seed=5)
-            ghosts, _ = collect_ghosts(pt, algorithm="recursive")
-            g = gather_tree(pt)
-            union_keys = set(pt.keys.tolist()) | set(ghosts.keys().tolist())
-            lv = g.leaves
-            h = lv.lengths()
-            lo = np.stack([lv.x, lv.y, lv.z], axis=1)
-            hi = lo + h[:, None]
-            is_local = np.isin(g.keys, pt.keys)
-            missing = 0
-            for i in np.flatnonzero(is_local):
-                touch = np.all((lo <= hi[i]) & (hi >= lo[i]), axis=1)
-                for j in np.flatnonzero(touch):
-                    if int(g.keys[j]) not in union_keys:
-                        missing += 1
-            return missing
+            assert_ghosts_exact(build_ptree(comm, 2, refine_seed=5))
+            return True
 
-        assert all(m == 0 for m in run_spmd(3, kernel))
+        for p in PS:
+            assert all(run_spmd(p, kernel))
 
     def test_sanitize_rejects_unbalanced_tree(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
@@ -167,6 +165,9 @@ class TestRecursiveGhost:
 class TestRecursiveBalance:
     @pytest.mark.parametrize("p", PS)
     def test_octree_bitwise_matches_ripple(self, p):
+        """Against the full-sweep ripple oracle (same local trees, leaves
+        added and exchanges) and the serial balance of the gathered tree."""
+
         def kernel(comm):
             for seed in (2, 9):
                 pt = new_tree(comm, 2)
@@ -175,12 +176,14 @@ class TestRecursiveBalance:
                 rng = np.random.default_rng(seed)
                 gmask = rng.random(total) < 0.3
                 pt = refine_tree(pt, gmask[offset : offset + len(pt)])
-                ps, _, _ = balance_tree(pt, "corner", algorithm="search")
-                pr, _, exchanges = balance_tree(pt, "corner", algorithm="recursive")
-                gs, gr = gather_tree(ps), gather_tree(pr)
-                np.testing.assert_array_equal(gs.keys, gr.keys)
-                np.testing.assert_array_equal(gs.levels, gr.levels)
+                want, added_w, exch_w, _ = balance_tree_full_sweep(pt, "corner")
+                got, added, exchanges = balance_tree(pt, "corner")
+                assert got.local.equals(want.local)
+                assert (added, exchanges) == (added_w, exch_w)
                 assert exchanges <= 3
+                serial = balance(gather_tree(pt), "corner")
+                assert gather_tree(got).leaves.equals(serial.tree.leaves)
+                assert added == serial.leaves_added
             return True
 
         assert all(run_spmd(p, kernel))
@@ -192,14 +195,16 @@ class TestRecursiveBalance:
     )
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_forest_bitwise_matches_ripple(self, p, conn_factory):
+        """Against the serial ``Forest.balance`` (full-sweep ripple) of
+        the gathered forest."""
         conn = conn_factory()
 
         def kernel(comm):
             pf = build_pforest(comm, conn, 1, refine_seed=4)
-            fs, added_s = pf.balance("edge", algorithm="search")
-            fr, added_r = pf.balance("edge", algorithm="recursive")
-            assert added_s == added_r
-            return fs.gather(), fr.gather()
+            serial, added_s = pf.gather().balance("edge")
+            got, added = pf.balance("edge")
+            assert added == added_s
+            return serial, got.gather()
 
         for gs, gr in run_spmd(p, kernel):
             assert gs.n_trees == gr.n_trees
@@ -210,49 +215,79 @@ class TestRecursiveBalance:
 class TestExtractEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_parmesh_identical_across_algorithms(self, p):
+        """Parallel EXTRACTMESH against serial EXTRACTMESH of the gathered
+        tree: on every owned element the union mesh has the serial mesh's
+        nodes, hanging flags and constraint rows (compared through the
+        globally unique node keys), and the global dof count is the
+        serial one."""
+
         def kernel(comm):
             pt = build_ptree(comm, 2, refine_seed=3)
-            ref = extract_parmesh(pt, ghost_algorithm="search", face_algorithm="search")
-            for ga in ("search", "recursive"):
-                for fa in ("search", "recursive"):
-                    pm = extract_parmesh(pt, ghost_algorithm=ga, face_algorithm=fa)
-                    np.testing.assert_array_equal(
-                        pm.mesh.node_coords_int, ref.mesh.node_coords_int
-                    )
-                    np.testing.assert_array_equal(
-                        pm.mesh.element_nodes, ref.mesh.element_nodes
-                    )
-                    np.testing.assert_array_equal(
-                        pm.mesh.indep_nodes, ref.mesh.indep_nodes
-                    )
-                    np.testing.assert_array_equal(pm.mesh.Z.indptr, ref.mesh.Z.indptr)
-                    np.testing.assert_array_equal(pm.mesh.Z.indices, ref.mesh.Z.indices)
-                    np.testing.assert_array_equal(pm.mesh.Z.data, ref.mesh.Z.data)
-                    np.testing.assert_array_equal(pm.global_dof, ref.global_dof)
-                    assert pm.n_global == ref.n_global
+            pm = extract_parmesh(pt)
+            ref = extract_mesh(gather_tree(pt))
+            mesh = pm.mesh
+            assert pm.n_global == ref.n_independent
+            # union-mesh node -> serial-mesh node
+            ref_keys = node_keys(ref.node_coords_int)
+            order = np.argsort(ref_keys)
+            to_ref = order[np.searchsorted(ref_keys[order], node_keys(mesh.node_coords_int))]
+            np.testing.assert_array_equal(
+                ref.node_coords_int[to_ref], mesh.node_coords_int
+            )
+            eidx = np.searchsorted(ref.leaves.keys(), mesh.leaves.keys()[pm.owned_elements])
+            np.testing.assert_array_equal(
+                to_ref[mesh.element_nodes[pm.owned_elements]], ref.element_nodes[eidx]
+            )
+            nodes = np.unique(mesh.element_nodes[pm.owned_elements])
+            np.testing.assert_array_equal(mesh.hanging[nodes], ref.hanging[to_ref[nodes]])
+            # constraint rows: same parents (as serial nodes), same weights
+            Zu, Zr = mesh.Z[nodes].tocoo(), ref.Z[to_ref[nodes]].tocoo()
+            pu = to_ref[mesh.indep_nodes[Zu.col]]
+            pr = ref.indep_nodes[Zr.col]
+            ou, orr = np.lexsort((pu, Zu.row)), np.lexsort((pr, Zr.row))
+            np.testing.assert_array_equal(Zu.row[ou], Zr.row[orr])
+            np.testing.assert_array_equal(pu[ou], pr[orr])
+            np.testing.assert_array_equal(Zu.data[ou], Zr.data[orr])
             return True
 
         assert all(run_spmd(p, kernel))
 
     def test_serial_extract_mesh_identical(self):
+        """The hanging-node classification against its definition: a node
+        hangs iff it is the midpoint of an edge or the center of a face of
+        some element (set membership, no lookup kernel), and the closed
+        constraint rows reproduce a linear field."""
         rng = np.random.default_rng(6)
         tree = LinearOctree.uniform(2)
         tree = balance(tree.refine(rng.random(len(tree)) < 0.4), "corner").tree
-        ms = extract_mesh(tree, face_algorithm="search")
-        mr = extract_mesh(tree, face_algorithm="recursive")
-        np.testing.assert_array_equal(ms.node_coords_int, mr.node_coords_int)
-        np.testing.assert_array_equal(ms.Z.indptr, mr.Z.indptr)
-        np.testing.assert_array_equal(ms.Z.indices, mr.Z.indices)
-        np.testing.assert_array_equal(ms.Z.data, mr.Z.data)
+        mesh = extract_mesh(tree)
+        lv = tree.leaves
+        h = lv.lengths()[:, None, None]
+        anchors = np.stack([lv.x, lv.y, lv.z], axis=1)[:, None, :]
+        # the 27-point lattice of each element minus its 8 corners and center
+        offs = np.array(
+            [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+             if 0 < (i == 1) + (j == 1) + (k == 1) < 3]
+        )
+        mids = (anchors + offs[None] * (h // 2)).reshape(-1, 3)
+        want = np.isin(node_keys(mesh.node_coords_int), node_keys(mids))
+        np.testing.assert_array_equal(mesh.hanging, want)
+        assert want.any()
+        coords = mesh.node_coords()
+        f = 1.0 + coords @ np.array([2.0, -3.0, 0.5])
+        np.testing.assert_allclose(mesh.Z @ f[mesh.indep_nodes], f, rtol=1e-14)
 
 
 class TestDGFaceIteration:
+    """``match_faces`` classification (batched builder) against the
+    per-face loop, on a random state."""
+
     def _rates_equal(self, forest, p, velocity):
-        dg_s = DGAdvection(forest, p=p, velocity=velocity, face_algorithm="search")
-        dg_r = DGAdvection(forest, p=p, velocity=velocity, face_algorithm="recursive")
+        dg_loop = DGAdvection(forest, p=p, velocity=velocity, batch_faces=False)
+        dg_bat = DGAdvection(forest, p=p, velocity=velocity)
         rng = np.random.default_rng(0)
-        u = rng.standard_normal(dg_s.n_dof)
-        assert np.array_equal(dg_s.rate(u), dg_r.rate(u))
+        u = rng.standard_normal(dg_loop.n_dof)
+        assert np.array_equal(dg_loop.rate(u), dg_bat.rate(u))
 
     def test_adapted_cube_bitwise(self):
         f = Forest.uniform(unit_cube(), 1)

@@ -29,7 +29,7 @@ from repro.octree import (
     LinearOctree,
     OctantArray,
     balance,
-    balance_tree_recursive,
+    balance_tree,
     directions_for,
     gather_tree,
     is_balanced,
@@ -95,7 +95,7 @@ class TestFrontierBalanceMatchesFullSweep:
             calls = [comm.stats.total_collective_calls]
             want, added_w, exch_w, rounds_w = balance_tree_full_sweep(pt, connectivity)
             calls.append(comm.stats.total_collective_calls)
-            got, added, exch = balance_tree_recursive(pt, connectivity)
+            got, added, exch = balance_tree(pt, connectivity)
             calls.append(comm.stats.total_collective_calls)
             # the oracle driver around the frontier kernel exposes the
             # per-call round counts the public entry point does not return

@@ -1,6 +1,5 @@
 """Tests for the setup-amortization layer: operator cache, cached
-scatter assembly, lagged preconditioner, warm starts, and the perf
-regression mini-suite."""
+scatter assembly, lagged preconditioner and warm starts."""
 
 import numpy as np
 import pytest
@@ -194,37 +193,3 @@ class TestWarmStart:
         assert warm.converged and cold.converged
         assert warm.iterations < cold.iterations
         np.testing.assert_allclose(warm.x, x_exact, rtol=0, atol=1e-7)
-
-
-class TestPerfSuiteSmoke:
-    def test_smoke_suite_emits_all_scenarios(self):
-        from repro.perf.regress import run_suite
-
-        out = run_suite(smoke=True)
-        sc = out["scenarios"]
-        assert set(sc) == {
-            "stokes_repeat",
-            "convection_mini",
-            "dg_cubed_sphere",
-            "amg_setup",
-        }
-        assert sc["stokes_repeat"]["cache_hits"] > 0
-        assert sc["convection_mini"]["cache_hits"] > 0
-        assert sc["convection_mini"]["prec_reuses"] >= 0
-        assert sc["dg_cubed_sphere"]["rate_bitwise_equal"] is True
-        assert sc["amg_setup"]["n_agg_vectorized"] <= sc["amg_setup"]["n_agg_reference"]
-        assert sc["stokes_repeat"]["vrms_rel_diff"] < 1e-4
-
-    def test_checkpoint_suite_smoke(self, tmp_path, monkeypatch):
-        from repro.perf.regress import main, run_checkpoint_suite
-
-        out = run_checkpoint_suite(smoke=True)
-        co = out["scenarios"]["checkpoint_overhead"]
-        assert 0.0 < co["snapshot_fraction"] < 1.0
-        assert co["shard_bytes_per_element"] > 0
-        assert co["restore_ranks"] != co["ranks"]
-        assert co["restore_s"] > 0
-        # CLI path writes the JSON artifact
-        monkeypatch.chdir(tmp_path)
-        assert main(["--suite", "checkpoint", "--smoke"]) == 0
-        assert (tmp_path / "BENCH_checkpoint_smoke.json").exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro import obs
 from repro.fem import StokesSystem, apply_dirichlet, assemble_scalar
@@ -16,9 +17,19 @@ from repro.solvers import (
     strength_graph,
 )
 
+from .oracles.aggregation import aggregate_reference
 from .oracles.amg_cycle import AMGCycleOracle
 
 OPS = ElementOps()
+
+
+def with_substitution_sweeps(amg):
+    """Swap the factorized Gauss-Seidel solves of ``amg`` for scipy's
+    per-call substitution sweep, the reference they must reproduce."""
+    for lvl in amg.levels[:-1]:
+        lvl.Lsolve = lambda r, L=lvl.L: spla.spsolve_triangular(L, r, lower=True)
+        lvl.Usolve = lambda r, U=lvl.U: spla.spsolve_triangular(U, r, lower=False)
+    return amg
 
 
 def laplace_7pt(n, neumann=False):
@@ -174,8 +185,6 @@ class TestVectorizedAggregation:
 
     @pytest.mark.parametrize("m", [6, 10])
     def test_valid_partition_model_poisson(self, m):
-        from repro.solvers import aggregate_reference
-
         S = strength_graph(laplace_7pt(m), 0.08)
         agg, n_agg = aggregate(S)
         self._valid_partition(S, agg, n_agg)
@@ -199,8 +208,6 @@ class TestVectorizedAggregation:
             self._valid_partition(G, agg, n_agg)
 
     def test_empty_graph_all_singletons(self):
-        from repro.solvers import aggregate_reference
-
         S = sp.csr_matrix((7, 7))
         agg, n_agg = aggregate(S)
         agg_r, n_r = aggregate_reference(S)
@@ -245,8 +252,6 @@ class TestVectorizedAggregation:
         """Documents the behavior the argmax pass 2 replaces: the
         sequential reference attaches a straggler to the aggregate of its
         first assigned neighbor regardless of connection weight."""
-        from repro.solvers import aggregate_reference
-
         edges = [(0, 1), (2, 3), (2, 4), (5, 1), (5, 3), (5, 4)]
         rows = [e[0] for e in edges] + [e[1] for e in edges]
         cols = [e[1] for e in edges] + [e[0] for e in edges]
@@ -254,36 +259,13 @@ class TestVectorizedAggregation:
         agg, n_agg = aggregate_reference(S)
         assert agg[5] == agg[1]  # first hit, despite 2 links into B
 
-    def test_legacy_toggles_restore(self):
-        import repro.solvers.amg as amg_mod
-        from repro.solvers import legacy_aggregation, legacy_smoother
-
-        assert amg_mod.USE_VECTORIZED_AGGREGATION
-        with legacy_aggregation():
-            assert not amg_mod.USE_VECTORIZED_AGGREGATION
-            amg = SmoothedAggregationAMG(laplace_7pt(6))
-            assert amg.n_levels >= 2
-        assert amg_mod.USE_VECTORIZED_AGGREGATION
-        assert amg_mod.USE_FACTORIZED_SMOOTHER
-        with legacy_smoother():
-            amg = SmoothedAggregationAMG(laplace_7pt(6))
-            b = np.ones(6**3)
-            x, it, conv = amg.solve(b, tol=1e-8)
-            assert conv
-        assert amg_mod.USE_FACTORIZED_SMOOTHER
-
     def test_smoother_paths_agree(self):
         """Factorized triangular solves must reproduce the per-sweep
         spsolve_triangular smoother to solver accuracy."""
-        from repro.solvers import legacy_smoother
-
         A = laplace_7pt(6)
         b = np.sin(np.arange(A.shape[0]))
-        amg_fast = SmoothedAggregationAMG(A)
-        with legacy_smoother():
-            amg_slow = SmoothedAggregationAMG(A)
-        z_fast = amg_fast.vcycle(b)
-        z_slow = amg_slow.vcycle(b)
+        z_fast = SmoothedAggregationAMG(A).vcycle(b)
+        z_slow = with_substitution_sweeps(SmoothedAggregationAMG(A)).vcycle(b)
         np.testing.assert_allclose(z_fast, z_slow, rtol=1e-10, atol=1e-12)
 
 
@@ -357,16 +339,11 @@ class TestDecoupledRows:
         assert stalled.grid_sizes()[-1] > 2 * 17 * 17  # the parent's floor
 
     def test_legacy_smoother_same_cycle_with_decoupled_rows(self):
-        from repro.solvers import legacy_smoother
-
         A = self._scaled_block()
         b = np.sin(np.arange(A.shape[0]))
-        with legacy_smoother():
-            slow = SmoothedAggregationAMG(A, presmooth=2)
-            assert slow.levels[0].Lsolve is None
-            z_slow = slow.vcycle(b)
+        slow = with_substitution_sweeps(SmoothedAggregationAMG(A, presmooth=2))
         z_fast = SmoothedAggregationAMG(A, presmooth=2).vcycle(b)
-        np.testing.assert_allclose(z_fast, z_slow, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(z_fast, slow.vcycle(b), rtol=1e-10, atol=1e-12)
 
     def test_solve_uses_the_full_operator(self):
         A = self._scaled_block()

@@ -17,6 +17,8 @@ The load-bearing invariants pinned here:
   backends under ``REPRO_SANITIZE=1``.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -227,7 +229,7 @@ class TestVcycleSPD:
     def test_vcycle_is_spd(self):
         mesh = _mesh(level=1, frac=0.6, seed=6)
         eta, bf = _problem(mesh, contrast=1e3)
-        st = StokesSystem(mesh, eta, bf, bc="free_slip", variant="tensor")
+        st = StokesSystem(mesh, eta, bf, bc="free_slip")
         prec = GMGStokesPreconditioner(st, max_coarse=20)
         g = prec.gmg[0]
         assert g.n_levels >= 2
@@ -244,7 +246,7 @@ class TestVcycleSPD:
         as the cycle did before (summation order may differ)."""
         mesh = _mesh(level=2, frac=0.3, seed=4)
         eta, bf = _problem(mesh, contrast=1e3)
-        st = StokesSystem(mesh, eta, bf, bc="free_slip", variant="tensor")
+        st = StokesSystem(mesh, eta, bf, bc="free_slip")
         g = GMGStokesPreconditioner(st, max_coarse=20).gmg[2]
         assert g.n_levels >= 3
 
@@ -267,7 +269,7 @@ class TestStokesPreconditioner:
     def test_matches_amg_solution(self):
         mesh = _mesh(level=2, frac=0.25, seed=0)
         eta, bf = _problem(mesh, contrast=1e4)
-        st = StokesSystem(mesh, eta, bf, bc="free_slip", variant="tensor")
+        st = StokesSystem(mesh, eta, bf, bc="free_slip")
         amg = StokesBlockPreconditioner(st)
         gmg = GMGStokesPreconditioner(st)
         ra = minres(st.matvec, st.rhs(), M=amg.apply, tol=1e-8, maxiter=600)
@@ -285,7 +287,7 @@ class TestStokesPreconditioner:
         # is already matrix-free; AMG setup is what used to assemble)
         mesh = _mesh(level=2, frac=0.25, seed=7)
         eta, bf = _problem(mesh)
-        st = StokesSystem(mesh, eta, bf, bc="free_slip", variant="tensor")
+        st = StokesSystem(mesh, eta, bf, bc="free_slip")
         reset_assembly_counts()
         prec = GMGStokesPreconditioner(st)
         res = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-6, maxiter=400)
@@ -300,8 +302,8 @@ class TestStokesPreconditioner:
         mesh = _mesh(level=1, frac=0.5, seed=8)
         eta1, bf = _problem(mesh, contrast=1e2)
         eta2, _ = _problem(mesh, contrast=1e4)
-        st1 = StokesSystem(mesh, eta1, bf, bc="free_slip", variant="tensor")
-        st2 = StokesSystem(mesh, eta2, bf, bc="free_slip", variant="tensor")
+        st1 = StokesSystem(mesh, eta1, bf, bc="free_slip")
+        st2 = StokesSystem(mesh, eta2, bf, bc="free_slip")
         prec = GMGStokesPreconditioner(st1)
         prec.update_viscosity(eta2)
         prec.refresh_schur(st2)
@@ -312,7 +314,7 @@ class TestStokesPreconditioner:
     def test_operator_complexity_and_grid_sizes(self):
         mesh = _mesh(level=2, frac=0.2, seed=9)
         eta, bf = _problem(mesh)
-        st = StokesSystem(mesh, eta, bf, bc="free_slip", variant="tensor")
+        st = StokesSystem(mesh, eta, bf, bc="free_slip")
         prec = GMGStokesPreconditioner(st, max_coarse=30)
         sizes = prec.grid_sizes()
         assert sizes[0] == mesh.n_independent
@@ -323,14 +325,14 @@ class TestLaggedGMG:
     def test_reuse_and_invalidate(self):
         mesh = _mesh(level=1, frac=0.5, seed=10)
         eta, bf = _problem(mesh)
-        st = StokesSystem(mesh, eta, bf, bc="free_slip", variant="tensor")
+        st = StokesSystem(mesh, eta, bf, bc="free_slip")
         lag = LaggedStokesPreconditioner(rtol=0.5, kind="gmg")
         p1 = lag.get(st)
         assert isinstance(p1, GMGStokesPreconditioner)
         assert lag.get(st) is p1
         assert (lag.n_builds, lag.n_reuses) == (1, 1)
         # drift beyond rtol rebuilds
-        st2 = StokesSystem(mesh, eta * 3.0, bf, bc="free_slip", variant="tensor")
+        st2 = StokesSystem(mesh, eta * 3.0, bf, bc="free_slip")
         p2 = lag.get(st2)
         assert p2 is not p1
         lag.invalidate()
@@ -345,12 +347,20 @@ class TestLaggedGMG:
 # -- cross-backend / cross-rank bitwise equivalence -----------------------------
 
 
+def _state_digest(*arrays) -> str:
+    """Order-sensitive bitwise digest of a tuple of arrays."""
+    h = hashlib.blake2b(digest_size=16)
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def _gmg_solve_kernel(comm, level, contrast):
     """One GMG-preconditioned Stokes solve per rank (identical problem on
     every rank: the digest must agree across ranks, rank counts, and
     backends)."""
-    from repro.perf.regress import _state_digest
-
     tree = LinearOctree.uniform(level)
     rng = np.random.default_rng(42)
     tree = tree.refine(rng.random(len(tree)) < 0.25)
@@ -361,7 +371,7 @@ def _gmg_solve_kernel(comm, level, contrast):
     xyz = mesh.node_coords()
     bf = np.zeros((mesh.n_nodes, 3))
     bf[:, 2] = np.sin(np.pi * xyz[:, 0]) * np.cos(np.pi * xyz[:, 2])
-    st = StokesSystem(mesh, eta, bf, bc="free_slip", variant="tensor")
+    st = StokesSystem(mesh, eta, bf, bc="free_slip")
     prec = GMGStokesPreconditioner(st)
     res = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-7, maxiter=400)
     comm.barrier()
