@@ -19,8 +19,8 @@ import numpy as np
 
 from ..mesh import Mesh, extract_mesh
 from ..mesh.fields import interpolate_fields
-from ..octree import balance, morton_encode
-from .mark import MarkResult, mark_elements
+from ..octree import balance
+from .mark import MarkResult, mark_elements, relocate_refine_marks
 
 __all__ = ["AdaptReport", "adapt_mesh"]
 
@@ -87,20 +87,8 @@ def adapt_mesh(
     tree_c, nfam = tree.coarsen(coarsen_mask)
     t["CoarsenTree"] = time.perf_counter() - t0
 
-    # REFINETREE: refine-marked leaves survive coarsening untouched, so
-    # re-locate them in the coarsened tree by their center points.
     t0 = time.perf_counter()
-    ref_leaves = tree.leaves[mark.refine]
-    refine_mask_c = np.zeros(len(tree_c), dtype=bool)
-    if len(ref_leaves):
-        h = ref_leaves.lengths()
-        idx = tree_c.find_containing_keys(
-            morton_encode(ref_leaves.x + h // 2, ref_leaves.y + h // 2, ref_leaves.z + h // 2)
-        )
-        # guard: a refine-marked leaf must still exist at the same level
-        if not np.array_equal(tree_c.levels[idx], ref_leaves.level):
-            raise AssertionError("refine-marked leaf was coarsened away")
-        refine_mask_c[idx] = True
+    refine_mask_c = relocate_refine_marks(tree.leaves, mark.refine, tree_c)
     tree_r = tree_c.refine(refine_mask_c)
     t["RefineTree"] = time.perf_counter() - t0
 

@@ -26,7 +26,7 @@ from .. import obs
 from ..analysis.conformance import schedule_phase
 from ..fem import ParAdvectionDiffusion
 from ..mesh.parmesh import ParMesh, extract_parmesh, par_interpolate_at
-from ..octree import morton_encode, new_tree
+from ..octree import new_tree
 from ..octree.partree import (
     ParTree,
     balance_tree,
@@ -36,7 +36,7 @@ from ..octree.partree import (
     refine_tree,
 )
 from ..parallel import SimComm, check_fault
-from .mark import mark_elements
+from .mark import mark_elements, relocate_refine_marks
 
 __all__ = ["ParAmrPipeline", "ParAdaptStats", "RotatingFrontWorkload", "rotating_velocity"]
 
@@ -186,14 +186,7 @@ class ParAmrPipeline:
 
             t0 = time.perf_counter()
             with obs.phase("amr/refine"):
-                # relocate refine marks on the coarsened local tree
-                ref = self.pt.local[mark.refine]
-                mask = np.zeros(len(pt), dtype=bool)
-                if len(ref):
-                    h = ref.lengths()
-                    keys = morton_encode(ref.x + h // 2, ref.y + h // 2, ref.z + h // 2)
-                    idx = np.searchsorted(pt.keys, keys, side="right") - 1
-                    mask[idx] = True
+                mask = relocate_refine_marks(self.pt.local, mark.refine, pt)
                 n_refined = comm.allreduce(int(mask.sum()))
                 pt = refine_tree(pt, mask)
                 obs.counter("elements_marked_refine", int(mask.sum()))

@@ -144,6 +144,9 @@ class CommEvent:
 #   ("call", qname, site, line, col, guarded)
 #   ("choice", [(items, viable), ...])      viable=False means the arm raises
 #   ("loop", items)
+#   ("pcall", param)                        a call through a parameter of the
+#                                           function itself; replaced at a call
+#                                           site that passes a known function
 
 
 @dataclass
@@ -296,6 +299,23 @@ def _is_cacheget_rhs(node: ast.AST) -> bool:
 # the abstract interpreter (one function body -> signature + bookkeeping)
 
 
+def _bind_pcalls(items: list, passed: dict, call) -> list:
+    """``items`` with every ``("pcall", p)`` replaced by ``call(passed[p])``
+    (dropped when ``p`` is not a function the caller passed)."""
+    out = []
+    for it in items:
+        if it[0] == "pcall":
+            if it[1] in passed:
+                out.append(call(passed[it[1]]))
+        elif it[0] == "choice":
+            out.append(("choice", [(_bind_pcalls(arm, passed, call), v) for arm, v in it[1]]))
+        elif it[0] == "loop":
+            out.append(("loop", _bind_pcalls(it[1], passed, call)))
+        else:
+            out.append(it)
+    return out
+
+
 class _Interp:
     def __init__(self, prog: Program, fn: FuncInfo, summaries: dict):
         self.prog = prog
@@ -309,6 +329,7 @@ class _Interp:
         self.endpoints: dict[str, tuple] = {}
         self.cached: set[str] = set()  # lexical cache-get locals
         self.guards: list[tuple] = []  # (kind, line, full_taint, lex_taint)
+        self.params: set[str] = set()
         self.basename = Path(fn.file).name
 
     def run(self) -> None:
@@ -324,6 +345,7 @@ class _Interp:
             self.types["self"] = fn.cls
         args = node.args
         for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
+            self.params.add(a.arg)
             if a.annotation is not None:
                 t = self.prog.resolve_annotation(a.annotation, fn.module)
                 if isinstance(t, str):
@@ -660,24 +682,53 @@ class _Interp:
                     self._publish(node.args[0], "send", node)
                 return
 
-        target = self._call_target(node)
-        if target is not None:
-            kind, qn = target
-            if kind == "class":
-                init = self.prog.method_of(qn, "__init__")
-                if init is None:
-                    return
-                qn = init
-            elif kind != "func":
+        target = self._func_target(f)
+        if target is None:
+            if isinstance(f, ast.Name) and f.id in self.params:
+                out.append(("pcall", f.id))
+            return
+        kind, qn = target
+        if kind == "class":
+            init = self.prog.method_of(qn, "__init__")
+            if init is None:
                 return
-            if qn == self.fn.qname:
-                return  # direct self-recursion adds nothing
-            g = self._guard()
-            out.append(
-                ("call", qn, f"{self.basename}:{node.lineno}", node.lineno, node.col_offset + 1, g is not None)
-            )
-            if g is not None:
-                self.fn.guarded_calls.append((qn, node, g[0], g[1]))
+            qn = init
+        elif kind != "func":
+            return
+        if qn == self.fn.qname:
+            return  # direct self-recursion adds nothing
+        g = self._guard()
+        site = f"{self.basename}:{node.lineno}"
+
+        def call(q):
+            return ("call", q, site, node.lineno, node.col_offset + 1, g is not None)
+
+        passed = self._passed_functions(node, qn, bound=kind == "class" or isinstance(f, ast.Attribute))
+        if passed:
+            # function-valued arguments (``heun_step(self.rate, ...)``): the
+            # callee's calls through those parameters are calls to them here
+            out.extend(_bind_pcalls(self.prog.functions[qn].sig, passed, call))
+        else:
+            out.append(call(qn))
+        if g is not None:
+            self.fn.guarded_calls.append((qn, node, g[0], g[1]))
+
+    def _passed_functions(self, node: ast.Call, qn: str, bound: bool) -> dict:
+        """``{parameter of qn: qname}`` for the arguments of ``node`` that
+        are themselves known functions or bound methods."""
+        fi = self.prog.functions[qn]
+        a = fi.node.args
+        names = [p.arg for p in list(a.posonlyargs) + list(a.args)]
+        if bound and fi.cls is not None:
+            names = names[1:]  # self is implicit
+        pairs = list(zip(names, node.args)) + [(kw.arg, kw.value) for kw in node.keywords]
+        out = {}
+        for name, value in pairs:
+            if name is not None and isinstance(value, (ast.Name, ast.Attribute)):
+                t = self._func_target(value)
+                if t is not None and t[0] == "func":
+                    out[name] = t[1]
+        return out
 
     def _publish(self, payload: ast.AST, op: str, node: ast.AST) -> None:
         """Record buffers handed to a communication op (R9)."""
@@ -704,7 +755,11 @@ class _Interp:
 
     def _call_target(self, node: ast.Call):
         """Resolve a call to ("func"|"class", qname), or None."""
-        f = node.func
+        return self._func_target(node.func)
+
+    def _func_target(self, f: ast.AST):
+        """Resolve a function-valued expression (the callee of a call, or
+        a function passed as an argument) to ("func"|"class", qname)."""
         if isinstance(f, ast.Name):
             r = self._resolve_symbol(f.id)
             if r is not None and r[0] in ("func", "class"):

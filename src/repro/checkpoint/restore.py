@@ -195,7 +195,7 @@ def _restore_convection_impl(path: str, config, include_solver_state: bool):
         if "solver/p_prev" in g:
             sim._p_prev = g["solver/p_prev"].copy()
             sim._p_prev_mesh = sim.mesh
-        if "solver/prec_eta_ref" in g and sim._prec_lag is not None:
+        if "solver/prec_eta_ref" in g:
             from ..fem import StokesSystem
 
             eta_ref = g["solver/prec_eta_ref"].copy()

@@ -145,7 +145,7 @@ def convection_arrays(sim, include_solver_state: bool = True) -> dict:
     if include_solver_state:
         if sim._p_prev is not None and sim._p_prev_mesh is mesh:
             arrays["solver/p_prev"] = sim._p_prev
-        if sim._prec_lag is not None and sim._prec_lag._eta_ref is not None:
+        if sim._prec_lag._eta_ref is not None:
             arrays["solver/prec_eta_ref"] = sim._prec_lag._eta_ref
     return arrays
 

@@ -8,6 +8,13 @@ predictor-corrector step therefore costs two exchanges per time step plus
 one allreduce for the CFL bound — the classic surface-to-volume
 communication pattern that makes the transport solver weakly scalable.
 
+Only what is distributed lives here: the owned-element CSR operator, the
+``exchange_sum`` inside :meth:`ParAdvectionDiffusion.rate` and the
+``allreduce(min)`` of the CFL bound.  The stabilization parameter, the
+Dirichlet mask, the elementwise CFL bound and the Heun step are the
+serial solver's functions (:mod:`repro.fem.advection`,
+:func:`repro.solvers.timestep.heun_step`).
+
 P-invariance: stepping a field here produces bitwise-comparable values to
 the serial :class:`~repro.fem.advection.AdvectionDiffusion` on the
 gathered mesh (verified in the test suite).
@@ -21,7 +28,8 @@ import numpy as np
 
 from .. import obs
 from ..mesh.parmesh import ParMesh
-from .advection import supg_tau
+from ..solvers.timestep import heun_step
+from .advection import cfl_bound, dirichlet_dofs, supg_tau
 from .hexops import ElementOps
 
 __all__ = ["ParAdvectionDiffusion"]
@@ -83,14 +91,7 @@ class ParAdvectionDiffusion:
         self.b = pm.exchange_sum(self._rhs_owned(load))
 
         self.dirichlet = dirichlet or []
-        self._bc_mask = np.zeros(mesh.n_independent, dtype=bool)
-        self._bc_values = np.zeros(mesh.n_independent, dtype=np.float64)
-        for axis, side, value in self.dirichlet:
-            nodes = mesh.boundary_node_mask(axis=axis, side=side)
-            dofs = mesh.dof_of_node[np.flatnonzero(nodes)]
-            dofs = dofs[dofs >= 0]
-            self._bc_mask[dofs] = True
-            self._bc_values[dofs] = value
+        self._bc_mask, self._bc_values = dirichlet_dofs(mesh, self.dirichlet)
 
     # -- owned-element assembly helpers ---------------------------------------
 
@@ -132,22 +133,14 @@ class ParAdvectionDiffusion:
         return r
 
     def cfl_dt(self, cfl: float = 0.5) -> float:
-        h = self._owned_sizes.min(axis=1) if len(self._owned_sizes) else np.array([np.inf], dtype=np.float64)
-        speed = np.linalg.norm(self._owned_vel, axis=1) if len(self._owned_vel) else np.array([0.0], dtype=np.float64)
-        adv = np.where(speed > 0, h / np.maximum(speed, 1e-300), np.inf)
-        diff = h**2 / (6.0 * self.kappa) if self.kappa > 0 else np.full_like(h, np.inf)
-        local = float(np.minimum(adv, diff).min()) if len(h) else np.inf
+        local = float(cfl_bound(self._owned_sizes, self._owned_vel, self.kappa))
         dt = cfl * self.pm.comm.allreduce(local, op="min")
         if not np.isfinite(dt):
             raise ValueError("no finite CFL bound")
         return dt
 
     def step(self, T: np.ndarray, dt: float) -> np.ndarray:
-        T = self.apply_bcs(T)
-        k1 = self.rate(T)
-        Tstar = self.apply_bcs(T + dt * k1)
-        k2 = self.rate(Tstar)
-        return self.apply_bcs(T + 0.5 * dt * (k1 + k2))
+        return heun_step(self.rate, self.apply_bcs(T), dt)
 
     def advance(self, T: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
         for _ in range(n_steps):

@@ -8,10 +8,11 @@ batched matrix-free kernels:
 
 - :mod:`repro.fleet.spec` — :class:`ScenarioSpec`: the serializable,
   eagerly validated admission unit (physics + levels + scheduling).
-- :mod:`repro.fleet.batch` — :func:`batched_minres` and
-  :class:`BatchGroup`: the batch-axis engine (one wide GEMM advances
-  ``B`` tenants; per-job convergence masks; shared AMG with per-column
-  viscosity-scale correction).
+- :mod:`repro.fleet.batch` — :class:`BatchGroup`: the batch-axis engine
+  (one wide GEMM advances ``B`` tenants; per-job convergence masks;
+  shared AMG with per-column viscosity-scale correction) over
+  :func:`batched_minres`, which lives in :mod:`repro.solvers.minres` and
+  is re-exported here.
 - :mod:`repro.fleet.scheduler` — priority + fair-share + deadline group
   selection over :class:`FleetJob` records.
 - :mod:`repro.fleet.service` — :class:`FleetService` (admission, quanta,

@@ -8,14 +8,23 @@ axis of the element-minor matrix-free kernels
 gather/geometry traffic over all tenants — the per-scenario work
 collapses from ``B`` skinny matvecs into one wide one.
 
+No algorithm is defined here: the Krylov recurrence is
+:func:`repro.solvers.minres.batched_minres` (serial ``minres`` is its
+one-column case), the explicit SUPG step is
+:class:`repro.fem.advection.AdvectionDiffusion` on ``(n, nb)`` fields,
+and a solution enters a tenant's state through the
+:class:`~repro.rhea.convection.MantleConvection` methods the serial
+Picard loop calls.  :class:`BatchGroup` owns the fleet's part: column
+packing, per-tenant budgets (Picard passes, MINRES cap, step counts)
+enforced through masks, and the shared preconditioner.
+
 Per-scenario physics stays exact: viscosity and Rayleigh number enter as
-batched channel scalings, and :func:`batched_minres` carries the full
-Paige-Saunders recurrence per column with an *active mask*, so a tenant
-that converges (or whose Picard budget is spent) drops out by having its
-rhs and iterate columns zeroed — MINRES sees a converged zero system and
-leaves the column bitwise untouched while the rest keep iterating.
-Under ``REPRO_SANITIZE=1`` that freeze is fingerprint-verified at
-unpack.
+batched channel scalings, and the recurrence carries an *active mask*
+per column, so a tenant that converges (or whose Picard budget is
+spent) drops out by having its rhs and iterate columns zeroed — MINRES
+sees a converged zero system and leaves the column bitwise untouched
+while the rest keep iterating.  Under ``REPRO_SANITIZE=1`` that freeze
+is fingerprint-verified at unpack.
 
 The shared block preconditioner generalizes ``K(c eta) = c K(eta)``:
 each job's Poisson block is approximated by the Jacobi congruence
@@ -28,217 +37,33 @@ never need assembly: corner diagonals of a trilinear hex stiffness are
 equal, so ``diag K(eta) ~ Z^T scatter(eta_e g_e)`` up to a constant that
 cancels in the ratio.  The hierarchy is rebuilt at the first Picard pass
 of each cycle — a deterministic schedule, so a preempt/resume at a cycle
-boundary reproduces the uninterrupted run.
+boundary reproduces the uninterrupted run.  (The serial driver's policy —
+a drift-lagged hierarchy on the tenant's own viscosity — is a different
+decision, not a twin of this one; see ROADMAP item 3.)
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import obs
 from ..analysis.sanitize import maybe_freeze, maybe_verify
-from ..fem.advection import element_velocity_from_nodal, supg_tau
-from ..fem.assembly import assemble_scalar, lumped_mass
+from ..fem.advection import AdvectionDiffusion, element_velocity_from_nodal
+from ..fem.assembly import assemble_scalar
 from ..fem.hexops import ElementOps
-from ..fem.matfree import (
-    MatFreeAdvectionOperator,
-    MatFreeStokesOperator,
-    batched_lumped_scalar_mass,
-)
+from ..fem.matfree import MatFreeStokesOperator, batched_lumped_scalar_mass
 from ..fem.stokes import StokesSystem
 from ..mesh.opcache import operator_cache
-from ..rhea.convection import StepDiagnostics
+from ..rhea.convection import THERMAL_BCS, StepDiagnostics
 from ..rhea.viscosity import element_temperature, strain_rate_invariant
 from ..solvers.amg import SmoothedAggregationAMG
+from ..solvers.minres import BatchedMinresResult, batched_minres
 
 __all__ = ["BatchedMinresResult", "batched_minres", "BatchGroup"]
 
 _OPS = ElementOps()
-
-
-@dataclass
-class BatchedMinresResult:
-    """Per-column solutions and convergence of a batched MINRES run."""
-
-    X: np.ndarray  # (n, nb) solution columns
-    iterations: np.ndarray  # (nb,) iteration at which each column converged
-    converged: np.ndarray  # (nb,) bool
-    residuals: list = field(default_factory=list)  # (nb,) preconditioned norms
-
-
-def batched_minres(
-    A,
-    B: np.ndarray,
-    M=None,
-    X0: np.ndarray | None = None,
-    tol=1e-8,
-    maxiter: int | None = None,
-    factory=None,
-) -> BatchedMinresResult:
-    """Solve ``A X = B`` column-wise with one shared Krylov recurrence.
-
-    The operator and preconditioner act on ``(n, nb)`` matrices whose
-    columns are independent systems (the batched matfree apply); every
-    Paige-Saunders scalar becomes a ``(nb,)`` array.  ``tol`` may be a
-    scalar or a per-column array.  Columns converge independently: once
-    ``|phibar_j| <= tol_j * ref_j`` the column's solution update is
-    masked to zero, freezing it bitwise while the others iterate, and
-    ``iterations[j]`` records the stopping iteration.  A zero column
-    (zero rhs, zero guess) therefore converges at iteration 0 untouched
-    — the masked-tenant mechanism of :class:`BatchGroup`.
-
-    ``factory(cols) -> (apply_A, apply_M)``, when given, enables *column
-    compaction*: once at least half the working columns have converged,
-    the converged ones are dropped from the recurrence and the operators
-    are rebuilt for the surviving global column indices ``cols``, so the
-    width-proportional work (wide applies, preconditioner sweeps) tracks
-    the shrinking active set.  All recurrence operations are columnwise,
-    so compaction leaves the per-column arithmetic — iteration counts
-    included — unchanged; the half-width hysteresis keeps rebuilds to
-    ``O(log nb)`` per solve.
-
-    As in :func:`repro.solvers.minres.minres`, warm-started columns
-    measure convergence against ``||b||_M`` rather than the initial
-    residual; cold columns use the initial residual (the two coincide).
-
-    Example::
-
-        res = batched_minres(op.apply, F, M=prec, tol=np.full(nb, 1e-6))
-        res.X[:, res.converged]
-    """
-    apply_A = A if callable(A) else (lambda X: A @ X)
-    apply_M = M if M is not None else (lambda R: R)
-    B = np.asarray(B, dtype=np.float64)
-    n, nb = B.shape
-    tol = np.broadcast_to(np.asarray(tol, dtype=np.float64), (nb,))
-    X = np.zeros((n, nb)) if X0 is None else np.array(X0, dtype=np.float64)
-    maxiter = maxiter if maxiter is not None else 5 * n
-    tiny = np.finfo(np.float64).tiny
-
-    warm = np.any(X != 0.0, axis=0)
-    # cold columns of X are zero, and the operator acts column-wise, so
-    # their residual columns equal B exactly
-    R1 = (B - apply_A(X)) if warm.any() else B.copy()
-    Y = apply_M(R1)
-    beta1 = np.einsum("ij,ij->j", R1, Y)
-    if np.any(beta1 < 0):
-        raise ValueError("preconditioner is not positive definite")
-    beta1 = np.sqrt(beta1)
-    residuals = [beta1.copy()]
-    if warm.any():
-        YB = apply_M(B)
-        refw = np.einsum("ij,ij->j", B, YB)
-        if np.any(refw < 0):
-            raise ValueError("preconditioner is not positive definite")
-        ref = np.where(warm, np.sqrt(refw), beta1)
-    else:
-        ref = beta1.copy()
-    iterations = np.zeros(nb, dtype=np.int64)
-    converged = beta1 <= tol * ref
-    active = ~converged
-    if not active.any():
-        return BatchedMinresResult(
-            X=X, iterations=iterations, converged=converged, residuals=residuals
-        )
-
-    oldb = np.zeros(nb)
-    beta = beta1.copy()
-    dbar = np.zeros(nb)
-    epsln = np.zeros(nb)
-    phibar = beta1.copy()
-    cs = np.full(nb, -1.0)
-    sn = np.zeros(nb)
-    W = np.zeros((n, nb))
-    W2 = np.zeros((n, nb))
-    R2 = R1
-
-    # compaction bookkeeping: `idx` maps working columns to global ones,
-    # `X_out` is the full-width result (identical object to X until the
-    # first compaction event), `res_full` freezes retired columns' final
-    # preconditioned residuals in the history
-    idx = np.arange(nb)
-    X_out = X
-    tol_w, ref_w = tol, ref
-    res_full = beta1.copy()
-
-    itn = 0
-    for itn in range(1, maxiter + 1):  # lint: allow-loop (solver iteration)
-        # inactive columns keep recurring on garbage (their beta may hit
-        # zero); every division is clamped so they stay finite, and their
-        # X columns are frozen by the `step` mask below
-        s = 1.0 / np.maximum(beta, tiny)
-        V = s[None, :] * Y
-        Y = apply_A(V)
-        if itn >= 2:
-            Y = Y - (beta / np.maximum(oldb, tiny))[None, :] * R1
-        alfa = np.einsum("ij,ij->j", V, Y)
-        Y = Y - (alfa / np.maximum(beta, tiny))[None, :] * R2
-        R1 = R2
-        R2 = Y
-        Y = apply_M(R2)
-        oldb = beta
-        beta2 = np.einsum("ij,ij->j", R2, Y)
-        if np.any(beta2[active] < 0):
-            raise ValueError("preconditioner is not positive definite")
-        beta = np.sqrt(np.clip(beta2, 0.0, None))
-
-        # apply previous and compute next Givens rotation, per column
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = np.sqrt(gbar * gbar + beta * beta)
-        gamma = np.maximum(gamma, np.finfo(np.float64).eps)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-
-        W1 = W2
-        W2 = W
-        W = (V - oldeps[None, :] * W1 - delta[None, :] * W2) / gamma[None, :]
-        step = np.where(active, phi, 0.0)
-        X = X + step[None, :] * W
-
-        res_full[idx] = np.abs(phibar)
-        residuals.append(res_full.copy())
-        newly = active & (np.abs(phibar) <= tol_w * ref_w)
-        iterations[idx[newly]] = itn
-        converged[idx[newly]] = True
-        active &= ~newly
-        if not active.any():
-            break
-
-        if factory is not None and 2 * int(active.sum()) <= idx.size:
-            # retire converged columns: flush the working block into the
-            # full-width result, slice every recurrence array down to the
-            # survivors, and rebuild the operators on their global
-            # indices.  Columnwise arithmetic is untouched, so iteration
-            # counts match the uncompacted recurrence exactly.
-            keep = active
-            X_out[:, idx] = X
-            idx = idx[keep]
-            X = X[:, keep]
-            R1, R2, Y = R1[:, keep], R2[:, keep], Y[:, keep]
-            W, W2 = W[:, keep], W2[:, keep]
-            oldb, beta, dbar = oldb[keep], beta[keep], dbar[keep]
-            epsln, phibar = epsln[keep], phibar[keep]
-            cs, sn = cs[keep], sn[keep]
-            tol_w, ref_w = tol_w[keep], ref_w[keep]
-            active = np.ones(idx.size, dtype=bool)
-            apply_A, apply_M = factory(idx)
-
-    iterations[idx[active]] = itn
-    if X_out is not X:
-        X_out[:, idx] = X
-    return BatchedMinresResult(
-        X=X_out, iterations=iterations, converged=converged.copy(),
-        residuals=residuals,
-    )
 
 
 def _poisson_diag(mesh, eta_b: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -297,6 +122,12 @@ class BatchGroup:
                 raise ValueError("domain must be uniform across a batch group")
             if c.gamma != 0.0:
                 raise ValueError("batched advection supports gamma = 0 only")
+            if c.stokes_preconditioner != "amg":
+                raise ValueError(
+                    "batched Stokes shares one AMG hierarchy; "
+                    f"stokes_preconditioner={c.stokes_preconditioner!r} "
+                    "is not supported in a batch group"
+                )
         self.sims = list(sims)
         self.mesh = mesh
         self.nb = len(sims)
@@ -307,11 +138,12 @@ class BatchGroup:
     def solve_stokes(self) -> list[dict]:
         """Batched Picard iteration: one wide MINRES per pass.
 
-        Mirrors the serial ``_solve_stokes_impl`` per column — viscosity
-        re-evaluation, warm start, pressure-mean projection, relative
+        The serial :meth:`MantleConvection.solve_stokes` per column —
+        viscosity re-evaluation, warm start, solution hand-off, relative
         velocity-increment convergence test — with per-job ``picard_tol``
-        / ``picard_iterations`` budgets enforced through the active mask.
-        Returns one serial-shaped stats dict per job.
+        / ``picard_iterations`` / ``stokes_tol`` / ``stokes_maxiter``
+        budgets enforced through the active mask.  Returns one
+        serial-shaped stats dict per job.
         """
         mesh, sims = self.mesh, self.sims
         nb, n = self.nb, mesh.n_independent
@@ -326,7 +158,7 @@ class BatchGroup:
         )
         picard_tol = np.array([s.config.picard_tol for s in sims])
         stokes_tol = np.array([s.config.stokes_tol for s in sims])
-        maxiter = max(s.config.stokes_maxiter for s in sims)
+        stokes_maxiter = np.array([s.config.stokes_maxiter for s in sims])
         M_node = cache.get(
             "node_mass",
             lambda: assemble_scalar(mesh, _OPS.mass(sizes), constrain=False),
@@ -410,22 +242,14 @@ class BatchGroup:
             Fk = F.copy()
             Fk[:, ~active] = 0.0
             X0 = np.zeros((4 * n, nb))
-            for j, s in enumerate(sims):  # lint: allow-loop (per-job warm-start pack, O(B))
-                if not active[j]:
-                    continue  # column stays zero -> converges untouched at 0
-                if s.config.warm_start and np.any(s.u):
-                    for a in range(3):  # lint: allow-loop (3 velocity components)
-                        X0[a * n : (a + 1) * n, j] = s.u[mesh.indep_nodes, a]
-                    X0[bc.dofs, j] = 0.0
-                    if s._p_prev is not None and s._p_prev_mesh is mesh:
-                        X0[3 * n :, j] = s._p_prev
+            for j in np.flatnonzero(active):  # lint: allow-loop (per-job warm-start pack, O(B))
+                # an inactive column stays zero -> converges untouched at 0
+                X0[:, j] = sims[j].stokes_guess(bc.dofs)
 
-            with obs.phase("minres"):
-                res = batched_minres(
-                    op.apply, Fk, M=apply_M, X0=X0, tol=stokes_tol,
-                    maxiter=maxiter, factory=factory,
-                )
-            obs.counter("minres_calls")
+            res = batched_minres(
+                op.apply, Fk, M=apply_M, X0=X0, tol=stokes_tol,
+                maxiter=stokes_maxiter, factory=factory,
+            )
             if zero_token is not None:
                 for j in np.flatnonzero(~active):  # lint: allow-loop (sanitize verify, O(B))
                     maybe_verify(
@@ -434,119 +258,46 @@ class BatchGroup:
                     )
 
             total_minres += np.where(active, res.iterations, 0)
-            for j, s in enumerate(sims):  # lint: allow-loop (per-job unpack, O(B))
-                if not active[j]:
-                    continue
-                x = res.X[:, j]
-                p = x[3 * n :].copy()
-                p -= p.mean()
-                s._p_prev = p
-                s._p_prev_mesh = mesh
-                u_new = np.empty((mesh.n_nodes, 3))
-                for a in range(3):  # lint: allow-loop (3 velocity components)
-                    u_new[:, a] = mesh.expand(x[a * n : (a + 1) * n])
-                du = np.linalg.norm(u_new - s.u) / max(
-                    np.linalg.norm(u_new), 1e-30
-                )
-                s.u = u_new
+            for j in np.flatnonzero(active):  # lint: allow-loop (per-job unpack, O(B))
+                du = sims[j].accept_stokes(res.X[:, j])
                 last_converged[j] = bool(res.converged[j])
                 if du < picard_tol[j] or k + 1 >= picard_budget[j]:
                     active[j] = False
             if not active.any():
                 break
 
-        obs.counter("minres_iterations", int(total_minres.sum()))
         obs.counter("picard_iterations", int(n_picard.sum()))
-        stats = []
-        for j, s in enumerate(sims):  # lint: allow-loop (per-job stats, O(B))
-            s._last_minres = int(total_minres[j])
-            s._last_picard = int(n_picard[j])
-            stats.append(
-                {
-                    "minres_iterations": int(total_minres[j]),
-                    "picard_iterations": int(n_picard[j]),
-                    "eta_min": float(s.eta_elem.min()),
-                    "eta_max": float(s.eta_elem.max()),
-                    "converged": bool(last_converged[j]),
-                }
-            )
-        return stats
+        return [
+            s.stokes_stats(total_minres[j], n_picard[j], last_converged[j])
+            for j, s in enumerate(sims)
+        ]
 
     # -- temperature ----------------------------------------------------
 
     def advance_temperature(self) -> np.ndarray:
         """Batched explicit Heun advection with per-job time steps.
 
-        Each job takes its own ``adapt_every`` steps at its own CFL
-        ``dt``; jobs whose step count is exhausted are frozen bitwise by
-        a per-micro-step mask (and fingerprint-verified at unpack under
-        ``REPRO_SANITIZE=1``).  Returns the per-job ``dt`` array.
+        One :class:`~repro.fem.advection.AdvectionDiffusion` over the
+        batch axis does the stepping.  Each job takes its own
+        ``adapt_every`` steps at its own CFL ``dt``; jobs whose step
+        count is exhausted are frozen bitwise by a per-micro-step mask
+        (and fingerprint-verified at unpack under ``REPRO_SANITIZE=1``).
+        Returns the per-job ``dt`` array.
         """
         mesh, sims = self.mesh, self.sims
-        nb, n = self.nb, mesh.n_independent
-        cache = operator_cache(mesh)
-        sizes = mesh.element_sizes()
-        vel_b = np.stack(
-            [element_velocity_from_nodal(mesh, s.u) for s in sims]
-        )  # (nb, ne, 3)
-        kappa_b = np.array([s.config.kappa for s in sims])
-        tau_b = np.stack(
-            [supg_tau(sizes, vel_b[j], kappa_b[j]) for j in range(nb)]
+        eq = AdvectionDiffusion(
+            mesh,
+            np.array([s.config.kappa for s in sims]),
+            np.stack([element_velocity_from_nodal(mesh, s.u) for s in sims]),
+            dirichlet=THERMAL_BCS,
         )
-        op = MatFreeAdvectionOperator(mesh, kappa_b, vel_b, tau_b)
-        mass_e = cache.get("elem_mass", lambda: _OPS.mass(sizes))
-        ML = cache.get("lumped_mass", lambda: lumped_mass(mesh, mass_e))
-
-        bc_mask = np.zeros(n, dtype=bool)
-        bc_values = np.zeros(n)
-        for axis, side, value in ((2, 0, 1.0), (2, 1, 0.0)):  # hot bottom, cold top
-
-            def build(axis=axis, side=side):
-                nodes = mesh.boundary_node_mask(axis=axis, side=side)
-                dofs = mesh.dof_of_node[np.flatnonzero(nodes)]
-                return dofs[dofs >= 0]
-
-            dofs = cache.get(("bdofs", axis, side), build)
-            bc_mask[dofs] = True
-            bc_values[dofs] = value
-
-        # per-job CFL bound (same advective/diffusive limits as serial)
-        h = sizes.min(axis=1)
-        speed = np.linalg.norm(vel_b, axis=2)  # (nb, ne)
-        adv = np.where(speed > 0, h[None, :] / np.maximum(speed, 1e-300), np.inf)
-        diff = np.where(
-            kappa_b[:, None] > 0,
-            h[None, :] ** 2 / np.maximum(6.0 * kappa_b[:, None], 1e-300),
-            np.inf,
-        )
-        cfl_b = np.array([s.config.cfl for s in sims])
-        dt_b = cfl_b * np.minimum(adv, diff).min(axis=1)
-        if not np.all(np.isfinite(dt_b)):
-            raise ValueError("no finite CFL bound (zero velocity and diffusivity)")
+        dt_b = eq.cfl_dt(np.array([s.config.cfl for s in sims]))
         n_steps = np.array([s.config.adapt_every for s in sims])
 
         Tm = np.stack([s.T[mesh.indep_nodes] for s in sims], axis=1)  # (n, nb)
-        dtrow = dt_b[None, :]
-        frozen: list = [None] * nb
-
-        def rate(T):
-            R = -op.apply(T) / ML[:, None]
-            R[bc_mask] = 0.0
-            return R
-
-        def apply_bcs(T):
-            out = T.copy()
-            out[bc_mask] = bc_values[bc_mask][:, None]
-            return out
-
+        frozen: list = [None] * self.nb
         for t in range(int(n_steps.max())):  # lint: allow-loop (time stepping)
-            stepmask = t < n_steps
-            T0 = apply_bcs(Tm)
-            k1 = rate(T0)
-            Tstar = apply_bcs(T0 + dtrow * k1)
-            k2 = rate(Tstar)
-            T1 = apply_bcs(T0 + 0.5 * dtrow * (k1 + k2))
-            Tm = np.where(stepmask[None, :], T1, Tm)
+            Tm = np.where(t < n_steps, eq.step(Tm, dt_b), Tm)
             for j in np.flatnonzero(t + 1 == n_steps):  # lint: allow-loop (sanitize freeze, O(B))
                 frozen[j] = maybe_freeze(Tm[:, j].copy())
         for j, tok in enumerate(frozen):  # lint: allow-loop (sanitize verify, O(B))
@@ -586,24 +337,10 @@ class BatchGroup:
             )
         t_adv = time.perf_counter() - t0
 
-        out = []
-        for s, st in zip(self.sims, stats):  # lint: allow-loop (per-job diagnostics, O(B))
-            d = StepDiagnostics(
-                step=s.step_count,
-                time=s.sim_time,
-                n_elements=self.mesh.n_elements,
-                vrms=s.vrms(),
-                nusselt=s.nusselt(),
-                mean_T=s.mean_temperature(),
-                minres_iterations=st["minres_iterations"],
-                picard_iterations=st["picard_iterations"],
-                eta_min=st["eta_min"],
-                eta_max=st["eta_max"],
-                timings={
-                    "Stokes": t_stokes / self.nb,
-                    "TimeIntegration": t_adv / self.nb,
-                },
-            )
-            s.history.append(d)
-            out.append(d)
-        return out
+        timings = {
+            "Stokes": t_stokes / self.nb,
+            "TimeIntegration": t_adv / self.nb,
+        }
+        return [
+            s.record_cycle(st, dict(timings)) for s, st in zip(self.sims, stats)
+        ]

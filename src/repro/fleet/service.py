@@ -220,11 +220,7 @@ class FleetService:
         old mesh are untouched (structural invalidation is per-job)."""
         with obs.phase(f"fleet/job:{job.job_id}/amr"):
             job.sim.adapt()
-        canonical = self.registry.intern(job.sim.mesh)
-        if canonical is not job.sim.mesh:
-            # deterministic extraction: identical structure implies
-            # identical numbering, so fields transfer verbatim
-            job.sim.mesh = canonical
+        job.sim.rebind_mesh(self.registry.intern(job.sim.mesh))
 
     # -- preemption / resume --------------------------------------------
 
@@ -338,11 +334,7 @@ class FleetService:
             )
         with obs.phase(f"fleet/job:{spec.job_id}/restore"):
             sim = restore_convection(ckpt_root, config=spec.to_config())
-        canonical = self.registry.intern(sim.mesh)
-        if canonical is not sim.mesh:
-            if sim._p_prev_mesh is sim.mesh:
-                sim._p_prev_mesh = canonical
-            sim.mesh = canonical
+        sim.rebind_mesh(self.registry.intern(sim.mesh))
         return sim
 
     # -- introspection --------------------------------------------------

@@ -14,7 +14,6 @@ from .opcache import (
     cache_stats,
     operator_cache,
     reset_cache_stats,
-    set_cache_enabled,
 )
 from .vtk import VtkSeries, write_vtk
 
@@ -31,7 +30,6 @@ __all__ = [
     "cache_disabled",
     "cache_stats",
     "reset_cache_stats",
-    "set_cache_enabled",
     "write_vtk",
     "VtkSeries",
 ]

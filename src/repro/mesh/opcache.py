@@ -33,8 +33,6 @@ __all__ = [
     "MeshOperatorCache",
     "CachedScatter",
     "operator_cache",
-    "cache_enabled",
-    "set_cache_enabled",
     "cache_disabled",
     "cache_stats",
     "reset_cache_stats",
@@ -68,25 +66,16 @@ class _GlobalStats:
 _STATS = _GlobalStats()
 
 
-def cache_enabled() -> bool:
-    return _ENABLED
-
-
-def set_cache_enabled(flag: bool) -> None:
-    """Globally enable/disable memoization (builders still run either way)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
 @contextmanager
 def cache_disabled():
-    """Temporarily disable operator-cache reuse (for on/off comparisons)."""
-    prev = _ENABLED
-    set_cache_enabled(False)
+    """Temporarily disable operator-cache reuse: every builder runs on
+    every lookup.  The test-side reference for cache transparency."""
+    global _ENABLED
+    prev, _ENABLED = _ENABLED, False
     try:
         yield
     finally:
-        set_cache_enabled(prev)
+        _ENABLED = prev
 
 
 def cache_stats() -> dict:

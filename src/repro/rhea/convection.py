@@ -23,18 +23,16 @@ from .. import obs
 from ..amr import adapt_mesh
 from ..fem import AdvectionDiffusion, StokesSystem, element_velocity_from_nodal
 from ..mesh import Mesh, extract_mesh
-from ..mesh.opcache import cache_disabled, operator_cache
+from ..mesh.opcache import operator_cache
 from ..octree import LinearOctree
-from ..solvers import (
-    GMGStokesPreconditioner,
-    LaggedStokesPreconditioner,
-    StokesBlockPreconditioner,
-    minres,
-)
+from ..solvers import LaggedStokesPreconditioner, minres
 from .error import combined_indicator
 from .viscosity import ArrheniusViscosity, element_temperature, strain_rate_invariant
 
 __all__ = ["ConfigError", "RheaConfig", "MantleConvection", "conductive_profile"]
+
+#: temperature Dirichlet faces ``(axis, side, value)``: hot bottom, cold top
+THERMAL_BCS = [(2, 0, 1.0), (2, 1, 0.0)]
 
 
 class ConfigError(ValueError):
@@ -96,26 +94,16 @@ class RheaConfig:
     yield_weight: float = 0.75
     velocity_bc: str = "free_slip"
     mark_tol: float = 0.08
-    #: memoize mesh-derived operators (scatter patterns, Z3, dof maps)
-    #: between Picard passes and time steps; value-transparent, so results
-    #: are bitwise identical with caching off
-    cache_operators: bool = True
     #: lagged multigrid setup: reuse the preconditioner hierarchy until
-    #: the element viscosity drifts past this relative threshold.
-    #: ``None`` rebuilds on every Picard pass (the pre-amortization
-    #: behavior); ``0.0`` reuses only for bitwise-unchanged viscosity.
-    prec_lag_rtol: float | None = 0.3
+    #: the element viscosity drifts past this relative threshold;
+    #: ``0.0`` reuses only for bitwise-unchanged viscosity, which is
+    #: rebuild-every-pass bitwise
+    prec_lag_rtol: float = 0.3
     #: viscous-block preconditioner: ``"amg"`` (assembled smoothed-
     #: aggregation hierarchy, the paper's BoomerAMG analogue) or
     #: ``"gmg"`` (matrix-free geometric multigrid on the octree
     #: coarsening hierarchy — zero sparse assembly; see SOLVERS.md)
     stokes_preconditioner: str = "amg"
-    #: warm-start MINRES from the previous velocity/pressure solution
-    warm_start: bool = True
-    #: bind a :class:`repro.obs.PhaseTimer` for the duration of
-    #: :meth:`MantleConvection.run` if none is active (per-phase wall
-    #: times, solver counters); read it back via ``repro.obs.active()``
-    observe: bool = False
 
     def __post_init__(self):
         """Validate eagerly so a bad configuration fails at construction
@@ -144,6 +132,7 @@ class RheaConfig:
         positive("kappa", strict=False)
         positive("picard_tol")
         positive("stokes_tol")
+        positive("prec_lag_rtol", strict=False)
         positive("picard_iterations", minimum=1, strict=False)
         positive("stokes_maxiter", minimum=1, strict=False)
         positive("adapt_every", minimum=1, strict=False)
@@ -216,14 +205,8 @@ class MantleConvection:
         self.sim_time = 0.0
         self.step_count = 0
         self.history: list[StepDiagnostics] = []
-        self._last_minres = 0
-        self._last_picard = 0
-        self._prec_lag = (
-            LaggedStokesPreconditioner(
-                rtol=cfg.prec_lag_rtol, kind=cfg.stokes_preconditioner
-            )
-            if cfg.prec_lag_rtol is not None
-            else None
+        self._prec_lag = LaggedStokesPreconditioner(
+            rtol=cfg.prec_lag_rtol, kind=cfg.stokes_preconditioner
         )
         self._p_prev: np.ndarray | None = None  # pressure warm start
         self._p_prev_mesh: Mesh | None = None
@@ -259,31 +242,20 @@ class MantleConvection:
         f[:, 2] = self.config.Ra * self.T
         return f
 
-    def _cache_ctx(self):
-        """Context honoring ``config.cache_operators`` (memoization is
-        value-transparent, so this only changes speed, not results)."""
-        from contextlib import nullcontext
-
-        return nullcontext() if self.config.cache_operators else cache_disabled()
-
     def solve_stokes(self) -> dict:
         """Picard iteration over the strain-rate-dependent viscosity.
 
         Each pass evaluates the viscosity law at the current velocity,
-        assembles the Stokes system, and solves by MINRES with the block
-        preconditioner.  Returns solver statistics.
+        assembles the Stokes system, and solves by MINRES (warm-started
+        from the previous solution) with the lagged block preconditioner.
+        Returns solver statistics.
         """
-        with self._cache_ctx():
-            return self._solve_stokes_impl()
-
-    def _solve_stokes_impl(self) -> dict:
         cfg = self.config
         mesh = self.mesh
         T_e = element_temperature(mesh, self.T)
         z_e = mesh.element_centers()[:, 2] / cfg.domain[2]
         total_minres = 0
         n_picard = 0
-        n = mesh.n_independent
         for k in range(max(cfg.picard_iterations, 1)):
             n_picard = k + 1
             edot = strain_rate_invariant(mesh, self.u)
@@ -291,74 +263,86 @@ class MantleConvection:
             self.eta_elem = eta
             self.edot_elem = edot
             st = StokesSystem(mesh, eta, self._body_force(), bc=cfg.velocity_bc)
-            if self._prec_lag is not None:
-                prec = self._prec_lag.get(st)
-            elif cfg.stokes_preconditioner == "gmg":
-                prec = GMGStokesPreconditioner(st)
-            else:
-                prec = StokesBlockPreconditioner(st)
-            x0 = self._warm_start(st) if cfg.warm_start else None
+            prec = self._prec_lag.get(st)
             res = minres(
-                st.matvec, st.rhs(), M=prec.apply, x0=x0,
+                st.matvec, st.rhs(), M=prec.apply, x0=self.stokes_guess(st.bc.dofs),
                 tol=cfg.stokes_tol, maxiter=cfg.stokes_maxiter,
             )
-            x = st.project_pressure_mean(res.x)
             total_minres += res.iterations
-            self._p_prev = x[3 * n :].copy()
-            self._p_prev_mesh = mesh
-            u_new = np.empty((mesh.n_nodes, 3))
-            for a in range(3):
-                u_new[:, a] = mesh.expand(x[a * n : (a + 1) * n])
-            du = np.linalg.norm(u_new - self.u) / max(np.linalg.norm(u_new), 1e-30)
-            self.u = u_new
+            du = self.accept_stokes(res.x)
             if du < cfg.picard_tol:
                 break
-        self._last_minres = total_minres
-        self._last_picard = n_picard
-        obs.counter("minres_iterations", total_minres)
         obs.counter("picard_iterations", n_picard)
-        stats = {
-            "minres_iterations": total_minres,
-            "picard_iterations": n_picard,
-            "eta_min": float(self.eta_elem.min()),
-            "eta_max": float(self.eta_elem.max()),
-            "converged": res.converged,
-        }
-        if self._prec_lag is not None:
-            stats["prec_builds"] = self._prec_lag.n_builds
-            stats["prec_reuses"] = self._prec_lag.n_reuses
+        stats = self.stokes_stats(total_minres, n_picard, res.converged)
+        stats["prec_builds"] = self._prec_lag.n_builds
+        stats["prec_reuses"] = self._prec_lag.n_reuses
         return stats
 
-    def _warm_start(self, st: StokesSystem) -> np.ndarray | None:
-        """Initial MINRES guess from the current velocity field (which
-        survives mesh adaptation through the field transfer) and, on an
-        unchanged mesh, the previous pressure solution."""
+    # -- Stokes solution <-> state (shared with repro.fleet.batch) ------------------
+
+    def stokes_guess(self, bc_dofs: np.ndarray) -> np.ndarray:
+        """MINRES warm start ``[u_x|u_y|u_z|p]`` on independent dofs:
+        the current velocity field (which survives mesh adaptation
+        through the field transfer) and, on an unchanged mesh, the
+        previous pressure solution.  All zeros — a cold start — while
+        the velocity is still zero."""
         mesh = self.mesh
         n = mesh.n_independent
-        if not np.any(self.u):
-            return None
-        x0 = np.zeros(st.n_dof)
-        for a in range(3):
-            x0[a * n : (a + 1) * n] = self.u[mesh.indep_nodes, a]
-        x0[st.bc.dofs] = 0.0
-        if self._p_prev is not None and self._p_prev_mesh is mesh:
-            x0[3 * n :] = self._p_prev
+        x0 = np.zeros(4 * n)
+        if np.any(self.u):
+            for a in range(3):
+                x0[a * n : (a + 1) * n] = self.u[mesh.indep_nodes, a]
+            x0[bc_dofs] = 0.0
+            if self._p_prev is not None and self._p_prev_mesh is mesh:
+                x0[3 * n :] = self._p_prev
         return x0
+
+    def accept_stokes(self, x: np.ndarray) -> float:
+        """Take one MINRES solution ``[u_x|u_y|u_z|p]`` into the state:
+        remember the mean-free pressure for the next warm start (enclosed
+        flow fixes pressure only up to a constant), expand the velocity
+        to all nodes, and return its relative increment — the Picard
+        convergence measure."""
+        mesh = self.mesh
+        n = mesh.n_independent
+        p = x[3 * n :].copy()
+        p -= p.mean()
+        self._p_prev = p
+        self._p_prev_mesh = mesh
+        u_new = np.empty((mesh.n_nodes, 3))
+        for a in range(3):
+            u_new[:, a] = mesh.expand(x[a * n : (a + 1) * n])
+        du = np.linalg.norm(u_new - self.u) / max(np.linalg.norm(u_new), 1e-30)
+        self.u = u_new
+        return du
+
+    def stokes_stats(self, minres_iterations, picard_iterations, converged) -> dict:
+        """The statistics dict :meth:`solve_stokes` returns for one cycle."""
+        return {
+            "minres_iterations": int(minres_iterations),
+            "picard_iterations": int(picard_iterations),
+            "eta_min": float(self.eta_elem.min()),
+            "eta_max": float(self.eta_elem.max()),
+            "converged": bool(converged),
+        }
+
+    def rebind_mesh(self, mesh: Mesh) -> None:
+        """Swap in a structurally identical mesh object (the fleet's
+        interned one: deterministic extraction gives identical numbering,
+        so fields and the pressure warm start carry over verbatim)."""
+        if self._p_prev_mesh is self.mesh:
+            self._p_prev_mesh = mesh
+        self.mesh = mesh
 
     # -- temperature -------------------------------------------------------------------
 
     def advance_temperature(self, n_steps: int) -> float:
         """Advance the energy equation ``n_steps`` explicit steps with the
         frozen Stokes velocity; returns the time step used."""
-        with self._cache_ctx():
-            return self._advance_temperature_impl(n_steps)
-
-    def _advance_temperature_impl(self, n_steps: int) -> float:
         cfg = self.config
         vel_e = element_velocity_from_nodal(self.mesh, self.u)
         eq = AdvectionDiffusion(
-            self.mesh, cfg.kappa, vel_e, source=cfg.gamma,
-            dirichlet=[(2, 0, 1.0), (2, 1, 0.0)],  # hot bottom, cold top
+            self.mesh, cfg.kappa, vel_e, source=cfg.gamma, dirichlet=THERMAL_BCS
         )
         dt = eq.cfl_dt(cfg.cfl)
         T_ind = self.T[self.mesh.indep_nodes]
@@ -447,11 +431,31 @@ class MantleConvection:
         """Hit/miss counters of the current mesh's operator cache plus the
         lagged-preconditioner build/reuse tallies."""
         c = operator_cache(self.mesh)
-        out = {"cache_hits": c.hits, "cache_misses": c.misses}
-        if self._prec_lag is not None:
-            out["prec_builds"] = self._prec_lag.n_builds
-            out["prec_reuses"] = self._prec_lag.n_reuses
-        return out
+        return {
+            "cache_hits": c.hits,
+            "cache_misses": c.misses,
+            "prec_builds": self._prec_lag.n_builds,
+            "prec_reuses": self._prec_lag.n_reuses,
+        }
+
+    def record_cycle(self, stats: dict, timings: dict) -> StepDiagnostics:
+        """Append (and return) the diagnostics of the cycle just
+        completed; ``stats`` is what :meth:`solve_stokes` returned."""
+        d = StepDiagnostics(
+            step=self.step_count,
+            time=self.sim_time,
+            n_elements=self.mesh.n_elements,
+            vrms=self.vrms(),
+            nusselt=self.nusselt(),
+            mean_T=self.mean_temperature(),
+            minres_iterations=stats["minres_iterations"],
+            picard_iterations=stats["picard_iterations"],
+            eta_min=stats["eta_min"],
+            eta_max=stats["eta_max"],
+            timings=timings,
+        )
+        self.history.append(d)
+        return d
 
     # -- main loop ----------------------------------------------------------------------
 
@@ -470,8 +474,6 @@ class MantleConvection:
         from ..parallel import check_fault
 
         cfg = self.config
-        if cfg.observe and obs.active() is None:
-            obs.enable()
         ckpt = None
         if checkpoint is not None:
             from ..checkpoint import Checkpointer
@@ -501,21 +503,7 @@ class MantleConvection:
                 self.advance_temperature(cfg.adapt_every)
                 obs.counter("advection_steps", cfg.adapt_every)
             timings["TimeIntegration"] = time.perf_counter() - t0
-            self.history.append(
-                StepDiagnostics(
-                    step=self.step_count,
-                    time=self.sim_time,
-                    n_elements=self.mesh.n_elements,
-                    vrms=self.vrms(),
-                    nusselt=self.nusselt(),
-                    mean_T=self.mean_temperature(),
-                    minres_iterations=stats["minres_iterations"],
-                    picard_iterations=stats["picard_iterations"],
-                    eta_min=stats["eta_min"],
-                    eta_max=stats["eta_max"],
-                    timings=timings,
-                )
-            )
+            self.record_cycle(stats, timings)
             if ckpt is not None and ckpt.due(len(self.history)):
                 ckpt.save_convection(self)
         return self.history

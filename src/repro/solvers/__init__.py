@@ -25,7 +25,7 @@ from .gmg import (
     mesh_hierarchy,
     prolongation,
 )
-from .minres import MinresResult, minres
+from .minres import BatchedMinresResult, MinresResult, batched_minres, minres
 from .timestep import LowStorageRK45, heun_step
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
     "CGResult",
     "minres",
     "MinresResult",
+    "batched_minres",
+    "BatchedMinresResult",
     "LowStorageRK45",
     "heun_step",
 ]

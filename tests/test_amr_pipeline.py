@@ -10,6 +10,7 @@ from repro.amr import (
     mark_elements,
     rotating_velocity,
 )
+from repro.amr.mark import relocate_refine_marks
 from repro.fem import AdvectionDiffusion, ParAdvectionDiffusion
 from repro.mesh import extract_mesh
 from repro.mesh.parmesh import extract_parmesh
@@ -66,6 +67,49 @@ class TestMarkElements:
         for thr, cnt in run_spmd(4, kernel):
             assert thr == pytest.approx(ref.refine_threshold)
             assert cnt == ref.expected_count
+
+
+class TestRelocateRefineMarks:
+    """The one function both adaptation drivers carry refine marks across
+    COARSENTREE with (serial tree or a rank's segment of the distributed
+    one)."""
+
+    def test_marks_follow_leaves_through_coarsening(self):
+        tree = LinearOctree.uniform(2)
+        refine = np.zeros(len(tree), dtype=bool)
+        refine[[9, 40]] = True
+        coarsen = np.zeros(len(tree), dtype=bool)
+        coarsen[16:32] = True  # two complete families, neither marked
+        tree_c, nfam = tree.coarsen(coarsen)
+        assert nfam == 2
+        mask = relocate_refine_marks(tree.leaves, refine, tree_c)
+        assert mask.sum() == 2
+        np.testing.assert_array_equal(
+            tree_c.leaves[mask].keys(), tree.leaves[refine].keys()
+        )
+        np.testing.assert_array_equal(tree_c.levels[mask], 2)
+
+    def test_no_marks(self):
+        tree = LinearOctree.uniform(1)
+        mask = relocate_refine_marks(tree.leaves, np.zeros(8, dtype=bool), tree)
+        assert mask.shape == (8,) and not mask.any()
+
+    def test_coarsened_away_leaf_is_an_error_on_a_rank_segment_too(self):
+        """The level guard the distributed driver used to lack."""
+
+        def kernel(comm):
+            pt = new_tree(comm, 2)
+            refine = np.zeros(len(pt), dtype=bool)
+            refine[0] = True
+            from repro.octree.partree import coarsen_tree
+
+            # masks that contradict each other: the marked leaf's family goes
+            coarse, _ = coarsen_tree(pt, np.ones(len(pt), dtype=bool))
+            with pytest.raises(AssertionError, match="coarsened away"):
+                relocate_refine_marks(pt.local, refine, coarse)
+            return True
+
+        assert all(run_spmd(2, kernel))
 
 
 class TestSerialAdaptDriver:

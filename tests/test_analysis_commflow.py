@@ -110,6 +110,44 @@ class TestCallGraph:
         assert s.has_collective
         assert s.chain[0][0] == "pkg.b.Helper.gather_all"
 
+    def test_function_argument_called_by_callee(self, tmp_path):
+        """A bound method handed to a stepper (``heun_step(self.rate, ..)``)
+        is called where the stepper calls its parameter: twice, in order,
+        between the stepper's own collectives."""
+        pkg = write_pkg(
+            tmp_path,
+            a="""
+            from .b import twice
+
+            class Eq:
+                def __init__(self, comm):
+                    self.comm = comm
+
+                def rate(self, u):
+                    return self.comm.allreduce(u)
+
+                def step(self, u):
+                    return twice(self.rate, u, self.comm)
+
+            def plain(u, comm):
+                return twice(abs, u, comm)
+            """,
+            b="""
+            def twice(rate, u, comm):
+                k = rate(u)
+                comm.barrier()
+                return rate(u + k)
+            """,
+        )
+        prog = build_program([pkg])
+        assert prog.summary("pkg.a.Eq.step").has_collective
+        tree = prog.schedule_tree("pkg.a.Eq.step")
+        assert [n["op"] for n in tree["seq"]] == ["allreduce", "barrier", "allreduce"]
+        # an argument that is not a known function binds nothing
+        assert prog.schedule_tree("pkg.a.plain") == {
+            "op": "barrier", "site": "b.py:4"
+        }
+
     def test_convenience_ops_canonicalized(self, tmp_path):
         pkg = write_pkg(
             tmp_path,

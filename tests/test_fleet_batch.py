@@ -1,11 +1,13 @@
 """Tests for batched MINRES and lockstep batched-vs-serial parity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.fleet import FleetService, ScenarioSpec, batched_minres
 from repro.fleet.batch import BatchGroup
-from repro.rhea.convection import MantleConvection
+from repro.rhea.convection import MantleConvection, RheaConfig
 from repro.solvers import minres
 
 
@@ -119,6 +121,32 @@ class TestBatchedMinres:
         with pytest.raises(ValueError, match="positive definite"):
             batched_minres(A, B, M=lambda R: -R)
 
+    def test_per_column_iteration_caps(self):
+        """A capped column freezes like a converged one, unconverged, and
+        is bitwise untouched while its neighbour iterates on."""
+        n = 60
+        A = random_spd(n, seed=14)
+        B = np.random.default_rng(15).standard_normal((n, 2))
+        res = batched_minres(A, B, tol=1e-12, maxiter=np.array([3, 200]))
+        np.testing.assert_array_equal(res.iterations[0], 3)
+        assert not res.converged[0] and res.converged[1]
+        assert res.iterations[1] > 3
+        alone = minres(A, B[:, 0], tol=1e-12, maxiter=3)
+        assert not alone.converged and alone.iterations == 3
+        np.testing.assert_allclose(res.X[:, 0], alone.x, rtol=1e-12, atol=0)
+        # the same column stopped at 3 in a solve that ends at 3 holds the
+        # same bits as in the solve that ran on to convergence
+        short = batched_minres(A, B, tol=1e-12, maxiter=3)
+        np.testing.assert_array_equal(res.X[:, 0], short.X[:, 0])
+
+    def test_exported_from_where_it_lives(self):
+        import repro.fleet
+        import repro.solvers
+
+        assert repro.fleet.batched_minres is repro.solvers.batched_minres
+        assert "batched_minres" in repro.solvers.__all__
+        assert "batched_minres" in repro.fleet.__all__
+
 
 def heterogeneous_specs(cycles=2):
     """Three deliberately different rheologies on one mesh structure."""
@@ -188,6 +216,65 @@ class TestBatchedSerialParity:
         # and further fleet quanta never touched it
         np.testing.assert_array_equal(done_T, svc.jobs["short"].sim.T)
 
+    def test_stokes_maxiter_is_per_tenant(self):
+        """A tenant's ``stokes_maxiter`` caps its own column, whatever
+        its neighbours were admitted with."""
+        specs = heterogeneous_specs(cycles=1)
+        specs[0] = dataclasses.replace(specs[0], stokes_maxiter=4)
+        svc = FleetService()
+        sims = [svc.admit(s).sim for s in specs]
+        stats = BatchGroup(sims).solve_stokes()
+        assert stats[0]["minres_iterations"] == 4 * stats[0]["picard_iterations"]
+        assert not stats[0]["converged"]
+        assert stats[1]["converged"] and stats[1]["minres_iterations"] > 8
+
+    def test_counters_count_once(self):
+        """The recurrence emits the solver telemetry, the drivers do not
+        repeat it: a bound timer reads what the histories say."""
+        from repro import obs
+
+        svc = FleetService()
+        sims = [svc.admit(s).sim for s in heterogeneous_specs(cycles=1)]
+        with obs.attached(obs.PhaseTimer()) as timer:
+            diags = BatchGroup(sims).cycle()
+        counters = timer.results()["fleet/stokes"]["counters"]
+        assert counters["minres_iterations"] == sum(d.minres_iterations for d in diags)
+        assert counters["minres_calls"] == max(d.picard_iterations for d in diags)
+
+    def test_finished_temperature_column_is_frozen(self, monkeypatch):
+        """Unequal ``adapt_every``: the column that runs out of steps
+        keeps the bits it held when it finished (sanitize-verified at
+        unpack, and equal to a group that stops with it), and agrees with
+        its serial one-column run to rounding (one ulp of GEMM blocking)."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+
+        def solved_group(steps):
+            specs = [
+                dataclasses.replace(spec, adapt_every=n)
+                for spec, n in zip(heterogeneous_specs(cycles=1), steps)
+            ]
+            svc = FleetService()
+            group = BatchGroup([svc.admit(s).sim for s in specs])
+            group.solve_stokes()
+            return group
+
+        group = solved_group((2, 5, 3))
+        serial = []
+        for sim in group.sims:
+            solo = MantleConvection(sim.config, mesh=sim.mesh)
+            solo.T, solo.u = sim.T.copy(), sim.u.copy()
+            solo.advance_temperature(sim.config.adapt_every)
+            serial.append(solo)
+        dt = group.advance_temperature()
+        for sim, solo, dt_j in zip(group.sims, serial, dt):
+            assert sim.step_count == solo.step_count == sim.config.adapt_every
+            assert sim.sim_time == solo.sim_time == sim.step_count * dt_j
+            np.testing.assert_allclose(sim.T, solo.T, rtol=1e-12, atol=1e-14)
+
+        together = solved_group((2, 2, 2))
+        together.advance_temperature()
+        np.testing.assert_array_equal(group.sims[0].T, together.sims[0].T)
+
     def test_group_admission_checks(self):
         specs = heterogeneous_specs(cycles=1)
         svc = FleetService()
@@ -197,3 +284,11 @@ class TestBatchedSerialParity:
             BatchGroup(sims + [other])
         with pytest.raises(ValueError, match="empty batch group"):
             BatchGroup([])
+        # a config the shared-hierarchy solve cannot honour is rejected,
+        # not silently solved with AMG
+        gmg = MantleConvection(
+            RheaConfig(initial_level=2, stokes_preconditioner="gmg"),
+            mesh=sims[0].mesh,
+        )
+        with pytest.raises(ValueError, match="stokes_preconditioner='gmg'"):
+            BatchGroup(sims + [gmg])

@@ -61,10 +61,15 @@ def _mini_config(**kw):
     return RheaConfig(**base)
 
 
-def _three_steps(cfg):
+def _three_steps(cfg, cold=False):
+    """Three (Stokes solve, one advection step) cycles; ``cold`` discards
+    the previous solution before every solve, so MINRES starts from zero."""
     sim = MantleConvection(cfg, tree=LinearOctree.uniform(cfg.initial_level))
     iters = 0
     for _ in range(3):
+        if cold:
+            sim.u = np.zeros_like(sim.u)
+            sim._p_prev = None
         stats = sim.solve_stokes()
         iters += stats["minres_iterations"]
         sim.advance_temperature(1)
@@ -77,12 +82,9 @@ class TestCacheTransparency:
         run with the cache on and off produces bitwise-identical fields.
         (Lag rtol=0.0 reuses the AMG hierarchy only for bitwise-unchanged
         viscosity, which is itself value-transparent.)"""
-        on, it_on = _three_steps(
-            _mini_config(cache_operators=True, prec_lag_rtol=0.0)
-        )
-        off, it_off = _three_steps(
-            _mini_config(cache_operators=False, prec_lag_rtol=0.0)
-        )
+        on, it_on = _three_steps(_mini_config(prec_lag_rtol=0.0))
+        with cache_disabled():
+            off, it_off = _three_steps(_mini_config(prec_lag_rtol=0.0))
         assert it_on == it_off
         assert np.array_equal(on.T, off.T)
         assert np.array_equal(on.u, off.u)
@@ -140,9 +142,10 @@ class TestInvalidation:
 class TestLaggedPreconditioner:
     def test_iterations_within_20_percent_of_rebuild(self):
         """Acceptance bound: lagging the AMG setup may not inflate MINRES
-        iterations by more than 20% over rebuild-every-pass."""
+        iterations by more than 20% over rebuild-every-pass (``rtol=0``
+        reuses a hierarchy only for bitwise-unchanged viscosity)."""
         _, it_lag = _three_steps(_mini_config(prec_lag_rtol=0.3))
-        _, it_rebuild = _three_steps(_mini_config(prec_lag_rtol=None))
+        _, it_rebuild = _three_steps(_mini_config(prec_lag_rtol=0.0))
         assert it_lag <= 1.2 * it_rebuild
 
     def test_reuse_happens_between_picard_passes(self):
@@ -163,8 +166,8 @@ class TestLaggedPreconditioner:
 
 class TestWarmStart:
     def test_warm_start_reduces_total_iterations(self):
-        _, it_warm = _three_steps(_mini_config(warm_start=True, prec_lag_rtol=None))
-        _, it_cold = _three_steps(_mini_config(warm_start=False, prec_lag_rtol=None))
+        _, it_warm = _three_steps(_mini_config(prec_lag_rtol=0.0))
+        _, it_cold = _three_steps(_mini_config(prec_lag_rtol=0.0), cold=True)
         assert it_warm <= it_cold
 
     def test_minres_zero_x0_matches_cold_start(self):
@@ -193,3 +196,21 @@ class TestWarmStart:
         assert warm.converged and cold.converged
         assert warm.iterations < cold.iterations
         np.testing.assert_allclose(warm.x, x_exact, rtol=0, atol=1e-7)
+
+
+class TestDecidedSwitchesAreGone:
+    """The cache, the lagged preconditioner and the warm start are how the
+    driver works, not options: the old switches are rejected, not ignored."""
+
+    @pytest.mark.parametrize(
+        "removed", [{"cache_operators": False}, {"warm_start": False}, {"observe": True}]
+    )
+    def test_removed_config_field_is_a_type_error(self, removed):
+        with pytest.raises(TypeError):
+            RheaConfig(**removed)
+
+    def test_prec_lag_rtol_must_be_a_number(self):
+        from repro.rhea import ConfigError
+
+        with pytest.raises(ConfigError, match="prec_lag_rtol"):
+            RheaConfig(prec_lag_rtol=None)

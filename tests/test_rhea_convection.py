@@ -142,6 +142,20 @@ class TestRunLoop:
         assert d.minres_iterations > 0
         assert "Stokes" in d.timings and "TimeIntegration" in d.timings
 
+    def test_solver_counters_count_once(self):
+        """``minres()`` emits the solver telemetry; the driver does not
+        emit the Picard total on top of it."""
+        from repro import obs
+
+        sim = MantleConvection(small_config(picard_iterations=2))
+        with obs.attached(obs.PhaseTimer()) as timer:
+            sim.run(1, adapt=False)
+        counters = timer.results()["stokes"]["counters"]
+        assert counters["minres_iterations"] == sum(
+            d.minres_iterations for d in sim.history
+        )
+        assert counters["minres_calls"] == sim.history[-1].picard_iterations
+
     def test_convection_generates_motion(self):
         sim = MantleConvection(small_config(Ra=1e5))
         sim.run(2, adapt=False)
