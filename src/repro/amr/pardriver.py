@@ -43,7 +43,7 @@ __all__ = ["ParAmrPipeline", "ParAdaptStats", "RotatingFrontWorkload", "rotating
 
 @dataclass
 class ParAdaptStats:
-    """Per-adaptation-step bookkeeping (global counts, rank-0 timings)."""
+    """Per-adaptation-step bookkeeping (global counts)."""
 
     n_before: int
     n_after: int
@@ -52,7 +52,6 @@ class ParAdaptStats:
     n_balance_added: int
     n_unchanged: int
     level_histogram: dict
-    timings: dict = field(default_factory=dict)
 
 
 def rotating_velocity(center=(0.5, 0.5, 0.5), omega=(0.0, 0.0, 1.0), scale=1.0):
@@ -235,7 +234,6 @@ class ParAmrPipeline:
                 n_balance_added=added,
                 n_unchanged=n_before - n_refined - n_coarsened,
                 level_histogram=pt.level_histogram(),
-                timings={},
             )
             self.adapt_history.append(stats)
             return stats

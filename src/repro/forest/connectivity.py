@@ -111,6 +111,14 @@ class Connectivity:
         self.face_connections: list[list[FaceConnection | None]] = [
             [None] * 6 for _ in range(self.n_trees)
         ]
+        #: the same gluings as (n_trees, 6, ...) integer arrays, for
+        #: algorithms that transform whole batches of faces at once:
+        #: neighbor tree and face (-1 on the forest boundary) and the
+        #: lattice transform ``p_B = face_R @ p_A + face_o``
+        self.face_tree = np.full((self.n_trees, 6), -1, dtype=np.int64)
+        self.face_face = np.full((self.n_trees, 6), -1, dtype=np.int64)
+        self.face_R = np.zeros((self.n_trees, 6, 3, 3), dtype=np.int64)
+        self.face_o = np.zeros((self.n_trees, 6, 3), dtype=np.int64)
         self._build_face_connections()
 
     # -- construction -------------------------------------------------------------
@@ -128,9 +136,11 @@ class Connectivity:
                 continue  # boundary face
             if len(items) > 2:
                 raise ValueError(f"face shared by more than two trees: {key}")
-            (ta, fa), (tb, fb) = items
-            self.face_connections[ta][fa] = self._make_transform(ta, fa, tb, fb)
-            self.face_connections[tb][fb] = self._make_transform(tb, fb, ta, fa)
+            for (ta, fa), (tb, fb) in (items, items[::-1]):
+                fc = self._make_transform(ta, fa, tb, fb)
+                self.face_connections[ta][fa] = fc
+                self.face_tree[ta, fa], self.face_face[ta, fa] = tb, fb
+                self.face_R[ta, fa], self.face_o[ta, fa] = fc.R, fc.o
 
     def _make_transform(self, ta: int, fa: int, tb: int, fb: int) -> FaceConnection:
         """Lattice transform from tree ``ta``'s frame to ``tb``'s frame

@@ -187,49 +187,6 @@ class Forest:
         marks = [np.zeros(len(t), dtype=bool) for t in self.trees]
         return not self._cross_tree_marks(marks)
 
-    # -- queries ---------------------------------------------------------------------
-
-    def find_containing(self, tree: int, px, py, pz) -> np.ndarray:
-        """Leaf index (within ``tree``) containing each integer point."""
-        return self.trees[tree].find_containing(px, py, pz)
-
-    def neighbor_leaf(
-        self, tree: int, coords: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve integer sample points that may exit ``tree`` through one
-        face.  Returns ``(tree_ids, leaf_idx)``; -1 where the point leaves
-        the forest or exits diagonally."""
-        coords = np.asarray(coords, dtype=np.int64)
-        n = len(coords)
-        out_tree = np.full(n, -1, dtype=np.int64)
-        out_leaf = np.full(n, -1, dtype=np.int64)
-        inside = np.all((coords >= 0) & (coords < ROOT_LEN), axis=1)
-        if inside.any():
-            c = coords[inside]
-            out_tree[inside] = tree
-            out_leaf[inside] = self.trees[tree].find_containing(c[:, 0], c[:, 1], c[:, 2])
-        outside = ~inside
-        if outside.any():
-            c = coords[outside]
-            viol = ((c < 0) | (c >= ROOT_LEN)).sum(axis=1)
-            oi = np.flatnonzero(outside)
-            for axis in range(3):
-                for side in (0, 1):
-                    face = 2 * axis + side
-                    fc = self.conn.face_connections[tree][face]
-                    sel = (viol == 1) & (
-                        (c[:, axis] >= ROOT_LEN) if side else (c[:, axis] < 0)
-                    )
-                    if fc is None or not sel.any():
-                        continue
-                    q = fc.transform(c[sel])
-                    idx = self.trees[fc.neighbor_tree].find_containing(
-                        q[:, 0], q[:, 1], q[:, 2]
-                    )
-                    out_tree[oi[sel]] = fc.neighbor_tree
-                    out_leaf[oi[sel]] = idx
-        return out_tree, out_leaf
-
     # -- partitioning -----------------------------------------------------------------
 
     def partition_assignments(self, p: int, weights: np.ndarray | None = None) -> np.ndarray:

@@ -29,6 +29,7 @@ from ..octree import OctantArray, ROOT_LEN, morton_encode
 from ..octree.linear import LinearOctree
 from ..octree.morton import key_range_size
 from ..octree.octants import directions_for
+from ..octree.partree import ParTree, coarsen_tree
 from ..parallel import SimComm
 from .connectivity import Connectivity
 from .forest import Forest
@@ -136,23 +137,25 @@ class ParForest:
         return ParForest(self.comm, self.conn, tid[order], octs[order])
 
     def coarsen(self, mask: np.ndarray) -> tuple["ParForest", int]:
-        """Coarsen complete, fully-local families per tree."""
+        """Coarsen complete families of marked siblings (collective).
+
+        Every rank walks every tree with the octree's own COARSENTREE
+        (:func:`repro.octree.partree.coarsen_tree`), which also merges a
+        family whose eight siblings straddle a partition marker, so the
+        coarsened forest does not depend on the rank count.  Returns
+        ``(forest, families merged by this rank)``."""
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (len(self),):
             raise ValueError("mask length mismatch")
         parts_t, parts_o, nfam = [], [], 0
-        for t in np.unique(self.tree_ids):
+        for t in range(self.conn.n_trees):
             sel = self.tree_ids == t
-            lt = LinearOctree(self.octs[sel], presorted=True)
-            new_lt, nf = lt.coarsen(mask[sel])
+            pt, nf = coarsen_tree(ParTree(self.comm, self.octs[sel]), mask[sel])
             nfam += nf
-            parts_t.append(np.full(len(new_lt), t, dtype=np.int64))
-            parts_o.append(new_lt.leaves)
-        if not parts_o:
-            return self, 0
+            parts_t.append(np.full(len(pt), t, dtype=np.int64))
+            parts_o.append(pt.local)
         tid = np.concatenate(parts_t)
-        octs = OctantArray.concat(parts_o)
-        return ParForest(self.comm, self.conn, tid, octs), nfam
+        return ParForest(self.comm, self.conn, tid, OctantArray.concat(parts_o)), nfam
 
     # -- balance -----------------------------------------------------------------------
 

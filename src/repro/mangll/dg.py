@@ -12,11 +12,15 @@ Geometry is the trilinear map of each connectivity tree composed with the
 leaf's scaling, so the same code runs on the unit cube, multiblock bricks,
 and the 24-tree cubed-sphere shell.
 
-Face-node correspondence across trees (including rotated coordinate
-systems between cubed-sphere caps) is resolved with the exact lattice
-transforms of the connectivity; interpolation matrices are generic tensor
-Lagrange evaluations, so conforming faces, rotated faces, and mortar faces
-are all instances of the same mechanism.
+Faces are classified once per forest by the descriptor joins of
+:func:`repro.forest.faces.match_faces` and built in array batches by one
+builder.  A face glued across trees (including the rotated coordinate
+systems between cubed-sphere caps) differs from an in-tree face only by
+the connectivity's exact lattice transform, applied to the points handed
+to the other side; interpolation matrices are generic tensor Lagrange
+evaluations, so conforming faces, rotated faces, and mortar faces are all
+instances of the same mechanism.  The per-face probe loop this replaced is
+the test oracle ``tests/oracles/dg_faces.py``.
 
 That mechanism is how faces are *built*.  :meth:`DGAdvection.rate` applies
 them by class from static tables made once per forest (DESIGN.md section
@@ -114,12 +118,10 @@ class DGAdvection:
     inflow:
         Callable giving the exterior trace on forest-boundary faces
         (default zero).
-    batch_faces:
-        When True (default), same-tree faces are classified by
-        descriptor sort-merge joins (:func:`repro.forest.faces.match_faces`)
-        and built with array operations; only cross-tree faces go through
-        the per-face loop.  False forces the per-face loop everywhere —
-        the pre-vectorization path, kept as the equivalence oracle.
+
+    Raises ``ValueError`` (from :func:`repro.forest.faces.match_faces`)
+    when the forest is not 2:1 face-balanced, inside a tree or across a
+    tree face.
     """
 
     def __init__(
@@ -128,12 +130,10 @@ class DGAdvection:
         p: int,
         velocity: Callable[[np.ndarray], np.ndarray],
         inflow: Callable[[np.ndarray], np.ndarray] | None = None,
-        batch_faces: bool = True,
     ):
         self.forest = forest
         self.conn: Connectivity = forest.conn
         self.p = p
-        self.batch_faces = batch_faces
         self.kern = DerivativeKernel(p)
         n = p + 1
         self.n = n
@@ -145,7 +145,6 @@ class DGAdvection:
         self.tree_ids = forest.leaf_tree_ids()
         self.octs = OctantArray.concat([t.leaves for t in forest.trees])
         self.ne = len(self.octs)
-        self._offsets = forest.tree_offsets()
 
         self._face_idx = _face_node_indices(n)
         with obs.phase("dg/setup"):
@@ -209,115 +208,10 @@ class DGAdvection:
 
     # -- face construction -----------------------------------------------------------
 
-    def _neighbor_info(self, e: int, f: int):
-        """Find the neighbor(s) of element e across face f.
-
-        Returns ``None`` (forest boundary), or a list of
-        ``(nb_elem, driving_side)`` where driving_side is the finer side
-        element whose face points define the quadrature.
-        """
-        axis, side = _FACE_AXIS_SIDE[f]
-        tid = self.tree_ids[e]
-        h = int(self.octs.lengths()[e])
-        anchor = np.array([self.octs.x[e], self.octs.y[e], self.octs.z[e]], dtype=np.int64)
-        lvl = int(self.octs.level[e])
-        d = np.zeros(3, dtype=np.int64)
-        d[axis] = 1 if side else -1
-        center = anchor + h // 2 + d * h
-        t_nb, l_nb = self.forest.neighbor_leaf(tid, center[None, :])
-        if t_nb[0] < 0:
-            return None
-        nb_lvl = int(self.forest.trees[t_nb[0]].levels[l_nb[0]])
-        ge = self._offsets[t_nb[0]] + l_nb[0]
-        if nb_lvl <= lvl:
-            # conforming or I'm the fine side: my face drives
-            return [(int(ge), e)]
-        # I'm the coarse side: locate the 4 fine sub-neighbors
-        out = []
-        t1, t2 = [a2 for a2 in range(3) if a2 != axis]
-        for j2 in range(2):
-            for j1 in range(2):
-                # sample the center of each quarter of my face, pushed h/4
-                # beyond it — lands inside one of the 4 fine neighbors
-                q = anchor + h // 2 + d * (h // 2 + h // 4)
-                q[t1] = anchor[t1] + h // 4 + j1 * (h // 2)
-                q[t2] = anchor[t2] + h // 4 + j2 * (h // 2)
-                tq, lq = self.forest.neighbor_leaf(tid, q[None, :])
-                if tq[0] < 0:
-                    raise AssertionError("fine neighbor lookup failed")
-                out.append((int(self._offsets[tq[0]] + lq[0]), int(self._offsets[tq[0]] + lq[0])))
-        return out
-
-    def _face_st(self, e: int, f: int, pts_tree: np.ndarray) -> np.ndarray:
-        """Convert tree-frame float points lying on face f of element e to
-        that face's local (s, t) in [-1, 1]^2 (lower tangent axis first)."""
-        axis, _ = _FACE_AXIS_SIDE[f]
-        t1, t2 = [a2 for a2 in range(3) if a2 != axis]
-        h = float(self.octs.lengths()[e])
-        anchor = np.array(
-            [self.octs.x[e], self.octs.y[e], self.octs.z[e]], dtype=np.float64
-        )
-        loc = 2.0 * (pts_tree - anchor) / h - 1.0
-        st = np.stack([loc[:, t1], loc[:, t2]], axis=1)
-        if np.any(np.abs(st) > 1 + 1e-9):
-            raise AssertionError("face point outside element face")
-        return np.clip(st, -1.0, 1.0)
-
-    def _interp_from_face(self, st: np.ndarray) -> np.ndarray:
-        """(m, n2) interpolation from a face's nodal values (2-D order
-        t1-fastest) to points ``st``."""
-        A = lagrange_basis_at(self.kern.nodes, st[:, 0])  # (m, n) along t1
-        B = lagrange_basis_at(self.kern.nodes, st[:, 1])  # (m, n) along t2
-        m = len(st)
-        return np.einsum("ma,mb->mba", A, B).reshape(m, self.n2)
-
-    def _face_quad_tree_coords(self, e: int, f: int) -> np.ndarray:
-        """Tree-frame float coords of element e's face-f LGL nodes."""
-        axis, side = _FACE_AXIS_SIDE[f]
-        g = self.kern.nodes
-        t1, t2 = [a2 for a2 in range(3) if a2 != axis]
-        S2, S1 = np.meshgrid(g, g, indexing="ij")  # t2 slower, t1 faster
-        ref = np.empty((self.n2, 3), dtype=np.float64)
-        ref[:, axis] = 1.0 if side else -1.0
-        ref[:, t1] = S1.ravel()
-        ref[:, t2] = S2.ravel()
-        eids = np.full(self.n2, e)
-        return self._leaf_tree_coords(eids, ref)
-
-    def _to_frame(self, tid_from: int, tid_to: int, pts: np.ndarray, via_face: int) -> np.ndarray:
-        """Map float tree coords between adjacent tree frames (identity
-        within a tree, lattice transform across the given face)."""
-        if tid_from == tid_to:
-            return pts
-        fc = self.conn.face_connections[tid_from][via_face]
-        if fc is None or fc.neighbor_tree != tid_to:
-            raise AssertionError("no face connection to target tree")
-        R = np.array(fc.R, dtype=np.float64)
-        o = np.array(fc.o, dtype=np.float64)
-        return pts @ R.T + o
-
-    def _surface_metric(self, e: int, f: int, quad_tree: np.ndarray):
-        """Surface Jacobian and outward unit normal at face quad points
-        (given in e's tree frame), using element e's geometry."""
-        axis, side = _FACE_AXIS_SIDE[f]
-        tid = self.tree_ids[e]
-        ref01 = quad_tree / ROOT_LEN
-        Jt = self.conn.tree_map_jacobian(tid, ref01)
-        hfrac = float(self.octs.lengths()[e]) / ROOT_LEN * 0.5
-        J = Jt * hfrac
-        detJ = np.linalg.det(J)
-        Jinv = np.linalg.inv(J)
-        nref = np.zeros(3, dtype=np.float64)
-        nref[axis] = 1.0 if side else -1.0
-        nvec = np.einsum("mkd,k->md", Jinv, nref) * detJ[:, None]
-        sj = np.linalg.norm(nvec, axis=1)
-        normal = nvec / sj[:, None]
-        return sj, normal
-
     def _face_instances(self, velocity) -> tuple[dict, dict]:
-        """Every face instance, merged in canonical (element, face, sub)
-        order so flux accumulation order — and hence floating-point
-        results — does not depend on which builder ran.
+        """Every face instance, in canonical (element, face, quadrant)
+        order so the flux accumulation order, and hence the
+        floating-point result, does not depend on how faces were batched.
 
         An interior instance is one (my face, one neighbor) pair with
         quadrature on the finer side's face nodes: ``mine`` / ``nb``
@@ -343,12 +237,7 @@ class DGAdvection:
             "mine": field(n2, dtype=np.int64), "wsj": field(n2), "an": field(n2),
             "uin": field(n2), "key": field(dtype=np.int64),
         }
-        if self.batch_faces:
-            self._build_faces_batched(velocity, interior, bdry)
-        else:
-            for e in range(self.ne):  # lint: allow-loop (pre-vectorization path)
-                for f in range(6):
-                    self._build_face_single(e, f, velocity, interior, bdry)
+        self._build_faces_batched(velocity, interior, bdry)
 
         def merge(d):
             order = np.argsort(np.concatenate(d["key"]), kind="stable")
@@ -356,57 +245,10 @@ class DGAdvection:
 
         return merge(interior), merge(bdry)
 
-    def _build_face_single(self, e: int, f: int, velocity, interior, bdry) -> None:
-        """Per-face instance construction (the pre-vectorization path;
-        the batched builder delegates cross-tree faces here).  Appends
-        instance arrays with a leading singleton axis plus a ``key``
-        ``e * 6 + f`` so instances can be merged in canonical order."""
-        w2 = np.einsum("i,j->ij", self.kern.weights, self.kern.weights).ravel()
-        tid = int(self.tree_ids[e])
-        info = self._neighbor_info(e, f)
-        mine_nodes = e * self.n3 + self._face_idx[f]
-        if info is None:
-            quad = self._face_quad_tree_coords(e, f)
-            sj, normal = self._surface_metric(e, f, quad)
-            xq = self.conn.tree_map(tid, quad / ROOT_LEN)
-            an = np.einsum("md,md->m", velocity(xq), normal)
-            bdry["mine"].append(mine_nodes[None])
-            bdry["wsj"].append((w2 * sj)[None])
-            bdry["an"].append(an[None])
-            bdry["uin"].append(np.asarray(self.inflow(xq))[None])
-            bdry["key"].append(np.array([e * 6 + f], dtype=np.int64))
-            return
-        for ge, driver in info:
-            tid_nb = int(self.tree_ids[ge])
-            if driver == e:
-                # quadrature on my own face points
-                quad = self._face_quad_tree_coords(e, f)
-                # neighbor's matching face: which face of ge?
-                quad_nb = self._to_frame(tid, tid_nb, quad, f)
-                fnb = self._facing_face(ge, quad_nb)
-                M = self._interp_from_face(self._face_st(ge, fnb, quad_nb))
-            else:
-                # neighbor (fine side) drives: its face points
-                fnb = self._facing_face_of_neighbor(e, f, ge)
-                quad_nb = self._face_quad_tree_coords(ge, fnb)
-                quad = self._to_frame(tid_nb, tid, quad_nb, fnb)
-                M = self._interp_from_face(self._face_st(e, f, quad))
-            sj, normal = self._surface_metric(e, f, quad)
-            xq = self.conn.tree_map(tid, quad / ROOT_LEN)
-            an = np.einsum("md,md->m", velocity(xq), normal)
-            interior["mine"].append(mine_nodes[None])
-            interior["nb"].append((ge * self.n3 + self._face_idx[fnb])[None])
-            interior["M"].append(M[None])
-            interior["drive"].append(np.array([driver == e], dtype=bool))
-            interior["wsj"].append((w2 * sj)[None])
-            interior["an"].append(an[None])
-            interior["key"].append(np.array([e * 6 + f], dtype=np.int64))
-
     # -- batched face construction -------------------------------------------
 
     def _face_ref_coords(self, f: int) -> np.ndarray:
-        """(n2, 3) reference coords of face f's LGL nodes (t1 fastest) —
-        the batched twin of :meth:`_face_quad_tree_coords`'s ref block."""
+        """(n2, 3) reference coords of face f's LGL nodes (t1 fastest)."""
         axis, side = _FACE_AXIS_SIDE[f]
         g = self.kern.nodes
         t1, t2 = [a2 for a2 in range(3) if a2 != axis]
@@ -418,8 +260,9 @@ class DGAdvection:
         return ref
 
     def _batched_metric(self, E: np.ndarray, f: int, quad: np.ndarray):
-        """Vectorized :meth:`_surface_metric` for faces of elements ``E``
-        (quad: (m, n2, 3) tree-frame points, each in its element's tree)."""
+        """Surface Jacobian (m, n2) and outward unit normal (m, n2, 3) of
+        face f of elements ``E`` at ``quad``: (m, n2, 3) points in the
+        frame of each element's own tree, from that element's geometry."""
         axis, side = _FACE_AXIS_SIDE[f]
         m = len(E)
         n2 = self.n2
@@ -443,7 +286,7 @@ class DGAdvection:
         return sj.reshape(m, n2), normal.reshape(m, n2, 3)
 
     def _batched_phys(self, E: np.ndarray, quad: np.ndarray) -> np.ndarray:
-        """Vectorized tree-map of (m, n2, 3) tree-frame face points."""
+        """Tree-map of (m, n2, 3) tree-frame face points of elements ``E``."""
         m, n2 = quad.shape[0], self.n2
         pts = (quad / ROOT_LEN).reshape(m * n2, 3)
         tpt = np.repeat(self.tree_ids[E], n2)
@@ -454,7 +297,8 @@ class DGAdvection:
         return out.reshape(m, n2, 3)
 
     def _batched_interp(self, st: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_interp_from_face`: (m, n2, 2) -> (m, n2, n2)."""
+        """(m, n2, n2) interpolation from a face's nodal values (t1
+        fastest) to the face-local points ``st`` (m, n2, 2)."""
         m = st.shape[0]
         flat = st.reshape(m * self.n2, 2)
         A = lagrange_basis_at(self.kern.nodes, flat[:, 0])
@@ -463,92 +307,107 @@ class DGAdvection:
         return M.reshape(m, self.n2, self.n2)
 
     def _build_faces_batched(self, velocity, interior, bdry) -> None:
-        """Array-op face construction: classify every (element, face) with
+        """Classify every (element, face) with
         :func:`~repro.forest.faces.match_faces`, then build boundary /
-        conforming / fine-driver batches per direction without per-face
-        Python work.  Cross-tree faces (rotated frames, inter-tree
-        mortars) fall through to :meth:`_build_face_single`."""
+        my-face-drives / fine-neighbors-drive batches per (face, neighbor
+        face) with array operations.  A face glued across trees differs
+        from an in-tree one by a frame change of the points handed to the
+        other side: ``p_B = R p_A + o`` with the signed permutation ``R``
+        of the connectivity, one exact product and one addition per
+        coordinate.  Appends to the instance lists, keyed ``6 e + f``."""
         n2, n3 = self.n2, self.n3
-        octs = self.octs
+        octs, conn, tids = self.octs, self.conn, self.tree_ids
         hf = octs.lengths().astype(np.float64)
         af = np.stack([octs.x, octs.y, octs.z], axis=1).astype(np.float64)
         w2 = np.einsum("i,j->ij", self.kern.weights, self.kern.weights).ravel()
 
         # sort-merge joins on face descriptors classify every face and
         # resolve the four fine neighbors of each coarse face
-        fcls = match_faces(self.tree_ids, octs, self.conn)
-        valid, idrive, coarse, g_nb = fcls.valid, fcls.idrive, fcls.coarse, fcls.g_nb
-
-        fallback: list[tuple[int, int]] = [
-            (int(e), int(f)) for e, f in zip(*np.nonzero(valid & ~fcls.same))
-        ]
+        with obs.phase("classify"):
+            fcls = match_faces(tids, octs, conn)
+        obs.counter("dg_faces_cross_tree", int((fcls.valid & ~fcls.same).sum()))
+        # the neighbor's face: the opposite one in-tree, the glued one across
+        nb_face = np.where(fcls.same, np.arange(6) ^ 1, conn.face_face[tids])
 
         def face_quads(E, f):
-            # identical arithmetic to _leaf_tree_coords on face ref points
+            """Tree-frame points of face f's nodes (``_leaf_tree_coords``
+            arithmetic on the face reference points)."""
             ref = self._face_ref_coords(f)
             return af[E][:, None, :] + (ref[None, :, :] + 1.0) * 0.5 * hf[E][
                 :, None, None
             ]
 
-        def emit_interior(E, G, f, fnb, quad, M, drive):
+        def across(E, f, pts):
+            """``pts`` (one (n2, 3) block per element of ``E``, in its
+            tree's frame) in the frame of the tree beyond its face f."""
+            x = np.flatnonzero(~fcls.same[E, f])
+            if len(x) == 0:
+                return pts
+            R = conn.face_R[tids[E[x]], f].astype(np.float64)
+            o = conn.face_o[tids[E[x]], f].astype(np.float64)
+            out = pts.copy()
+            out[x] = np.matmul(pts[x], R.transpose(0, 2, 1)) + o[:, None, :]
+            return out
+
+        def surface(E, f, quad):
+            """Weighted surface Jacobian, ``a . n`` and physical points of
+            face f of elements ``E`` at ``quad`` (in their own frames)."""
             sj, normal = self._batched_metric(E, f, quad)
-            xq = self._batched_phys(E, quad)
-            v = np.asarray(velocity(xq.reshape(-1, 3))).reshape(len(E), n2, 3)
+            xq = self._batched_phys(E, quad).reshape(-1, 3)
+            v = np.asarray(velocity(xq)).reshape(len(E), n2, 3)
+            return w2[None, :] * sj, np.einsum("mqd,mqd->mq", v, normal), xq
+
+        def emit_interior(E, G, f, fnb, quad, M, drive):
+            wsj, an, _ = surface(E, f, quad)
             interior["mine"].append(E[:, None] * n3 + self._face_idx[f][None, :])
             interior["nb"].append(G[:, None] * n3 + self._face_idx[fnb][None, :])
             interior["M"].append(M)
             interior["drive"].append(np.full(len(E), drive))
-            interior["wsj"].append(w2[None, :] * sj)
-            interior["an"].append(np.einsum("mqd,mqd->mq", v, normal))
+            interior["wsj"].append(wsj)
+            interior["an"].append(an)
             interior["key"].append(E * 6 + f)
 
-        def trace_operator(R, quad, tangential):
-            """Interpolation from the face nodes of elements ``R`` to the
-            tree-frame points ``quad`` lying on that face."""
-            loc = 2.0 * (quad - af[R][:, None, :]) / hf[R][:, None, None] - 1.0
-            st = loc[:, :, tangential]
+        def trace_operator(S, f, quad):
+            """Interpolation from the face-f nodes of elements ``S`` to
+            the points ``quad`` on that face, given in their frames."""
+            loc = 2.0 * (quad - af[S][:, None, :]) / hf[S][:, None, None] - 1.0
+            st = loc[:, :, [a2 for a2 in range(3) if a2 != _FACE_AXIS_SIDE[f][0]]]
             if np.any(np.abs(st) > 1 + 1e-9):
                 raise AssertionError("face point outside element face")
             return self._batched_interp(np.clip(st, -1.0, 1.0))
 
         for f in range(6):
-            axis = _FACE_AXIS_SIDE[f][0]
-            tang = [a2 for a2 in range(3) if a2 != axis]
-            fnb = f ^ 1  # same-tree frames are aligned
-
             # boundary faces of this direction
-            E = np.flatnonzero(~valid[:, f])
+            E = np.flatnonzero(~fcls.valid[:, f])
             if len(E):
-                quad = face_quads(E, f)
-                sj, normal = self._batched_metric(E, f, quad)
-                xq = self._batched_phys(E, quad)
-                v = np.asarray(velocity(xq.reshape(-1, 3))).reshape(len(E), n2, 3)
+                wsj, an, xq = surface(E, f, face_quads(E, f))
                 bdry["mine"].append(E[:, None] * n3 + self._face_idx[f][None, :])
-                bdry["wsj"].append(w2[None, :] * sj)
-                bdry["an"].append(np.einsum("mqd,mqd->mq", v, normal))
-                bdry["uin"].append(
-                    np.asarray(self.inflow(xq.reshape(-1, 3))).reshape(len(E), n2)
-                )
+                bdry["wsj"].append(wsj)
+                bdry["an"].append(an)
+                bdry["uin"].append(np.asarray(self.inflow(xq)).reshape(len(E), n2))
                 bdry["key"].append(E * 6 + f)
 
-            # conforming / fine-side faces: my face points drive
-            E = np.flatnonzero(idrive[:, f])
-            if len(E):
-                G = g_nb[E, f]
-                quad = face_quads(E, f)
-                emit_interior(E, G, f, fnb, quad, trace_operator(G, quad, tang), True)
+            for fnb in np.unique(nb_face[fcls.valid[:, f], f]):
+                fnb = int(fnb)
+                sel = fcls.valid[:, f] & (nb_face[:, f] == fnb)
 
-            # coarse-side faces: each of the 4 fine neighbors drives (always
-            # in-tree: cross-tree coarse faces went to fallback)
-            E = np.flatnonzero(coarse[:, f])
-            if len(E):
-                for q in range(4):
-                    G = fcls.subs[E, f, q]
-                    quad = face_quads(G, fnb)  # fine neighbor's face nodes
-                    emit_interior(E, G, f, fnb, quad, trace_operator(E, quad, tang), False)
+                # conforming / fine-side faces: my face points drive
+                E = np.flatnonzero(sel & fcls.idrive[:, f])
+                if len(E):
+                    G = fcls.g_nb[E, f]
+                    quad = face_quads(E, f)
+                    M = trace_operator(G, fnb, across(E, f, quad))
+                    emit_interior(E, G, f, fnb, quad, M, True)
 
-        for e, f in fallback:
-            self._build_face_single(e, f, velocity, interior, bdry)
+                # coarse-side faces: each of the 4 fine neighbors drives,
+                # its face nodes brought into my frame
+                E = np.flatnonzero(sel & fcls.coarse[:, f])
+                if len(E):
+                    for q in range(4):
+                        G = fcls.subs[E, f, q]
+                        quad = across(G, fnb, face_quads(G, fnb))
+                        M = trace_operator(E, f, quad)
+                        emit_interior(E, G, f, fnb, quad, M, False)
 
     def _finalize_faces(self, interior: dict, bdry: dict) -> None:
         """Classify the merged face instances and fold everything static
@@ -603,40 +462,6 @@ class DGAdvection:
             "boundary": len(fb.wb),
             "coarse_faces": fb.coarse_faces,
         }
-
-    def _facing_face(self, ge: int, quad_in_nb_frame: np.ndarray) -> int:
-        """Which face of element ge the quad points lie on."""
-        h = float(self.octs.lengths()[ge])
-        anchor = np.array(
-            [self.octs.x[ge], self.octs.y[ge], self.octs.z[ge]], dtype=np.float64
-        )
-        loc = (quad_in_nb_frame - anchor) / h
-        for axis in range(3):
-            if np.all(np.abs(loc[:, axis]) < 1e-9):
-                return 2 * axis
-            if np.all(np.abs(loc[:, axis] - 1.0) < 1e-9):
-                return 2 * axis + 1
-        raise AssertionError("quad points not on any face of the neighbor")
-
-    def _facing_face_of_neighbor(self, e: int, f: int, ge: int) -> int:
-        """Face id of neighbor ``ge`` that glues to face f of element e."""
-        tid, tid_nb = int(self.tree_ids[e]), int(self.tree_ids[ge])
-        # probe: center of my face pushed slightly outward lies inside ge;
-        # classify by locating my face's quad points in ge's frame
-        quad_mine = self._face_quad_tree_coords(e, f)
-        quad_nb = self._to_frame(tid, tid_nb, quad_mine, f)
-        h = float(self.octs.lengths()[ge])
-        anchor = np.array(
-            [self.octs.x[ge], self.octs.y[ge], self.octs.z[ge]], dtype=np.float64
-        )
-        loc = (quad_nb - anchor) / h
-        # my (coarse) face covers ge's full face; find the axis pinned to 0/1
-        for axis in range(3):
-            if np.all(np.abs(loc[:, axis]) < 1e-9):
-                return 2 * axis
-            if np.all(np.abs(loc[:, axis] - 1.0) < 1e-9):
-                return 2 * axis + 1
-        raise AssertionError("could not identify the facing face")
 
     # -- operator ---------------------------------------------------------------------
 

@@ -78,11 +78,11 @@ __all__ = [
 ]
 
 #: per-rank ring segment size (two parity regions of half this each)
-_RING_BYTES = int(os.environ.get("REPRO_SHM_RING_BYTES", str(1 << 22)))
+_RING_BYTES = 1 << 22
 #: arrays below this ride pickled inside the collective descriptor
 _INLINE_MAX = 2048
 #: p2p arrays at or above this move through a one-shot spill segment
-_P2P_SPILL_MIN = int(os.environ.get("REPRO_SHM_MIN_BYTES", str(1 << 15)))
+_P2P_SPILL_MIN = 1 << 15
 _ALIGN = 64
 _HEADER = struct.Struct("<QQ")  # (exchange seq, descriptor nbytes)
 

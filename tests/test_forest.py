@@ -11,12 +11,29 @@ from repro.forest import (
 )
 from repro.octree import ROOT_LEN
 
+from .oracles.dg_faces import neighbor_leaf
+
 
 class TestConnectivityBasics:
     def test_unit_cube_all_boundary(self):
         conn = unit_cube()
         assert conn.n_trees == 1
         assert len(conn.boundary_faces()) == 6
+
+    def test_face_arrays_mirror_face_connections(self):
+        """The (n_trees, 6, ...) integer arrays the batched algorithms
+        read are the same gluings as the per-face objects."""
+        for conn in (unit_cube(), brick_connectivity(2, 2, 1), cubed_sphere_connectivity()):
+            for t in range(conn.n_trees):
+                for f in range(6):
+                    fc = conn.face_connections[t][f]
+                    if fc is None:
+                        assert conn.face_tree[t, f] == conn.face_face[t, f] == -1
+                        continue
+                    assert conn.face_tree[t, f] == fc.neighbor_tree
+                    assert conn.face_face[t, f] == fc.neighbor_face
+                    assert conn.face_R[t, f].tolist() == [list(r) for r in fc.R]
+                    assert conn.face_o[t, f].tolist() == list(fc.o)
 
     def test_brick_face_counts(self):
         conn = brick_connectivity(2, 1, 1)
@@ -184,16 +201,17 @@ class TestForest:
         assert balanced.is_complete()
 
     def test_neighbor_leaf_within_and_across(self):
+        """The containment probe under the DG face oracle."""
         conn = brick_connectivity(2, 1, 1)
         forest = Forest.uniform(conn, 1)
         # inside point
-        t, l = forest.neighbor_leaf(0, np.array([[5, 5, 5]]))
+        t, l = neighbor_leaf(forest, 0, np.array([[5, 5, 5]]))
         assert t[0] == 0 and l[0] >= 0
         # beyond +x face -> tree 1
-        t, l = forest.neighbor_leaf(0, np.array([[ROOT_LEN + 5, 5, 5]]))
+        t, l = neighbor_leaf(forest, 0, np.array([[ROOT_LEN + 5, 5, 5]]))
         assert t[0] == 1 and l[0] >= 0
         # beyond -x face -> forest boundary
-        t, l = forest.neighbor_leaf(0, np.array([[-5, 5, 5]]))
+        t, l = neighbor_leaf(forest, 0, np.array([[-5, 5, 5]]))
         assert t[0] == -1
 
     def test_partition_assignments(self):

@@ -106,6 +106,29 @@ class TestAdaptation:
         assert nfam == 2
         assert len(g) == 2
 
+    def test_coarsen_is_rank_count_invariant(self):
+        """Families split by a partition marker merge too: the same marks
+        give the same forest (and the serial ``Forest.coarsen``) on every
+        rank count, non-powers of two included."""
+        conn = cubed_sphere_connectivity()
+
+        def kernel(comm):
+            pf = ParForest.uniform(comm, conn, 1)
+            pf = pf.refine(pf.fkeys() % np.uint64(5) == 0).partition()
+            pf, nfam = pf.coarsen(pf.tree_ids % 4 != 0)
+            return comm.allreduce(nfam), pf.gather()
+
+        nfam, ref = run_spmd(1, kernel)[0]
+        serial = Forest.uniform(conn, 1)
+        keys = np.concatenate([t.keys for t in serial.trees])
+        fkeys = forest_key(serial.leaf_tree_ids(), keys)
+        serial = serial.refine(fkeys % np.uint64(5) == 0)
+        want, want_nfam = serial.coarsen(serial.leaf_tree_ids() % 4 != 0)
+        assert nfam == want_nfam > 0 and forests_equal(ref, want)
+        for p in (2, 3, 5, 7):
+            for n, g in run_spmd(p, kernel):
+                assert n == nfam and forests_equal(g, ref)
+
 
 class TestBalance:
     @staticmethod

@@ -8,7 +8,9 @@ balance, sort-merge face iteration) against independent references.
   ``Forest.balance`` of the gathered tree, bitwise;
 - the distributed mesh == the serial mesh of the gathered tree on every
   owned element (nodes, hanging flags, constraint rows, dof count);
-- batched DG face construction == the per-face loop, bitwise.
+- DG face classification and construction (array batches, in-tree and
+  across trees) == the per-face probe loop of ``tests/oracles/dg_faces.py``,
+  bitwise.
 
 The randomized comparisons run across rank counts including
 non-powers-of-two.
@@ -22,6 +24,7 @@ from repro.forest import (
     ParForest,
     brick_connectivity,
     cubed_sphere_connectivity,
+    match_faces,
     unit_cube,
 )
 from repro.mangll import DGAdvection
@@ -29,6 +32,7 @@ from repro.mesh import extract_mesh, node_keys
 from repro.mesh.parmesh import UnbalancedTreeError, collect_ghosts, extract_parmesh
 from repro.octree import (
     LinearOctree,
+    OctantArray,
     balance,
     balance_tree,
     gather_tree,
@@ -42,6 +46,7 @@ from repro.octree.partree import partition_tree
 from repro.parallel import run_spmd
 
 from .oracles.balance import balance_tree_full_sweep
+from .test_mangll_dg import assert_equals_loop_builder
 
 PS = [1, 2, 3, 4, 7]
 
@@ -279,15 +284,13 @@ class TestExtractEquivalence:
 
 
 class TestDGFaceIteration:
-    """``match_faces`` classification (batched builder) against the
-    per-face loop, on a random state."""
+    """``match_faces`` classification and the DG builder on top of it
+    against the per-face probe loop, on a random state."""
 
     def _rates_equal(self, forest, p, velocity):
-        dg_loop = DGAdvection(forest, p=p, velocity=velocity, batch_faces=False)
-        dg_bat = DGAdvection(forest, p=p, velocity=velocity)
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal(dg_loop.n_dof)
-        assert np.array_equal(dg_loop.rate(u), dg_bat.rate(u))
+        dg = DGAdvection(forest, p=p, velocity=velocity)
+        u = np.random.default_rng(0).standard_normal(dg.n_dof)
+        assert_equals_loop_builder(forest, dg, velocity, u)
 
     def test_adapted_cube_bitwise(self):
         f = Forest.uniform(unit_cube(), 1)
@@ -306,6 +309,42 @@ class TestDGFaceIteration:
         conn = cubed_sphere_connectivity(r_inner=0.55, r_outer=1.0)
         f = Forest.uniform(conn, 1)
         self._rates_equal(f, 2, solid_body_rotation())
+
+    @pytest.mark.parametrize(
+        "conn", [unit_cube(), cubed_sphere_connectivity()], ids=["cube", "sphere"]
+    )
+    def test_classification_is_reciprocal(self, conn):
+        """Each side of a face is classified from its own side, in-tree
+        and across (rotated) gluings; the two views must agree."""
+        rng = np.random.default_rng(3)
+        f = Forest.uniform(conn, 1)
+        f, _ = f.refine(rng.random(len(f)) < 0.3).balance()
+        tids = f.leaf_tree_ids()
+        octs = OctantArray.concat([t.leaves for t in f.trees])
+        c = match_faces(tids, octs, conn)
+        assert np.array_equal(c.idrive | c.coarse, c.valid)
+        assert not (c.idrive & c.coarse).any()
+        fnb = np.where(c.same, np.arange(6) ^ 1, conn.face_face[tids])
+        assert np.array_equal(c.same[c.idrive], (tids[c.g_nb] == tids[:, None])[c.idrive])
+        assert (c.valid & ~c.same).any() == (conn.n_trees > 1)
+        # conforming: my neighbor's neighbor through the glued face is me
+        lvl = octs.level.astype(np.int64)
+        e, ff = np.nonzero(c.idrive & (lvl[c.g_nb] == lvl[:, None]))
+        g = c.g_nb[e, ff]
+        assert c.idrive[g, fnb[e, ff]].all()
+        assert np.array_equal(c.g_nb[g, fnb[e, ff]], e)
+        # mortar: every fine neighbor a coarse face lists names it back,
+        # and every fine side is listed by its coarse neighbor exactly once
+        e, ff = np.nonzero(c.coarse)
+        assert len(e) and (~c.same[e, ff]).any() == (conn.n_trees > 1)
+        for q in range(4):
+            s = c.subs[e, ff, q]
+            assert np.array_equal(lvl[s], lvl[e] + 1)
+            assert np.array_equal(c.g_nb[s, fnb[e, ff]], e)
+            assert c.idrive[s, fnb[e, ff]].all()
+        fine = c.idrive & (lvl[c.g_nb] < lvl[:, None])
+        assert fine.sum() == 4 * len(e)
+        assert len(np.unique(c.subs[e, ff] * 6 + fnb[e, ff][:, None])) == 4 * len(e)
 
 
 class TestMarkQuantization:

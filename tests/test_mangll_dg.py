@@ -1,10 +1,22 @@
 """Tests for the nodal DG advection solver on forests."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.forest import Forest, brick_connectivity, cubed_sphere_connectivity, unit_cube
+from repro.forest import (
+    Forest,
+    brick_connectivity,
+    cubed_sphere_connectivity,
+    match_faces,
+    unit_cube,
+)
 from repro.mangll import DGAdvection, solid_body_rotation
+from repro.octree import LinearOctree
+
+from .oracles.dg_faces import LoopFaceBuilder
 
 
 def const_wind(a):
@@ -193,32 +205,61 @@ class TestSphereAdvection:
         assert com_y1 > com_y0 + 0.05
 
 
+def assert_equals_loop_builder(forest, dg, wind, u):
+    """Every face-instance array, every rate table and ``rate(u)`` of
+    ``dg`` is bitwise what the per-face probe loop of
+    ``tests/oracles/dg_faces.py`` gives."""
+    ref = LoopFaceBuilder(forest, dg, wind).face_instances()
+    for got, want in zip(dg._face_instances(wind), ref):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].dtype == want[k].dtype, k
+            assert np.array_equal(got[k], want[k]), k
+    dg_loop = copy.copy(dg)
+    dg_loop._finalize_faces(*ref)
+    for fld in dataclasses.fields(dg.faces):
+        assert np.array_equal(
+            getattr(dg.faces, fld.name), getattr(dg_loop.faces, fld.name)
+        ), fld.name
+    assert np.array_equal(dg_loop.rate(u), dg.rate(u))
+
+
+def orientation_classes(conn, tids, fcls, levels):
+    """``{(face, neighbor face, R): [cross-tree sides, of which I am the
+    fine side of a mortar, of which I am the coarse side]}``."""
+    e, f = np.nonzero(fcls.valid & ~fcls.same)
+    fine = fcls.idrive[e, f] & (levels[fcls.g_nb[e, f]] < levels[e])
+    out = {}
+    for t, ff, fi, co in zip(tids[e], f, fine, fcls.coarse[e, f]):
+        key = (int(ff), int(conn.face_face[t, ff]), conn.face_R[t, ff].tobytes())
+        out[key] = out.get(key, np.zeros(3, dtype=int)) + [1, fi, co]
+    return out
+
+
 class TestBatchedFaceConstruction:
-    """Satellite: the batched face classifier must be a drop-in for the
-    per-face loop — bitwise-identical rate(u) for every order P."""
+    """The face builder (``match_faces`` joins + array batches, in-tree
+    and across trees) against the per-face probe loop: every array
+    bitwise, for every order P."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_p_invariance_adapted_cube(self, p):
         f = cube_forest(1, refine_first=True)
         wind = const_wind([0.7, -0.4, 0.2])
-        dg_loop = DGAdvection(f, p=p, velocity=wind, batch_faces=False)
-        dg_bat = DGAdvection(f, p=p, velocity=wind, batch_faces=True)
-        x = dg_bat.nodes()
+        dg = DGAdvection(f, p=p, velocity=wind)
+        x = dg.nodes()
         u = np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1]) + x[:, 2] ** 2
-        assert np.array_equal(dg_loop.rate(u), dg_bat.rate(u))
+        assert_equals_loop_builder(f, dg, wind, u)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_p_invariance_cubed_sphere(self, p):
-        """Cross-tree faces take the per-face fallback; same-tree faces
-        batch.  The mix must still reproduce the loop bitwise."""
+        """Conforming faces across translated and rotated gluings."""
         conn = cubed_sphere_connectivity(r_inner=0.55, r_outer=1.0)
         forest = Forest.uniform(conn, 1)
         wind = solid_body_rotation()
-        dg_loop = DGAdvection(forest, p=p, velocity=wind, batch_faces=False)
-        dg_bat = DGAdvection(forest, p=p, velocity=wind, batch_faces=True)
-        x = dg_bat.nodes()
+        dg = DGAdvection(forest, p=p, velocity=wind)
+        x = dg.nodes()
         u = np.exp(-8.0 * ((x[:, 0] - 0.7) ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2))
-        assert np.array_equal(dg_loop.rate(u), dg_bat.rate(u))
+        assert_equals_loop_builder(forest, dg, wind, u)
 
     def test_p_invariance_nonconforming_brick(self, p=2):
         f = Forest.uniform(brick_connectivity(2, 1, 1), 1)
@@ -226,7 +267,57 @@ class TestBatchedFaceConstruction:
         mask[:4] = True
         f, _ = f.refine(mask).balance()
         wind = const_wind([1.0, 0.3, -0.2])
-        dg_loop = DGAdvection(f, p=p, velocity=wind, batch_faces=False)
-        dg_bat = DGAdvection(f, p=p, velocity=wind, batch_faces=True)
-        u = dg_bat.project(lambda x: x[:, 0] ** 2 - x[:, 1] * x[:, 2])
-        assert np.array_equal(dg_loop.rate(u), dg_bat.rate(u))
+        dg = DGAdvection(f, p=p, velocity=wind)
+        u = dg.project(lambda x: x[:, 0] ** 2 - x[:, 1] * x[:, 2])
+        assert_equals_loop_builder(f, dg, wind, u)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_mortars_on_every_orientation_class(self, p):
+        """Refinement straddling the gluings of the cubed sphere: each of
+        the 8 classes (face, neighbor face, R) of its 96 connected tree
+        faces, the 4 rotated ones included, carries mortars seen from the
+        fine and from the coarse side."""
+        conn = cubed_sphere_connectivity(r_inner=0.55, r_outer=1.0)
+        rng = np.random.default_rng(0)
+        f = Forest.uniform(conn, 0)
+        f = f.refine(rng.random(len(f)) < 0.5)
+        f, _ = f.refine(rng.random(len(f)) < 0.15).balance()
+        wind = solid_body_rotation([0.3, -0.2, 1.0])
+        dg = DGAdvection(f, p=p, velocity=wind)
+        classes = orientation_classes(
+            conn, dg.tree_ids, match_faces(dg.tree_ids, dg.octs, conn),
+            dg.octs.level.astype(int),
+        )
+        eye = np.eye(3, dtype=np.int64).tobytes()
+        assert len(classes) == 8
+        assert sum(R != eye for _, _, R in classes) == 4
+        assert all(c.min() > 0 for c in classes.values())
+        u = np.random.default_rng(p).standard_normal(dg.n_dof)
+        assert_equals_loop_builder(f, dg, wind, u)
+
+    def test_no_batch_faces_argument(self):
+        with pytest.raises(TypeError):
+            DGAdvection(cube_forest(1), 1, const_wind([1, 0, 0]), batch_faces=True)
+
+
+class TestUnbalancedForestRejected:
+    """A forest that breaks 2:1 is one ``ValueError`` from ``match_faces``
+    naming the first offending face, in a tree or across a tree face."""
+
+    def test_jump_across_tree_face(self):
+        conn = brick_connectivity(2, 1, 1)
+        f = Forest(conn, [LinearOctree.uniform(2), LinearOctree.uniform(0)])
+        # tree 1 is one element, 4x the size of its 16 neighbors in tree 0;
+        # the first of those in element order is the first offender
+        with pytest.raises(ValueError, match=r"face 1 of element 9 \(tree 0, level 2\)"):
+            DGAdvection(f, p=1, velocity=const_wind([1, 0, 0]))
+
+    def test_jump_inside_a_tree(self):
+        f = Forest.uniform(unit_cube(), 1)
+        for n in (1, 8):  # octant 0 to level 3, its neighbors stay at 1
+            mask = np.zeros(len(f), dtype=bool)
+            mask[:n] = True
+            f = f.refine(mask)
+        assert not f.is_balanced()
+        with pytest.raises(ValueError, match=r"face \d of element \d+ \(tree 0, level 3\)"):
+            DGAdvection(f, p=1, velocity=const_wind([1, 0, 0]))
