@@ -240,40 +240,37 @@ class ParAmrPipeline:
 
     # -- time integration -------------------------------------------------------------
 
+    def _advance(self, cfl: float, plan) -> tuple[float, int]:
+        """Build the transport operator on the current mesh and take the
+        ``(dt, n_steps) = plan(cfl_dt)`` steps; returns that pair."""
+        t0 = time.perf_counter()
+        with obs.phase("advection"):
+            with obs.phase("build"):
+                eq = ParAdvectionDiffusion(
+                    self.pm, self.workload.kappa, self.workload.velocity
+                )
+            dt, n_steps = plan(eq.cfl_dt(cfl))
+            self.T = eq.advance(self.T, dt, n_steps)
+            obs.counter("advection_steps", n_steps)
+        self.steps_taken += n_steps
+        self.sim_time += n_steps * dt
+        self._tic("TimeIntegration", t0)
+        return dt, n_steps
+
     def advance(self, n_steps: int, cfl: float = 0.4) -> float:
         with schedule_phase("advance"):
-            t0 = time.perf_counter()
-            with obs.phase("advection"):
-                with obs.phase("build"):
-                    eq = ParAdvectionDiffusion(
-                        self.pm, self.workload.kappa, self.workload.velocity
-                    )
-                dt = eq.cfl_dt(cfl)
-                self.T = eq.advance(self.T, dt, n_steps)
-                obs.counter("advection_steps", n_steps)
-            self.steps_taken += n_steps
-            self.sim_time += n_steps * dt
-            self._tic("TimeIntegration", t0)
-            return dt
+            return self._advance(cfl, lambda dt: (dt, n_steps))[0]
 
     def advance_time(self, t_span: float, cfl: float = 0.4) -> int:
         """Advance by a fixed physical time (however many CFL steps that
         takes on the current mesh); returns the step count."""
+
+        def equal_steps(dt):
+            n = max(int(np.ceil(t_span / dt)), 1)
+            return t_span / n, n
+
         with schedule_phase("advance_time"):
-            t0 = time.perf_counter()
-            with obs.phase("advection"):
-                with obs.phase("build"):
-                    eq = ParAdvectionDiffusion(
-                        self.pm, self.workload.kappa, self.workload.velocity
-                    )
-                dt = eq.cfl_dt(cfl)
-                n = max(int(np.ceil(t_span / dt)), 1)
-                self.T = eq.advance(self.T, t_span / n, n)
-                obs.counter("advection_steps", n)
-            self.steps_taken += n
-            self.sim_time += n * (t_span / n)
-            self._tic("TimeIntegration", t0)
-            return n
+            return self._advance(cfl, equal_steps)[1]
 
     def run_cycles(
         self,

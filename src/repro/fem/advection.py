@@ -156,11 +156,7 @@ class AdvectionDiffusion:
         # source: gamma * int N_i, plus SUPG source tau * gamma * int a.grad N_i
         load_e = source * mass_e.sum(axis=2)
         if source != 0.0:
-            load_e += (
-                source
-                * self.tau[:, None]
-                * _OPS.convection(sizes, self.vel).sum(axis=2)
-            )
+            load_e += source * self.tau[:, None] * _OPS.streamline_load(sizes, self.vel)
         self.b = assemble_rhs(mesh, load_e)[col]
 
         self.dirichlet = dirichlet or []
@@ -171,9 +167,7 @@ class AdvectionDiffusion:
 
     def _assemble_operator(self):
         sizes = self.mesh.element_sizes()
-        elem = _OPS.stiffness(sizes, self.kappa)
-        elem += _OPS.convection(sizes, self.vel)
-        elem += self.tau[:, None, None] * _OPS.grad_grad(sizes, self.vel)
+        elem = _OPS.supg_operator(sizes, self.vel, self.kappa, self.tau)
         return assemble_scalar(self.mesh, elem)
 
     @property

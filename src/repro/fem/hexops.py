@@ -70,6 +70,15 @@ class ElementOps:
         self.Sxy = _kron3(M, G, G.T)
         self.Sxz = _kron3(G, M, G.T)
         self.Syz = _kron3(G, G.T, M)
+        #: (9, 64) rows Sxx, Syy, Szz, Dx, Dy, Dz and the symmetrized mixed parts
+        mixed = [S + S.T for S in (self.Sxy, self.Sxz, self.Syz)]
+        self.supg_basis = np.stack(
+            [self.Sxx, self.Syy, self.Szz, self.Dx, self.Dy, self.Dz, *mixed]
+        ).reshape(9, 64)
+        #: (3, 8) column sums of Dx, Dy, Dz: ``int d_a N_i`` on the unit cube
+        self.grad_integrals = np.stack(
+            [D.sum(axis=0) for D in (self.Dx, self.Dy, self.Dz)]
+        )
 
     # -- scalar operators ------------------------------------------------------
 
@@ -102,24 +111,37 @@ class ElementOps:
             + (az * hx * hy)[:, None, None] * self.Dz[None]
         )
 
-    def grad_grad(self, sizes: np.ndarray, vel: np.ndarray) -> np.ndarray:
-        """SUPG streamline matrices ``int (a.grad N_i)(a.grad N_j)``.
-
-        Expands to ``sum_ab a_a a_b int d_a N_i d_b N_j`` using the pure
-        (Sxx, ...) and mixed (Sxy, ...) shape matrices.
-        """
+    def supg_operator(
+        self, sizes: np.ndarray, vel: np.ndarray, kappa, tau: np.ndarray
+    ) -> np.ndarray:
+        """SUPG element matrices ``kappa K + N(a) + tau G(a)``: diffusion,
+        convection ``int N_i (a . grad N_j)`` and the streamline term
+        ``int (a.grad N_i)(a.grad N_j)``, as one ``(n, 9) @ (9, 64)``
+        product over the nine shape matrices of :attr:`supg_basis`."""
         hx, hy, hz = sizes[:, 0], sizes[:, 1], sizes[:, 2]
         ax, ay, az = vel[:, 0], vel[:, 1], vel[:, 2]
-        out = (
-            (ax * ax * hy * hz / hx)[:, None, None] * self.Sxx[None]
-            + (ay * ay * hx * hz / hy)[:, None, None] * self.Syy[None]
-            + (az * az * hx * hy / hz)[:, None, None] * self.Szz[None]
+        coef = np.stack(
+            [
+                (kappa + tau * ax * ax) * hy * hz / hx,
+                (kappa + tau * ay * ay) * hx * hz / hy,
+                (kappa + tau * az * az) * hx * hy / hz,
+                ax * hy * hz,
+                ay * hx * hz,
+                az * hx * hy,
+                # mixed terms appear twice (ab and ba): S_ab^T = S_ba shape-wise
+                tau * ax * ay * hz,
+                tau * ax * az * hy,
+                tau * ay * az * hx,
+            ],
+            axis=1,
         )
-        # mixed terms appear twice (ab and ba): S_ab^T = S_ba shape-wise
-        out += (ax * ay * hz)[:, None, None] * (self.Sxy + self.Sxy.T)[None]
-        out += (ax * az * hy)[:, None, None] * (self.Sxz + self.Sxz.T)[None]
-        out += (ay * az * hx)[:, None, None] * (self.Syz + self.Syz.T)[None]
-        return out
+        return (coef @ self.supg_basis).reshape(-1, 8, 8)
+
+    def streamline_load(self, sizes: np.ndarray, vel: np.ndarray) -> np.ndarray:
+        """``int a . grad N_i``, shape (n, 8): the SUPG part of the weight
+        a uniform source is tested with (row sums of :meth:`supg_mass`)."""
+        face_areas = sizes.prod(axis=1, keepdims=True) / sizes
+        return (vel * face_areas) @ self.grad_integrals
 
     def supg_mass(self, sizes: np.ndarray, vel: np.ndarray) -> np.ndarray:
         """``int (a.grad N_i) N_j`` — the SUPG-weighted mass term

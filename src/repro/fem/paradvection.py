@@ -66,29 +66,29 @@ class ParAdvectionDiffusion:
         mesh = pm.mesh
         owned = pm.owned_elements
 
-        sizes_all = mesh.element_sizes()
-        centers_all = mesh.element_centers()
-        self.vel_all = velocity(centers_all)
-        sizes = sizes_all[owned]
-        vel = self.vel_all[owned]
-        self.tau = supg_tau(sizes, vel, self.kappa)
-        self._owned_sizes = sizes
-        self._owned_vel = vel
+        with obs.phase("geometry"):
+            sizes = mesh.element_sizes()[owned]
+            vel = velocity(mesh.element_centers()[owned])
+            self.tau = supg_tau(sizes, vel, self.kappa)
+            self._owned_sizes = sizes
+            self._owned_vel = vel
 
         # assemble from owned elements only, on union-mesh dofs
-        elem = _OPS.stiffness(sizes, self.kappa)
-        elem += _OPS.convection(sizes, vel)
-        elem += self.tau[:, None, None] * _OPS.grad_grad(sizes, vel)
-        self.A = self._assemble_owned(elem)
-        mass_rows = _OPS.mass(sizes).sum(axis=2)
-        # rows of Z sum to one, so lumping Z^T M Z needs no matrix
-        self.ML = pm.exchange_sum(self._rhs_owned(mass_rows))
-        self.ML[~pm.active] = 1.0  # avoid divide-by-zero at inactive dofs
+        with obs.phase("element_matrices"):
+            elem = _OPS.supg_operator(sizes, vel, self.kappa, self.tau)
+        with obs.phase("assemble"):
+            self.A = self._assemble_owned(elem)
+        with obs.phase("lumped_mass_exchange"):
+            mass_rows = sizes.prod(axis=1)[:, None] * _OPS.MMM.sum(axis=1)
+            # rows of Z sum to one, so lumping Z^T M Z needs no matrix
+            self.ML = pm.exchange_sum(self._rhs_owned(mass_rows))
+            self.ML[~pm.active] = 1.0  # avoid divide-by-zero at inactive dofs
 
-        load = source * mass_rows
-        if source != 0.0:
-            load += source * self.tau[:, None] * _OPS.convection(sizes, vel).sum(axis=2)
-        self.b = pm.exchange_sum(self._rhs_owned(load))
+            # source: gamma * int N_i, plus SUPG source tau * gamma * int a.grad N_i
+            load = source * mass_rows
+            if source != 0.0:
+                load += source * self.tau[:, None] * _OPS.streamline_load(sizes, vel)
+            self.b = pm.exchange_sum(self._rhs_owned(load))
 
         self.dirichlet = dirichlet or []
         self._bc_mask, self._bc_values = dirichlet_dofs(mesh, self.dirichlet)
@@ -96,16 +96,30 @@ class ParAdvectionDiffusion:
     # -- owned-element assembly helpers ---------------------------------------
 
     def _assemble_owned(self, elem_mats: np.ndarray):
+        """``Z^T A Z`` of the owned elements' scatter, as one COO -> CSR
+        conversion: an element with eight independent corners scatters
+        straight into dof numbering, and only the elements with a
+        hanging corner go through node numbering and the triple product."""
         import scipy.sparse as sp
 
         mesh = self.pm.mesh
         en = mesh.element_nodes[self.pm.owned_elements]
-        rows = np.repeat(en, 8, axis=1).ravel()
-        cols = np.tile(en, (1, 8)).ravel()
-        A = sp.csr_matrix(
-            (elem_mats.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
+        dof = mesh.dof_of_node[en].astype(np.int32)
+        free = (dof >= 0).all(axis=1)
+        enh = en[~free]
+        Ah = sp.csr_matrix(
+            (
+                elem_mats[~free].ravel(),
+                (np.repeat(enh, 8, axis=1).ravel(), np.tile(enh, (1, 8)).ravel()),
+            ),
+            shape=(mesh.n_nodes, mesh.n_nodes),
         )
-        return sp.csr_matrix(mesh.Z.T @ A @ mesh.Z)
+        hang = (mesh.Z.T @ Ah @ mesh.Z).tocoo()
+        dof = dof[free]
+        rows = np.concatenate([np.repeat(dof, 8, axis=1).ravel(), hang.row])
+        cols = np.concatenate([np.tile(dof, (1, 8)).ravel(), hang.col])
+        data = np.concatenate([elem_mats[free].ravel(), hang.data])
+        return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_independent,) * 2)
 
     def _rhs_owned(self, elem_vecs: np.ndarray) -> np.ndarray:
         mesh = self.pm.mesh

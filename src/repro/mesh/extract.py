@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .. import obs
 from ..octree import ROOT_LEN
 from ..octree.linear import LinearOctree as _LinearOctree
 from .opcache import operator_cache
@@ -212,73 +213,52 @@ class Mesh:
 
 
 def _find_hanging_constraints(
-    coords: np.ndarray,
     keys: np.ndarray,
     elements,  # OctantArray of the leaves
+    element_nodes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Identify hanging nodes and their direct parent lists.
 
-    Returns ``(child_idx, parent_idx, weight)`` COO triplets where
-    ``child_idx`` are node indices of hanging nodes (repeated per parent).
-    Candidate node keys are resolved by binary search in the sorted key
-    array.
+    ``keys`` are the sorted unique node keys that ``element_nodes``
+    indexes.  Returns ``(child_idx, parent_idx, weight)`` COO triplets
+    where ``child_idx`` are node indices of hanging nodes (repeated per
+    parent and per coarse element that sees them).
+
+    The midpoint of an element's edge (the centre of its face) can only
+    be a mesh node if a smaller element has a corner there, and that
+    element then also touches a corner of the edge (face).  So only
+    edges and faces with *any* corner touched by a smaller element are
+    probed (on an owned + ghost union the fine element on the far half
+    of a coarse edge can be absent, so *all* would miss nodes), and the
+    parents are the element's own corners.
     """
     h = elements.lengths()
     if len(h) and int(h.min()) < 2:
         raise ValueError("mesh extraction requires element level <= MAX_LEVEL - 1")
-    anchors = np.stack([elements.x, elements.y, elements.z], axis=1)
+    # smallest element touching each node: coarse levels first, fine overwrite
+    h_node = np.zeros(len(keys), dtype=h.dtype)
+    for size in np.unique(h)[::-1]:
+        h_node[element_nodes[h == size].ravel()] = size
+    fine = h_node[element_nodes] < h[:, None]  # (ne, 8)
 
-    key_sorter = np.argsort(keys)
-    keys_sorted = keys[key_sorter]
-
-    def lookup(cand_keys: np.ndarray) -> np.ndarray:
-        """Node index of each key, or -1 if not a mesh node."""
-        pos = np.searchsorted(keys_sorted, cand_keys)
-        pos_c = np.clip(pos, 0, len(keys_sorted) - 1)
-        hit = keys_sorted[pos_c] == cand_keys
-        return np.where(hit, key_sorter[pos_c], -1)
-
-    children, parents, weights = [], [], []
-
-    # corner coordinates per element, (ne, 8, 3)
-    corner_xyz = anchors[:, None, :] + _CORNER[None, :, :] * h[:, None, None]
-
-    # Edge midpoints: if the midpoint of an element's edge is a mesh node,
-    # it hangs on that edge (weight 1/2 to each endpoint).
-    for e0, e1 in _EDGES:
-        mid = (corner_xyz[:, e0, :] + corner_xyz[:, e1, :]) // 2
-        mid_idx = lookup(node_keys(mid))
-        present = mid_idx >= 0
-        if not present.any():
-            continue
-        p0 = node_keys(corner_xyz[present, e0, :])
-        p1 = node_keys(corner_xyz[present, e1, :])
-        i0 = lookup(p0)
-        i1 = lookup(p1)
-        m = mid_idx[present]
-        children.append(np.concatenate([m, m]))
-        parents.append(np.concatenate([i0, i1]))
-        weights.append(np.full(2 * len(m), 0.5))
-
-    # Face centers: weight 1/4 to each of the four face corners.
-    for quad in _FACES:
-        ctr = corner_xyz[:, quad, :].sum(axis=1) // 4
-        ctr_idx = lookup(node_keys(ctr))
-        present = ctr_idx >= 0
-        if not present.any():
-            continue
-        m = ctr_idx[present]
-        for q in quad:
-            children.append(m)
-            parents.append(lookup(node_keys(corner_xyz[present, q, :])))
-        weights.append(np.full(4 * len(m), 0.25))
-
-    if not children:
-        empty_i = np.zeros(0, dtype=np.int64)
-        return empty_i, empty_i, np.zeros(0)
-    child = np.concatenate(children)
-    parent = np.concatenate([p for p in parents])
-    weight = np.concatenate(weights)
+    # Edge midpoints hang with weight 1/2 to each endpoint, face centres
+    # (= the midpoint of the face diagonal) with 1/4 to each face corner.
+    # Node keys are linear in the coordinates, so the key of the midpoint
+    # of corners a < b is a + (b - a) / 2 (the sum a + b can overflow).
+    e_el, e_k = np.nonzero(fine[:, _EDGES].any(axis=2))
+    f_el, f_k = np.nonzero(fine[:, _FACES].any(axis=2))
+    ends = element_nodes[e_el[:, None], _EDGES[e_k]]  # (m_e, 2)
+    quad = element_nodes[f_el[:, None], _FACES[f_k]]  # (m_f, 4)
+    lo = keys[np.concatenate([ends[:, 0], quad[:, 0]])]
+    hi = keys[np.concatenate([ends[:, 1], quad[:, 3]])]
+    cand = lo + ((hi - lo) >> np.uint64(1))
+    pos = np.minimum(np.searchsorted(keys, cand), len(keys) - 1)
+    (pos_e, pos_f), (hit_e, hit_f) = (
+        np.split(a, [len(ends)]) for a in (pos, keys[pos] == cand)
+    )
+    child = np.concatenate([np.repeat(pos_e[hit_e], 2), np.repeat(pos_f[hit_f], 4)])
+    parent = np.concatenate([ends[hit_e].ravel(), quad[hit_f].ravel()])
+    weight = np.repeat([0.5, 0.25], [2 * hit_e.sum(), 4 * hit_f.sum()])
     if np.any(parent < 0):
         raise AssertionError("constraint parent is not a mesh node")
     return child, parent, weight
@@ -321,64 +301,65 @@ def extract_submesh(leaves, domain=(1.0, 1.0, 1.0)) -> Mesh:
     set, which the ghost layer guarantees for all nodes of owned elements.
     """
     domain = np.asarray(domain, dtype=np.float64)
-    h = leaves.lengths()
-    anchors = np.stack([leaves.x, leaves.y, leaves.z], axis=1)
-    corner_xyz = anchors[:, None, :] + _CORNER[None, :, :] * h[:, None, None]
-    all_keys = node_keys(corner_xyz.reshape(-1, 3))
-    keys, inverse = np.unique(all_keys, return_inverse=True)
-    element_nodes = inverse.reshape(-1, 8).astype(np.int64)
-    # recover coordinates of the unique nodes
-    x = (keys % _R1).astype(np.int64)
-    y = ((keys // _R1) % _R1).astype(np.int64)
-    z = (keys // (_R1 * _R1)).astype(np.int64)
-    coords = np.stack([x, y, z], axis=1)
-    n_nodes = len(keys)
+    with obs.phase("nodes"):
+        h = leaves.lengths()
+        anchors = np.stack([leaves.x, leaves.y, leaves.z], axis=1)
+        corner_xyz = anchors[:, None, :] + _CORNER[None, :, :] * h[:, None, None]
+        all_keys = node_keys(corner_xyz.reshape(-1, 3))
+        keys, inverse = np.unique(all_keys, return_inverse=True)
+        element_nodes = inverse.reshape(-1, 8).astype(np.int64)
+        # recover coordinates of the unique nodes
+        x = (keys % _R1).astype(np.int64)
+        y = ((keys // _R1) % _R1).astype(np.int64)
+        z = (keys // (_R1 * _R1)).astype(np.int64)
+        coords = np.stack([x, y, z], axis=1)
+        n_nodes = len(keys)
 
-    child, parent, weight = _first_discovery(
-        *_find_hanging_constraints(coords, keys, leaves)
-    )
-    hanging = np.zeros(n_nodes, dtype=bool)
-    hanging[child] = True
+    with obs.phase("hanging"):
+        child, parent, weight = _first_discovery(
+            *_find_hanging_constraints(keys, leaves, element_nodes)
+        )
+        hanging = np.zeros(n_nodes, dtype=bool)
+        hanging[child] = True
 
-    direct = sp.csr_matrix(
-        (weight, (child, parent)), shape=(n_nodes, n_nodes)
-    )
-    indep_nodes = np.flatnonzero(~hanging)
-    dof_of_node = np.full(n_nodes, -1, dtype=np.int64)
-    dof_of_node[indep_nodes] = np.arange(len(indep_nodes))
+    with obs.phase("closure"):
+        direct = sp.csr_matrix((weight, (child, parent)), shape=(n_nodes, n_nodes))
+        indep_nodes = np.flatnonzero(~hanging)
+        dof_of_node = np.full(n_nodes, -1, dtype=np.int64)
+        dof_of_node[indep_nodes] = np.arange(len(indep_nodes))
 
-    # Transitive closure: substitute hanging parents by their own parents
-    # until every parent is independent.  S = diag(independent) + direct
-    # keeps independent columns and expands hanging ones; parents belong to
-    # strictly coarser elements so the chain terminates.
-    closure = direct.copy()
-    subst = sp.diags((~hanging).astype(np.float64)) + direct
-    for _ in range(8):
-        if len(child) == 0 or not hanging[closure.indices].any():
-            break
-        closure = closure @ subst
-        closure.eliminate_zeros()
-    else:
-        raise AssertionError("hanging constraint closure did not terminate")
+        # Transitive closure: substitute hanging parents by their own parents
+        # until every parent is independent.  S = diag(independent) + direct
+        # keeps independent columns and expands hanging ones; parents belong to
+        # strictly coarser elements so the chain terminates.
+        closure = direct.copy()
+        subst = sp.diags((~hanging).astype(np.float64)) + direct
+        for _ in range(8):
+            if len(child) == 0 or not hanging[closure.indices].any():
+                break
+            closure = closure @ subst
+            closure.eliminate_zeros()
+        else:
+            raise AssertionError("hanging constraint closure did not terminate")
 
-    # Assemble Z in COO form: identity rows for independent nodes, closure
-    # rows for hanging nodes, columns renumbered to independent dofs.
-    hang_idx = np.flatnonzero(hanging)
-    ch = closure[hang_idx]
-    rows_h = np.repeat(hang_idx, np.diff(ch.indptr))
-    cols_h = dof_of_node[ch.indices]
-    if len(cols_h) and cols_h.min() < 0:
-        raise AssertionError("closure row references a hanging parent")
-    Z = sp.csr_matrix(
-        (
-            np.concatenate([np.ones(len(indep_nodes)), ch.data]),
+        # Assemble Z in COO form: identity rows for independent nodes, closure
+        # rows for hanging nodes, columns renumbered to independent dofs.
+        hang_idx = np.flatnonzero(hanging)
+        ch = closure[hang_idx]
+        rows_h = np.repeat(hang_idx, np.diff(ch.indptr))
+        cols_h = dof_of_node[ch.indices]
+        if len(cols_h) and cols_h.min() < 0:
+            raise AssertionError("closure row references a hanging parent")
+        Z = sp.csr_matrix(
             (
-                np.concatenate([indep_nodes, rows_h]),
-                np.concatenate([np.arange(len(indep_nodes)), cols_h]),
+                np.concatenate([np.ones(len(indep_nodes)), ch.data]),
+                (
+                    np.concatenate([indep_nodes, rows_h]),
+                    np.concatenate([np.arange(len(indep_nodes)), cols_h]),
+                ),
             ),
-        ),
-        shape=(n_nodes, len(indep_nodes)),
-    )
+            shape=(n_nodes, len(indep_nodes)),
+        )
 
     return Mesh(
         tree=None,

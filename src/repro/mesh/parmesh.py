@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import obs
 from ..octree import OctantArray, ROOT_LEN, morton_encode
 from ..octree.partree import (
     ParTree,
@@ -179,78 +180,80 @@ def extract_parmesh(pt: ParTree, domain=(1.0, 1.0, 1.0)) -> ParMesh:
     """Parallel EXTRACTMESH: ghost layer, union submesh, node ownership,
     global numbering, and the shared-dof exchange plan."""
     comm = pt.comm
-    ghosts, ghost_owner = collect_ghosts(pt)
-    # union, sorted by Morton key; track ownership
-    union = OctantArray.concat([pt.local, ghosts])
-    owner_elem = np.concatenate(
-        [np.full(len(pt.local), comm.rank, dtype=np.int64), ghost_owner]
-    )
-    order = np.lexsort((union.level, union.keys()))
-    union = union[order]
-    owner_elem = owner_elem[order]
-    owned_mask = owner_elem == comm.rank
+    with obs.phase("ghost"):
+        ghosts, ghost_owner = collect_ghosts(pt)
+        # union, sorted by Morton key; track ownership
+        union = OctantArray.concat([pt.local, ghosts])
+        owner_elem = np.concatenate(
+            [np.full(len(pt.local), comm.rank, dtype=np.int64), ghost_owner]
+        )
+        order = np.lexsort((union.level, union.keys()))
+        union = union[order]
+        owner_elem = owner_elem[order]
+        owned_mask = owner_elem == comm.rank
 
     mesh = extract_submesh(union, domain)
 
-    # node ownership: the rank whose leaf-key interval contains the node's
-    # (clamped) position — i.e. the owner of the leaf the node sits on the
-    # corner of, in the Morton sense.  Deterministic, globally consistent,
-    # and computable locally; the owning leaf touches the node, so the
-    # owner always has the node in its own (active) mesh.
-    markers = partition_markers(comm, pt.local)
-    clamped = np.minimum(mesh.node_coords_int, ROOT_LEN - 1)
-    node_owner = owners_of_keys(
-        markers, morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
-    )
+    with obs.phase("numbering"):
+        # node ownership: the rank whose leaf-key interval contains the node's
+        # (clamped) position — i.e. the owner of the leaf the node sits on the
+        # corner of, in the Morton sense.  Deterministic, globally consistent,
+        # and computable locally; the owning leaf touches the node, so the
+        # owner always has the node in its own (active) mesh.
+        markers = partition_markers(comm, pt.local)
+        clamped = np.minimum(mesh.node_coords_int, ROOT_LEN - 1)
+        node_owner = owners_of_keys(
+            markers, morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
+        )
 
-    # active independent dofs: touched by at least one owned element
-    indep = mesh.indep_nodes
-    touched = np.zeros(mesh.n_nodes, dtype=bool)
-    touched[mesh.element_nodes[owned_mask].ravel()] = True
-    # hanging nodes activate their parents
-    hang_touched = np.flatnonzero(touched & mesh.hanging)
-    if len(hang_touched):
-        rows = mesh.Z[hang_touched]
-        touched[indep[rows.indices]] = True
-    active = touched[indep]
+        # active independent dofs: touched by at least one owned element
+        indep = mesh.indep_nodes
+        touched = np.zeros(mesh.n_nodes, dtype=bool)
+        touched[mesh.element_nodes[owned_mask].ravel()] = True
+        # hanging nodes activate their parents
+        hang_touched = np.flatnonzero(touched & mesh.hanging)
+        if len(hang_touched):
+            rows = mesh.Z[hang_touched]
+            touched[indep[rows.indices]] = True
+        active = touched[indep]
 
-    # global numbering of owned active dofs
-    dof_owner = node_owner[indep]
-    owned_dofs = active & (dof_owner == comm.rank)
-    n_owned = int(owned_dofs.sum())
-    offset = comm.exscan(n_owned)
-    n_global = comm.allreduce(n_owned)
-    global_dof = np.full(len(indep), -1, dtype=np.int64)
-    global_dof[owned_dofs] = offset + np.arange(n_owned)
+        # global numbering of owned active dofs
+        dof_owner = node_owner[indep]
+        owned_dofs = active & (dof_owner == comm.rank)
+        n_owned = int(owned_dofs.sum())
+        offset = comm.exscan(n_owned)
+        n_global = comm.allreduce(n_owned)
+        global_dof = np.full(len(indep), -1, dtype=np.int64)
+        global_dof[owned_dofs] = offset + np.arange(n_owned)
 
-    # handshake: request ids of active dofs owned elsewhere, keyed by the
-    # node coordinate key (globally unique)
-    nkeys = node_keys(mesh.node_coords_int[indep])
-    reqs = []
-    req_idx = []
-    for r in range(comm.size):
-        sel = np.flatnonzero(active & (dof_owner == r) & (r != comm.rank))
-        reqs.append(nkeys[sel])
-        req_idx.append(sel)
-    got = comm.alltoall(reqs)
-    # serve: map requested keys to my dof indices
-    sorter = np.argsort(nkeys)
-    serve_plan = []
-    for r, buf in enumerate(got):
-        if len(buf) == 0:
-            serve_plan.append(np.zeros(0, dtype=np.int64))
-            continue
-        pos = np.searchsorted(nkeys[sorter], buf)
-        idx = sorter[pos]
-        if not np.array_equal(nkeys[idx], buf):
-            raise AssertionError("requested shared dof not found on owner")
-        serve_plan.append(idx)
-    replies = comm.alltoall([global_dof[serve_plan[r]] for r in range(comm.size)])
-    for r, buf in enumerate(replies):
-        if len(buf):
-            if np.any(buf < 0):
-                raise AssertionError("owner returned unnumbered dof")
-            global_dof[req_idx[r]] = buf
+        # handshake: request ids of active dofs owned elsewhere, keyed by the
+        # node coordinate key (globally unique)
+        nkeys = node_keys(mesh.node_coords_int[indep])
+        reqs = []
+        req_idx = []
+        for r in range(comm.size):
+            sel = np.flatnonzero(active & (dof_owner == r) & (r != comm.rank))
+            reqs.append(nkeys[sel])
+            req_idx.append(sel)
+        got = comm.alltoall(reqs)
+        # serve: map requested keys to my dof indices
+        sorter = np.argsort(nkeys)
+        serve_plan = []
+        for r, buf in enumerate(got):
+            if len(buf) == 0:
+                serve_plan.append(np.zeros(0, dtype=np.int64))
+                continue
+            pos = np.searchsorted(nkeys[sorter], buf)
+            idx = sorter[pos]
+            if not np.array_equal(nkeys[idx], buf):
+                raise AssertionError("requested shared dof not found on owner")
+            serve_plan.append(idx)
+        replies = comm.alltoall([global_dof[serve_plan[r]] for r in range(comm.size)])
+        for r, buf in enumerate(replies):
+            if len(buf):
+                if np.any(buf < 0):
+                    raise AssertionError("owner returned unnumbered dof")
+                global_dof[req_idx[r]] = buf
 
     return ParMesh(
         comm=comm,

@@ -150,8 +150,8 @@ class TestRippleIsBounded:
 
 
 def raw_constraints(mesh):
-    coords = mesh.node_coords_int
-    return _find_hanging_constraints(coords, node_keys(coords), mesh.leaves)
+    keys = node_keys(mesh.node_coords_int)
+    return _find_hanging_constraints(keys, mesh.leaves, mesh.element_nodes)
 
 
 def hanging_kinds(mesh) -> set:
