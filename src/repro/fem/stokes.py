@@ -40,7 +40,7 @@ from .assembly import (
 from .hexops import ElementOps
 from .matfree import MatFreeStokesOperator, lumped_scalar_mass
 
-__all__ = ["StokesSystem"]
+__all__ = ["StokesSystem", "velocity_bcs", "poisson_blocks"]
 
 _OPS = ElementOps()
 
@@ -49,6 +49,46 @@ _OPS = ElementOps()
 class _BCInfo:
     dofs: np.ndarray  # constrained velocity dof indices (component-blocked)
     per_component: list[np.ndarray]  # constrained scalar dofs per component
+
+
+def velocity_bcs(mesh: Mesh, bc: str) -> _BCInfo:
+    """The homogeneous velocity Dirichlet conditions of ``mesh`` (cached
+    per mesh): free-slip pins the normal component on its two faces,
+    no-slip pins every component on the whole boundary.  The one rule
+    behind the saddle operator and both multigrid preconditioners."""
+
+    def build():
+        n = mesh.n_independent
+        per_component = []
+        for a in range(3):
+            if bc == "free_slip":
+                nodes = mesh.boundary_node_mask(axis=a, side=0) | mesh.boundary_node_mask(
+                    axis=a, side=1
+                )
+            elif bc == "no_slip":
+                nodes = mesh.boundary_node_mask()
+            else:
+                raise ValueError(f"unknown bc {bc!r}")
+            dofs = mesh.dof_of_node[np.flatnonzero(nodes)]
+            per_component.append(np.unique(dofs[dofs >= 0]))
+        dofs = np.concatenate([a * n + d for a, d in enumerate(per_component)])
+        return _BCInfo(dofs=dofs, per_component=per_component)
+
+    return operator_cache(mesh).get(("stokes_bcs", bc), build)
+
+
+def poisson_blocks(mesh: Mesh, viscosity: np.ndarray, bc: str) -> list[sp.csr_matrix]:
+    """The scalar variable-viscosity Poisson operator ``Atilde``, one
+    copy per velocity component with that component's Dirichlet rows
+    (Section III: for constant viscosity and Dirichlet BCs, ``A`` and
+    ``Atilde`` are equivalent).  One assembly serves all three; both
+    multigrid preconditioners build on it — AMG on the fine mesh, GMG on
+    every mesh of its hierarchy."""
+    K = assemble_scalar(mesh, _OPS.stiffness(mesh.element_sizes(), viscosity))
+    return [
+        apply_dirichlet(K, None, dofs)[0]
+        for dofs in velocity_bcs(mesh, bc).per_component
+    ]
 
 
 class StokesSystem:
@@ -107,7 +147,7 @@ class StokesSystem:
 
         # velocity boundary conditions
         self.bc_kind = bc
-        self.bc = cache.get(("stokes_bcs", bc), lambda: self._build_bcs(bc))
+        self.bc = velocity_bcs(mesh, bc)
         # Dirichlet values are homogeneous, so eliminating them from the
         # rhs is just zeroing the constrained entries; the operator-side
         # elimination is folded into the matfree gather
@@ -163,28 +203,6 @@ class StokesSystem:
         col_mask[self.bc.dofs] = 0.0
         return B @ sp.diags(col_mask)
 
-    # -- boundary conditions ----------------------------------------------------
-
-    def _build_bcs(self, bc: str) -> _BCInfo:
-        mesh = self.mesh
-        per_component: list[np.ndarray] = []
-        all_dofs: list[np.ndarray] = []
-        n = mesh.n_independent
-        for a in range(3):
-            if bc == "free_slip":
-                nodes = mesh.boundary_node_mask(axis=a, side=0) | mesh.boundary_node_mask(
-                    axis=a, side=1
-                )
-            elif bc == "no_slip":
-                nodes = mesh.boundary_node_mask()
-            else:
-                raise ValueError(f"unknown bc {bc!r}")
-            dofs = mesh.dof_of_node[np.flatnonzero(nodes)]
-            dofs = np.unique(dofs[dofs >= 0])
-            per_component.append(dofs)
-            all_dofs.append(a * n + dofs)
-        return _BCInfo(dofs=np.concatenate(all_dofs), per_component=per_component)
-
     # -- saddle operator -----------------------------------------------------------
 
     @property
@@ -211,17 +229,9 @@ class StokesSystem:
     # -- preconditioner ingredients ----------------------------------------------
 
     def poisson_blocks(self) -> list[sp.csr_matrix]:
-        """The scalar variable-viscosity Poisson operator ``Atilde``, one
-        copy per velocity component with that component's Dirichlet rows
-        (Section III: for constant viscosity and Dirichlet BCs, ``A`` and
-        ``Atilde`` are equivalent)."""
-        sizes = self.mesh.element_sizes()
-        K = assemble_scalar(self.mesh, _OPS.stiffness(sizes, self.viscosity))
-        blocks = []
-        for a in range(3):
-            Ka, _ = apply_dirichlet(K, None, self.bc.per_component[a])
-            blocks.append(Ka)
-        return blocks
+        """:func:`poisson_blocks` of this system's mesh, viscosity and
+        boundary conditions."""
+        return poisson_blocks(self.mesh, self.viscosity, self.bc_kind)
 
     def schur_diagonal(self) -> np.ndarray:
         """``Stilde``: inverse-viscosity-weighted lumped pressure mass."""

@@ -101,8 +101,8 @@ class RheaConfig:
     prec_lag_rtol: float = 0.3
     #: viscous-block preconditioner: ``"amg"`` (assembled smoothed-
     #: aggregation hierarchy, the paper's BoomerAMG analogue) or
-    #: ``"gmg"`` (matrix-free geometric multigrid on the octree
-    #: coarsening hierarchy — zero sparse assembly; see SOLVERS.md)
+    #: ``"gmg"`` (geometric multigrid on the octree coarsening hierarchy,
+    #: level operators rediscretised per level; see SOLVERS.md)
     stokes_preconditioner: str = "amg"
 
     def __post_init__(self):

@@ -1,5 +1,5 @@
 """Linear and time-stepping solvers: MINRES, smoothed-aggregation AMG,
-matrix-free geometric multigrid on the forest hierarchy, the
+geometric multigrid on the forest hierarchy, the
 block-diagonal Stokes preconditioners, and explicit integrators.
 
 See SOLVERS.md at the repository root for the full Stokes solve path
@@ -20,7 +20,7 @@ from .gmg import (
     GeometricMultigrid,
     GMGStokesPreconditioner,
     GridHierarchy,
-    MatFreeScalarPoisson,
+    StackedPoissonLevel,
     coarse_viscosities,
     mesh_hierarchy,
     prolongation,
@@ -38,7 +38,7 @@ __all__ = [
     "GMGStokesPreconditioner",
     "GeometricMultigrid",
     "GridHierarchy",
-    "MatFreeScalarPoisson",
+    "StackedPoissonLevel",
     "ChebyshevSmoother",
     "mesh_hierarchy",
     "coarse_viscosities",

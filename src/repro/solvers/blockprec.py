@@ -6,7 +6,7 @@
 scalar variable-viscosity Poisson operator (the vector-Laplacian
 approximation of the viscous block) — either algebraic
 (:class:`StokesBlockPreconditioner`, the paper's BoomerAMG analogue) or
-matrix-free geometric on the forest hierarchy
+geometric on the forest hierarchy, the three components in one cycle
 (:class:`repro.solvers.gmg.GMGStokesPreconditioner`).  ``Stilde``: the
 inverse of the inverse-viscosity-weighted lumped pressure mass
 (diagonal, spectrally equivalent to the Schur complement
@@ -30,9 +30,7 @@ from .. import obs
 from .amg import SmoothedAggregationAMG
 from .gmg import GMGStokesPreconditioner
 
-if TYPE_CHECKING:  # import is type-only: fem.stokes imports solvers-adjacent
-    # modules through mangll, and a runtime import here would close that
-    # cycle during package initialization
+if TYPE_CHECKING:
     from ..fem.stokes import StokesSystem
 
 __all__ = ["StokesBlockPreconditioner", "LaggedStokesPreconditioner"]
@@ -112,10 +110,10 @@ class LaggedStokesPreconditioner:
     viscosity-dependent), so only the expensive hierarchy setup is
     lagged.  ``rtol = 0`` reuses the hierarchy only for a
     bitwise-unchanged viscosity, which leaves solver results bitwise
-    identical to rebuild-every-pass.  A GMG rebuild is cheap either way —
-    the mesh-derived structure is cached per mesh, so rebuilding on the
-    same mesh only re-weights coefficients — but lagging still skips the
-    smoother-bound re-estimates and coarse factorizations.
+    identical to rebuild-every-pass.  A GMG rebuild on an unchanged mesh
+    keeps the preconditioner object, its hierarchy and its transfers and
+    redoes only what the viscosity enters (level matrices, smoother
+    bounds, the coarse factorization); lagging skips those too.
     """
 
     def __init__(
@@ -156,13 +154,12 @@ class LaggedStokesPreconditioner:
         when the mesh is unchanged and the viscosity drift is within
         ``rtol``."""
         eta = stokes.viscosity
-        reusable = (
+        same_grid = (
             self._prec is not None
             and self._mesh is stokes.mesh
             and self._bc_kind == stokes.bc_kind
-            and self.drift(eta) <= self.rtol
         )
-        if reusable:
+        if same_grid and self.drift(eta) <= self.rtol:
             self.n_reuses += 1
             obs.counter("prec_reuses")
             if self._frozen_token is not None:
@@ -177,7 +174,12 @@ class LaggedStokesPreconditioner:
         else:
             self.n_builds += 1
             obs.counter("prec_builds")
-            if self.kind == "gmg":
+            if self.kind == "gmg" and same_grid:
+                # hierarchy and transfers do not depend on the viscosity
+                with obs.phase("prec_setup"):
+                    self._prec.update_viscosity(eta)
+                    self._prec.refresh_schur(stokes)
+            elif self.kind == "gmg":
                 self._prec = GMGStokesPreconditioner(stokes, **self.prec_opts)
             else:
                 self._prec = StokesBlockPreconditioner(

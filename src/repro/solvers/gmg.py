@@ -1,23 +1,29 @@
-"""Matrix-free geometric multigrid on the forest refinement hierarchy.
+"""Geometric multigrid on the forest refinement hierarchy.
 
-The AMG path (:mod:`repro.solvers.amg`) preconditions each velocity
-component with an algebraic V-cycle, which forces *sparse assembly* of
-the scalar Poisson blocks — the last assembly dependence left after the
-tensor apply engine (:mod:`repro.fem.matfree`) made the operator itself
-matrix-free, and the dominant cold-setup cost under AMR.  This module
-removes it: the octree the mesh was extracted from *is* a grid
-hierarchy, so coarse levels come from coarsening the forest itself
-(complete 8-sibling families, re-balanced 2:1), restriction and
-prolongation are exact trilinear embeddings between the nested FE
-spaces, smoothing is Chebyshev built from the exact matrix-free operator
-diagonal, and only the coarsest level (a few dozen dofs) keeps a dense
-solve — itself built by applying the matrix-free operator to the
-identity.  No sparse operator is assembled at any level.
+The octree the mesh was extracted from *is* a grid hierarchy, so coarse
+levels come from coarsening the forest itself (complete 8-sibling
+families, re-balanced 2:1), restriction and prolongation are exact
+trilinear embeddings between the nested FE spaces, and every level
+operator is the *rediscretised* scalar Poisson operator of that level's
+mesh with the volume-averaged viscosity — the same
+:func:`repro.fem.stokes.poisson_blocks` the AMG path assembles on the
+fine mesh, here once per level.  The three velocity components are one
+problem: level operator, masked transfers and Chebyshev coefficients are
+block-diagonal over the stacked ``(3n,)`` velocity vector MINRES hands
+over, so a preconditioner apply is one V-cycle of plain CSR mat-vecs.
+The coarsest level (a few dozen dofs per component) is a dense solve.
 
-Grounding: Clevenger & Heister's AMG-vs-matrix-free-GMG comparison on
-adaptive variable-viscosity Stokes, and Burkhart et al.'s matrix-free
-high-contrast Stokes (PAPERS.md).  Design notes in DESIGN.md section 4i;
-usage and tuning in SOLVERS.md.
+Why assembled: at trilinear order in NumPy the CSR mat-vec beats the
+sum-factorised apply on every level (80 / 16 / 6 / 4 us against
+231 / 53 / 24 / 19 us on the 6 345 / 1 160 / 333 / 134-dof levels of the
+benchmark's mesh), a V-cycle hierarchy serves ~2 000 applies per build,
+and assembly pays for itself after ~135.  The matrix-free operator this
+module used to carry is the oracle ``tests/oracles/gmg_levels.py``.
+
+Grounding: the paper's own assembled per-component V-cycle (Sec. III,
+VII), Clevenger & Heister's AMG-vs-GMG comparison on adaptive
+variable-viscosity Stokes (PAPERS.md).  Design notes in DESIGN.md section
+4i; usage and tuning in SOLVERS.md.
 
 Key facts the construction relies on:
 
@@ -29,17 +35,13 @@ Key facts the construction relies on:
 - Independent (non-hanging) nodes of the coarse mesh are independent
   nodes of the fine mesh, so ``P`` restricted to coincident nodes is the
   identity (the round-trip invariant pinned by the tests).
-- The constrained operator diagonal ``diag(D Z^T K Z D + (I - D))`` has
-  a closed per-element form: grouping the gather entries by (element,
-  dof) yields dense 8-vectors ``z`` with contribution
-  ``sum_b c_b z^T K_b z``, where ``K_b = G8[b]^T G8[b]`` is
-  viscosity-independent — so the structure is cached per mesh and a
-  Picard viscosity update re-weights it in O(ne).
 
-All mesh-derived structure (hierarchy, gathers, transfers, diagonal
-factors) lives in :func:`repro.mesh.opcache.operator_cache`, giving the
-same structural invalidation under AMR and the same ``REPRO_SANITIZE=1``
-freeze/verify guards as the rest of the operator stack.
+Viscosity-independent structure (hierarchy, prolongations, masked
+stacked transfers) lives in :func:`repro.mesh.opcache.operator_cache`,
+giving the same structural invalidation under AMR and the same
+``REPRO_SANITIZE=1`` freeze/verify guards as the rest of the operator
+stack; a viscosity update re-assembles the level matrices and nothing
+else.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .. import obs
+from ..fem.stokes import poisson_blocks, velocity_bcs
 from ..mesh.opcache import operator_cache
 from ..octree import ROOT_LEN, balance
 
-if TYPE_CHECKING:  # type-only: repro.fem imports this package through mangll
+if TYPE_CHECKING:
     from ..fem.stokes import StokesSystem
     from ..mesh import Mesh
 
@@ -63,26 +66,13 @@ __all__ = [
     "mesh_hierarchy",
     "coarse_viscosities",
     "prolongation",
-    "component_bc_dofs",
-    "MatFreeScalarPoisson",
+    "masked_transfers",
+    "StackedPoissonLevel",
     "ChebyshevSmoother",
     "GMGLevel",
     "GeometricMultigrid",
     "GMGStokesPreconditioner",
 ]
-
-
-def _matfree():
-    """The :mod:`repro.fem.matfree` module, imported lazily.
-
-    ``repro.fem`` reaches this package through ``mangll.dg`` during
-    initialization, so a module-level import here would close an import
-    cycle; deferring to first use (always after both packages finished
-    importing) breaks it.
-    """
-    from ..fem import matfree
-
-    return matfree
 
 
 # -- forest-derived grid hierarchy ----------------------------------------------
@@ -203,132 +193,84 @@ def prolongation(mesh_f: Mesh, mesh_c: Mesh) -> sp.csr_matrix:
     return operator_cache(mesh_f).get("gmg_prolong", build)
 
 
-def component_bc_dofs(mesh: Mesh, bc_kind: str, axis: int) -> np.ndarray:
-    """Dirichlet-constrained scalar dofs of velocity component ``axis``
-    (same rule as ``StokesSystem``: free-slip pins the normal component
-    on its two faces, no-slip pins everything on the whole boundary)."""
-    if bc_kind == "free_slip":
-        nodes = mesh.boundary_node_mask(axis=axis, side=0) | mesh.boundary_node_mask(
-            axis=axis, side=1
-        )
-    elif bc_kind == "no_slip":
-        nodes = mesh.boundary_node_mask()
-    else:
-        raise ValueError(f"unknown bc {bc_kind!r}")
-    dofs = mesh.dof_of_node[np.flatnonzero(nodes)]
-    return np.unique(dofs[dofs >= 0])
+def _block_diag_csr(blocks: list) -> sp.csr_matrix:
+    """Equal-shaped CSR ``blocks`` on one block diagonal, by
+    concatenating their arrays (``sp.block_diag`` goes through COO:
+    twice the transient memory on the largest matrices of a build)."""
+    nr, nc = blocks[0].shape
+    nnz = np.cumsum([0] + [b.nnz for b in blocks]).tolist()  # ints: keep int32
+    indptr = np.concatenate(
+        [blocks[0].indptr[:1]] + [b.indptr[1:] + off for b, off in zip(blocks, nnz)]
+    )
+    indices = np.concatenate([b.indices + a * nc for a, b in enumerate(blocks)])
+    data = np.concatenate([b.data for b in blocks])
+    k = len(blocks)
+    return sp.csr_matrix((data, indices, indptr), shape=(k * nr, k * nc))
 
 
-# -- matrix-free scalar Poisson level operator ----------------------------------
+def masked_transfers(mesh_f: Mesh, mesh_c: Mesh, bc_kind: str) -> tuple:
+    """The transfer pair of the stacked velocity vector between two
+    neighbouring levels: ``P`` is :func:`prolongation` once per component
+    on the block diagonal, ``(3 n_fine, 3 n_coarse)``, with each
+    component's Dirichlet rows and columns zeroed, and ``R`` its
+    transpose stored as CSR (not re-derived per V-cycle).  Independent
+    of the viscosity, so cached on the fine mesh per ``bc_kind``."""
+
+    def free(mesh):
+        mask = np.ones(3 * mesh.n_independent, dtype=np.float64)
+        mask[velocity_bcs(mesh, bc_kind).dofs] = 0.0
+        return sp.diags(mask)
+
+    def build():
+        P3 = _block_diag_csr([prolongation(mesh_f, mesh_c)] * 3)
+        P = sp.csr_matrix(free(mesh_f) @ P3 @ free(mesh_c))
+        P.eliminate_zeros()
+        return P, sp.csr_matrix(P.T)
+
+    return operator_cache(mesh_f).get(("gmg_transfers", bc_kind), build)
 
 
-class MatFreeScalarPoisson:
-    """Sum-factorized apply of one Dirichlet-masked variable-viscosity
-    scalar Poisson block ``D Z^T K(eta) Z D + (I - D)`` — the per-level,
-    per-component smoothing operator of the GMG hierarchy.
+# -- assembled level operator ---------------------------------------------------
 
-    Equivalent (to rounding) to
-    ``apply_dirichlet(assemble_scalar(stiffness(eta)), bc_dofs)`` but
-    never assembles: the element kernel is the reduced-grid gradient
-    chain of :mod:`repro.fem.matfree` behind the constraint-folding
-    gather, the Dirichlet mask ``D`` is applied as vector operations
-    around the unconstrained apply, and identity rows are restored
-    explicitly.  Because the mask stays outside, the gather and the
-    diagonal structure are component-independent — cached once per mesh
-    and shared by all three velocity components (a 3x setup saving).
-    A viscosity update only re-weights per-element coefficients.
+
+class StackedPoissonLevel:
+    """The smoothing operator of one hierarchy level: the three
+    Dirichlet-masked variable-viscosity scalar Poisson blocks
+    ``D_a Z^T K(eta) Z D_a + (I - D_a)`` of
+    :func:`repro.fem.stokes.poisson_blocks`, rediscretised on this
+    level's mesh, as one block-diagonal CSR matrix ``A`` over the stacked
+    ``(3n,)`` velocity vector.  One ``assemble_scalar`` per build; the
+    unmasked stiffness is dropped as soon as the masked blocks exist.
     """
 
-    def __init__(self, mesh: Mesh, viscosity: np.ndarray, bc_dofs: np.ndarray):
-        mf = _matfree()
+    def __init__(self, mesh: Mesh, viscosity: np.ndarray, bc_kind: str):
         self.mesh = mesh
-        self.n = mesh.n_independent
-        cache = operator_cache(mesh)
-
-        def build_gather():
-            G = sp.csr_matrix(mesh.Z[mesh.element_nodes.T.ravel()])
-            G.eliminate_zeros()
-            return mf._Gather(G, np.ones(self.n, dtype=np.float64))
-
-        self.g = cache.get("gmg_gather", build_gather)
-        self.mask = np.ones(self.n, dtype=np.float64)
-        self.mask[bc_dofs] = 0.0
-        self.imask = 1.0 - self.mask
-        w, ih, _ = mf._geometry(mesh)
-        self._w = w
-        self._ihT = np.ascontiguousarray(ih.T)  # (3, ne)
+        self.bc_kind = bc_kind
+        self.n = 3 * mesh.n_independent
         self.update_viscosity(viscosity)
 
     def update_viscosity(self, viscosity: np.ndarray) -> None:
-        """Rebind the per-element coefficients ``c_b = w eta / h_b^2``
-        (all a Picard viscosity update costs at any level)."""
+        """Re-assemble for a new per-element viscosity of this level."""
         eta = np.asarray(viscosity, dtype=np.float64)
         if eta.shape != (self.mesh.n_elements,):
             raise ValueError("viscosity must be per-element")
-        self.cb = (self._w * eta)[None, :] * self._ihT**2  # (3, ne)
-        self._diag = None
+        self.A = _block_diag_csr(poisson_blocks(self.mesh, eta, self.bc_kind))
+        self._diag = self.A.diagonal()
+        if np.any(self._diag <= 0):
+            raise AssertionError("non-positive operator diagonal")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``(D Z^T K Z D + I - D) x`` for ``x`` of shape ``(n,)`` or
-        ``(n, k)`` (multi-column applies build the coarse dense solve)."""
-        mf = _matfree()
-        ne = self.mesh.n_elements
-        k = 1 if x.ndim == 1 else x.shape[1]
-        xm = self.mask * x if x.ndim == 1 else self.mask[:, None] * x
-        # rows of G are i*ne + e, so (8 ne, k) -> (8, ne k) is a free
-        # reshape onto the merged element-column axis m = e*k + j
-        Xe = (self.g.G @ xm).reshape(8, ne * k)
-        cb = self.cb if k == 1 else np.repeat(self.cb, k, axis=1)
-        gs = mf._FWD_RED_T @ Xe  # (12, m): reduced-grid reference gradients
-        gs.reshape(3, 4, -1)[...] *= cb[:, None, :]
-        out_e = mf._BWD_RED_T @ gs  # (8, m)
-        if x.ndim == 1:
-            out = self.mask * (self.g.GT @ out_e.ravel())
-            out += self.imask * x
-        else:
-            out = self.mask[:, None] * (self.g.GT @ out_e.reshape(8 * ne, k))
-            out += self.imask[:, None] * x
-        return out
-
-    def _diag_structure(self):
-        """Viscosity- and component-independent diagonal factors, cached
-        per mesh: gather entries grouped by (element, dof) give dense
-        8-vectors ``z_g``; ``t[b, g] = z_g^T K_b z_g`` with
-        ``K_b = G8[b]^T G8[b]``."""
-        mf = _matfree()
-
-        def build():
-            coo = self.g.G.tocoo()
-            ne = self.mesh.n_elements
-            i = coo.row // ne
-            e = coo.row % ne
-            key = e.astype(np.int64) * self.n + coo.col.astype(np.int64)
-            uk, gid = np.unique(key, return_inverse=True)
-            Zd = np.zeros((len(uk), 8), dtype=np.float64)
-            Zd[gid, i] = coo.data
-            ge = (uk // self.n).astype(np.int64)
-            gd = (uk % self.n).astype(np.int64)
-            Kb = np.stack([mf.G8[b].T @ mf.G8[b] for b in range(3)])
-            t = np.stack(
-                [((Zd @ Kb[b]) * Zd).sum(axis=1) for b in range(3)]
-            )
-            return ge, gd, t
-
-        return operator_cache(self.mesh).get("gmg_diag_struct", build)
+        """``A x`` for a stacked ``(3n,)`` vector."""
+        return self.A @ x
 
     def diagonal(self) -> np.ndarray:
-        """The exact diagonal of the constrained masked operator
-        (1 on Dirichlet rows), assembled from the cached structure —
-        no sparse matrix at any point."""
-        if self._diag is None:
-            ge, gd, t = self._diag_structure()
-            wsum = (self.cb[:, ge] * t).sum(axis=0)
-            d = np.bincount(gd, weights=wsum, minlength=self.n)
-            d = self.mask * d + self.imask  # identity rows of the mask
-            if np.any(d <= 0):
-                raise AssertionError("non-positive operator diagonal")
-            self._diag = d
+        """The diagonal of ``A`` (1 on Dirichlet rows)."""
         return self._diag
+
+
+# the benchmark's traced pass binds the level apply under this name
+# (bench/layers.py); the next [benchmark] PR repoints it and deletes this
+MatFreeScalarPoisson = StackedPoissonLevel
 
 
 # -- Chebyshev smoother ---------------------------------------------------------
@@ -337,19 +279,22 @@ class MatFreeScalarPoisson:
 class ChebyshevSmoother:
     """Degree-``degree`` Chebyshev smoother on the Jacobi-preconditioned
     operator ``D^{-1} A``, targeting the upper spectrum
-    ``[lmax/lmin_ratio, lmax]``.
+    ``[lmax/lmin_ratio, lmax]`` of each velocity component.
 
     As an operator the zero-initial-guess application is a polynomial
     ``p(D^{-1}A) D^{-1}`` — symmetric w.r.t. the Euclidean inner product
     because ``D`` and ``A`` are — which is what makes the V-cycle below a
-    valid SPD MINRES preconditioner block.  ``lmax`` is a deterministic
-    power-iteration estimate inflated by ``lmax_scale`` (the standard
-    safety margin against underestimation).
+    valid SPD MINRES preconditioner block.  ``lmax`` (one value per
+    component: the blocks of ``A`` differ by their Dirichlet rows) is a
+    deterministic power-iteration estimate inflated by ``lmax_scale``
+    (the standard safety margin against underestimation).  The
+    recurrence scalars depend only on ``lmin_ratio``, so the three
+    components share them and only the two Jacobi scalings are per-dof.
     """
 
     def __init__(
         self,
-        op: MatFreeScalarPoisson,
+        op: StackedPoissonLevel,
         degree: int = 3,
         lmax_scale: float = 1.1,
         lmin_ratio: float = 8.0,
@@ -361,40 +306,42 @@ class ChebyshevSmoother:
         self.lmax_scale = float(lmax_scale)
         self.lmin_ratio = float(lmin_ratio)
         self.dinv = 1.0 / op.diagonal()
-        lam = self._estimate_lmax(power_iters, seed)
-        self.lmax = lmax_scale * lam
+        self.lmax = lmax_scale * self._estimate_lmax(power_iters, seed)
         self.lmin = self.lmax / lmin_ratio
+        theta = 0.5 * (self.lmax + self.lmin)
+        delta = 0.5 * (self.lmax - self.lmin)
+        self._sigma = (lmin_ratio + 1.0) / (lmin_ratio - 1.0)  # theta / delta
+        n = op.n // 3
+        self._first = self.dinv / np.repeat(theta, n)
+        self._step = 2.0 * self.dinv / np.repeat(delta, n)
 
-    def _estimate_lmax(self, iters: int, seed: int) -> float:
-        """Power iteration on ``D^{-1} A`` (fixed seed: deterministic)."""
+    def _estimate_lmax(self, iters: int, seed: int) -> np.ndarray:
+        """Power iteration on ``D^{-1} A``, normalised per component so
+        each block converges to its own largest eigenvalue (fixed seed:
+        deterministic)."""
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(self.op.n)
-        x /= np.linalg.norm(x)
-        lam = 1.0
+        x = np.tile(rng.standard_normal(self.op.n // 3), (3, 1))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        lam = np.ones(3)
         for _ in range(iters):  # lint: allow-loop (power iteration)
-            y = self.dinv * self.op.apply(x)
-            ny = np.linalg.norm(y)
-            if ny == 0:
-                return 1.0
-            lam = ny
-            x = y / ny
-        return float(lam)
+            y = (self.dinv * self.op.apply(x.ravel())).reshape(3, -1)
+            lam = np.linalg.norm(y, axis=1)
+            x = y / lam[:, None]
+        return lam
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """One zero-initial-guess smoothing application ``x = S b``
-        (the three-term Chebyshev recurrence, ``degree`` operator
+        (the three-term Chebyshev recurrence, ``degree - 1`` operator
         applies)."""
-        theta = 0.5 * (self.lmax + self.lmin)
-        delta = 0.5 * (self.lmax - self.lmin)
-        sigma = theta / delta
+        sigma = self._sigma
         rho_old = 1.0 / sigma
-        d = (self.dinv * b) / theta
+        d = self._first * b
         x = d
         r = b
         for _ in range(self.degree - 1):  # lint: allow-loop (poly degree)
             r = r - self.op.apply(d)
             rho = 1.0 / (2.0 * sigma - rho_old)
-            d = (rho * rho_old) * d + (2.0 * rho / delta) * (self.dinv * r)
+            d = (rho * rho_old) * d + rho * (self._step * r)
             x = x + d
             rho_old = rho
         return x
@@ -405,36 +352,41 @@ class ChebyshevSmoother:
 
 @dataclass
 class GMGLevel:
-    """One grid level of a component hierarchy: the matrix-free operator,
-    its Chebyshev smoother (``None`` on the coarsest level), and the
-    Dirichlet-masked prolongation from this level up to the next finer
-    one with its transpose, the restriction, stored as CSR (both ``None``
-    on the finest level)."""
+    """One grid level: the assembled stacked operator, its Chebyshev
+    smoother (``None`` on the coarsest level), and the
+    :func:`masked_transfers` pair between this level and the next finer
+    one (both ``None`` on the finest level)."""
 
-    op: MatFreeScalarPoisson
+    op: StackedPoissonLevel
     smoother: ChebyshevSmoother | None
     P: sp.csr_matrix | None
     R: sp.csr_matrix | None = None
 
 
 class GeometricMultigrid:
-    """Matrix-free V-cycle over one component's :class:`GMGLevel` stack.
+    """V-cycle over the :class:`GMGLevel` stack, all three velocity
+    components at once.
 
     Cycle structure (pre-smooth, coarse-grid correction, post-smooth with
     the same symmetric smoother ``S``) makes one zero-initial-guess cycle
     the operator ``2S - SAS + (I - SA) C (I - AS)`` — symmetric, and
     positive definite while the smoothed spectrum stays below 2 (the
     Chebyshev safety margin guarantees it) — so it is usable directly as
-    a MINRES preconditioner block, like one AMG V-cycle.
+    a MINRES preconditioner block, like one AMG V-cycle per component.
     """
 
     def __init__(self, levels: list):
         self.levels = levels
-        nc = levels[-1].op.n
-        # dense coarsest solve, built matrix-free by applying the coarse
-        # operator to the identity (pinv tolerates semi-definiteness)
-        Ac = levels[-1].op.apply(np.eye(nc, dtype=np.float64))
-        Ac = 0.5 * (Ac + Ac.T)
+        self.refresh_coarse()
+
+    def refresh_coarse(self) -> None:
+        """Dense coarsest solve, one ``(nc, nc)`` pseudo-inverse per
+        component (pinv tolerates semi-definiteness)."""
+        op = self.levels[-1].op
+        nc = op.n // 3
+        a = np.arange(3)
+        Ac = op.A.toarray().reshape(3, nc, 3, nc)[a, :, a, :]
+        Ac = 0.5 * (Ac + Ac.transpose(0, 2, 1))
         self._coarse_inv = np.linalg.pinv(Ac, hermitian=True)
 
     @property
@@ -443,34 +395,39 @@ class GeometricMultigrid:
         return len(self.levels)
 
     def grid_sizes(self) -> list:
-        """Independent-dof count per level, finest first."""
-        return [lvl.op.n for lvl in self.levels]
+        """Independent-dof count per level and component, finest first."""
+        return [lvl.op.n // 3 for lvl in self.levels]
 
     @property
     def operator_complexity(self) -> float:
-        """Total dofs over all levels / fine dofs — the grid-complexity
-        analogue of AMG's nnz-based operator complexity (there is no nnz
-        to count: nothing is assembled)."""
-        fine = self.levels[0].op.n
-        return sum(lvl.op.n for lvl in self.levels) / max(fine, 1)
+        """Total nonzeros over all level matrices / fine nonzeros (the
+        same measure AMG reports)."""
+        nnz = [lvl.op.A.nnz for lvl in self.levels]
+        return sum(nnz) / max(nnz[0], 1)
 
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         if k == len(self.levels) - 1:
-            return self._coarse_inv @ b
-        lvl = self.levels[k]
+            with obs.phase("stokes/gmg/coarse"):
+                return (self._coarse_inv @ b.reshape(3, -1, 1)).ravel()
+        lvl, coarse = self.levels[k], self.levels[k + 1]
         with obs.phase(f"stokes/gmg/level{k}"):
-            x = lvl.smoother.apply(b)
-            r = b - lvl.op.apply(x)
-        coarse = self.levels[k + 1]
-        xc = self._cycle(k + 1, coarse.R @ r)
+            with obs.phase("smooth"):
+                x = lvl.smoother.apply(b)
+                r = b - lvl.op.apply(x)
+            with obs.phase("transfer"):
+                rc = coarse.R @ r
+        xc = self._cycle(k + 1, rc)
         with obs.phase(f"stokes/gmg/level{k}"):
-            x = x + coarse.P @ xc
-            x = x + lvl.smoother.apply(b - lvl.op.apply(x))
+            with obs.phase("transfer"):
+                x = x + coarse.P @ xc
+            with obs.phase("smooth"):
+                x = x + lvl.smoother.apply(b - lvl.op.apply(x))
         return x
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
-        """One V-cycle with zero initial guess: an SPD approximation of
-        ``A^{-1}`` suitable as a MINRES preconditioner block."""
+        """One V-cycle with zero initial guess on a stacked ``(3n,)``
+        residual: an SPD approximation of ``A^{-1}`` suitable as a MINRES
+        preconditioner block."""
         obs.counter("gmg_vcycles")
         return self._cycle(0, b)
 
@@ -482,16 +439,15 @@ class GMGStokesPreconditioner:
     """Drop-in alternative to
     :class:`repro.solvers.blockprec.StokesBlockPreconditioner`:
     ``P = diag(Atilde, Stilde)`` with ``Atilde`` applied as one geometric
-    multigrid V-cycle per velocity component instead of one AMG V-cycle —
-    zero sparse assembly at any level.
+    multigrid V-cycle over the stacked velocity components instead of
+    three AMG V-cycles.
 
     Setup derives the grid hierarchy from the mesh's own octree
-    (:func:`mesh_hierarchy`, cached per mesh so an unchanged mesh pays
-    only the per-viscosity re-weighting), averages the element viscosity
-    onto each level, and builds per-component Dirichlet-masked operators,
-    Chebyshev smoothers and transfers.  ``Stilde`` is the same
-    inverse-viscosity-weighted lumped pressure mass as the AMG path
-    (computed matrix-free in tensor mode).
+    (:func:`mesh_hierarchy`) and the masked transfers between its levels
+    (:func:`masked_transfers`) — both cached per mesh — averages the
+    element viscosity onto each level, assembles each level's operator
+    and estimates its smoother bounds.  ``Stilde`` is the same
+    inverse-viscosity-weighted lumped pressure mass as the AMG path.
     """
 
     def __init__(
@@ -503,64 +459,43 @@ class GMGStokesPreconditioner:
         lmin_ratio: float = 8.0,
     ):
         self.stokes = stokes
-        mesh = stokes.mesh
-        self.n = mesh.n_independent
+        self.n = stokes.mesh.n_independent
+        bc = stokes.bc_kind
         with obs.phase("prec_setup"):
             with obs.phase("gmg_setup"):
-                hier = mesh_hierarchy(mesh, max_coarse=max_coarse)
-                etas = coarse_viscosities(hier, stokes.viscosity)
-                prolongs = [
-                    prolongation(hier.meshes[i], hier.meshes[i + 1])
-                    for i in range(len(hier.meshes) - 1)
+                hier = mesh_hierarchy(stokes.mesh, max_coarse=max_coarse)
+                meshes = hier.meshes
+                transfers = [(None, None)] + [
+                    masked_transfers(f, c, bc) for f, c in zip(meshes, meshes[1:])
                 ]
-                self.hierarchy = hier
-                self.gmg = [
-                    self._component_cycle(
-                        hier, etas, prolongs, stokes.bc_kind, a,
-                        degree, lmax_scale, lmin_ratio,
+                levels = []
+                for m, eta, (P, R) in zip(  # lint: allow-loop (level count)
+                    meshes, coarse_viscosities(hier, stokes.viscosity), transfers
+                ):
+                    op = StackedPoissonLevel(m, eta, bc)
+                    smoother = (
+                        None
+                        if m is meshes[-1]
+                        else ChebyshevSmoother(
+                            op, degree=degree, lmax_scale=lmax_scale, lmin_ratio=lmin_ratio
+                        )
                     )
-                    for a in range(3)
-                ]
+                    levels.append(GMGLevel(op=op, smoother=smoother, P=P, R=R))
+                self.hierarchy = hier
+                self.gmg = GeometricMultigrid(levels)
             self.schur_diag = stokes.schur_diagonal()
         if np.any(self.schur_diag <= 0):
             raise AssertionError("Schur diagonal must be positive")
         self.n_vcycles = 0
 
-    @staticmethod
-    def _component_cycle(hier, etas, prolongs, bc_kind, a, degree, lmax_scale, lmin_ratio):
-        """The :class:`GeometricMultigrid` stack of velocity component
-        ``a``: per-level masked operators + smoothers, and the transfer
-        operators with this component's Dirichlet masks folded in."""
-        levels = []
-        for i, m in enumerate(hier.meshes):  # lint: allow-loop (level count)
-            bc_dofs = component_bc_dofs(m, bc_kind, a)
-            op = MatFreeScalarPoisson(m, etas[i], bc_dofs)
-            smoother = (
-                None
-                if i == len(hier.meshes) - 1
-                else ChebyshevSmoother(
-                    op, degree=degree, lmax_scale=lmax_scale, lmin_ratio=lmin_ratio
-                )
-            )
-            P = R = None
-            if i > 0:
-                fine_mask = levels[i - 1].op.mask
-                P = sp.csr_matrix(
-                    sp.diags(fine_mask) @ prolongs[i - 1] @ sp.diags(op.mask)
-                )
-                P.eliminate_zeros()
-                R = sp.csr_matrix(P.T)  # once here, not per V-cycle level
-            levels.append(GMGLevel(op=op, smoother=smoother, P=P, R=R))
-        return GeometricMultigrid(levels)
-
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """``z = P^{-1} r``: three GMG V-cycles plus a diagonal scaling."""
-        n = self.n
+        """``z = P^{-1} r``: one stacked GMG V-cycle plus a diagonal
+        scaling."""
+        n3 = 3 * self.n
         z = np.empty_like(r)
-        for a in range(3):
-            z[a * n : (a + 1) * n] = self.gmg[a].vcycle(r[a * n : (a + 1) * n])
-            self.n_vcycles += 1
-        z[3 * n :] = r[3 * n :] / self.schur_diag
+        z[:n3] = self.gmg.vcycle(r[:n3])
+        self.n_vcycles += 1
+        z[n3:] = r[n3:] / self.schur_diag
         return z
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -576,14 +511,14 @@ class GMGStokesPreconditioner:
             raise AssertionError("Schur diagonal must be positive")
 
     def update_viscosity(self, viscosity: np.ndarray) -> None:
-        """Re-weight every level for a new fine-grid viscosity without
-        touching any cached structure: per-level averaging, coefficient
-        rebinds, smoother bound re-estimates and the coarse dense solve —
-        all O(dofs), no assembly."""
-        etas = coarse_viscosities(self.hierarchy, np.asarray(viscosity, np.float64))
-        for g in self.gmg:
-            for i, lvl in enumerate(g.levels):  # lint: allow-loop (level count)
-                lvl.op.update_viscosity(etas[i])
+        """Rebuild what depends on the viscosity — per-level averages,
+        level matrices, smoother bounds, the coarse dense solve — and
+        keep the hierarchy and the transfers (the lagged path's rebuild
+        on an unchanged mesh)."""
+        with obs.phase("gmg_setup"):
+            etas = coarse_viscosities(self.hierarchy, np.asarray(viscosity, np.float64))
+            for lvl, eta in zip(self.gmg.levels, etas):  # lint: allow-loop (level count)
+                lvl.op.update_viscosity(eta)
                 if lvl.smoother is not None:
                     s = lvl.smoother
                     lvl.smoother = ChebyshevSmoother(
@@ -592,29 +527,25 @@ class GMGStokesPreconditioner:
                         lmax_scale=s.lmax_scale,
                         lmin_ratio=s.lmin_ratio,
                     )
-            nc = g.levels[-1].op.n
-            Ac = g.levels[-1].op.apply(np.eye(nc, dtype=np.float64))
-            Ac = 0.5 * (Ac + Ac.T)
-            g._coarse_inv = np.linalg.pinv(Ac, hermitian=True)
+            self.gmg.refresh_coarse()
 
     @property
     def operator_complexity(self) -> float:
-        """Mean grid complexity over the three component hierarchies."""
-        return float(np.mean([g.operator_complexity for g in self.gmg]))
+        """Operator complexity of the level-matrix hierarchy."""
+        return self.gmg.operator_complexity
 
     def grid_sizes(self) -> list:
-        """Independent-dof count per level of component 0 (the three
-        components share the hierarchy; only Dirichlet masks differ)."""
-        return self.gmg[0].grid_sizes()
+        """Independent-dof count per level (per velocity component)."""
+        return self.gmg.grid_sizes()
 
     def frozen_state(self) -> list:
         """Arrays fingerprinted by the lagged-preconditioner sanitizer:
-        per-level coefficients, diagonals and transfers, plus the coarse
-        dense inverses — in-place mutation of any of these would break
-        the lagging premise silently."""
-        out = []
-        for g in self.gmg:
-            for lvl in g.levels:
-                out.append([lvl.op.cb, lvl.op.diagonal(), lvl.P, lvl.R])
-            out.append(g._coarse_inv)
+        per-level matrices, smoother scalings and transfers, plus the
+        coarse dense inverses — in-place mutation of any of these would
+        break the lagging premise silently."""
+        out = [self.gmg._coarse_inv]
+        for lvl in self.gmg.levels:
+            out.append([lvl.op.A, lvl.P, lvl.R])
+            if lvl.smoother is not None:
+                out.append([lvl.smoother._first, lvl.smoother._step])
         return out

@@ -336,7 +336,7 @@ class TestLaggedPrecGuard:
         st = _stokes(level=2)
         lag = LaggedStokesPreconditioner(rtol=0.5, kind="gmg", max_coarse=30)
         prec = lag.get(st)
-        prec.gmg[0].levels[1].R.data[0] += 1.0
+        prec.gmg.levels[1].R.data[0] += 1.0
         with pytest.raises(CacheMutationError, match="GMG hierarchy"):
             lag.get(st)
 

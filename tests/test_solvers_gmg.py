@@ -1,5 +1,5 @@
-"""Matrix-free geometric multigrid: hierarchy, transfers, smoother,
-V-cycle, and the GMG Stokes block preconditioner.
+"""Geometric multigrid: hierarchy, transfers, assembled level operators,
+smoother, V-cycle, and the GMG Stokes block preconditioner.
 
 The load-bearing invariants pinned here:
 
@@ -8,11 +8,13 @@ The load-bearing invariants pinned here:
   viscosity averaging exactly),
 - trilinear prolongation is the exact subspace embedding (identity at
   coincident nodes, exact on globally linear fields),
-- the matrix-free level operator and its closed-form diagonal match the
-  assembled Dirichlet-constrained scalar Poisson operator,
+- every assembled level matrix and its diagonal match the matrix-free
+  apply and closed-form diagonal of ``tests/oracles/gmg_levels.py``, and
+  the stacked V-cycle matches that oracle's three per-component cycles,
 - one V-cycle is an SPD operator (so MINRES accepts it),
 - the full preconditioner solves Stokes to the same answer as the AMG
-  path with a comparable iteration count and *zero* sparse assembly, and
+  path with a comparable iteration count, a mesh-independent one on
+  uniform refinement, and exactly one assembly per level per build, and
 - the whole solve is bitwise identical across rank counts and SPMD
   backends under ``REPRO_SANITIZE=1``.
 """
@@ -22,30 +24,24 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.fem import (
-    ElementOps,
-    StokesSystem,
-    apply_dirichlet,
-    assemble_scalar,
-    assembly_counts,
-    reset_assembly_counts,
-)
+from repro.fem import StokesSystem, assembly_counts, reset_assembly_counts
+from repro.fem.stokes import velocity_bcs
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
+from repro.octree import ROOT_LEN, LinearOctree, balance
 from repro.solvers import (
     ChebyshevSmoother,
     GMGStokesPreconditioner,
     LaggedStokesPreconditioner,
-    MatFreeScalarPoisson,
+    StackedPoissonLevel,
     StokesBlockPreconditioner,
     coarse_viscosities,
     mesh_hierarchy,
     minres,
     prolongation,
 )
-from repro.solvers.gmg import component_bc_dofs
+from repro.solvers.gmg import masked_transfers
 
-OPS = ElementOps()
+from .oracles.gmg_levels import MatFreeScalarPoisson, loop_vcycle
 
 
 def _mesh(level=2, frac=0.25, seed=0):
@@ -69,11 +65,14 @@ def _problem(mesh, contrast=1e4):
     return eta, bf
 
 
-def _assembled_block(mesh, eta, bc_kind, axis):
-    """Reference: the assembled Dirichlet-constrained Poisson block."""
-    K = assemble_scalar(mesh, OPS.stiffness(mesh.element_sizes(), eta))
-    Ka, _ = apply_dirichlet(K, None, component_bc_dofs(mesh, bc_kind, axis))
-    return Ka
+def _hanging_hierarchy(contrast=1e6):
+    """The mesh levels and per-level viscosities of a hanging-node mesh
+    at high contrast (what every level-operator test runs on)."""
+    mesh = _mesh(level=2, frac=0.25, seed=1)
+    eta, _ = _problem(mesh, contrast=contrast)
+    hier = mesh_hierarchy(mesh, max_coarse=30)
+    assert len(hier.meshes) >= 3 and all(m.hanging.any() for m in hier.meshes[:2])
+    return hier.meshes, coarse_viscosities(hier, eta)
 
 
 class TestHierarchy:
@@ -150,50 +149,60 @@ class TestProlongation:
 
 
 class TestMatFreeOperator:
+    """The assembled level operator against the matrix-free oracle."""
+
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_apply_matches_assembled(self, axis):
-        mesh = _mesh(level=2, frac=0.25, seed=1)
-        eta, _ = _problem(mesh, contrast=1e4)
-        bc_dofs = component_bc_dofs(mesh, "free_slip", axis)
-        op = MatFreeScalarPoisson(mesh, eta, bc_dofs)
-        Ka = _assembled_block(mesh, eta, "free_slip", axis)
-        rng = np.random.default_rng(axis)
-        x = rng.standard_normal(mesh.n_independent)
-        scale = np.max(np.abs(Ka @ x))
-        assert np.max(np.abs(op.apply(x) - Ka @ x)) < 1e-12 * scale
-
-    def test_multicolumn_apply(self):
-        mesh = _mesh(level=1, frac=0.5, seed=2)
-        eta, _ = _problem(mesh)
-        op = MatFreeScalarPoisson(
-            mesh, eta, component_bc_dofs(mesh, "free_slip", 0)
-        )
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((mesh.n_independent, 5))
-        cols = np.stack([op.apply(X[:, j]) for j in range(5)], axis=1)
-        assert np.array_equal(op.apply(X), cols)
+        for bc_kind in ("free_slip", "no_slip"):
+            for m, eta in zip(*_hanging_hierarchy()):
+                op = StackedPoissonLevel(m, eta, bc_kind)
+                ref = MatFreeScalarPoisson(
+                    m, eta, velocity_bcs(m, bc_kind).per_component[axis]
+                )
+                n = m.n_independent
+                x = np.zeros(3 * n)
+                x[axis * n : (axis + 1) * n] = np.random.default_rng(axis).standard_normal(n)
+                y = op.apply(x)
+                want = ref.apply(x[axis * n : (axis + 1) * n])
+                assert np.max(np.abs(y[axis * n : (axis + 1) * n] - want)) < (
+                    1e-12 * np.max(np.abs(want))
+                )
+                # block diagonal: nothing leaks into the other components
+                y[axis * n : (axis + 1) * n] = 0.0
+                assert not y.any()
 
     def test_diagonal_exact(self):
+        for bc_kind in ("free_slip", "no_slip"):
+            for m, eta in zip(*_hanging_hierarchy()):
+                op = StackedPoissonLevel(m, eta, bc_kind)
+                assert np.array_equal(op.diagonal(), op.A.diagonal())
+                ref = np.concatenate(
+                    [
+                        MatFreeScalarPoisson(m, eta, dofs).diagonal()
+                        for dofs in velocity_bcs(m, bc_kind).per_component
+                    ]
+                )
+                assert np.max(np.abs(op.diagonal() - ref)) < 1e-12 * np.max(ref)
+
+    @pytest.mark.parametrize("bc_kind", ["free_slip", "no_slip"])
+    def test_stacked_vcycle_matches_component_loop(self, bc_kind):
         mesh = _mesh(level=2, frac=0.25, seed=1)
-        eta, _ = _problem(mesh, contrast=1e4)
-        for axis in range(3):
-            op = MatFreeScalarPoisson(
-                mesh, eta, component_bc_dofs(mesh, "free_slip", axis)
-            )
-            ref = _assembled_block(mesh, eta, "free_slip", axis).diagonal()
-            assert np.max(np.abs(op.diagonal() - ref)) < 1e-12 * np.max(ref)
+        eta, bf = _problem(mesh, contrast=1e6)
+        st = StokesSystem(mesh, eta, bf, bc=bc_kind)
+        prec = GMGStokesPreconditioner(st, max_coarse=30)
+        assert prec.gmg.n_levels >= 3
+        r = np.random.default_rng(5).standard_normal(3 * mesh.n_independent)
+        z = prec.gmg.vcycle(r)
+        z_ref = loop_vcycle(mesh, eta, bc_kind, r, max_coarse=30)
+        assert np.max(np.abs(z - z_ref)) < 1e-12 * np.max(np.abs(z_ref))
 
     def test_viscosity_update_reweights(self):
         mesh = _mesh(level=1, frac=0.5, seed=2)
         eta, _ = _problem(mesh)
-        op = MatFreeScalarPoisson(
-            mesh, np.ones(mesh.n_elements), component_bc_dofs(mesh, "no_slip", 0)
-        )
+        op = StackedPoissonLevel(mesh, np.ones(mesh.n_elements), "no_slip")
         op.update_viscosity(eta)
-        fresh = MatFreeScalarPoisson(
-            mesh, eta, component_bc_dofs(mesh, "no_slip", 0)
-        )
-        x = np.linspace(-1, 1, mesh.n_independent)
+        fresh = StackedPoissonLevel(mesh, eta, "no_slip")
+        x = np.linspace(-1, 1, op.n)
         assert np.array_equal(op.apply(x), fresh.apply(x))
         assert np.array_equal(op.diagonal(), fresh.diagonal())
 
@@ -202,22 +211,23 @@ class TestChebyshev:
     def test_eigenvalue_bounds(self):
         mesh = _mesh(level=1, frac=0.5, seed=5)
         eta, _ = _problem(mesh, contrast=1e2)
-        op = MatFreeScalarPoisson(
-            mesh, eta, component_bc_dofs(mesh, "free_slip", 0)
-        )
+        op = StackedPoissonLevel(mesh, eta, "free_slip")
         sm = ChebyshevSmoother(op)
-        Ka = _assembled_block(mesh, eta, "free_slip", 0).toarray()
-        lam = np.linalg.eigvals(Ka / op.diagonal()[:, None]).real
-        assert sm.lmax >= 0.95 * lam.max()
-        assert sm.lmax <= 2.0 * lam.max()
-        assert sm.lmin == pytest.approx(sm.lmax / sm.lmin_ratio)
+        n = mesh.n_independent
+        M = (op.A.multiply(1.0 / op.diagonal()[:, None])).toarray()
+        assert sm.lmax.shape == (3,)
+        for a in range(3):
+            blk = slice(a * n, (a + 1) * n)
+            lam = np.linalg.eigvals(M[blk, blk]).real.max()
+            assert 0.95 * lam <= sm.lmax[a] <= 2.0 * lam
+        assert np.allclose(sm.lmin, sm.lmax / sm.lmin_ratio)
+        # free-slip constrains a different face pair per component
+        assert len(set(sm.lmax)) == 3
 
     def test_smoother_reduces_residual(self):
         mesh = _mesh(level=1, frac=0.5, seed=5)
         eta, _ = _problem(mesh)
-        op = MatFreeScalarPoisson(
-            mesh, eta, component_bc_dofs(mesh, "free_slip", 1)
-        )
+        op = StackedPoissonLevel(mesh, eta, "free_slip")
         sm = ChebyshevSmoother(op)
         rng = np.random.default_rng(1)
         b = rng.standard_normal(op.n)
@@ -231,7 +241,7 @@ class TestVcycleSPD:
         eta, bf = _problem(mesh, contrast=1e3)
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
         prec = GMGStokesPreconditioner(st, max_coarse=20)
-        g = prec.gmg[0]
+        g = prec.gmg
         assert g.n_levels >= 2
         n = g.levels[0].op.n
         M = np.stack([g.vcycle(e) for e in np.eye(n)], axis=1)
@@ -241,18 +251,18 @@ class TestVcycleSPD:
         assert w.min() > 0
 
     def test_stored_restriction_matches_per_call_transpose(self):
-        """The cycle restricts through the CSR ``R`` built next to the
-        masked prolongation; the reference below takes ``P.T`` per call,
-        as the cycle did before (summation order may differ)."""
+        """The cycle restricts through the CSR ``R`` stored next to the
+        masked prolongation; the reference below takes ``P.T`` per call
+        (summation order may differ)."""
         mesh = _mesh(level=2, frac=0.3, seed=4)
         eta, bf = _problem(mesh, contrast=1e3)
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
-        g = GMGStokesPreconditioner(st, max_coarse=20).gmg[2]
+        g = GMGStokesPreconditioner(st, max_coarse=20).gmg
         assert g.n_levels >= 3
 
         def cycle_ref(k, b):
             if k == g.n_levels - 1:
-                return g._coarse_inv @ b
+                return (g._coarse_inv @ b.reshape(3, -1, 1)).ravel()
             lvl, P = g.levels[k], g.levels[k + 1].P
             x = lvl.smoother.apply(b)
             x = x + P @ cycle_ref(k + 1, P.T @ (b - lvl.op.apply(x)))
@@ -263,6 +273,23 @@ class TestVcycleSPD:
         b = np.sin(np.arange(g.levels[0].op.n))
         z, z_ref = g.vcycle(b), cycle_ref(0, b)
         assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
+
+    def test_transfers_cached_per_mesh_and_bc(self):
+        mesh = _mesh(level=2, frac=0.3, seed=4)
+        eta, bf = _problem(mesh)
+        hier = mesh_hierarchy(mesh, max_coarse=20)
+        fs = GMGStokesPreconditioner(
+            StokesSystem(mesh, eta, bf, bc="free_slip"), max_coarse=20
+        )
+        again = GMGStokesPreconditioner(
+            StokesSystem(mesh, 2.0 * eta, bf, bc="free_slip"), max_coarse=20
+        )
+        ns = GMGStokesPreconditioner(
+            StokesSystem(mesh, eta, bf, bc="no_slip"), max_coarse=20
+        )
+        assert fs.gmg.levels[1].P is again.gmg.levels[1].P
+        assert fs.gmg.levels[1].R is masked_transfers(*hier.meshes[:2], "free_slip")[1]
+        assert ns.gmg.levels[1].P.nnz < fs.gmg.levels[1].P.nnz
 
 
 class TestStokesPreconditioner:
@@ -281,22 +308,54 @@ class TestStokesPreconditioner:
         assert rel < 1e-6
         assert rg.iterations <= 1.5 * ra.iterations
 
-    def test_zero_assembly_on_solve(self):
-        # the acceptance invariant: the GMG-preconditioned solve performs
-        # no sparse assembly at any level (the tensor-variant StokesSystem
-        # is already matrix-free; AMG setup is what used to assemble)
+    def test_one_assembly_per_level_per_build(self):
+        # a build and a viscosity update each assemble every level
+        # exactly once (one stiffness serves the three components), and
+        # a solve assembles nothing
         mesh = _mesh(level=2, frac=0.25, seed=7)
         eta, bf = _problem(mesh)
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
         reset_assembly_counts()
         prec = GMGStokesPreconditioner(st)
+        per_build = {"scalar": prec.gmg.n_levels, "vector": 0, "divergence": 0}
+        assert prec.gmg.n_levels >= 2
+        assert assembly_counts() == per_build
         res = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-6, maxiter=400)
         assert res.converged
-        assert assembly_counts() == {"scalar": 0, "vector": 0, "divergence": 0}
-        # sanity that the counter is live: the AMG path does assemble
+        assert assembly_counts() == per_build
         reset_assembly_counts()
-        StokesBlockPreconditioner(st)
-        assert assembly_counts()["scalar"] > 0
+        prec.update_viscosity(2.0 * eta)
+        assert assembly_counts() == per_build
+
+    def test_iterations_independent_of_mesh_size(self):
+        """Multigrid is still multigrid: on the isoviscous unit cube the
+        MINRES count does not grow from uniform level 3 to 4, and one
+        graded mesh (three levels of refinement towards the top, 264
+        hanging nodes) stays in the same range.  Pinned as exact counts,
+        so a level operator or transfer that stops matching its mesh
+        fails here instead of costing iterations."""
+
+        def iterations(mesh):
+            _, bf = _problem(mesh)
+            st = StokesSystem(mesh, np.ones(mesh.n_elements), bf, bc="free_slip")
+            prec = GMGStokesPreconditioner(st)
+            assert prec.gmg.n_levels >= 3
+            res = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-6, maxiter=100)
+            assert res.converged
+            return res.iterations
+
+        tree = LinearOctree.uniform(2)
+        for cut in (0.5, 0.75):
+            lv = tree.leaves
+            tree = tree.refine((lv.z + lv.lengths() // 2) / ROOT_LEN > cut)
+            tree = balance(tree, "corner").tree
+        graded = extract_mesh(tree, (1.0, 1.0, 1.0))
+        assert graded.hanging.sum() == 264
+
+        it3 = iterations(_mesh(level=3, frac=0.0))
+        it4 = iterations(_mesh(level=4, frac=0.0))
+        assert (it3, it4, iterations(graded)) == (22, 19, 30)
+        assert it4 <= it3 + 2
 
     def test_update_viscosity_matches_fresh_build(self):
         mesh = _mesh(level=1, frac=0.5, seed=8)
@@ -326,18 +385,25 @@ class TestLaggedGMG:
         mesh = _mesh(level=1, frac=0.5, seed=10)
         eta, bf = _problem(mesh)
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
-        lag = LaggedStokesPreconditioner(rtol=0.5, kind="gmg")
+        lag = LaggedStokesPreconditioner(rtol=0.5, kind="gmg", max_coarse=20)
         p1 = lag.get(st)
         assert isinstance(p1, GMGStokesPreconditioner)
         assert lag.get(st) is p1
         assert (lag.n_builds, lag.n_reuses) == (1, 1)
-        # drift beyond rtol rebuilds
+        # drift beyond rtol rebuilds in place: same mesh, same transfers
         st2 = StokesSystem(mesh, eta * 3.0, bf, bc="free_slip")
-        p2 = lag.get(st2)
-        assert p2 is not p1
+        P1 = p1.gmg.levels[1].P
+        assert lag.get(st2) is p1 and p1.gmg.levels[1].P is P1
+        assert (lag.n_builds, lag.n_reuses) == (2, 1)
+        r = np.linspace(-1, 1, st2.n_dof)
+        fresh = GMGStokesPreconditioner(st2, max_coarse=20)
+        assert np.array_equal(p1.apply(r), fresh.apply(r))
+        # another boundary condition or an invalidate builds a new one
+        p3 = lag.get(StokesSystem(mesh, eta * 3.0, bf, bc="no_slip"))
+        assert p3 is not p1
         lag.invalidate()
-        assert lag.get(st2) is not p2
-        assert lag.n_builds == 3
+        assert lag.get(st2) is not p3
+        assert lag.n_builds == 4
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
