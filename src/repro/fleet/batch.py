@@ -29,17 +29,21 @@ is fingerprint-verified at unpack.
 The shared block preconditioner generalizes ``K(c eta) = c K(eta)``:
 each job's Poisson block is approximated by the Jacobi congruence
 ``K_j ~= T_j K_ref T_j`` with ``T_j = diag(sqrt(diag K_j / diag K_ref))``
-around one AMG hierarchy built on the element-wise geometric-mean
-viscosity, so the per-column correction ``S_j = 1/T_j`` (applied on both
-sides — a congruence, hence SPD and MINRES-valid) absorbs each tenant's
-*local* viscosity deviations, not just its overall scale.  The diagonals
+around one :class:`~repro.solvers.gmg.GeometricMultigrid` built on the
+element-wise geometric-mean viscosity, so the per-column correction
+``S_j = 1/T_j`` (applied on both sides — a congruence, hence SPD and
+MINRES-valid) absorbs each tenant's *local* viscosity deviations, not
+just its overall scale, and one V-cycle over the ``(3n, nb)`` block
+serves every tenant and velocity component at once.  The diagonals
 never need assembly: corner diagonals of a trilinear hex stiffness are
 equal, so ``diag K(eta) ~ Z^T scatter(eta_e g_e)`` up to a constant that
-cancels in the ratio.  The hierarchy is rebuilt at the first Picard pass
-of each cycle — a deterministic schedule, so a preempt/resume at a cycle
-boundary reproduces the uninterrupted run.  (The serial driver's policy —
-a drift-lagged hierarchy on the tenant's own viscosity — is a different
-decision, not a twin of this one; see ROADMAP item 3.)
+cancels in the ratio.  The level matrices are rebuilt at the first
+Picard pass of each cycle — a deterministic schedule, so a
+preempt/resume at a cycle boundary reproduces the uninterrupted run.
+(The serial driver's policy — a drift-lagged hierarchy on the tenant's
+own viscosity, of the kind its ``stokes_preconditioner`` names — is a
+different decision, not a twin of this one; see ROADMAP item 5 and
+SOLVERS.md, "The fleet's shared hierarchy".)
 """
 
 from __future__ import annotations
@@ -54,11 +58,11 @@ from ..fem.advection import AdvectionDiffusion, element_velocity_from_nodal
 from ..fem.assembly import assemble_scalar
 from ..fem.hexops import ElementOps
 from ..fem.matfree import MatFreeStokesOperator, batched_lumped_scalar_mass
-from ..fem.stokes import StokesSystem
+from ..fem.stokes import velocity_bcs
 from ..mesh.opcache import operator_cache
 from ..rhea.convection import THERMAL_BCS, StepDiagnostics
 from ..rhea.viscosity import element_temperature, strain_rate_invariant
-from ..solvers.amg import SmoothedAggregationAMG
+from ..solvers.gmg import GeometricMultigrid
 from ..solvers.minres import BatchedMinresResult, batched_minres
 
 __all__ = ["BatchedMinresResult", "batched_minres", "BatchGroup"]
@@ -91,6 +95,8 @@ class BatchGroup:
     to guarantee this), the same velocity BC and domain, and zero
     internal heating — everything else (Rayleigh number, viscosity law,
     tolerances, Picard budget, step counts) may differ per tenant.
+    ``RheaConfig.stokes_preconditioner`` is the serial driver's field and
+    is not read here: the group's shared hierarchy is its own decision.
 
     :meth:`cycle` mirrors one serial
     :meth:`~repro.rhea.convection.MantleConvection.run` cycle without
@@ -105,7 +111,7 @@ class BatchGroup:
         diags = group.cycle()          # one lockstep cycle, 3 tenants
     """
 
-    def __init__(self, sims: list, amg_theta: float = 0.08):
+    def __init__(self, sims: list):
         if not sims:
             raise ValueError("empty batch group")
         mesh = sims[0].mesh
@@ -122,16 +128,9 @@ class BatchGroup:
                 raise ValueError("domain must be uniform across a batch group")
             if c.gamma != 0.0:
                 raise ValueError("batched advection supports gamma = 0 only")
-            if c.stokes_preconditioner != "amg":
-                raise ValueError(
-                    "batched Stokes shares one AMG hierarchy; "
-                    f"stokes_preconditioner={c.stokes_preconditioner!r} "
-                    "is not supported in a batch group"
-                )
         self.sims = list(sims)
         self.mesh = mesh
         self.nb = len(sims)
-        self.amg_theta = amg_theta
 
     # -- Stokes ---------------------------------------------------------
 
@@ -169,7 +168,8 @@ class BatchGroup:
         last_converged = np.ones(nb, dtype=bool)
         active = np.ones(nb, dtype=bool)
         eta_b = np.ones((nb, mesh.n_elements))
-        op = amg = bc = F = None
+        op = gmg = F = None
+        bc = velocity_bcs(mesh, bc_kind)
         zero_token = maybe_freeze(np.zeros(4 * n))
         for k in range(int(picard_budget.max())):  # lint: allow-loop (Picard)
             for j, s in enumerate(sims):  # lint: allow-loop (per-job viscosity, O(B))
@@ -182,20 +182,16 @@ class BatchGroup:
                 eta_b[j] = eta
             n_picard[active] = k + 1
             if k == 0:
-                # AMG rebuilt at each cycle's first pass only: a fixed,
-                # state-independent schedule, so resume-after-preempt
-                # reproduces the uninterrupted preconditioner sequence.
-                # The hierarchy lives on the geometric-mean viscosity of
-                # the group; per-job deviations are absorbed by the
-                # Jacobi congruence correction below.
+                # GMG level matrices rebuilt at each cycle's first pass
+                # only: a fixed, state-independent schedule, so
+                # resume-after-preempt reproduces the uninterrupted
+                # preconditioner sequence.  They live on the
+                # geometric-mean viscosity of the group; per-job
+                # deviations are absorbed by the Jacobi congruence
+                # correction below.
                 eta_ref = np.exp(np.mean(np.log(eta_b), axis=0))
-                st_ref = StokesSystem(mesh, eta_ref, None, bc=bc_kind)
-                bc = st_ref.bc
                 with obs.phase("prec_setup"):
-                    amg = [
-                        SmoothedAggregationAMG(K, theta=self.amg_theta)
-                        for K in st_ref.poisson_blocks()
-                    ]
+                    gmg = GeometricMultigrid(mesh, eta_ref, bc_kind)
                 g_elem = np.prod(sizes, axis=1) ** (1.0 / 3.0)
                 D_ref = _poisson_diag(mesh, eta_ref[None, :], g_elem)[:, 0]
                 F = np.zeros((4 * n, nb))
@@ -214,13 +210,12 @@ class BatchGroup:
             S = np.sqrt(D_ref[:, None] / _poisson_diag(mesh, eta_b, g_elem))
             schur = batched_lumped_scalar_mass(mesh, 1.0 / eta_b)
 
-            def make_prec(Ssub, schur_sub, amg=amg):
+            def make_prec(Ssub, schur_sub, gmg=gmg):
+                S3 = np.tile(Ssub, (3, 1))  # the scaling of the stacked block
+
                 def apply_M(R):
                     Z = np.empty_like(R)
-                    for a in range(3):  # lint: allow-loop (3 velocity components)
-                        Z[a * n : (a + 1) * n] = (
-                            amg[a].vcycle(R[a * n : (a + 1) * n] * Ssub) * Ssub
-                        )
+                    Z[: 3 * n] = gmg.vcycle(R[: 3 * n] * S3) * S3
                     Z[3 * n :] = R[3 * n :] / schur_sub
                     return Z
 
@@ -235,8 +230,7 @@ class BatchGroup:
                     mesh, eta_b[cols], bc_kind, bc.dofs
                 )
                 return sub.apply, make_prec(
-                    np.ascontiguousarray(S[:, cols]),
-                    np.ascontiguousarray(schur[:, cols]),
+                    S[:, cols], np.ascontiguousarray(schur[:, cols])
                 )
 
             Fk = F.copy()

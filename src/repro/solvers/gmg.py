@@ -12,6 +12,9 @@ problem: level operator, masked transfers and Chebyshev coefficients are
 block-diagonal over the stacked ``(3n,)`` velocity vector MINRES hands
 over, so a preconditioner apply is one V-cycle of plain CSR mat-vecs.
 The coarsest level (a few dozen dofs per component) is a dense solve.
+The V-cycle takes ``(3n,)`` or ``(3n, nb)``: trailing columns are
+independent right-hand sides sharing the hierarchy (the fleet's batch
+axis; ``A @ X`` is then scipy's ``csr_matvecs``).
 
 Why assembled: at trilinear order in NumPy the CSR mat-vec beats the
 sum-factorised apply on every level (80 / 16 / 6 / 4 us against
@@ -260,7 +263,7 @@ class StackedPoissonLevel:
             raise AssertionError("non-positive operator diagonal")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``A x`` for a stacked ``(3n,)`` vector."""
+        """``A x`` for a stacked ``(3n,)`` vector or ``(3n, nb)`` block."""
         return self.A @ x
 
     def diagonal(self) -> np.ndarray:
@@ -332,16 +335,20 @@ class ChebyshevSmoother:
     def apply(self, b: np.ndarray) -> np.ndarray:
         """One zero-initial-guess smoothing application ``x = S b``
         (the three-term Chebyshev recurrence, ``degree - 1`` operator
-        applies)."""
+        applies) to a ``(3n,)`` vector or the columns of a ``(3n, nb)``
+        block."""
+        first, step = self._first, self._step
+        if b.ndim == 2:
+            first, step = first[:, None], step[:, None]
         sigma = self._sigma
         rho_old = 1.0 / sigma
-        d = self._first * b
+        d = first * b
         x = d
         r = b
         for _ in range(self.degree - 1):  # lint: allow-loop (poly degree)
             r = r - self.op.apply(d)
             rho = 1.0 / (2.0 * sigma - rho_old)
-            d = (rho * rho_old) * d + rho * (self._step * r)
+            d = (rho * rho_old) * d + rho * (step * r)
             x = x + d
             rho_old = rho
         return x
@@ -364,8 +371,15 @@ class GMGLevel:
 
 
 class GeometricMultigrid:
-    """V-cycle over the :class:`GMGLevel` stack, all three velocity
-    components at once.
+    """V-cycle over the :class:`GMGLevel` stack of ``mesh``, all three
+    velocity components at once.
+
+    Set-up derives the grid hierarchy from the mesh's own octree
+    (:func:`mesh_hierarchy`) and the masked transfers between its levels
+    (:func:`masked_transfers`) — both cached per mesh — averages the
+    element ``viscosity`` onto each level, assembles each level's
+    operator and estimates its smoother bounds (``max_coarse`` goes to
+    the hierarchy, the other options to :class:`ChebyshevSmoother`).
 
     Cycle structure (pre-smooth, coarse-grid correction, post-smooth with
     the same symmetric smoother ``S``) makes one zero-initial-guess cycle
@@ -375,19 +389,55 @@ class GeometricMultigrid:
     a MINRES preconditioner block, like one AMG V-cycle per component.
     """
 
-    def __init__(self, levels: list):
-        self.levels = levels
-        self.refresh_coarse()
+    def __init__(
+        self,
+        mesh: Mesh,
+        viscosity: np.ndarray,
+        bc_kind: str,
+        degree: int = 3,
+        max_coarse: int = 80,
+        lmax_scale: float = 1.1,
+        lmin_ratio: float = 8.0,
+    ):
+        self.bc_kind = bc_kind
+        self._smoother_opts = dict(
+            degree=degree, lmax_scale=lmax_scale, lmin_ratio=lmin_ratio
+        )
+        with obs.phase("gmg_setup"):
+            self.hierarchy = mesh_hierarchy(mesh, max_coarse=max_coarse)
+            meshes = self.hierarchy.meshes
+            self._transfers = [(None, None)] + [
+                masked_transfers(f, c, bc_kind) for f, c in zip(meshes, meshes[1:])
+            ]
+            self._build_levels(viscosity)
 
-    def refresh_coarse(self) -> None:
-        """Dense coarsest solve, one ``(nc, nc)`` pseudo-inverse per
-        component (pinv tolerates semi-definiteness)."""
+    def _build_levels(self, viscosity: np.ndarray) -> None:
+        """Everything the viscosity enters: per-level averages, level
+        matrices, smoother bounds, and the dense coarsest solve, one
+        ``(nc, nc)`` pseudo-inverse per component (pinv tolerates
+        semi-definiteness)."""
+        meshes = self.hierarchy.meshes
+        etas = coarse_viscosities(self.hierarchy, np.asarray(viscosity, np.float64))
+        self.levels = []
+        for m, eta, (P, R) in zip(meshes, etas, self._transfers):  # lint: allow-loop (level count)
+            op = StackedPoissonLevel(m, eta, self.bc_kind)
+            smoother = (
+                None if m is meshes[-1] else ChebyshevSmoother(op, **self._smoother_opts)
+            )
+            self.levels.append(GMGLevel(op=op, smoother=smoother, P=P, R=R))
         op = self.levels[-1].op
         nc = op.n // 3
         a = np.arange(3)
         Ac = op.A.toarray().reshape(3, nc, 3, nc)[a, :, a, :]
         Ac = 0.5 * (Ac + Ac.transpose(0, 2, 1))
         self._coarse_inv = np.linalg.pinv(Ac, hermitian=True)
+
+    def update_viscosity(self, viscosity: np.ndarray) -> None:
+        """Rebuild what depends on the viscosity and keep the hierarchy
+        and the transfers (the lagged path's rebuild on an unchanged
+        mesh)."""
+        with obs.phase("gmg_setup"):
+            self._build_levels(viscosity)
 
     @property
     def n_levels(self) -> int:
@@ -408,7 +458,8 @@ class GeometricMultigrid:
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         if k == len(self.levels) - 1:
             with obs.phase("stokes/gmg/coarse"):
-                return (self._coarse_inv @ b.reshape(3, -1, 1)).ravel()
+                nc = self._coarse_inv.shape[1]
+                return (self._coarse_inv @ b.reshape(3, nc, -1)).reshape(b.shape)
         lvl, coarse = self.levels[k], self.levels[k + 1]
         with obs.phase(f"stokes/gmg/level{k}"):
             with obs.phase("smooth"):
@@ -426,7 +477,8 @@ class GeometricMultigrid:
 
     def vcycle(self, b: np.ndarray) -> np.ndarray:
         """One V-cycle with zero initial guess on a stacked ``(3n,)``
-        residual: an SPD approximation of ``A^{-1}`` suitable as a MINRES
+        residual, or on each column of a ``(3n, nb)`` block of them: an
+        SPD approximation of ``A^{-1}`` suitable as a MINRES
         preconditioner block."""
         obs.counter("gmg_vcycles")
         return self._cycle(0, b)
@@ -438,54 +490,20 @@ class GeometricMultigrid:
 class GMGStokesPreconditioner:
     """Drop-in alternative to
     :class:`repro.solvers.blockprec.StokesBlockPreconditioner`:
-    ``P = diag(Atilde, Stilde)`` with ``Atilde`` applied as one geometric
-    multigrid V-cycle over the stacked velocity components instead of
-    three AMG V-cycles.
-
-    Setup derives the grid hierarchy from the mesh's own octree
-    (:func:`mesh_hierarchy`) and the masked transfers between its levels
-    (:func:`masked_transfers`) — both cached per mesh — averages the
-    element viscosity onto each level, assembles each level's operator
-    and estimates its smoother bounds.  ``Stilde`` is the same
-    inverse-viscosity-weighted lumped pressure mass as the AMG path.
+    ``P = diag(Atilde, Stilde)`` with ``Atilde`` applied as one
+    :class:`GeometricMultigrid` V-cycle over the stacked velocity
+    components instead of three AMG V-cycles (``gmg_opts`` are its
+    keyword arguments).  ``Stilde`` is the same inverse-viscosity-
+    weighted lumped pressure mass as the AMG path.
     """
 
-    def __init__(
-        self,
-        stokes: StokesSystem,
-        degree: int = 3,
-        max_coarse: int = 80,
-        lmax_scale: float = 1.1,
-        lmin_ratio: float = 8.0,
-    ):
-        self.stokes = stokes
+    def __init__(self, stokes: StokesSystem, **gmg_opts):
         self.n = stokes.mesh.n_independent
-        bc = stokes.bc_kind
         with obs.phase("prec_setup"):
-            with obs.phase("gmg_setup"):
-                hier = mesh_hierarchy(stokes.mesh, max_coarse=max_coarse)
-                meshes = hier.meshes
-                transfers = [(None, None)] + [
-                    masked_transfers(f, c, bc) for f, c in zip(meshes, meshes[1:])
-                ]
-                levels = []
-                for m, eta, (P, R) in zip(  # lint: allow-loop (level count)
-                    meshes, coarse_viscosities(hier, stokes.viscosity), transfers
-                ):
-                    op = StackedPoissonLevel(m, eta, bc)
-                    smoother = (
-                        None
-                        if m is meshes[-1]
-                        else ChebyshevSmoother(
-                            op, degree=degree, lmax_scale=lmax_scale, lmin_ratio=lmin_ratio
-                        )
-                    )
-                    levels.append(GMGLevel(op=op, smoother=smoother, P=P, R=R))
-                self.hierarchy = hier
-                self.gmg = GeometricMultigrid(levels)
-            self.schur_diag = stokes.schur_diagonal()
-        if np.any(self.schur_diag <= 0):
-            raise AssertionError("Schur diagonal must be positive")
+            self.gmg = GeometricMultigrid(
+                stokes.mesh, stokes.viscosity, stokes.bc_kind, **gmg_opts
+            )
+            self.refresh_schur(stokes)
         self.n_vcycles = 0
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -511,23 +529,9 @@ class GMGStokesPreconditioner:
             raise AssertionError("Schur diagonal must be positive")
 
     def update_viscosity(self, viscosity: np.ndarray) -> None:
-        """Rebuild what depends on the viscosity — per-level averages,
-        level matrices, smoother bounds, the coarse dense solve — and
-        keep the hierarchy and the transfers (the lagged path's rebuild
-        on an unchanged mesh)."""
-        with obs.phase("gmg_setup"):
-            etas = coarse_viscosities(self.hierarchy, np.asarray(viscosity, np.float64))
-            for lvl, eta in zip(self.gmg.levels, etas):  # lint: allow-loop (level count)
-                lvl.op.update_viscosity(eta)
-                if lvl.smoother is not None:
-                    s = lvl.smoother
-                    lvl.smoother = ChebyshevSmoother(
-                        lvl.op,
-                        degree=s.degree,
-                        lmax_scale=s.lmax_scale,
-                        lmin_ratio=s.lmin_ratio,
-                    )
-            self.gmg.refresh_coarse()
+        """:meth:`GeometricMultigrid.update_viscosity` (the lagged path's
+        rebuild on an unchanged mesh)."""
+        self.gmg.update_viscosity(viscosity)
 
     @property
     def operator_complexity(self) -> float:

@@ -1,14 +1,16 @@
 """Tests for batched MINRES and lockstep batched-vs-serial parity."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.fleet import FleetService, ScenarioSpec, batched_minres
+from repro import obs
+from repro.fleet import FleetService, ScenarioSpec, batch, batched_minres
 from repro.fleet.batch import BatchGroup
 from repro.rhea.convection import MantleConvection, RheaConfig
-from repro.solvers import minres
+from repro.solvers import mesh_hierarchy, minres
 
 
 def random_spd(n, seed=0):
@@ -171,11 +173,20 @@ def max_rel_dev(a, b):
     return dev
 
 
+#: per-tenant MINRES totals of ``heterogeneous_specs(cycles=2)``, cycle by
+#: cycle, through the fleet's shared GMG hierarchy
+MINRES_COUNTS = {"ra": [19, 19], "stiff": [25, 22], "yld": [27, 29]}
+#: the same through the three shared AMG hierarchies of the parent commit
+#: 65fd152 (PR 22), the bound the shared hierarchy must not exceed
+MINRES_COUNTS_AMG_65FD152 = {"ra": [24, 22], "stiff": [30, 29], "yld": [40, 38]}
+
+
 class TestBatchedSerialParity:
     def test_heterogeneous_specs_match_serial(self, monkeypatch):
         """Satellite 2: three heterogeneous tenants batched together
         reproduce their serial one-job diagnostics to solver tolerance,
-        with the sanitizer verifying the pack/unpack freezes."""
+        whichever hierarchy the serial reference runs, with the
+        sanitizer verifying the pack/unpack freezes."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         specs = heterogeneous_specs(cycles=2)
         svc = FleetService()
@@ -183,14 +194,67 @@ class TestBatchedSerialParity:
             svc.admit(spec)
         svc.run()
         assert set(svc.statuses().values()) == {"done"}
-        for spec in specs:
-            serial = MantleConvection(spec.to_config(), spec.t_init())
+        for spec, kind in itertools.product(specs, ("amg", "gmg")):
+            cfg = dataclasses.replace(spec.to_config(), stokes_preconditioner=kind)
+            serial = MantleConvection(cfg, spec.t_init())
             serial.run(spec.cycles, adapt=False)
             hist = svc.jobs[spec.job_id].sim.history
             assert len(hist) == len(serial.history) == spec.cycles
             for got, ref in zip(hist, serial.history):
                 assert got.step == ref.step
                 assert max_rel_dev(got, ref) < 1e-4
+
+    def test_minres_counts_pinned(self):
+        """The congruence-corrected shared V-cycle is worth exact
+        iteration counts: a congruence or transfer that stops matching
+        costs this test, not iterations, and the shared GMG hierarchy
+        never needs more than the AMG hierarchies it replaced."""
+        svc = FleetService()
+        for spec in heterogeneous_specs(cycles=2):
+            svc.admit(spec)
+        svc.run()
+        got = {
+            job_id: [d.minres_iterations for d in job.sim.history]
+            for job_id, job in svc.jobs.items()
+        }
+        assert got == MINRES_COUNTS
+        for job_id, amg in MINRES_COUNTS_AMG_65FD152.items():
+            assert all(g <= a for g, a in zip(got[job_id], amg))
+
+    def test_fleet_stokes_phases_and_vcycle_count(self, monkeypatch):
+        """Under a bound timer ``fleet/stokes`` holds the GMG set-up and
+        the per-level V-cycle phases, and ``gmg_vcycles`` counts one
+        stacked cycle per preconditioner apply of the quantum, whatever
+        the block width (compaction narrows it)."""
+        svc = FleetService()
+        group = BatchGroup([svc.admit(s).sim for s in heterogeneous_specs(cycles=1)])
+        widths = []
+
+        def counted(apply_M):
+            return lambda R: widths.append(R.shape[1]) or apply_M(R)
+
+        def counting_minres(A, B, M, factory, **kw):
+            def counting_factory(cols):
+                apply_A, apply_M = factory(cols)
+                return apply_A, counted(apply_M)
+
+            return batched_minres(A, B, M=counted(M), factory=counting_factory, **kw)
+
+        monkeypatch.setattr(batch, "batched_minres", counting_minres)
+        with obs.attached(obs.PhaseTimer()) as timer:
+            group.cycle()
+        phases = timer.results()
+        vcycles = phases["fleet/stokes/minres"]["counters"]["gmg_vcycles"]
+        assert vcycles == len(widths) > 0
+        assert max(widths) == 3 and min(widths) < 3  # full and compacted blocks
+        assert phases["fleet/stokes/prec_setup/gmg_setup"]["count"] == 1
+        gmg = "fleet/stokes/minres/stokes/gmg/"
+        n_levels = len(mesh_hierarchy(group.mesh).meshes)
+        assert n_levels >= 2
+        for k in range(n_levels - 1):
+            for part in ("smooth", "transfer"):
+                assert phases[f"{gmg}level{k}/{part}"]["count"] == 2 * vcycles
+        assert phases[gmg + "coarse"]["count"] == vcycles
 
     def test_finished_tenant_drops_out(self, monkeypatch):
         """A job with a shorter cycle budget retires mid-fleet; its state
@@ -231,8 +295,6 @@ class TestBatchedSerialParity:
     def test_counters_count_once(self):
         """The recurrence emits the solver telemetry, the drivers do not
         repeat it: a bound timer reads what the histories say."""
-        from repro import obs
-
         svc = FleetService()
         sims = [svc.admit(s).sim for s in heterogeneous_specs(cycles=1)]
         with obs.attached(obs.PhaseTimer()) as timer:
@@ -284,11 +346,17 @@ class TestBatchedSerialParity:
             BatchGroup(sims + [other])
         with pytest.raises(ValueError, match="empty batch group"):
             BatchGroup([])
-        # a config the shared-hierarchy solve cannot honour is rejected,
-        # not silently solved with AMG
-        gmg = MantleConvection(
-            RheaConfig(initial_level=2, stokes_preconditioner="gmg"),
-            mesh=sims[0].mesh,
-        )
-        with pytest.raises(ValueError, match="stokes_preconditioner='gmg'"):
-            BatchGroup(sims + [gmg])
+        with pytest.raises(TypeError, match="amg_theta"):
+            BatchGroup(sims, amg_theta=0.08)
+        # `stokes_preconditioner` is the serial driver's field: tenants
+        # that name either kind share the group's one hierarchy
+        mixed = [
+            MantleConvection(
+                RheaConfig(initial_level=2, stokes_preconditioner=kind),
+                mesh=sims[0].mesh,
+            )
+            for kind in ("gmg", "amg")
+        ]
+        stats = BatchGroup(mixed).solve_stokes()
+        assert all(st["converged"] and st["minres_iterations"] > 0 for st in stats)
+        assert stats[0] == stats[1]

@@ -11,7 +11,8 @@ The load-bearing invariants pinned here:
 - every assembled level matrix and its diagonal match the matrix-free
   apply and closed-form diagonal of ``tests/oracles/gmg_levels.py``, and
   the stacked V-cycle matches that oracle's three per-component cycles,
-- one V-cycle is an SPD operator (so MINRES accepts it),
+- one V-cycle is an SPD operator (so MINRES accepts it), and on a
+  ``(3n, nb)`` block it is that operator on every column,
 - the full preconditioner solves Stokes to the same answer as the AMG
   path with a comparable iteration count, a mesh-independent one on
   uniform refinement, and exactly one assembly per level per build, and
@@ -30,6 +31,7 @@ from repro.mesh import extract_mesh
 from repro.octree import ROOT_LEN, LinearOctree, balance
 from repro.solvers import (
     ChebyshevSmoother,
+    GeometricMultigrid,
     GMGStokesPreconditioner,
     LaggedStokesPreconditioner,
     StackedPoissonLevel,
@@ -52,6 +54,18 @@ def _mesh(level=2, frac=0.25, seed=0):
         tree = tree.refine(rng.random(len(tree)) < frac)
         tree = balance(tree, "corner").tree
     return extract_mesh(tree, (1.0, 1.0, 1.0))
+
+
+def _graded_mesh():
+    """Three levels of refinement towards the top: 264 hanging nodes."""
+    tree = LinearOctree.uniform(2)
+    for cut in (0.5, 0.75):
+        lv = tree.leaves
+        tree = tree.refine((lv.z + lv.lengths() // 2) / ROOT_LEN > cut)
+        tree = balance(tree, "corner").tree
+    mesh = extract_mesh(tree, (1.0, 1.0, 1.0))
+    assert mesh.hanging.sum() == 264
+    return mesh
 
 
 def _problem(mesh, contrast=1e4):
@@ -292,6 +306,56 @@ class TestVcycleSPD:
         assert ns.gmg.levels[1].P.nnz < fs.gmg.levels[1].P.nnz
 
 
+class TestBlockVcycle:
+    """The V-cycle on a ``(3n, nb)`` block (the fleet's batch axis) is
+    the V-cycle of each column."""
+
+    @pytest.mark.parametrize("bc_kind", ["free_slip", "no_slip"])
+    def test_block_is_columnwise_and_spd(self, bc_kind):
+        mesh = _graded_mesh()
+        g = GeometricMultigrid(mesh, _problem(mesh, contrast=1e4)[0], bc_kind)
+        assert g.n_levels >= 3
+        rng = np.random.default_rng(11)
+        X, Y = rng.standard_normal((2, 3 * mesh.n_independent, 7))
+        VX, VY = g.vcycle(X), g.vcycle(Y)
+        assert VX.shape == X.shape
+        for B, VB in ((X[:, :1], g.vcycle(X[:, :1])), (X, VX)):  # nb = 1, 7
+            for j in range(B.shape[1]):
+                vj = g.vcycle(B[:, j])
+                assert np.max(np.abs(VB[:, j] - vj)) <= 1e-13 * np.max(np.abs(vj))
+        xvy, vxy = np.einsum("ij,ij->j", X, VY), np.einsum("ij,ij->j", VX, Y)
+        assert np.all(np.abs(xvy - vxy) <= 1e-12 * np.abs(xvy).max())
+        assert np.all(np.einsum("ij,ij->j", X, VX) > 0)
+
+    def test_vector_input_keeps_its_bits(self):
+        """A ``(3n,)`` residual goes through the arithmetic it went
+        through before the cycle took blocks (the coarse solve written
+        for a vector, no broadcast axes in the smoother)."""
+        mesh = _graded_mesh()
+        g = GeometricMultigrid(mesh, _problem(mesh, contrast=1e4)[0], "free_slip")
+
+        def cycle_ref(k, b):
+            if k == g.n_levels - 1:
+                return (g._coarse_inv @ b.reshape(3, -1, 1)).ravel()
+            lvl, up = g.levels[k], g.levels[k + 1]
+            x = lvl.smoother.apply(b)
+            x = x + up.P @ cycle_ref(k + 1, up.R @ (b - lvl.op.apply(x)))
+            return x + lvl.smoother.apply(b - lvl.op.apply(x))
+
+        b = np.cos(np.arange(3 * mesh.n_independent))
+        assert np.array_equal(g.vcycle(b), cycle_ref(0, b))
+
+    def test_single_level_is_the_dense_inverse(self):
+        mesh = _mesh(level=1, frac=0.0)  # 27 nodes <= max_coarse
+        eta, _ = _problem(mesh, contrast=1e2)
+        g = GeometricMultigrid(mesh, eta, "free_slip")
+        assert g.n_levels == 1 and g.levels[0].smoother is None
+        B = np.random.default_rng(12).standard_normal((3 * mesh.n_independent, 5))
+        want = np.linalg.pinv(g.levels[0].op.A.toarray(), hermitian=True) @ B
+        for got in (g.vcycle(B), np.stack([g.vcycle(b) for b in B.T], axis=1)):
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 class TestStokesPreconditioner:
     def test_matches_amg_solution(self):
         mesh = _mesh(level=2, frac=0.25, seed=0)
@@ -344,17 +408,9 @@ class TestStokesPreconditioner:
             assert res.converged
             return res.iterations
 
-        tree = LinearOctree.uniform(2)
-        for cut in (0.5, 0.75):
-            lv = tree.leaves
-            tree = tree.refine((lv.z + lv.lengths() // 2) / ROOT_LEN > cut)
-            tree = balance(tree, "corner").tree
-        graded = extract_mesh(tree, (1.0, 1.0, 1.0))
-        assert graded.hanging.sum() == 264
-
         it3 = iterations(_mesh(level=3, frac=0.0))
         it4 = iterations(_mesh(level=4, frac=0.0))
-        assert (it3, it4, iterations(graded)) == (22, 19, 30)
+        assert (it3, it4, iterations(_graded_mesh())) == (22, 19, 30)
         assert it4 <= it3 + 2
 
     def test_update_viscosity_matches_fresh_build(self):
