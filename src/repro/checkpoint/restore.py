@@ -3,9 +3,10 @@
 Reading is rank-count agnostic.  Shards are concatenated in rank order,
 which — because every writing rank owned a contiguous Morton segment —
 yields the *global* Morton-ordered octant and field arrays.  Restoring
-onto ``M`` ranks then just re-runs the equal-count SFC split (the same
-``divmod`` arithmetic as ``PARTITIONTREE``) over the concatenated
-arrays, rebuilds each rank's mesh with the parallel EXTRACTMESH, and
+onto ``M`` ranks then just re-runs the equal-count SFC split
+(``PARTITIONTREE``'s own :func:`~repro.octree.partree.sfc_segment`) over
+the concatenated arrays, rebuilds each rank's mesh with the parallel
+EXTRACTMESH, and
 scatters the element-corner field values back onto mesh nodes.  Corner
 values are bitwise replicas across sharing elements, so the rebuilt node
 vector is exactly the saved one regardless of N vs. M.
@@ -25,6 +26,7 @@ import numpy as np
 
 from .. import obs
 from ..analysis.sanitize import freeze, sanitize_enabled
+from ..octree.partree import sfc_segment
 from .format import (
     CheckpointError,
     Manifest,
@@ -80,16 +82,6 @@ def load_checkpoint(path: str) -> tuple[Manifest, dict]:
         for name, chunks in sorted(parts.items())
     }
     return manifest, out
-
-
-def sfc_segment(total: int, size: int, rank: int) -> tuple[int, int]:
-    """Equal-count contiguous split of the Morton curve — the same
-    arithmetic ``PARTITIONTREE`` uses, so a restored partition matches
-    what :func:`repro.octree.partree.partition_tree` would produce."""
-    base, rem = divmod(total, size)
-    lo = rank * base + min(rank, rem)
-    hi = lo + base + (1 if rank < rem else 0)
-    return lo, hi
 
 
 def restore_pipeline(comm, path: str, workload=None):

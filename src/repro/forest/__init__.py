@@ -8,8 +8,8 @@ from .connectivity import (
 )
 from .cubed_sphere import RadialProjectionGeometry, cap_axes, cubed_sphere_connectivity
 from .faces import FaceClassification, match_faces
-from .forest import Forest
-from .parforest import FOREST_MAX_LEVEL, ParForest, forest_key, sample_queries
+from .forest import FOREST_MAX_LEVEL, Forest, forest_key, sample_queries
+from .parforest import ParForest
 from .recursive import balance_forest_recursive
 
 __all__ = [

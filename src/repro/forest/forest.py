@@ -1,209 +1,281 @@
 """Forest of octrees (the P4EST core, Section VII).
 
-A forest holds one complete linear octree per tree of a
-:class:`~repro.forest.connectivity.Connectivity`.  The global leaf order
-is (tree id, Morton key) — the z-order curve threaded tree by tree — which
-is what partitioning cuts into equal segments.
+A forest is one flat array: the leaves of all trees of a
+:class:`~repro.forest.connectivity.Connectivity`, sorted along the
+z-order curve threaded tree by tree — ``(tree_ids, octs)`` strictly
+increasing in :func:`forest_key`.  :class:`Forest` is a contiguous
+segment of that curve and owns every algorithm that needs no
+communication (refine, coarsen, the 2:1 ripple, the checks); the serial
+forest is the segment that covers the whole curve, and
+:class:`~repro.forest.parforest.ParForest` is a segment plus a
+communicator.
 
-2:1 balance is enforced with the same ripple propagation as the single
-octree, extended across trees: neighbor sample points that leave a tree
-through a face are transformed into the adjacent tree's coordinate system
-with the exact lattice transforms of the connectivity and marked there.
-Within trees the full (face/edge/corner) condition is enforced; across
-trees the face condition is (the one the DG face integration requires).
+Composite key encoding: leaves are restricted to level <= 19 so every
+anchor key is a multiple of 64; ``fkey = (tree << 57) | (key >> 6)`` is
+then an exact, order-preserving uint64 encoding for up to 128 trees —
+the cubed sphere's 24 fit comfortably.
+
+2:1 balance is the ripple propagation of the single octree extended
+across trees: neighbor sample points that leave a tree through a face are
+transformed into the adjacent tree's coordinate system with the exact
+lattice transforms of the connectivity and answered there.  Within trees
+the full (face/edge/corner) condition is enforced; across trees the face
+condition is (the one the DG face integration requires).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..octree import LinearOctree, ROOT_LEN
-from ..octree.balance import _violating_leaf_marks
+from ..octree import LinearOctree, OctantArray, ROOT_LEN, morton_encode
+from ..octree.morton import key_range_size
 from ..octree.octants import directions_for
+from ..octree.partree import curve_cut
 from .connectivity import Connectivity
 
-__all__ = ["Forest"]
+__all__ = ["Forest", "FOREST_MAX_LEVEL", "forest_key", "sample_queries"]
+
+#: Deepest level the composite key encodes exactly.
+FOREST_MAX_LEVEL = 19
+
+_SHIFT = np.uint64(57)
+_KSHIFT = np.uint64(6)
+
+
+def forest_key(tree_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Composite (tree, Morton) ordering key (exact for level <= 19)."""
+    t = np.asarray(tree_ids).astype(np.uint64)
+    k = np.asarray(keys).astype(np.uint64)
+    return (t << _SHIFT) | (k >> _KSHIFT)
+
+
+def sample_queries(
+    tree_ids: np.ndarray,
+    octs: OctantArray,
+    conn: Connectivity,
+    connectivity: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(query_fkeys, query_levels) of all neighbor sample points of the
+    given leaves — the center of each leaf's same-size neighbor region:
+    within its tree for all directions of ``connectivity``, and in the
+    adjacent tree's frame (exact lattice transforms) where a face
+    direction leaves the tree.  Edge and corner exits of a tree are not
+    sampled; they are face-balanced transitively."""
+    dirs = directions_for(connectivity)
+    h = octs.lengths()
+    centers = np.stack([octs.x, octs.y, octs.z]) + h // 2
+    p = centers[:, None, :] + dirs.T[:, :, None] * h  # (3, n_dirs, n)
+    ok = ((p >= 0) & (p < ROOT_LEN)).all(axis=0)  # (n_dirs, n)
+    tids = np.broadcast_to(tree_ids, ok.shape)
+    levels = np.broadcast_to(octs.level.astype(np.int64), ok.shape)
+    qf = forest_key(tids[ok], morton_encode(p[0][ok], p[1][ok], p[2][ok]))
+    # the face directions that left the tree, through a glued face
+    d, e = np.nonzero(~ok & (np.abs(dirs).sum(axis=1) == 1)[:, None])
+    axis = np.abs(dirs[d]).argmax(axis=1)
+    face = 2 * axis + (dirs[d, axis] > 0)
+    nb = conn.face_tree[tree_ids[e], face]
+    d, e, face, nb = (a[nb >= 0] for a in (d, e, face, nb))
+    R, o = conn.face_R[tree_ids[e], face], conn.face_o[tree_ids[e], face]
+    q = np.einsum("mij,mj->mi", R, p[:, d, e].T) + o
+    qx = forest_key(nb, morton_encode(q[:, 0], q[:, 1], q[:, 2]))
+    return np.concatenate([qf, qx]), np.concatenate([levels[ok], levels[d, e]])
+
+
+def _coarsen_leaves(octs: OctantArray, mask: np.ndarray) -> tuple[OctantArray, int]:
+    """COARSENTREE of one tree's complete local families."""
+    tree, nfam = LinearOctree(octs, presorted=True).coarsen(mask)
+    return tree.leaves, nfam
 
 
 class Forest:
-    """A complete forest: one :class:`LinearOctree` per connectivity tree."""
+    """A curve-ordered segment of forest leaves; complete
+    (:meth:`is_complete`) when it covers every tree.
 
-    def __init__(self, conn: Connectivity, trees: list[LinearOctree]):
-        if len(trees) != conn.n_trees:
-            raise ValueError("one octree per connectivity tree required")
+    Raises ``ValueError`` unless there is one tree id in
+    ``[0, conn.n_trees)`` per leaf, no leaf is deeper than
+    :data:`FOREST_MAX_LEVEL`, and the leaves are strictly increasing in
+    :func:`forest_key`.
+    """
+
+    def __init__(self, conn: Connectivity, tree_ids: np.ndarray, octs: OctantArray):
+        tree_ids = np.ascontiguousarray(tree_ids, dtype=np.int64)
+        if tree_ids.shape != (len(octs),):
+            raise ValueError("one tree id per leaf required")
+        if len(octs):
+            if tree_ids.min() < 0 or tree_ids.max() >= conn.n_trees:
+                raise ValueError(f"tree ids must lie in [0, {conn.n_trees})")
+            if octs.level.max() > FOREST_MAX_LEVEL:
+                raise ValueError(f"forest supports levels <= {FOREST_MAX_LEVEL}")
+            fkeys = forest_key(tree_ids, octs.keys())
+            if np.any(fkeys[1:] <= fkeys[:-1]):
+                raise ValueError("leaves must be strictly increasing in forest_key")
         self.conn = conn
-        self.trees = trees
+        self.tree_ids = tree_ids
+        self.octs = octs
+
+    def _with(self, tree_ids: np.ndarray, octs: OctantArray) -> "Forest":
+        """The same kind of segment over other leaves."""
+        return Forest(self.conn, tree_ids, octs)
 
     # -- constructors ----------------------------------------------------------
 
+    @staticmethod
+    def _uniform_segment(level: int, lo: int, hi: int):
+        """Tree ids and octants of leaves ``[lo, hi)`` of the uniform forest."""
+        per_tree = OctantArray.uniform(level)
+        idx = np.arange(lo, hi)
+        return idx // len(per_tree), per_tree[idx % len(per_tree)]
+
     @classmethod
     def uniform(cls, conn: Connectivity, level: int) -> "Forest":
-        return cls(conn, [LinearOctree.uniform(level) for _ in range(conn.n_trees)])
+        n = conn.n_trees * 8**level
+        return cls(conn, *cls._uniform_segment(level, 0, n))
 
     # -- flat views ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(len(t) for t in self.trees)
+        return len(self.octs)
 
     @property
     def n_trees(self) -> int:
         return self.conn.n_trees
 
+    def fkeys(self) -> np.ndarray:
+        return forest_key(self.tree_ids, self.octs.keys())
+
+    def fkey_end(self) -> np.uint64:
+        """End of the whole curve: the keys lie in ``[0, n_trees << 57)``."""
+        return np.uint64(self.n_trees) << _SHIFT
+
     def tree_offsets(self) -> np.ndarray:
-        """Start index of each tree's leaves in the flat global order."""
-        return np.concatenate([[0], np.cumsum([len(t) for t in self.trees])])
+        """Start index of each tree's leaves in the flat order (and the end)."""
+        return np.searchsorted(self.tree_ids, np.arange(self.n_trees + 1))
 
     def leaf_tree_ids(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n_trees), [len(t) for t in self.trees])
+        return self.tree_ids
 
     def flat_levels(self) -> np.ndarray:
-        return np.concatenate([t.levels for t in self.trees])
+        return self.octs.level
+
+    def _level_counts(self) -> np.ndarray:
+        return np.bincount(self.octs.level, minlength=FOREST_MAX_LEVEL + 1)
 
     def level_histogram(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for t in self.trees:
-            for lvl, n in t.level_histogram().items():
-                out[lvl] = out.get(lvl, 0) + n
-        return out
+        return {lvl: int(n) for lvl, n in enumerate(self._level_counts()) if n}
 
     def is_complete(self) -> bool:
-        return all(t.is_complete() for t in self.trees)
+        """Do the leaves tile every tree exactly?"""
+        if len(self) == 0:
+            return False
+        start = self.fkeys()
+        end = start + (key_range_size(self.octs.level) >> _KSHIFT)
+        tiled = np.all(end[:-1] == start[1:])
+        return bool(start[0] == 0 and end[-1] == self.fkey_end() and tiled)
 
     def leaf_centers(self) -> np.ndarray:
         """(n, 3) physical leaf centers through the tree geometry maps."""
-        parts = []
-        for tid, t in enumerate(self.trees):
-            parts.append(self.conn.tree_map(tid, t.leaves.centers()))
-        return np.concatenate(parts, axis=0)
+        out = np.empty((len(self), 3), dtype=np.float64)
+        ref = self.octs.centers()
+        offs = self.tree_offsets()
+        for t in range(self.n_trees):
+            sl = slice(offs[t], offs[t + 1])
+            out[sl] = self.conn.tree_map(t, ref[sl])
+        return out
 
     # -- adaptation -------------------------------------------------------------------
 
+    def _checked_mask(self, mask: np.ndarray) -> np.ndarray:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (len(self),):
+            raise ValueError("mask length mismatch")
+        return mask
+
+    def _split(self, mask: np.ndarray) -> "Forest":
+        """Children replace each marked leaf where it stood: the order
+        (and the cached keys) survive without a re-sort."""
+        tree_ids = np.repeat(self.tree_ids, np.where(mask, 8, 1))
+        return self._with(tree_ids, self.octs.refine(mask))
+
     def refine(self, mask: np.ndarray) -> "Forest":
         """Refine flat-order-marked leaves (mask over all trees)."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(self),):
-            raise ValueError("mask length mismatch")
+        mask = self._checked_mask(mask)
+        return self._split(mask) if mask.any() else self
+
+    def _coarsen_by_tree(self, mask: np.ndarray, coarsen_one) -> tuple["Forest", int]:
+        """``coarsen_one(leaves, mask) -> (leaves, families)`` on every
+        tree's slice (empty ones too)."""
+        mask = self._checked_mask(mask)
         offs = self.tree_offsets()
-        return Forest(
-            self.conn,
-            [
-                t.refine(mask[offs[i] : offs[i + 1]])
-                for i, t in enumerate(self.trees)
-            ],
-        )
+        parts, nfam = [], 0
+        for t in range(self.n_trees):
+            sl = slice(offs[t], offs[t + 1])
+            leaves, nf = coarsen_one(self.octs[sl], mask[sl])
+            parts.append(leaves)
+            nfam += nf
+        tree_ids = np.repeat(np.arange(self.n_trees), [len(p) for p in parts])
+        return self._with(tree_ids, OctantArray.concat(parts)), nfam
 
     def coarsen(self, mask: np.ndarray) -> tuple["Forest", int]:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(self),):
-            raise ValueError("mask length mismatch")
-        offs = self.tree_offsets()
-        new_trees = []
-        nfam = 0
-        for i, t in enumerate(self.trees):
-            nt, nf = t.coarsen(mask[offs[i] : offs[i + 1]])
-            new_trees.append(nt)
-            nfam += nf
-        return Forest(self.conn, new_trees), nfam
+        """Replace complete families of 8 marked sibling leaves by their
+        parent.  Returns the forest and the number of families merged."""
+        return self._coarsen_by_tree(mask, _coarsen_leaves)
 
     # -- balance ----------------------------------------------------------------------
 
-    def _cross_tree_marks(self, marks: list[np.ndarray]) -> bool:
-        """Propagate balance requirements across tree faces.
+    def _violations(self, connectivity: str, flo, fhi, extra=None) -> np.ndarray:
+        """Mark the leaves two or more levels coarser than a leaf whose
+        neighbor sample they hold, the samples being those of this
+        segment and of the leaves ``extra`` (another segment's) that fall
+        into the composite-key interval ``[flo, fhi)``."""
+        tree_ids, octs = self.tree_ids, self.octs
+        if extra is not None:
+            tree_ids = np.concatenate([tree_ids, extra.tree_ids])
+            octs = OctantArray.concat([octs, extra.octs])
+        qfk, qlv = sample_queries(tree_ids, octs, self.conn, connectivity)
+        keep = (qfk >= flo) & (qfk < fhi)
+        idx = np.searchsorted(self.fkeys(), qfk[keep], side="right") - 1
+        mark = np.zeros(len(self), dtype=bool)
+        mark[idx[self.octs.level[idx] < qlv[keep] - 1]] = True
+        return mark
 
-        For every leaf, the same-size neighbor sample points that exit the
-        tree through exactly one face are transformed into the adjacent
-        tree and the containing leaf is marked if it is two or more levels
-        coarser.  Returns True if anything was marked.
-        """
-        changed = False
-        for tid, tree in enumerate(self.trees):
-            leaves = tree.leaves
-            if len(leaves) == 0:
-                continue
-            h = leaves.lengths()
-            levels = tree.levels.astype(np.int64)
-            for axis in range(3):
-                for side in (0, 1):
-                    face = 2 * axis + side
-                    fc = self.conn.face_connections[tid][face]
-                    if fc is None:
-                        continue
-                    d = np.zeros(3, dtype=np.int64)
-                    d[axis] = 1 if side else -1
-                    nx, ny, nz, _ = leaves.neighbor_anchors(d)
-                    px = nx + h // 2
-                    py = ny + h // 2
-                    pz = nz + h // 2
-                    # points that exited through exactly this face
-                    coords = np.stack([px, py, pz], axis=1)
-                    out = (coords[:, axis] >= ROOT_LEN) if side else (coords[:, axis] < 0)
-                    inb = np.ones(len(coords), dtype=bool)
-                    for a2 in range(3):
-                        if a2 != axis:
-                            inb &= (coords[:, a2] >= 0) & (coords[:, a2] < ROOT_LEN)
-                    sel = out & inb
-                    if not sel.any():
-                        continue
-                    q = fc.transform(coords[sel])
-                    if np.any(q < 0) or np.any(q >= ROOT_LEN):
-                        raise AssertionError("face transform left the neighbor tree")
-                    nb = self.trees[fc.neighbor_tree]
-                    idx = nb.find_containing(q[:, 0], q[:, 1], q[:, 2])
-                    viol = nb.levels[idx].astype(np.int64) < levels[sel] - 1
-                    if viol.any():
-                        marks[fc.neighbor_tree][idx[viol]] = True
-                        changed = True
-        return changed
+    def _ripple(
+        self, connectivity: str, flo, fhi, extra, max_rounds: int
+    ) -> tuple["Forest", bool]:
+        """Balance this segment against itself plus the static remote
+        boundary leaves ``extra``, splitting the violators until a local
+        fixed point.  Returns the segment and whether it changed."""
+        forest = self
+        for _ in range(max_rounds):
+            mark = forest._violations(connectivity, flo, fhi, extra)
+            if not mark.any():
+                return forest, forest is not self
+            forest = forest._split(mark)
+        raise RuntimeError("forest balance did not converge")
 
-    def balance(self, connectivity: str = "edge", max_rounds: int = 64) -> tuple["Forest", int]:
+    def balance(
+        self, connectivity: str = "edge", max_rounds: int = 64
+    ) -> tuple["Forest", int]:
         """Ripple-propagation 2:1 balance over the whole forest.
 
         Returns ``(forest, leaves_added)``.
         """
-        dirs = directions_for(connectivity)
-        forest = self
-        n0 = len(self)
-        for _ in range(max_rounds):
-            marks = [
-                _violating_leaf_marks(t, dirs) for t in forest.trees
-            ]
-            forest._cross_tree_marks(marks)
-            if not any(m.any() for m in marks):
-                return forest, len(forest) - n0
-            forest = Forest(
-                forest.conn,
-                [
-                    t.refine(m) if m.any() else t
-                    for t, m in zip(forest.trees, marks)
-                ],
-            )
-        raise RuntimeError("forest balance did not converge")
+        whole = np.uint64(0), self.fkey_end()
+        forest, _ = self._ripple(connectivity, *whole, None, max_rounds)
+        return forest, len(forest) - len(self)
 
     def is_balanced(self, connectivity: str = "edge") -> bool:
-        dirs = directions_for(connectivity)
-        marks = [_violating_leaf_marks(t, dirs) for t in self.trees]
-        if any(m.any() for m in marks):
-            return False
-        marks = [np.zeros(len(t), dtype=bool) for t in self.trees]
-        return not self._cross_tree_marks(marks)
+        return not self._violations(connectivity, np.uint64(0), self.fkey_end()).any()
 
     # -- partitioning -----------------------------------------------------------------
 
-    def partition_assignments(self, p: int, weights: np.ndarray | None = None) -> np.ndarray:
+    def partition_assignments(
+        self, p: int, weights: np.ndarray | None = None
+    ) -> np.ndarray:
         """Rank of each leaf when the global (tree, Morton) order is cut
         into ``p`` equal segments (by count, or by cumulative weight).
 
         This is the forest PARTITIONTREE rule; used to visualize and
         account the drastically changing partitions of Figure 12.
         """
-        n = len(self)
-        if weights is None:
-            base, rem = divmod(n, p)
-            counts = [base + (1 if r < rem else 0) for r in range(p)]
-            return np.repeat(np.arange(p), counts)
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ValueError("weights length mismatch")
-        cum = np.cumsum(w) - w
-        cuts = w.sum() * np.arange(1, p) / p
-        return np.searchsorted(cuts, cum, side="right")
+        total_w = 0.0 if weights is None else np.sum(weights)
+        return curve_cut(p, len(self), weights, (0, 0.0), (len(self), total_w))

@@ -38,7 +38,7 @@ import numpy as np
 
 from .. import obs
 from ..forest import Connectivity, Forest, match_faces
-from ..octree import OctantArray, ROOT_LEN
+from ..octree import ROOT_LEN
 from ..solvers.timestep import LowStorageRK45
 from .lgl import lagrange_basis_at
 from .tensor import DerivativeKernel
@@ -142,8 +142,8 @@ class DGAdvection:
         self.inflow = inflow or (lambda x: np.zeros(len(x), dtype=np.float64))
 
         # flatten elements
-        self.tree_ids = forest.leaf_tree_ids()
-        self.octs = OctantArray.concat([t.leaves for t in forest.trees])
+        self.tree_ids = forest.tree_ids
+        self.octs = forest.octs
         self.ne = len(self.octs)
 
         self._face_idx = _face_node_indices(n)

@@ -96,7 +96,7 @@ def collect_ghosts(pt: ParTree) -> tuple[OctantArray, np.ndarray]:
     if not len(blk):
         return OctantArray.empty(), np.zeros(0, dtype=np.int64)
     own = np.repeat(np.arange(comm.size, dtype=np.int64), [len(b) for b in got])
-    ghosts = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
+    ghosts = OctantArray.unpack(blk)
     # each ghost arrives exactly once (from its owner): sort by key only
     order = np.argsort(ghosts.keys())
     return ghosts[order], own[order]

@@ -138,6 +138,17 @@ class OctantArray:
             np.concatenate([p.level for p in parts]),
         )
 
+    def pack(self) -> np.ndarray:
+        """The octants as ``(n, 4)`` int64 rows ``x, y, z, level`` — what
+        every exchange (boundary leaves, repartition, gather) ships."""
+        level = self.level.astype(np.int64)
+        return np.stack([self.x, self.y, self.z, level], axis=1)
+
+    @staticmethod
+    def unpack(rows: np.ndarray) -> "OctantArray":
+        """Inverse of :meth:`pack`."""
+        return OctantArray(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
+
     def copy(self) -> "OctantArray":
         return OctantArray(self.x.copy(), self.y.copy(), self.z.copy(), self.level.copy())
 

@@ -19,6 +19,14 @@ Implemented here, with the paper's names:
 - :func:`partition_tree` — PARTITIONTREE: equal-count (or weighted)
   repartition along the space-filling curve via all-to-all; returns the
   routing plan that TRANSFERFIELDS reuses for element data.
+
+What these functions know about the space-filling curve — the marker
+back-fill (:func:`curve_markers`), the owner lookup
+(:func:`owners_of_keys`), the equal-count slice (:func:`sfc_segment`),
+the equal-count / weighted cut (:func:`curve_cut`) and the all-to-all
+that applies it (:func:`repartition`) — takes the keys, not the octants,
+so the forest (:mod:`repro.forest`) calls the same helpers with its
+composite ``(tree, Morton)`` keys.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from .balance import _ripple_local
 from .linear import LinearOctree
 from .morton import MAX_LEVEL, key_range_size
 from .octants import OctantArray, directions_for
-from .traverse import ghost_destinations
+from .traverse import ghost_destinations, owners_of_keys
 
 __all__ = [
     "ParTree",
@@ -43,7 +51,11 @@ __all__ = [
     "exchange_boundary_leaves",
     "partition_tree",
     "partition_markers",
+    "curve_markers",
     "owners_of_keys",
+    "sfc_segment",
+    "curve_cut",
+    "repartition",
     "gather_tree",
     "TransferPlan",
 ]
@@ -84,38 +96,75 @@ class ParTree:
         return {int(i): int(n) for i, n in enumerate(total) if n > 0}
 
 
-def partition_markers(comm: SimComm, local: OctantArray) -> np.ndarray:
-    """Allgather the partition boundary keys.
+def curve_markers(comm: SimComm, keys: np.ndarray, total) -> np.ndarray:
+    """Allgather the partition boundaries of a curve with keys in
+    ``[0, total)``, of which this rank holds the sorted ``keys``.
 
     Returns ``m`` of length ``P + 1`` with ``m[0] = 0`` and
-    ``m[P] = 8**MAX_LEVEL``; rank ``r`` owns exactly the keys in
+    ``m[P] = total``; rank ``r`` owns exactly the keys in
     ``[m[r], m[r+1])``.  Ranks with no leaves own an empty interval.
     """
-    first = int(local.keys()[0]) if len(local) else -1
-    firsts = comm.allgather(first)
+    firsts = comm.allgather(int(keys[0]) if len(keys) else -1)
     p = comm.size
     m = np.empty(p + 1, dtype=np.uint64)
-    m[p] = _TOTAL_KEYS
+    m[p] = total
     for r in range(p - 1, -1, -1):
         m[r] = np.uint64(firsts[r]) if firsts[r] >= 0 else m[r + 1]
     m[0] = np.uint64(0)
     return m
 
 
-def owners_of_keys(markers: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Owning rank of each finest-level Morton key."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    return np.searchsorted(markers[1:-1], keys, side="right").astype(np.int64)
+def partition_markers(comm: SimComm, local: OctantArray) -> np.ndarray:
+    """:func:`curve_markers` of the octree: one Morton key per rank,
+    ``m[P] = 8**MAX_LEVEL``."""
+    return curve_markers(comm, local.keys(), _TOTAL_KEYS)
+
+
+def _sfc_starts(total: int, size: int) -> np.ndarray:
+    """First curve position of each of ``size`` equal-count segments of
+    ``total`` positions, and ``total``: the first ``total % size``
+    segments hold one position more."""
+    base, rem = divmod(int(total), size)
+    r = np.arange(size + 1, dtype=np.int64)
+    return r * base + np.minimum(r, rem)
+
+
+def sfc_segment(total: int, size: int, rank: int) -> tuple[int, int]:
+    """``[lo, hi)`` of rank ``rank``'s share when ``total`` curve
+    positions are split into ``size`` equal-count contiguous segments —
+    the rule of NEWTREE, of the unweighted PARTITIONTREE and of a
+    restart onto a new rank count."""
+    starts = _sfc_starts(total, size)
+    return int(starts[rank]), int(starts[rank + 1])
+
+
+def curve_cut(p: int, n: int, weights, before, total) -> np.ndarray:
+    """Destination rank of each of ``n`` consecutive leaves when the
+    whole curve is cut into ``p`` segments of equal leaf count
+    (``weights is None``, or all weights zero) or of equal cumulative
+    weight.  ``before`` and ``total`` are ``(leaf count, weight)`` ahead
+    of these leaves and over the whole curve.  The result is
+    nondecreasing, which the callers' ``searchsorted`` slicing relies on:
+    ``weights`` (length ``n``) must be finite and non-negative."""
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise ValueError("weights length mismatch")
+        if not np.isfinite(weights).all() or (weights < 0).any():
+            raise ValueError("weights must be finite and non-negative")
+        if total[1] > 0:
+            cuts = total[1] * np.arange(1, p, dtype=np.float64) / p
+            cum = before[1] + np.cumsum(weights) - weights  # weight ahead of each leaf
+            return np.searchsorted(cuts, cum, side="right")
+    gidx = int(before[0]) + np.arange(n, dtype=np.int64)
+    return np.searchsorted(_sfc_starts(total[0], p)[1:], gidx, side="right")
 
 
 def new_tree(comm: SimComm, coarse_level: int) -> ParTree:
     """NEWTREE: build the uniform tree at ``coarse_level`` and keep this
     rank's equal share of the Morton-ordered leaves (no communication)."""
     full = OctantArray.uniform(coarse_level)
-    n = len(full)
-    base, rem = divmod(n, comm.size)
-    lo = comm.rank * base + min(comm.rank, rem)
-    hi = lo + base + (1 if comm.rank < rem else 0)
+    lo, hi = sfc_segment(len(full), comm.size, comm.rank)
     return ParTree(comm, full[lo:hi])
 
 
@@ -251,16 +300,8 @@ def exchange_boundary_leaves(
     Returns the received ``(n, 4)`` int64 blocks ``x, y, z, level``, one
     per source rank."""
     idx, dst = ghost_destinations(local, markers, comm.rank)
-    sendbufs = []
-    for r in range(comm.size):  # lint: allow-loop (per-rank, not per-element)
-        sel = idx[dst == r]
-        buf = np.empty((len(sel), 4), dtype=np.int64)
-        buf[:, 0] = local.x[sel]
-        buf[:, 1] = local.y[sel]
-        buf[:, 2] = local.z[sel]
-        buf[:, 3] = local.level[sel]
-        sendbufs.append(buf)
-    return comm.alltoall(sendbufs)
+    rows = local.pack()
+    return comm.alltoall([rows[idx[dst == r]] for r in range(comm.size)])
 
 
 def balance_tree(
@@ -295,8 +336,7 @@ def balance_tree(
     while exchanges < max_rounds:
         blk = np.concatenate(exchange_boundary_leaves(comm, local, markers), axis=0)
         exchanges += 1
-        extra = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
-        local, rounds = _ripple_local(local, dirs, klo, khi, extra)
+        local, rounds = _ripple_local(local, dirs, klo, khi, OctantArray.unpack(blk))
         if not comm.allreduce(rounds > 0, op="lor"):
             break
     else:
@@ -331,6 +371,30 @@ class TransferPlan:
         return np.concatenate(recv, axis=0)
 
 
+def repartition(
+    comm: SimComm, rows: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, TransferPlan]:
+    """Cut the global curve anew (:func:`curve_cut`) and route ``rows`` —
+    one per local leaf, in curve order — to their new owners with one
+    all-to-all.  Returns this rank's new rows and the routing plan."""
+    n = len(rows)
+    if weights is None:
+        offset, count = comm.global_offsets(n)
+        before, total = (offset, 0.0), (count, 0.0)
+    else:
+        mine = np.array([n, np.sum(weights)], dtype=np.float64)
+        before, total = comm.exscan(mine), comm.allreduce(mine)
+    dest = curve_cut(comm.size, n, weights, before, total)
+    bounds = np.searchsorted(dest, np.arange(comm.size + 1))
+    plan = TransferPlan(
+        send_slices=[(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])],
+        n_new_local=0,
+    )
+    new_rows = plan.transfer(comm, rows)
+    plan.n_new_local = len(new_rows)
+    return new_rows, plan
+
+
 def partition_tree(
     pt: ParTree, weights: np.ndarray | None = None
 ) -> tuple[ParTree, TransferPlan]:
@@ -341,61 +405,11 @@ def partition_tree(
     Completely redistributes the tree with one all-to-all (the paper notes
     no explicit penalty is placed on data movement).
     """
-    comm = pt.comm
-    n_local = len(pt.local)
-    if weights is None:
-        offset, total = comm.global_offsets(n_local)
-        p = comm.size
-        base, rem = divmod(total, p)
-        # Destination of global index g.
-        tgt_starts = np.array(
-            [r * base + min(r, rem) for r in range(p + 1)], dtype=np.int64
-        )
-        gidx = offset + np.arange(n_local, dtype=np.int64)
-        dest = np.searchsorted(tgt_starts[1:], gidx, side="right")
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n_local,):
-            raise ValueError("weights length mismatch")
-        my_sum = w.sum()
-        prev = comm.exscan(my_sum)
-        total_w = comm.allreduce(my_sum)
-        cum = prev + np.cumsum(w) - w  # cumulative weight before each leaf
-        p = comm.size
-        cuts = total_w * np.arange(1, p, dtype=np.float64) / p
-        dest = np.searchsorted(cuts, cum, side="right")
-    # dest is nondecreasing; build contiguous slices per destination.
-    send_slices = []
-    for r in range(comm.size):
-        lo = int(np.searchsorted(dest, r, side="left"))
-        hi = int(np.searchsorted(dest, r, side="right"))
-        send_slices.append((lo, hi))
-    packed = np.empty((n_local, 4), dtype=np.int64)
-    packed[:, 0] = pt.local.x
-    packed[:, 1] = pt.local.y
-    packed[:, 2] = pt.local.z
-    packed[:, 3] = pt.local.level
-    recv = comm.alltoall([packed[lo:hi] for lo, hi in send_slices])
-    recv = [b for b in recv if len(b)]
-    if recv:
-        blk = np.concatenate(recv, axis=0)
-    else:
-        blk = packed[:0]
-    new_local = OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3])
-    plan = TransferPlan(send_slices=send_slices, n_new_local=len(new_local))
-    return ParTree(comm, new_local), plan
+    rows, plan = repartition(pt.comm, pt.local.pack(), weights)
+    return ParTree(pt.comm, OctantArray.unpack(rows)), plan
 
 
 def gather_tree(pt: ParTree) -> LinearOctree:
     """Collect the full tree on every rank (verification/testing only)."""
-    comm = pt.comm
-    packed = np.empty((len(pt.local), 4), dtype=np.int64)
-    packed[:, 0] = pt.local.x
-    packed[:, 1] = pt.local.y
-    packed[:, 2] = pt.local.z
-    packed[:, 3] = pt.local.level
-    parts = comm.allgather(packed)
-    blk = np.concatenate([p for p in parts if len(p)], axis=0)
-    return LinearOctree(
-        OctantArray(blk[:, 0], blk[:, 1], blk[:, 2], blk[:, 3]), presorted=True
-    )
+    rows = np.concatenate(pt.comm.allgather(pt.local.pack()), axis=0)
+    return LinearOctree(OctantArray.unpack(rows), presorted=True)

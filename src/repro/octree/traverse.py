@@ -32,6 +32,7 @@ from .morton import ROOT_LEN, morton_encode
 from .octants import OctantArray
 
 __all__ = [
+    "owners_of_keys",
     "box_owner_pairs",
     "dilated_boxes",
     "boundary_leaf_mask",
@@ -39,7 +40,10 @@ __all__ = [
 ]
 
 
-def _owners(markers: np.ndarray, keys: np.ndarray) -> np.ndarray:
+def owners_of_keys(markers: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Owning rank of each curve key (finest-level Morton keys for the
+    octree's markers, composite keys for the forest's)."""
+    keys = np.asarray(keys, dtype=np.uint64)
     return np.searchsorted(markers[1:-1], keys, side="right").astype(np.int64)
 
 
@@ -85,8 +89,8 @@ def box_owner_pairs(
     while len(items):
         kmin = offs | morton_encode(lo[:, 0], lo[:, 1], lo[:, 2])
         kmax = offs | morton_encode(hi[:, 0], hi[:, 1], hi[:, 2])
-        omin = _owners(markers, kmin)
-        omax = _owners(markers, kmax)
+        omin = owners_of_keys(markers, kmin)
+        omax = owners_of_keys(markers, kmax)
         out_items.append(items)
         out_ranks.append(omin)
         ne = omax != omin
@@ -152,7 +156,8 @@ def boundary_leaf_mask(
     leaves for the per-box recursion."""
     kmin = morton_encode(lo[:, 0], lo[:, 1], lo[:, 2])
     kmax = morton_encode(hi[:, 0], hi[:, 1], hi[:, 2])
-    return (_owners(markers, kmin) != rank) | (_owners(markers, kmax) != rank)
+    owners = owners_of_keys(markers, np.stack([kmin, kmax]))
+    return (owners != rank).any(axis=0)
 
 
 def ghost_destinations(

@@ -23,16 +23,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.forest import forest_key
 from repro.mangll.lgl import lagrange_basis_at
-from repro.octree import ROOT_LEN
+from repro.octree import ROOT_LEN, morton_encode
 
 _FACE_AXIS_SIDE = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
+def _leaf_in_tree(forest, tree: int, c: np.ndarray) -> np.ndarray:
+    """Index within ``tree`` of the leaf holding each in-tree point."""
+    fk = forest_key(np.full(len(c), tree), morton_encode(c[:, 0], c[:, 1], c[:, 2]))
+    leaf = np.searchsorted(forest.fkeys(), fk, side="right") - 1
+    return leaf - forest.tree_offsets()[tree]
+
+
 def neighbor_leaf(forest, tree: int, coords: np.ndarray):
     """Resolve integer sample points that may exit ``tree`` through one
-    face.  Returns ``(tree_ids, leaf_idx)``; -1 where the point leaves
-    the forest or exits diagonally."""
+    face.  Returns ``(tree_ids, leaf_idx)``, the index counting within
+    the tree; -1 where the point leaves the forest or exits diagonally."""
     coords = np.asarray(coords, dtype=np.int64)
     n = len(coords)
     out_tree = np.full(n, -1, dtype=np.int64)
@@ -41,7 +49,7 @@ def neighbor_leaf(forest, tree: int, coords: np.ndarray):
     if inside.any():
         c = coords[inside]
         out_tree[inside] = tree
-        out_leaf[inside] = forest.trees[tree].find_containing(c[:, 0], c[:, 1], c[:, 2])
+        out_leaf[inside] = _leaf_in_tree(forest, tree, c)
     outside = ~inside
     if outside.any():
         c = coords[outside]
@@ -56,11 +64,8 @@ def neighbor_leaf(forest, tree: int, coords: np.ndarray):
                 if fc is None or not sel.any():
                     continue
                 q = fc.transform(c[sel])
-                idx = forest.trees[fc.neighbor_tree].find_containing(
-                    q[:, 0], q[:, 1], q[:, 2]
-                )
                 out_tree[oi[sel]] = fc.neighbor_tree
-                out_leaf[oi[sel]] = idx
+                out_leaf[oi[sel]] = _leaf_in_tree(forest, fc.neighbor_tree, q)
     return out_tree, out_leaf
 
 
@@ -94,8 +99,8 @@ class LoopFaceBuilder:
         t_nb, l_nb = neighbor_leaf(self.forest, tid, center[None, :])
         if t_nb[0] < 0:
             return None
-        nb_lvl = int(self.forest.trees[t_nb[0]].levels[l_nb[0]])
         ge = self.offsets[t_nb[0]] + l_nb[0]
+        nb_lvl = int(dg.octs.level[ge])
         if nb_lvl <= lvl:
             # conforming or I'm the fine side: my face drives
             return [(int(ge), e)]

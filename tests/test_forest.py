@@ -7,9 +7,10 @@ from repro.forest import (
     Forest,
     brick_connectivity,
     cubed_sphere_connectivity,
+    forest_key,
     unit_cube,
 )
-from repro.octree import ROOT_LEN
+from repro.octree import ROOT_LEN, morton_encode
 
 from .oracles.dg_faces import neighbor_leaf
 
@@ -163,22 +164,19 @@ class TestForest:
         conn = brick_connectivity(2, 1, 1)
         forest = Forest.uniform(conn, 1)
         # refine tree 0's leaf at its +x face repeatedly
+        # the leaf containing a point near the +x face center of tree 0
+        mid = np.array([ROOT_LEN // 2])
+        target = forest_key([0], morton_encode(np.array([ROOT_LEN - 1]), mid, mid))
         for _ in range(3):
-            offs = forest.tree_offsets()
-            t0 = forest.trees[0]
-            # pick the leaf containing a point near the +x face center
-            idx = t0.find_containing(
-                np.array([ROOT_LEN - 1]), np.array([ROOT_LEN // 2]), np.array([ROOT_LEN // 2])
-            )[0]
             mask = np.zeros(len(forest), dtype=bool)
-            mask[offs[0] + idx] = True
+            mask[np.searchsorted(forest.fkeys(), target, side="right") - 1] = True
             forest = forest.refine(mask)
         assert not forest.is_balanced()
         balanced, added = forest.balance()
         assert added > 0
         assert balanced.is_balanced()
         # tree 1 must have been refined beyond level 1
-        assert balanced.trees[1].levels.max() >= 2
+        assert balanced.octs.level[balanced.tree_ids == 1].max() >= 2
 
     def test_balance_idempotent(self):
         conn = brick_connectivity(2, 2, 1)

@@ -1,5 +1,6 @@
 """Tests for the distributed forest (ParForest) — P-invariance against
-the serial Forest for balance, partition, and adaptation."""
+the serial Forest for partition and adaptation, and against the
+list-of-trees oracle for balance."""
 
 import numpy as np
 import pytest
@@ -13,16 +14,25 @@ from repro.forest import (
     forest_key,
     unit_cube,
 )
-from repro.octree import ROOT_LEN
+from repro.octree import ROOT_LEN, morton_encode
 from repro.parallel import run_spmd
+
+from .oracles.forest_balance import TreeListForest
 
 PS = [1, 2, 4]
 
 
 def forests_equal(a: Forest, b: Forest) -> bool:
-    if a.n_trees != b.n_trees:
-        return False
-    return all(x.leaves.equals(y.leaves) for x, y in zip(a.trees, b.trees))
+    return np.array_equal(a.tree_ids, b.tree_ids) and a.octs.equals(b.octs)
+
+
+#: composite key of a point just inside tree 0's +x face, mid-face
+_FACE_POINT = forest_key(
+    [0],
+    morton_encode(
+        np.array([ROOT_LEN - 1]), np.array([ROOT_LEN // 2]), np.array([ROOT_LEN // 2])
+    ),
+)[0]
 
 
 class TestConstruction:
@@ -120,9 +130,7 @@ class TestAdaptation:
 
         nfam, ref = run_spmd(1, kernel)[0]
         serial = Forest.uniform(conn, 1)
-        keys = np.concatenate([t.keys for t in serial.trees])
-        fkeys = forest_key(serial.leaf_tree_ids(), keys)
-        serial = serial.refine(fkeys % np.uint64(5) == 0)
+        serial = serial.refine(serial.fkeys() % np.uint64(5) == 0)
         want, want_nfam = serial.coarsen(serial.leaf_tree_ids() % 4 != 0)
         assert nfam == want_nfam > 0 and forests_equal(ref, want)
         for p in (2, 3, 5, 7):
@@ -135,21 +143,7 @@ class TestBalance:
     def _refine_at_tree_face(comm, conn, depth=3):
         """Refine tree 0's leaf nearest its +x face repeatedly."""
         pf = ParForest.uniform(comm, conn, 1)
-        target = forest_key(
-            np.array([0]),
-            np.array(
-                [
-                    int(
-                        __import__("repro.octree", fromlist=["morton_encode"]).morton_encode(
-                            np.array([ROOT_LEN - 1]),
-                            np.array([ROOT_LEN // 2]),
-                            np.array([ROOT_LEN // 2]),
-                        )[0]
-                    )
-                ],
-                dtype=np.uint64,
-            ),
-        )[0]
+        target = _FACE_POINT
         for _ in range(depth):
             fkeys = pf.fkeys()
             mask = np.zeros(len(pf), dtype=bool)
@@ -169,19 +163,15 @@ class TestBalance:
             pf, added = pf.balance()
             return pf.gather(), added
 
-        # serial reference: same refinement on a serial forest
+        # reference: same refinement on a serial forest, oracle balance
         ref = Forest.uniform(conn, 1)
         for _ in range(3):
-            t0 = ref.trees[0]
-            idx = t0.find_containing(
-                np.array([ROOT_LEN - 1]), np.array([ROOT_LEN // 2]), np.array([ROOT_LEN // 2])
-            )[0]
             mask = np.zeros(len(ref), dtype=bool)
-            mask[idx] = True
+            mask[np.searchsorted(ref.fkeys(), _FACE_POINT, side="right") - 1] = True
             ref = ref.refine(mask)
-        ref_b, ref_added = ref.balance()
+        ref_b, ref_added = TreeListForest.from_flat(ref).balance()
         for g, added in run_spmd(p, kernel):
-            assert forests_equal(g, ref_b)
+            ref_b.assert_same_leaves(g)
             assert added == ref_added
             assert g.is_balanced()
 
@@ -197,9 +187,10 @@ class TestBalance:
             pf, _ = pf.balance()
             return pf.gather()
 
-        ref, _ = Forest.uniform(conn, 1).refine(rng_mask).balance()
+        ref = TreeListForest.from_flat(Forest.uniform(conn, 1).refine(rng_mask))
+        ref, _ = ref.balance()
         for g in run_spmd(p, kernel):
-            assert forests_equal(g, ref)
+            ref.assert_same_leaves(g)
             assert g.is_balanced()
 
 

@@ -4,8 +4,9 @@ balance, sort-merge face iteration) against independent references.
 - ghost layers (octants + owners) == the brute-force 26-adjacency set of
   the gathered tree: nothing missing, nothing extra;
 - distributed balance == the full-sweep ripple of
-  ``tests/oracles/balance.py`` and the serial ``balance`` /
-  ``Forest.balance`` of the gathered tree, bitwise;
+  ``tests/oracles/balance.py`` and the serial ``balance`` of the
+  gathered tree / the list-of-trees balance of
+  ``tests/oracles/forest_balance.py`` of the gathered forest, bitwise;
 - the distributed mesh == the serial mesh of the gathered tree on every
   owned element (nodes, hanging flags, constraint rows, dof count);
 - DG face classification and construction (array batches, in-tree and
@@ -32,7 +33,6 @@ from repro.mesh import extract_mesh, node_keys
 from repro.mesh.parmesh import UnbalancedTreeError, collect_ghosts, extract_parmesh
 from repro.octree import (
     LinearOctree,
-    OctantArray,
     balance,
     balance_tree,
     gather_tree,
@@ -46,6 +46,7 @@ from repro.octree.partree import partition_tree
 from repro.parallel import run_spmd
 
 from .oracles.balance import balance_tree_full_sweep
+from .oracles.forest_balance import TreeListForest
 from .test_mangll_dg import assert_equals_loop_builder
 
 PS = [1, 2, 3, 4, 7]
@@ -200,21 +201,19 @@ class TestRecursiveBalance:
     )
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_forest_bitwise_matches_ripple(self, p, conn_factory):
-        """Against the serial ``Forest.balance`` (full-sweep ripple) of
-        the gathered forest."""
+        """Against the list-of-trees balance (per-tree full sweeps plus a
+        per-face cross-tree pass) of the gathered forest."""
         conn = conn_factory()
 
         def kernel(comm):
             pf = build_pforest(comm, conn, 1, refine_seed=4)
-            serial, added_s = pf.gather().balance("edge")
+            want, added_w = TreeListForest.from_flat(pf.gather()).balance("edge")
             got, added = pf.balance("edge")
-            assert added == added_s
-            return serial, got.gather()
+            assert added == added_w
+            return want, got.gather()
 
-        for gs, gr in run_spmd(p, kernel):
-            assert gs.n_trees == gr.n_trees
-            for ts, tr in zip(gs.trees, gr.trees):
-                assert ts.leaves.equals(tr.leaves)
+        for want, got in run_spmd(p, kernel):
+            want.assert_same_leaves(got)
 
 
 class TestExtractEquivalence:
@@ -319,8 +318,7 @@ class TestDGFaceIteration:
         rng = np.random.default_rng(3)
         f = Forest.uniform(conn, 1)
         f, _ = f.refine(rng.random(len(f)) < 0.3).balance()
-        tids = f.leaf_tree_ids()
-        octs = OctantArray.concat([t.leaves for t in f.trees])
+        tids, octs = f.tree_ids, f.octs
         c = match_faces(tids, octs, conn)
         assert np.array_equal(c.idrive | c.coarse, c.valid)
         assert not (c.idrive & c.coarse).any()

@@ -14,7 +14,7 @@ from repro.forest import (
     unit_cube,
 )
 from repro.mangll import DGAdvection, solid_body_rotation
-from repro.octree import LinearOctree
+from repro.octree import OctantArray
 
 from .oracles.dg_faces import LoopFaceBuilder
 
@@ -306,7 +306,8 @@ class TestUnbalancedForestRejected:
 
     def test_jump_across_tree_face(self):
         conn = brick_connectivity(2, 1, 1)
-        f = Forest(conn, [LinearOctree.uniform(2), LinearOctree.uniform(0)])
+        octs = OctantArray.concat([OctantArray.uniform(2), OctantArray.uniform(0)])
+        f = Forest(conn, np.repeat([0, 1], [64, 1]), octs)
         # tree 1 is one element, 4x the size of its 16 neighbors in tree 0;
         # the first of those in element order is the first offender
         with pytest.raises(ValueError, match=r"face 1 of element 9 \(tree 0, level 2\)"):

@@ -225,10 +225,7 @@ class TestWorkloadEquivalence:
             pf.refine(flags)
             pf.balance()
             g = pf.gather()
-            return {
-                "keys": [t.leaves.keys().copy() for t in g.trees],
-                "levels": [t.leaves.level.copy() for t in g.trees],
-            }
+            return {"keys": g.fkeys(), "levels": g.octs.level.copy()}
 
         rt, rp = both_backends(p, kernel)
         assert_bitwise(rt, rp)
