@@ -25,6 +25,7 @@ import numpy as np
 from .. import obs
 from ..analysis.conformance import schedule_phase
 from ..fem import ParAdvectionDiffusion
+from ..forest import FOREST_MAX_LEVEL
 from ..mesh.parmesh import ParMesh, extract_parmesh, par_interpolate_at
 from ..octree import new_tree
 from ..octree.partree import (
@@ -98,6 +99,11 @@ class ParAmrPipeline:
         connectivity: str = "corner",
         tree=None,
     ):
+        if max_level > FOREST_MAX_LEVEL:
+            raise ValueError(
+                f"max_level must be <= {FOREST_MAX_LEVEL} (the deepest level "
+                f"2:1 balance encodes), got {max_level}"
+            )
         self.comm = comm
         self.workload = workload or RotatingFrontWorkload()
         self.min_level = min_level

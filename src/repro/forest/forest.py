@@ -15,15 +15,18 @@ anchor key is a multiple of 64; ``fkey = (tree << 57) | (key >> 6)`` is
 then an exact, order-preserving uint64 encoding for up to 128 trees —
 the cubed sphere's 24 fit comfortably.
 
-2:1 balance is the ripple propagation of the single octree extended
-across trees: neighbor sample points that leave a tree through a face are
-transformed into the adjacent tree's coordinate system with the exact
+2:1 balance is one frontier-driven ripple (:meth:`Forest._ripple`, the
+serial and per-rank BALANCETREE of the forest and of the octree, its
+one-tree case): neighbor sample points that leave a tree through a face
+are transformed into the adjacent tree's coordinate system with the exact
 lattice transforms of the connectivity and answered there.  Within trees
 the full (face/edge/corner) condition is enforced; across trees the face
 condition is (the one the DG face integration requires).
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -45,7 +48,7 @@ _KSHIFT = np.uint64(6)
 def forest_key(tree_ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Composite (tree, Morton) ordering key (exact for level <= 19)."""
     t = np.asarray(tree_ids).astype(np.uint64)
-    k = np.asarray(keys).astype(np.uint64)
+    k = np.asarray(keys).astype(np.uint64, copy=False)
     return (t << _SHIFT) | (k >> _KSHIFT)
 
 
@@ -53,32 +56,42 @@ def sample_queries(
     tree_ids: np.ndarray,
     octs: OctantArray,
     conn: Connectivity,
-    connectivity: str,
+    dirs: np.ndarray,
+    level: np.ndarray,
+    flo,
+    fhi,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(query_fkeys, query_levels) of all neighbor sample points of the
-    given leaves — the center of each leaf's same-size neighbor region:
-    within its tree for all directions of ``connectivity``, and in the
-    adjacent tree's frame (exact lattice transforms) where a face
-    direction leaves the tree.  Edge and corner exits of a tree are not
-    sampled; they are face-balanced transitively."""
-    dirs = directions_for(connectivity)
+    """``(fkeys, levels)`` of the neighbor samples of the source leaves
+    that fall into the composite-key interval ``[flo, fhi)``: the center
+    of each source's same-size neighbor region in every direction of
+    ``dirs``, within its tree, and in the adjacent tree's frame (exact
+    lattice transforms) where a face direction leaves the tree.  The leaf
+    holding a sample must reach ``level - 1`` (``level``: one per source).
+    Edge and corner exits of a tree are not sampled; they are
+    face-balanced transitively."""
     h = octs.lengths()
     centers = np.stack([octs.x, octs.y, octs.z]) + h // 2
     p = centers[:, None, :] + dirs.T[:, :, None] * h  # (3, n_dirs, n)
     ok = ((p >= 0) & (p < ROOT_LEN)).all(axis=0)  # (n_dirs, n)
-    tids = np.broadcast_to(tree_ids, ok.shape)
-    levels = np.broadcast_to(octs.level.astype(np.int64), ok.shape)
-    qf = forest_key(tids[ok], morton_encode(p[0][ok], p[1][ok], p[2][ok]))
-    # the face directions that left the tree, through a glued face
-    d, e = np.nonzero(~ok & (np.abs(dirs).sum(axis=1) == 1)[:, None])
-    axis = np.abs(dirs[d]).argmax(axis=1)
-    face = 2 * axis + (dirs[d, axis] > 0)
-    nb = conn.face_tree[tree_ids[e], face]
-    d, e, face, nb = (a[nb >= 0] for a in (d, e, face, nb))
-    R, o = conn.face_R[tree_ids[e], face], conn.face_o[tree_ids[e], face]
-    q = np.einsum("mij,mj->mi", R, p[:, d, e].T) + o
-    qx = forest_key(nb, morton_encode(q[:, 0], q[:, 1], q[:, 2]))
-    return np.concatenate([qf, qx]), np.concatenate([levels[ok], levels[d, e]])
+    level = np.broadcast_to(level, ok.shape)
+    # forest_key(t, k) == forest_key(t, 0) | forest_key(0, k): the tree
+    # part is shifted once per source, not once per sample
+    qf = forest_key(0, morton_encode(p[0][ok], p[1][ok], p[2][ok]))
+    qf |= np.broadcast_to(forest_key(tree_ids, 0), ok.shape)[ok]
+    ql = level[ok]
+    if (conn.face_tree >= 0).any():
+        # the face directions that left the tree, through a glued face
+        d, e = np.nonzero(~ok & (np.abs(dirs).sum(axis=1) == 1)[:, None])
+        axis = np.abs(dirs[d]).argmax(axis=1)
+        face = 2 * axis + (dirs[d, axis] > 0)
+        nb = conn.face_tree[tree_ids[e], face]
+        d, e, face, nb = (a[nb >= 0] for a in (d, e, face, nb))
+        R, o = conn.face_R[tree_ids[e], face], conn.face_o[tree_ids[e], face]
+        q = np.einsum("mij,mj->mi", R, p[:, d, e].T) + o
+        qx = forest_key(nb, morton_encode(q[:, 0], q[:, 1], q[:, 2]))
+        qf, ql = np.concatenate([qf, qx]), np.concatenate([ql, level[d, e]])
+    keep = (qf >= flo) & (qf < fhi)
+    return qf[keep], ql[keep]
 
 
 def _coarsen_leaves(octs: OctantArray, mask: np.ndarray) -> tuple[OctantArray, int]:
@@ -101,21 +114,22 @@ class Forest:
         tree_ids = np.ascontiguousarray(tree_ids, dtype=np.int64)
         if tree_ids.shape != (len(octs),):
             raise ValueError("one tree id per leaf required")
+        self.conn, self.tree_ids, self.octs, self._fkeys = conn, tree_ids, octs, None
         if len(octs):
             if tree_ids.min() < 0 or tree_ids.max() >= conn.n_trees:
                 raise ValueError(f"tree ids must lie in [0, {conn.n_trees})")
             if octs.level.max() > FOREST_MAX_LEVEL:
                 raise ValueError(f"forest supports levels <= {FOREST_MAX_LEVEL}")
-            fkeys = forest_key(tree_ids, octs.keys())
+            fkeys = self.fkeys()
             if np.any(fkeys[1:] <= fkeys[:-1]):
                 raise ValueError("leaves must be strictly increasing in forest_key")
-        self.conn = conn
-        self.tree_ids = tree_ids
-        self.octs = octs
 
     def _with(self, tree_ids: np.ndarray, octs: OctantArray) -> "Forest":
-        """The same kind of segment over other leaves."""
-        return Forest(self.conn, tree_ids, octs)
+        """The same kind of segment (and communicator) over other leaves,
+        which the calling algorithm keeps valid: nothing is re-checked."""
+        out = copy.copy(self)
+        out.tree_ids, out.octs, out._fkeys = tree_ids, octs, None
+        return out
 
     # -- constructors ----------------------------------------------------------
 
@@ -141,7 +155,10 @@ class Forest:
         return self.conn.n_trees
 
     def fkeys(self) -> np.ndarray:
-        return forest_key(self.tree_ids, self.octs.keys())
+        """:func:`forest_key` of every leaf (cached)."""
+        if self._fkeys is None:
+            self._fkeys = forest_key(self.tree_ids, self.octs.keys())
+        return self._fkeys
 
     def fkey_end(self) -> np.uint64:
         """End of the whole curve: the keys lie in ``[0, n_trees << 57)``."""
@@ -192,7 +209,7 @@ class Forest:
 
     def _split(self, mask: np.ndarray) -> "Forest":
         """Children replace each marked leaf where it stood: the order
-        (and the cached keys) survive without a re-sort."""
+        (and the cached Morton keys) survive without a re-sort."""
         tree_ids = np.repeat(self.tree_ids, np.where(mask, 8, 1))
         return self._with(tree_ids, self.octs.refine(mask))
 
@@ -222,35 +239,57 @@ class Forest:
 
     # -- balance ----------------------------------------------------------------------
 
-    def _violations(self, connectivity: str, flo, fhi, extra=None) -> np.ndarray:
-        """Mark the leaves two or more levels coarser than a leaf whose
-        neighbor sample they hold, the samples being those of this
-        segment and of the leaves ``extra`` (another segment's) that fall
-        into the composite-key interval ``[flo, fhi)``."""
-        tree_ids, octs = self.tree_ids, self.octs
-        if extra is not None:
-            tree_ids = np.concatenate([tree_ids, extra.tree_ids])
-            octs = OctantArray.concat([octs, extra.octs])
-        qfk, qlv = sample_queries(tree_ids, octs, self.conn, connectivity)
-        keep = (qfk >= flo) & (qfk < fhi)
-        idx = np.searchsorted(self.fkeys(), qfk[keep], side="right") - 1
-        mark = np.zeros(len(self), dtype=bool)
-        mark[idx[self.octs.level[idx] < qlv[keep] - 1]] = True
-        return mark
-
     def _ripple(
-        self, connectivity: str, flo, fhi, extra, max_rounds: int
-    ) -> tuple["Forest", bool]:
-        """Balance this segment against itself plus the static remote
-        boundary leaves ``extra``, splitting the violators until a local
-        fixed point.  Returns the segment and whether it changed."""
+        self, dirs: np.ndarray, flo, fhi, extra, max_rounds: int
+    ) -> tuple["Forest", int]:
+        """Balance this segment against itself (``extra is None``) or,
+        when it already is a fixed point, against the static remote
+        boundary leaves ``extra``, splitting until a local fixed point.
+        Only samples inside ``[flo, fhi)`` are answered; the others are
+        their owner's job, delivered through ``extra``.  Returns the
+        segment and the number of rounds.
+
+        Frontier-driven, yet each round marks exactly what a full sweep
+        would (DESIGN.md section 4e): a complete sibling family samples
+        through its parent, and after a split only the violating samples
+        and the split leaves' new families can violate."""
+        if extra is None:
+            fk, lv = self.fkeys(), self.octs.level.astype(np.int64)
+            m = max(len(self) - 7, 0)
+            child_range = key_range_size(lv[:m]) >> _KSHIFT
+            # in a sorted leaf sequence, a first child followed 7 places on
+            # by an equal-level leaf 7 child-ranges away heads a family
+            first = np.flatnonzero(
+                (lv[:m] > 0)
+                & (lv[7:] == lv[:m])
+                & (fk[7:] - fk[:m] == np.uint64(7) * child_range)
+                & (self.octs.sibling_ids()[:m] == 0)
+            )
+            single = np.ones(len(self), dtype=bool)
+            single[(first[:, None] + np.arange(8)).ravel()] = False
+            tids = np.concatenate([self.tree_ids[first], self.tree_ids[single]])
+            src = OctantArray.concat([self.octs[first].parents(), self.octs[single]])
+            level = np.concatenate([lv[first], lv[single]])
+        else:
+            tids, src = extra.tree_ids, extra.octs
+            level = src.level.astype(np.int64)
+        pk, pl = sample_queries(tids, src, self.conn, dirs, level, flo, fhi)
         forest = self
-        for _ in range(max_rounds):
-            mark = forest._violations(connectivity, flo, fhi, extra)
-            if not mark.any():
-                return forest, forest is not self
+        for rounds in range(max_rounds):
+            idx = np.searchsorted(forest.fkeys(), pk, side="right") - 1
+            viol = forest.octs.level[idx] < pl - 1
+            if not viol.any():
+                return forest, rounds
+            mark = np.zeros(len(forest), dtype=bool)
+            mark[idx[viol]] = True
+            split = forest.octs[mark]
+            nk, nl = sample_queries(
+                forest.tree_ids[mark], split, self.conn, dirs,
+                split.level.astype(np.int64) + 1, flo, fhi,
+            )
+            pk, pl = np.concatenate([pk[viol], nk]), np.concatenate([pl[viol], nl])
             forest = forest._split(mark)
-        raise RuntimeError("forest balance did not converge")
+        raise RuntimeError("balance did not converge")
 
     def balance(
         self, connectivity: str = "edge", max_rounds: int = 64
@@ -259,12 +298,25 @@ class Forest:
 
         Returns ``(forest, leaves_added)``.
         """
-        whole = np.uint64(0), self.fkey_end()
-        forest, _ = self._ripple(connectivity, *whole, None, max_rounds)
+        dirs = directions_for(connectivity)
+        forest, _ = self._ripple(dirs, np.uint64(0), self.fkey_end(), None, max_rounds)
         return forest, len(forest) - len(self)
 
+    def _violations(self, dirs: np.ndarray) -> np.ndarray:
+        """The full-sweep check: mark the leaves two or more levels
+        coarser than a leaf whose neighbor sample they hold.  One direction
+        at a time, so the transient is one sample per leaf."""
+        fk, lv = self.fkeys(), self.octs.level.astype(np.int64)
+        whole = np.uint64(0), self.fkey_end()
+        mark = np.zeros(len(self), dtype=bool)
+        for d in dirs[:, None]:
+            qk, ql = sample_queries(self.tree_ids, self.octs, self.conn, d, lv, *whole)
+            idx = np.searchsorted(fk, qk, side="right") - 1
+            mark[idx[self.octs.level[idx] < ql - 1]] = True
+        return mark
+
     def is_balanced(self, connectivity: str = "edge") -> bool:
-        return not self._violations(connectivity, np.uint64(0), self.fkey_end()).any()
+        return not self._violations(directions_for(connectivity)).any()
 
     # -- partitioning -----------------------------------------------------------------
 

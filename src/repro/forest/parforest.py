@@ -11,7 +11,8 @@ rank, and all operations are bulk-synchronous:
   marker;
 - :meth:`ParForest.balance` — 2:1 balance by the segment's local ripple
   plus boundary-leaf exchanges
-  (:func:`repro.forest.recursive.balance_forest_recursive`);
+  (:func:`repro.forest.recursive.balance_forest_recursive`, which is
+  also the octree's BALANCETREE);
 - :meth:`ParForest.partition` — equal-count or weighted repartition of
   the global curve with one all-to-all.
 """
@@ -46,9 +47,6 @@ class ParForest(Forest):
         super().__init__(conn, tree_ids, octs)
         self.comm = comm
 
-    def _with(self, tree_ids: np.ndarray, octs: OctantArray) -> "ParForest":
-        return ParForest(self.comm, self.conn, tree_ids, octs)
-
     @classmethod
     def uniform(cls, comm: SimComm, conn: Connectivity, level: int) -> "ParForest":
         """Every rank gets an equal slice of the (tree, Morton)-ordered
@@ -64,9 +62,6 @@ class ParForest(Forest):
 
     def owners(self, markers: np.ndarray, qfkeys: np.ndarray) -> np.ndarray:
         return owners_of_keys(markers, qfkeys)
-
-    def global_count(self) -> int:
-        return self.comm.allreduce(len(self))
 
     def _level_counts(self) -> np.ndarray:
         return self.comm.allreduce(super()._level_counts())

@@ -25,13 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
+from ..forest import ParForest
+from ..forest.recursive import exchange_boundary_leaves
 from ..octree import OctantArray, ROOT_LEN, morton_encode
-from ..octree.partree import (
-    ParTree,
-    exchange_boundary_leaves,
-    owners_of_keys,
-    partition_markers,
-)
+from ..octree.balance import _one_tree
+from ..octree.partree import ParTree, owners_of_keys, partition_markers
 from ..parallel import SimComm
 from .extract import Mesh, extract_submesh, node_keys
 
@@ -78,10 +76,10 @@ def collect_ghosts(pt: ParTree) -> tuple[OctantArray, np.ndarray]:
     to local leaves, in one alltoall.
 
     Each rank computes, per boundary leaf, the remote ranks owning any
-    cell of the leaf's one-cell-dilated shell — by marker recursion
-    (:func:`repro.octree.traverse.ghost_destinations`), not sampling —
-    and sends the leaf to exactly those ranks
-    (:func:`repro.octree.partree.exchange_boundary_leaves`; Isaac et
+    cell of the leaf's one-cell-dilated shell — by marker recursion, not
+    sampling — and sends the leaf to exactly those ranks.  That is the
+    one destination rule and exchange of the one-tree forest's balance
+    (:func:`repro.forest.recursive.exchange_boundary_leaves`; Isaac et
     al., arXiv:1406.0089).  The mesh layer needs one-deep ghost layers,
     so the tree must be fully (corner-)balanced (checked under
     ``REPRO_SANITIZE=1``).
@@ -91,7 +89,8 @@ def collect_ghosts(pt: ParTree) -> tuple[OctantArray, np.ndarray]:
     """
     _check_corner_balanced(pt)
     comm = pt.comm
-    got = exchange_boundary_leaves(comm, pt.local, partition_markers(comm, pt.local))
+    pf: ParForest = _one_tree(pt.local, comm)  # typed for the comm-flow analysis
+    got = exchange_boundary_leaves(pf, pf.markers(), pt.local.pack())
     blk = np.concatenate(got, axis=0)
     if not len(blk):
         return OctantArray.empty(), np.zeros(0, dtype=np.int64)

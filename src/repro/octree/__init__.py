@@ -3,9 +3,11 @@
 This package implements the data structures of Section IV of the paper:
 Morton space-filling-curve keys (:mod:`.morton`), vectorized octant arrays
 (:mod:`.octants`), complete linear octrees with refinement/coarsening
-(:mod:`.linear`), serial 2:1 balance (:mod:`.balance`), and the distributed
-tree with the parallel ALPS functions NEWTREE / REFINETREE / COARSENTREE /
-BALANCETREE / PARTITIONTREE (:mod:`.partree`).
+(:mod:`.linear`), and the distributed tree with the parallel ALPS
+functions NEWTREE / REFINETREE / COARSENTREE / BALANCETREE /
+PARTITIONTREE (:mod:`.partree`).  2:1 balance, serial (:mod:`.balance`)
+and distributed, is the one-tree case of :mod:`repro.forest`'s balance,
+so octree levels are capped at its 19.
 """
 
 from .balance import BalanceResult, balance, balance_violations, is_balanced
@@ -32,12 +34,7 @@ from .partree import (
     partition_tree,
     refine_tree,
 )
-from .traverse import (
-    boundary_leaf_mask,
-    box_owner_pairs,
-    dilated_boxes,
-    ghost_destinations,
-)
+from .traverse import box_owner_pairs, dilated_boxes
 
 __all__ = [
     "MAX_LEVEL",
@@ -67,7 +64,5 @@ __all__ = [
     "gather_tree",
     "box_owner_pairs",
     "dilated_boxes",
-    "boundary_leaf_mask",
-    "ghost_destinations",
     "row_lookup",
 ]

@@ -15,7 +15,9 @@ Implemented here, with the paper's names:
   straddle a partition marker are resolved with one exchange so the
   result is identical for every rank count.
 - :func:`balance_tree` — BALANCETREE: communication-free local balance,
-  then boundary-leaf exchanges (typically two) until a global fixed point.
+  then boundary-leaf exchanges (typically two) until a global fixed point;
+  the one-tree case of the forest's
+  :func:`~repro.forest.recursive.balance_forest_recursive`.
 - :func:`partition_tree` — PARTITIONTREE: equal-count (or weighted)
   repartition along the space-filling curve via all-to-all; returns the
   routing plan that TRANSFERFIELDS reuses for element data.
@@ -36,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..parallel import SimComm
-from .balance import _ripple_local
+from .balance import _one_tree
 from .linear import LinearOctree
 from .morton import MAX_LEVEL, key_range_size
-from .octants import OctantArray, directions_for
-from .traverse import ghost_destinations, owners_of_keys
+from .octants import OctantArray
+from .traverse import owners_of_keys
 
 __all__ = [
     "ParTree",
@@ -48,7 +50,6 @@ __all__ = [
     "refine_tree",
     "coarsen_tree",
     "balance_tree",
-    "exchange_boundary_leaves",
     "partition_tree",
     "partition_markers",
     "curve_markers",
@@ -291,19 +292,6 @@ def coarsen_tree(pt: ParTree, mask: np.ndarray) -> tuple[ParTree, int]:
     return ParTree(comm, leaves), nfam + len(accepted)
 
 
-def exchange_boundary_leaves(
-    comm: SimComm, local: OctantArray, markers: np.ndarray
-) -> list[np.ndarray]:
-    """Send every local leaf to exactly the remote ranks that own a leaf
-    26-adjacent to it (destinations by marker recursion,
-    :func:`~repro.octree.traverse.ghost_destinations`), in one alltoall.
-    Returns the received ``(n, 4)`` int64 blocks ``x, y, z, level``, one
-    per source rank."""
-    idx, dst = ghost_destinations(local, markers, comm.rank)
-    rows = local.pack()
-    return comm.alltoall([rows[idx[dst == r]] for r in range(comm.size)])
-
-
 def balance_tree(
     pt: ParTree,
     connectivity: str = "edge",
@@ -313,37 +301,23 @@ def balance_tree(
     the insulation-layer neighbors until a convergence allreduce reports
     a global fixed point (Isaac et al., arXiv:1406.0089).
 
-    Balancing only refines in place, so partition markers are fixed for
-    the whole call: one allgather up front, then per exchange one
-    alltoall of boundary leaves (:func:`exchange_boundary_leaves`) plus
-    one convergence allreduce.  The 2:1 closure of a complete octree is
-    unique, so the result is the serial :func:`~repro.octree.balance.balance`
-    of the gathered tree for every rank count.
+    It is the one-tree forest's
+    :func:`~repro.forest.recursive.balance_forest_recursive`.  The 2:1
+    closure of a complete octree is unique, so the result is the serial
+    :func:`~repro.octree.balance.balance` of the gathered tree for every
+    rank count.
 
     Returns ``(tree, leaves_added, exchanges)``: the third value is the
     number of boundary exchanges (the insulation-propagation depth,
     almost always <= 2), which ``max_rounds`` bounds — exceeding it
     raises ``RuntimeError``.
     """
-    comm = pt.comm
-    dirs = directions_for(connectivity)
-    local = pt.local
-    n0 = comm.allreduce(len(local))
-    markers = partition_markers(comm, local)
-    klo, khi = markers[comm.rank], markers[comm.rank + 1]
-    local, _ = _ripple_local(local, dirs, klo, khi, None)
-    exchanges = 0
-    while exchanges < max_rounds:
-        blk = np.concatenate(exchange_boundary_leaves(comm, local, markers), axis=0)
-        exchanges += 1
-        local, rounds = _ripple_local(local, dirs, klo, khi, OctantArray.unpack(blk))
-        if not comm.allreduce(rounds > 0, op="lor"):
-            break
-    else:
-        raise RuntimeError("parallel balance did not converge")
-    out = ParTree(comm, local)
-    added = comm.allreduce(len(local)) - n0
-    return out, added, exchanges
+    from ..forest.recursive import balance_forest_recursive
+
+    pf, added, exchanges = balance_forest_recursive(
+        _one_tree(pt.local, pt.comm), connectivity, max_rounds
+    )
+    return ParTree(pt.comm, pf.octs), added, exchanges
 
 
 @dataclass

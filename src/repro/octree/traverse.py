@@ -4,24 +4,22 @@ Isaac, Burstedde, Wilcox & Ghattas ("Recursive Algorithms for Distributed
 Forests of Octrees", arXiv:1406.0089) find a leaf's remote neighbors by
 top-down traversals of the partition markers instead of sampling
 candidate points and querying their owners: because each rank owns a
-*contiguous* Morton-key interval and no leaf straddles a marker, the set
-of ranks owning any axis-aligned box of finest-level cells can be
-computed locally by recursive bisection of the box — no communication at
-all.
+*contiguous* key interval and no leaf straddles a marker, the set of
+ranks owning any axis-aligned box of cells can be computed locally by
+recursive bisection of the box — no communication at all.
 
-This module provides those kernels for the single-octree case; the
-parallel BALANCETREE (:func:`~repro.octree.partree.balance_tree`) and the
-ghost layer (:func:`~repro.mesh.parmesh.collect_ghosts`) are built on them:
+The kernels here take keys and boxes, not a forest; the one destination
+rule built on them (:func:`repro.forest.recursive._forest_destinations`,
+which BALANCETREE and the ghost layer both use) lives with the forest:
 
+- :func:`owners_of_keys` — the owning rank of each curve key.
 - :func:`box_owner_pairs` — all ``(item, rank)`` pairs such that ``rank``
-  owns at least one finest cell of ``item``'s inclusive coordinate box.
+  owns at least one cell of ``item``'s inclusive coordinate box.
   The recursion narrows the candidate rank range with the owners of the
   box's Morton-extreme corners and splits at the highest differing
   coordinate bit, so each box resolves in ``O(#ranks touched · levels)``.
-- :func:`ghost_destinations` — for every local leaf, the remote ranks
-  owning cells of its one-cell-dilated shell; by the marker-interval
-  structure these are exactly the ranks owning a 26-adjacent leaf (exact
-  adjacency, not an over-approximation).
+- :func:`dilated_boxes` — each octant's box grown by one cell, whose
+  remote owners are exactly the ranks owning a 26-adjacent leaf.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ __all__ = [
     "owners_of_keys",
     "box_owner_pairs",
     "dilated_boxes",
-    "boundary_leaf_mask",
-    "ghost_destinations",
 ]
 
 
@@ -145,38 +141,3 @@ def dilated_boxes(octs: OctantArray, unit: int = 1) -> tuple[np.ndarray, np.ndar
     hi = np.minimum(lo + h[:, None], n - 1)
     lo = np.maximum(lo - 1, 0)
     return lo, hi
-
-
-def boundary_leaf_mask(
-    lo: np.ndarray, hi: np.ndarray, markers: np.ndarray, rank: int
-) -> np.ndarray:
-    """Leaves whose dilated box may touch a remote rank's interval: both
-    Morton-extreme corners owned locally means every box key is local, so
-    the (cheap, vectorized) screen keeps only true partition-boundary
-    leaves for the per-box recursion."""
-    kmin = morton_encode(lo[:, 0], lo[:, 1], lo[:, 2])
-    kmax = morton_encode(hi[:, 0], hi[:, 1], hi[:, 2])
-    owners = owners_of_keys(markers, np.stack([kmin, kmax]))
-    return (owners != rank).any(axis=0)
-
-
-def ghost_destinations(
-    local: OctantArray, markers: np.ndarray, rank: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(leaf_idx, dest_rank)`` pairs: for each local leaf, every remote
-    rank owning a leaf 26-adjacent to it (deduplicated, ``dest != rank``).
-
-    A remote leaf M touches local leaf L iff M's owner owns one of the
-    shell cells of L's one-cell-dilated box (leaves never straddle
-    markers, so cell owner == owner of the containing leaf); conversely
-    every cell of L itself is local, so the non-local owner set of the
-    dilated box is exactly the 26-adjacent remote rank set.
-    """
-    if not len(local):
-        e = np.zeros(0, dtype=np.int64)
-        return e, e.copy()
-    lo, hi = dilated_boxes(local)
-    cand = np.flatnonzero(boundary_leaf_mask(lo, hi, markers, rank))
-    it, rk = box_owner_pairs(lo[cand], hi[cand], cand, markers)
-    remote = rk != rank
-    return it[remote], rk[remote]

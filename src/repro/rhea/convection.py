@@ -22,6 +22,7 @@ import numpy as np
 from .. import obs
 from ..amr import adapt_mesh
 from ..fem import AdvectionDiffusion, StokesSystem, element_velocity_from_nodal
+from ..forest import FOREST_MAX_LEVEL
 from ..mesh import Mesh, extract_mesh
 from ..mesh.opcache import operator_cache
 from ..octree import LinearOctree
@@ -146,6 +147,12 @@ class RheaConfig:
                     "need 0 <= min_level <= initial_level <= max_level, "
                     f"got ({self.min_level}, {self.initial_level}, "
                     f"{self.max_level})",
+                ))
+            if self.max_level > FOREST_MAX_LEVEL:
+                errors.append((
+                    "max_level",
+                    f"must be <= {FOREST_MAX_LEVEL} (the deepest level 2:1 "
+                    f"balance encodes), got {self.max_level}",
                 ))
         else:
             errors.append(("initial_level", f"levels must be integers, got {levels!r}"))

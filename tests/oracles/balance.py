@@ -1,9 +1,14 @@
-"""Full-sweep local ripple and the balance drivers built on it.
+"""Full-sweep local ripple, the octree's own destination rule, and the
+balance drivers built on them.
 
-This is the kernel ``repro.octree.balance._ripple_local`` replaced: every
-round samples *all* leaves (plus the received remote boundary leaves) in
-every direction.  The frontier kernel must mark the same set each round,
-so trees, round counts, exchange counts and collectives are identical.
+``ripple_full_sweep`` is the kernel the frontier ripple
+(``repro.forest.Forest._ripple``) replaced: every round samples *all*
+leaves (plus the received remote boundary leaves) in every direction, in
+Morton keys of the single octree.  The frontier kernel must mark the same
+set each round, so trees, round counts, exchange counts and collectives
+are identical.  ``ghost_destinations`` is the octree's destination rule
+the forest's ``_forest_destinations`` replaced: dilated boxes in finest
+cells and Morton-key markers, with no tree ids.
 """
 
 from __future__ import annotations
@@ -13,8 +18,34 @@ import numpy as np
 from repro.octree import LinearOctree, OctantArray, directions_for, morton_encode
 from repro.octree.balance import BalanceResult
 from repro.octree.morton import key_range_size
-from repro.octree.partree import ParTree, partition_markers
-from repro.octree.traverse import ghost_destinations
+from repro.octree.partree import ParTree, owners_of_keys, partition_markers
+from repro.octree.traverse import box_owner_pairs, dilated_boxes
+
+
+def ghost_destinations(
+    local: OctantArray, markers: np.ndarray, rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(leaf_idx, dest_rank)`` pairs: for each local leaf, every remote
+    rank owning a leaf 26-adjacent to it (deduplicated, ``dest != rank``).
+
+    A remote leaf M touches local leaf L iff M's owner owns one of the
+    shell cells of L's one-cell-dilated box (leaves never straddle
+    markers, so cell owner == owner of the containing leaf); conversely
+    every cell of L itself is local, so the non-local owner set of the
+    dilated box is exactly the 26-adjacent remote rank set.  Only leaves
+    whose box has a Morton-extreme corner off this rank recurse.
+    """
+    if not len(local):
+        e = np.zeros(0, dtype=np.int64)
+        return e, e.copy()
+    lo, hi = dilated_boxes(local)
+    kmin = morton_encode(lo[:, 0], lo[:, 1], lo[:, 2])
+    kmax = morton_encode(hi[:, 0], hi[:, 1], hi[:, 2])
+    owners = owners_of_keys(markers, np.stack([kmin, kmax]))
+    cand = np.flatnonzero((owners != rank).any(axis=0))
+    it, rk = box_owner_pairs(lo[cand], hi[cand], cand, markers)
+    remote = rk != rank
+    return it[remote], rk[remote]
 
 
 def ripple_full_sweep(local, dirs, klo, khi, extra):

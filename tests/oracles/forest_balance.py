@@ -1,21 +1,115 @@
-"""The forest as a Python list of per-tree ``LinearOctree``s.
+"""The forest as a Python list of per-tree ``LinearOctree``s, and the
+full-sweep forest balance.
 
-This is what ``repro.forest.Forest`` was before it became one flat
-``(conn, tree_ids, octs)`` segment: refine and coarsen tree by tree, and
-a 2:1 balance that sweeps every tree with the octree's violation marks
-and then walks every (tree, face) pair to carry the marks across glued
-faces.  The flat forest (in-place refine, one vectorised ripple over
-composite keys) must produce the same leaves and the same
-``leaves_added``; nothing here shares its kernels.
+``TreeListForest`` is what ``repro.forest.Forest`` was before it became
+one flat ``(conn, tree_ids, octs)`` segment: refine and coarsen tree by
+tree, and a 2:1 balance that sweeps every tree with the octree's
+violation marks and then walks every (tree, face) pair to carry the marks
+across glued faces.  The flat forest (in-place refine, one vectorised
+ripple over composite keys) must produce the same leaves and the same
+``leaves_added``; ``TreeListForest`` shares none of its kernels.
+
+``ripple_forest_full_sweep`` is the flat forest's ripple before it became
+frontier-driven: every round samples every leaf of the segment and of the
+received boundary leaves in every direction at once, with its own
+sampling.  ``balance_forest_full_sweep`` is the distributed loop around a
+ripple kernel (this one unless given), reporting the per-call round
+counts that ``repro.forest.recursive.balance_forest_recursive`` does not
+return; it ships along the library's destination rule, which
+``tests/test_forest_recursive.py`` holds to the octree's own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.octree import LinearOctree, OctantArray, ROOT_LEN
-from repro.octree.balance import _violating_leaf_marks
+from repro.forest.forest import forest_key
+from repro.forest.recursive import exchange_boundary_leaves
+from repro.octree import LinearOctree, OctantArray, ROOT_LEN, morton_encode
 from repro.octree.octants import directions_for
+
+
+def leaf_marks(tree: LinearOctree, dirs: np.ndarray) -> np.ndarray:
+    """Mark leaves that are >= 2 levels coarser than a neighboring leaf."""
+    leaves = tree.leaves
+    h = leaves.lengths()
+    mark = np.zeros(len(tree), dtype=bool)
+    levels = tree.levels.astype(np.int64)
+    for d in dirs:
+        nx, ny, nz, ok = leaves.neighbor_anchors(d)
+        if not ok.any():
+            continue
+        px = nx[ok] + h[ok] // 2
+        py = ny[ok] + h[ok] // 2
+        pz = nz[ok] + h[ok] // 2
+        idx = tree.find_containing(px, py, pz)
+        viol = levels[idx] < levels[ok] - 1
+        mark[idx[viol]] = True
+    return mark
+
+
+def full_sweep_samples(tree_ids, octs, conn, dirs):
+    """(query_fkeys, query_levels) of every leaf's neighbor samples in
+    every direction at once, face exits moved into the neighbor tree."""
+    h = octs.lengths()
+    centers = np.stack([octs.x, octs.y, octs.z]) + h // 2
+    p = centers[:, None, :] + dirs.T[:, :, None] * h  # (3, n_dirs, n)
+    ok = ((p >= 0) & (p < ROOT_LEN)).all(axis=0)  # (n_dirs, n)
+    tids = np.broadcast_to(tree_ids, ok.shape)
+    levels = np.broadcast_to(octs.level.astype(np.int64), ok.shape)
+    qf = forest_key(tids[ok], morton_encode(p[0][ok], p[1][ok], p[2][ok]))
+    d, e = np.nonzero(~ok & (np.abs(dirs).sum(axis=1) == 1)[:, None])
+    axis = np.abs(dirs[d]).argmax(axis=1)
+    face = 2 * axis + (dirs[d, axis] > 0)
+    nb = conn.face_tree[tree_ids[e], face]
+    d, e, face, nb = (a[nb >= 0] for a in (d, e, face, nb))
+    R, o = conn.face_R[tree_ids[e], face], conn.face_o[tree_ids[e], face]
+    q = np.einsum("mij,mj->mi", R, p[:, d, e].T) + o
+    qx = forest_key(nb, morton_encode(q[:, 0], q[:, 1], q[:, 2]))
+    return np.concatenate([qf, qx]), np.concatenate([levels[ok], levels[d, e]])
+
+
+def ripple_forest_full_sweep(forest, dirs, flo, fhi, extra, max_rounds=64):
+    """``(forest, rounds)``: split every leaf two or more levels coarser
+    than a leaf (of the segment or of ``extra``) whose sample in
+    ``[flo, fhi)`` it holds, until a fixed point."""
+    for rounds in range(max_rounds):
+        tids, octs = forest.tree_ids, forest.octs
+        if extra is not None:
+            tids = np.concatenate([tids, extra.tree_ids])
+            octs = OctantArray.concat([octs, extra.octs])
+        qfk, qlv = full_sweep_samples(tids, octs, forest.conn, dirs)
+        keep = (qfk >= flo) & (qfk < fhi)
+        keys = forest_key(forest.tree_ids, forest.octs.keys())
+        idx = np.searchsorted(keys, qfk[keep], side="right") - 1
+        mark = np.zeros(len(forest), dtype=bool)
+        mark[idx[forest.octs.level[idx] < qlv[keep] - 1]] = True
+        if not mark.any():
+            return forest, rounds
+        forest = forest.refine(mark)
+    raise RuntimeError("forest balance did not converge")
+
+
+def balance_forest_full_sweep(pf, connectivity="edge", kernel=ripple_forest_full_sweep):
+    """The distributed forest balance around a local ripple ``kernel``
+    (``kernel(pf, dirs, flo, fhi, extra, max_rounds) -> (pf, rounds)``).
+    Returns ``(forest, leaves_added, exchanges, rounds_per_kernel_call)``."""
+    comm = pf.comm
+    dirs = directions_for(connectivity)
+    n0 = comm.allreduce(len(pf))
+    markers = pf.markers()
+    flo, fhi = markers[comm.rank], markers[comm.rank + 1]
+    pf, r = kernel(pf, dirs, flo, fhi, None, 64)
+    rounds, exchanges = [r], 0
+    while True:
+        got = exchange_boundary_leaves(pf, markers, pf._rows())
+        exchanges += 1
+        extra = pf._from_rows(np.concatenate(got))
+        pf, r = kernel(pf, dirs, flo, fhi, extra, 64)
+        rounds.append(r)
+        if not comm.allreduce(r > 0, op="lor"):
+            break
+    return pf, comm.allreduce(len(pf)) - n0, exchanges, rounds
 
 
 class TreeListForest:
@@ -114,7 +208,7 @@ class TreeListForest:
         dirs = directions_for(connectivity)
         forest = self
         for _ in range(max_rounds):
-            marks = [_violating_leaf_marks(t, dirs) for t in forest.trees]
+            marks = [leaf_marks(t, dirs) for t in forest.trees]
             forest._cross_tree_marks(marks)
             if not any(m.any() for m in marks):
                 return forest, len(forest) - len(self)
@@ -126,7 +220,7 @@ class TreeListForest:
 
     def is_balanced(self, connectivity: str = "edge") -> bool:
         dirs = directions_for(connectivity)
-        if any(_violating_leaf_marks(t, dirs).any() for t in self.trees):
+        if any(leaf_marks(t, dirs).any() for t in self.trees):
             return False
         marks = [np.zeros(len(t), dtype=bool) for t in self.trees]
         return not self._cross_tree_marks(marks)

@@ -199,6 +199,15 @@ class TestParAdvectionPInvariance:
 
 
 class TestParAmrPipeline:
+    def test_max_level_beyond_balance_keys_rejected(self):
+        """Balance encodes 19 levels; a deeper cap would fail mid-run."""
+
+        def kernel(comm):
+            ParAmrPipeline(comm, coarse_level=2, max_level=30)
+
+        with pytest.raises(ValueError, match="max_level must be <= 19"):
+            run_spmd(1, kernel)
+
     @pytest.mark.parametrize("p", [1, 3])
     def test_cycles_run_and_track_target(self, p):
         def kernel(comm):

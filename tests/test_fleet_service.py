@@ -17,7 +17,7 @@ from repro.fleet import (
     SpecError,
 )
 from repro.mesh.opcache import operator_cache
-from repro.rhea import RheaConfig
+from repro.rhea import ConfigError, RheaConfig
 from repro.rhea.convection import MantleConvection
 
 
@@ -59,6 +59,14 @@ class TestAdmission:
         svc = FleetService()
         with pytest.raises(SpecError):
             svc.admit(ScenarioSpec(job_id="bad", Ra=-1.0))
+        assert svc.jobs == {}
+
+    def test_too_deep_max_level_reported_at_admission(self):
+        """``RheaConfig``'s ``ConfigError`` comes through ``to_config``."""
+        svc = FleetService()
+        with pytest.raises(ConfigError) as exc:
+            svc.admit(ScenarioSpec(job_id="deep", max_level=30))
+        assert "max_level" in {f for f, _ in exc.value.errors}
         assert svc.jobs == {}
 
     def test_duplicate_job_id_rejected(self):

@@ -123,6 +123,16 @@ class TestRheaConfigValidation:
                            r"'free_slip' or 'no_slip'"):
             RheaConfig(velocity_bc="periodic")
 
+    def test_max_level_capped_at_balance_keys(self):
+        """Balance encodes 19 levels (``FOREST_MAX_LEVEL``): a deeper cap
+        fails here, not with ``cannot refine past MAX_LEVEL`` mid-run."""
+        with pytest.raises(ConfigError, match=r"max_level: must be <= 19") as exc:
+            RheaConfig(max_level=30, initial_level=3)
+        assert [f for f, _ in exc.value.errors] == ["max_level"]
+        RheaConfig(max_level=19)
+        with pytest.raises(ConfigError, match="max_level"):
+            ScenarioSpec(job_id="a", max_level=30).to_config()
+
     def test_level_ordering(self):
         with pytest.raises(ConfigError, match=r"min_level <= initial_level "
                            r"<= max_level"):

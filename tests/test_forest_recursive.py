@@ -3,10 +3,14 @@ balance, sort-merge face iteration) against independent references.
 
 - ghost layers (octants + owners) == the brute-force 26-adjacency set of
   the gathered tree: nothing missing, nothing extra;
+- the one destination rule on the one-tree forest == the octree's own
+  (``ghost_destinations`` of ``tests/oracles/balance.py``);
 - distributed balance == the full-sweep ripple of
   ``tests/oracles/balance.py`` and the serial ``balance`` of the
   gathered tree / the list-of-trees balance of
-  ``tests/oracles/forest_balance.py`` of the gathered forest, bitwise;
+  ``tests/oracles/forest_balance.py`` of the gathered forest, bitwise,
+  and the forest's frontier ripple == its full sweep in per-call rounds
+  and exchanges;
 - the distributed mesh == the serial mesh of the gathered tree on every
   owned element (nodes, hanging flags, constraint rows, dof count);
 - DG face classification and construction (array batches, in-tree and
@@ -28,6 +32,7 @@ from repro.forest import (
     match_faces,
     unit_cube,
 )
+from repro.forest.recursive import _forest_destinations, balance_forest_recursive
 from repro.mangll import DGAdvection
 from repro.mesh import extract_mesh, node_keys
 from repro.mesh.parmesh import UnbalancedTreeError, collect_ghosts, extract_parmesh
@@ -42,11 +47,12 @@ from repro.octree import (
     refine_tree,
     row_lookup,
 )
+from repro.octree.balance import _one_tree
 from repro.octree.partree import partition_tree
 from repro.parallel import run_spmd
 
-from .oracles.balance import balance_tree_full_sweep
-from .oracles.forest_balance import TreeListForest
+from .oracles.balance import balance_tree_full_sweep, ghost_destinations
+from .oracles.forest_balance import TreeListForest, balance_forest_full_sweep
 from .test_mangll_dg import assert_equals_loop_builder
 
 PS = [1, 2, 3, 4, 7]
@@ -149,6 +155,24 @@ class TestRecursiveGhost:
         for p in PS:
             assert all(run_spmd(p, kernel))
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_one_tree_destinations_are_the_octree_rule(self, p):
+        """The forest rule on ``unit_cube()`` (reduced cells, composite
+        keys) sends every leaf to exactly the ranks the octree rule did
+        (finest cells, Morton keys), in the same order."""
+
+        def kernel(comm):
+            for seed in (3, 7):
+                pt = build_ptree(comm, 2, refine_seed=seed)
+                pf = _one_tree(pt.local, comm)
+                got = _forest_destinations(pf, pf.markers())
+                want = ghost_destinations(pt.local, partition_markers(comm, pt.local), comm.rank)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+            return len(got[0])
+
+        assert all(run_spmd(p, kernel))
+
     def test_sanitize_rejects_unbalanced_tree(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
 
@@ -214,6 +238,37 @@ class TestRecursiveBalance:
 
         for want, got in run_spmd(p, kernel):
             want.assert_same_leaves(got)
+
+
+    @pytest.mark.parametrize(
+        "conn_factory",
+        [cubed_sphere_connectivity, lambda: brick_connectivity(2, 1, 1)],
+        ids=["cubed_sphere", "brick"],
+    )
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_forest_rounds_and_exchanges_match_full_sweep(self, p, conn_factory):
+        """The frontier ripple against the full sweep it replaced, both
+        inside the oracle's exchange loop: the same leaves, leaves added,
+        exchanges and rounds per ripple call; ``ParForest.balance`` and
+        the loop itself give those leaves too."""
+        conn = conn_factory()
+
+        def kernel(comm):
+            pf = build_pforest(comm, conn, 1, refine_seed=4)
+            for _ in range(2):
+                pf = pf.refine(np.random.default_rng(comm.rank).random(len(pf)) < 0.2)
+            for connectivity in ("face", "corner"):
+                want, added_w, exch_w, rounds_w = balance_forest_full_sweep(pf, connectivity)
+                _, _, _, rounds = balance_forest_full_sweep(pf, connectivity, Forest._ripple)
+                got, added, exch = balance_forest_recursive(pf, connectivity)
+                assert (added, exch, rounds) == (added_w, exch_w, rounds_w)
+                assert got.octs.equals(want.octs)
+                assert np.array_equal(got.tree_ids, want.tree_ids)
+                public, added_p = pf.balance(connectivity)
+                assert public.octs.equals(got.octs) and added_p == added
+            return rounds
+
+        assert any(max(r) > 1 for r in run_spmd(p, kernel))
 
 
 class TestExtractEquivalence:

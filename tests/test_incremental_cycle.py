@@ -1,10 +1,13 @@
 """The incremental AMR cycle against its whole-mesh oracles.
 
-- frontier-driven 2:1 balance (``repro.octree.balance._ripple_local``) ==
-  the full sweep of ``tests/oracles/balance.py``: identical leaves,
-  rounds, exchanges, leaves added and collective count, serial and
-  distributed, for every connectivity;
-- the local ripple is bounded (corrupted input terminates);
+- frontier-driven 2:1 balance (``repro.forest.Forest._ripple``, which
+  the octree reaches as the one-tree forest) == the full sweeps of
+  ``tests/oracles/balance.py`` (Morton keys) and
+  ``tests/oracles/forest_balance.py`` (forest keys): identical leaves,
+  per-call rounds, exchanges, leaves added and collective count, serial
+  and distributed, for every connectivity;
+- the local ripple is bounded (corrupted input is rejected by the forest
+  constructor, or, fed to the kernel unchecked, terminates);
 - row-sum lumped mass == row sums of the assembled constrained mass,
   serial and on P ranks, on meshes with edge- and face-hanging nodes;
 - vectorised constraint de-duplication == the per-node loop;
@@ -24,6 +27,7 @@ from repro.fem.hexops import ElementOps
 from repro.mesh import extract_mesh, node_keys
 from repro.mesh.extract import _find_hanging_constraints, _first_discovery
 from repro.mesh.parmesh import extract_parmesh
+from repro.forest import FOREST_MAX_LEVEL, Forest
 from repro.octree import (
     ROOT_LEN,
     LinearOctree,
@@ -35,7 +39,7 @@ from repro.octree import (
     is_balanced,
     partition_tree,
 )
-from repro.octree.balance import _ripple_local
+from repro.octree.balance import _one_tree as one_tree
 from repro.octree.morton import key_range_size
 from repro.octree.partree import ParTree
 from repro.parallel import run_spmd
@@ -46,6 +50,7 @@ from .oracles.balance import (
     balance_tree_full_sweep,
     ripple_full_sweep,
 )
+from .oracles.forest_balance import balance_forest_full_sweep, ripple_forest_full_sweep
 from .oracles.constraints import first_discovery_loop
 from .test_forest_recursive import build_ptree
 from .test_octree_balance import center_refined_tree
@@ -99,8 +104,10 @@ class TestFrontierBalanceMatchesFullSweep:
             calls.append(comm.stats.total_collective_calls)
             # the oracle driver around the frontier kernel exposes the
             # per-call round counts the public entry point does not return
-            _, _, _, rounds = balance_tree_full_sweep(pt, connectivity, _ripple_local)
-            assert got.local.equals(want.local)
+            pf, _, _, rounds = balance_forest_full_sweep(
+                one_tree(pt.local, comm), connectivity, Forest._ripple
+            )
+            assert got.local.equals(want.local) and pf.octs.equals(want.local)
             assert (added, exch, rounds) == (added_w, exch_w, rounds_w)
             assert calls[2] - calls[1] == calls[1] - calls[0]
             return gather_tree(got)
@@ -110,28 +117,36 @@ class TestFrontierBalanceMatchesFullSweep:
 
     def test_extra_only_start_from_a_fixed_point(self):
         """The post-exchange call samples ``extra`` alone; that is the full
-        sweep only because ``local`` is already balanced against itself."""
+        sweep only because the segment is already balanced against itself."""
         tree = balance(graded_tree(3), "corner").tree
         deep = center_refined_tree(6).leaves
         extra = deep[deep.level >= 5]
-        args = (directions_for("corner"), np.uint64(0), key_range_size(0), extra)
-        got, rounds = _ripple_local(tree.leaves, *args)
-        want, rounds_w = ripple_full_sweep(tree.leaves, *args)
-        assert got.equals(want) and rounds == rounds_w > 0
+        f = one_tree(tree.leaves)
+        args = (directions_for("corner"), np.uint64(0), f.fkey_end(), one_tree(extra), 64)
+        got, rounds = f._ripple(*args)
+        want, rounds_w = ripple_forest_full_sweep(f, *args)
+        assert got.octs.equals(want.octs) and rounds == rounds_w > 0
+        octree, rounds_o = ripple_full_sweep(
+            tree.leaves, args[0], np.uint64(0), key_range_size(0), extra
+        )
+        assert got.octs.equals(octree) and rounds == rounds_o
 
 
 class TestRippleIsBounded:
     def test_round_cap_raises(self):
         tree = center_refined_tree(8)
-        args = (tree.leaves, directions_for("edge"), np.uint64(0), key_range_size(0), None)
+        f = one_tree(tree.leaves)
+        args = (directions_for("edge"), np.uint64(0), f.fkey_end(), None)
         with pytest.raises(RuntimeError, match="did not converge"):
-            _ripple_local(*args, max_rounds=3)
-        assert _ripple_local(*args)[1] == balance(tree).rounds
+            f._ripple(*args, 3)
+        assert f._ripple(*args, FOREST_MAX_LEVEL)[1] == balance(tree).rounds
 
     def test_corrupted_overlapping_input_terminates(self):
         """Leaves that overlap and are out of order break the sorted-tiling
-        invariant the point location relies on; the kernel must still stop:
-        it returns, or raises the non-convergence error."""
+        invariant the point location relies on.  The forest constructor
+        rejects them (``ValueError``), so ``balance`` never runs on them;
+        fed to the kernel unchecked, it must still stop: it returns, or
+        raises the non-convergence error."""
         rng = np.random.default_rng(0)
         dirs = directions_for("corner")
         raised = 0
@@ -141,8 +156,11 @@ class TestRippleIsBounded:
                 [clean, OctantArray.uniform(1), OctantArray.uniform(2)]
             )
             bad = bad[rng.permutation(len(bad))]
+            with pytest.raises(ValueError, match="strictly increasing"):
+                balance(LinearOctree(bad, presorted=True), "corner")
+            f = one_tree(clean)._with(np.zeros(len(bad), dtype=np.int64), bad)
             try:
-                _ripple_local(bad, dirs, np.uint64(0), key_range_size(0), None)
+                f._ripple(dirs, np.uint64(0), f.fkey_end(), None, FOREST_MAX_LEVEL)
             except RuntimeError as e:
                 assert "did not converge" in str(e)
                 raised += 1

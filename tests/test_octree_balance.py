@@ -1,5 +1,7 @@
 """Unit + property tests for 2:1 balance (repro.octree.balance)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,3 +114,24 @@ class TestBalanceProperties:
         # balance never removes resolution
         assert res.tree.levels.max() == tree.levels.max()
         assert len(res.tree) >= len(tree)
+
+
+class TestCheckMemory:
+    def test_corner_check_peak_per_leaf(self):
+        """``is_balanced`` samples one direction at a time.  Sampling every
+        direction at once, as the forest's check once did, peaked near
+        2 100 B per leaf; the bench runs this check on a gathered tree."""
+        rng = np.random.default_rng(0)
+        tree = LinearOctree.uniform(3)
+        for frac in (0.5, 0.2, 0.12):
+            tree = tree.refine(rng.random(len(tree)) < frac)
+        tree = balance(tree, "corner").tree
+        assert 15_000 < len(tree) < 30_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert is_balanced(tree, "corner")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / len(tree) <= 400
