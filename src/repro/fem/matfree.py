@@ -1,43 +1,45 @@
-"""Matrix-free sum-factorized element apply kernels (Section VII).
+"""Element apply kernels that assemble no global matrix (Section VII).
 
 MANGLL's kernel study contrasts *matrix-based* element application (one
 precomputed dense matrix per operator, large GEMMs over all elements)
 with *tensor-product* (sum-factorized) application that exploits the
-Kronecker structure of the reference element.  PR 1 amortized operator
-*setup*; this module removes the assembled sparse matrix from the
-per-iteration hot path entirely: MINRES saddle applies and SUPG rate
-evaluations run as batched dense element kernels over every element at
-once, so a viscosity update between Picard passes only rebinds
-per-element scalar coefficients instead of re-running sparse assembly.
+Kronecker structure of the reference element; on Ranger the dense side
+won below p = 4.  This module runs the MINRES saddle applies and the
+SUPG rate evaluations as batched dense element kernels over every
+element at once, so a viscosity update between Picard passes only
+rebinds per-element scalars instead of re-running sparse assembly.
 
-Discretization facts the kernels rely on (see :mod:`repro.fem.hexops`):
-every element is an axis-aligned box, all trilinear element matrices
-factor as ``kron(Az, Ay, Ax)`` of two-node 1-D matrices, and the 2-point
-Gauss rule on each axis integrates every Q1 operator integrand exactly
-(per-axis polynomial degree <= 2).  The apply is therefore *bitwise
-exact* quadrature, not an approximation: forward-evaluate fields and
-reference gradients at the Gauss points of each element (batched GEMMs
-built from :func:`repro.mangll.tensor.kron3` factors), combine pointwise
-with the per-element coefficients (viscosity, metric scalings ``1/h``,
-quadrature weight ``vol/8``), and contract back with the transposed
-evaluation matrices.  Two refinements make this fast at Q1: gradient
-channels live on *reduced* 4-point grids (a trilinear reference
-derivative is constant along its own axis), and all element-space data
-is *element-minor* — ``(channels, ne)`` — so coefficient multiplies are
-long contiguous runs and the GEMMs are ``(small, small) @ (small, ne)``.
+- **The Stokes saddle apply is the matrix-based side at p = 1.**  Every
+  element of an extracted mesh is the largest element box scaled by
+  ``s_e``, so the strain stiffness scales as ``eta s``, the divergence as
+  ``s^2`` and the Dohrmann-Bochev stabilization as ``s^3 / eta``.  One
+  dense ``32 x 32`` element matrix ``[[K, B^T], [B, -C]]`` at unit
+  viscosity on the reference box therefore serves every element, scaled
+  on both sides by the per-element diagonal
+  ``diag(sqrt(eta s) I_24, s^{3/2} / sqrt(eta) I_8)``: one
+  ``(32, 32) @ (32, ne)`` GEMM per apply.
+- **The SUPG rate and the scalar mass are sum-factorized.**  Every
+  trilinear element matrix factors as ``kron(Az, Ay, Ax)`` of two-node
+  1-D matrices and the 2-point Gauss rule on each axis integrates every
+  Q1 integrand exactly, so forward-evaluating values and reference
+  gradients at the Gauss points (GEMMs built from
+  :func:`repro.mangll.tensor.kron3` factors), combining pointwise with
+  per-element coefficients and contracting back is exact quadrature.
 
-Hanging-node constraints and Dirichlet masking are folded into a single
-cached CSR *gather* operator per mesh (rows of ``Z``/``Z3`` indexed by
-the element connectivity, Dirichlet columns zeroed) and its transpose
-for the scatter — replacing the sparse ``Z^T A Z`` triple products of
-the assembled path with two thin sparse matvecs per apply.  All
+All element-space data is *element-minor* — ``(channels, ne)`` — so
+coefficient multiplies are long contiguous runs and the GEMMs are
+``(small, small) @ (small, ne)``.  Hanging-node constraints and
+Dirichlet masking are folded into a single cached CSR *gather* operator
+per mesh (rows of ``Z``/``Z3`` indexed by the element connectivity,
+Dirichlet columns zeroed) and its transpose for the scatter — two thin
+sparse matvecs per apply instead of ``Z^T A Z`` triple products.  All
 mesh-derived state lives in :func:`repro.mesh.opcache.operator_cache`,
 so it participates in the same structural invalidation and
 ``REPRO_SANITIZE=1`` freeze/verify guards as the assembly scatters.
 
 The assembled CSR blocks remain the source of truth for AMG setup;
-parity between the assembled and the matrix-free apply is pinned to
-~1e-12 by the tests.
+parity between the assembled and the element-kernel apply is pinned to
+1e-14 (saddle) and 1e-12 (transport) by the tests.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from ..mangll.tensor import kron3
 from ..mesh import Mesh
 from ..mesh.opcache import operator_cache
 from .assembly import Z3, vector_dofs
+from .hexops import ElementOps
 
 __all__ = [
     "MatFreeStokesOperator",
@@ -66,6 +69,8 @@ __all__ = [
     "csr_apply_flops",
     "csr_apply_bytes",
 ]
+
+_OPS = ElementOps()
 
 # -- 2-point Gauss quadrature on the unit reference cell ------------------------
 #
@@ -86,72 +91,13 @@ E8 = kron3(_E1, _E1, _E1)
 #: (3, 8, 8) reference-gradient evaluation, axis order (x, y, z).
 G8 = np.stack([kron3(_E1, _E1, _D1), kron3(_E1, _D1, _E1), kron3(_D1, _E1, _E1)])
 
-# fused forward/backward factors: one GEMM produces/consumes all three
-# reference derivatives of all components of all elements at once
-_FWD_GRAD = np.concatenate([G8[0], G8[1], G8[2]], axis=0).T  # (8, 24)
-_BWD_GRAD = np.concatenate([G8[0], G8[1], G8[2]], axis=0)  # (24, 8)
-# scalar transport fuses the value channel in as well
-_FWD_SCAL = np.concatenate([E8, G8[0], G8[1], G8[2]], axis=0).T  # (8, 32)
-_BWD_SCAL = np.concatenate([E8, G8[0], G8[1], G8[2]], axis=0)  # (32, 8)
-
-_DIAG3 = np.arange(3)
-
-# Reduced quadrature grids: a trilinear reference derivative along axis b
-# is *constant* in the b direction, so G8[b] has pairwise-equal rows and
-# the gradient channel (a, b) lives on a 4-point grid (the two transverse
-# Gauss axes).  This halves the GEMM flops and the pointwise stress
-# traffic.  Row subsets below pick one representative of each duplicated
-# pair (q = qx + 2 qy + 4 qz, x fastest); ``_dup_sum(a, X)`` sums the
-# rows of a full-grid matrix over axis-``a`` pairs, which is how a
-# backward contraction consumes data stored on an ``a``-reduced grid.
-_RED_ROWS = (
-    np.array([0, 2, 4, 6], dtype=np.intp),
-    np.array([0, 1, 4, 5], dtype=np.intp),
-    np.array([0, 1, 2, 3], dtype=np.intp),
-)
-_PAIR_OFFSET = (1, 2, 4)
-_GRED = np.stack([G8[b][_RED_ROWS[b]] for b in range(3)])  # (3, 4, 8)
-#: fused reduced forward: (3 ne, 8) @ (8, 12) -> all nine grad channels
-_FWD_RED = np.concatenate([_GRED[0], _GRED[1], _GRED[2]], axis=0).T
-
-
-def _dup_sum(a: int, X: np.ndarray) -> np.ndarray:
-    """(4, 8) sums of the rows of ``X`` over axis-``a`` quadrature pairs."""
-    return X[_RED_ROWS[a]] + X[_RED_ROWS[a] + _PAIR_OFFSET[a]]
-
-
-#: fused backward for the grad-grad term Sum_b G8[b]^T (c_b g[a, b]):
-#: channel (a, b) is b-reduced, so each block is Dup_b^T G8[b] = 2 Gred[b]
-_BWD_RED = np.concatenate([_dup_sum(b, G8[b]) for b in range(3)], axis=0)
-#: basis-value backward on an a-reduced grid (divergence row of the saddle)
-_PSUM = np.stack([_dup_sum(a, E8) for a in range(3)])  # (3, 4, 8)
-#: batched correction matrices, one GEMM for the whole coupling block:
-#: batch a < 3 is velocity component a, consuming the three
-#: transposed-gradient channels g[b, a] (all a-reduced, blocks
-#: Dup_a^T G8[b]) plus the full-grid B^T pressure channel (block G8[a]);
-#: batch 3 is the pressure row, consuming the three a-reduced diagonal
-#: gradient channels (divergence, blocks -Dup_a^T E8) plus the
-#: stabilization-mass channel (block -E8)
-_CORR = np.stack(
-    [
-        np.concatenate([_dup_sum(a, G8[0]), _dup_sum(a, G8[1]), _dup_sum(a, G8[2]), G8[a]], axis=0)
-        for a in range(3)
-    ]
-    + [np.concatenate([-_PSUM[0], -_PSUM[1], -_PSUM[2], -E8], axis=0)]
-)  # (4, 20, 8)
-
-# Element-minor (transposed) factors.  All element-space arrays are laid
-# out channel-major / element-minor — ``(channels, ne)`` — so every
-# pointwise coefficient multiply runs over a contiguous length-``ne``
-# inner loop instead of ne separate length-4/8 runs (which are dominated
-# by per-loop overhead and strided traffic), and the batched GEMMs become
+# fused factors of the scalar kernels: one GEMM produces/consumes the
+# value and all three reference derivatives of all elements at once.
+# Element-space arrays are ``(channels, ne)``, so the GEMMs are
 # ``(small, small) @ (small, ne)``.
-_FWD_RED_T = np.ascontiguousarray(_FWD_RED.T)  # (12, 8)
-_BWD_RED_T = np.ascontiguousarray(_BWD_RED.T)  # (8, 12)
-_CORR_T = np.ascontiguousarray(_CORR.transpose(0, 2, 1))  # (4, 8, 20)
-_FWD_GRAD_T = np.ascontiguousarray(_FWD_GRAD.T)  # (24, 8)
-_FWD_SCAL_T = np.ascontiguousarray(_FWD_SCAL.T)  # (32, 8)
-_BWD_SCAL_T = np.ascontiguousarray(_BWD_SCAL.T)  # (8, 32)
+_BWD_GRAD = np.concatenate([G8[0], G8[1], G8[2]], axis=0)  # (24, 8)
+_FWD_SCAL_T = np.concatenate([E8, G8[0], G8[1], G8[2]], axis=0)  # (32, 8)
+_BWD_SCAL_T = np.ascontiguousarray(_FWD_SCAL_T.T)  # (8, 32)
 
 
 def gauss_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -224,67 +170,78 @@ def _geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # -- Stokes saddle apply --------------------------------------------------------
 
 
-class MatFreeStokesOperator:
-    """Sum-factorized apply of the constrained saddle operator
-    ``[[A, B^T], [B, -C]]`` (strain stiffness, divergence,
-    Dohrmann-Bochev stabilization) in one element sweep.
+def _saddle_element(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """``(Me, s)``: the ``(32, 32)`` element matrix ``[[K, B^T], [B, -C]]``
+    at unit viscosity on the largest element box ``h_ref`` (local dofs:
+    24 component-blocked velocities, then 8 pressures), and each
+    element's scale ``s_e`` (its box is ``s_e h_ref``).  Raises
+    ``ValueError`` unless every element is such a scaled copy."""
 
-    Equivalent to the assembled path's
+    def build():
+        sizes = mesh.element_sizes()
+        h_ref = sizes.max(axis=0)
+        s = sizes[:, 0] / h_ref[0]
+        if not np.allclose(sizes, s[:, None] * h_ref, rtol=1e-12, atol=0.0):
+            raise ValueError(
+                "the saddle element matrix needs every element to be a "
+                "scaled copy of one box"
+            )
+        h, one = h_ref[None, :], np.ones(1)
+        B = -_OPS.divergence(h)[0]
+        Me = np.block(
+            [
+                [_OPS.strain_stiffness(h, one)[0], B.T],
+                [B, -_OPS.pressure_stabilization(h, one)[0]],
+            ]
+        )
+        return Me, s
+
+    return operator_cache(mesh).get("mf_saddle_element", build)
+
+
+class MatFreeStokesOperator:
+    """Element-matrix apply of the constrained saddle operator
+    ``[[A, B^T], [B, -C]]`` (strain stiffness, divergence,
+    Dohrmann-Bochev stabilization) in one GEMM over all elements.
+
+    Element ``e``'s matrix is ``D_e Me D_e`` with
+    ``D_e = diag(sqrt(eta_e s_e) I_24, s_e^{3/2} / sqrt(eta_e) I_8)``
+    (see :func:`_saddle_element`), so the apply gathers, scales, runs
+    ``Me @ X`` and scales back.  Equivalent to the assembled path's
     ``apply_dirichlet(Z3^T A Z3) x + ...`` because the gather applies the
     Dirichlet mask ``D`` on input, the scatter applies it on output
     (``D Z3^T A_elem Z3 D``), and the identity rows are restored
-    explicitly.  Mesh-derived pieces are cached; per-viscosity pieces are
-    plain per-element scalar arrays, so a Picard viscosity update costs
-    O(ne) instead of a sparse reassembly.
+    explicitly.  Mesh-derived pieces are cached; a Picard viscosity
+    update recomputes the two scale vectors, O(ne).
     """
 
     def __init__(self, mesh: Mesh, viscosity: np.ndarray, bc_key, bc_dofs: np.ndarray):
         self.mesh = mesh
-        ne = mesh.n_elements
         self.n_u = 3 * mesh.n_independent
         self.n_p = mesh.n_independent
         self.gu = velocity_gather(mesh, bc_key, bc_dofs)
         self.gp = scalar_gather(mesh)
-        w, ih, vol = _geometry(mesh)
+        self.Me, s = _saddle_element(mesh)
         # Batched mode: a (nb, ne) viscosity advances nb scenarios per
         # GEMM by merging the batch axis into the element axis (flat
         # order e * nb + b, which is exactly how a (24 ne, nb) gather
-        # result reshapes to (3, 8, ne * nb)).  Geometry is shared, so
-        # per-element coefficients are repeated scenario-minor.
+        # result reshapes to (24, ne * nb)); sizes are shared, so the
+        # element scales are repeated scenario-minor.
         eta0 = np.asarray(viscosity, dtype=np.float64)
         self.nb = 1 if eta0.ndim == 1 else int(eta0.shape[0])
-        if self.nb > 1:
-            w = np.repeat(w, self.nb)
-            ih = np.repeat(ih, self.nb, axis=0)
-            vol = np.repeat(vol, self.nb)
-        m = ne * self.nb
-        self.ih = ih
-        self.ihT = np.ascontiguousarray(ih.T)  # (3, m)
-        self.w = w
-        self.vol = vol
+        self.s = np.repeat(s, self.nb) if self.nb > 1 else s
         self.update_viscosity(viscosity)
-        # per-apply workspaces (reused across MINRES iterations), all in
-        # element-minor layout
-        self._g = np.empty((3, 12, m), dtype=np.float64)
-        self._t1 = np.empty((3, 12, m), dtype=np.float64)
-        self._acc = np.empty((3, 8, m), dtype=np.float64)
-        self._pq = np.empty((8, m), dtype=np.float64)
-        self._cin = np.empty((4, 20, m), dtype=np.float64)
-        self._cout = np.empty((4, 8, m), dtype=np.float64)
+        # per-apply workspaces, reused across MINRES iterations (a fresh
+        # array per apply may pay first-touch page faults every time)
+        m = mesh.n_elements * self.nb
+        self._X = np.empty((32, m), dtype=np.float64)
+        self._Y = np.empty((32, m), dtype=np.float64)
 
     def update_viscosity(self, viscosity: np.ndarray) -> None:
-        """Rebind the per-element coefficients (no mesh-derived rebuild) —
-        this is all a Picard viscosity update costs the tensor path.
-
-        The gathered velocity components are pre-scaled by
-        ``sih_a = sqrt(w eta) / h_a`` before the forward gradient GEMM, so
-        the scaled reference gradients ``gs[a, b] = sih_a d_b u_a`` turn
-        every downstream coefficient into a cheap per-element broadcast:
-        the grad-grad channel needs ``sih_b^2 / sih_a``, the
-        transposed-gradient channels of output component ``a`` need just
-        ``sih_a``, and the divergence channels the axis-independent
-        ``sqrt(w / eta)``.
-        """
+        """Rebind the two per-element scale vectors (no mesh-derived
+        rebuild) — this is all a Picard viscosity update costs.  Raises
+        ``ValueError`` naming the first viscosity that is not finite and
+        positive."""
         eta = np.asarray(viscosity, dtype=np.float64)
         if eta.ndim == 2:
             if eta.shape[0] != self.nb:
@@ -292,99 +249,59 @@ class MatFreeStokesOperator:
                     f"batched viscosity has {eta.shape[0]} scenarios, "
                     f"operator was built for {self.nb}"
                 )
-            # element-major, scenario-minor flat order e * nb + b
-            eta = np.ascontiguousarray(eta.T).ravel()
         elif self.nb > 1:
             raise ValueError("batched operator needs a (nb, ne) viscosity")
-        sihT = np.sqrt(self.w * eta)[None, :] * self.ihT  # (3, ne)
-        self.sihT = sihT
-        # grad-grad coefficient on pre-scaled gradients:
-        # c1T[a, b, e] gs[a, b] = w eta / h_b^2 * d_b u_a
-        self.c1T = sihT[None, :, :] ** 2 / sihT[:, None, :]
-        self.negwihT = -(self.w[None, :] * self.ihT)  # (3, ne)
-        self.s_div = np.sqrt(self.w / eta)  # divergence-channel prefactor
-        self.w_over_eta = self.w / eta  # stabilization mass prefactor
-        self.stab_mean = self.vol / 64.0 / eta  # rank-one DB projection term
+        bad = ~(np.isfinite(eta) & (eta > 0))
+        if bad.any():
+            idx = np.argwhere(bad)[0]
+            where = f"element {idx[-1]}"
+            if eta.ndim == 2:
+                where = f"scenario column {idx[0]}, {where}"
+            value = float(eta[tuple(idx)])
+            raise ValueError(
+                f"viscosity must be finite and positive: {where} has {value}"
+            )
+        if eta.ndim == 2:
+            # element-major, scenario-minor flat order e * nb + b
+            eta = np.ascontiguousarray(eta.T).ravel()
+        self.du = np.sqrt(eta * self.s)  # velocity rows: eta s
+        self.dp = self.s**1.5 / np.sqrt(eta)  # pressure rows: s^3 / eta
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Full saddle matvec ``[[A, B^T], [B, -C]] x``.
 
         In batched mode ``x`` is ``(n_dof, nb)`` — one scenario per
-        column — and the result has the same shape; every GEMM below then
+        column — and the result has the same shape; the GEMM then
         advances all ``nb`` scenarios at once on the merged
         element-batch axis.
         """
         obs.counter("matfree_applies")
-        ne = self.mesh.n_elements
-        m = ne * self.nb
+        m = self.mesh.n_elements * self.nb
         u, p = x[: self.n_u], x[self.n_u :]
+        X, Y = self._X, self._Y
         # gather to element space (constraints + Dirichlet mask folded in)
-        # and pre-scale each component by sih_a (see update_viscosity)
-        UeT = (self.gu.G @ u).reshape(3, 8, m)
-        UeT *= self.sihT[:, None, :]
-        peT = (self.gp.G @ p).reshape(8, m)
-        # forward: all nine reduced-grid reference gradients in one
-        # batched GEMM; gs[a, 4 b + m, e] = sih_a d_b u_a at reduced
-        # point m of element e
-        gs = np.matmul(_FWD_RED_T[None], UeT, out=self._g)
-        pqT = np.matmul(E8, peT, out=self._pq)
-        # velocity row, term 1: Sum_b G8[b]^T (w eta / h_b^2) d_b u_a —
-        # every channel is b-reduced, one fused backward GEMM
-        t1 = self._t1
-        np.multiply(
-            gs.reshape(3, 3, 4, m), self.c1T[:, :, None, :], out=t1.reshape(3, 3, 4, m)
-        )
-        acc = np.matmul(_BWD_RED_T[None], t1, out=self._acc)
-        # one batched GEMM for everything else.  Batch a < 3 (velocity
-        # component a): transposed gradients d_a u_b are all a-reduced,
-        # contracted with Dup_a^T G8[b], plus the B^T p channel
-        # -w/h_a p(x_q) through the G8[a] block.  Batch 3 (pressure row):
-        # divergence channels sqrt(w/eta) gs[a, a] through -Dup_a^T E8 and
-        # the Dohrmann-Bochev mass channel w/eta p(x_q) through -E8.
-        cin = self._cin
-        gs4 = gs.reshape(3, 3, 4, m)
-        for a in range(3):  # lint: allow-loop
-            np.multiply(
-                gs4[:, a, :, :],
-                self.sihT[a, None, None, :],
-                out=cin[a, :12].reshape(3, 4, m),
-            )
-            np.multiply(
-                gs4[a, a, :, :],
-                self.s_div[None, :],
-                out=cin[3, 4 * a : 4 * a + 4],
-            )
-        np.multiply(self.negwihT[:, None, :], pqT[None], out=cin[:3, 12:])
-        np.multiply(self.w_over_eta[None, :], pqT, out=cin[3, 12:])
-        cout = np.matmul(_CORR_T, cin, out=self._cout)
-        acc += cout[:3]
-        ope = cout[3]
-        ope += (self.stab_mean * peT.sum(axis=0))[None, :]
+        np.multiply((self.gu.G @ u).reshape(24, m), self.du, out=X[:24])
+        np.multiply((self.gp.G @ p).reshape(8, m), self.dp, out=X[24:])
+        np.matmul(self.Me, X, out=Y)
+        Y[:24] *= self.du
+        Y[24:] *= self.dp
+        # (32, ne * nb) row blocks -> (rows ne, nb) are free reshapes
+        # (same strides); a width-1 batch stays two-dimensional
+        shape = (-1,) if x.ndim == 1 else (-1, self.nb)
+        imask = self.gu.imask if x.ndim == 1 else self.gu.imask[:, None]
         out = np.empty_like(x)
-        if x.ndim == 1:
-            out[self.n_u :] = self.gp.GT @ ope.ravel()
-            out_u = out[: self.n_u]
-            out_u[:] = self.gu.GT @ acc.ravel()
-            out_u += self.gu.imask * u  # identity rows of apply_dirichlet
-        else:
-            # also reached by a width-1 batch (a lone compacted column)
-            # (8, ne * nb) -> (8 ne, nb) is a free reshape (same strides)
-            out[self.n_u :] = self.gp.GT @ ope.reshape(8 * ne, self.nb)
-            out_u = out[: self.n_u]
-            out_u[:] = self.gu.GT @ acc.reshape(24 * ne, self.nb)
-            out_u += self.gu.imask[:, None] * u
+        out[self.n_u :] = self.gp.GT @ Y[24:].reshape(shape)
+        out_u = out[: self.n_u]
+        out_u[:] = self.gu.GT @ Y[:24].reshape(shape)
+        out_u += imask * u  # identity rows of apply_dirichlet
         return out
 
     def apply_divergence(self, u: np.ndarray) -> np.ndarray:
         """``B u`` alone (for divergence residual norms)."""
         if self.nb != 1:
             raise ValueError("apply_divergence is serial-only; slice one scenario")
-        ne = self.mesh.n_elements
-        UeT = (self.gu.G @ u).reshape(3, 8, ne)
-        g = np.matmul(_FWD_GRAD_T[None], UeT).reshape(3, 3, 8, ne)
-        g *= self.ihT[None, :, None, :]
-        div = g[0, 0] + g[1, 1] + g[2, 2]  # (8, ne)
-        return self.gp.GT @ (E8.T @ (-self.w[None, :] * div)).ravel()
+        Ue = (self.gu.G @ u).reshape(24, self.mesh.n_elements)
+        return self.gp.GT @ ((self.Me[24:, :24] @ Ue) * self.s**2).ravel()
 
 
 # -- scalar mass / lumped mass --------------------------------------------------
@@ -530,29 +447,18 @@ class MatFreeAdvectionOperator:
 
 
 def saddle_apply_flops(n_elements: int) -> int:
-    """Flops per tensor-variant saddle apply with the reduced-grid
-    kernel: the batched forward/backward gradient GEMMs run on 4-point
-    grids (12 channels per component), the correction GEMM carries 20
-    channels for 4 batches, and every coefficient application is a
-    broadcast multiply."""
-    per_elem = (
-        2 * 3 * 8 * 12  # forward reduced-gradient GEMM (3 components)
-        + 2 * 8 * 8  # pressure value evaluation
-        + 36  # grad-grad coefficient multiply
-        + 2 * 3 * 12 * 8  # backward grad-grad GEMM
-        + (36 + 12 + 24 + 8)  # correction channel fills
-        + 2 * 4 * 20 * 8  # batched correction GEMM
-        + (24 + 16)  # accumulate + stabilization rank-one term
-    )
-    return per_elem * n_elements
+    """Flops per saddle apply: the ``(32, 32) @ (32, ne)`` element GEMM
+    (a multiply-add per matrix entry) plus the two-sided diagonal
+    scaling, priced the same way (a multiply-add per entry on each
+    side)."""
+    return (2 * 32 * 32 + 4 * 32) * n_elements
 
 
 def saddle_apply_bytes(n_elements: int, gather_nnz: int) -> int:
-    """Bytes streamed per tensor saddle apply: gather/scatter CSR traffic
+    """Bytes streamed per saddle apply: gather/scatter CSR traffic
     (8-byte value + 8-byte column index per entry, both directions) plus
-    one read + one write of each element-minor workspace (Ue 24, pe 8,
-    gs 36, t1 36, acc 24, pq 8, cin 80, cout 32 doubles per element)."""
-    return 2 * 16 * gather_nnz + 8 * n_elements * 2 * (24 + 8 + 36 + 36 + 24 + 8 + 80 + 32)
+    one read + one write of each ``(32, ne)`` workspace ``X`` and ``Y``."""
+    return 2 * 16 * gather_nnz + 8 * n_elements * 2 * (32 + 32)
 
 
 def advection_apply_flops(n_elements: int) -> int:

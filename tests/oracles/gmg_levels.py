@@ -13,11 +13,13 @@ from repro.fem import matfree as mf
 from repro.fem.stokes import velocity_bcs
 from repro.solvers.gmg import coarse_viscosities, mesh_hierarchy, prolongation
 
+from .saddle_tensor import _BWD_RED_T, _FWD_RED_T
+
 
 class MatFreeScalarPoisson:
     """Sum-factorized apply of one Dirichlet-masked variable-viscosity
     scalar Poisson block ``D Z^T K(eta) Z D + (I - D)``: the reduced-grid
-    gradient chain of :mod:`repro.fem.matfree` behind the
+    gradient chain of :mod:`tests.oracles.saddle_tensor` behind the
     constraint-folding gather, the mask applied as vector operations
     around the unconstrained apply.  Nothing is assembled."""
 
@@ -39,9 +41,9 @@ class MatFreeScalarPoisson:
         ne = self.mesh.n_elements
         # rows of G are i*ne + e, so (8 ne,) -> (8, ne) is a free reshape
         Xe = (self.g.G @ (self.mask * x)).reshape(8, ne)
-        gs = mf._FWD_RED_T @ Xe  # (12, ne): reduced-grid reference gradients
+        gs = _FWD_RED_T @ Xe  # (12, ne): reduced-grid reference gradients
         gs.reshape(3, 4, -1)[...] *= self.cb[:, None, :]
-        out_e = mf._BWD_RED_T @ gs  # (8, ne)
+        out_e = _BWD_RED_T @ gs  # (8, ne)
         return self.mask * (self.g.GT @ out_e.ravel()) + self.imask * x
 
     def diagonal(self):
