@@ -10,8 +10,9 @@ batched matrix-free kernels:
   eagerly validated admission unit (physics + levels + scheduling).
 - :mod:`repro.fleet.batch` — :class:`BatchGroup`: the batch-axis engine
   (one wide GEMM advances ``B`` tenants; per-job convergence masks;
-  one shared GMG V-cycle over the ``(3n, B)`` block with a per-column
-  viscosity congruence) over
+  columns packed law by law, one GMG hierarchy per viscosity law and
+  one V-cycle per law over its ``(3n, B_law)`` column slice, with a
+  per-column viscosity congruence) over
   :func:`batched_minres`, which lives in :mod:`repro.solvers.minres` and
   is re-exported here.
 - :mod:`repro.fleet.scheduler` — priority + fair-share + deadline group

@@ -26,24 +26,29 @@ sees a converged zero system and leaves the column bitwise untouched
 while the rest keep iterating.  Under ``REPRO_SANITIZE=1`` that freeze
 is fingerprint-verified at unpack.
 
-The shared block preconditioner generalizes ``K(c eta) = c K(eta)``:
-each job's Poisson block is approximated by the Jacobi congruence
+The block preconditioner generalizes ``K(c eta) = c K(eta)``: each
+job's Poisson block is approximated by the Jacobi congruence
 ``K_j ~= T_j K_ref T_j`` with ``T_j = diag(sqrt(diag K_j / diag K_ref))``
-around one :class:`~repro.solvers.gmg.GeometricMultigrid` built on the
-element-wise geometric-mean viscosity, so the per-column correction
-``S_j = 1/T_j`` (applied on both sides — a congruence, hence SPD and
-MINRES-valid) absorbs each tenant's *local* viscosity deviations, not
-just its overall scale, and one V-cycle over the ``(3n, nb)`` block
-serves every tenant and velocity component at once.  The diagonals
-never need assembly: corner diagonals of a trilinear hex stiffness are
-equal, so ``diag K(eta) ~ Z^T scatter(eta_e g_e)`` up to a constant that
+around one :class:`~repro.solvers.gmg.GeometricMultigrid` per viscosity
+law in the batch, built on the element-wise geometric-mean viscosity of
+that law's tenants.  The per-column correction ``S_j = 1/T_j`` (applied
+on both sides — a congruence, hence SPD and MINRES-valid) absorbs each
+tenant's *local* viscosity deviations, not just its overall scale.  A
+congruence cannot absorb a yielding lithosphere into an Arrhenius mean,
+so the laws do not share levels: tenants are packed law by law, and one
+V-cycle over each law's contiguous ``(3n, nb_law)`` column slice serves
+all its tenants and velocity components at once.  The diagonals never
+need assembly: corner diagonals of a trilinear hex stiffness are equal,
+so ``diag K(eta) ~ Z^T scatter(eta_e g_e)`` up to a constant that
 cancels in the ratio.  The level matrices are rebuilt at the first
-Picard pass of each cycle — a deterministic schedule, so a
-preempt/resume at a cycle boundary reproduces the uninterrupted run.
-(The serial driver's policy — a drift-lagged hierarchy on the tenant's
-own viscosity, of the kind its ``stokes_preconditioner`` names — is a
-different decision, not a twin of this one; see ROADMAP item 5 and
-SOLVERS.md, "The fleet's shared hierarchy".)
+Picard pass of each cycle and grouped by configuration (the law's
+type), never by state — a deterministic schedule, so a preempt/resume
+at a cycle boundary reproduces the uninterrupted run.  (The serial
+driver's policy — a drift-lagged hierarchy on the tenant's own
+viscosity, of the kind its ``stokes_preconditioner`` names — is a
+different decision, not a twin of this one; see ROADMAP's Settled entry
+"The serial and fleet preconditioner policies are two decisions" and
+SOLVERS.md, "The fleet's hierarchies: one per viscosity law".)
 """
 
 from __future__ import annotations
@@ -57,7 +62,11 @@ from ..analysis.sanitize import maybe_freeze, maybe_verify
 from ..fem.advection import AdvectionDiffusion, element_velocity_from_nodal
 from ..fem.assembly import assemble_scalar
 from ..fem.hexops import ElementOps
-from ..fem.matfree import MatFreeStokesOperator, batched_lumped_scalar_mass
+from ..fem.matfree import (
+    MatFreeStokesOperator,
+    batched_lumped_scalar_mass,
+    scalar_gather,
+)
 from ..fem.stokes import velocity_bcs
 from ..mesh.opcache import operator_cache
 from ..rhea.convection import THERMAL_BCS, StepDiagnostics
@@ -78,13 +87,12 @@ def _poisson_diag(mesh, eta_b: np.ndarray, g: np.ndarray) -> np.ndarray:
     node-wise scatter of ``eta_e g_e`` (``g`` any fixed per-element
     geometry weight), restricted through the hanging-node operator.  The
     proportionality constant cancels in the ``D_ref / D_j`` congruence
-    ratio, which is all the preconditioner needs.  Returns ``(n, nb)``.
+    ratio, which is all the preconditioner needs.  Returns ``(n, nb)``:
+    one scatter through the cached element gather, whose row
+    ``i ne + e`` is corner ``i`` of element ``e``.
     """
     w = (eta_b * g[None, :]).T  # (ne, nb)
-    acc = np.zeros((mesh.n_nodes, w.shape[1]))
-    for c in range(8):  # lint: allow-loop (8 hex corners)
-        np.add.at(acc, mesh.element_nodes[:, c], w)
-    return mesh.Z.T @ acc
+    return scalar_gather(mesh).GT @ np.tile(w, (8, 1))
 
 
 class BatchGroup:
@@ -96,7 +104,11 @@ class BatchGroup:
     internal heating — everything else (Rayleigh number, viscosity law,
     tolerances, Picard budget, step counts) may differ per tenant.
     ``RheaConfig.stokes_preconditioner`` is the serial driver's field and
-    is not read here: the group's shared hierarchy is its own decision.
+    is not read here: the group's per-law hierarchies are its own
+    decision.  Internally the Stokes columns are packed law by law
+    (laws sorted by qualified class name, tenants in the caller's order
+    within a law); every per-job result comes back in the caller's
+    order.
 
     :meth:`cycle` mirrors one serial
     :meth:`~repro.rhea.convection.MantleConvection.run` cycle without
@@ -131,6 +143,16 @@ class BatchGroup:
         self.sims = list(sims)
         self.mesh = mesh
         self.nb = len(sims)
+        # law-by-law packing: column p of the Stokes block is tenant
+        # order[p], and the g-th law present (by qualified name) owns the
+        # contiguous columns bounds[g]:bounds[g + 1]; the key is
+        # configuration, not state
+        laws = [
+            "{0.__module__}.{0.__qualname__}".format(type(s.config.viscosity))
+            for s in self.sims
+        ]
+        self._order = np.argsort(laws, kind="stable")
+        self._bounds = np.cumsum([0, *np.unique(laws, return_counts=True)[1]])
 
     # -- Stokes ---------------------------------------------------------
 
@@ -142,9 +164,10 @@ class BatchGroup:
         velocity-increment convergence test — with per-job ``picard_tol``
         / ``picard_iterations`` / ``stokes_tol`` / ``stokes_maxiter``
         budgets enforced through the active mask.  Returns one
-        serial-shaped stats dict per job.
+        serial-shaped stats dict per job, in the caller's order.
         """
-        mesh, sims = self.mesh, self.sims
+        mesh, order, bounds = self.mesh, self._order, self._bounds
+        sims = [self.sims[j] for j in order]  # packed law by law
         nb, n = self.nb, mesh.n_independent
         cache = operator_cache(mesh)
         sizes = mesh.element_sizes()
@@ -168,7 +191,7 @@ class BatchGroup:
         last_converged = np.ones(nb, dtype=bool)
         active = np.ones(nb, dtype=bool)
         eta_b = np.ones((nb, mesh.n_elements))
-        op = gmg = F = None
+        op = gmgs = F = None
         bc = velocity_bcs(mesh, bc_kind)
         zero_token = maybe_freeze(np.zeros(4 * n))
         for k in range(int(picard_budget.max())):  # lint: allow-loop (Picard)
@@ -185,15 +208,20 @@ class BatchGroup:
                 # GMG level matrices rebuilt at each cycle's first pass
                 # only: a fixed, state-independent schedule, so
                 # resume-after-preempt reproduces the uninterrupted
-                # preconditioner sequence.  They live on the
-                # geometric-mean viscosity of the group; per-job
-                # deviations are absorbed by the Jacobi congruence
-                # correction below.
-                eta_ref = np.exp(np.mean(np.log(eta_b), axis=0))
+                # preconditioner sequence.  One hierarchy per viscosity
+                # law, on the geometric-mean viscosity of that law's
+                # columns; per-job deviations are absorbed by the Jacobi
+                # congruence correction below.
+                spans = zip(bounds, bounds[1:])
+                eta_ref = np.exp(
+                    [np.log(eta_b[lo:hi]).mean(axis=0) for lo, hi in spans]
+                )  # (n_laws, ne)
                 with obs.phase("prec_setup"):
-                    gmg = GeometricMultigrid(mesh, eta_ref, bc_kind)
+                    gmgs = [GeometricMultigrid(mesh, e, bc_kind) for e in eta_ref]
                 g_elem = np.prod(sizes, axis=1) ** (1.0 / 3.0)
-                D_ref = _poisson_diag(mesh, eta_ref[None, :], g_elem)[:, 0]
+                D_ref = np.repeat(
+                    _poisson_diag(mesh, eta_ref, g_elem), np.diff(bounds), axis=1
+                )  # each column's law reference, (n, nb)
                 F = np.zeros((4 * n, nb))
                 for j, s in enumerate(sims):  # lint: allow-loop (per-job rhs pack, O(B))
                     F[2 * n : 3 * n, j] = mesh.Z.T @ (
@@ -203,35 +231,44 @@ class BatchGroup:
                 op = MatFreeStokesOperator(mesh, eta_b, bc_kind, bc.dofs)
             else:
                 op.update_viscosity(eta_b)
-            # per-column congruence K_j ~= T_j K_ref T_j around the shared
+            # per-column congruence K_j ~= T_j K_ref T_j around its law's
             # hierarchy: S = 1/T = sqrt(D_ref / D_j) applied on both sides
             # of the vcycle keeps the prec SPD while tracking each job's
             # local viscosity field, not just its overall scale
-            S = np.sqrt(D_ref[:, None] / _poisson_diag(mesh, eta_b, g_elem))
+            S = np.sqrt(D_ref / _poisson_diag(mesh, eta_b, g_elem))
             schur = batched_lumped_scalar_mass(mesh, 1.0 / eta_b)
 
-            def make_prec(Ssub, schur_sub, gmg=gmg):
-                S3 = np.tile(Ssub, (3, 1))  # the scaling of the stacked block
+            def make_prec(cols, S=S, schur=schur, gmgs=gmgs):
+                # `cols` is sorted (compaction keeps survivors in order),
+                # so each law's columns are one contiguous slice of the
+                # working block; the stacked-block scalings of each slice
+                # are built here, once per pass and per compaction
+                cuts = np.searchsorted(cols, bounds)
+                blocks = [
+                    (slice(a, b), gmg, np.tile(S[:, cols[a:b]], (3, 1)))
+                    for a, b, gmg in zip(cuts, cuts[1:], gmgs)
+                    if b > a
+                ]
+                schur_sub = schur[:, cols]
 
                 def apply_M(R):
                     Z = np.empty_like(R)
-                    Z[: 3 * n] = gmg.vcycle(R[: 3 * n] * S3) * S3
+                    for c, gmg, S3 in blocks:  # lint: allow-loop (one V-cycle per viscosity law)
+                        Z[: 3 * n, c] = gmg.vcycle(R[: 3 * n, c] * S3) * S3
                     Z[3 * n :] = R[3 * n :] / schur_sub
                     return Z
 
                 return apply_M
 
-            apply_M = make_prec(S, schur)
+            apply_M = make_prec(np.arange(nb))
 
-            def factory(cols, eta_b=eta_b, S=S, schur=schur):
+            def factory(cols, eta_b=eta_b, make_prec=make_prec):
                 # compaction: rebuild the wide operator and the congruence
                 # scalings on the surviving scenario columns only
                 sub = MatFreeStokesOperator(
                     mesh, eta_b[cols], bc_kind, bc.dofs
                 )
-                return sub.apply, make_prec(
-                    S[:, cols], np.ascontiguousarray(schur[:, cols])
-                )
+                return sub.apply, make_prec(cols)
 
             Fk = F.copy()
             Fk[:, ~active] = 0.0
@@ -248,7 +285,7 @@ class BatchGroup:
                 for j in np.flatnonzero(~active):  # lint: allow-loop (sanitize verify, O(B))
                     maybe_verify(
                         res.X[:, j], zero_token,
-                        context=f"fleet masked tenant column {j}",
+                        context=f"fleet masked tenant {order[j]} (column {j})",
                     )
 
             total_minres += np.where(active, res.iterations, 0)
@@ -261,9 +298,10 @@ class BatchGroup:
                 break
 
         obs.counter("picard_iterations", int(n_picard.sum()))
+        packed = np.argsort(order)  # caller's index -> packed column
         return [
-            s.stokes_stats(total_minres[j], n_picard[j], last_converged[j])
-            for j, s in enumerate(sims)
+            s.stokes_stats(total_minres[p], n_picard[p], last_converged[p])
+            for s, p in zip(self.sims, packed)
         ]
 
     # -- temperature ----------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 from repro import obs
 from repro.fleet import FleetService, ScenarioSpec, batch, batched_minres
 from repro.fleet.batch import BatchGroup
+from repro.mesh import extract_mesh
+from repro.octree import LinearOctree, balance
 from repro.rhea.convection import MantleConvection, RheaConfig
 from repro.solvers import mesh_hierarchy, minres
 
@@ -174,11 +176,43 @@ def max_rel_dev(a, b):
 
 
 #: per-tenant MINRES totals of ``heterogeneous_specs(cycles=2)``, cycle by
-#: cycle, through the fleet's shared GMG hierarchy
-MINRES_COUNTS = {"ra": [19, 19], "stiff": [25, 22], "yld": [27, 29]}
+#: cycle, through the fleet's per-law GMG hierarchies (one for the two
+#: Arrhenius tenants, one for the yielding one); on one hierarchy over
+#: all three laws they were ra [19, 19], stiff [25, 22], yld [27, 29]
+MINRES_COUNTS = {"ra": [19, 16], "stiff": [23, 21], "yld": [27, 27]}
 #: the same through the three shared AMG hierarchies of the parent commit
-#: 65fd152 (PR 22), the bound the shared hierarchy must not exceed
+#: 65fd152 (PR 22), the bound the GMG hierarchies must not exceed
 MINRES_COUNTS_AMG_65FD152 = {"ra": [24, 22], "stiff": [30, 29], "yld": [40, 38]}
+
+
+def run_fleet(specs):
+    """Serve ``specs`` to completion on a fresh service; returns it."""
+    svc = FleetService()
+    for spec in specs:
+        svc.admit(spec)
+    svc.run()
+    return svc
+
+
+def histories(svc):
+    """Per job: the per-cycle MINRES counts and (vrms, Nu, mean T)."""
+    return {
+        job_id: (
+            [d.minres_iterations for d in job.sim.history],
+            [(d.vrms, d.nusselt, d.mean_T) for d in job.sim.history],
+        )
+        for job_id, job in svc.jobs.items()
+    }
+
+
+def poisson_diag_loop(mesh, eta_b, g):
+    """Reference Jacobi surrogate: eight per-corner ``np.add.at`` scatters
+    over all nodes, then the hanging-node restriction ``Z^T``."""
+    w = (eta_b * g[None, :]).T
+    acc = np.zeros((mesh.n_nodes, w.shape[1]))
+    for c in range(8):
+        np.add.at(acc, mesh.element_nodes[:, c], w)
+    return mesh.Z.T @ acc
 
 
 class TestBatchedSerialParity:
@@ -205,49 +239,124 @@ class TestBatchedSerialParity:
                 assert max_rel_dev(got, ref) < 1e-4
 
     def test_minres_counts_pinned(self):
-        """The congruence-corrected shared V-cycle is worth exact
+        """The congruence-corrected per-law V-cycles are worth exact
         iteration counts: a congruence or transfer that stops matching
-        costs this test, not iterations, and the shared GMG hierarchy
-        never needs more than the AMG hierarchies it replaced."""
-        svc = FleetService()
-        for spec in heterogeneous_specs(cycles=2):
-            svc.admit(spec)
-        svc.run()
+        costs this test, not iterations, and the GMG hierarchies never
+        need more than the AMG hierarchies they replaced."""
         got = {
-            job_id: [d.minres_iterations for d in job.sim.history]
-            for job_id, job in svc.jobs.items()
+            job_id: counts
+            for job_id, (counts, _) in histories(
+                run_fleet(heterogeneous_specs(cycles=2))
+            ).items()
         }
         assert got == MINRES_COUNTS
         for job_id, amg in MINRES_COUNTS_AMG_65FD152.items():
             assert all(g <= a for g, a in zip(got[job_id], amg))
 
+    def test_mixed_batch_is_union_of_single_law_batches(self):
+        """Each tenant preconditions on its own law's hierarchy, so a
+        batch mixing Arrhenius and yielding tenants gives every tenant
+        the MINRES counts of a batch holding only its law, and the same
+        diagnostics to rounding."""
+        specs = heterogeneous_specs(cycles=2)
+        mixed = histories(run_fleet(specs))
+        union = {
+            **histories(run_fleet([s for s in specs if s.job_id != "yld"])),
+            **histories(run_fleet([s for s in specs if s.job_id == "yld"])),
+        }
+        assert mixed.keys() == union.keys()
+        for job_id, (counts, diags) in mixed.items():
+            assert counts == union[job_id][0] == MINRES_COUNTS[job_id]
+            np.testing.assert_allclose(diags, union[job_id][1], rtol=1e-12, atol=0)
+
+    def test_per_job_results_follow_the_caller_order(self):
+        """Columns are packed law by law (Arrhenius before yielding)
+        whatever order the tenants come in, so admitting the yielding
+        tenant first permutes the columns; every job still gets its own
+        diagnostics and its own accountant ledger."""
+        specs = heterogeneous_specs(cycles=2)
+        law_order = run_fleet(specs)
+        yld_first = run_fleet(specs[2:] + specs[:2])
+        assert list(yld_first.jobs) == ["yld", "ra", "stiff"]
+        ref = histories(law_order)
+        for job_id, (counts, diags) in histories(yld_first).items():
+            assert counts == ref[job_id][0] == MINRES_COUNTS[job_id]
+            np.testing.assert_allclose(diags, ref[job_id][1], rtol=1e-12, atol=0)
+        for job_id, led in yld_first.accountant.ledgers.items():
+            other = law_order.accountant.ledgers[job_id]
+            for field in ("cycles", "minres_iterations", "picard_iterations",
+                          "advection_steps", "flops"):
+                assert getattr(led, field) == getattr(other, field), (job_id, field)
+            assert led.minres_iterations == sum(MINRES_COUNTS[job_id])
+
+    def test_one_law_builds_one_hierarchy(self):
+        """An all-Arrhenius batch is one hierarchy per cycle, with the
+        counts it had when every batch shared one hierarchy."""
+        specs = [s for s in heterogeneous_specs(cycles=2) if s.job_id != "yld"]
+        with obs.attached(obs.PhaseTimer()) as timer:
+            svc = run_fleet(specs)
+        phases = timer.results()
+        assert phases["fleet/stokes/prec_setup/gmg_setup"]["count"] == 2  # cycles
+        got = {job_id: counts for job_id, (counts, _) in histories(svc).items()}
+        assert got == {"ra": [19, 16], "stiff": [23, 21]}
+
+    def test_poisson_diag_is_one_scatter(self):
+        """The Jacobi surrogate scattered through the cached element
+        gather equals the per-corner loop over all nodes restricted by
+        ``Z^T``, on a mesh with hanging nodes."""
+        tree = LinearOctree.uniform(2)
+        tree = tree.refine(np.random.default_rng(3).random(len(tree)) < 0.25)
+        mesh = extract_mesh(balance(tree, "corner").tree)
+        assert mesh.hanging.any()
+        rng = np.random.default_rng(4)
+        eta_b = np.exp(rng.uniform(-3.0, 3.0, (5, mesh.n_elements)))
+        g = np.prod(mesh.element_sizes(), axis=1) ** (1.0 / 3.0)
+        got = batch._poisson_diag(mesh, eta_b, g)
+        ref = poisson_diag_loop(mesh, eta_b, g)
+        assert got.shape == (mesh.n_independent, 5)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
     def test_fleet_stokes_phases_and_vcycle_count(self, monkeypatch):
-        """Under a bound timer ``fleet/stokes`` holds the GMG set-up and
-        the per-level V-cycle phases, and ``gmg_vcycles`` counts one
-        stacked cycle per preconditioner apply of the quantum, whatever
-        the block width (compaction narrows it)."""
+        """Under a bound timer ``fleet/stokes`` holds one GMG set-up per
+        viscosity law and the per-level V-cycle phases, and
+        ``gmg_vcycles`` counts one stacked cycle per law present in the
+        block per preconditioner apply of the quantum, whatever the block
+        width (compaction narrows it, and may leave a single law)."""
         svc = FleetService()
         group = BatchGroup([svc.admit(s).sim for s in heterogeneous_specs(cycles=1)])
-        widths = []
+        # packed column p holds a tenant of law packed_laws[p] (columns
+        # are sorted by law)
+        packed_laws = np.array(sorted(type(s.config.viscosity).__name__ for s in group.sims))
+        n_laws_total = np.unique(packed_laws).size
+        assert n_laws_total == 2
+        widths, n_laws = [], []
 
-        def counted(apply_M):
-            return lambda R: widths.append(R.shape[1]) or apply_M(R)
+        def counted(apply_M, cols):
+            def apply(R):
+                widths.append(R.shape[1])
+                n_laws.append(np.unique(packed_laws[cols]).size)
+                return apply_M(R)
+
+            return apply
 
         def counting_minres(A, B, M, factory, **kw):
             def counting_factory(cols):
                 apply_A, apply_M = factory(cols)
-                return apply_A, counted(apply_M)
+                return apply_A, counted(apply_M, cols)
 
-            return batched_minres(A, B, M=counted(M), factory=counting_factory, **kw)
+            return batched_minres(
+                A, B, M=counted(M, np.arange(B.shape[1])),
+                factory=counting_factory, **kw,
+            )
 
         monkeypatch.setattr(batch, "batched_minres", counting_minres)
         with obs.attached(obs.PhaseTimer()) as timer:
             group.cycle()
         phases = timer.results()
         vcycles = phases["fleet/stokes/minres"]["counters"]["gmg_vcycles"]
-        assert vcycles == len(widths) > 0
+        assert vcycles == sum(n_laws) > len(widths) > 0
         assert max(widths) == 3 and min(widths) < 3  # full and compacted blocks
-        assert phases["fleet/stokes/prec_setup/gmg_setup"]["count"] == 1
+        assert phases["fleet/stokes/prec_setup/gmg_setup"]["count"] == n_laws_total
         gmg = "fleet/stokes/minres/stokes/gmg/"
         n_levels = len(mesh_hierarchy(group.mesh).meshes)
         assert n_levels >= 2
