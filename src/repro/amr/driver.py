@@ -38,10 +38,6 @@ class AdaptReport:
     mark: MarkResult
     timings: dict = field(default_factory=dict)
 
-    @property
-    def fraction_changed(self) -> float:
-        return 1.0 - self.n_unchanged / max(self.n_before, 1)
-
 
 def adapt_mesh(
     mesh: Mesh,

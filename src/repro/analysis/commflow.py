@@ -347,7 +347,7 @@ class _Interp:
         for a in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
             self.params.add(a.arg)
             if a.annotation is not None:
-                t = self.prog.resolve_annotation(a.annotation, fn.module)
+                t = self.prog.resolve_annotation(a.annotation, self.symbols)
                 if isinstance(t, str):
                     self.types[a.arg] = t
             if a.arg == "rank" or a.arg.endswith("_rank"):
@@ -804,7 +804,9 @@ class _Interp:
                 return qn
             fi = self.prog.functions.get(qn)
             if fi is not None and getattr(fi.node, "returns", None) is not None:
-                return self.prog.resolve_annotation(fi.node.returns, fi.module)
+                return self.prog.resolve_annotation(
+                    fi.node.returns, self.prog.module_symbols[fi.module]
+                )
             return None
         if isinstance(node, ast.Tuple):
             return ("tuple", [self._value_type(e) for e in node.elts])
@@ -815,7 +817,7 @@ class _Interp:
     def _bind(self, targets: list, value: ast.AST | None, annotation: ast.AST | None = None) -> None:
         vtype = None
         if annotation is not None:
-            vtype = self.prog.resolve_annotation(annotation, self.fn.module)
+            vtype = self.prog.resolve_annotation(annotation, self.symbols)
         if vtype is None and value is not None:
             vtype = self._value_type(value)
         full = value is not None and _is_tainted(value, self.tainted)
@@ -1072,7 +1074,8 @@ class Program:
     def _collect_class_attrs(self, ci: ClassInfo) -> None:
         for st in ci.node.body:
             if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name):
-                t = self.resolve_annotation(st.annotation, ci.module)
+                symbols = self.module_symbols[ci.module]
+                t = self.resolve_annotation(st.annotation, symbols)
                 if isinstance(t, str):
                     ci.attrs.setdefault(st.target.id, t)
 
@@ -1104,8 +1107,10 @@ class Program:
                 return ci.attrs[attr]
         return None
 
-    def resolve_annotation(self, node: ast.AST | None, module: str):
-        """Annotation expression -> class qname, ("tuple", [...]), or None."""
+    def resolve_annotation(self, node: ast.AST | None, symbols: dict[str, str]):
+        """Annotation expression -> class qname, ("tuple", [...]), or None,
+        with names looked up in ``symbols`` (a module's, or a function's
+        after its own imports)."""
         if node is None:
             return None
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -1113,7 +1118,6 @@ class Program:
                 node = ast.parse(node.value, mode="eval").body
             except SyntaxError:
                 return None
-        symbols = self.module_symbols.get(module, {})
         if isinstance(node, (ast.Name, ast.Attribute)):
             dotted = _dotted_name(node)
             if dotted is None:
@@ -1130,15 +1134,15 @@ class Program:
             if base_tail in ("tuple", "Tuple"):
                 sl = node.slice
                 elts = sl.elts if isinstance(sl, ast.Tuple) else [sl]
-                return ("tuple", [self.resolve_annotation(e, module) for e in elts])
+                return ("tuple", [self.resolve_annotation(e, symbols) for e in elts])
             if base_tail == "Optional":
-                return self.resolve_annotation(node.slice, module)
+                return self.resolve_annotation(node.slice, symbols)
             return None
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-            left = self.resolve_annotation(node.left, module)
+            left = self.resolve_annotation(node.left, symbols)
             if left is not None:
                 return left
-            return self.resolve_annotation(node.right, module)
+            return self.resolve_annotation(node.right, symbols)
         return None
 
     # -- interpretation + summaries -----------------------------------------

@@ -8,12 +8,18 @@ segment of that curve and owns every algorithm that needs no
 communication (refine, coarsen, the 2:1 ripple, the checks); the serial
 forest is the segment that covers the whole curve, and
 :class:`~repro.forest.parforest.ParForest` is a segment plus a
-communicator.
+communicator.  The octree is the one-tree forest
+(:func:`repro.octree.balance._one_tree`).
 
 Composite key encoding: leaves are restricted to level <= 19 so every
 anchor key is a multiple of 64; ``fkey = (tree << 57) | (key >> 6)`` is
 then an exact, order-preserving uint64 encoding for up to 128 trees —
 the cubed sphere's 24 fit comfortably.
+
+COARSENTREE is one vectorised pass over the segment's keys
+(:meth:`Forest.coarsen`): a family never crosses a tree, so the sibling
+test needs no per-tree loop, and each family's first child becomes the
+parent where it stood.
 
 2:1 balance is one frontier-driven ripple (:meth:`Forest._ripple`, the
 serial and per-rank BALANCETREE of the forest and of the octree, its
@@ -30,7 +36,7 @@ import copy
 
 import numpy as np
 
-from ..octree import LinearOctree, OctantArray, ROOT_LEN, morton_encode
+from ..octree import OctantArray, ROOT_LEN, morton_encode
 from ..octree.morton import key_range_size
 from ..octree.octants import directions_for
 from ..octree.partree import curve_cut
@@ -92,12 +98,6 @@ def sample_queries(
         qf, ql = np.concatenate([qf, qx]), np.concatenate([ql, level[d, e]])
     keep = (qf >= flo) & (qf < fhi)
     return qf[keep], ql[keep]
-
-
-def _coarsen_leaves(octs: OctantArray, mask: np.ndarray) -> tuple[OctantArray, int]:
-    """COARSENTREE of one tree's complete local families."""
-    tree, nfam = LinearOctree(octs, presorted=True).coarsen(mask)
-    return tree.leaves, nfam
 
 
 class Forest:
@@ -218,24 +218,51 @@ class Forest:
         mask = self._checked_mask(mask)
         return self._split(mask) if mask.any() else self
 
-    def _coarsen_by_tree(self, mask: np.ndarray, coarsen_one) -> tuple["Forest", int]:
-        """``coarsen_one(leaves, mask) -> (leaves, families)`` on every
-        tree's slice (empty ones too)."""
-        mask = self._checked_mask(mask)
-        offs = self.tree_offsets()
-        parts, nfam = [], 0
-        for t in range(self.n_trees):
-            sl = slice(offs[t], offs[t + 1])
-            leaves, nf = coarsen_one(self.octs[sl], mask[sl])
-            parts.append(leaves)
-            nfam += nf
-        tree_ids = np.repeat(np.arange(self.n_trees), [len(p) for p in parts])
-        return self._with(tree_ids, OctantArray.concat(parts)), nfam
+    def _family_heads(self) -> np.ndarray:
+        """Index of the first child of every sibling family whose eight
+        leaves all lie in the segment: in a sorted leaf sequence, a first
+        child followed 7 places on by an equal-level leaf 7 child-ranges
+        away heads a family (a family never crosses a tree)."""
+        fk, lv = self.fkeys(), self.octs.level.astype(np.int64)
+        m = max(len(self) - 7, 0)
+        child_range = key_range_size(lv[:m]) >> _KSHIFT
+        return np.flatnonzero(
+            (lv[:m] > 0)
+            & (lv[7:] == lv[:m])
+            & (fk[7:] - fk[:m] == np.uint64(7) * child_range)
+            & (self.octs.sibling_ids()[:m] == 0)
+        )
+
+    def _marked_families(self, mask: np.ndarray) -> np.ndarray:
+        """:meth:`_family_heads` of the families whose eight leaves are
+        all marked."""
+        heads = self._family_heads()
+        return heads[mask[heads[:, None] + np.arange(8)].all(axis=1)]
+
+    def _merge(self, heads: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> "Forest":
+        """Drop the leaves ``[lo[i], hi[i])`` of the merged families, but
+        their first children ``heads``, which become the parents where
+        they stood: a parent's anchor is its first child's, so the curve
+        order and the Morton keys survive without a re-sort."""
+        n = len(self)
+        cover = np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
+        keep = np.cumsum(cover[:n]) == 0
+        keep[heads] = True
+        o = self.octs
+        level = o.level.copy()
+        level[heads] -= 1
+        octs = OctantArray(o.x[keep], o.y[keep], o.z[keep], level[keep])
+        octs._keys = o.keys()[keep]
+        return self._with(self.tree_ids[keep], octs)
 
     def coarsen(self, mask: np.ndarray) -> tuple["Forest", int]:
-        """Replace complete families of 8 marked sibling leaves by their
-        parent.  Returns the forest and the number of families merged."""
-        return self._coarsen_by_tree(mask, _coarsen_leaves)
+        """COARSENTREE: replace complete families of 8 marked sibling
+        leaves by their parent, in one pass over the whole segment.
+        Returns the forest and the number of families merged."""
+        heads = self._marked_families(self._checked_mask(mask))
+        if not len(heads):
+            return self, 0
+        return self._merge(heads, heads, heads + 8), len(heads)
 
     # -- balance ----------------------------------------------------------------------
 
@@ -254,17 +281,8 @@ class Forest:
         through its parent, and after a split only the violating samples
         and the split leaves' new families can violate."""
         if extra is None:
-            fk, lv = self.fkeys(), self.octs.level.astype(np.int64)
-            m = max(len(self) - 7, 0)
-            child_range = key_range_size(lv[:m]) >> _KSHIFT
-            # in a sorted leaf sequence, a first child followed 7 places on
-            # by an equal-level leaf 7 child-ranges away heads a family
-            first = np.flatnonzero(
-                (lv[:m] > 0)
-                & (lv[7:] == lv[:m])
-                & (fk[7:] - fk[:m] == np.uint64(7) * child_range)
-                & (self.octs.sibling_ids()[:m] == 0)
-            )
+            lv = self.octs.level.astype(np.int64)
+            first = self._family_heads()
             single = np.ones(len(self), dtype=bool)
             single[(first[:, None] + np.arange(8)).ravel()] = False
             tids = np.concatenate([self.tree_ids[first], self.tree_ids[single]])

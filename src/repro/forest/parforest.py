@@ -2,13 +2,15 @@
 
 Each rank owns a contiguous segment of the global (tree id, Morton key)
 leaf order: :class:`ParForest` is a :class:`~repro.forest.forest.Forest`
-segment plus a communicator, and adds only what communicates.  As in the
-single-octree case (:mod:`repro.octree.partree`, whose curve helpers it
-calls with composite keys), the only global metadata is one key per
-rank, and all operations are bulk-synchronous:
+segment plus a communicator, and adds only what communicates.  The
+distributed octree (:mod:`repro.octree.partree`, whose curve helpers
+this module calls with composite keys) is its one-tree case.  The only
+global metadata is one key per rank, and all operations are
+bulk-synchronous:
 
-- :meth:`ParForest.coarsen` — also merges families split by a partition
-  marker;
+- :meth:`ParForest.coarsen` — the segment's own families, plus the
+  families split by a partition marker, in one marker allgather and two
+  all-to-alls whatever the tree count;
 - :meth:`ParForest.balance` — 2:1 balance by the segment's local ripple
   plus boundary-leaf exchanges
   (:func:`repro.forest.recursive.balance_forest_recursive`, which is
@@ -23,17 +25,11 @@ import numpy as np
 
 from .. import obs
 from ..octree import OctantArray
-from ..octree.partree import (
-    ParTree,
-    coarsen_tree,
-    curve_markers,
-    owners_of_keys,
-    repartition,
-    sfc_segment,
-)
+from ..octree.morton import key_range_size
+from ..octree.partree import curve_markers, owners_of_keys, repartition, sfc_segment
 from ..parallel import SimComm
 from .connectivity import Connectivity
-from .forest import Forest
+from .forest import _KSHIFT, Forest
 
 __all__ = ["ParForest"]
 
@@ -78,17 +74,76 @@ class ParForest(Forest):
     def coarsen(self, mask: np.ndarray) -> tuple["ParForest", int]:
         """Coarsen complete families of marked siblings (collective).
 
-        Every rank walks every tree with the octree's own COARSENTREE
-        (:func:`repro.octree.partree.coarsen_tree`), which also merges a
-        family whose eight siblings straddle a partition marker, so the
-        coarsened forest does not depend on the rank count.  Returns
+        The segment's own families merge as in :meth:`Forest.coarsen`;
+        a family whose eight siblings straddle a partition marker merges
+        too (:meth:`_straddling_families`), so the coarsened forest does
+        not depend on the rank count.  Returns
         ``(forest, families merged by this rank)``."""
+        mask = self._checked_mask(mask)
+        heads = self._marked_families(mask)
+        lo, hi = heads, heads + 8
+        if self.comm.size > 1:
+            h, a, b = self._straddling_families(mask)
+            heads, lo, hi = np.r_[heads, h], np.r_[lo, a], np.r_[hi, b]
+        return self._merge(heads, lo, hi), len(heads)
 
-        def coarsen_one(octs, mask):
-            pt, nfam = coarsen_tree(ParTree(self.comm, octs), mask)
-            return pt.local, nfam
+    def _straddling_families(self, mask: np.ndarray):
+        """``(heads, lo, hi)`` as :meth:`Forest._merge` takes them for the
+        complete marked families split by a partition marker: one
+        ``markers()`` allgather and two all-to-alls, whatever the tree
+        count.
 
-        return self._coarsen_by_tree(mask, coarsen_one)
+        Each rank reports its share of every marker-crossing candidate
+        parent (parent fkey, level, leaves inside, marked leaves one
+        level below) to the parent's owner; the owner accepts the family
+        iff exactly eight marked leaves of that level tile the parent over
+        all contributions; contributors then drop their siblings and the
+        owner's first child becomes the parent.  (The paper skips split
+        families as "a minor restriction", but that makes the coarsened
+        forest depend on where the markers fall — rank-count invariance
+        and restart determinism require resolving them; see DESIGN.md
+        section 4e.)  Ranks holding only unmarked or deeper leaves inside
+        a parent do not report, but that only loses counts: an accepted
+        family's eight reported leaves already tile the parent."""
+        comm = self.comm
+        markers = self.markers()
+        flo, fhi = markers[comm.rank], markers[comm.rank + 1]
+        fk, lv = self.fkeys(), self.octs.level.astype(np.int64)
+        cand = mask & (lv > 0)
+        prange = key_range_size(np.maximum(lv - 1, 0)) >> _KSHIFT
+        pfk = fk & ~(prange - np.uint64(1))
+        span = cand & ((pfk < flo) | (pfk + prange > fhi))
+        # a marker is crossed by at most one parent per level, so there
+        # are a few dozen candidates per rank, whatever the tree count
+        pk, pl = np.unique(np.stack([pfk[span], lv[span].astype(np.uint64)]), axis=1)
+        i0, i1 = self._key_span(pk, pl)
+        nm = [np.count_nonzero(cand[a:b] & (lv[a:b] == l)) for a, b, l in zip(i0, i1, pl)]
+        rows = np.stack([pk, pl, (i1 - i0).astype(np.uint64), np.uint64(nm)], axis=1)
+        dest = owners_of_keys(markers, pk)
+        parts = np.split(rows, np.searchsorted(dest, np.arange(1, comm.size)))
+        recv = comm.alltoallv_arrays(parts)
+
+        # the owner decides: 8 marked leaves of the level tile the parent
+        got = np.concatenate(recv)
+        src = np.repeat(np.arange(comm.size), [len(r) for r in recv])
+        _, gid = np.unique(got[:, :2], axis=0, return_inverse=True)
+        ok = (np.bincount(gid, got[:, 2]) == 8) & (np.bincount(gid, got[:, 3]) == 8)
+        hit = ok[gid]
+        acc = np.concatenate(
+            comm.alltoallv_arrays([got[hit & (src == j), :2] for j in range(comm.size)])
+        )
+
+        # every contributor drops its siblings; the owner keeps its first child
+        a0, a1 = self._key_span(acc[:, 0], acc[:, 1])
+        heads = a0[fk[a0] == acc[:, 0]]
+        return heads, a0, a1
+
+    def _key_span(self, pfk: np.ndarray, plevel: np.ndarray):
+        """Leaf index range ``[i0, i1)`` of the segment inside each parent
+        at fkey ``pfk`` whose children are at level ``plevel``."""
+        fk = self.fkeys()
+        end = pfk + (key_range_size(plevel - np.uint64(1)) >> _KSHIFT)
+        return np.searchsorted(fk, pfk), np.searchsorted(fk, end)
 
     def balance(
         self, connectivity: str = "edge", max_rounds: int = 64

@@ -164,11 +164,6 @@ class Mesh:
         interpolated).  Works on (n_indep,) or (n_indep, k) arrays."""
         return self.Z @ u_indep
 
-    def restrict_values(self, u_full: np.ndarray) -> np.ndarray:
-        """Full node vector -> independent dof values (pure extraction of
-        the independent entries, NOT the transpose of expand)."""
-        return u_full[self.indep_nodes]
-
     def interpolate_at(self, u_full: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the trilinear FE field at physical points.
 

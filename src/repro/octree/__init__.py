@@ -5,9 +5,9 @@ Morton space-filling-curve keys (:mod:`.morton`), vectorized octant arrays
 (:mod:`.octants`), complete linear octrees with refinement/coarsening
 (:mod:`.linear`), and the distributed tree with the parallel ALPS
 functions NEWTREE / REFINETREE / COARSENTREE / BALANCETREE /
-PARTITIONTREE (:mod:`.partree`).  2:1 balance, serial (:mod:`.balance`)
-and distributed, is the one-tree case of :mod:`repro.forest`'s balance,
-so octree levels are capped at its 19.
+PARTITIONTREE (:mod:`.partree`).  Coarsening and 2:1 balance, serial
+(:mod:`.linear`, :mod:`.balance`) and distributed, are the one-tree case
+of :mod:`repro.forest`'s, so octree levels are capped at its 19.
 """
 
 from .balance import BalanceResult, balance, balance_violations, is_balanced

@@ -9,7 +9,9 @@ key intervals ``[key_i, key_i + range_i)`` partitioning
 
 :class:`LinearOctree` maintains this invariant through refinement and
 coarsening, and supports the point-location queries (``find_containing``)
-that the balance and mesh-extraction algorithms are built on.
+that the balance and mesh-extraction algorithms are built on.  Its
+coarsening and 2:1 balance are the one-tree forest's
+(:func:`repro.octree.balance._one_tree`).
 """
 
 from __future__ import annotations
@@ -155,42 +157,14 @@ class LinearOctree:
         parent.  Returns the new tree and the number of families coarsened.
 
         Families are only coarsened when *all eight* siblings are leaves
-        and marked (same rule as COARSENTREE in the paper).
+        and marked (same rule as COARSENTREE in the paper).  It is the
+        one-tree forest's :meth:`~repro.forest.forest.Forest.coarsen`, so
+        a leaf deeper than ``FOREST_MAX_LEVEL`` raises its ``ValueError``.
         """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (len(self),):
-            raise ValueError("mask length mismatch")
-        coarsenable = mask & (self.levels > 0)
-        if not coarsenable.any():
-            return self, 0
-        # In a sorted complete tree, the 8 siblings of a family occupy 8
-        # consecutive positions.  Find positions i where leaves[i..i+8) are
-        # all marked, at equal level, and share a parent anchor.
-        n = len(self)
-        keys = self.keys
-        levels = self.levels.astype(np.int64)
-        # Parent key: clear the low 3*(MAX_LEVEL - level + 1) bits.
-        shift = (np.uint64(3) * (np.uint64(MAX_LEVEL) - levels.astype(np.uint64) + np.uint64(1)))
-        parent_key = (keys >> shift) << shift
-        # Candidate family starts: first child (sibling id 0).
-        sib = self.leaves.sibling_ids()
-        starts = np.flatnonzero((sib == 0) & coarsenable & (np.arange(n) + 8 <= n))
-        if len(starts) == 0:
-            return self, 0
-        offs = np.arange(8)
-        block = starts[:, None] + offs[None, :]
-        good = np.all(coarsenable[block], axis=1)
-        good &= np.all(levels[block] == levels[starts][:, None], axis=1)
-        good &= np.all(parent_key[block] == parent_key[starts][:, None], axis=1)
-        starts = starts[good]
-        if len(starts) == 0:
-            return self, 0
-        family_members = (starts[:, None] + offs[None, :]).ravel()
-        keep = np.ones(n, dtype=bool)
-        keep[family_members] = False
-        parents = self.leaves[starts].parents()
-        tree = LinearOctree(OctantArray.concat([self.leaves[keep], parents]))
-        return tree, len(starts)
+        from .balance import _one_tree
+
+        forest, nfam = _one_tree(self.leaves).coarsen(mask)
+        return (LinearOctree(forest.octs, presorted=True) if nfam else self), nfam
 
     def refine_by(self, flags: np.ndarray) -> "LinearOctree":
         """Repeatedly refine until ``flags`` levels are reached: ``flags``

@@ -11,9 +11,10 @@ Implemented here, with the paper's names:
 - :func:`new_tree` — NEWTREE: every rank grows the coarse uniform tree
   and prunes to its Morton segment (no communication).
 - :func:`refine_tree` — completely local.
-- :func:`coarsen_tree` — local for fully-owned families; families that
-  straddle a partition marker are resolved with one exchange so the
-  result is identical for every rank count.
+- :func:`coarsen_tree` — COARSENTREE: local for fully-owned families;
+  families that straddle a partition marker are resolved with one
+  exchange so the result is identical for every rank count; the one-tree
+  case of the forest's :meth:`~repro.forest.parforest.ParForest.coarsen`.
 - :func:`balance_tree` — BALANCETREE: communication-free local balance,
   then boundary-leaf exchanges (typically two) until a global fixed point;
   the one-tree case of the forest's
@@ -40,7 +41,7 @@ import numpy as np
 from ..parallel import SimComm
 from .balance import _one_tree
 from .linear import LinearOctree
-from .morton import MAX_LEVEL, key_range_size
+from .morton import MAX_LEVEL
 from .octants import OctantArray
 from .traverse import owners_of_keys
 
@@ -180,116 +181,18 @@ def refine_tree(pt: ParTree, mask: np.ndarray) -> ParTree:
 def coarsen_tree(pt: ParTree, mask: np.ndarray) -> tuple[ParTree, int]:
     """COARSENTREE: coarsen complete families of 8 marked sibling leaves.
 
-    Fully-local families merge without communication.  Families whose
+    Fully-local families merge without communication; families whose
     eight siblings straddle a partition marker are resolved with one
-    aggregate/decide/notify exchange: each rank reports its share of any
-    marker-crossing candidate parent to the parent's owner; the owner
-    accepts the family iff exactly eight marked same-level leaves tile
-    the parent over all contributions; contributors then drop their
-    siblings and the owner inserts the parent.  (The paper skips split
-    families as "a minor restriction", but that makes the coarsened tree
-    depend on where the markers fall — rank-count invariance and restart
-    determinism require resolving them; see DESIGN.md section 4e.)
+    aggregate/decide/notify exchange, so the result is identical for every
+    rank count.  It is the one-tree forest's
+    :meth:`~repro.forest.parforest.ParForest.coarsen`: one marker
+    allgather and two all-to-alls, none on one rank.
     """
-    comm = pt.comm
-    mask = np.asarray(mask, dtype=bool)
-    lt = LinearOctree(pt.local, presorted=True)
-    new_lt, nfam = lt.coarsen(mask)
-    if comm.size == 1:
-        return ParTree(comm, new_lt.leaves), nfam
+    from ..forest import ParForest
 
-    # -- candidates whose parent key range crosses a partition marker
-    local = pt.local
-    keys = local.keys()
-    levels = local.level.astype(np.int64)
-    markers = partition_markers(comm, local)
-    lo, hi = markers[comm.rank], markers[comm.rank + 1]
-
-    cand = mask & (levels > 0)
-    shift = np.uint64(3) * (
-        np.uint64(MAX_LEVEL) - levels.astype(np.uint64) + np.uint64(1)
-    )
-    pkey = (keys >> shift) << shift
-    plen = key_range_size(np.maximum(levels - 1, 0))
-    spanning = cand & ((pkey < lo) | (pkey + plen > hi))
-
-    pk, pl = pkey[spanning], levels[spanning]
-    if len(pk):
-        uniq = np.unique(np.stack([pk, pl.astype(np.uint64)], axis=1), axis=0)
-        pk, pl = uniq[:, 0], uniq[:, 1].astype(np.int64)
-    # a marker is crossed by at most one ancestor per level, so there are
-    # O(MAX_LEVEL) candidates per rank — plain loops are fine here
-    send = [np.empty((0, 4), dtype=np.uint64) for _ in range(comm.size)]
-    for p, l in zip(pk, pl):
-        end = p + key_range_size(l - 1)
-        i0 = int(np.searchsorted(keys, p, side="left"))
-        i1 = int(np.searchsorted(keys, end, side="left"))
-        nm = int(np.count_nonzero(mask[i0:i1] & (levels[i0:i1] == l)))
-        dest = int(owners_of_keys(markers, np.asarray([p], dtype=np.uint64))[0])
-        row = np.array(
-            [[p, np.uint64(l), np.uint64(i1 - i0), np.uint64(nm)]], dtype=np.uint64
-        )
-        send[dest] = np.concatenate([send[dest], row])
-    recv = comm.alltoallv_arrays(send)
-
-    # -- owner decides: coarsen iff 8 marked level-l leaves tile the parent.
-    # Ranks holding only unmarked/deeper leaves inside the parent do not
-    # report, but that only loses counts: an accepted family's eight
-    # reported leaves already tile the parent, so nothing can be missing.
-    rows = (
-        np.concatenate(recv, axis=0)
-        if any(len(r) for r in recv)
-        else np.empty((0, 4), dtype=np.uint64)
-    )
-    src = (
-        np.concatenate([np.full(len(r), j, dtype=np.int64) for j, r in enumerate(recv)])
-        if len(rows)
-        else np.empty(0, dtype=np.int64)
-    )
-    reply = [np.empty((0, 2), dtype=np.uint64) for _ in range(comm.size)]
-    accepted = np.empty(0, dtype=np.uint64)
-    if len(rows):
-        order = np.lexsort((rows[:, 1], rows[:, 0]))
-        rows, src = rows[order], src[order]
-        newgrp = np.ones(len(rows), dtype=bool)
-        newgrp[1:] = (rows[1:, 0] != rows[:-1, 0]) | (rows[1:, 1] != rows[:-1, 1])
-        gid = np.cumsum(newgrp) - 1
-        nt_tot = np.bincount(gid, weights=rows[:, 2].astype(np.float64))
-        nm_tot = np.bincount(gid, weights=rows[:, 3].astype(np.float64))
-        ok = (nt_tot == 8) & (nm_tot == 8)
-        hit = ok[gid]
-        for j in range(comm.size):
-            sel = hit & (src == j)
-            reply[j] = rows[sel][:, :2].copy()
-        starts = np.flatnonzero(newgrp)
-        accepted = rows[starts[ok], 0]
-    dec = comm.alltoallv_arrays(reply)
-
-    # -- apply: drop local siblings of accepted families, owner inserts parent
-    drops = (
-        np.concatenate(dec, axis=0)
-        if any(len(d) for d in dec)
-        else np.empty((0, 2), dtype=np.uint64)
-    )
-    leaves = new_lt.leaves
-    if len(drops) or len(accepted):
-        k2 = new_lt.keys
-        keep = np.ones(len(k2), dtype=bool)
-        for p, l in drops:
-            end = p + key_range_size(int(l) - 1)
-            i0 = int(np.searchsorted(k2, p, side="left"))
-            i1 = int(np.searchsorted(k2, end, side="left"))
-            keep[i0:i1] = False
-        parts = [leaves[keep]]
-        if len(accepted):
-            # the parent anchor key is the first child's key, which this
-            # rank owns — locate it and promote to the parent octant
-            fidx = np.searchsorted(keys, accepted, side="left")
-            if not np.array_equal(keys[fidx], accepted):
-                raise AssertionError("first sibling of accepted family not local")
-            parts.append(local[fidx].parents())
-        leaves = LinearOctree(OctantArray.concat(parts)).leaves
-    return ParTree(comm, leaves), nfam + len(accepted)
+    pf: ParForest = _one_tree(pt.local, pt.comm)  # typed for the comm-flow analysis
+    pf, nfam = pf.coarsen(mask)
+    return ParTree(pt.comm, pf.octs), nfam
 
 
 def balance_tree(

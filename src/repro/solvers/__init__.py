@@ -14,7 +14,6 @@ from .amg import (
     strength_graph,
 )
 from .blockprec import LaggedStokesPreconditioner, StokesBlockPreconditioner
-from .cg import CGResult, cg
 from .gmg import (
     ChebyshevSmoother,
     GeometricMultigrid,
@@ -43,8 +42,6 @@ __all__ = [
     "mesh_hierarchy",
     "coarse_viscosities",
     "prolongation",
-    "cg",
-    "CGResult",
     "minres",
     "MinresResult",
     "batched_minres",

@@ -30,9 +30,9 @@ variable-viscosity Stokes (PAPERS.md).  Design notes in DESIGN.md section
 
 Key facts the construction relies on:
 
-- ``LinearOctree.coarsen`` only replaces *complete* marked sibling
-  families by their parent, and 2:1 re-balance of a coarsened tree never
-  refines past the original, so every coarse leaf is an ancestor-or-self
+- ``LinearOctree.coarsen`` (the one-tree forest's ``Forest.coarsen``)
+  only replaces *complete* marked sibling families by their parent, and
+  2:1 re-balance of a coarsened tree never refines past the original, so every coarse leaf is an ancestor-or-self
   of fine leaves: the coarse FE space is a *subspace* of the fine one
   and the trilinear interpolation operator ``P`` is an exact embedding.
 - Independent (non-hanging) nodes of the coarse mesh are independent

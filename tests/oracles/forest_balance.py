@@ -6,8 +6,14 @@ one flat ``(conn, tree_ids, octs)`` segment: refine and coarsen tree by
 tree, and a 2:1 balance that sweeps every tree with the octree's
 violation marks and then walks every (tree, face) pair to carry the marks
 across glued faces.  The flat forest (in-place refine, one vectorised
-ripple over composite keys) must produce the same leaves and the same
-``leaves_added``; ``TreeListForest`` shares none of its kernels.
+family merge and ripple over composite keys) must produce the same leaves,
+families merged and ``leaves_added``; ``TreeListForest`` shares none of
+its kernels.
+
+``coarsen_families`` is the octree's COARSENTREE before it became the
+one-tree forest's: every sibling-0 leaf whose eight consecutive leaves
+are marked, at one level and under one parent Morton key, heads a family,
+and the parents are re-sorted in.
 
 ``ripple_forest_full_sweep`` is the flat forest's ripple before it became
 frontier-driven: every round samples every leaf of the segment and of the
@@ -26,6 +32,7 @@ import numpy as np
 from repro.forest.forest import forest_key
 from repro.forest.recursive import exchange_boundary_leaves
 from repro.octree import LinearOctree, OctantArray, ROOT_LEN, morton_encode
+from repro.octree.morton import MAX_LEVEL
 from repro.octree.octants import directions_for
 
 
@@ -46,6 +53,36 @@ def leaf_marks(tree: LinearOctree, dirs: np.ndarray) -> np.ndarray:
         viol = levels[idx] < levels[ok] - 1
         mark[idx[viol]] = True
     return mark
+
+
+def coarsen_families(leaves: OctantArray, mask: np.ndarray) -> tuple[OctantArray, int]:
+    """Replace complete families of 8 marked sibling leaves of one sorted,
+    complete tree by their parent: ``(leaves, families merged)``."""
+    n = len(leaves)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n,):
+        raise ValueError("mask length mismatch")
+    coarsenable = mask & (leaves.level > 0)
+    if not coarsenable.any():
+        return leaves, 0
+    keys = leaves.keys()
+    levels = leaves.level.astype(np.int64)
+    # parent key: clear the low 3 * (MAX_LEVEL - level + 1) bits
+    shift = np.uint64(3) * (np.uint64(MAX_LEVEL) - levels.astype(np.uint64) + np.uint64(1))
+    parent_key = (keys >> shift) << shift
+    starts = np.flatnonzero(
+        (leaves.sibling_ids() == 0) & coarsenable & (np.arange(n) + 8 <= n)
+    )
+    block = starts[:, None] + np.arange(8)[None, :]
+    good = np.all(coarsenable[block], axis=1)
+    good &= np.all(levels[block] == levels[starts][:, None], axis=1)
+    good &= np.all(parent_key[block] == parent_key[starts][:, None], axis=1)
+    starts = starts[good]
+    if len(starts) == 0:
+        return leaves, 0
+    keep = np.ones(n, dtype=bool)
+    keep[(starts[:, None] + np.arange(8)[None, :]).ravel()] = False
+    return OctantArray.concat([leaves[keep], leaves[starts].parents()]).sort(), len(starts)
 
 
 def full_sweep_samples(tree_ids, octs, conn, dirs):
@@ -160,8 +197,8 @@ class TreeListForest:
         offs = self.tree_offsets()
         new_trees, nfam = [], 0
         for i, t in enumerate(self.trees):
-            nt, nf = t.coarsen(mask[offs[i] : offs[i + 1]])
-            new_trees.append(nt)
+            leaves, nf = coarsen_families(t.leaves, mask[offs[i] : offs[i + 1]])
+            new_trees.append(LinearOctree(leaves, presorted=True))
             nfam += nf
         return TreeListForest(self.conn, new_trees), nfam
 

@@ -110,6 +110,32 @@ class TestCallGraph:
         assert s.has_collective
         assert s.chain[0][0] == "pkg.b.Helper.gather_all"
 
+    def test_annotation_resolves_through_function_local_import(self, tmp_path):
+        """A class imported inside the function (an import cycle at module
+        level) types the annotated local, as ``coarsen_tree`` types its
+        one-tree ``ParForest``."""
+        pkg = write_pkg(
+            tmp_path,
+            a="""
+            def make(comm):
+                return comm
+
+            def f(comm):
+                from .b import Helper
+
+                h: Helper = make(comm)
+                return h.gather_all()
+            """,
+            b="""
+            class Helper:
+                def gather_all(self):
+                    return self.comm.allgather(1)
+            """,
+        )
+        s = build_program([pkg]).summary("pkg.a.f")
+        assert s.has_collective
+        assert s.chain[0][0] == "pkg.b.Helper.gather_all"
+
     def test_function_argument_called_by_callee(self, tmp_path):
         """A bound method handed to a stepper (``heun_step(self.rate, ..)``)
         is called where the stepper calls its parameter: twice, in order,

@@ -7,7 +7,12 @@
 - ``ParForest`` through the same adaptation at P in {1, 2, 3, 5, 7}
   gathers to the serial forest;
 - on ``unit_cube()`` the forest *is* the octree: the leaves of
-  ``LinearOctree.refine / coarsen`` and ``octree.balance``;
+  ``LinearOctree.refine`` and ``octree.balance``, and of the octree's
+  family merge as it was before it became the forest's
+  (``coarsen_families``);
+- ``ParForest.coarsen`` makes one marker allgather and two all-to-alls
+  per call whatever the tree count, and merges the families a partition
+  marker splits;
 - ``Forest(conn, tree_ids, octs)`` rejects what the algorithms assume away;
 - the one curve cut (``repro.octree.partree.curve_cut``) through its three
   entry points: bad weights raise, an all-zero weighting is the
@@ -28,10 +33,11 @@ from repro.forest import (
     unit_cube,
 )
 from repro.octree import LinearOctree, OctantArray, balance, gather_tree, new_tree
-from repro.octree.partree import curve_cut, partition_tree
+from repro.forest.forest import forest_key
+from repro.octree.partree import coarsen_tree, curve_cut, partition_tree, sfc_segment
 from repro.parallel import run_spmd
 
-from .oracles.forest_balance import TreeListForest
+from .oracles.forest_balance import TreeListForest, coarsen_families
 
 CONNS = {
     "cube": unit_cube(),
@@ -129,12 +135,76 @@ class TestOctreeIsTheOneTreeCase:
             tree, f = tree.refine(mask), f.refine(mask)
             assert f.octs.equals(tree.leaves)
         mask = rng.random(len(f)) < COARSEN_FRAC
-        (tree, nt), (f, nf) = tree.coarsen(mask), f.coarsen(mask)
-        assert nt == nf and f.octs.equals(tree.leaves)
+        leaves, nt = coarsen_families(tree.leaves, mask)
+        (tree, n_tree), (f, nf) = tree.coarsen(mask), f.coarsen(mask)
+        assert nt == nf == n_tree and f.octs.equals(leaves) and tree.leaves.equals(leaves)
         res = balance(tree, connectivity)
         fb, added = f.balance(connectivity)
         assert added == res.leaves_added and fb.octs.equals(res.tree.leaves)
         assert not fb.tree_ids.any() and fb.is_complete()
+
+
+class TestOneFamilyMerge:
+    """COARSENTREE exists once, over forest keys: the distributed merge
+    costs three collectives per call however many trees there are."""
+
+    @pytest.mark.parametrize("p, calls", [(1, 0), (3, 3)])
+    def test_sphere_collectives_per_call(self, p, calls):
+        conn = cubed_sphere_connectivity()
+
+        def kernel(comm):
+            pf = ParForest.uniform(comm, conn, 2)
+            before = comm.stats.total_collective_calls
+            pf, nfam = pf.coarsen(np.ones(len(pf), dtype=bool))
+            n = comm.stats.total_collective_calls - before
+            return n, comm.allreduce(nfam), pf.gather()
+
+        for n, nfam, g in run_spmd(p, kernel):
+            assert (n, nfam) == (calls, 192)  # one merge per tree made 72 at P = 3
+            assert g.octs.equals(Forest.uniform(conn, 1).octs)
+
+    def test_one_tree_collectives_per_call(self):
+        def kernel(comm):
+            pt = new_tree(comm, 2)
+            before = comm.stats.total_collective_calls
+            pt, nfam = coarsen_tree(pt, np.ones(len(pt), dtype=bool))
+            return comm.stats.total_collective_calls - before, comm.allreduce(nfam)
+
+        assert run_spmd(3, kernel) == [(3, 8)] * 3
+
+    def test_families_split_in_several_trees_merge(self):
+        """At P = 5 the equal-count markers of the level-2 sphere split a
+        family in four trees; every split family is merged, and the
+        forest is the serial one."""
+        conn, p = cubed_sphere_connectivity(), 5
+        serial = Forest.uniform(conn, 2)
+        starts = np.array([sfc_segment(len(serial), p, r)[0] for r in range(1, p)])
+        split = starts[starts % 8 != 0] // 8 * 8  # first child of each split family
+        assert len(np.unique(serial.tree_ids[split])) >= 2
+        mask = np.random.default_rng(0).random(len(serial)) < 0.6
+        mask[(split[:, None] + np.arange(8)).ravel()] = True
+        want, nfam = serial.coarsen(mask)
+        parents = serial.octs[split].parents()
+        pfk = forest_key(serial.tree_ids[split], parents.keys())
+        at = np.searchsorted(want.fkeys(), pfk)
+        assert np.array_equal(want.octs.level[at], parents.level)
+
+        def kernel(comm):
+            pf = ParForest.uniform(comm, conn, 2)
+            lo, _ = comm.global_offsets(len(pf))
+            pf, n = pf.coarsen(mask[lo : lo + len(pf)])
+            return pf.gather(), comm.allreduce(n)
+
+        for g, n in run_spmd(p, kernel):
+            assert np.array_equal(g.tree_ids, want.tree_ids) and g.octs.equals(want.octs)
+            assert n == nfam
+
+    def test_octree_deeper_than_the_forest_keys_raises(self):
+        tree = LinearOctree.uniform(1)
+        for _ in range(FOREST_MAX_LEVEL):
+            tree = tree.refine(np.arange(len(tree)) == 0)
+        with pytest.raises(ValueError, match=f"levels <= {FOREST_MAX_LEVEL}"):
+            tree.coarsen(np.ones(len(tree), dtype=bool))
 
 
 class TestForestRejectsMalformedSegments:
