@@ -68,7 +68,7 @@ def test_ablation_weighted_partition(record_table, benchmark):
         pt = refine_tree(pt, mask)
         # cost model: global first half of the curve is 10x as expensive
         def costs(pt):
-            offset = pt.global_offset()
+            offset = comm.exscan(len(pt))
             total = pt.global_count()
             g = offset + np.arange(len(pt))
             return np.where(g < total // 2, 10.0, 1.0)

@@ -84,7 +84,7 @@ def adapt_mesh(
     t["CoarsenTree"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    refine_mask_c = relocate_refine_marks(tree.leaves, mark.refine, tree_c)
+    refine_mask_c = relocate_refine_marks(tree.leaves, mark.refine, tree_c.leaves)
     tree_r = tree_c.refine(refine_mask_c)
     t["RefineTree"] = time.perf_counter() - t0
 

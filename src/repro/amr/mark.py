@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..octree import morton_encode
+from ..octree import OctantArray, morton_encode
 
 __all__ = ["mark_elements", "MarkResult", "relocate_refine_marks"]
 
@@ -202,23 +202,25 @@ def mark_elements(
     )
 
 
-def relocate_refine_marks(leaves, refine: np.ndarray, coarsened) -> np.ndarray:
-    """The refine mask of ``leaves`` carried onto the coarsened tree.
+def relocate_refine_marks(
+    leaves: OctantArray, refine: np.ndarray, coarsened: OctantArray
+) -> np.ndarray:
+    """The refine mask of the sorted ``leaves`` carried onto the sorted
+    leaves ``coarsened`` that COARSENTREE left of them (a serial tree's
+    or one rank's segment of the distributed one).
 
     Refine-marked leaves are excluded from COARSENTREE, so each survives
-    it untouched and is re-located by its center point among the leaves
-    of ``coarsened`` (a :class:`~repro.octree.LinearOctree` or one
-    rank's :class:`~repro.octree.partree.ParTree`: sorted ``keys`` and
-    ``levels``); a hit at a different level means the leaf was coarsened
-    away, which is an error in the caller's masks.
+    it untouched and is re-located by its center point; a hit at a
+    different level means the leaf was coarsened away, which is an error
+    in the caller's masks.
     """
     ref = leaves[refine]
     mask = np.zeros(len(coarsened), dtype=bool)
     if len(ref):
         h = ref.lengths()
         centers = morton_encode(ref.x + h // 2, ref.y + h // 2, ref.z + h // 2)
-        idx = np.searchsorted(coarsened.keys, centers, side="right") - 1
-        if not np.array_equal(coarsened.levels[idx], ref.level):
+        idx = np.searchsorted(coarsened.keys(), centers, side="right") - 1
+        if not np.array_equal(coarsened.level[idx], ref.level):
             raise AssertionError("refine-marked leaf was coarsened away")
         mask[idx] = True
     return mask

@@ -25,13 +25,12 @@ import numpy as np
 from .. import obs
 from ..analysis.conformance import schedule_phase
 from ..fem import ParAdvectionDiffusion
-from ..forest import FOREST_MAX_LEVEL
+from ..forest import FOREST_MAX_LEVEL, ParForest
 from ..mesh.parmesh import ParMesh, extract_parmesh, par_interpolate_at
-from ..octree import new_tree
 from ..octree.partree import (
-    ParTree,
     balance_tree,
     coarsen_tree,
+    new_tree,
     partition_markers,
     partition_tree,
     refine_tree,
@@ -83,7 +82,9 @@ class RotatingFrontWorkload:
 
 
 class ParAmrPipeline:
-    """SPMD driver: owns the distributed tree, mesh and temperature field.
+    """SPMD driver: owns the distributed tree (``pt``, this rank's
+    segment of the one-tree :class:`~repro.forest.ParForest`), mesh and
+    temperature field.
 
     All timing entries accumulate in ``self.timings`` (seconds, this
     rank); communication totals are read from ``comm.stats``.
@@ -97,7 +98,7 @@ class ParAmrPipeline:
         min_level: int = 1,
         max_level: int = 6,
         connectivity: str = "corner",
-        tree=None,
+        tree: ParForest | None = None,
     ):
         if max_level > FOREST_MAX_LEVEL:
             raise ValueError(
@@ -118,10 +119,10 @@ class ParAmrPipeline:
         with schedule_phase("init"):
             t0 = time.perf_counter()
             if tree is not None:
-                # restart path: ``tree`` is this rank's Morton segment of an
-                # already-balanced leaf set (checkpoints save post-balance
+                # restart path: ``tree`` is this rank's segment of an
+                # already-balanced forest (checkpoints save post-balance
                 # state), so NEWTREE and BALANCETREE are skipped
-                self.pt = ParTree(comm, tree)
+                self.pt = tree
                 self._tic("NewTree", t0)
             else:
                 self.pt = new_tree(comm, coarse_level)
@@ -165,7 +166,7 @@ class ParAmrPipeline:
         with schedule_phase("adapt"):
             comm = self.comm
             old_pm = self.pm
-            old_markers = partition_markers(comm, self.pt.local)
+            old_markers = partition_markers(self.pt)
             u_full_old = old_pm.mesh.expand(self.T)
             eta = self.indicator()
             n_before = self.pt.global_count()
@@ -174,7 +175,7 @@ class ParAmrPipeline:
             with obs.phase("amr/mark"):
                 mark = mark_elements(
                     eta,
-                    self.pt.levels.astype(np.int64),
+                    self.pt.octs.level.astype(np.int64),
                     target,
                     comm=comm,
                     min_level=self.min_level,
@@ -191,7 +192,7 @@ class ParAmrPipeline:
 
             t0 = time.perf_counter()
             with obs.phase("amr/refine"):
-                mask = relocate_refine_marks(self.pt.local, mark.refine, pt)
+                mask = relocate_refine_marks(self.pt.octs, mark.refine, pt.octs)
                 n_refined = comm.allreduce(int(mask.sum()))
                 pt = refine_tree(pt, mask)
                 obs.counter("elements_marked_refine", int(mask.sum()))

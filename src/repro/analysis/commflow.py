@@ -48,8 +48,9 @@ Scope and precision
   runtime sanitizer observes, at the caller's line, so static schedule
   sites match ``CheckedComm`` call sites exactly.
 * Lightweight type inference (constructor calls, parameter/return/field
-  annotations, per-class ``self.attr`` registries) resolves method
-  calls; unresolved calls contribute no events.
+  annotations, including names imported under ``if TYPE_CHECKING:``,
+  per-class ``self.attr`` registries) resolves method calls; unresolved
+  calls contribute no events.
 * Branch bodies are interpreted in source order with one shared
   environment (the same approximation the lexical linter makes).
 
@@ -121,6 +122,7 @@ DEFAULT_ENTRIES = {
 _MAX_PATHS = 64  # R8 path enumeration cap per function
 _MAX_INLINE = 4  # R8 call-inlining depth
 _MAX_RESOLVE = 8  # re-export chain depth
+_TYPE_CHECKING = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
 
 
 @dataclass(frozen=True)
@@ -979,6 +981,11 @@ class Program:
         for st in mod.tree.body:
             if isinstance(st, (ast.Import, ast.ImportFrom)):
                 self.apply_import(symbols, mod, st)
+            elif isinstance(st, ast.If) and _dotted_name(st.test) in _TYPE_CHECKING:
+                # names imported for annotations only (an import cycle at run time)
+                for imp in st.body:
+                    if isinstance(imp, (ast.Import, ast.ImportFrom)):
+                        self.apply_import(symbols, mod, imp)
             elif isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qname = f"{mod.name}.{st.name}"
                 symbols[st.name] = qname

@@ -99,6 +99,7 @@ def restore_pipeline(comm, path: str, workload=None):
 
 def _restore_pipeline_impl(comm, path: str, workload):
     from ..amr.pardriver import ParAmrPipeline
+    from ..forest import ParForest, unit_cube
     from ..octree import OctantArray, morton_encode
 
     path = resolve_checkpoint(path)
@@ -119,7 +120,7 @@ def _restore_pipeline_impl(comm, path: str, workload):
         min_level=meta["min_level"],
         max_level=meta["max_level"],
         connectivity=meta["connectivity"],
-        tree=local,
+        tree=ParForest(comm, unit_cube(), np.zeros(hi - lo, dtype=np.int64), local),
     )
 
     # scatter element-corner temperature back onto this rank's union mesh

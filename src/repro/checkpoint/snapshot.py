@@ -54,7 +54,7 @@ def pipeline_shard_arrays(pipe) -> dict:
     """This rank's shard: owned octants + element-corner field values."""
     mesh = pipe.pm.mesh
     owned = pipe.pm.owned_elements
-    local = pipe.pt.local
+    local = pipe.pt.octs
     u_full = mesh.expand(pipe.T)
     return {
         "octants/x": local.x,

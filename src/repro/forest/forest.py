@@ -8,8 +8,10 @@ segment of that curve and owns every algorithm that needs no
 communication (refine, coarsen, the 2:1 ripple, the checks); the serial
 forest is the segment that covers the whole curve, and
 :class:`~repro.forest.parforest.ParForest` is a segment plus a
-communicator.  The octree is the one-tree forest
-(:func:`repro.octree.balance._one_tree`).
+communicator.  The octree is the one-tree forest: serially
+(:func:`repro.octree.balance._one_tree`) and distributed, where the
+one-tree ``ParForest`` is the distributed octree of
+:mod:`repro.octree.partree`.
 
 Composite key encoding: leaves are restricted to level <= 19 so every
 anchor key is a multiple of 64; ``fkey = (tree << 57) | (key >> 6)`` is
@@ -168,9 +170,6 @@ class Forest:
         """Start index of each tree's leaves in the flat order (and the end)."""
         return np.searchsorted(self.tree_ids, np.arange(self.n_trees + 1))
 
-    def leaf_tree_ids(self) -> np.ndarray:
-        return self.tree_ids
-
     def flat_levels(self) -> np.ndarray:
         return self.octs.level
 
@@ -214,8 +213,12 @@ class Forest:
         return self._with(tree_ids, self.octs.refine(mask))
 
     def refine(self, mask: np.ndarray) -> "Forest":
-        """Refine flat-order-marked leaves (mask over all trees)."""
+        """Refine flat-order-marked leaves (mask over all trees).  Raises
+        the constructor's ``ValueError`` when a marked leaf is at
+        :data:`FOREST_MAX_LEVEL`: its children would share one key."""
         mask = self._checked_mask(mask)
+        if (self.octs.level[mask] >= FOREST_MAX_LEVEL).any():
+            raise ValueError(f"forest supports levels <= {FOREST_MAX_LEVEL}")
         return self._split(mask) if mask.any() else self
 
     def _family_heads(self) -> np.ndarray:

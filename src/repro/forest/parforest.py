@@ -2,9 +2,10 @@
 
 Each rank owns a contiguous segment of the global (tree id, Morton key)
 leaf order: :class:`ParForest` is a :class:`~repro.forest.forest.Forest`
-segment plus a communicator, and adds only what communicates.  The
-distributed octree (:mod:`repro.octree.partree`, whose curve helpers
-this module calls with composite keys) is its one-tree case.  The only
+segment plus a communicator, and adds only what communicates.  It is
+the one distributed tree type: the distributed octree
+(:mod:`repro.octree.partree`, whose curve helpers this module calls with
+composite keys) is the ``ParForest`` on ``unit_cube()``.  The only
 global metadata is one key per rank, and all operations are
 bulk-synchronous:
 
@@ -15,18 +16,27 @@ bulk-synchronous:
   plus boundary-leaf exchanges
   (:func:`repro.forest.recursive.balance_forest_recursive`, which is
   also the octree's BALANCETREE);
-- :meth:`ParForest.partition` — equal-count or weighted repartition of
-  the global curve with one all-to-all.
+- :meth:`ParForest.partition` — PARTITIONTREE: equal-count or weighted
+  repartition of the global curve with one all-to-all, returning the
+  routing plan TRANSFERFIELDS reuses.
+
+Phases are the caller's: the pipeline times each of these under its own
+``obs`` phase.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import obs
 from ..octree import OctantArray
 from ..octree.morton import key_range_size
-from ..octree.partree import curve_markers, owners_of_keys, repartition, sfc_segment
+from ..octree.partree import (
+    TransferPlan,
+    curve_markers,
+    owners_of_keys,
+    repartition,
+    sfc_segment,
+)
 from ..parallel import SimComm
 from .connectivity import Connectivity
 from .forest import _KSHIFT, Forest
@@ -59,8 +69,16 @@ class ParForest(Forest):
     def owners(self, markers: np.ndarray, qfkeys: np.ndarray) -> np.ndarray:
         return owners_of_keys(markers, qfkeys)
 
-    def _level_counts(self) -> np.ndarray:
-        return self.comm.allreduce(super()._level_counts())
+    def global_count(self) -> int:
+        """Leaves on all ranks (collective)."""
+        return self.comm.allreduce(len(self))
+
+    def level_histogram(self) -> dict[int, int]:
+        """Global leaves per level (collective).  An override, not a
+        collective ``_level_counts`` under the inherited method: the
+        comm-flow analysis types ``self`` in a method by its own class."""
+        counts = self.comm.allreduce(self._level_counts())
+        return {lvl: int(n) for lvl, n in enumerate(counts) if n}
 
     def _rows(self) -> np.ndarray:
         """``(n, 5)`` int64 rows ``tree, x, y, z, level`` for the wire."""
@@ -151,21 +169,19 @@ class ParForest(Forest):
         """Distributed 2:1 balance across and within trees: local balance,
         then boundary-leaf exchanges until a global fixed point
         (:func:`repro.forest.recursive.balance_forest_recursive`, at most
-        ``max_rounds`` exchanges).  Recorded under the ``amr/balance``
-        phase when an obs timer is bound.  Returns
-        ``(forest, leaves_added)``."""
+        ``max_rounds`` exchanges).  Returns ``(forest, leaves_added)``."""
         from .recursive import balance_forest_recursive
 
-        with obs.phase("amr/balance"):
-            pf, added, _ = balance_forest_recursive(self, connectivity, max_rounds)
-            return pf, added
+        pf, added, _ = balance_forest_recursive(self, connectivity, max_rounds)
+        return pf, added
 
-    def partition(self, weights: np.ndarray | None = None) -> "ParForest":
-        """Equal-count (or weighted) repartition of the global curve
-        (recorded under the ``amr/partition`` phase when an obs timer is
-        bound)."""
-        with obs.phase("amr/partition"):
-            return self._from_rows(repartition(self.comm, self._rows(), weights)[0])
+    def partition(
+        self, weights: np.ndarray | None = None
+    ) -> tuple["ParForest", TransferPlan]:
+        """PARTITIONTREE: equal-count (or weighted) repartition of the
+        global curve.  Returns the forest and the routing plan."""
+        rows, plan = repartition(self.comm, self._rows(), weights)
+        return self._from_rows(rows), plan
 
     def gather(self) -> Forest:
         """Collect the full forest on every rank (verification only)."""

@@ -6,7 +6,7 @@ the Figure-4 adaptation pipeline.
 """
 
 from .extract import Mesh, extract_mesh, extract_submesh, node_keys
-from .fields import interpolate_fields, interpolate_many
+from .fields import interpolate_fields
 from .opcache import (
     CachedScatter,
     MeshOperatorCache,
@@ -23,7 +23,6 @@ __all__ = [
     "extract_submesh",
     "node_keys",
     "interpolate_fields",
-    "interpolate_many",
     "MeshOperatorCache",
     "CachedScatter",
     "operator_cache",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .extract import Mesh
 
-__all__ = ["interpolate_fields", "interpolate_many"]
+__all__ = ["interpolate_fields"]
 
 
 def interpolate_fields(old_mesh: Mesh, u_full_old: np.ndarray, new_mesh: Mesh) -> np.ndarray:
@@ -50,8 +50,3 @@ def interpolate_fields(old_mesh: Mesh, u_full_old: np.ndarray, new_mesh: Mesh) -
     # coarsening direction where injection can break it at new hanging
     # nodes whose parents changed.
     return new_mesh.expand(vals[new_mesh.indep_nodes])
-
-
-def interpolate_many(old_mesh: Mesh, fields: dict, new_mesh: Mesh) -> dict:
-    """Transfer several nodal fields at once; returns a same-keyed dict."""
-    return {k: interpolate_fields(old_mesh, v, new_mesh) for k, v in fields.items()}

@@ -1,14 +1,15 @@
 """Distributed mesh extraction (parallel EXTRACTMESH) and field exchange.
 
 Implements the parallel half of Section IV-B's EXTRACTMESH: each rank
-extracts a mesh from its own leaves plus one *ghost layer* (every remote
+extracts a mesh from its own leaves — its segment of the one-tree
+:class:`~repro.forest.ParForest` — plus one *ghost layer* (every remote
 leaf adjacent to a local leaf through a face, edge, or corner), computes a
 consistent global numbering of independent dofs, and sets up the
 communication pattern that the PDE solver uses:
 
-- **node ownership**: a node belongs to the rank owning the first element
-  (in global Morton order) that touches it — computable locally thanks to
-  the ghost layer;
+- **node ownership**: a node belongs to the rank owning the leaf that
+  contains its (clamped) position — one lookup of ``forest_key(0, key)``
+  among the forest's partition markers, computable locally;
 - **sum-exchange** (``exchange_sum``): add per-rank assembly contributions
   at shared nodes and redistribute the totals (the FEM ghost update);
 - **parallel INTERPOLATEFIELDS** (:func:`par_interpolate_at`): point
@@ -25,11 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..forest import ParForest
+from ..forest import ParForest, forest_key
 from ..forest.recursive import exchange_boundary_leaves
 from ..octree import OctantArray, ROOT_LEN, morton_encode
-from ..octree.balance import _one_tree
-from ..octree.partree import ParTree, owners_of_keys, partition_markers
+from ..octree.partree import owners_of_keys, partition_markers
 from ..parallel import SimComm
 from .extract import Mesh, extract_submesh, node_keys
 
@@ -55,7 +55,7 @@ class UnbalancedTreeError(RuntimeError):
         )
 
 
-def _check_corner_balanced(pt: ParTree) -> None:
+def _check_corner_balanced(pt: ParForest) -> None:
     """Sanitizer: verify the global tree is corner-balanced before ghost
     collection.  Collective (allgather) and symmetric — every rank sees
     the same violation count and raises together."""
@@ -71,26 +71,25 @@ def _check_corner_balanced(pt: ParTree) -> None:
         raise UnbalancedTreeError(violations)
 
 
-def collect_ghosts(pt: ParTree) -> tuple[OctantArray, np.ndarray]:
+def collect_ghosts(pt: ParForest) -> tuple[OctantArray, np.ndarray]:
     """Gather the ghost layer: all remote leaves adjacent (26-connectivity)
     to local leaves, in one alltoall.
 
     Each rank computes, per boundary leaf, the remote ranks owning any
     cell of the leaf's one-cell-dilated shell — by marker recursion, not
     sampling — and sends the leaf to exactly those ranks.  That is the
-    one destination rule and exchange of the one-tree forest's balance
+    one destination rule and exchange of the forest's balance
     (:func:`repro.forest.recursive.exchange_boundary_leaves`; Isaac et
-    al., arXiv:1406.0089).  The mesh layer needs one-deep ghost layers,
-    so the tree must be fully (corner-)balanced (checked under
-    ``REPRO_SANITIZE=1``).
+    al., arXiv:1406.0089) on the one-tree ``ParForest``.  The mesh layer
+    needs one-deep ghost layers, so the tree must be fully
+    (corner-)balanced (checked under ``REPRO_SANITIZE=1``).
 
     Returns the exact adjacency layer ``(ghosts, ghost_owner_ranks)``,
     sorted by Morton key.
     """
     _check_corner_balanced(pt)
     comm = pt.comm
-    pf: ParForest = _one_tree(pt.local, comm)  # typed for the comm-flow analysis
-    got = exchange_boundary_leaves(pf, pf.markers(), pt.local.pack())
+    got = exchange_boundary_leaves(pt, pt.markers(), pt.octs.pack())
     blk = np.concatenate(got, axis=0)
     if not len(blk):
         return OctantArray.empty(), np.zeros(0, dtype=np.int64)
@@ -175,16 +174,16 @@ class ParMesh:
         return out
 
 
-def extract_parmesh(pt: ParTree, domain=(1.0, 1.0, 1.0)) -> ParMesh:
+def extract_parmesh(pt: ParForest, domain=(1.0, 1.0, 1.0)) -> ParMesh:
     """Parallel EXTRACTMESH: ghost layer, union submesh, node ownership,
     global numbering, and the shared-dof exchange plan."""
     comm = pt.comm
     with obs.phase("ghost"):
         ghosts, ghost_owner = collect_ghosts(pt)
         # union, sorted by Morton key; track ownership
-        union = OctantArray.concat([pt.local, ghosts])
+        union = OctantArray.concat([pt.octs, ghosts])
         owner_elem = np.concatenate(
-            [np.full(len(pt.local), comm.rank, dtype=np.int64), ghost_owner]
+            [np.full(len(pt), comm.rank, dtype=np.int64), ghost_owner]
         )
         order = np.lexsort((union.level, union.keys()))
         union = union[order]
@@ -199,11 +198,10 @@ def extract_parmesh(pt: ParTree, domain=(1.0, 1.0, 1.0)) -> ParMesh:
         # corner of, in the Morton sense.  Deterministic, globally consistent,
         # and computable locally; the owning leaf touches the node, so the
         # owner always has the node in its own (active) mesh.
-        markers = partition_markers(comm, pt.local)
+        markers = partition_markers(pt)
         clamped = np.minimum(mesh.node_coords_int, ROOT_LEN - 1)
-        node_owner = owners_of_keys(
-            markers, morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
-        )
+        ckeys = morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
+        node_owner = owners_of_keys(markers, forest_key(0, ckeys))
 
         # active independent dofs: touched by at least one owned element
         indep = mesh.indep_nodes
@@ -272,7 +270,8 @@ def par_interpolate_at(
 ) -> np.ndarray:
     """Parallel INTERPOLATEFIELDS: evaluate this rank's FE field queries at
     arbitrary physical points, routing each query to the rank whose leaf
-    range contains it (``markers`` from the *source* tree's partition).
+    range contains it (``markers``: the *source* tree's
+    :func:`~repro.octree.partree.partition_markers`).
 
     ``u_full`` is the full node vector of ``pm.mesh``.  Returns one value
     per query point.
@@ -282,7 +281,7 @@ def par_interpolate_at(
     unit = np.clip(pts / pm.mesh.domain, 0.0, 1.0 - 1e-15)
     pint = (unit * ROOT_LEN).astype(np.int64)
     pkeys = morton_encode(pint[:, 0], pint[:, 1], pint[:, 2])
-    owners = owners_of_keys(markers, pkeys)
+    owners = owners_of_keys(markers, forest_key(0, pkeys))
     vals = np.empty(len(pts))
     send = []
     send_idx = []

@@ -5,9 +5,10 @@ Morton space-filling-curve keys (:mod:`.morton`), vectorized octant arrays
 (:mod:`.octants`), complete linear octrees with refinement/coarsening
 (:mod:`.linear`), and the distributed tree with the parallel ALPS
 functions NEWTREE / REFINETREE / COARSENTREE / BALANCETREE /
-PARTITIONTREE (:mod:`.partree`).  Coarsening and 2:1 balance, serial
-(:mod:`.linear`, :mod:`.balance`) and distributed, are the one-tree case
-of :mod:`repro.forest`'s, so octree levels are capped at its 19.
+PARTITIONTREE (:mod:`.partree`).  The distributed tree is the one-tree
+:class:`~repro.forest.parforest.ParForest`, and serial coarsening and
+2:1 balance (:mod:`.linear`, :mod:`.balance`) are the one-tree case of
+:mod:`repro.forest`'s, so octree levels are capped at its 19.
 """
 
 from .balance import BalanceResult, balance, balance_violations, is_balanced
@@ -23,7 +24,6 @@ from .morton import (
 from .faces import row_lookup
 from .octants import DIRECTIONS, OctantArray, directions_for
 from .partree import (
-    ParTree,
     TransferPlan,
     balance_tree,
     coarsen_tree,
@@ -52,7 +52,6 @@ __all__ = [
     "is_balanced",
     "balance_violations",
     "BalanceResult",
-    "ParTree",
     "TransferPlan",
     "new_tree",
     "refine_tree",

@@ -14,8 +14,8 @@ forest (``unit_cube()``, tree id 0, levels capped at
 forest's frontier ripple :meth:`~repro.forest.forest.Forest._ripple`,
 :func:`is_balanced` / :func:`balance_violations` its full-sweep check
 :meth:`~repro.forest.forest.Forest._violations`, and the distributed
-:func:`~repro.octree.partree.balance_tree` its exchange loop (DESIGN.md
-section 4e).
+:func:`~repro.octree.partree.balance_tree` is the forest's exchange loop
+on the one-tree ``ParForest`` (DESIGN.md section 4e).
 """
 
 from __future__ import annotations
@@ -41,16 +41,12 @@ class BalanceResult:
     rounds: int
 
 
-def _one_tree(leaves: OctantArray, comm=None):
-    """The sorted ``leaves`` as a segment of the one-tree forest, with the
-    communicator ``comm`` when given (a ``ParForest``).  Raises the
-    forest's ``ValueError`` on overlapping, unsorted or too deep leaves."""
-    from ..forest import Forest, ParForest, unit_cube
+def _one_tree(leaves: OctantArray):
+    """The sorted ``leaves`` as the one-tree forest.  Raises the forest's
+    ``ValueError`` on overlapping, unsorted or too deep leaves."""
+    from ..forest import Forest, unit_cube
 
-    tree_ids = np.zeros(len(leaves), dtype=np.int64)
-    if comm is None:
-        return Forest(unit_cube(), tree_ids, leaves)
-    return ParForest(comm, unit_cube(), tree_ids, leaves)
+    return Forest(unit_cube(), np.zeros(len(leaves), dtype=np.int64), leaves)
 
 
 def balance(

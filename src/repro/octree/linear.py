@@ -114,28 +114,13 @@ class LinearOctree:
 
     # -- queries ------------------------------------------------------------------
 
-    def find_containing_keys(self, point_keys: np.ndarray) -> np.ndarray:
-        """Index of the leaf containing each finest-level Morton key.
-
-        Relies on completeness: every key in ``[0, 8**MAX_LEVEL)`` lies in
-        exactly one leaf's key interval.
-        """
-        point_keys = np.asarray(point_keys, dtype=np.uint64)
-        idx = np.searchsorted(self.keys, point_keys, side="right") - 1
-        return idx
-
     def find_containing(self, px, py, pz) -> np.ndarray:
-        """Index of the leaf containing each integer point."""
-        return self.find_containing_keys(morton_encode(px, py, pz))
+        """Index of the leaf containing each integer point.
 
-    def contains_points(self, idx: np.ndarray, pkeys: np.ndarray) -> np.ndarray:
-        """Verify that leaf ``idx`` actually covers key ``pkeys`` (used on
-        partial/distributed trees where completeness is only global)."""
-        ok = idx >= 0
-        safe = np.where(ok, idx, 0)
-        start = self.keys[safe]
-        end = start + key_range_size(self.levels[safe])
-        return ok & (pkeys >= start) & (pkeys < end)
+        Relies on completeness: every finest-level Morton key in
+        ``[0, 8**MAX_LEVEL)`` lies in exactly one leaf's key interval.
+        """
+        return np.searchsorted(self.keys, morton_encode(px, py, pz), side="right") - 1
 
     # -- adaptation ------------------------------------------------------------------
 
@@ -165,23 +150,3 @@ class LinearOctree:
 
         forest, nfam = _one_tree(self.leaves).coarsen(mask)
         return (LinearOctree(forest.octs, presorted=True) if nfam else self), nfam
-
-    def refine_by(self, flags: np.ndarray) -> "LinearOctree":
-        """Repeatedly refine until ``flags`` levels are reached: ``flags``
-        gives for each ORIGINAL leaf a target minimum level; convenience
-        used by tests and examples."""
-        tree = self
-        target = np.asarray(flags, dtype=np.int64)
-        # Re-evaluate the target by point lookup each round.
-        centers = (self.leaves.x + self.leaves.lengths() // 2,
-                   self.leaves.y + self.leaves.lengths() // 2,
-                   self.leaves.z + self.leaves.lengths() // 2)
-        for _ in range(MAX_LEVEL):
-            idx = np.searchsorted(tree.keys, morton_encode(*centers), side="right") - 1
-            want = np.zeros(len(tree), dtype=np.int64)
-            np.maximum.at(want, idx, target)
-            mask = tree.levels < want
-            if not mask.any():
-                break
-            tree = tree.refine(mask)
-        return tree

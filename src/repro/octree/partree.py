@@ -1,24 +1,25 @@
 """Distributed linear octrees — the parallel ALPS tree functions.
 
-Each rank owns a contiguous segment of the global Morton-ordered leaf
-sequence (Figure 3).  The only global metadata any rank stores is one
-Morton key per rank — the *partition markers* — obtained by an
-``allgather``, exactly as described in Section IV-A ("the only global
-information that is required to be stored is one long integer per core").
+The distributed octree is the one-tree forest: one rank's contiguous
+segment of the global Morton-ordered leaf sequence (Figure 3) is a
+:class:`~repro.forest.parforest.ParForest` on ``unit_cube()``.  The only
+global metadata any rank stores is one key per rank — the *partition
+markers* — obtained by an ``allgather``, exactly as described in Section
+IV-A ("the only global information that is required to be stored is one
+long integer per core").
 
-Implemented here, with the paper's names:
+The paper's functions keep their names here and are the forest's
+methods, called on that segment:
 
-- :func:`new_tree` — NEWTREE: every rank grows the coarse uniform tree
-  and prunes to its Morton segment (no communication).
+- :func:`new_tree` — NEWTREE: every rank takes its equal share of the
+  coarse uniform tree (no communication).
 - :func:`refine_tree` — completely local.
 - :func:`coarsen_tree` — COARSENTREE: local for fully-owned families;
   families that straddle a partition marker are resolved with one
-  exchange so the result is identical for every rank count; the one-tree
-  case of the forest's :meth:`~repro.forest.parforest.ParForest.coarsen`.
+  exchange so the result is identical for every rank count.
 - :func:`balance_tree` — BALANCETREE: communication-free local balance,
-  then boundary-leaf exchanges (typically two) until a global fixed point;
-  the one-tree case of the forest's
-  :func:`~repro.forest.recursive.balance_forest_recursive`.
+  then boundary-leaf exchanges (typically two) until a global fixed point
+  (:func:`~repro.forest.recursive.balance_forest_recursive`).
 - :func:`partition_tree` — PARTITIONTREE: equal-count (or weighted)
   repartition along the space-filling curve via all-to-all; returns the
   routing plan that TRANSFERFIELDS reuses for element data.
@@ -27,26 +28,26 @@ What these functions know about the space-filling curve — the marker
 back-fill (:func:`curve_markers`), the owner lookup
 (:func:`owners_of_keys`), the equal-count slice (:func:`sfc_segment`),
 the equal-count / weighted cut (:func:`curve_cut`) and the all-to-all
-that applies it (:func:`repartition`) — takes the keys, not the octants,
-so the forest (:mod:`repro.forest`) calls the same helpers with its
-composite ``(tree, Morton)`` keys.
+that applies it (:func:`repartition`) — takes the keys, not the octants:
+the forest (:mod:`repro.forest`) calls them with its composite
+``(tree, Morton)`` keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..parallel import SimComm
-from .balance import _one_tree
 from .linear import LinearOctree
-from .morton import MAX_LEVEL
-from .octants import OctantArray
 from .traverse import owners_of_keys
 
+if TYPE_CHECKING:  # the forest imports the curve helpers below
+    from ..forest import ParForest
+
 __all__ = [
-    "ParTree",
     "new_tree",
     "refine_tree",
     "coarsen_tree",
@@ -61,41 +62,6 @@ __all__ = [
     "gather_tree",
     "TransferPlan",
 ]
-
-_TOTAL_KEYS = np.uint64(1) << np.uint64(3 * MAX_LEVEL)
-
-
-@dataclass
-class ParTree:
-    """One rank's view of the distributed octree."""
-
-    comm: SimComm
-    local: OctantArray  # sorted leaves of this rank's Morton segment
-
-    def __len__(self) -> int:
-        return len(self.local)
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self.local.keys()
-
-    @property
-    def levels(self) -> np.ndarray:
-        return self.local.level
-
-    def global_count(self) -> int:
-        return self.comm.allreduce(len(self.local))
-
-    def global_offset(self) -> int:
-        return self.comm.exscan(len(self.local))
-
-    def level_histogram(self) -> dict[int, int]:
-        """Global leaves-per-level counts (collective)."""
-        counts = np.zeros(MAX_LEVEL + 1, dtype=np.int64)
-        lv, c = np.unique(self.local.level, return_counts=True)
-        counts[lv.astype(np.int64)] = c
-        total = self.comm.allreduce(counts)
-        return {int(i): int(n) for i, n in enumerate(total) if n > 0}
 
 
 def curve_markers(comm: SimComm, keys: np.ndarray, total) -> np.ndarray:
@@ -116,10 +82,10 @@ def curve_markers(comm: SimComm, keys: np.ndarray, total) -> np.ndarray:
     return m
 
 
-def partition_markers(comm: SimComm, local: OctantArray) -> np.ndarray:
-    """:func:`curve_markers` of the octree: one Morton key per rank,
-    ``m[P] = 8**MAX_LEVEL``."""
-    return curve_markers(comm, local.keys(), _TOTAL_KEYS)
+def partition_markers(pt: ParForest) -> np.ndarray:
+    """One forest key per rank (:meth:`ParForest.markers`): a Morton key
+    ``k`` of the octree is owned by the rank owning ``forest_key(0, k)``."""
+    return pt.markers()
 
 
 def _sfc_starts(total: int, size: int) -> np.ndarray:
@@ -162,50 +128,35 @@ def curve_cut(p: int, n: int, weights, before, total) -> np.ndarray:
     return np.searchsorted(_sfc_starts(total[0], p)[1:], gidx, side="right")
 
 
-def new_tree(comm: SimComm, coarse_level: int) -> ParTree:
-    """NEWTREE: build the uniform tree at ``coarse_level`` and keep this
-    rank's equal share of the Morton-ordered leaves (no communication)."""
-    full = OctantArray.uniform(coarse_level)
-    lo, hi = sfc_segment(len(full), comm.size, comm.rank)
-    return ParTree(comm, full[lo:hi])
+def new_tree(comm: SimComm, coarse_level: int) -> ParForest:
+    """NEWTREE: this rank's equal share of the Morton-ordered uniform tree
+    at ``coarse_level`` (no communication)."""
+    from ..forest import ParForest, unit_cube
+
+    return ParForest.uniform(comm, unit_cube(), coarse_level)
 
 
-def refine_tree(pt: ParTree, mask: np.ndarray) -> ParTree:
+def refine_tree(pt: ParForest, mask: np.ndarray) -> ParForest:
     """REFINETREE: replace marked local leaves by their children (local)."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return pt
-    return ParTree(pt.comm, pt.local.refine(mask))
+    return pt.refine(mask)
 
 
-def coarsen_tree(pt: ParTree, mask: np.ndarray) -> tuple[ParTree, int]:
-    """COARSENTREE: coarsen complete families of 8 marked sibling leaves.
-
-    Fully-local families merge without communication; families whose
-    eight siblings straddle a partition marker are resolved with one
-    aggregate/decide/notify exchange, so the result is identical for every
-    rank count.  It is the one-tree forest's
-    :meth:`~repro.forest.parforest.ParForest.coarsen`: one marker
-    allgather and two all-to-alls, none on one rank.
+def coarsen_tree(pt: ParForest, mask: np.ndarray) -> tuple[ParForest, int]:
+    """COARSENTREE: coarsen complete families of 8 marked sibling leaves
+    (:meth:`ParForest.coarsen`: one marker allgather and two all-to-alls,
+    none on one rank).  Returns ``(tree, families merged by this rank)``.
     """
-    from ..forest import ParForest
-
-    pf: ParForest = _one_tree(pt.local, pt.comm)  # typed for the comm-flow analysis
-    pf, nfam = pf.coarsen(mask)
-    return ParTree(pt.comm, pf.octs), nfam
+    return pt.coarsen(mask)
 
 
 def balance_tree(
-    pt: ParTree,
+    pt: ParForest,
     connectivity: str = "edge",
     max_rounds: int = 64,
-) -> tuple[ParTree, int, int]:
+) -> tuple[ParForest, int, int]:
     """BALANCETREE: local 2:1 balance, then boundary-leaf exchanges with
     the insulation-layer neighbors until a convergence allreduce reports
-    a global fixed point (Isaac et al., arXiv:1406.0089).
-
-    It is the one-tree forest's
-    :func:`~repro.forest.recursive.balance_forest_recursive`.  The 2:1
+    a global fixed point (Isaac et al., arXiv:1406.0089).  The 2:1
     closure of a complete octree is unique, so the result is the serial
     :func:`~repro.octree.balance.balance` of the gathered tree for every
     rank count.
@@ -217,10 +168,7 @@ def balance_tree(
     """
     from ..forest.recursive import balance_forest_recursive
 
-    pf, added, exchanges = balance_forest_recursive(
-        _one_tree(pt.local, pt.comm), connectivity, max_rounds
-    )
-    return ParTree(pt.comm, pf.octs), added, exchanges
+    return balance_forest_recursive(pt, connectivity, max_rounds)
 
 
 @dataclass
@@ -228,13 +176,12 @@ class TransferPlan:
     """Routing produced by PARTITIONTREE, reused by TRANSFERFIELDS.
 
     ``send_slices[r] = (lo, hi)`` — the local element index range (in the
-    pre-partition Morton order) shipped to rank ``r``.  Because the global
-    Morton order is preserved, concatenating received blocks in rank order
+    pre-partition curve order) shipped to rank ``r``.  Because the global
+    curve order is preserved, concatenating received blocks in rank order
     yields data aligned with the post-partition local element order.
     """
 
     send_slices: list[tuple[int, int]]
-    n_new_local: int
 
     def transfer(self, comm: SimComm, element_data: np.ndarray) -> np.ndarray:
         """TRANSFERFIELDS for per-element data: route rows of
@@ -263,30 +210,24 @@ def repartition(
         before, total = comm.exscan(mine), comm.allreduce(mine)
     dest = curve_cut(comm.size, n, weights, before, total)
     bounds = np.searchsorted(dest, np.arange(comm.size + 1))
-    plan = TransferPlan(
-        send_slices=[(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])],
-        n_new_local=0,
-    )
-    new_rows = plan.transfer(comm, rows)
-    plan.n_new_local = len(new_rows)
-    return new_rows, plan
+    plan = TransferPlan([(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    return plan.transfer(comm, rows), plan
 
 
 def partition_tree(
-    pt: ParTree, weights: np.ndarray | None = None
-) -> tuple[ParTree, TransferPlan]:
-    """PARTITIONTREE: repartition the space-filling curve for load balance.
+    pt: ParForest, weights: np.ndarray | None = None
+) -> tuple[ParForest, TransferPlan]:
+    """PARTITIONTREE: repartition the space-filling curve for load balance
+    (:meth:`ParForest.partition`).
 
     With ``weights=None`` each rank receives an equal share of the global
     leaf count; otherwise the curve is cut at equal cumulative weight.
     Completely redistributes the tree with one all-to-all (the paper notes
     no explicit penalty is placed on data movement).
     """
-    rows, plan = repartition(pt.comm, pt.local.pack(), weights)
-    return ParTree(pt.comm, OctantArray.unpack(rows)), plan
+    return pt.partition(weights)
 
 
-def gather_tree(pt: ParTree) -> LinearOctree:
+def gather_tree(pt: ParForest) -> LinearOctree:
     """Collect the full tree on every rank (verification/testing only)."""
-    rows = np.concatenate(pt.comm.allgather(pt.local.pack()), axis=0)
-    return LinearOctree(OctantArray.unpack(rows), presorted=True)
+    return LinearOctree(pt.gather().octs, presorted=True)

@@ -18,7 +18,7 @@ import numpy as np
 from repro.octree import LinearOctree, OctantArray, directions_for, morton_encode
 from repro.octree.balance import BalanceResult
 from repro.octree.morton import key_range_size
-from repro.octree.partree import ParTree, owners_of_keys, partition_markers
+from repro.octree.partree import curve_markers, owners_of_keys
 from repro.octree.traverse import box_owner_pairs, dilated_boxes
 
 
@@ -92,17 +92,23 @@ def balance_full_sweep(tree: LinearOctree, connectivity: str = "edge") -> Balanc
     )
 
 
-def balance_tree_full_sweep(pt: ParTree, connectivity: str = "edge", kernel=None):
-    """Low-collective BALANCETREE around a local ripple ``kernel`` (the
-    full sweep unless given).  Returns ``(tree, leaves_added, exchanges,
+def morton_markers(comm, local: OctantArray) -> np.ndarray:
+    """The octree's own partition markers: one Morton key per rank."""
+    return curve_markers(comm, local.keys(), key_range_size(0))
+
+
+def balance_tree_full_sweep(pt, connectivity: str = "edge", kernel=None):
+    """Low-collective BALANCETREE of the one-tree ``ParForest`` ``pt``
+    around a local ripple ``kernel`` on Morton keys (the full sweep unless
+    given).  Returns ``(leaves, leaves_added, exchanges,
     rounds_per_kernel_call)`` — the last is what the public entry point
     does not report."""
     kernel = kernel or ripple_full_sweep
     comm = pt.comm
     dirs = directions_for(connectivity)
-    local = pt.local
+    local = pt.octs
     n0 = comm.allreduce(len(local))
-    markers = partition_markers(comm, local)
+    markers = morton_markers(comm, local)
     klo, khi = markers[comm.rank], markers[comm.rank + 1]
     local, r = kernel(local, dirs, klo, khi, None)
     rounds = [r]
@@ -126,4 +132,4 @@ def balance_tree_full_sweep(pt: ParTree, connectivity: str = "edge", kernel=None
         if not comm.allreduce(r > 0, op="lor"):
             break
     added = comm.allreduce(len(local)) - n0
-    return ParTree(comm, local), added, exchanges, rounds
+    return local, added, exchanges, rounds

@@ -1,11 +1,14 @@
 """Tests for MARKELEMENTS, the serial adaptation driver, and the SPMD
 pipeline — including P-invariance of the distributed transport solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.amr import (
     ParAmrPipeline,
+    RotatingFrontWorkload,
     adapt_mesh,
     mark_elements,
     rotating_velocity,
@@ -82,7 +85,7 @@ class TestRelocateRefineMarks:
         coarsen[16:32] = True  # two complete families, neither marked
         tree_c, nfam = tree.coarsen(coarsen)
         assert nfam == 2
-        mask = relocate_refine_marks(tree.leaves, refine, tree_c)
+        mask = relocate_refine_marks(tree.leaves, refine, tree_c.leaves)
         assert mask.sum() == 2
         np.testing.assert_array_equal(
             tree_c.leaves[mask].keys(), tree.leaves[refine].keys()
@@ -91,7 +94,7 @@ class TestRelocateRefineMarks:
 
     def test_no_marks(self):
         tree = LinearOctree.uniform(1)
-        mask = relocate_refine_marks(tree.leaves, np.zeros(8, dtype=bool), tree)
+        mask = relocate_refine_marks(tree.leaves, np.zeros(8, dtype=bool), tree.leaves)
         assert mask.shape == (8,) and not mask.any()
 
     def test_coarsened_away_leaf_is_an_error_on_a_rank_segment_too(self):
@@ -106,7 +109,7 @@ class TestRelocateRefineMarks:
             # masks that contradict each other: the marked leaf's family goes
             coarse, _ = coarsen_tree(pt, np.ones(len(pt), dtype=bool))
             with pytest.raises(AssertionError, match="coarsened away"):
-                relocate_refine_marks(pt.local, refine, coarse)
+                relocate_refine_marks(pt.octs, refine, coarse.octs)
             return True
 
         assert all(run_spmd(2, kernel))
@@ -247,6 +250,40 @@ class TestParAmrPipeline:
             for keys, levels in run_spmd(p, kernel):
                 np.testing.assert_array_equal(keys, ref_keys)
                 np.testing.assert_array_equal(levels, ref_levels)
+
+    #: the element-corner temperature digest follows the summation order
+    #: of the shared-node exchange, so it is recorded per rank count
+    PINNED_DIGEST = {
+        1: "ad8f4770329104376f375b55ad6bb96c",
+        2: "9dd520102a3a1e2c4f7fea973b49035f",
+        3: "f59d8d56b9c3676ca0ffe4c5686f9655",
+    }
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_pinned_cycles(self, p):
+        """Three cycles of the benchmark's front at its smoke size give the
+        values recorded before the distributed octree became the one-tree
+        ``ParForest``: global leaf count, level histogram, dof count and
+        the digest of the element-corner temperature in global curve
+        order."""
+        workload = RotatingFrontWorkload(velocity=rotating_velocity(scale=3.0))
+
+        def kernel(comm):
+            pipe = ParAmrPipeline(comm, workload=workload, coarse_level=2, max_level=5)
+            for _ in range(3):
+                stats = pipe.adapt(1500)
+                pipe.advance_time(0.05, cfl=0.5)
+            pm = pipe.pm
+            corner = pm.mesh.expand(pipe.T)[pm.mesh.element_nodes[pm.owned_elements]]
+            parts = comm.gather(corner, root=0)
+            digest = parts and hashlib.blake2b(
+                np.concatenate(parts).tobytes(), digest_size=16
+            ).hexdigest()
+            return pipe.pt.global_count(), stats.level_histogram, pm.n_global, digest
+
+        n, hist, n_global, digest = run_spmd(p, kernel)[0]
+        assert (n, hist, n_global) == (1506, {3: 372, 4: 1118, 5: 16}, 1487)
+        assert digest == self.PINNED_DIGEST[p]
 
     def test_front_drives_refinement(self):
         def kernel(comm):

@@ -112,8 +112,7 @@ class TestCallGraph:
 
     def test_annotation_resolves_through_function_local_import(self, tmp_path):
         """A class imported inside the function (an import cycle at module
-        level) types the annotated local, as ``coarsen_tree`` types its
-        one-tree ``ParForest``."""
+        level) types the annotated local."""
         pkg = write_pkg(
             tmp_path,
             a="""
@@ -125,6 +124,34 @@ class TestCallGraph:
 
                 h: Helper = make(comm)
                 return h.gather_all()
+            """,
+            b="""
+            class Helper:
+                def gather_all(self):
+                    return self.comm.allgather(1)
+            """,
+        )
+        s = build_program([pkg]).summary("pkg.a.f")
+        assert s.has_collective
+        assert s.chain[0][0] == "pkg.b.Helper.gather_all"
+
+    def test_return_annotation_resolves_through_type_checking_import(self, tmp_path):
+        """A class imported under ``if TYPE_CHECKING:`` (an import cycle at
+        run time) types a callee's return value, as ``new_tree`` and the
+        other octree functions type the one-tree ``ParForest``."""
+        pkg = write_pkg(
+            tmp_path,
+            a="""
+            from typing import TYPE_CHECKING
+
+            if TYPE_CHECKING:
+                from .b import Helper
+
+            def make(h) -> Helper:
+                return h
+
+            def f(h):
+                return make(h).gather_all()
             """,
             b="""
             class Helper:

@@ -124,14 +124,14 @@ class TestAdaptation:
 
         def kernel(comm):
             pf = ParForest.uniform(comm, conn, 1)
-            pf = pf.refine(pf.fkeys() % np.uint64(5) == 0).partition()
+            pf, _ = pf.refine(pf.fkeys() % np.uint64(5) == 0).partition()
             pf, nfam = pf.coarsen(pf.tree_ids % 4 != 0)
             return comm.allreduce(nfam), pf.gather()
 
         nfam, ref = run_spmd(1, kernel)[0]
         serial = Forest.uniform(conn, 1)
         serial = serial.refine(serial.fkeys() % np.uint64(5) == 0)
-        want, want_nfam = serial.coarsen(serial.leaf_tree_ids() % 4 != 0)
+        want, want_nfam = serial.coarsen(serial.tree_ids % 4 != 0)
         assert nfam == want_nfam > 0 and forests_equal(ref, want)
         for p in (2, 3, 5, 7):
             for n, g in run_spmd(p, kernel):
@@ -205,7 +205,7 @@ class TestPartition:
                 mask[:] = True
             pf = pf.refine(mask)
             before = pf.gather()
-            pf = pf.partition()
+            pf, _ = pf.partition()
             after = pf.gather()
             counts = comm.allgather(len(pf))
             return before, after, counts
@@ -222,7 +222,7 @@ class TestPartition:
             lo, total = comm.global_offsets(len(pf))
             g = lo + np.arange(len(pf))
             w = np.where(g < total // 2, 10.0, 1.0)
-            pf = pf.partition(weights=w)
+            pf, _ = pf.partition(weights=w)
             return comm.allgather(len(pf))
 
         counts = run_spmd(4, kernel)[0]

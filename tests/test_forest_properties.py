@@ -34,7 +34,13 @@ from repro.forest import (
 )
 from repro.octree import LinearOctree, OctantArray, balance, gather_tree, new_tree
 from repro.forest.forest import forest_key
-from repro.octree.partree import coarsen_tree, curve_cut, partition_tree, sfc_segment
+from repro.octree.partree import (
+    coarsen_tree,
+    curve_cut,
+    partition_tree,
+    refine_tree,
+    sfc_segment,
+)
 from repro.parallel import run_spmd
 
 from .oracles.forest_balance import TreeListForest, coarsen_families
@@ -112,7 +118,7 @@ class TestParForestGathersToSerial:
             rng = np.random.default_rng(seed)
             pf = ParForest.uniform(comm, conn, 1)
             for _ in range(REFINE_ROUNDS):
-                pf = pf.refine(local(comm, pf, rng, REFINE_FRAC)).partition()
+                pf, _ = pf.refine(local(comm, pf, rng, REFINE_FRAC)).partition()
             pf, nfam = pf.coarsen(local(comm, pf, rng, COARSEN_FRAC))
             pf, added = pf.balance(connectivity)
             return pf.gather(), comm.allreduce(nfam), added, pf.level_histogram()
@@ -237,6 +243,27 @@ class TestForestRejectsMalformedSegments:
             Forest(self.conn, [0], deep)
         Forest(self.conn, [0], OctantArray([0], [0], [0], [FOREST_MAX_LEVEL]))
 
+    def test_refine_past_the_level_cap_raises(self):
+        """Children of a leaf at the cap would share one forest key: the
+        serial refine and the distributed REFINETREE refuse to make them."""
+        f = Forest.uniform(unit_cube(), 0)
+        for _ in range(FOREST_MAX_LEVEL):
+            f = f.refine(np.arange(len(f)) == 0)
+        with pytest.raises(ValueError, match=f"levels <= {FOREST_MAX_LEVEL}"):
+            f.refine(np.arange(len(f)) == 0)
+        assert f.refine(np.arange(len(f)) == 8).is_complete()  # one level up
+
+        def kernel(comm):
+            pt = new_tree(comm, 0)
+            for _ in range(FOREST_MAX_LEVEL):
+                lo, _ = comm.global_offsets(len(pt))
+                pt = refine_tree(pt, lo + np.arange(len(pt)) == 0)
+            pt, _ = partition_tree(pt)
+            refine_tree(pt, pt.octs.level == FOREST_MAX_LEVEL)
+
+        with pytest.raises(ValueError, match=f"levels <= {FOREST_MAX_LEVEL}"):
+            run_spmd(2, kernel)
+
     def test_overlapping_ancestor_is_not_increasing(self):
         """A leaf and its first child share an anchor key."""
         octs = OctantArray([0, 0], [0, 0], [0, 0], [1, 2])
@@ -292,7 +319,7 @@ class TestCurveCut:
     @staticmethod
     def _partition_forest(comm, weights_of):
         pf = ParForest.uniform(comm, cubed_sphere_connectivity(), 1)
-        new = pf.partition(weights_of(len(pf)))
+        new, _ = pf.partition(weights_of(len(pf)))
         return pf.gather().octs, new.gather().octs, comm.allgather(len(new))
 
     @pytest.mark.parametrize("p", [1, 3])

@@ -29,6 +29,7 @@ from repro.forest import (
     ParForest,
     brick_connectivity,
     cubed_sphere_connectivity,
+    forest_key,
     match_faces,
     unit_cube,
 )
@@ -47,11 +48,10 @@ from repro.octree import (
     refine_tree,
     row_lookup,
 )
-from repro.octree.balance import _one_tree
 from repro.octree.partree import partition_tree
 from repro.parallel import run_spmd
 
-from .oracles.balance import balance_tree_full_sweep, ghost_destinations
+from .oracles.balance import balance_tree_full_sweep, ghost_destinations, morton_markers
 from .oracles.forest_balance import TreeListForest, balance_forest_full_sweep
 from .test_mangll_dg import assert_equals_loop_builder
 
@@ -62,8 +62,7 @@ def build_ptree(comm, level=2, refine_seed=None, frac=0.3):
     """Random adaptive, corner-balanced, partitioned distributed tree."""
     pt = new_tree(comm, level)
     if refine_seed is not None:
-        offset = pt.global_offset()
-        total = comm.allreduce(len(pt))
+        offset, total = comm.global_offsets(len(pt))
         rng = np.random.default_rng(refine_seed)
         gmask = rng.random(total) < frac
         pt = refine_tree(pt, gmask[offset : offset + len(pt)])
@@ -113,13 +112,13 @@ def bruteforce_ghosts(pt):
     lv = g.leaves
     lo = np.stack([lv.x, lv.y, lv.z], axis=1)
     hi = lo + lv.lengths()[:, None]
-    is_local = np.isin(g.keys, pt.keys)
+    is_local = np.isin(g.keys, pt.octs.keys())
     adjacent = np.zeros(len(lv), dtype=bool)
     for i in np.flatnonzero(is_local):
         adjacent |= np.all((lo <= hi[i]) & (hi >= lo[i]), axis=1)
     ghost = adjacent & ~is_local
-    markers = partition_markers(pt.comm, pt.local)
-    return g.keys[ghost], lv.level[ghost], owners_of_keys(markers, g.keys[ghost])
+    owners = owners_of_keys(partition_markers(pt), forest_key(0, g.keys[ghost]))
+    return g.keys[ghost], lv.level[ghost], owners
 
 
 def assert_ghosts_exact(pt):
@@ -163,10 +162,9 @@ class TestRecursiveGhost:
 
         def kernel(comm):
             for seed in (3, 7):
-                pt = build_ptree(comm, 2, refine_seed=seed)
-                pf = _one_tree(pt.local, comm)
+                pf = build_ptree(comm, 2, refine_seed=seed)
                 got = _forest_destinations(pf, pf.markers())
-                want = ghost_destinations(pt.local, partition_markers(comm, pt.local), comm.rank)
+                want = ghost_destinations(pf.octs, morton_markers(comm, pf.octs), comm.rank)
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(g, w)
             return len(got[0])
@@ -201,14 +199,13 @@ class TestRecursiveBalance:
         def kernel(comm):
             for seed in (2, 9):
                 pt = new_tree(comm, 2)
-                offset = pt.global_offset()
-                total = comm.allreduce(len(pt))
+                offset, total = comm.global_offsets(len(pt))
                 rng = np.random.default_rng(seed)
                 gmask = rng.random(total) < 0.3
                 pt = refine_tree(pt, gmask[offset : offset + len(pt)])
                 want, added_w, exch_w, _ = balance_tree_full_sweep(pt, "corner")
                 got, added, exchanges = balance_tree(pt, "corner")
-                assert got.local.equals(want.local)
+                assert got.octs.equals(want)
                 assert (added, exchanges) == (added_w, exch_w)
                 assert exchanges <= 3
                 serial = balance(gather_tree(pt), "corner")

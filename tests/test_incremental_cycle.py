@@ -27,7 +27,7 @@ from repro.fem.hexops import ElementOps
 from repro.mesh import extract_mesh, node_keys
 from repro.mesh.extract import _find_hanging_constraints, _first_discovery
 from repro.mesh.parmesh import extract_parmesh
-from repro.forest import FOREST_MAX_LEVEL, Forest
+from repro.forest import FOREST_MAX_LEVEL, Forest, ParForest, unit_cube
 from repro.octree import (
     ROOT_LEN,
     LinearOctree,
@@ -41,7 +41,6 @@ from repro.octree import (
 )
 from repro.octree.balance import _one_tree as one_tree
 from repro.octree.morton import key_range_size
-from repro.octree.partree import ParTree
 from repro.parallel import run_spmd
 
 from .oracles.assembly import lumped_mass_assembled, lumped_owned_assembled
@@ -75,8 +74,8 @@ def graded_tree(seed: int, rounds: int = 6) -> LinearOctree:
 
 def graded_ptree(comm, seed: int, rounds: int = 6):
     """The same tree, distributed in equal Morton segments."""
-    leaves = graded_tree(seed, rounds).leaves
-    pt = ParTree(comm, leaves if comm.rank == 0 else OctantArray.empty())
+    leaves = graded_tree(seed, rounds).leaves if comm.rank == 0 else OctantArray.empty()
+    pt = ParForest(comm, unit_cube(), np.zeros(len(leaves), dtype=np.int64), leaves)
     return partition_tree(pt)[0]
 
 
@@ -104,10 +103,8 @@ class TestFrontierBalanceMatchesFullSweep:
             calls.append(comm.stats.total_collective_calls)
             # the oracle driver around the frontier kernel exposes the
             # per-call round counts the public entry point does not return
-            pf, _, _, rounds = balance_forest_full_sweep(
-                one_tree(pt.local, comm), connectivity, Forest._ripple
-            )
-            assert got.local.equals(want.local) and pf.octs.equals(want.local)
+            pf, _, _, rounds = balance_forest_full_sweep(pt, connectivity, Forest._ripple)
+            assert got.octs.equals(want) and pf.octs.equals(want)
             assert (added, exch, rounds) == (added_w, exch_w, rounds_w)
             assert calls[2] - calls[1] == calls[1] - calls[0]
             return gather_tree(got)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh import extract_mesh, interpolate_fields, interpolate_many
+from repro.mesh import extract_mesh, interpolate_fields
 from repro.octree import LinearOctree, balance
 
 
@@ -56,15 +56,6 @@ class TestInterpolateFields:
         m3 = extract_mesh(LinearOctree.uniform(1), domain=(2.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             interpolate_fields(m1, np.zeros(m1.n_nodes), m3)
-
-    def test_interpolate_many(self):
-        m1, m2 = mesh_pair(seed=4)
-        c = m1.node_coords()
-        fields = {"a": c[:, 0], "b": 2 * c[:, 1]}
-        out = interpolate_many(m1, fields, m2)
-        c2 = m2.node_coords()
-        np.testing.assert_allclose(out["a"], c2[:, 0], atol=1e-10)
-        np.testing.assert_allclose(out["b"], 2 * c2[:, 1], atol=1e-10)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)

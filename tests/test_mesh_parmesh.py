@@ -7,9 +7,11 @@ and interpolation results must be identical for any rank count.
 import numpy as np
 import pytest
 
+from repro.forest import forest_key
 from repro.mesh import extract_mesh
 from repro.mesh.parmesh import collect_ghosts, extract_parmesh, par_interpolate_at
 from repro.octree import (
+    ROOT_LEN,
     LinearOctree,
     balance,
     balance_tree,
@@ -28,8 +30,7 @@ def build_ptree(comm, level=2, refine_seed=None):
     """Balanced, partitioned distributed test tree."""
     pt = new_tree(comm, level)
     if refine_seed is not None:
-        offset = pt.global_offset()
-        total = comm.allreduce(len(pt))
+        offset, total = comm.global_offsets(len(pt))
         rng = np.random.default_rng(refine_seed)
         gmask = rng.random(total) < 0.3
         pt = refine_tree(pt, gmask[offset : offset + len(pt)])
@@ -61,10 +62,10 @@ class TestCollectGhosts:
             pt = build_ptree(comm, 2)
             ghosts, owners = collect_ghosts(pt)
             # every ghost is remote
-            markers = partition_markers(comm, pt.local)
+            markers = partition_markers(pt)
             from repro.octree import owners_of_keys
 
-            gowner = owners_of_keys(markers, ghosts.keys())
+            gowner = owners_of_keys(markers, forest_key(0, ghosts.keys()))
             assert np.all(gowner != comm.rank)
             np.testing.assert_array_equal(gowner, owners)
             # ghosts are valid octants of the global tree
@@ -84,13 +85,13 @@ class TestCollectGhosts:
             ghosts, _ = collect_ghosts(pt)
             g = gather_tree(pt)
             # brute force adjacency on the gathered tree
-            local_keys = set(pt.keys.tolist())
+            local_keys = set(pt.octs.keys().tolist())
             union_keys = local_keys | set(ghosts.keys().tolist())
             lv = g.leaves
             h = lv.lengths()
             lo = np.stack([lv.x, lv.y, lv.z], axis=1)
             hi = lo + h[:, None]
-            is_local = np.isin(g.keys, pt.keys)
+            is_local = np.isin(g.keys, pt.octs.keys())
             missing = 0
             for i in np.flatnonzero(is_local):
                 touch = np.all((lo <= hi[i]) & (hi >= lo[i]), axis=1)
@@ -190,6 +191,29 @@ class TestExtractParmesh:
         assert all(run_spmd(3, kernel))
 
 
+class TestNodeOwners:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_owner_is_the_rank_of_the_containing_leaf(self, p):
+        """Under a weighted partition that leaves ranks empty, every node
+        of every rank's mesh is owned by the rank whose leaf contains the
+        node's clamped position, found among the gathered leaves."""
+
+        def kernel(comm):
+            pt = build_ptree(comm, 2, refine_seed=6)
+            offset, total = comm.global_offsets(len(pt))
+            w = np.ones(len(pt))
+            w[offset + np.arange(len(pt)) == total - 1] = total  # the last leaf outweighs the rest
+            pt, _ = partition_tree(pt, weights=w)
+            pm = extract_parmesh(pt)
+            leaf_rank = np.repeat(np.arange(comm.size), comm.allgather(len(pt)))
+            c = np.minimum(pm.mesh.node_coords_int, ROOT_LEN - 1)
+            want = leaf_rank[gather_tree(pt).find_containing(c[:, 0], c[:, 1], c[:, 2])]
+            np.testing.assert_array_equal(pm.node_owner, want)
+            return len(pt)
+
+        assert run_spmd(p, kernel)[-1] == 0  # the last rank owns nothing
+
+
 class TestParInterpolate:
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_linear_field_interpolation(self, p):
@@ -199,7 +223,7 @@ class TestParInterpolate:
             mesh = pm.mesh
             coords = mesh.node_coords()
             u_full = coords @ np.array([1.0, -2.0, 0.5]) + 3.0
-            markers = partition_markers(comm, pt.local)
+            markers = partition_markers(pt)
             rng = np.random.default_rng(100 + comm.rank)
             pts = rng.random((20, 3))
             vals = par_interpolate_at(pm, markers, u_full, pts)

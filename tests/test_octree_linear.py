@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.octree import LinearOctree, ROOT_LEN, morton_encode
+from repro.octree import LinearOctree, ROOT_LEN
 
 
 def random_adapted_tree(rng: np.random.Generator, rounds: int = 3, start_level: int = 1):
@@ -137,12 +137,6 @@ class TestQueries:
         )
         np.testing.assert_array_equal(idx, np.arange(len(tree)))
 
-    def test_contains_points(self):
-        t = LinearOctree.uniform(1)
-        pk = morton_encode(np.array([0]), np.array([0]), np.array([0]))
-        assert t.contains_points(np.array([0]), pk)[0]
-        assert not t.contains_points(np.array([1]), pk)[0]
-
     def test_level_histogram(self):
         t = LinearOctree.uniform(1)
         mask = np.zeros(8, dtype=bool)
@@ -150,14 +144,3 @@ class TestQueries:
         t = t.refine(mask)
         assert t.level_histogram() == {1: 7, 2: 8}
 
-
-class TestRefineBy:
-    def test_refine_to_target_levels(self):
-        t = LinearOctree.uniform(1)
-        target = np.full(8, 1, dtype=np.int64)
-        target[0] = 3
-        t2 = t.refine_by(target)
-        assert t2.is_complete()
-        assert t2.levels.max() == 3
-        hist = t2.level_histogram()
-        assert hist[3] >= 8

@@ -1,4 +1,5 @@
-"""Tests for the distributed octree (repro.octree.partree).
+"""Tests for the distributed octree (repro.octree.partree), the one-tree
+``ParForest``.
 
 The central invariant is *P-invariance*: every parallel tree operation
 must produce the identical global tree for any rank count, matching the
@@ -8,6 +9,7 @@ serial algorithms.
 import numpy as np
 import pytest
 
+from repro.forest import forest_key
 from repro.octree import (
     LinearOctree,
     balance,
@@ -52,25 +54,29 @@ class TestNewTree:
         assert max(counts) - min(counts) <= 1
 
     def test_global_count_and_offset(self):
+        """Every rank counts all leaves, and the segments follow each other
+        along the curve in rank order."""
+
         def kernel(comm):
             pt = new_tree(comm, 2)
-            return pt.global_count(), pt.global_offset(), len(pt)
+            offset = comm.exscan(len(pt))
+            return pt.global_count(), offset, pt.octs.keys()
 
         out = spmd(4, kernel)
         assert all(o[0] == 64 for o in out)
-        offsets = [o[1] for o in out]
-        lens = [o[2] for o in out]
-        assert offsets == [0, *np.cumsum(lens)[:-1].tolist()]
+        serial = LinearOctree.uniform(2).keys
+        for _, offset, keys in out:
+            np.testing.assert_array_equal(keys, serial[offset : offset + len(keys)])
 
 
 class TestPartitionMarkers:
     def test_markers_route_keys_to_owners(self):
         def kernel(comm):
             pt = new_tree(comm, 2)
-            markers = partition_markers(comm, pt.local)
+            markers = partition_markers(pt)
             # every rank checks that its own first/last keys map back to it
             if len(pt):
-                owners = owners_of_keys(markers, pt.keys[[0, -1]])
+                owners = owners_of_keys(markers, pt.fkeys()[[0, -1]])
                 return owners.tolist() == [comm.rank, comm.rank]
             return True
 
@@ -80,7 +86,7 @@ class TestPartitionMarkers:
         def kernel(comm):
             # put everything on rank 0 by building a tiny tree on 4 ranks
             pt = new_tree(comm, 0)  # 1 leaf total
-            markers = partition_markers(comm, pt.local)
+            markers = partition_markers(pt)
             owners = owners_of_keys(markers, np.array([0, 12345], dtype=np.uint64))
             return owners.tolist()
 
@@ -94,7 +100,7 @@ class TestRefineCoarsenParallel:
     def test_refine_matches_serial(self, p):
         def kernel(comm):
             pt = new_tree(comm, 2)
-            offset = pt.global_offset()
+            offset = comm.exscan(len(pt))
             gmask = np.arange(64) % 3 == 0
             pt = refine_tree(pt, gmask[offset : offset + len(pt)])
             return gather_tree(pt)
@@ -138,11 +144,11 @@ class TestBalanceParallel:
         ckey = morton_encode(np.array([mid]), np.array([mid]), np.array([mid]))
         pt = new_tree(comm, 1)
         for _ in range(depth):
-            markers = partition_markers(comm, pt.local)
-            owner = owners_of_keys(markers, ckey)[0]
+            markers = partition_markers(pt)
+            owner = owners_of_keys(markers, forest_key(0, ckey))[0]
             mask = np.zeros(len(pt), dtype=bool)
             if comm.rank == owner and len(pt):
-                idx = np.searchsorted(pt.keys, ckey[0], side="right") - 1
+                idx = np.searchsorted(pt.octs.keys(), ckey[0], side="right") - 1
                 mask[idx] = True
             pt = refine_tree(pt, mask)
         return pt
@@ -225,7 +231,7 @@ class TestPartitionTree:
     def test_transfer_plan_routes_element_data(self):
         def kernel(comm):
             pt = new_tree(comm, 2)
-            offset = pt.global_offset()
+            offset = comm.exscan(len(pt))
             data = offset + np.arange(len(pt), dtype=np.float64)
             mask = np.zeros(len(pt), dtype=bool)
             if comm.rank == 0:
@@ -244,12 +250,11 @@ class TestPartitionTree:
     def test_weighted_partition(self):
         def kernel(comm):
             pt = new_tree(comm, 2)
-            offset = pt.global_offset()
+            offset = comm.exscan(len(pt))
             # weight 10 for first half of curve, 1 for the rest
             gw = np.where(np.arange(64) < 32, 10.0, 1.0)
             w = gw[offset : offset + len(pt)]
             pt, _ = partition_tree(pt, weights=w)
-            local_w = gw[pt.comm.exscan(0) if False else 0]  # placeholder
             return len(pt), gather_tree(pt)
 
         out = spmd(4, kernel)
