@@ -26,16 +26,8 @@ from repro.parallel import run_spmd_with_comms
 
 
 def main(p=4, cycles=3, checkpoint_every=None, checkpoint_dir="checkpoints_amr",
-         resume=False, target=600, max_level=6, trace=None, report=None,
-         conformance=None):
+         resume=False, target=600, max_level=6, trace=None, report=None):
     from repro import obs
-
-    if conformance is not None:
-        from repro.analysis.conformance import install_schedule
-
-        install_schedule(conformance)
-        print(f"schedule conformance enabled from {conformance!r} "
-              "(requires REPRO_SANITIZE=1 to observe collectives)")
 
     workload = RotatingFrontWorkload(velocity=rotating_velocity(scale=3.0))
     observe = trace is not None or report is not None
@@ -134,11 +126,7 @@ if __name__ == "__main__":
                     help="write a Chrome-trace JSON timeline (Perfetto)")
     ap.add_argument("--report", default=None, metavar="PATH",
                     help="write the Table IV-style phase report (markdown)")
-    ap.add_argument("--conformance", default=None, metavar="PATH",
-                    help="check the run against a static comm schedule JSON "
-                         "(from python -m repro.analysis.commflow); needs "
-                         "REPRO_SANITIZE=1")
     args = ap.parse_args()
     main(args.ranks, cycles=args.cycles, checkpoint_every=args.checkpoint_every,
          checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-         trace=args.trace, report=args.report, conformance=args.conformance)
+         trace=args.trace, report=args.report)

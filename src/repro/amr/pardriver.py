@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 from .. import obs
-from ..analysis.conformance import schedule_phase
 from ..fem import ParAdvectionDiffusion
 from ..forest import FOREST_MAX_LEVEL, ParForest
 from ..mesh.parmesh import ParMesh, extract_parmesh, par_interpolate_at
@@ -116,26 +115,25 @@ class ParAmrPipeline:
         self.sim_time = 0.0
         self.cycles_done = 0
 
-        with schedule_phase("init"):
+        t0 = time.perf_counter()
+        if tree is not None:
+            # restart path: ``tree`` is this rank's segment of an
+            # already-balanced forest (checkpoints save post-balance
+            # state), so NEWTREE and BALANCETREE are skipped
+            self.pt = tree
+            self._tic("NewTree", t0)
+        else:
+            self.pt = new_tree(comm, coarse_level)
+            self._tic("NewTree", t0)
             t0 = time.perf_counter()
-            if tree is not None:
-                # restart path: ``tree`` is this rank's segment of an
-                # already-balanced forest (checkpoints save post-balance
-                # state), so NEWTREE and BALANCETREE are skipped
-                self.pt = tree
-                self._tic("NewTree", t0)
-            else:
-                self.pt = new_tree(comm, coarse_level)
-                self._tic("NewTree", t0)
-                t0 = time.perf_counter()
-                self.pt, _, _ = balance_tree(self.pt, connectivity)
-                self._tic("BalanceTree", t0)
-            t0 = time.perf_counter()
-            self.pm: ParMesh = extract_parmesh(self.pt)
-            self._tic("ExtractMesh", t0)
-            coords = self.pm.mesh.node_coords()
-            T0 = self.workload.initial(coords)
-            self.T = T0[self.pm.mesh.indep_nodes]
+            self.pt, _, _ = balance_tree(self.pt, connectivity)
+            self._tic("BalanceTree", t0)
+        t0 = time.perf_counter()
+        self.pm: ParMesh = extract_parmesh(self.pt)
+        self._tic("ExtractMesh", t0)
+        coords = self.pm.mesh.node_coords()
+        T0 = self.workload.initial(coords)
+        self.T = T0[self.pm.mesh.indep_nodes]
 
     @classmethod
     def resume_from(cls, comm: SimComm, path: str, workload=None) -> "ParAmrPipeline":
@@ -163,87 +161,86 @@ class ParAmrPipeline:
     # -- one adaptation step ----------------------------------------------------------
 
     def adapt(self, target: int) -> ParAdaptStats:
-        with schedule_phase("adapt"):
-            comm = self.comm
-            old_pm = self.pm
-            old_markers = partition_markers(self.pt)
-            u_full_old = old_pm.mesh.expand(self.T)
-            eta = self.indicator()
-            n_before = self.pt.global_count()
+        comm = self.comm
+        old_pm = self.pm
+        old_markers = partition_markers(self.pt)
+        u_full_old = old_pm.mesh.expand(self.T)
+        eta = self.indicator()
+        n_before = self.pt.global_count()
 
-            t0 = time.perf_counter()
-            with obs.phase("amr/mark"):
-                mark = mark_elements(
-                    eta,
-                    self.pt.octs.level.astype(np.int64),
-                    target,
-                    comm=comm,
-                    min_level=self.min_level,
-                    max_level=self.max_level,
-                )
-            self._tic("MarkElements", t0)
-
-            t0 = time.perf_counter()
-            with obs.phase("amr/coarsen"):
-                coarsen_mask = mark.coarsen & ~mark.refine
-                pt, nfam = coarsen_tree(self.pt, coarsen_mask)
-                obs.counter("elements_coarsened", 8 * nfam)
-            self._tic("CoarsenTree", t0)
-
-            t0 = time.perf_counter()
-            with obs.phase("amr/refine"):
-                mask = relocate_refine_marks(self.pt.octs, mark.refine, pt.octs)
-                n_refined = comm.allreduce(int(mask.sum()))
-                pt = refine_tree(pt, mask)
-                obs.counter("elements_marked_refine", int(mask.sum()))
-            self._tic("RefineTree", t0)
-
-            t0 = time.perf_counter()
-            with obs.phase("amr/balance"):
-                pt, added, _ = balance_tree(pt, self.connectivity)
-                obs.counter("balance_added", added)
-            self._tic("BalanceTree", t0)
-
-            t0 = time.perf_counter()
-            with obs.phase("amr/partition"):
-                pt, plan = partition_tree(pt)
-            self._tic("PartitionTree", t0)
-
-            t0 = time.perf_counter()
-            with obs.phase("amr/extract_mesh"):
-                pm = extract_parmesh(pt)
-            self._tic("ExtractMesh", t0)
-
-            t0 = time.perf_counter()
-            with obs.phase("amr/interpolate"):
-                new_coords = pm.mesh.node_coords()
-                vals = par_interpolate_at(old_pm, old_markers, u_full_old, new_coords)
-                self.T = vals[pm.mesh.indep_nodes]
-            self._tic("InterpolateFields", t0)
-
-            t0 = time.perf_counter()
-            with obs.phase("amr/transfer"):
-                # TRANSFERFIELDS: per-element data rides the partition plan (here:
-                # the post-adaptation error indicator placeholder, exercising the
-                # same code path the paper times)
-                elem_payload = np.zeros((plan.send_slices[-1][1], 1))
-                plan.transfer(comm, elem_payload)
-            self._tic("TransferFields", t0)
-
-            self.pt, self.pm = pt, pm
-            n_after = pt.global_count()
-            n_coarsened = 8 * comm.allreduce(nfam)
-            stats = ParAdaptStats(
-                n_before=n_before,
-                n_after=n_after,
-                n_refined=n_refined,
-                n_coarsened=n_coarsened,
-                n_balance_added=added,
-                n_unchanged=n_before - n_refined - n_coarsened,
-                level_histogram=pt.level_histogram(),
+        t0 = time.perf_counter()
+        with obs.phase("amr/mark"):
+            mark = mark_elements(
+                eta,
+                self.pt.octs.level.astype(np.int64),
+                target,
+                comm=comm,
+                min_level=self.min_level,
+                max_level=self.max_level,
             )
-            self.adapt_history.append(stats)
-            return stats
+        self._tic("MarkElements", t0)
+
+        t0 = time.perf_counter()
+        with obs.phase("amr/coarsen"):
+            coarsen_mask = mark.coarsen & ~mark.refine
+            pt, nfam = coarsen_tree(self.pt, coarsen_mask)
+            obs.counter("elements_coarsened", 8 * nfam)
+        self._tic("CoarsenTree", t0)
+
+        t0 = time.perf_counter()
+        with obs.phase("amr/refine"):
+            mask = relocate_refine_marks(self.pt.octs, mark.refine, pt.octs)
+            n_refined = comm.allreduce(int(mask.sum()))
+            pt = refine_tree(pt, mask)
+            obs.counter("elements_marked_refine", int(mask.sum()))
+        self._tic("RefineTree", t0)
+
+        t0 = time.perf_counter()
+        with obs.phase("amr/balance"):
+            pt, added, _ = balance_tree(pt, self.connectivity)
+            obs.counter("balance_added", added)
+        self._tic("BalanceTree", t0)
+
+        t0 = time.perf_counter()
+        with obs.phase("amr/partition"):
+            pt, plan = partition_tree(pt)
+        self._tic("PartitionTree", t0)
+
+        t0 = time.perf_counter()
+        with obs.phase("amr/extract_mesh"):
+            pm = extract_parmesh(pt)
+        self._tic("ExtractMesh", t0)
+
+        t0 = time.perf_counter()
+        with obs.phase("amr/interpolate"):
+            new_coords = pm.mesh.node_coords()
+            vals = par_interpolate_at(old_pm, old_markers, u_full_old, new_coords)
+            self.T = vals[pm.mesh.indep_nodes]
+        self._tic("InterpolateFields", t0)
+
+        t0 = time.perf_counter()
+        with obs.phase("amr/transfer"):
+            # TRANSFERFIELDS: per-element data rides the partition plan (here:
+            # the post-adaptation error indicator placeholder, exercising the
+            # same code path the paper times)
+            elem_payload = np.zeros((plan.send_slices[-1][1], 1))
+            plan.transfer(comm, elem_payload)
+        self._tic("TransferFields", t0)
+
+        self.pt, self.pm = pt, pm
+        n_after = pt.global_count()
+        n_coarsened = 8 * comm.allreduce(nfam)
+        stats = ParAdaptStats(
+            n_before=n_before,
+            n_after=n_after,
+            n_refined=n_refined,
+            n_coarsened=n_coarsened,
+            n_balance_added=added,
+            n_unchanged=n_before - n_refined - n_coarsened,
+            level_histogram=pt.level_histogram(),
+        )
+        self.adapt_history.append(stats)
+        return stats
 
     # -- time integration -------------------------------------------------------------
 
@@ -265,8 +262,7 @@ class ParAmrPipeline:
         return dt, n_steps
 
     def advance(self, n_steps: int, cfl: float = 0.4) -> float:
-        with schedule_phase("advance"):
-            return self._advance(cfl, lambda dt: (dt, n_steps))[0]
+        return self._advance(cfl, lambda dt: (dt, n_steps))[0]
 
     def advance_time(self, t_span: float, cfl: float = 0.4) -> int:
         """Advance by a fixed physical time (however many CFL steps that
@@ -276,8 +272,7 @@ class ParAmrPipeline:
             n = max(int(np.ceil(t_span / dt)), 1)
             return t_span / n, n
 
-        with schedule_phase("advance_time"):
-            return self._advance(cfl, equal_steps)[1]
+        return self._advance(cfl, equal_steps)[1]
 
     def run_cycles(
         self,

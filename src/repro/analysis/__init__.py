@@ -6,43 +6,38 @@ break silently in a growing codebase:
 - **bulk-synchronous SPMD symmetry** — every rank must issue the same
   collective sequence (``BalanceTree``, ``PartitionTree``,
   ``ExtractMesh`` all hinge on matched ``allgather`` / ``allreduce`` /
-  ``alltoall`` rounds); a single rank-dependent branch around a
-  collective deadlocks or corrupts a run,
-- **cache purity** — the setup-amortization layer (PR 1) memoizes
-  mesh-derived operators and lags the AMG preconditioner; both are only
-  correct if cached state is never mutated in place,
+  ``alltoall`` rounds), and every receive needs its matching send; a
+  single rank-dependent branch around a collective deadlocks or
+  corrupts a run,
+- **cache purity** — the setup-amortization layer memoizes
+  mesh-derived operators and lags the Stokes preconditioner; both are
+  only correct if cached state is never mutated in place,
 - **dtype discipline** — hot kernels assume float64 arithmetic;
   accidental float32 mixing degrades MINRES/AMG convergence invisibly.
 
-Two prongs check these properties:
-
-``repro.analysis.lint``
-    A static AST linter with repo-specific rules R1-R6, runnable as
-    ``python -m repro.analysis.lint src/`` (``--commflow`` adds the
-    interprocedural rules R7-R9).  Stdlib-only.
-
-``repro.analysis.commflow``
-    Interprocedural communication-flow analysis: a module-level call
-    graph, per-function collective signatures, rules R7 (divergent
-    collective order through call chains), R8 (send/recv pairing &
-    deadlock), R9 (shared-buffer publication), and the static comm
-    schedule of the AMR pipeline entry points
-    (``python -m repro.analysis.commflow src/ --schedule out.json``).
-
-``repro.analysis.conformance``
-    Runtime schedule-conformance monitoring: under ``REPRO_SANITIZE=1``
-    the observed collective stream is replayed against the static
-    schedule (``REPRO_COMMFLOW_SCHEDULE=<json>``) and a mismatch raises
-    a structured :class:`~repro.analysis.conformance.ScheduleMismatch`.
+The communication contract has one checker, at runtime; the static
+linter keeps the rules that are not about communication.
 
 ``repro.analysis.sanitize``
     Runtime sanitizers: :class:`~repro.analysis.sanitize.CheckedComm`
-    (collective-divergence detection that raises instead of
-    deadlocking, plus a seeded message-delivery fuzzer) and
+    (collective-divergence detection and a timed ``recv`` that raise
+    instead of deadlocking, plus a seeded message-delivery fuzzer) and
     :func:`~repro.analysis.sanitize.freeze` /
     :func:`~repro.analysis.sanitize.verify_frozen` hash guards wired
     into the operator cache and the lagged preconditioner.  Enabled by
-    ``REPRO_SANITIZE=1``.
+    ``REPRO_SANITIZE=1``.  ``tests/test_analysis_mutations.py`` seeds
+    one bug of each SPMD class and pins which mechanism catches it.
+
+``repro.analysis.lint``
+    A static AST linter with repo-specific rules R2-R6 and R10 (cache
+    purity, dtype discipline, hot loops, serialization order, public
+    docstrings, module-global state read in an SPMD kernel), runnable as
+    ``python -m repro.analysis.lint src/``.  Stdlib-only.
+
+``repro.analysis.linkcheck`` / ``repro.analysis.docflags``
+    Documentation checks the docs CI job runs: relative links and
+    anchors, and example flags named in the docs against each example's
+    argparse surface.
 
 The submodules are imported lazily so the linter stays importable
 without numpy (CI runs it before installing the numeric toolchain).
@@ -50,7 +45,7 @@ without numpy (CI runs it before installing the numeric toolchain).
 
 from __future__ import annotations
 
-__all__ = ["commflow", "conformance", "linkcheck", "lint", "sanitize"]
+__all__ = ["docflags", "linkcheck", "lint", "sanitize"]
 
 
 def __getattr__(name):

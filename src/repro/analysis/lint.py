@@ -1,19 +1,12 @@
 """SPMD correctness linter: repo-specific static rules over the AST.
 
-Generic linters cannot know that ``comm.allreduce`` must be reached by
-every rank, that values handed out by :mod:`repro.mesh.opcache` are
-shared and must never be written in place, or that the PR-1 vectorized
-kernels must not regrow per-element Python loops.  This module encodes
-those invariants as six rules:
-
-R1  **collective symmetry** — a collective call (``allreduce``,
-    ``allgather``, ``alltoall``, ``barrier``, ``bcast``, ``exscan``,
-    ``gather``, ...) lexically inside an ``if``/``while``/``for`` whose
-    condition (or iterable) derives from ``comm.rank`` or other
-    rank-local data (``recv`` results, ``exscan`` prefixes).  Results
-    of symmetric collectives (``allreduce``, ``allgather``, ``bcast``)
-    are replicated on every rank, so branching on them is fine and does
-    not propagate taint.
+Generic linters cannot know that values handed out by
+:mod:`repro.mesh.opcache` are shared and must never be written in
+place, that the PR-1 vectorized kernels must not regrow per-element
+Python loops, or that an SPMD kernel must not read state armed in the
+parent interpreter.  This module encodes those invariants as six rules.
+Collective symmetry, send/recv pairing and buffer ownership are checked
+at runtime by :class:`repro.analysis.sanitize.CheckedComm`, not here.
 
 R2  **cache purity** — attribute writes, element writes (``x[...] =``),
     in-place operators (``x += ...``), and mutating ufunc calls
@@ -48,12 +41,6 @@ R6  **public-API docstrings** (documented packages ``obs/``, ``perf/``,
     a function are exempt.  These packages are the user-facing
     instrumentation surface; their API reference is the docstrings.
 
-R7/R8/R9 are the *interprocedural* communication-flow rules (divergent
-collective order through call chains, send/recv pairing & deadlock,
-shared-buffer publication).  They live in
-:mod:`repro.analysis.commflow` and are merged into this CLI's findings,
-suppression, and baseline machinery by the ``--commflow`` flag.
-
 R10 **module-global mutable state read inside an SPMD kernel** — a
     function taking a comm-like parameter reads a module-level name
     bound to a mutable value (list/dict/set literal or constructor) or
@@ -62,12 +49,13 @@ R10 **module-global mutable state read inside an SPMD kernel** — a
     caller's writes; under the process backend each worker has its own
     copy of the module, so the read silently sees stale state (the
     original ``_fault`` bug: a fault armed in the parent never fired in
-    workers).  State a kernel needs must travel through the world /
-    run envelope.  ALL_CAPS constants and dunders are exempt.
+    workers).  State a kernel needs must travel through the world / run
+    envelope.  Dunders are exempt, and so are ALL_CAPS names that no
+    function rebinds or writes into (read-only tables).
 
 Suppression and baselining
 --------------------------
-``# lint: disable=R1`` (comma-separated rule ids) on the flagged line
+``# lint: disable=R10`` (comma-separated rule ids) on the flagged line
 suppresses a finding; ``# lint: allow-loop`` on the ``for`` line or the
 line above suppresses R4.  Grandfathered findings live in a baseline
 file (``lint_baseline.json`` at the repo root); a finding matches the
@@ -109,38 +97,13 @@ __all__ = [
 
 #: rule id -> short description (the catalog; mirrored in DESIGN.md)
 RULES = {
-    "R1": "collective call under rank-dependent control flow",
     "R2": "in-place mutation of a cached/memoized value",
     "R3": "missing explicit dtype / float32-float64 mixing in hot path",
     "R4": "per-element Python loop in a vectorized hot module",
     "R5": "unordered dict/set iteration while serializing state",
     "R6": "missing docstring on a public symbol in a documented package",
-    "R7": "rank-dependent call chain reaching a collective (interprocedural)",
-    "R8": "unpaired or deadlocking point-to-point communication",
-    "R9": "in-place mutation of a buffer published to a comm op or shared cache",
     "R10": "module-global mutable state read inside an SPMD kernel",
 }
-
-#: methods on a communicator that every rank must call collectively
-COLLECTIVE_OPS = {
-    "allreduce",
-    "allgather",
-    "allgather_concat",
-    "alltoall",
-    "alltoallv_arrays",
-    "barrier",
-    "bcast",
-    "exscan",
-    "gather",
-    "global_offsets",
-}
-
-#: collectives whose *result* is replicated on every rank — branching on
-#: them is symmetric, so they block taint propagation
-SYMMETRIC_OPS = {"allreduce", "allgather", "allgather_concat", "bcast", "barrier"}
-
-#: collective results that are rank-dependent (taint sources)
-RANK_LOCAL_OPS = {"exscan", "gather"}
 
 #: numpy constructors R3 requires an explicit dtype for
 DTYPE_CTORS = {"array", "zeros", "empty"}
@@ -217,24 +180,6 @@ class Finding:
 # expression helpers
 
 
-def _is_comm_expr(node: ast.AST) -> bool:
-    """Does this expression look like a communicator? (``comm``,
-    ``self.comm``, ``self._comm``, ``checked_comm``, ...)"""
-    if isinstance(node, ast.Name):
-        return "comm" in node.id.lower()
-    if isinstance(node, ast.Attribute):
-        return "comm" in node.attr.lower()
-    return False
-
-
-def _collective_call(node: ast.Call) -> str | None:
-    """The collective op name if ``node`` is ``<comm-like>.<collective>(...)``."""
-    f = node.func
-    if isinstance(f, ast.Attribute) and f.attr in COLLECTIVE_OPS and _is_comm_expr(f.value):
-        return f.attr
-    return None
-
-
 def _root_name(node: ast.AST) -> str | None:
     """Base ``Name`` id of an attribute/subscript chain (``x[0].y`` -> ``x``)."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):
@@ -242,51 +187,6 @@ def _root_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-class _TaintScan(ast.NodeVisitor):
-    """Does an expression derive from rank-local data?
-
-    Taint sources: ``<anything>.rank``, ``comm.recv(...)`` results,
-    rank-local collective results (``exscan``, ``gather``), and names
-    already in the tainted set.  Subtrees of *symmetric* collective
-    calls are skipped — their results are replicated.
-    """
-
-    def __init__(self, tainted: set[str]):
-        self.tainted = tainted
-        self.found = False
-
-    def visit_Call(self, node: ast.Call) -> None:
-        op = _collective_call(node)
-        if op is not None:
-            if op in RANK_LOCAL_OPS:
-                self.found = True
-            # symmetric collective: replicated result, do not descend
-            return
-        f = node.func
-        if isinstance(f, ast.Attribute) and f.attr in ("recv", "Get_rank") and _is_comm_expr(f.value):
-            self.found = True
-            return
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "rank":
-            self.found = True
-            return
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if node.id in self.tainted:
-            self.found = True
-
-
-def _is_tainted(node: ast.AST | None, tainted: set[str]) -> bool:
-    if node is None:
-        return False
-    scan = _TaintScan(tainted)
-    scan.visit(node)
-    return scan.found
 
 
 def _names_in(node: ast.AST, names: set[str]) -> bool:
@@ -446,7 +346,6 @@ def _cached_value_rhs(node: ast.AST, handles: set[str], cached: set[str]) -> boo
 class _Scope:
     """Per-function analysis state (copied into nested functions)."""
 
-    tainted: set[str]
     handles: set[str]
     cached: set[str]
     f32_names: set[str]
@@ -466,9 +365,7 @@ class _FileLinter(ast.NodeVisitor):
         self.r4_active = stem in R4_MODULES
         self.r5_active = any(p in parts for p in R5_PACKAGES)
         self.r6_active = any(p in parts for p in R6_PACKAGES)
-        # stack of rank-dependent control constructs (kind, line)
-        self._ctrl: list[tuple[str, int]] = []
-        self._scope = _Scope(set(), set(), set(), set(), set(), set())
+        self._scope = _Scope(set(), set(), set(), set(), set())
         # R6 context: (container kind, is a checked public surface)
         self._doc_ctx: list[tuple[str, bool]] = [("module", True)]
 
@@ -527,7 +424,6 @@ class _FileLinter(ast.NodeVisitor):
         self._doc_ctx.append(("func", False))
         outer = self._scope
         self._scope = _Scope(
-            tainted=set(outer.tainted),
             handles=set(outer.handles),
             cached=set(outer.cached),
             f32_names=set(),
@@ -547,45 +443,14 @@ class _FileLinter(ast.NodeVisitor):
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
 
-    # -- R1: control-flow tracking -----------------------------------------
-
-    def _visit_controlled(self, node, test: ast.AST | None, kind: str) -> None:
-        dependent = _is_tainted(test, self._scope.tainted)
-        if dependent:
-            self._ctrl.append((kind, node.lineno))
-        try:
-            self.generic_visit(node)
-        finally:
-            if dependent:
-                self._ctrl.pop()
-
-    def visit_If(self, node: ast.If) -> None:
-        self._visit_controlled(node, node.test, "if")
-
-    def visit_While(self, node: ast.While) -> None:
-        self._visit_controlled(node, node.test, "while")
-
     def visit_For(self, node: ast.For) -> None:
         if self.r4_active:
             self._check_hot_loop(node)
         if self.r5_active:
             self._check_dict_iter(node.iter)
-        dependent = _is_tainted(node.iter, self._scope.tainted)
-        if dependent:
-            for name in _target_names(node.target):
-                self._scope.tainted.add(name)
-        self._visit_controlled(node, node.iter, "for")
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        op = _collective_call(node)
-        if op is not None and self._ctrl:
-            kind, line = self._ctrl[-1]
-            self._emit(
-                node,
-                "R1",
-                f"collective '{op}' inside rank-dependent '{kind}' (line {line}); "
-                "every rank must issue the same collective sequence",
-            )
         self._check_mutating_call(node)
         self.generic_visit(node)
 
@@ -620,7 +485,6 @@ class _FileLinter(ast.NodeVisitor):
         scope = self._scope
         for target in node.targets:
             self._check_store(target, node, "assignment")
-        rhs_taint = _is_tainted(node.value, scope.tainted)
         is_handle = _cache_handle_rhs(node.value)
         is_cached = _cached_value_rhs(node.value, scope.handles, scope.cached)
         is_f32 = self._float32_rhs(node.value)
@@ -630,7 +494,6 @@ class _FileLinter(ast.NodeVisitor):
         ) and not isinstance(node.value.value, bool)
         for target in node.targets:
             for name in _target_names(target):
-                scope.tainted.add(name) if rhs_taint else scope.tainted.discard(name)
                 scope.handles.add(name) if is_handle else scope.handles.discard(name)
                 scope.cached.add(name) if is_cached else scope.cached.discard(name)
                 scope.f32_names.add(name) if is_f32 else scope.f32_names.discard(name)
@@ -646,11 +509,8 @@ class _FileLinter(ast.NodeVisitor):
             self._check_store(node.target, node, "assignment")
             if isinstance(node.target, ast.Name):
                 scope = self._scope
-                name = node.target.id
-                if _is_tainted(node.value, scope.tainted):
-                    scope.tainted.add(name)
                 if _cached_value_rhs(node.value, scope.handles, scope.cached):
-                    scope.cached.add(name)
+                    scope.cached.add(node.target.id)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
@@ -660,8 +520,6 @@ class _FileLinter(ast.NodeVisitor):
             self._emit(node, "R2", f"in-place operator on cached value '{target.id}'")
         else:
             self._check_store(target, node, "augmented assignment")
-        if isinstance(target, ast.Name) and _is_tainted(node.value, scope.tainted):
-            scope.tainted.add(target.id)
         # R3 mixing: float literal accumulator += float32 data
         if (
             self.r3_active
@@ -794,10 +652,53 @@ def _mutable_rhs(node: ast.AST) -> bool:
     return False
 
 
-def _r10_exempt(name: str) -> bool:
-    # ALL_CAPS module constants are read-only by convention; dunders
-    # (__all__ etc.) are interpreter plumbing
-    return name.upper() == name or (name.startswith("__") and name.endswith("__"))
+#: container methods that write into their receiver
+_MUTATING_METHODS = {
+    "append",
+    "extend",
+    "insert",
+    "update",
+    "setdefault",
+    "pop",
+    "clear",
+    "add",
+    "remove",
+}
+
+
+def _written_globals(tree: ast.Module) -> set[str]:
+    """Names some function writes into (a subscript or attribute store,
+    or a mutating container method call) without binding them locally."""
+    written: set[str] = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        local = {x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+        roots: list[str | None] = []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                local.add(node.id)
+            elif isinstance(node, (ast.Subscript, ast.Attribute)) and not isinstance(
+                node.ctx, ast.Load
+            ):
+                roots.append(_root_name(node))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATING_METHODS
+            ):
+                roots.append(_root_name(node.func.value))
+        written.update(r for r in roots if r is not None and r not in local)
+    return written
+
+
+def _r10_exempt(name: str, state: set[str]) -> bool:
+    # an ALL_CAPS name no function rebinds or writes into is a read-only
+    # table; dunders (__all__ etc.) are interpreter plumbing
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    return name.upper() == name and name not in state
 
 
 def _module_mutable_globals(tree: ast.Module) -> set[str]:
@@ -818,10 +719,10 @@ def _module_mutable_globals(tree: ast.Module) -> set[str]:
             and isinstance(stmt.target, ast.Name)
         ):
             names.add(stmt.target.id)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Global):
-            names.update(node.names)
-    return {n for n in names if not _r10_exempt(n)}
+    rebound = {n for node in ast.walk(tree) if isinstance(node, ast.Global) for n in node.names}
+    names |= rebound
+    state = rebound | _written_globals(tree)
+    return {n for n in names if not _r10_exempt(n, state)}
 
 
 class _KernelBodyScan(ast.NodeVisitor):
@@ -1009,7 +910,7 @@ def apply_baseline(findings: list[Finding], baseline: Counter) -> list[Finding]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="SPMD correctness linter (rules R1-R6) for this repository.",
+        description="SPMD correctness linter (rules R2-R6, R10) for this repository.",
     )
     ap.add_argument("paths", nargs="*", default=["src"], help="files or trees to lint")
     ap.add_argument(
@@ -1033,31 +934,10 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="write current findings as the new baseline and exit 0",
     )
-    ap.add_argument(
-        "--commflow",
-        action="store_true",
-        help="also run the interprocedural comm-flow analysis (rules R7-R9)",
-    )
     ap.add_argument("--format", choices=("text", "json", "github"), default="text")
     args = ap.parse_args(argv)
 
-    paths = args.paths or ["src"]
-    findings = lint_paths(paths)
-    if args.commflow:
-        from .commflow import commflow_findings
-
-        merged = findings + commflow_findings(paths)
-        # drop interprocedural R7 findings that duplicate a lexical R1
-        # at the same location (R7 subsumes R1 but must not double-report)
-        r1_sites = {(f.file, f.line) for f in merged if f.rule == "R1"}
-        findings = sorted(
-            (
-                f
-                for f in merged
-                if not (f.rule == "R7" and (f.file, f.line) in r1_sites)
-            ),
-            key=lambda f: (f.file, f.line, f.col, f.rule),
-        )
+    findings = lint_paths(args.paths or ["src"])
 
     if args.write_baseline:
         write_baseline(findings, args.write_baseline)

@@ -1,22 +1,30 @@
-"""Runtime sanitizers for SPMD collectives and memoized state.
+"""Runtime sanitizers for SPMD communication and memoized state.
 
-Two failure classes that static linting (:mod:`repro.analysis.lint`)
-cannot fully rule out are checked at runtime:
+This module is the repository's one check of the SPMD communication
+contract; ``tests/test_analysis_mutations.py`` pins which seeded bug
+class each mechanism catches (the matrix is in EXPERIMENTS.md).
 
 **Collective divergence** — :class:`CheckedComm` wraps the simulated
 communicator and, before every collective, exchanges a small metadata
 record ``(sequence number, op, call-site, payload signature)`` across
 the world.  If the records disagree — one rank calls ``allreduce``
-where another calls ``allgather``, from a different line, or with a
+where another calls ``allgather``, from a different line (including a
+collective reached through a helper on some ranks only), or with a
 different payload dtype — every rank raises a structured
 :class:`CollectiveMismatch` naming each rank's op and call-site instead
 of deadlocking.  A rank that never shows up (the classic
 rank-dependent-branch hang) trips a barrier timeout, which aborts the
-world with the same report.  A seeded *delivery fuzzer* additionally
-perturbs the order in which point-to-point messages are handed to the
-transport (holding and releasing whole channels in shuffled order,
-FIFO per channel as MPI guarantees) to surface latent ordering
-assumptions.
+world with the same report.
+
+**Point-to-point deadlock** — :meth:`CheckedComm.recv` waits at most
+the same timeout and then raises :class:`RecvTimeout` naming the
+channel ``(source, dest, tag)``, so a receive posted before its
+matching send fails instead of hanging.  A seeded *delivery fuzzer*
+additionally perturbs the order in which point-to-point messages are
+handed to the transport (holding and releasing whole channels in
+shuffled order, FIFO per channel as MPI guarantees) to surface latent
+ordering assumptions; a held message is a snapshot taken at send, as
+every p2p payload is.
 
 **Cache mutation** — :func:`freeze` fingerprints the numpy content of
 a memoized value; :func:`verify_frozen` recomputes the fingerprint at
@@ -37,16 +45,15 @@ activate.  Programmatic control: :func:`install` / :func:`uninstall`
 The tier-1 suite is required to pass with ``REPRO_SANITIZE=1`` — the
 sanitizers change failure modes, never results.
 
-``REPRO_SANITIZE_TIMEOUT`` (seconds) overrides the metadata-barrier
-timeout; with ``REPRO_COMMFLOW_SCHEDULE`` pointing at a static comm
-schedule (see :mod:`repro.analysis.commflow`), every checked collective
-is additionally replayed against the schedule automaton and a
-divergence raises :class:`repro.analysis.conformance.ScheduleMismatch`.
+``REPRO_SANITIZE_TIMEOUT`` (seconds, a positive finite number; anything
+else raises ``ValueError``) overrides the timeout of the metadata
+barriers and of ``recv``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import threading
 import traceback
@@ -55,12 +62,18 @@ from typing import Any
 
 import numpy as np
 
-from ..parallel.simcomm import SimComm, SimWorld, SpmdAbort, set_comm_factory
-from . import conformance
+from ..parallel.simcomm import (
+    SimComm,
+    SimWorld,
+    SpmdAbort,
+    _copy_payload,
+    set_comm_factory,
+)
 
 __all__ = [
     "CheckedComm",
     "CollectiveMismatch",
+    "RecvTimeout",
     "CacheMutationError",
     "sanitize_enabled",
     "freeze",
@@ -102,6 +115,40 @@ class CollectiveMismatch(RuntimeError):
         # preserve ``report`` across pickling (the process SPMD backend
         # ships worker exceptions back to the parent)
         return (CollectiveMismatch, (self.args[0], self.report))
+
+
+class RecvTimeout(RuntimeError):
+    """Raised when a checked ``recv`` waits longer than the timeout: no
+    message arrived on channel ``(source, dest, tag)`` — typically a
+    receive posted before its matching send on every rank."""
+
+    def __init__(self, source: int, dest: int, tag: int, timeout: float):
+        super().__init__(
+            f"rank {dest}: no message from rank {source} with tag {tag} "
+            f"within {timeout:.1f}s (receive posted before its matching send?)"
+        )
+        self.source, self.dest, self.tag, self.timeout = source, dest, tag, timeout
+
+    def __reduce__(self):
+        return (RecvTimeout, (self.source, self.dest, self.tag, self.timeout))
+
+
+def _timeout_from_env() -> float | None:
+    """``REPRO_SANITIZE_TIMEOUT`` in seconds, or None when unset.  A
+    zero or negative timeout would make every barrier report a false
+    divergence, and a typo would silently mean the default, so both raise."""
+    env = os.environ.get("REPRO_SANITIZE_TIMEOUT", "")
+    if not env:
+        return None
+    try:
+        value = float(env)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"REPRO_SANITIZE_TIMEOUT must be a positive number of seconds, got {env!r}"
+        )
+    return value
 
 
 def _payload_signature(obj: Any) -> str:
@@ -150,15 +197,17 @@ class CheckedComm(SimComm):
     signature)`` through the world's slot array (with a timeout on the
     barrier) and raises :class:`CollectiveMismatch` when ranks disagree,
     turning both silent corruption *and* deadlock into a structured
-    error.  With ``fuzz_seed`` set, point-to-point sends are routed
-    through a seeded hold-and-release queue that perturbs cross-channel
-    delivery order while preserving MPI's per-``(source, dest, tag)``
-    FIFO guarantee.
+    error; ``recv`` waits at most the same timeout and raises
+    :class:`RecvTimeout`.  With ``fuzz_seed`` set, point-to-point sends
+    are routed through a seeded hold-and-release queue that perturbs
+    cross-channel delivery order while preserving MPI's
+    per-``(source, dest, tag)`` FIFO guarantee.
     """
 
-    #: seconds a rank waits at a metadata barrier before declaring the
-    #: world diverged (some rank never issued the matching collective);
-    #: overridable per-run with ``REPRO_SANITIZE_TIMEOUT`` (seconds)
+    #: seconds a rank waits at a metadata barrier (or in ``recv``) before
+    #: declaring the world diverged (some rank never issued the matching
+    #: collective or send); overridable per-run with
+    #: ``REPRO_SANITIZE_TIMEOUT`` (seconds)
     DEFAULT_TIMEOUT = 10.0
 
     def __init__(
@@ -171,11 +220,7 @@ class CheckedComm(SimComm):
     ):
         super().__init__(world, rank)
         if timeout is None:
-            env = os.environ.get("REPRO_SANITIZE_TIMEOUT", "")
-            try:
-                timeout = float(env) if env else None
-            except ValueError:
-                timeout = None
+            timeout = _timeout_from_env()
         self.timeout = self.DEFAULT_TIMEOUT if timeout is None else float(timeout)
         self._seq = 0
         self._history: deque = deque(maxlen=max_history)
@@ -233,11 +278,6 @@ class CheckedComm(SimComm):
             "site": _call_site(),
             "sig": _payload_signature(payload),
         }
-        # schedule conformance: replay the observed stream against the
-        # static comm schedule (no-op unless a schedule is installed);
-        # checked *before* the metadata barrier so a divergent rank
-        # raises a structured diff instead of engaging the exchange
-        conformance.observe_collective(op.partition("[")[0], meta["site"])
         self._seq += 1
         self._history.append((meta["seq"], op, meta["site"], meta["sig"]))
         w = self._world
@@ -292,7 +332,7 @@ class CheckedComm(SimComm):
         self._checked("alltoall", sendlist)
         return super().alltoall(sendlist)
 
-    # -- fuzzed point-to-point ---------------------------------------------
+    # -- timed, fuzzed point-to-point --------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         if self._rng is None:
@@ -300,9 +340,10 @@ class CheckedComm(SimComm):
             return
         key = (dest, tag)
         # once a channel holds a message, later sends on it must queue
-        # behind it to preserve per-channel FIFO
+        # behind it to preserve per-channel FIFO; a held message is a
+        # snapshot, like every posted one
         if key in self._pending or self._rng.random() < 0.5:
-            self._pending.setdefault(key, []).append(obj)
+            self._pending.setdefault(key, []).append(_copy_payload(obj))
             self.n_held += 1
         else:
             super().send(obj, dest, tag)
@@ -311,7 +352,12 @@ class CheckedComm(SimComm):
 
     def recv(self, source: int, tag: int = 0) -> Any:
         self._flush_pending()
-        return super().recv(source, tag)
+        try:
+            return self._world.fetch(source, self.rank, tag, self.timeout)
+        except TimeoutError:
+            exc = RecvTimeout(source, self.rank, tag, self.timeout)
+            self._world.abort(exc)
+            raise exc from None
 
     def _flush_pending(self) -> None:
         """Release held channels in a seeded shuffled order (FIFO within

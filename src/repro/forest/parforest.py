@@ -74,9 +74,7 @@ class ParForest(Forest):
         return self.comm.allreduce(len(self))
 
     def level_histogram(self) -> dict[int, int]:
-        """Global leaves per level (collective).  An override, not a
-        collective ``_level_counts`` under the inherited method: the
-        comm-flow analysis types ``self`` in a method by its own class."""
+        """Global leaves per level (collective)."""
         counts = self.comm.allreduce(self._level_counts())
         return {lvl: int(n) for lvl, n in enumerate(counts) if n}
 

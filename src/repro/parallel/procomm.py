@@ -22,14 +22,17 @@ rewritten two exchanges later, and SimComm's defensive ``_copy_payload``
 Oversized payloads spill to one-shot shared-memory segments; tiny arrays
 and non-array payloads fall back to pickle.  Point-to-point messages
 travel a per-rank ``multiprocessing.Queue`` (pickle-over-pipe) with the
-same spill path for large arrays, preserving MPI's per-channel FIFO.
+same spill path for large arrays, preserving MPI's per-channel FIFO.  A
+message is serialized at send, so a later write into the sender's buffer
+cannot reach it, and copied once, out of its spill segment, at fetch; the
+receiver owns what ``recv`` returns.
 
 The worker-side world (:class:`ProcWorld`) duck-types ``SimWorld`` —
 ``_slots``, ``_barrier`` (a real ``multiprocessing.Barrier`` with
-``threading.Barrier`` semantics), ``_error``, ``abort`` — so
-:class:`~repro.analysis.sanitize.CheckedComm`, the delivery fuzzer, and
-the commflow conformance monitor run **unchanged** on top and certify the
-backend bitwise-equivalent to the threaded oracle.
+``threading.Barrier`` semantics), ``_error``, ``abort``, ``post``,
+``fetch`` — so :class:`~repro.analysis.sanitize.CheckedComm` and the
+delivery fuzzer run **unchanged** on top and certify the backend
+bitwise-equivalent to the threaded oracle.
 
 Spawn-safety rules for kernels
 ------------------------------
@@ -39,10 +42,9 @@ value, globals resolved through the defining module).  A kernel must not
 rely on module-global *mutable* state armed in the parent — that state
 does not exist in a worker interpreter (lint rule R10 flags such reads).
 The run envelope re-broadcasts the supported globals per run: the
-communicator factory, the armed fault spec (:func:`armed_fault`), the
-sanitizer environment, and the installed conformance schedule.  Worker
-``CommStats`` and any still-bound obs ``PhaseTimer`` results are gathered
-back to the parent at world teardown.
+communicator factory, the armed fault spec (:func:`armed_fault`) and the
+sanitizer environment.  Worker ``CommStats`` and any still-bound obs
+``PhaseTimer`` results are gathered back to the parent at world teardown.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import signal
 import struct
 import sys
 import threading
+import time
 import types
 from collections import deque
 from multiprocessing import shared_memory
@@ -358,9 +361,8 @@ def _unpack_tree(t, mv, attach: Callable):
         return np.frombuffer(mv, dtype=dt, count=n, offset=off).reshape(shape)
     if kind == "S":
         _, name, dt, shape = t
-        seg = attach(name)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        return np.frombuffer(seg.buf, dtype=dt, count=n).reshape(shape)
+        return np.frombuffer(attach(name), dtype=dt, count=n).reshape(shape)
     if kind in ("l", "t"):
         items = [_unpack_tree(x, mv, attach) for x in t[1]]
         return items if kind == "l" else tuple(items)
@@ -378,9 +380,17 @@ def _decode_region(mv: memoryview, expect_seq: int, attach: Callable):
         )
     desc = loads_obj(bytes(mv[_HEADER.size : _HEADER.size + dlen]))
     if isinstance(desc, tuple) and desc and desc[0] == "I":
-        seg = attach(desc[1])
-        desc = loads_obj(bytes(seg.buf[: desc[2]]))
+        desc = loads_obj(bytes(attach(desc[1])[: desc[2]]))
     return _unpack_tree(desc, mv, attach)
+
+
+def _take_spill(name: str) -> bytearray:
+    """Copy a received p2p spill segment into memory the receiver owns,
+    then unlink it (the receiver is the segment's designated owner)."""
+    seg = shared_memory.SharedMemory(name=name)
+    data = bytearray(seg.buf)
+    _close_seg(seg, unlink=True)
+    return data
 
 
 def _discard_tree(t) -> None:
@@ -452,10 +462,9 @@ class ProcWorld:
         self._slots = _ProcSlots(self)
         self._seq = 0
         self._local_error: BaseException | None = None
-        self._channels: dict = {}  # (src, tag) -> deque of (obj, spill segs)
+        self._channels: dict = {}  # (src, tag) -> deque of received payloads
         self._spills_in: dict = {}  # seq -> attached segments (close at retire)
         self._spills_out: dict = {}  # seq -> created segments (unlink at retire)
-        self._p2p_retire: list = []  # consumed p2p spills (close+unlink next op)
 
     # -- SimWorld surface ---------------------------------------------------
 
@@ -489,7 +498,6 @@ class ProcWorld:
         if self._error is not None:
             raise SpmdAbort("another rank aborted")
         self._retire_collective(self._seq - 2)
-        self._retire_p2p()
         self._spills_out[self._seq] = _deposit_region(
             obj, self._region(self.rank, self._seq), self._seq
         )
@@ -502,7 +510,7 @@ class ProcWorld:
         def attach(name):
             seg = shared_memory.SharedMemory(name=name)
             segs.append(seg)
-            return seg
+            return seg.buf
 
         return [
             _decode_region(self._region(r, seq), seq, attach)
@@ -523,7 +531,6 @@ class ProcWorld:
     def post(self, src: int, dest: int, tag: int, obj: Any) -> None:
         if self._error is not None:
             raise SpmdAbort("another rank aborted")
-        self._retire_p2p()
         arrays: list = []
         tree = _pack_tree(obj, arrays, _P2P_SPILL_MIN)
         leafmap = {}
@@ -537,19 +544,17 @@ class ProcWorld:
             (self._run_id, src, tag, dumps_obj(_rewrite(tree, leafmap)))
         )
 
-    def fetch(self, src: int, dest: int, tag: int) -> Any:
-        self._retire_p2p()
+    def fetch(self, src: int, dest: int, tag: int, timeout: float | None = None) -> Any:
         key = (src, tag)
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             chan = self._channels.get(key)
             if chan:
-                obj, segs = chan.popleft()
-                # segs stay open until the next world op: SimComm.recv
-                # defensively copies the views before user code resumes
-                self._p2p_retire.extend(segs)
-                return obj
+                return chan.popleft()
             if self._error is not None:
                 raise SpmdAbort("another rank aborted")
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"no message on channel {(src, dest, tag)}")
             try:
                 rid, msrc, mtag, blob = self._inbox.get(timeout=0.05)
             except _queue.Empty:
@@ -558,32 +563,14 @@ class ProcWorld:
             if rid != self._run_id:
                 _discard_tree(tree)  # stale message from an aborted run
                 continue
-            segs = []
-
-            def attach(name, _segs=segs):
-                seg = shared_memory.SharedMemory(name=name)
-                _segs.append(seg)
-                return seg
-
             self._channels.setdefault((msrc, mtag), deque()).append(
-                (_unpack_tree(tree, None, attach), segs)
+                _unpack_tree(tree, None, _take_spill)
             )
-
-    def _retire_p2p(self) -> None:
-        for seg in self._p2p_retire:
-            _close_seg(seg, unlink=True)
-        self._p2p_retire = []
 
     # -- teardown -----------------------------------------------------------
 
     def _finalize_task(self) -> None:
         self._retire_collective(self._seq)
-        self._retire_p2p()
-        for chan in self._channels.values():
-            for _obj, segs in chan:
-                for seg in segs:
-                    _close_seg(seg, unlink=True)
-        self._channels.clear()
 
 
 # --------------------------------------------------------------------------
@@ -615,14 +602,10 @@ def _apply_env(env: dict) -> None:
 
 def _execute_task(rank, nranks, run_id, spec, barrier, abort_event, mail_queues, rings):
     """Run one envelope; returns (status, payload)."""
-    from ..analysis import conformance
-
     world = ProcWorld(rank, nranks, barrier, abort_event, mail_queues, rings, run_id)
     _apply_env(spec["env"])
     simcomm.set_comm_factory(spec["factory"])
     simcomm._arm_fault_spec(spec["fault"])
-    if spec["schedule"] is not None:
-        conformance.install_schedule(spec["schedule"])
     comm = simcomm._resolve_comm_factory()(world, rank)
     status, payload = "ok", None
     try:
@@ -641,7 +624,6 @@ def _execute_task(rank, nranks, run_id, spec, barrier, abort_event, mail_queues,
         world._finalize_task()
         simcomm.set_comm_factory(None)
         simcomm.disarm_fault()
-        conformance.uninstall_schedule()
     return status, payload
 
 
@@ -686,20 +668,6 @@ def _worker_main(rank, nranks, barrier, abort_event, task_q, reply_q, mail_queue
 
 # --------------------------------------------------------------------------
 # parent-side pool
-
-
-def _schedule_source():
-    """The conformance schedule to broadcast: whatever is installed in
-    the parent, else the ``REPRO_COMMFLOW_SCHEDULE`` path."""
-    try:
-        from ..analysis import conformance
-
-        src = conformance.installed_source()
-    except Exception:
-        src = None
-    return src if src is not None else (
-        os.environ.get("REPRO_COMMFLOW_SCHEDULE") or None
-    )
 
 
 class _ProcPool:
@@ -755,7 +723,6 @@ class _ProcPool:
                 "factory": simcomm.get_comm_factory(),
                 "env": {k: os.environ.get(k) for k in _ENV_KEYS},
                 "fault": simcomm.armed_fault(),
-                "schedule": _schedule_source(),
             }
             blob = dumps_obj(spec)
             for q in self.task_qs:

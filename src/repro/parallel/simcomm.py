@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable
@@ -276,18 +277,25 @@ class SimWorld:
     # methods so communicator subclasses (CheckedComm, the fuzzer) stay
     # transport-agnostic: the threaded world keeps an in-process mail
     # dict, the process-backend world (procomm.ProcWorld) moves payloads
-    # across interpreters.  Defensive copying stays in SimComm.
+    # across interpreters.  Either way the payload is copied exactly once
+    # and the receiver owns what it gets: this world copies at post, so a
+    # sender writing into its buffer after send() cannot reach the
+    # receiver (MPI's buffered-send semantics).
 
     def post(self, src: int, dest: int, tag: int, obj: Any) -> None:
-        """Deliver ``obj`` on channel ``(src, dest, tag)``; never blocks."""
+        """Deliver a snapshot of ``obj`` on channel ``(src, dest, tag)``;
+        never blocks."""
+        obj = _copy_payload(obj)
         with self._mail_lock:
             self._mail.setdefault((src, dest, tag), deque()).append(obj)
             self._mail_lock.notify_all()
 
-    def fetch(self, src: int, dest: int, tag: int) -> Any:
+    def fetch(self, src: int, dest: int, tag: int, timeout: float | None = None) -> Any:
         """Block until a message on ``(src, dest, tag)`` arrives; FIFO
-        per channel.  Raises :class:`SpmdAbort` if the world dies."""
+        per channel.  Raises :class:`SpmdAbort` if the world dies and
+        ``TimeoutError`` if ``timeout`` seconds pass without a message."""
         key = (src, dest, tag)
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._mail_lock:
             while True:
                 if self._error is not None:
@@ -295,7 +303,12 @@ class SimWorld:
                 q = self._mail.get(key)
                 if q:
                     return q.popleft()
-                self._mail_lock.wait(timeout=0.2)
+                wait = 0.2
+                if deadline is not None:
+                    wait = min(wait, deadline - time.monotonic())
+                    if wait <= 0:
+                        raise TimeoutError(f"no message on channel {key}")
+                self._mail_lock.wait(timeout=wait)
 
 
 class SimComm:
@@ -325,12 +338,11 @@ class SimComm:
         self._world.post(self.rank, dest, tag, obj)
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        """Block until a message from ``source`` with ``tag`` arrives."""
-        # defensive copy: the sender may still hold (and later mutate)
-        # the posted object — or, on the process backend, the payload is
-        # a zero-copy view into a shared-memory region about to be
-        # retired; real MPI hands the receiver its own buffer
-        return _copy_payload(self._world.fetch(source, self.rank, tag))
+        """Block until a message from ``source`` with ``tag`` arrives.
+
+        The receiver owns the result: the world copied the payload once,
+        at post (threads) or out of shared memory at fetch (processes)."""
+        return self._world.fetch(source, self.rank, tag)
 
     def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
         self.send(obj, dest, tag)

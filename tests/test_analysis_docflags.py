@@ -74,7 +74,7 @@ class TestCheckRepo:
         _write_repo(
             tmp_path,
             "- `examples/demo.py --cycles 2` runs the demo.  The lint\n"
-            "  job uses `--commflow` separately.\n",
+            "  job uses `--baseline` separately.\n",
         )
         assert check_repo(tmp_path) == []
 

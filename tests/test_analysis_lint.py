@@ -1,8 +1,8 @@
 """Unit tests for the SPMD correctness linter (repro.analysis.lint).
 
-Every rule R1-R6 is pinned with true-positive fixtures (the defect
-MUST be flagged) and false-positive fixtures (legitimate idioms that
-MUST NOT be flagged), plus the suppression and baseline workflows.
+Every rule (R2-R6, R10) is pinned with true-positive fixtures (the
+defect MUST be flagged) and false-positive fixtures (legitimate idioms
+that MUST NOT be flagged), plus the suppression and baseline workflows.
 """
 
 import json
@@ -28,104 +28,6 @@ def rules(src: str, path: str = COLD) -> list[str]:
 
 def findings(src: str, path: str = COLD) -> list[Finding]:
     return lint_source(textwrap.dedent(src), path)
-
-
-# --------------------------------------------------------------------------
-# R1: collective symmetry
-
-
-class TestR1TruePositives:
-    def test_collective_under_rank_if(self):
-        src = """
-        def f(comm):
-            if comm.rank == 0:
-                comm.barrier()
-        """
-        assert rules(src) == ["R1"]
-
-    def test_collective_in_rank_derived_for(self):
-        src = """
-        def f(comm):
-            r = comm.rank * 2
-            for i in range(r):
-                comm.allreduce(i)
-        """
-        assert rules(src) == ["R1"]
-
-    def test_collective_under_exscan_while(self):
-        src = """
-        def f(comm, n):
-            off = comm.exscan(n)
-            while off > 0:
-                comm.allgather(off)
-                off -= 1
-        """
-        assert rules(src) == ["R1"]
-
-    def test_collective_under_recv_derived_branch(self):
-        src = """
-        def f(comm):
-            data = comm.recv(0)
-            if len(data) > 0:
-                total = comm.allreduce(data.sum())
-        """
-        assert rules(src) == ["R1"]
-
-    def test_finding_names_op_and_control_line(self):
-        src = """
-        def f(comm):
-            if comm.rank == 0:
-                comm.bcast(1)
-        """
-        (f,) = findings(src)
-        assert f.rule == "R1"
-        assert "bcast" in f.message
-        assert "'if'" in f.message
-
-
-class TestR1FalsePositives:
-    def test_unconditional_collective(self):
-        src = """
-        def f(comm, x):
-            comm.barrier()
-            return comm.allreduce(x)
-        """
-        assert rules(src) == []
-
-    def test_branch_on_symmetric_allreduce_result(self):
-        # allreduce results are replicated on every rank: branching on
-        # them keeps the collective sequence symmetric
-        src = """
-        def f(comm, local_err):
-            err = comm.allreduce(local_err, "max")
-            if err > 1e-6:
-                comm.barrier()
-        """
-        assert rules(src) == []
-
-    def test_rank_branch_without_collective(self):
-        src = """
-        def f(comm, msg):
-            if comm.rank == 0:
-                print(msg)
-        """
-        assert rules(src) == []
-
-    def test_rank_ternary_inside_collective_arg(self):
-        # the SimComm idiom itself: every rank still calls bcast
-        src = """
-        def f(comm, obj, root):
-            return comm.bcast(obj if comm.rank == root else None)
-        """
-        assert rules(src) == []
-
-    def test_branch_on_replicated_config(self):
-        src = """
-        def f(comm, cfg):
-            if cfg.verbose:
-                comm.barrier()
-        """
-        assert rules(src) == []
 
 
 # --------------------------------------------------------------------------
@@ -367,19 +269,21 @@ class TestR4FalsePositives:
 class TestSuppression:
     def test_disable_comment(self):
         src = """
+        _registry = {}
+
         def f(comm):
-            if comm.rank == 0:
-                comm.barrier()  # lint: disable=R1
+            return _registry.get(comm.rank)  # lint: disable=R10
         """
         assert rules(src) == []
 
     def test_disable_wrong_rule_keeps_finding(self):
         src = """
+        _registry = {}
+
         def f(comm):
-            if comm.rank == 0:
-                comm.barrier()  # lint: disable=R2
+            return _registry.get(comm.rank)  # lint: disable=R2
         """
-        assert rules(src) == ["R1"]
+        assert rules(src) == ["R10"]
 
     def test_disable_list(self):
         src = "import numpy as np\nb = np.zeros(10)  # lint: disable=R2, R3\n"
@@ -893,6 +797,39 @@ class TestR10TruePositives:
         assert f.rule == "R10"
         assert "'exchange'" in f.message and "'_slots'" in f.message
 
+    def test_all_caps_table_written_by_a_function(self):
+        # ALL_CAPS is no promise of immutability once a function writes
+        # into the name: a parent-side configure() never reaches workers
+        src = """
+        _STATE = {"scale": 1.0}
+
+        def configure(**kw):
+            for k, v in kw.items():
+                _STATE[k] = v
+
+        def kernel(comm):
+            return comm.allreduce(_STATE["scale"])
+        """
+        (f,) = findings(src)
+        assert f.rule == "R10" and "'_STATE'" in f.message
+
+    def test_all_caps_rebound_or_mutated_by_method(self):
+        src = """
+        _SEEN = []
+        _MODE = None
+
+        def record(x):
+            _SEEN.append(x)
+
+        def arm(mode):
+            global _MODE
+            _MODE = mode
+
+        def kernel(comm):
+            return len(_SEEN), _MODE
+        """
+        assert rules(src) == ["R10", "R10"]
+
 
 class TestR10FalsePositives:
     def test_all_caps_constant_exempt(self):
@@ -901,6 +838,25 @@ class TestR10FalsePositives:
 
         def kernel(comm):
             return TABLE["a"]
+        """
+        assert rules(src) == []
+
+    def test_all_caps_read_only_table_exempt(self):
+        # functions only read the table; a local of the same name being
+        # written does not make the module's table mutable
+        src = """
+        WEIGHTS = {"face": 1.0, "edge": 0.5}
+
+        def lookup(kind):
+            return WEIGHTS.get(kind, 0.0)
+
+        def scratch():
+            WEIGHTS = {}
+            WEIGHTS["x"] = 1.0
+            return WEIGHTS
+
+        def kernel(comm, kind):
+            return comm.allreduce(WEIGHTS[kind] + lookup(kind))
         """
         assert rules(src) == []
 

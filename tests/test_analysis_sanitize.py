@@ -95,7 +95,7 @@ class TestDivergence:
     def test_op_divergence_reports_rank_op_site(self):
         def kernel(comm):
             if comm.rank == 1:
-                return comm.allgather(comm.rank)  # lint: disable=R1 (deliberate divergence)
+                return comm.allgather(comm.rank)
             return comm.allreduce(comm.rank)
 
         install(timeout=5.0)
@@ -124,9 +124,9 @@ class TestDivergence:
     def test_call_site_divergence(self):
         def kernel(comm):
             if comm.rank == 0:
-                comm.barrier()  # lint: disable=R1 (deliberate divergence)
+                comm.barrier()
             else:
-                comm.barrier()  # lint: disable=R1 (deliberate divergence)
+                comm.barrier()
             return True
 
         install(timeout=5.0)
@@ -139,7 +139,7 @@ class TestDivergence:
     def test_missing_rank_times_out_instead_of_deadlocking(self):
         def kernel(comm):
             if comm.rank != 0:
-                comm.barrier()  # rank 0 never shows up  # lint: disable=R1
+                comm.barrier()  # rank 0 never shows up
             return comm.rank
 
         install(timeout=0.5)
@@ -153,7 +153,7 @@ class TestDivergence:
         def kernel(comm):
             n = 3 if comm.rank == 0 else 2
             for _ in range(n):
-                comm.allreduce(1.0)  # lint: disable=R1 (deliberate divergence)
+                comm.allreduce(1.0)
             return comm.rank
 
         install(timeout=0.5)
@@ -427,9 +427,18 @@ class TestTimeoutEnv:
         comm = CheckedComm(SimWorld(1), 0)
         assert comm.timeout == CheckedComm.DEFAULT_TIMEOUT
 
-    def test_garbage_env_falls_back_to_default(self, monkeypatch):
+    def test_garbage_env_raises(self, monkeypatch):
         from repro.parallel.simcomm import SimWorld
 
         monkeypatch.setenv("REPRO_SANITIZE_TIMEOUT", "soon")
-        comm = CheckedComm(SimWorld(1), 0)
-        assert comm.timeout == CheckedComm.DEFAULT_TIMEOUT
+        with pytest.raises(ValueError, match="REPRO_SANITIZE_TIMEOUT.*'soon'"):
+            CheckedComm(SimWorld(1), 0)
+
+    @pytest.mark.parametrize("value", ["0", "-2", "inf", "nan"])
+    def test_nonpositive_or_nonfinite_env_raises(self, monkeypatch, value):
+        # a zero or negative timeout would fail every barrier at once and
+        # report a false CollectiveMismatch on every collective
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        monkeypatch.setenv("REPRO_SANITIZE_TIMEOUT", value)
+        with pytest.raises(ValueError, match="REPRO_SANITIZE_TIMEOUT"):
+            run_spmd(2, lambda comm: comm.allreduce(1), backend="thread")

@@ -154,7 +154,7 @@ class TestOneFamilyMerge:
     """COARSENTREE exists once, over forest keys: the distributed merge
     costs three collectives per call however many trees there are."""
 
-    @pytest.mark.parametrize("p, calls", [(1, 0), (3, 3)])
+    @pytest.mark.parametrize("p, calls", [(1, 0), (2, 3), (3, 3)])
     def test_sphere_collectives_per_call(self, p, calls):
         conn = cubed_sphere_connectivity()
 

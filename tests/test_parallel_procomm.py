@@ -2,8 +2,8 @@
 (`repro.parallel.procomm`) must be bitwise-equivalent to the threaded
 oracle on the real workloads — forest construction/ghost/balance, the
 checkpointed AMR pipeline with fault injection, and the fleet preempt /
-resume cycle — with the sanitizers (CheckedComm, delivery fuzzer,
-conformance monitor) running unchanged on top.
+resume cycle — with the sanitizers (CheckedComm, delivery fuzzer)
+running unchanged on top.
 
 Correctness does not depend on core count, so nothing here skips on a
 small host; only a host whose POSIX shared memory is unusable skips.
@@ -16,11 +16,6 @@ import pytest
 
 from repro.amr import ParAmrPipeline
 from repro.analysis import sanitize
-from repro.analysis.conformance import (
-    ScheduleMismatch,
-    install_schedule,
-    uninstall_schedule,
-)
 from repro.checkpoint import Checkpointer, list_checkpoints
 from repro.forest import ParForest, brick_connectivity, cubed_sphere_connectivity
 from repro.parallel import (
@@ -387,45 +382,6 @@ class TestSanitizersOnProcessBackend:
             if backend == "thread":
                 ref = out
         assert_bitwise(ref, out)
-
-    def test_conformance_monitor_runs_in_workers(self, sanitized):
-        from repro.analysis.conformance import schedule_phase
-
-        doc = {
-            "version": 1,
-            "entries": {
-                "phase_x": {
-                    "qname": "t.q",
-                    "tree": {
-                        "seq": [
-                            {"op": "allreduce", "site": None},
-                            {"op": "barrier", "site": None},
-                        ]
-                    },
-                }
-            },
-        }
-
-        def good_kernel(comm):
-            with schedule_phase("phase_x"):
-                comm.allreduce(1.0, op="sum")
-                comm.barrier()
-            return comm.rank
-
-        def bad_kernel(comm):
-            with schedule_phase("phase_x"):
-                comm.allreduce(1.0, op="sum")
-                comm.allgather(comm.rank)  # schedule says barrier
-            return comm.rank
-
-        install_schedule(doc)
-        try:
-            assert run_spmd(2, good_kernel, backend="process") == [0, 1]
-            with pytest.raises(ScheduleMismatch) as exc:
-                run_spmd(2, bad_kernel, backend="process")
-        finally:
-            uninstall_schedule()
-        assert exc.value.diff["phase"] == "phase_x"  # diff survives pickling
 
     def test_injected_fault_fires_in_worker_and_fires_once(self):
         from repro.parallel.simcomm import check_fault
