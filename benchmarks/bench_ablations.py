@@ -8,9 +8,10 @@
    yielding zones doing Picard work), weighting the cut restores load
    balance.
 3. **Preconditioner ablation**: MINRES on the Stokes system with the full
-   block preconditioner vs a diagonal-only preconditioner — the paper's
-   claim that the AMG + viscosity-weighted-mass structure is what keeps
-   iterations flat.
+   block preconditioner (the driver's geometric multigrid V-cycle +
+   viscosity-weighted mass) vs a diagonal-only preconditioner — the
+   paper's claim that the multigrid + viscosity-weighted-mass structure
+   is what keeps iterations flat.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.mesh import extract_mesh
 from repro.octree import LinearOctree, balance
 from repro.parallel import run_spmd
 from repro.perf import format_table
-from repro.solvers import StokesBlockPreconditioner, minres
+from repro.solvers import GMGStokesPreconditioner, minres
 
 
 def adapted_tree(seed=0, rounds=3, frac=0.25):
@@ -109,7 +110,7 @@ def test_ablation_stokes_preconditioner(record_table, benchmark):
     st = StokesSystem(mesh, eta, f)
     b = st.rhs()
 
-    prec = StokesBlockPreconditioner(st)
+    prec = GMGStokesPreconditioner(st)
     full = benchmark.pedantic(
         lambda: minres(st.matvec, b, M=prec.apply, tol=1e-6, maxiter=1500),
         rounds=1, iterations=1,
@@ -122,7 +123,7 @@ def test_ablation_stokes_preconditioner(record_table, benchmark):
     table = format_table(
         ["preconditioner", "iterations", "converged"],
         [
-            ["block (AMG + 1/eta mass)", full.iterations, full.converged],
+            ["block (GMG + 1/eta mass)", full.iterations, full.converged],
             ["Jacobi (diagonal)", jacobi.iterations, jacobi.converged],
         ],
         title="Ablation — Stokes preconditioner structure (10^4 viscosity contrast)",

@@ -7,7 +7,9 @@ viscosity heterogeneity.  We execute shrunk problems (the largest sizes
 are modeled, not run — this is a pure-Python reproduction) and verify the
 *shape*: iteration counts essentially flat under mesh refinement with a
 4-orders-of-magnitude viscosity contrast; simulated core counts are the
-paper's weak-scaling schedule (~65K elements/core)."""
+paper's weak-scaling schedule (~65K elements/core).  The viscous block is
+preconditioned by the driver's geometric multigrid where the paper used
+BoomerAMG (DESIGN.md section 2)."""
 
 import numpy as np
 
@@ -15,7 +17,7 @@ from repro.fem import StokesSystem
 from repro.mesh import extract_mesh
 from repro.octree import LinearOctree, balance
 from repro.perf import format_table
-from repro.solvers import StokesBlockPreconditioner, minres
+from repro.solvers import GMGStokesPreconditioner, minres
 
 
 def layered_viscosity(mesh, contrast=1e4):
@@ -40,7 +42,7 @@ def solve_case(level, seed):
     tree = balance(tree, "corner").tree
     mesh = extract_mesh(tree)
     st = StokesSystem(mesh, layered_viscosity(mesh), buoyancy(mesh))
-    prec = StokesBlockPreconditioner(st)
+    prec = GMGStokesPreconditioner(st)
     res = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-6, maxiter=500)
     assert res.converged
     return mesh.n_elements, 4 * mesh.n_independent, res.iterations

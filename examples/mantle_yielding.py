@@ -13,7 +13,9 @@ checkpoint there with a bitwise-identical trajectory.
 Observability (see OBSERVABILITY.md): ``--trace trace.json`` writes a
 Chrome-trace timeline of the AMR / Stokes / advection phases;
 ``--report report.md`` writes the Table IV-style breakdown with solver
-counters (MINRES iterations, AMG setups, cache hits).
+counters (MINRES iterations, GMG preconditioner builds, cache hits).
+The Stokes solve is MINRES with the geometric-multigrid block
+preconditioner, lagged between mesh adaptations.
 
 Run:  python examples/mantle_yielding.py [--trace T] [--report R]
 """

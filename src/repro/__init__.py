@@ -19,8 +19,9 @@ fem:
     Trilinear hexahedral finite elements: SUPG advection-diffusion,
     variable-viscosity Stokes blocks, constraint-eliminated assembly.
 solvers:
-    MINRES, smoothed-aggregation AMG, the block-diagonal Stokes
-    preconditioner, explicit time integrators.
+    MINRES, geometric multigrid and the block-diagonal Stokes
+    preconditioner built on it, smoothed-aggregation AMG (the Fig. 9
+    study), explicit time integrators.
 rhea:
     The mantle convection application: viscosity laws with yielding,
     the coupled Boussinesq time loop, error indicators.

@@ -149,9 +149,10 @@ def restore_convection(path: str, config=None, include_solver_state: bool = True
     ``config`` must match the run that wrote the checkpoint (it is not
     serialized — viscosity laws are code, not data); fields, counters,
     diagnostics history, and — when present and requested — the
-    warm-start solver state are restored.  The lagged-preconditioner
-    hierarchy is rebuilt from its saved reference viscosity, which is
-    bitwise-equivalent to the hierarchy the uninterrupted run carried.
+    warm-start solver state are restored.  The lagged GMG levels are
+    re-assembled from the saved reference viscosity, bitwise the levels
+    the uninterrupted run carried, so the next cycle makes the same
+    preconditioner builds, reuses and MINRES iterations.
     Recorded under the ``checkpoint/restore`` phase when a
     :mod:`repro.obs` timer is bound.
     """

@@ -12,7 +12,7 @@ Two snapshot flavors, one per time loop:
   single shard: octree, temperature/velocity/viscosity fields, step and
   time counters, per-cycle diagnostics, and (optionally) the PR-1
   warm-start solver state (previous pressure + the lagged
-  preconditioner's reference viscosity, from which the AMG hierarchy is
+  preconditioner's reference viscosity, from which the GMG levels are
   rebuilt bitwise on restore).
 
 Both write atomically (stage into ``<dir>.tmp``, rename once the

@@ -37,7 +37,7 @@ mesh-derived state lives in :func:`repro.mesh.opcache.operator_cache`,
 so it participates in the same structural invalidation and
 ``REPRO_SANITIZE=1`` freeze/verify guards as the assembly scatters.
 
-The assembled CSR blocks remain the source of truth for AMG setup;
+The assembled CSR blocks remain available to the parity tests;
 parity between the assembled and the element-kernel apply is pinned to
 1e-14 (saddle) and 1e-12 (transport) by the tests.
 """

@@ -13,7 +13,8 @@ preconditioner blocks exposed here follow the paper exactly:
 
 - ``Atilde`` — a *scalar* variable-viscosity Poisson operator applied to
   each velocity component (the discrete vector Laplacian approximation of
-  ``A``), approximated by one AMG V-cycle per application;
+  ``A``), approximated by one geometric-multigrid V-cycle per
+  application (:mod:`repro.solvers.gmg`);
 - ``Stilde`` — the inverse-viscosity-weighted lumped pressure mass, a
   diagonal spectrally equivalent to the Schur complement.
 
@@ -81,9 +82,8 @@ def poisson_blocks(mesh: Mesh, viscosity: np.ndarray, bc: str) -> list[sp.csr_ma
     """The scalar variable-viscosity Poisson operator ``Atilde``, one
     copy per velocity component with that component's Dirichlet rows
     (Section III: for constant viscosity and Dirichlet BCs, ``A`` and
-    ``Atilde`` are equivalent).  One assembly serves all three; both
-    multigrid preconditioners build on it — AMG on the fine mesh, GMG on
-    every mesh of its hierarchy."""
+    ``Atilde`` are equivalent).  One assembly serves all three; the
+    geometric multigrid assembles it on every mesh of its hierarchy."""
     K = assemble_scalar(mesh, _OPS.stiffness(mesh.element_sizes(), viscosity))
     return [
         apply_dirichlet(K, None, dofs)[0]
@@ -98,7 +98,8 @@ class StokesSystem:
     The saddle operator is applied matrix-free through
     :class:`repro.fem.matfree.MatFreeStokesOperator`; the assembled
     blocks ``A``/``B``/``C`` are built lazily, only if something asks for
-    them (AMG setup assembles its own scalar Poisson blocks either way).
+    them (the multigrid preconditioner assembles its own scalar Poisson
+    blocks, :func:`poisson_blocks`, either way).
 
     Parameters
     ----------
@@ -227,11 +228,6 @@ class StokesSystem:
         return out
 
     # -- preconditioner ingredients ----------------------------------------------
-
-    def poisson_blocks(self) -> list[sp.csr_matrix]:
-        """:func:`poisson_blocks` of this system's mesh, viscosity and
-        boundary conditions."""
-        return poisson_blocks(self.mesh, self.viscosity, self.bc_kind)
 
     def schur_diagonal(self) -> np.ndarray:
         """``Stilde``: inverse-viscosity-weighted lumped pressure mass."""

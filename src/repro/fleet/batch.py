@@ -44,10 +44,9 @@ cancels in the ratio.  The level matrices are rebuilt at the first
 Picard pass of each cycle and grouped by configuration (the law's
 type), never by state — a deterministic schedule, so a preempt/resume
 at a cycle boundary reproduces the uninterrupted run.  (The serial
-driver's policy — a drift-lagged hierarchy on the tenant's own
-viscosity, of the kind its ``stokes_preconditioner`` names — is a
-different decision, not a twin of this one; see ROADMAP's Settled entry
-"The serial and fleet preconditioner policies are two decisions" and
+driver's policy — a drift-lagged GMG hierarchy on the tenant's own
+viscosity — is a different decision, not a twin of this one; see
+ROADMAP's Settled entry "The serial and fleet preconditioner policies are two decisions" and
 SOLVERS.md, "The fleet's hierarchies: one per viscosity law".)
 """
 
@@ -103,10 +102,9 @@ class BatchGroup:
     to guarantee this), the same velocity BC and domain, and zero
     internal heating — everything else (Rayleigh number, viscosity law,
     tolerances, Picard budget, step counts) may differ per tenant.
-    ``RheaConfig.stokes_preconditioner`` is the serial driver's field and
-    is not read here: the group's per-law hierarchies are its own
-    decision.  Internally the Stokes columns are packed law by law
-    (laws sorted by qualified class name, tenants in the caller's order
+    The group's per-law hierarchies are its own decision, not the serial
+    driver's lagged one.  Internally the Stokes columns are packed law
+    by law (laws sorted by qualified class name, tenants in the caller's order
     within a law); every per-job result comes back in the caller's
     order.
 

@@ -1,9 +1,10 @@
-"""Linear and time-stepping solvers: MINRES, smoothed-aggregation AMG,
-geometric multigrid on the forest hierarchy, the
-block-diagonal Stokes preconditioners, and explicit integrators.
+"""Linear and time-stepping solvers: MINRES, geometric multigrid on the
+forest hierarchy and the lagged block-diagonal Stokes preconditioner
+built on it, smoothed-aggregation AMG (the subject of the Fig. 9
+study), and explicit integrators.
 
 See SOLVERS.md at the repository root for the full Stokes solve path
-(MINRES -> block preconditioner -> AMG vs GMG), the lagging and
+(MINRES -> lagged block preconditioner -> GMG V-cycle), the lagging and
 warm-start policies, and the tuning cookbook.
 """
 
@@ -13,7 +14,7 @@ from .amg import (
     aggregate,
     strength_graph,
 )
-from .blockprec import LaggedStokesPreconditioner, StokesBlockPreconditioner
+from .blockprec import LaggedStokesPreconditioner
 from .gmg import (
     ChebyshevSmoother,
     GeometricMultigrid,
@@ -32,7 +33,6 @@ __all__ = [
     "AMGLevel",
     "aggregate",
     "strength_graph",
-    "StokesBlockPreconditioner",
     "LaggedStokesPreconditioner",
     "GMGStokesPreconditioner",
     "GeometricMultigrid",

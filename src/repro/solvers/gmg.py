@@ -5,10 +5,10 @@ levels come from coarsening the forest itself (complete 8-sibling
 families, re-balanced 2:1), restriction and prolongation are exact
 trilinear embeddings between the nested FE spaces, and every level
 operator is the *rediscretised* scalar Poisson operator of that level's
-mesh with the volume-averaged viscosity — the same
-:func:`repro.fem.stokes.poisson_blocks` the AMG path assembles on the
-fine mesh, here once per level.  The three velocity components are one
-problem: level operator, masked transfers and Chebyshev coefficients are
+mesh with the volume-averaged viscosity
+(:func:`repro.fem.stokes.poisson_blocks`, once per level).  The three
+velocity components are one problem: level operator, masked transfers
+and Chebyshev coefficients are
 block-diagonal over the stacked ``(3n,)`` velocity vector MINRES hands
 over, so a preconditioner apply is one V-cycle of plain CSR mat-vecs.
 The coarsest level (a few dozen dofs per component) is a dense solve.
@@ -488,13 +488,13 @@ class GeometricMultigrid:
 
 
 class GMGStokesPreconditioner:
-    """Drop-in alternative to
-    :class:`repro.solvers.blockprec.StokesBlockPreconditioner`:
-    ``P = diag(Atilde, Stilde)`` with ``Atilde`` applied as one
-    :class:`GeometricMultigrid` V-cycle over the stacked velocity
-    components instead of three AMG V-cycles (``gmg_opts`` are its
-    keyword arguments).  ``Stilde`` is the same inverse-viscosity-
-    weighted lumped pressure mass as the AMG path.
+    """The Stokes block preconditioner ``P = diag(Atilde, Stilde)`` of
+    the drivers: ``Atilde`` applied as one :class:`GeometricMultigrid`
+    V-cycle over the stacked velocity components (``gmg_opts`` are its
+    keyword arguments) where the paper applies three AMG V-cycles, and
+    ``Stilde`` the inverse-viscosity-weighted lumped pressure mass.
+    :class:`repro.solvers.blockprec.LaggedStokesPreconditioner` lags its
+    setup.
     """
 
     def __init__(self, stokes: StokesSystem, **gmg_opts):

@@ -31,6 +31,7 @@ from repro.parallel import run_spmd
 from repro.parallel.simcomm import get_comm_factory, run_spmd_with_comms
 from repro.solvers import LaggedStokesPreconditioner
 
+from .oracles.amg_block import StokesBlockPreconditioner
 
 @pytest.fixture(autouse=True)
 def _clean_factory():
@@ -314,27 +315,29 @@ class TestLaggedPrecGuard:
         lag = LaggedStokesPreconditioner(rtol=0.5)
         prec = lag.get(st)
         assert lag.get(st) is prec and lag.n_reuses == 1  # clean reuse
-        prec.amg[0].levels[0].A.data[0] += 1.0  # poison the lagged setup
-        with pytest.raises(CacheMutationError, match="AMG hierarchy"):
+        prec.gmg.levels[0].op.A.data[0] += 1.0  # poison the lagged setup
+        with pytest.raises(CacheMutationError, match="GMG hierarchy"):
             lag.get(st)
 
     @pytest.mark.parametrize("poison", ["R", "free", "fixed", "fixed_diag"])
     def test_split_state_mutation_detected(self, monkeypatch, poison):
         """The stored restriction and the free/fixed bookkeeping of the
-        AMG cycle are part of the lagged state."""
+        AMG cycle are part of its fingerprinted state (the AMG block
+        oracle's hierarchies; the lagged wrapper holds GMG only)."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         st = _stokes(level=2)  # 75 free dofs per component: two levels
-        lag = LaggedStokesPreconditioner(rtol=0.5)
-        amg = lag.get(st).amg[0]
+        amg = StokesBlockPreconditioner(st).amg[0]
+        token = maybe_freeze(amg.frozen_state())
+        maybe_verify(amg.frozen_state(), token, context="AMG hierarchy")  # clean
         target = amg.levels[1].R.data if poison == "R" else getattr(amg, poison)
         target[0] += 1
         with pytest.raises(CacheMutationError, match="AMG hierarchy"):
-            lag.get(st)
+            maybe_verify(amg.frozen_state(), token, context="AMG hierarchy")
 
     def test_gmg_restriction_mutation_detected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         st = _stokes(level=2)
-        lag = LaggedStokesPreconditioner(rtol=0.5, kind="gmg", max_coarse=30)
+        lag = LaggedStokesPreconditioner(rtol=0.5, max_coarse=30)
         prec = lag.get(st)
         prec.gmg.levels[1].R.data[0] += 1.0
         with pytest.raises(CacheMutationError, match="GMG hierarchy"):
@@ -345,7 +348,7 @@ class TestLaggedPrecGuard:
         st = _stokes()
         lag = LaggedStokesPreconditioner(rtol=0.5)
         prec = lag.get(st)
-        prec.amg[0].levels[0].A.data[0] += 1.0
+        prec.gmg.levels[0].op.A.data[0] += 1.0
         lag.invalidate()
         assert lag.get(st) is not prec  # rebuild, no stale token to trip
         assert lag.n_builds == 2

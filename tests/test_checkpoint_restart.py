@@ -191,6 +191,31 @@ class TestConvectionRestart:
         np.testing.assert_array_equal(res.T, ref.T)
         np.testing.assert_array_equal(res.mesh.leaves.keys(), ref.mesh.leaves.keys())
 
+    def test_restored_solver_state_reproduces_next_cycle(self, tmp_path):
+        """A restore with the solver state re-assembles the lagged GMG
+        levels from the saved reference viscosity, so the next cycle on
+        the restored mesh makes the uninterrupted run's MINRES iterations
+        and its preconditioner builds and reuses."""
+        root = str(tmp_path / "ck")
+        ref = MantleConvection(_small_cfg())
+        ref.run(2, checkpoint=Checkpointer(root, every=1))
+        res = MantleConvection.resume_from(
+            root, config=_small_cfg(), include_solver_state=True
+        )
+        cycles = []
+        for sim in (ref, res):
+            before = sim.cache_stats()
+            sim.run(1, adapt=False)
+            after = sim.cache_stats()
+            cycles.append((
+                sim.history[-1].minres_iterations,
+                after["prec_builds"] - before["prec_builds"],
+                after["prec_reuses"] - before["prec_reuses"],
+            ))
+        assert cycles[1] == cycles[0]
+        assert res.history[-1].vrms == ref.history[-1].vrms
+        np.testing.assert_array_equal(res.T, ref.T)
+
     def test_resume_without_solver_state_still_tracks(self, tmp_path):
         """Dropping the warm-start payload changes iteration counts at
         most — the trajectory itself stays within solver tolerance."""

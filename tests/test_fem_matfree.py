@@ -177,12 +177,13 @@ def test_minres_residual_history_matches_assembled_operator():
     in the same number of iterations.
 
     The two applies agree to ~5e-16 per call, but the Lanczos recurrence
-    amplifies that rounding over 82 iterations.  The sum-factorised apply
-    sat at 8.2e-11 of the initial residual and the element-matrix apply
-    at 1.3e-10: the same exact quadrature summed in another order lands
-    either side of 1e-10, so the bound is 1e-9 of the initial residual.
-    Equal iteration counts and the 1e-8 solution agreement still hold."""
-    from repro.solvers import StokesBlockPreconditioner, minres
+    amplifies that rounding.  Under the AMG block preconditioner (82
+    iterations) the sum-factorised apply sat at 8.2e-11 of the initial
+    residual and the element-matrix apply at 1.3e-10: the same exact
+    quadrature summed in another order lands either side of 1e-10, so
+    the bound is 1e-9 of the initial residual.  Under GMG (80 iterations)
+    the histories agree to 3.2e-12 and the solutions to 7.9e-10."""
+    from repro.solvers import GMGStokesPreconditioner, minres
 
     mesh = make_mesh(level=2)
     # layered-viscosity buoyancy problem (~55x contrast)
@@ -191,7 +192,7 @@ def test_minres_residual_history_matches_assembled_operator():
     bf = np.zeros((mesh.n_nodes, 3))
     bf[:, 2] = np.sin(np.pi * c[:, 0]) * np.cos(np.pi * c[:, 2])
     st = StokesSystem(mesh, eta, bf, bc="free_slip")
-    prec = StokesBlockPreconditioner(st)
+    prec = GMGStokesPreconditioner(st)
     K = assembled_saddle(st)
     res_t = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-8, maxiter=500)
     res_m = minres(lambda x: K @ x, st.rhs(), M=prec.apply, tol=1e-8, maxiter=500)

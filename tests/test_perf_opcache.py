@@ -141,7 +141,7 @@ class TestInvalidation:
 
 class TestLaggedPreconditioner:
     def test_iterations_within_20_percent_of_rebuild(self):
-        """Acceptance bound: lagging the AMG setup may not inflate MINRES
+        """Acceptance bound: lagging the multigrid setup may not inflate MINRES
         iterations by more than 20% over rebuild-every-pass (``rtol=0``
         reuses a hierarchy only for bitwise-unchanged viscosity)."""
         _, it_lag = _three_steps(_mini_config(prec_lag_rtol=0.3))

@@ -37,6 +37,18 @@ class TestSetup:
         assert 0.0 <= sim.T.min() and sim.T.max() <= 1.0
         np.testing.assert_array_equal(sim.u, 0.0)
 
+    def test_treeless_mesh_rejected_at_construction(self):
+        """The GMG preconditioner coarsens the mesh's octree, so a mesh
+        without one (a distributed submesh) fails here, not inside the
+        first Stokes solve."""
+        from repro.mesh import extract_submesh
+        from repro.octree import LinearOctree
+
+        mesh = extract_submesh(LinearOctree.uniform(2).leaves)
+        assert mesh.tree is None
+        with pytest.raises(ValueError, match="mesh.tree"):
+            MantleConvection(small_config(), mesh=mesh)
+
     def test_conductive_profile_bounds(self):
         c = np.random.default_rng(0).random((100, 3))
         T = conductive_profile(c)
@@ -160,6 +172,28 @@ class TestRunLoop:
         sim = MantleConvection(small_config(Ra=1e5))
         sim.run(2, adapt=False)
         assert sim.history[-1].vrms > 0.1
+
+    @pytest.mark.parametrize("bc", ["free_slip", "no_slip"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_default_driver_on_shallow_hierarchies(self, monkeypatch, level, bc):
+        """On the coarsest meshes the GMG hierarchy is one dense level
+        (level 1: 27 nodes) or two (level 2); two default cycles there
+        still give converged solves and finite diagnostics."""
+        sim = MantleConvection(RheaConfig(initial_level=level, velocity_bc=bc))
+        converged = []
+        solve = sim.solve_stokes
+
+        def recording_solve():
+            stats = solve()
+            converged.append(stats["converged"])
+            return stats
+
+        monkeypatch.setattr(sim, "solve_stokes", recording_solve)
+        sim.run(2)
+        assert converged == [True, True]
+        for d in sim.history:
+            assert np.all(np.isfinite([d.vrms, d.nusselt, d.mean_T]))
+            assert d.minres_iterations > 0
 
 
 class TestIndicators:

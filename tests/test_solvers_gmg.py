@@ -14,7 +14,8 @@ The load-bearing invariants pinned here:
 - one V-cycle is an SPD operator (so MINRES accepts it), and on a
   ``(3n, nb)`` block it is that operator on every column,
 - the full preconditioner solves Stokes to the same answer as the AMG
-  path with a comparable iteration count, a mesh-independent one on
+  oracle (``tests/oracles/amg_block.py``) with a comparable iteration
+  count, a mesh-independent one on
   uniform refinement, and exactly one assembly per level per build, and
 - the whole solve is bitwise identical across rank counts and SPMD
   backends under ``REPRO_SANITIZE=1``.
@@ -35,7 +36,6 @@ from repro.solvers import (
     GMGStokesPreconditioner,
     LaggedStokesPreconditioner,
     StackedPoissonLevel,
-    StokesBlockPreconditioner,
     coarse_viscosities,
     mesh_hierarchy,
     minres,
@@ -43,6 +43,7 @@ from repro.solvers import (
 )
 from repro.solvers.gmg import masked_transfers
 
+from .oracles.amg_block import StokesBlockPreconditioner
 from .oracles.gmg_levels import MatFreeScalarPoisson, loop_vcycle
 
 
@@ -441,7 +442,7 @@ class TestLaggedGMG:
         mesh = _mesh(level=1, frac=0.5, seed=10)
         eta, bf = _problem(mesh)
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
-        lag = LaggedStokesPreconditioner(rtol=0.5, kind="gmg", max_coarse=20)
+        lag = LaggedStokesPreconditioner(rtol=0.5, max_coarse=20)
         p1 = lag.get(st)
         assert isinstance(p1, GMGStokesPreconditioner)
         assert lag.get(st) is p1
@@ -460,10 +461,6 @@ class TestLaggedGMG:
         lag.invalidate()
         assert lag.get(st2) is not p3
         assert lag.n_builds == 4
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            LaggedStokesPreconditioner(kind="ilu")
 
 
 # -- cross-backend / cross-rank bitwise equivalence -----------------------------
@@ -522,8 +519,9 @@ class TestRheaIntegration:
     def test_config_validation(self):
         from repro.rhea import ConfigError, RheaConfig
 
-        with pytest.raises(ConfigError, match="stokes_preconditioner"):
-            RheaConfig(stokes_preconditioner="ilu")
+        for removed in ("ilu", "amg"):
+            with pytest.raises(ConfigError, match="stokes_preconditioner"):
+                RheaConfig(stokes_preconditioner=removed)
 
     def test_short_gmg_run_with_adapt(self):
         from repro.rhea import MantleConvection, RheaConfig
@@ -538,7 +536,6 @@ class TestRheaIntegration:
             stokes_tol=1e-6,
             stokes_maxiter=400,
             target_elements=100,
-            stokes_preconditioner="gmg",
         )
         sim = MantleConvection(cfg)
         hist = sim.run(2)
