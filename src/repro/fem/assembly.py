@@ -1,18 +1,28 @@
-"""Global sparse assembly with hanging-node constraint elimination.
+"""Global sparse assembly through the constraint-folded element gather.
 
-Element matrices (produced by :class:`~repro.fem.hexops.ElementOps`) are
-scattered into global CSR operators over *all* mesh nodes, then the
-hanging-node constraint operator ``Z`` folds them onto independent dofs:
-``A_c = Z^T A Z``.  This is the matrix form of the element-level constraint
-enforcement described in Section IV ("algebraic constraints on hanging
-nodes impose continuity").
+Every assembled operator is one Galerkin product
+
+    A = G_r^T · blkdiag(A_e) · G_c
+
+of the element matrices (produced by :class:`~repro.fem.hexops.ElementOps`)
+with the mesh's element gathers: row ``k`` of a gather ``G`` is the row
+of the hanging-node constraint operator ``Z`` (``Z3`` for the
+component-blocked velocity) of element-local dof ``k``, so the product
+acts on independent dofs directly — the matrix form of the element-level
+constraint enforcement described in Section IV ("algebraic constraints on
+hanging nodes impose continuity").  ``blkdiag(A_e)`` is a CSR matrix whose
+data array is a view of the ``(ne, r, c)`` element matrices, and scipy's
+sparse-sparse product (Gustavson, row by row) sums the duplicates as it
+goes: no COO triple, no sort plan and no separate ``Z^T A Z`` product.
+The unconstrained operators (``constrain=False``) use the plain node
+incidence as their gather.
 
 Velocity operators use a component-blocked layout: dof ``a * n + i`` is
 component ``a`` at independent node ``i``.
 
-Everything mesh-derived — scatter index patterns, the COO -> CSR merge
-order, the block-diagonal constraint operator ``Z3``, the vector dof maps
-— is memoized per mesh through :mod:`repro.mesh.opcache`, so repeated
+The gathers — element-major here, element-minor for the element-kernel
+applies of :mod:`repro.fem.matfree` — are one :class:`Gather` type,
+memoized per mesh through :mod:`repro.mesh.opcache`, so repeated
 assembly (Picard passes, time steps between adaptations) only recomputes
 coefficient data.  Memoization is value-transparent: results are bitwise
 identical with the cache disabled.
@@ -20,11 +30,13 @@ identical with the cache disabled.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
 from ..mesh import Mesh
-from ..mesh.opcache import CachedScatter, operator_cache
+from ..mesh.opcache import operator_cache
 
 __all__ = [
     "assemble_scalar",
@@ -35,6 +47,9 @@ __all__ = [
     "apply_dirichlet",
     "Z3",
     "vector_dofs",
+    "Gather",
+    "gather",
+    "galerkin",
     "assembly_counts",
     "reset_assembly_counts",
 ]
@@ -56,17 +71,27 @@ def reset_assembly_counts() -> None:
         _ASSEMBLY_COUNTS[k] = 0
 
 
-def _scalar_scatter(mesh: Mesh) -> CachedScatter:
-    """COO -> CSR pattern for (ne, 8, 8) scalar element scatters."""
+class Gather(NamedTuple):
+    """A CSR gather ``G`` (independent dofs -> element-local values) and
+    its transpose scatter ``GT``, with hanging-node constraints — and
+    optionally a Dirichlet column mask — folded in.  A tuple, so the
+    operator cache's freeze guard fingerprints every array in it."""
 
-    def build():
-        en = mesh.element_nodes
-        k = en.shape[1]
-        rows = np.repeat(en, k, axis=1).ravel()
-        cols = np.tile(en, (1, k)).ravel()
-        return CachedScatter(rows, cols, (mesh.n_nodes, mesh.n_nodes))
+    G: sp.csr_matrix
+    GT: sp.csr_matrix
+    #: 0 on Dirichlet-constrained dofs (columns zeroed in ``G``), else 1
+    mask: np.ndarray | None = None
+    #: ``1 - mask``: the identity rows of a masked apply
+    imask: np.ndarray | None = None
 
-    return operator_cache(mesh).get("scatter_scalar", build)
+
+def gather(G: sp.spmatrix, mask: np.ndarray | None = None) -> Gather:
+    """The :class:`Gather` of ``G``: sorted CSR and its CSR transpose."""
+    G = sp.csr_matrix(G)
+    G.sort_indices()
+    GT = G.T.tocsr()
+    GT.sort_indices()
+    return Gather(G, GT, mask, None if mask is None else 1.0 - mask)
 
 
 def vector_dofs(mesh: Mesh) -> np.ndarray:
@@ -80,27 +105,52 @@ def vector_dofs(mesh: Mesh) -> np.ndarray:
     return operator_cache(mesh).get("vector_dofs", build)
 
 
-def _vector_scatter(mesh: Mesh) -> CachedScatter:
+def Z3(mesh: Mesh) -> sp.csr_matrix:
+    """Constraint operator for component-blocked vector fields (cached)."""
+    return operator_cache(mesh).get(
+        "Z3", lambda: sp.block_diag([mesh.Z] * 3, format="csr")
+    )
+
+
+def _element_gather(mesh: Mesh, kind: str) -> Gather:
+    """The element-major gather of ``mesh`` (cached): row ``8 e + i``
+    (``24 e + 8 a + i`` for ``"vector"``) is the ``Z`` row (``Z3`` row of
+    component ``a``; for ``"node"`` the unit row) of vertex ``i`` of
+    element ``e``."""
+
     def build():
-        gdofs = vector_dofs(mesh)
-        k = gdofs.shape[1]
-        rows = np.repeat(gdofs, k, axis=1).ravel()
-        cols = np.tile(gdofs, (1, k)).ravel()
-        n3 = 3 * mesh.n_nodes
-        return CachedScatter(rows, cols, (n3, n3))
+        if kind == "vector":
+            return gather(Z3(mesh)[vector_dofs(mesh).ravel()])
+        Z = mesh.Z if kind == "scalar" else sp.identity(mesh.n_nodes, format="csr")
+        return gather(Z[mesh.element_nodes.ravel()])
 
-    return operator_cache(mesh).get("scatter_vector", build)
+    return operator_cache(mesh).get(("gather", kind), build)
 
 
-def _divergence_scatter(mesh: Mesh) -> CachedScatter:
-    def build():
-        en = mesh.element_nodes
-        vdofs = vector_dofs(mesh)
-        rows = np.repeat(en, 24, axis=1).ravel()
-        cols = np.tile(vdofs, (1, 8)).ravel()
-        return CachedScatter(rows, cols, (mesh.n_nodes, 3 * mesh.n_nodes))
+def _block_diagonal(elem_mats: np.ndarray) -> sp.csr_matrix:
+    """``blkdiag(A_e)`` of ``(ne, r, c)`` element matrices as CSR; its
+    data array is a view of ``elem_mats``."""
+    ne, r, c = elem_mats.shape
+    idx = np.int32 if ne * r * c < 2**31 else np.int64
+    first = np.arange(0, ne * c, c, dtype=idx)  # first column of each block
+    indices = (first[:, None, None] + np.arange(c, dtype=idx)).repeat(r, axis=1)
+    return sp.csr_matrix(
+        (
+            np.ascontiguousarray(elem_mats, dtype=np.float64).reshape(-1),
+            indices.reshape(-1),
+            np.arange(0, ne * r * c + 1, c, dtype=idx),
+        ),
+        shape=(ne * r, ne * c),
+        copy=False,
+    )
 
-    return operator_cache(mesh).get("scatter_divergence", build)
+
+def galerkin(rows: Gather, elem_mats: np.ndarray, cols: Gather) -> sp.csr_matrix:
+    """``rows.GT @ blkdiag(elem_mats) @ cols.G`` in canonical CSR (sorted
+    indices, duplicates summed, exact zeros dropped)."""
+    A = rows.GT @ (_block_diagonal(elem_mats) @ cols.G)
+    A.sort_indices()
+    return A
 
 
 def assemble_scalar(mesh: Mesh, elem_mats: np.ndarray, constrain: bool = True) -> sp.csr_matrix:
@@ -112,45 +162,32 @@ def assemble_scalar(mesh: Mesh, elem_mats: np.ndarray, constrain: bool = True) -
     if elem_mats.shape != (mesh.n_elements, 8, 8):
         raise ValueError("element matrix array has wrong shape")
     _ASSEMBLY_COUNTS["scalar"] += 1
-    A = _scalar_scatter(mesh).assemble(elem_mats)
-    if not constrain:
-        return A
-    return sp.csr_matrix(mesh.Z.T @ A @ mesh.Z)
+    g = _element_gather(mesh, "scalar" if constrain else "node")
+    return galerkin(g, elem_mats, g)
 
 
-def Z3(mesh: Mesh) -> sp.csr_matrix:
-    """Constraint operator for component-blocked vector fields (cached)."""
-    return operator_cache(mesh).get(
-        "Z3", lambda: sp.block_diag([mesh.Z] * 3, format="csr")
-    )
+def assemble_vector(mesh: Mesh, elem_mats: np.ndarray) -> sp.csr_matrix:
+    """Assemble (ne, 24, 24) component-blocked velocity element matrices
+    into the constrained ``(3 n, 3 n)`` operator.
 
-
-def assemble_vector(mesh: Mesh, elem_mats: np.ndarray, constrain: bool = True) -> sp.csr_matrix:
-    """Assemble (ne, 24, 24) component-blocked velocity element matrices.
-
-    Local dof ``8a + i`` maps to global node dof ``a * n_nodes +
-    element_nodes[e, i]``.
+    Local dof ``8a + i`` is component ``a`` at vertex ``i``.
     """
     if elem_mats.shape != (mesh.n_elements, 24, 24):
         raise ValueError("element matrix array has wrong shape")
     _ASSEMBLY_COUNTS["vector"] += 1
-    A = _vector_scatter(mesh).assemble(elem_mats)
-    if not constrain:
-        return A
-    z3 = Z3(mesh)
-    return sp.csr_matrix(z3.T @ A @ z3)
+    g = _element_gather(mesh, "vector")
+    return galerkin(g, elem_mats, g)
 
 
-def assemble_divergence(mesh: Mesh, elem_B: np.ndarray, constrain: bool = True) -> sp.csr_matrix:
+def assemble_divergence(mesh: Mesh, elem_B: np.ndarray) -> sp.csr_matrix:
     """Assemble (ne, 8, 24) pressure-velocity coupling blocks into the
-    (n_p, 3 n_u) divergence operator."""
+    constrained (n, 3 n) divergence operator."""
     if elem_B.shape != (mesh.n_elements, 8, 24):
         raise ValueError("element matrix array has wrong shape")
     _ASSEMBLY_COUNTS["divergence"] += 1
-    B = _divergence_scatter(mesh).assemble(elem_B)
-    if not constrain:
-        return B
-    return sp.csr_matrix(mesh.Z.T @ B @ Z3(mesh))
+    return galerkin(
+        _element_gather(mesh, "scalar"), elem_B, _element_gather(mesh, "vector")
+    )
 
 
 def assemble_rhs(mesh: Mesh, elem_vecs: np.ndarray, constrain: bool = True) -> np.ndarray:
@@ -186,10 +223,12 @@ def apply_dirichlet(
 ) -> tuple[sp.csr_matrix, np.ndarray | None]:
     """Impose Dirichlet conditions symmetrically.
 
-    Rows and columns of constrained dofs are zeroed (column elimination
+    Rows and columns of constrained dofs are dropped (column elimination
     moves the known values to the rhs), the diagonal is set to 1 and the
-    rhs entries to the prescribed values.  Returns new ``(A, b)``.
+    rhs entries to the prescribed values.  Returns new ``(A, b)``; ``A``
+    is masked entry by entry, with no ``D A D`` product.
     """
+    A = sp.csr_matrix(A)
     dofs = np.asarray(dofs)
     if dofs.dtype == bool:
         dofs = np.flatnonzero(dofs)
@@ -198,10 +237,14 @@ def apply_dirichlet(
     vals[dofs] = values
     if b is not None:
         b = b - A @ vals
-    mask = np.ones(n)
-    mask[dofs] = 0.0
-    D = sp.diags(mask)
-    A = sp.csr_matrix(D @ A @ D + sp.diags(1.0 - mask))
+    free = np.ones(n, dtype=bool)
+    free[dofs] = False
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    keep = free[rows] & free[A.indices]
+    indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    A = sp.csr_matrix((A.data[keep], A.indices[keep], indptr), shape=A.shape)
+    A = A + sp.diags((~free).astype(np.float64), format="csr")
     if b is not None:
         b[dofs] = vals[dofs]
     return A, b

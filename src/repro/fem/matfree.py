@@ -32,10 +32,12 @@ coefficient multiplies are long contiguous runs and the GEMMs are
 Dirichlet masking are folded into a single cached CSR *gather* operator
 per mesh (rows of ``Z``/``Z3`` indexed by the element connectivity,
 Dirichlet columns zeroed) and its transpose for the scatter — two thin
-sparse matvecs per apply instead of ``Z^T A Z`` triple products.  All
-mesh-derived state lives in :func:`repro.mesh.opcache.operator_cache`,
-so it participates in the same structural invalidation and
-``REPRO_SANITIZE=1`` freeze/verify guards as the assembly scatters.
+sparse matvecs per apply instead of ``Z^T A Z`` triple products.  It is
+the same :class:`repro.fem.assembly.Gather` the assembled operators are
+Galerkin products over, in element-minor row order.  All mesh-derived
+state lives in :func:`repro.mesh.opcache.operator_cache`, so it
+participates in the same structural invalidation and
+``REPRO_SANITIZE=1`` freeze/verify guards as the assembly gathers.
 
 The assembled CSR blocks remain available to the parity tests;
 parity between the assembled and the element-kernel apply is pinned to
@@ -51,7 +53,7 @@ from .. import obs
 from ..mangll.tensor import kron3
 from ..mesh import Mesh
 from ..mesh.opcache import operator_cache
-from .assembly import Z3, vector_dofs
+from .assembly import Gather, Z3, gather, vector_dofs
 from .hexops import ElementOps
 
 __all__ = [
@@ -108,23 +110,7 @@ def gauss_matrices() -> tuple[np.ndarray, np.ndarray]:
 # -- cached constraint-folded gathers -------------------------------------------
 
 
-class _Gather:
-    """CSR gather (independent dofs -> element-local values) and its
-    transpose scatter, with hanging-node constraints — and optionally a
-    Dirichlet column mask — folded in."""
-
-    def __init__(self, G: sp.csr_matrix, mask: np.ndarray | None):
-        G.sort_indices()
-        GT = G.T.tocsr()
-        GT.sort_indices()
-        self.G = G
-        self.GT = GT
-        self.mask = mask
-        #: 1 on Dirichlet-constrained dofs (identity rows of the apply)
-        self.imask = None if mask is None else 1.0 - mask
-
-
-def velocity_gather(mesh: Mesh, bc_key, bc_dofs: np.ndarray) -> _Gather:
+def velocity_gather(mesh: Mesh, bc_key, bc_dofs: np.ndarray) -> Gather:
     """Element gather for component-blocked velocity in element-minor
     layout: row ``(8 a + i) ne + e`` of ``G`` is the ``Z3`` row of
     component ``a`` at vertex ``i`` of element ``e``, with constrained
@@ -138,20 +124,18 @@ def velocity_gather(mesh: Mesh, bc_key, bc_dofs: np.ndarray) -> _Gather:
         rows = vd.reshape(ne, 3, 8).transpose(1, 2, 0).ravel()
         mask = np.ones(3 * mesh.n_independent, dtype=np.float64)
         mask[bc_dofs] = 0.0
-        G = sp.csr_matrix(z3[rows] @ sp.diags(mask))
-        return _Gather(G, mask)
+        return gather(z3[rows] @ sp.diags(mask), mask)
 
     return operator_cache(mesh).get(("mf_gather_u", bc_key), build)
 
 
-def scalar_gather(mesh: Mesh) -> _Gather:
+def scalar_gather(mesh: Mesh) -> Gather:
     """Element gather for scalar fields in element-minor layout: row
     ``i ne + e`` of ``G`` is the ``Z`` row of vertex ``i`` of element
     ``e`` (cached per mesh), so ``G @ x`` reshapes to ``(8, ne)``."""
 
     def build():
-        G = sp.csr_matrix(mesh.Z[mesh.element_nodes.T.ravel()])
-        return _Gather(G, None)
+        return gather(mesh.Z[mesh.element_nodes.T.ravel()])
 
     return operator_cache(mesh).get("mf_gather_p", build)
 

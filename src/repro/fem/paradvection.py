@@ -10,7 +10,10 @@ communication pattern that makes the transport solver weakly scalable.
 
 Only what is distributed lives here: the owned-element CSR operator, the
 ``exchange_sum`` inside :meth:`ParAdvectionDiffusion.rate` and the
-``allreduce(min)`` of the CFL bound.  The stabilization parameter, the
+``allreduce(min)`` of the CFL bound.  The operator is the serial
+assembly's Galerkin product (:func:`repro.fem.assembly.galerkin`) over
+the gather of the owned elements alone: hanging-node constraints fold in
+as the product runs, with no COO triple.  The stabilization parameter, the
 Dirichlet mask, the elementwise CFL bound and the Heun step are the
 serial solver's functions (:mod:`repro.fem.advection`,
 :func:`repro.solvers.timestep.heun_step`).
@@ -30,6 +33,7 @@ from .. import obs
 from ..mesh.parmesh import ParMesh
 from ..solvers.timestep import heun_step
 from .advection import cfl_bound, dirichlet_dofs, supg_tau
+from .assembly import galerkin, gather
 from .hexops import ElementOps
 
 __all__ = ["ParAdvectionDiffusion"]
@@ -96,30 +100,12 @@ class ParAdvectionDiffusion:
     # -- owned-element assembly helpers ---------------------------------------
 
     def _assemble_owned(self, elem_mats: np.ndarray):
-        """``Z^T A Z`` of the owned elements' scatter, as one COO -> CSR
-        conversion: an element with eight independent corners scatters
-        straight into dof numbering, and only the elements with a
-        hanging corner go through node numbering and the triple product."""
-        import scipy.sparse as sp
-
+        """``Z^T A Z`` of the owned elements on union-mesh dofs: the
+        Galerkin product over the owned elements' constraint-folded
+        gather (built per operator; the union mesh lives one cycle)."""
         mesh = self.pm.mesh
-        en = mesh.element_nodes[self.pm.owned_elements]
-        dof = mesh.dof_of_node[en].astype(np.int32)
-        free = (dof >= 0).all(axis=1)
-        enh = en[~free]
-        Ah = sp.csr_matrix(
-            (
-                elem_mats[~free].ravel(),
-                (np.repeat(enh, 8, axis=1).ravel(), np.tile(enh, (1, 8)).ravel()),
-            ),
-            shape=(mesh.n_nodes, mesh.n_nodes),
-        )
-        hang = (mesh.Z.T @ Ah @ mesh.Z).tocoo()
-        dof = dof[free]
-        rows = np.concatenate([np.repeat(dof, 8, axis=1).ravel(), hang.row])
-        cols = np.concatenate([np.tile(dof, (1, 8)).ravel(), hang.col])
-        data = np.concatenate([elem_mats[free].ravel(), hang.data])
-        return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_independent,) * 2)
+        g = gather(mesh.Z[mesh.element_nodes[self.pm.owned_elements].ravel()])
+        return galerkin(g, elem_mats, g)
 
     def _rhs_owned(self, elem_vecs: np.ndarray) -> np.ndarray:
         mesh = self.pm.mesh

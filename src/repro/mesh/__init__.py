@@ -8,7 +8,6 @@ the Figure-4 adaptation pipeline.
 from .extract import Mesh, extract_mesh, extract_submesh, node_keys
 from .fields import interpolate_fields
 from .opcache import (
-    CachedScatter,
     MeshOperatorCache,
     cache_disabled,
     cache_stats,
@@ -24,7 +23,6 @@ __all__ = [
     "node_keys",
     "interpolate_fields",
     "MeshOperatorCache",
-    "CachedScatter",
     "operator_cache",
     "cache_disabled",
     "cache_stats",

@@ -2,8 +2,8 @@
 
 The Figure-8 breakdown makes the mantle-convection step >95% Stokes
 solve, and the Stokes solve in turn spends most of its setup rebuilding
-objects that depend only on the *mesh* — scatter index maps, the
-block-diagonal constraint operator ``Z3``, element geometry factors,
+objects that depend only on the *mesh* — the constraint-folded element
+gathers, the block-diagonal constraint operator ``Z3``, element geometry factors,
 boundary dof sets — on every Picard pass and every time step.  Between
 mesh adaptations (every ``adapt_every`` ~ 16 steps) none of these change.
 
@@ -26,12 +26,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-import scipy.sparse as sp
-
 __all__ = [
     "MeshOperatorCache",
-    "CachedScatter",
     "operator_cache",
     "cache_disabled",
     "cache_stats",
@@ -151,52 +147,3 @@ def operator_cache(mesh) -> MeshOperatorCache:
         cache = MeshOperatorCache()
         mesh._opcache = cache
     return cache
-
-
-class CachedScatter:
-    """Precomputed COO -> CSR reduction for a fixed sparsity pattern.
-
-    Element-matrix assembly scatters the same (rows, cols) pattern on
-    every call; only the data changes with the material coefficients.
-    Sorting and duplicate-merging the pattern once and replaying it with
-    ``np.add.reduceat`` removes the dominant per-assembly cost.
-    """
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]):
-        rows = np.asarray(rows).ravel()
-        cols = np.asarray(cols).ravel()
-        order = np.lexsort((cols, rows))
-        r = rows[order]
-        c = cols[order]
-        first = np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])]
-        self.order = order
-        self.starts = np.flatnonzero(first)
-        counts = np.bincount(r[self.starts], minlength=shape[0])
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.indices = c[self.starts].astype(np.int64)
-        self.shape = shape
-        self._token = (
-            _guard().freeze(self._pattern_arrays()) if _sanitizing() else None
-        )
-
-    def _pattern_arrays(self) -> list[np.ndarray]:
-        return [self.order, self.starts, self.indptr, self.indices]
-
-    def assemble(self, data: np.ndarray) -> sp.csr_matrix:
-        """CSR matrix with the cached structure and summed ``data``."""
-        if _sanitizing():
-            if self._token is None:
-                self._token = _guard().freeze(self._pattern_arrays())
-            else:
-                _guard().verify_frozen(
-                    self._pattern_arrays(), self._token, context="CachedScatter pattern"
-                )
-        d = np.add.reduceat(np.asarray(data).ravel()[self.order], self.starts)
-        A = sp.csr_matrix(
-            (d, self.indices, self.indptr), shape=self.shape, copy=False
-        )
-        # the pattern is sorted and duplicate-free by construction; telling
-        # scipy prevents it from ever rewriting the shared index arrays
-        A.has_sorted_indices = True
-        A.has_canonical_format = True
-        return A

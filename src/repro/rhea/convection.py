@@ -292,10 +292,10 @@ class MantleConvection:
 
     def stokes_guess(self, bc_dofs: np.ndarray) -> np.ndarray:
         """MINRES warm start ``[u_x|u_y|u_z|p]`` on independent dofs:
-        the current velocity field (which survives mesh adaptation
-        through the field transfer) and, on an unchanged mesh, the
-        previous pressure solution.  All zeros — a cold start — while
-        the velocity is still zero."""
+        the current velocity field and the previous mean-free pressure
+        solution (both survive mesh adaptation through the field
+        transfer).  All zeros — a cold start — while the velocity is
+        still zero."""
         mesh = self.mesh
         n = mesh.n_independent
         x0 = np.zeros(4 * n)
@@ -366,7 +366,8 @@ class MantleConvection:
 
     def adapt(self, target: int | None = None) -> "AdaptReport":
         """One Figure-4 adaptation pass driven by the combined indicator;
-        transfers temperature and velocity to the new mesh."""
+        transfers temperature, velocity and the pressure warm start to the
+        new mesh."""
         cfg = self.config
         target = target or cfg.target_elements or self.mesh.n_elements
         eta_ind = combined_indicator(
@@ -393,6 +394,8 @@ class MantleConvection:
             "uy": self.u[:, 1],
             "uz": self.u[:, 2],
         }
+        if self._p_prev is not None and self._p_prev_mesh is self.mesh:
+            fields["p"] = self.mesh.expand(self._p_prev)
         new_mesh, new_fields, report = adapt_mesh(
             self.mesh, eta_ind, target, fields,
             min_level=cfg.min_level, max_level=cfg.max_level,
@@ -403,6 +406,10 @@ class MantleConvection:
         self.u = np.stack(
             [new_fields["ux"], new_fields["uy"], new_fields["uz"]], axis=1
         )
+        if "p" in new_fields:
+            p = new_fields["p"][new_mesh.indep_nodes]
+            self._p_prev = p - p.mean()
+            self._p_prev_mesh = new_mesh
         self.eta_elem = np.ones(new_mesh.n_elements)
         self.edot_elem = strain_rate_invariant(new_mesh, self.u)
         return report

@@ -242,8 +242,10 @@ class StackedPoissonLevel:
     ``D_a Z^T K(eta) Z D_a + (I - D_a)`` of
     :func:`repro.fem.stokes.poisson_blocks`, rediscretised on this
     level's mesh, as one block-diagonal CSR matrix ``A`` over the stacked
-    ``(3n,)`` velocity vector.  One ``assemble_scalar`` per build; the
-    unmasked stiffness is dropped as soon as the masked blocks exist.
+    ``(3n,)`` velocity vector.  One ``assemble_scalar`` per build, each
+    component's Dirichlet mask applied entry by entry (no ``D K D``
+    products); the unmasked stiffness is dropped as soon as the masked
+    blocks exist.
     """
 
     def __init__(self, mesh: Mesh, viscosity: np.ndarray, bc_kind: str):

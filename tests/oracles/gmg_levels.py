@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.fem import matfree as mf
+from repro.fem.assembly import gather
 from repro.fem.stokes import velocity_bcs
 from repro.solvers.gmg import coarse_viscosities, mesh_hierarchy, prolongation
 
@@ -28,7 +29,7 @@ class MatFreeScalarPoisson:
         self.n = mesh.n_independent
         G = sp.csr_matrix(mesh.Z[mesh.element_nodes.T.ravel()])
         G.eliminate_zeros()
-        self.g = mf._Gather(G, None)
+        self.g = gather(G)
         self.mask = np.ones(self.n, dtype=np.float64)
         self.mask[bc_dofs] = 0.0
         self.imask = 1.0 - self.mask

@@ -252,20 +252,25 @@ class TestParAmrPipeline:
                 np.testing.assert_array_equal(levels, ref_levels)
 
     #: the element-corner temperature digest follows the summation order
-    #: of the shared-node exchange, so it is recorded per rank count
+    #: of the shared-node exchange, so it is recorded per rank count, and
+    #: that of the transport assembly: ``ORACLE_DIGEST`` is the COO build
+    #: the Galerkin product replaced (``tests/oracles/assembly.py``)
     PINNED_DIGEST = {
+        1: "fb987ef72389341b86ad33051d39b568",
+        2: "0c931ed487362eb17d81bfbb66bd4a27",
+        3: "af4e1a25ffac166d47262bad8bb05ef9",
+    }
+    ORACLE_DIGEST = {
         1: "ad8f4770329104376f375b55ad6bb96c",
         2: "9dd520102a3a1e2c4f7fea973b49035f",
         3: "f59d8d56b9c3676ca0ffe4c5686f9655",
     }
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_pinned_cycles(self, p):
-        """Three cycles of the benchmark's front at its smoke size give the
-        values recorded before the distributed octree became the one-tree
-        ``ParForest``: global leaf count, level histogram, dof count and
-        the digest of the element-corner temperature in global curve
-        order."""
+    @staticmethod
+    def front_cycles(p):
+        """Three cycles of the benchmark's front at its smoke size:
+        ``(global leaves, level histogram, global dofs, element-corner
+        temperature in global curve order)``."""
         workload = RotatingFrontWorkload(velocity=rotating_velocity(scale=3.0))
 
         def kernel(comm):
@@ -276,14 +281,44 @@ class TestParAmrPipeline:
             pm = pipe.pm
             corner = pm.mesh.expand(pipe.T)[pm.mesh.element_nodes[pm.owned_elements]]
             parts = comm.gather(corner, root=0)
-            digest = parts and hashlib.blake2b(
-                np.concatenate(parts).tobytes(), digest_size=16
-            ).hexdigest()
-            return pipe.pt.global_count(), stats.level_histogram, pm.n_global, digest
+            return (
+                pipe.pt.global_count(),
+                stats.level_histogram,
+                pm.n_global,
+                parts and np.concatenate(parts),
+            )
 
-        n, hist, n_global, digest = run_spmd(p, kernel)[0]
+        return run_spmd(p, kernel)[0]
+
+    @staticmethod
+    def digest(corner) -> str:
+        return hashlib.blake2b(corner.tobytes(), digest_size=16).hexdigest()
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_pinned_cycles(self, p):
+        """The front's global leaf count, level histogram and dof count
+        recorded before the distributed octree became the one-tree
+        ``ParForest``, and the digest of the element-corner temperature."""
+        n, hist, n_global, corner = self.front_cycles(p)
         assert (n, hist, n_global) == (1506, {3: 372, 4: 1118, 5: 16}, 1487)
-        assert digest == self.PINNED_DIGEST[p]
+        assert self.digest(corner) == self.PINNED_DIGEST[p]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_pinned_digest_moved_by_roundoff_only(self, p, monkeypatch):
+        """With the transport operator assembled by the COO build, the
+        pipeline gives the digest pinned before the Galerkin product, and
+        every corner temperature agrees with today's to 1e-12 relative."""
+        from .oracles.assembly import assemble_owned_split
+
+        corner = self.front_cycles(p)[3]
+        monkeypatch.setattr(
+            ParAdvectionDiffusion,
+            "_assemble_owned",
+            lambda eq, elem: assemble_owned_split(eq.pm, elem),
+        )
+        want = self.front_cycles(p)[3]
+        assert self.digest(want) == self.ORACLE_DIGEST[p]
+        assert np.all(np.abs(corner - want) <= 1e-12 * np.abs(want))
 
     def test_front_drives_refinement(self):
         def kernel(comm):

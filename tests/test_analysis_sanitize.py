@@ -3,7 +3,7 @@
 Covers the CheckedComm collective-divergence detector (structured
 mismatch reports instead of deadlocks), the seeded delivery fuzzer,
 the freeze/verify cache-mutation guards, and their wiring into
-opcache / CachedScatter / LaggedStokesPreconditioner under
+opcache (the element gathers included) / LaggedStokesPreconditioner under
 REPRO_SANITIZE=1.
 """
 
@@ -294,18 +294,19 @@ class TestOpcacheGuard:
         mesh.element_sizes()  # no guard without REPRO_SANITIZE
 
 
-class TestCachedScatterGuard:
-    def test_pattern_mutation_detected(self, monkeypatch):
-        from repro.mesh.opcache import CachedScatter
+class TestGatherGuard:
+    def test_gather_mutation_detected(self, monkeypatch):
+        from repro.fem import assemble_scalar
+        from repro.fem.hexops import ElementOps
 
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        rows = np.array([0, 1, 1, 2])
-        cols = np.array([0, 0, 1, 2])
-        scatter = CachedScatter(rows, cols, (3, 3))
-        scatter.assemble(np.ones(4))  # clean replay
-        scatter.indices[0] = 2  # corrupt the frozen sparsity pattern
-        with pytest.raises(CacheMutationError, match="CachedScatter"):
-            scatter.assemble(np.ones(4))
+        mesh = _mesh()
+        elem = ElementOps().mass(mesh.element_sizes())
+        assemble_scalar(mesh, elem)  # builds and fingerprints the gather
+        assemble_scalar(mesh, elem)  # clean replay
+        operator_cache(mesh).store[("gather", "scalar")].GT.indices[0] += 1
+        with pytest.raises(CacheMutationError, match="gather"):
+            assemble_scalar(mesh, elem)
 
 
 class TestLaggedPrecGuard:

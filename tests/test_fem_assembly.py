@@ -1,13 +1,24 @@
-"""Assembly + Poisson patch/convergence tests on adapted meshes."""
+"""Assembly + Poisson patch/convergence tests on adapted meshes, and the
+Galerkin product against the COO path it replaced."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.fem import apply_dirichlet, assemble_rhs, assemble_scalar, lumped_mass
+from repro.fem import (
+    apply_dirichlet,
+    assemble_divergence,
+    assemble_rhs,
+    assemble_scalar,
+    assemble_vector,
+    lumped_mass,
+)
 from repro.fem.hexops import ElementOps
 from repro.mesh import extract_mesh
 from repro.octree import LinearOctree, balance
+
+from .oracles.assembly import coo_divergence, coo_scalar, coo_vector
 
 OPS = ElementOps()
 
@@ -137,3 +148,109 @@ class TestDirichletHelper:
         mask[3] = True
         K2, _ = apply_dirichlet(K, None, mask)
         assert K2[3, 3] == 1.0
+
+
+# -- the Galerkin product against the COO path it replaced -----------------------
+
+
+def hanging_mesh(domain=(1.0, 1.0, 1.0)):
+    """A corner-balanced mesh with edge and face hanging nodes."""
+    from .test_incremental_cycle import hanging_kinds
+    from .test_octree_balance import center_refined_tree
+
+    mesh = extract_mesh(balance(center_refined_tree(3), "corner").tree, domain)
+    assert hanging_kinds(mesh) == {2, 4}
+    return mesh
+
+
+def assert_same_operator(got, want, rtol=1e-14):
+    """``got`` is canonical CSR (sorted indices, no duplicates, no
+    explicit zeros), its entries are within ``rtol`` of ``want``'s,
+    relative to the largest entry of their row (an entry can be a
+    cancelling sum of larger ones), and both have the same pattern once
+    entries below that bound are dropped: a sum that is zero in exact
+    arithmetic comes out as 0 or as roundoff depending on the order."""
+    want = sp.csr_matrix(want)
+    want.sum_duplicates()
+    assert got.shape == want.shape
+    assert got.has_canonical_format and np.all(got.data != 0)
+    bound = rtol * abs(want).max(axis=1).toarray()
+    assert np.all(abs(got - want).toarray() <= bound)
+
+    def pattern(A):
+        A = sp.csr_matrix(A.multiply(abs(A).toarray() > bound))
+        A.eliminate_zeros()
+        A.sort_indices()
+        return A.indptr, A.indices
+
+    for g, w in zip(pattern(got), pattern(want)):
+        np.testing.assert_array_equal(g, w)
+
+
+class TestGalerkinParity:
+    """``G^T blkdiag(A_e) G`` == the COO scatter + ``Z^T A Z`` of
+    ``tests/oracles/assembly.py`` on a mesh with edge and face hanging
+    nodes."""
+
+    @pytest.mark.parametrize("constrain", [True, False])
+    def test_scalar(self, constrain):
+        mesh = hanging_mesh((2.0, 1.0, 0.5))
+        rng = np.random.default_rng(0)
+        eta = 10.0 ** rng.uniform(-3, 3, mesh.n_elements)
+        sizes = mesh.element_sizes()
+        for elem in [
+            rng.standard_normal((mesh.n_elements, 8, 8)),
+            OPS.stiffness(sizes, eta),
+            OPS.mass(sizes),
+        ]:
+            got = assemble_scalar(mesh, elem, constrain=constrain)
+            want = coo_scalar(mesh, elem, constrain=constrain)
+            want.eliminate_zeros()
+            assert got.nnz == want.nnz
+            assert_same_operator(got, want)
+
+    def test_vector(self):
+        mesh = hanging_mesh()
+        rng = np.random.default_rng(1)
+        eta = 10.0 ** rng.uniform(-3, 3, mesh.n_elements)
+        for elem in [
+            rng.standard_normal((mesh.n_elements, 24, 24)),
+            OPS.strain_stiffness(mesh.element_sizes(), eta),
+        ]:
+            got, want = assemble_vector(mesh, elem), coo_vector(mesh, elem)
+            assert got.nnz == want.nnz
+            assert_same_operator(got, want)
+
+    def test_divergence(self):
+        mesh = hanging_mesh()
+        rng = np.random.default_rng(2)
+        for elem in [
+            rng.standard_normal((mesh.n_elements, 8, 24)),
+            OPS.divergence(mesh.element_sizes()),
+        ]:
+            assert_same_operator(
+                assemble_divergence(mesh, elem), coo_divergence(mesh, elem)
+            )
+
+    @pytest.mark.parametrize("bc", ["free_slip", "no_slip"])
+    def test_gmg_level(self, bc):
+        """The stacked level operator masks each component's Dirichlet
+        dofs entry by entry; the oracle multiplies ``D K D``."""
+        from repro.solvers.gmg import StackedPoissonLevel, _block_diag_csr
+
+        from .oracles.assembly import poisson_blocks_dkd
+
+        mesh = hanging_mesh()
+        eta = 10.0 ** np.random.default_rng(3).uniform(-3, 3, mesh.n_elements)
+        got = StackedPoissonLevel(mesh, eta, bc).A
+        want = _block_diag_csr(poisson_blocks_dkd(mesh, eta, bc))
+        assert got.nnz == want.nnz
+        assert_same_operator(got, want)
+
+    def test_dirichlet_without_diagonal(self):
+        """A constrained dof whose diagonal is not stored still gets its
+        unit row."""
+        A = sp.csr_matrix(np.array([[0.0, 2.0], [3.0, 4.0]]))
+        A2, b2 = apply_dirichlet(A, np.array([1.0, 1.0]), np.array([0]), 5.0)
+        np.testing.assert_array_equal(A2.toarray(), [[1.0, 0.0], [0.0, 4.0]])
+        np.testing.assert_array_equal(b2, [5.0, -14.0])

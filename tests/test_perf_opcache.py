@@ -1,12 +1,12 @@
-"""Tests for the setup-amortization layer: operator cache, cached
-scatter assembly, lagged preconditioner and warm starts."""
+"""Tests for the setup-amortization layer: operator cache, assembly
+through the cached element gather, lagged preconditioner and warm
+starts."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from repro.fem import assemble_scalar
 from repro.mesh.opcache import (
-    CachedScatter,
     cache_disabled,
     cache_stats,
     operator_cache,
@@ -16,38 +16,39 @@ from repro.octree import LinearOctree
 from repro.rhea import MantleConvection, RheaConfig
 
 
-class TestCachedScatter:
+class TestElementGather:
+    """Assembly replays the mesh's cached element gather; only the
+    element matrices change between calls."""
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_coo_assembly(self, seed):
-        rng = np.random.default_rng(seed)
-        m, n = 40, 35
-        nnz = 500
-        rows = rng.integers(0, m, nnz)
-        cols = rng.integers(0, n, nnz)
-        scatter = CachedScatter(rows, cols, (m, n))
-        for _ in range(3):
-            data = rng.standard_normal(nnz)
-            A = scatter.assemble(data)
-            B = sp.coo_matrix((data, (rows, cols)), shape=(m, n)).tocsr()
-            B.sum_duplicates()
-            B.sort_indices()
-            assert np.array_equal(A.indptr, B.indptr)
-            assert np.array_equal(A.indices, B.indices)
-            np.testing.assert_allclose(A.data, B.data, rtol=1e-15)
+        from .oracles.assembly import coo_scalar
+        from .test_fem_assembly import adapted_mesh, assert_same_operator
 
-    def test_replay_does_not_mutate_pattern(self):
-        rng = np.random.default_rng(2)
-        rows = rng.integers(0, 10, 60)
-        cols = rng.integers(0, 10, 60)
-        scatter = CachedScatter(rows, cols, (10, 10))
-        A1 = scatter.assemble(np.ones(60))
-        idx = scatter.indices.copy()
-        # operations that would normally canonicalize in place
-        _ = A1 @ np.ones(10)
+        rng = np.random.default_rng(seed)
+        mesh = adapted_mesh(seed)
+        for _ in range(3):
+            elem = rng.standard_normal((mesh.n_elements, 8, 8))
+            assert_same_operator(assemble_scalar(mesh, elem), coo_scalar(mesh, elem))
+        assert operator_cache(mesh).misses == 1  # one gather, two replays
+
+    def test_assembly_does_not_mutate_gather(self):
+        from .test_fem_assembly import adapted_mesh
+
+        mesh = adapted_mesh(2)
+        elem = np.random.default_rng(2).standard_normal((mesh.n_elements, 8, 8))
+        A1 = assemble_scalar(mesh, elem)
+        g = operator_cache(mesh).store[("gather", "scalar")]
+        before = [a.copy() for m in (g.G, g.GT) for a in (m.data, m.indices, m.indptr)]
+        # operations that would normally canonicalize or write in place
+        _ = A1 @ np.ones(mesh.n_independent)
         _ = A1.T @ A1
-        A2 = scatter.assemble(np.ones(60))
-        assert np.array_equal(scatter.indices, idx)
-        assert np.array_equal(A1.toarray(), A2.toarray())
+        A1.data[:] = 0.0
+        A2 = assemble_scalar(mesh, elem)
+        after = [a for m in (g.G, g.GT) for a in (m.data, m.indices, m.indptr)]
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+        assert np.array_equal(A2.toarray(), assemble_scalar(mesh, elem).toarray())
+        assert np.abs(A2).sum() > 0
 
 
 def _mini_config(**kw):

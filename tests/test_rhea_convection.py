@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mesh import interpolate_fields
 from repro.rhea import (
     MantleConvection,
     RheaConfig,
@@ -140,6 +141,24 @@ class TestAdaptation:
         near = np.abs(centers[:, 2] - 0.5) < 0.15
         far = np.abs(centers[:, 2] - 0.5) > 0.3
         assert levels[near].astype(float).mean() > levels[far].astype(float).mean()
+
+    def test_adapt_carries_the_pressure_warm_start(self):
+        """The first MINRES of the next cycle starts from the transferred,
+        mean-free pressure, not from zero."""
+        sim = MantleConvection(small_config())
+        sim.solve_stokes()
+        p_old = sim.mesh.expand(sim._p_prev)
+        old_mesh = sim.mesh
+        sim.adapt(target=150)
+        assert sim.mesh is not old_mesh and sim._p_prev_mesh is sim.mesh
+        n = sim.mesh.n_independent
+        p0 = sim.stokes_guess(np.zeros(0, dtype=np.int64))[3 * n :]
+        assert np.abs(p0).max() > 0
+        assert abs(p0.mean()) <= 1e-14 * np.abs(p0).max()
+        np.testing.assert_array_equal(p0, sim._p_prev)
+        # the old pressure field, interpolated at the new nodes, mean removed
+        want = interpolate_fields(old_mesh, p_old, sim.mesh)[sim.mesh.indep_nodes]
+        np.testing.assert_allclose(p0, want - want.mean(), rtol=0, atol=1e-14)
 
 
 class TestRunLoop:

@@ -10,12 +10,17 @@
 - the constraint operator's invariants on the same meshes: rows of ``Z``
   sum to one, no column of ``Z`` is a hanging node, trilinear fields pass
   through ``Mesh.expand`` exactly;
-- ``ParAdvectionDiffusion._assemble_owned`` (hanging-free elements
-  straight into dof numbering, one COO -> CSR) == ``Z^T A Z`` of the
-  node-numbered scatter (``tests/oracles/assembly.py``);
+- ``ParAdvectionDiffusion._assemble_owned`` (the Galerkin product over
+  the owned elements' constraint-folded gather) == the COO paths it
+  replaced (``tests/oracles/assembly.py``): hanging-free elements
+  straight into dof numbering, and ``Z^T A Z`` of the node-numbered
+  scatter; same pattern, entries within 1e-14 of their row's largest;
+- the build holds no COO triple: its allocation peak stays within 3x
+  the element matrices plus the operator;
 - ``advection/build`` and ``amr/extract_mesh`` report their sub-phases.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.amr import ParAmrPipeline
+from repro.amr import ParAmrPipeline, RotatingFrontWorkload
 from repro.amr.pardriver import rotating_velocity
 from repro.fem import ParAdvectionDiffusion
 from repro.fem.hexops import ElementOps
@@ -34,11 +39,12 @@ from repro.mesh.parmesh import extract_parmesh
 from repro.octree import ROOT_LEN, LinearOctree, balance, new_tree
 from repro.parallel import run_spmd
 
-from .oracles.assembly import assemble_owned_nodal
+from .oracles.assembly import assemble_owned_nodal, assemble_owned_split
 from .oracles.constraints import find_hanging_full
 from .oracles.supg import supg_operator_termwise
 from .test_forest_recursive import build_ptree
 from .test_incremental_cycle import hanging_kinds
+from .test_fem_assembly import assert_same_operator
 from .test_mesh_extract import refined_tree
 
 OPS = ElementOps()
@@ -146,17 +152,20 @@ class TestHangingSearch:
 
 
 def check_assembly(pm, seed=0):
-    """``_assemble_owned`` == ``Z^T A Z`` of the nodal scatter, for random
-    element matrices and for the operator the solver steps with; returns
-    the owned element count and how many of them have a hanging corner."""
+    """``_assemble_owned`` == the free/hanging split COO and ``Z^T A Z`` of
+    the nodal scatter, for random element matrices and for the operator
+    the solver steps with; returns the owned element count and how many
+    of them have a hanging corner."""
     eq = ParAdvectionDiffusion(pm, 1e-3, rotating_velocity())
     n = pm.n_owned_elements
     supg = OPS.supg_operator(eq._owned_sizes, eq._owned_vel, eq.kappa, eq.tau)
     random = np.random.default_rng(seed).standard_normal((n, 8, 8))
     for got, elem in [(eq._assemble_owned(random), random), (eq.A, supg)]:
-        want = assemble_owned_nodal(pm, elem)
-        assert got.shape == want.shape and got.has_canonical_format
-        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+        want = assemble_owned_split(pm, elem)
+        want.eliminate_zeros()
+        assert got.nnz == want.nnz
+        assert_same_operator(got, want)
+        assert_same_operator(got, assemble_owned_nodal(pm, elem))
     en = pm.mesh.element_nodes[pm.owned_elements]
     return n, int(pm.mesh.hanging[en].any(axis=1).sum())
 
@@ -188,6 +197,32 @@ class TestAssembleOwned:
 
         ((n_owned, n_hanging),) = run_spmd(1, kernel)
         assert n_owned == n_hanging > 0
+
+
+class TestBuildMemory:
+    def test_peak_within_three_times_element_matrices_plus_operator(self):
+        """On a 6 028-element front mesh the allocation peak of the
+        transport build is 2.4x the bytes of its element matrices plus its
+        CSR operator; the COO build it replaced peaked at 3.4x."""
+        workload = RotatingFrontWorkload(velocity=rotating_velocity(scale=3.0))
+
+        def kernel(comm):
+            pipe = ParAmrPipeline(comm, workload=workload, coarse_level=2, max_level=6)
+            for _ in range(4):
+                pipe.adapt(6000)
+            tracemalloc.start()
+            try:
+                eq = ParAdvectionDiffusion(pipe.pm, workload.kappa, workload.velocity)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            elem = 8 * 64 * pipe.pm.n_owned_elements
+            A = eq.A
+            return pipe.pm, peak / (elem + A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+        ((pm, ratio),) = run_spmd(1, kernel)
+        assert pm.n_owned_elements > 5000 and pm.mesh.hanging.any()
+        assert ratio <= 3.0
 
 
 class TestSubPhases:
