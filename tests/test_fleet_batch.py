@@ -1,6 +1,7 @@
 """Tests for batched MINRES and lockstep batched-vs-serial parity."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -397,6 +398,42 @@ class TestBatchedSerialParity:
         assert stats[0]["minres_iterations"] == 4 * stats[0]["picard_iterations"]
         assert not stats[0]["converged"]
         assert stats[1]["converged"] and stats[1]["minres_iterations"] > 8
+
+    #: ``(MINRES iterations, Picard passes, blake2b of sim.u)`` of one
+    #: Stokes solve of two strongly yielding tenants, Picard budgets 8
+    #: (exits on ``du < picard_tol`` at pass 4) and 3 (runs out), batched
+    #: together and each run on its own.  Recorded on a 2-core Intel Xeon
+    #: (numpy 2.4.6, OpenBLAS 0.3.31)
+    MULTI_PASS_BATCHED = [
+        (193, 4, "737fec4f7e9034252f81530abc2a813f"),
+        (167, 3, "949d198ff893765980bddb9ba7881df8"),
+    ]
+    MULTI_PASS_SERIAL = [
+        (139, 4, "78058491551d161da4d395713eb94c93"),
+        (126, 3, "05d1b1c2aa42ab92167384148ab0c10c"),
+    ]
+
+    def test_picard_multi_pass_pinned(self):
+        """Per-column Picard budgets past two passes, both exits, bit for
+        bit, batched and serial."""
+        specs = [
+            ScenarioSpec(job_id=f"budget{b}", viscosity_law="yielding",
+                         yield_stress=1.0, Ra=1e5, initial_level=3,
+                         max_level=3, cycles=1, picard_iterations=b)
+            for b in (8, 3)
+        ]
+
+        def pin(stats, sim):
+            digest = hashlib.blake2b(sim.u.tobytes(), digest_size=16).hexdigest()
+            return stats["minres_iterations"], stats["picard_iterations"], digest
+
+        svc = FleetService()
+        sims = [svc.admit(s).sim for s in specs]
+        stats = BatchGroup(sims).solve_stokes()
+        assert [pin(st, s) for st, s in zip(stats, sims)] == self.MULTI_PASS_BATCHED
+        solos = [MantleConvection(s.to_config(), s.t_init()) for s in specs]
+        got = [pin(solo.solve_stokes(), solo) for solo in solos]
+        assert got == self.MULTI_PASS_SERIAL
 
     def test_counters_count_once(self):
         """The recurrence emits the solver telemetry, the drivers do not
