@@ -8,23 +8,23 @@ axis of the element-minor matrix-free kernels
 gather/geometry traffic over all tenants — the per-scenario work
 collapses from ``B`` skinny matvecs into one wide one.
 
-No algorithm is defined here: the Krylov recurrence is
+No algorithm is defined here: the Picard iteration is
+:func:`repro.rhea.convection.picard` (the serial driver is its
+one-column case), the Krylov recurrence is
 :func:`repro.solvers.minres.batched_minres` (serial ``minres`` is its
-one-column case), the explicit SUPG step is
-:class:`repro.fem.advection.AdvectionDiffusion` on ``(n, nb)`` fields,
-and a solution enters a tenant's state through the
-:class:`~repro.rhea.convection.MantleConvection` methods the serial
-Picard loop calls.  :class:`BatchGroup` owns the fleet's part: column
-packing, per-tenant budgets (Picard passes, MINRES cap, step counts)
-enforced through masks, and the shared preconditioner.
+one-column case), and the explicit SUPG step is
+:class:`repro.fem.advection.AdvectionDiffusion` on ``(n, nb)`` fields.
+:class:`BatchGroup` owns the fleet's part: column packing, the per-law
+hierarchies with their Jacobi congruence, the compaction factory, and
+per-tenant step counts enforced through a mask.
 
 Per-scenario physics stays exact: viscosity and Rayleigh number enter as
 batched channel scalings, and the recurrence carries an *active mask*
-per column, so a tenant that converges (or whose Picard budget is
-spent) drops out by having its rhs and iterate columns zeroed — MINRES
-sees a converged zero system and leaves the column bitwise untouched
-while the rest keep iterating.  Under ``REPRO_SANITIZE=1`` that freeze
-is fingerprint-verified at unpack.
+per column, so a tenant whose Picard loop is done drops out by having
+its rhs and iterate columns zeroed — MINRES sees a converged zero system
+and leaves the column bitwise untouched while the rest keep iterating.
+Under ``REPRO_SANITIZE=1`` the Picard loop fingerprint-verifies that
+freeze.
 
 The block preconditioner generalizes ``K(c eta) = c K(eta)``: each
 job's Poisson block is approximated by the Jacobi congruence
@@ -41,8 +41,9 @@ all its tenants and velocity components at once.  The diagonals never
 need assembly: corner diagonals of a trilinear hex stiffness are equal,
 so ``diag K(eta) ~ Z^T scatter(eta_e g_e)`` up to a constant that
 cancels in the ratio.  The level matrices are rebuilt at the first
-Picard pass of each cycle and grouped by configuration (the law's
-type), never by state — a deterministic schedule, so a preempt/resume
+Picard pass of each cycle (the first call of that cycle's
+:class:`_LawSolve`) and grouped by configuration (the law's type), never
+by state — a deterministic schedule, so a preempt/resume
 at a cycle boundary reproduces the uninterrupted run.  (The serial
 driver's policy — a drift-lagged GMG hierarchy on the tenant's own
 viscosity — is a different decision, not a twin of this one; see
@@ -68,8 +69,7 @@ from ..fem.matfree import (
 )
 from ..fem.stokes import velocity_bcs
 from ..mesh.opcache import operator_cache
-from ..rhea.convection import THERMAL_BCS, StepDiagnostics
-from ..rhea.viscosity import element_temperature, strain_rate_invariant
+from ..rhea.convection import THERMAL_BCS, StepDiagnostics, picard
 from ..solvers.gmg import GeometricMultigrid
 from ..solvers.minres import BatchedMinresResult, batched_minres
 
@@ -92,6 +92,99 @@ def _poisson_diag(mesh, eta_b: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     w = (eta_b * g[None, :]).T  # (ne, nb)
     return scalar_gather(mesh).GT @ np.tile(w, (8, 1))
+
+
+class _LawSolve:
+    """The fleet's ``solve`` for :func:`~repro.rhea.convection.picard`:
+    one batched MINRES per pass over the law-packed columns.  One object
+    serves one cycle: its first call builds the per-law hierarchies, the
+    rhs and the wide operator, later calls only rebind the viscosity — a
+    state-independent schedule, so resume-after-preempt reproduces the
+    uninterrupted preconditioner sequence."""
+
+    def __init__(self, mesh, sims: list, bounds: np.ndarray):
+        self.mesh, self.sims, self.bounds = mesh, sims, bounds
+        self.bc_kind = sims[0].config.velocity_bc
+        self.bc = velocity_bcs(mesh, self.bc_kind)
+        self.tol = np.array([s.config.stokes_tol for s in sims])
+        self.maxiter = np.array([s.config.stokes_maxiter for s in sims])
+        self.op = None
+
+    def _first_pass(self, eta_b: np.ndarray) -> None:
+        # one hierarchy per law, on the geometric mean of its columns'
+        # viscosity; each pass's congruence absorbs per-job deviations
+        mesh, bounds, n = self.mesh, self.bounds, self.mesh.n_independent
+        sizes = mesh.element_sizes()
+        spans = zip(bounds, bounds[1:])
+        eta_ref = np.exp(
+            [np.log(eta_b[lo:hi]).mean(axis=0) for lo, hi in spans]
+        )  # (n_laws, ne)
+        with obs.phase("prec_setup"):
+            self.gmgs = [GeometricMultigrid(mesh, e, self.bc_kind) for e in eta_ref]
+        self.g_elem = np.prod(sizes, axis=1) ** (1.0 / 3.0)
+        self.D_ref = np.repeat(
+            _poisson_diag(mesh, eta_ref, self.g_elem), np.diff(bounds), axis=1
+        )  # each column's law reference, (n, nb)
+        M_node = operator_cache(mesh).get(
+            "node_mass",
+            lambda: assemble_scalar(mesh, _OPS.mass(sizes), constrain=False),
+        )
+        self.F = np.zeros((4 * n, len(self.sims)))
+        for j, s in enumerate(self.sims):  # lint: allow-loop (per-job rhs pack, O(B))
+            self.F[2 * n : 3 * n, j] = mesh.Z.T @ (M_node @ (s.config.Ra * s.T))
+        self.F[self.bc.dofs] = 0.0
+        self.op = MatFreeStokesOperator(mesh, eta_b, self.bc_kind, self.bc.dofs)
+
+    def __call__(self, etas, guess, active):
+        mesh, bounds, n = self.mesh, self.bounds, self.mesh.n_independent
+        eta_b = np.stack(etas)
+        if self.op is None:
+            self._first_pass(eta_b)
+        else:
+            self.op.update_viscosity(eta_b)
+        # per-column congruence K_j ~= T_j K_ref T_j around its law's
+        # hierarchy: S = 1/T = sqrt(D_ref / D_j) applied on both sides
+        # of the vcycle keeps the prec SPD while tracking each job's
+        # local viscosity field, not just its overall scale
+        S = np.sqrt(self.D_ref / _poisson_diag(mesh, eta_b, self.g_elem))
+        schur = batched_lumped_scalar_mass(mesh, 1.0 / eta_b)
+
+        def make_prec(cols):
+            # `cols` is sorted (compaction keeps survivors in order),
+            # so each law's columns are one contiguous slice of the
+            # working block; the stacked-block scalings of each slice
+            # are built here, once per pass and per compaction
+            cuts = np.searchsorted(cols, bounds)
+            blocks = [
+                (slice(a, b), gmg, np.tile(S[:, cols[a:b]], (3, 1)))
+                for a, b, gmg in zip(cuts, cuts[1:], self.gmgs)
+                if b > a
+            ]
+            schur_sub = schur[:, cols]
+
+            def apply_M(R):
+                Z = np.empty_like(R)
+                for c, gmg, S3 in blocks:  # lint: allow-loop (one V-cycle per viscosity law)
+                    Z[: 3 * n, c] = gmg.vcycle(R[: 3 * n, c] * S3) * S3
+                Z[3 * n :] = R[3 * n :] / schur_sub
+                return Z
+
+            return apply_M
+
+        def factory(cols):
+            # compaction: rebuild the wide operator and the congruence
+            # scalings on the surviving scenario columns only
+            sub = MatFreeStokesOperator(mesh, eta_b[cols], self.bc_kind, self.bc.dofs)
+            return sub.apply, make_prec(cols)
+
+        F = self.F.copy()
+        F[:, ~active] = 0.0  # an inactive column converges untouched at 0
+        res = batched_minres(
+            self.op.apply, F, M=make_prec(np.arange(len(etas))),
+            X0=guess(self.bc.dofs), tol=self.tol, maxiter=self.maxiter,
+            factory=factory,
+        )
+        return res.X, res.iterations, res.converged
 
 
 class BatchGroup:
@@ -155,152 +248,12 @@ class BatchGroup:
     # -- Stokes ---------------------------------------------------------
 
     def solve_stokes(self) -> list[dict]:
-        """Batched Picard iteration: one wide MINRES per pass.
-
-        The serial :meth:`MantleConvection.solve_stokes` per column —
-        viscosity re-evaluation, warm start, solution hand-off, relative
-        velocity-increment convergence test — with per-job ``picard_tol``
-        / ``picard_iterations`` / ``stokes_tol`` / ``stokes_maxiter``
-        budgets enforced through the active mask.  Returns one
-        serial-shaped stats dict per job, in the caller's order.
-        """
-        mesh, order, bounds = self.mesh, self._order, self._bounds
-        sims = [self.sims[j] for j in order]  # packed law by law
-        nb, n = self.nb, mesh.n_independent
-        cache = operator_cache(mesh)
-        sizes = mesh.element_sizes()
-        cfg0 = sims[0].config
-        bc_kind = cfg0.velocity_bc
-        z_e = mesh.element_centers()[:, 2] / cfg0.domain[2]
-        T_e = [element_temperature(mesh, s.T) for s in sims]
-        picard_budget = np.array(
-            [max(s.config.picard_iterations, 1) for s in sims]
-        )
-        picard_tol = np.array([s.config.picard_tol for s in sims])
-        stokes_tol = np.array([s.config.stokes_tol for s in sims])
-        stokes_maxiter = np.array([s.config.stokes_maxiter for s in sims])
-        M_node = cache.get(
-            "node_mass",
-            lambda: assemble_scalar(mesh, _OPS.mass(sizes), constrain=False),
-        )
-
-        total_minres = np.zeros(nb, dtype=np.int64)
-        n_picard = np.zeros(nb, dtype=np.int64)
-        last_converged = np.ones(nb, dtype=bool)
-        active = np.ones(nb, dtype=bool)
-        eta_b = np.ones((nb, mesh.n_elements))
-        op = gmgs = F = None
-        bc = velocity_bcs(mesh, bc_kind)
-        zero_token = maybe_freeze(np.zeros(4 * n))
-        for k in range(int(picard_budget.max())):  # lint: allow-loop (Picard)
-            for j, s in enumerate(sims):  # lint: allow-loop (per-job viscosity, O(B))
-                if not active[j]:
-                    continue
-                edot = strain_rate_invariant(mesh, s.u)
-                eta = s.config.viscosity(T_e[j], z_e, edot)
-                s.eta_elem = eta
-                s.edot_elem = edot
-                eta_b[j] = eta
-            n_picard[active] = k + 1
-            if k == 0:
-                # GMG level matrices rebuilt at each cycle's first pass
-                # only: a fixed, state-independent schedule, so
-                # resume-after-preempt reproduces the uninterrupted
-                # preconditioner sequence.  One hierarchy per viscosity
-                # law, on the geometric-mean viscosity of that law's
-                # columns; per-job deviations are absorbed by the Jacobi
-                # congruence correction below.
-                spans = zip(bounds, bounds[1:])
-                eta_ref = np.exp(
-                    [np.log(eta_b[lo:hi]).mean(axis=0) for lo, hi in spans]
-                )  # (n_laws, ne)
-                with obs.phase("prec_setup"):
-                    gmgs = [GeometricMultigrid(mesh, e, bc_kind) for e in eta_ref]
-                g_elem = np.prod(sizes, axis=1) ** (1.0 / 3.0)
-                D_ref = np.repeat(
-                    _poisson_diag(mesh, eta_ref, g_elem), np.diff(bounds), axis=1
-                )  # each column's law reference, (n, nb)
-                F = np.zeros((4 * n, nb))
-                for j, s in enumerate(sims):  # lint: allow-loop (per-job rhs pack, O(B))
-                    F[2 * n : 3 * n, j] = mesh.Z.T @ (
-                        M_node @ (s.config.Ra * s.T)
-                    )
-                F[bc.dofs] = 0.0
-                op = MatFreeStokesOperator(mesh, eta_b, bc_kind, bc.dofs)
-            else:
-                op.update_viscosity(eta_b)
-            # per-column congruence K_j ~= T_j K_ref T_j around its law's
-            # hierarchy: S = 1/T = sqrt(D_ref / D_j) applied on both sides
-            # of the vcycle keeps the prec SPD while tracking each job's
-            # local viscosity field, not just its overall scale
-            S = np.sqrt(D_ref / _poisson_diag(mesh, eta_b, g_elem))
-            schur = batched_lumped_scalar_mass(mesh, 1.0 / eta_b)
-
-            def make_prec(cols, S=S, schur=schur, gmgs=gmgs):
-                # `cols` is sorted (compaction keeps survivors in order),
-                # so each law's columns are one contiguous slice of the
-                # working block; the stacked-block scalings of each slice
-                # are built here, once per pass and per compaction
-                cuts = np.searchsorted(cols, bounds)
-                blocks = [
-                    (slice(a, b), gmg, np.tile(S[:, cols[a:b]], (3, 1)))
-                    for a, b, gmg in zip(cuts, cuts[1:], gmgs)
-                    if b > a
-                ]
-                schur_sub = schur[:, cols]
-
-                def apply_M(R):
-                    Z = np.empty_like(R)
-                    for c, gmg, S3 in blocks:  # lint: allow-loop (one V-cycle per viscosity law)
-                        Z[: 3 * n, c] = gmg.vcycle(R[: 3 * n, c] * S3) * S3
-                    Z[3 * n :] = R[3 * n :] / schur_sub
-                    return Z
-
-                return apply_M
-
-            apply_M = make_prec(np.arange(nb))
-
-            def factory(cols, eta_b=eta_b, make_prec=make_prec):
-                # compaction: rebuild the wide operator and the congruence
-                # scalings on the surviving scenario columns only
-                sub = MatFreeStokesOperator(
-                    mesh, eta_b[cols], bc_kind, bc.dofs
-                )
-                return sub.apply, make_prec(cols)
-
-            Fk = F.copy()
-            Fk[:, ~active] = 0.0
-            X0 = np.zeros((4 * n, nb))
-            for j in np.flatnonzero(active):  # lint: allow-loop (per-job warm-start pack, O(B))
-                # an inactive column stays zero -> converges untouched at 0
-                X0[:, j] = sims[j].stokes_guess(bc.dofs)
-
-            res = batched_minres(
-                op.apply, Fk, M=apply_M, X0=X0, tol=stokes_tol,
-                maxiter=stokes_maxiter, factory=factory,
-            )
-            if zero_token is not None:
-                for j in np.flatnonzero(~active):  # lint: allow-loop (sanitize verify, O(B))
-                    maybe_verify(
-                        res.X[:, j], zero_token,
-                        context=f"fleet masked tenant {order[j]} (column {j})",
-                    )
-
-            total_minres += np.where(active, res.iterations, 0)
-            for j in np.flatnonzero(active):  # lint: allow-loop (per-job unpack, O(B))
-                du = sims[j].accept_stokes(res.X[:, j])
-                last_converged[j] = bool(res.converged[j])
-                if du < picard_tol[j] or k + 1 >= picard_budget[j]:
-                    active[j] = False
-            if not active.any():
-                break
-
-        obs.counter("picard_iterations", int(n_picard.sum()))
-        packed = np.argsort(order)  # caller's index -> packed column
-        return [
-            s.stokes_stats(total_minres[p], n_picard[p], last_converged[p])
-            for s, p in zip(self.sims, packed)
-        ]
+        """Batched Picard iteration over the law-packed columns, every
+        tenant with its own tolerances and budgets.  Returns one
+        serial-shaped stats dict per job, in the caller's order."""
+        sims = [self.sims[j] for j in self._order]  # packed law by law
+        stats = picard(sims, _LawSolve(self.mesh, sims, self._bounds))
+        return [stats[p] for p in np.argsort(self._order)]
 
     # -- temperature ----------------------------------------------------
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import obs
 from ..amr import adapt_mesh
+from ..analysis.sanitize import maybe_freeze, maybe_verify
 from ..fem import AdvectionDiffusion, StokesSystem, element_velocity_from_nodal
 from ..forest import FOREST_MAX_LEVEL
 from ..mesh import Mesh, extract_mesh
@@ -30,7 +31,7 @@ from ..solvers import LaggedStokesPreconditioner, minres
 from .error import combined_indicator
 from .viscosity import ArrheniusViscosity, element_temperature, strain_rate_invariant
 
-__all__ = ["ConfigError", "RheaConfig", "MantleConvection", "conductive_profile"]
+__all__ = ["ConfigError", "RheaConfig", "MantleConvection", "conductive_profile", "picard"]
 
 #: temperature Dirichlet faces ``(axis, side, value)``: hot bottom, cold top
 THERMAL_BCS = [(2, 0, 1.0), (2, 1, 0.0)]
@@ -118,13 +119,12 @@ class RheaConfig:
                 opts = " or ".join(repr(a) for a in allowed)
                 errors.append((field, f"must be {opts}, got {v!r}"))
 
-        def positive(field: str, minimum: float = 0.0, strict: bool = True):
+        def positive(field: str, strict: bool = True):
             v = getattr(self, field)
             if not _finite(v):
                 errors.append((field, f"must be a finite number, got {v!r}"))
-            elif (float(v) <= minimum) if strict else (float(v) < minimum):
-                op = ">" if strict else ">="
-                errors.append((field, f"must be {op} {minimum:g}, got {v!r}"))
+            elif (float(v) <= 0) if strict else (float(v) < 0):
+                errors.append((field, f"must be {'>' if strict else '>='} 0, got {v!r}"))
 
         choice("stokes_preconditioner", ("gmg",))
         choice("velocity_bc", ("free_slip", "no_slip"))
@@ -134,9 +134,10 @@ class RheaConfig:
         positive("picard_tol")
         positive("stokes_tol")
         positive("prec_lag_rtol", strict=False)
-        positive("picard_iterations", minimum=1, strict=False)
-        positive("stokes_maxiter", minimum=1, strict=False)
-        positive("adapt_every", minimum=1, strict=False)
+        for budget in ("picard_iterations", "stokes_maxiter", "adapt_every"):
+            v = getattr(self, budget)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                errors.append((budget, f"must be an integer >= 1, got {v!r}"))
         if not callable(self.viscosity):
             errors.append(("viscosity", "must be callable (a viscosity law)"))
         levels = (self.min_level, self.initial_level, self.max_level)
@@ -178,6 +179,68 @@ class StepDiagnostics:
     eta_min: float
     eta_max: float
     timings: dict = field(default_factory=dict)
+
+
+def picard(sims: list, solve: Callable) -> list[dict]:
+    """Picard fixed-point iteration over the strain-rate-dependent
+    viscosity, one column per same-mesh :class:`MantleConvection` in
+    ``sims``: the serial driver is one column, the fleet's
+    :class:`~repro.fleet.batch.BatchGroup` packs many.  A column drops
+    out once its relative velocity increment is below its ``picard_tol``
+    or its ``picard_iterations`` budget is spent.
+
+    ``solve(etas, guess, active) -> (X, iterations, converged)`` is one
+    pass's linear solve and holds the preconditioner policy: ``etas`` are
+    the arrays the viscosity laws returned, ``guess(bc_dofs)`` packs the
+    ``(4n, nb)`` warm start and ``active`` masks the columns.  Inactive
+    columns go in and must come back zero (verified under
+    ``REPRO_SANITIZE=1``).  Returns one statistics dict per column.
+    """
+    mesh = sims[0].mesh
+    nb, n = len(sims), mesh.n_independent
+    z_e = mesh.element_centers()[:, 2] / sims[0].config.domain[2]
+    T_e = [element_temperature(mesh, s.T) for s in sims]
+    budget = np.array([s.config.picard_iterations for s in sims])
+    total_minres = np.zeros(nb, dtype=np.int64)
+    n_picard = np.zeros(nb, dtype=np.int64)
+    converged = np.ones(nb, dtype=bool)
+    active = np.ones(nb, dtype=bool)
+    zero_token = maybe_freeze(np.zeros(4 * n))
+
+    def guess(bc_dofs):
+        X0 = np.zeros((4 * n, nb))
+        for j in np.flatnonzero(active):
+            X0[:, j] = sims[j].stokes_guess(bc_dofs)
+        return X0
+
+    for k in range(budget.max()):  # lint: allow-loop (Picard)
+        for j in np.flatnonzero(active):
+            s = sims[j]
+            s.edot_elem = strain_rate_invariant(mesh, s.u)
+            s.eta_elem = s.config.viscosity(T_e[j], z_e, s.edot_elem)
+        n_picard[active] = k + 1
+        X, iterations, conv = solve([s.eta_elem for s in sims], guess, active)
+        for j in np.flatnonzero(~active):
+            maybe_verify(X[:, j], zero_token, context=f"masked Picard column {j}")
+        total_minres += np.where(active, iterations, 0)
+        for j in np.flatnonzero(active):
+            du = sims[j].accept_stokes(X[:, j])
+            converged[j] = conv[j]
+            if du < sims[j].config.picard_tol or k + 1 == budget[j]:
+                active[j] = False
+        if not active.any():
+            break
+    obs.counter("picard_iterations", int(n_picard.sum()))
+    return [
+        {
+            "minres_iterations": int(total_minres[j]),
+            "picard_iterations": int(n_picard[j]),
+            "eta_min": float(s.eta_elem.min()),
+            "eta_max": float(s.eta_elem.max()),
+            "converged": bool(converged[j]),
+        }
+        for j, s in enumerate(sims)
+    ]
 
 
 class MantleConvection:
@@ -253,42 +316,26 @@ class MantleConvection:
         return f
 
     def solve_stokes(self) -> dict:
-        """Picard iteration over the strain-rate-dependent viscosity.
-
-        Each pass evaluates the viscosity law at the current velocity,
-        assembles the Stokes system, and solves by MINRES (warm-started
-        from the previous solution) with the lagged block preconditioner.
-        Returns solver statistics.
-        """
+        """One column of :func:`picard`: each pass assembles the Stokes
+        system and solves it by MINRES with the drift-lagged block
+        preconditioner.  Returns solver statistics."""
         cfg = self.config
-        mesh = self.mesh
-        T_e = element_temperature(mesh, self.T)
-        z_e = mesh.element_centers()[:, 2] / cfg.domain[2]
-        total_minres = 0
-        n_picard = 0
-        for k in range(max(cfg.picard_iterations, 1)):
-            n_picard = k + 1
-            edot = strain_rate_invariant(mesh, self.u)
-            eta = cfg.viscosity(T_e, z_e, edot)
-            self.eta_elem = eta
-            self.edot_elem = edot
-            st = StokesSystem(mesh, eta, self._body_force(), bc=cfg.velocity_bc)
+
+        def solve(etas, guess, active):
+            st = StokesSystem(self.mesh, etas[0], self._body_force(), bc=cfg.velocity_bc)
             prec = self._prec_lag.get(st)
             res = minres(
-                st.matvec, st.rhs(), M=prec.apply, x0=self.stokes_guess(st.bc.dofs),
+                st.matvec, st.rhs(), M=prec.apply, x0=guess(st.bc.dofs)[:, 0],
                 tol=cfg.stokes_tol, maxiter=cfg.stokes_maxiter,
             )
-            total_minres += res.iterations
-            du = self.accept_stokes(res.x)
-            if du < cfg.picard_tol:
-                break
-        obs.counter("picard_iterations", n_picard)
-        stats = self.stokes_stats(total_minres, n_picard, res.converged)
+            return res.x[:, None], [res.iterations], [res.converged]
+
+        (stats,) = picard([self], solve)
         stats["prec_builds"] = self._prec_lag.n_builds
         stats["prec_reuses"] = self._prec_lag.n_reuses
         return stats
 
-    # -- Stokes solution <-> state (shared with repro.fleet.batch) ------------------
+    # -- Stokes solution <-> state (what the Picard loop calls) ---------------------
 
     def stokes_guess(self, bc_dofs: np.ndarray) -> np.ndarray:
         """MINRES warm start ``[u_x|u_y|u_z|p]`` on independent dofs:
@@ -325,16 +372,6 @@ class MantleConvection:
         du = np.linalg.norm(u_new - self.u) / max(np.linalg.norm(u_new), 1e-30)
         self.u = u_new
         return du
-
-    def stokes_stats(self, minres_iterations, picard_iterations, converged) -> dict:
-        """The statistics dict :meth:`solve_stokes` returns for one cycle."""
-        return {
-            "minres_iterations": int(minres_iterations),
-            "picard_iterations": int(picard_iterations),
-            "eta_min": float(self.eta_elem.min()),
-            "eta_max": float(self.eta_elem.max()),
-            "converged": bool(converged),
-        }
 
     def rebind_mesh(self, mesh: Mesh) -> None:
         """Swap in a structurally identical mesh object (the fleet's

@@ -142,6 +142,22 @@ class TestRheaConfigValidation:
         with pytest.raises(ConfigError, match="levels must be integers"):
             RheaConfig(initial_level=2.5)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("picard_iterations", 2.5),
+        ("stokes_maxiter", 10.5),
+        ("adapt_every", 1.5),
+    ])
+    def test_budgets_are_integers(self, field, bad):
+        """A fractional budget fails at construction, not with a
+        ``TypeError`` from ``range`` mid-run; so does one below 1."""
+        with pytest.raises(ConfigError, match=rf"{field}: must be an integer >= 1, "
+                           rf"got {bad}") as exc:
+            RheaConfig(**{field: bad})
+        assert [f for f, _ in exc.value.errors] == [field]
+        with pytest.raises(ConfigError, match=field):
+            RheaConfig(**{field: 0})
+        RheaConfig(**{field: np.int64(2)})
+
     def test_domain_and_viscosity(self):
         with pytest.raises(ConfigError, match="3 positive extents"):
             RheaConfig(domain=(1.0, 2.0))
