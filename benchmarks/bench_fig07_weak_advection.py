@@ -6,7 +6,8 @@ function (up to ~6%), all AMR together stays <= 11%, and parallel
 efficiency stays above 50% out to 62,464 cores.
 
 Executed: SPMD pipeline at P in {1, 2, 4, 8} with fixed per-rank element
-target — real per-function timings and the AMR fraction.  Modeled: the
+target — real per-function timings and the AMR fraction, read from the
+ranks' obs phase report (``amr/*`` functions, ``advection``).  Modeled: the
 machine model prices the measured per-rank communication at the paper's
 core schedule to produce the efficiency curve."""
 
@@ -17,12 +18,6 @@ from repro.perf import (
     measured_pipeline_run,
     model_weak_scaling,
 )
-
-AMR_FUNCS = [
-    "NewTree", "CoarsenTree", "RefineTree", "BalanceTree", "PartitionTree",
-    "ExtractMesh", "InterpolateFields", "TransferFields", "MarkElements",
-]
-
 
 def test_fig07_weak_scaling_breakdown(record_table, benchmark):
     per_rank_target = 220
@@ -38,19 +33,21 @@ def test_fig07_weak_scaling_breakdown(record_table, benchmark):
             steps_per_cycle=16,
         )
         out = benchmark.pedantic(run, rounds=1, iterations=1) if p == 8 else run()
-        t = out["timings"]
-        total = sum(t.values())
-        amr = sum(t.get(k, 0.0) for k in AMR_FUNCS)
+        rep = out["report"]
+
+        def pct(path):
+            return round(rep["phases"][path]["pct_of_wall"], 1)
+
         executed_rows.append(
             [
                 p,
                 out["n_elements"],
-                round(total, 3),
-                round(100 * amr / total, 1),
-                round(100 * t.get("ExtractMesh", 0) / total, 1),
-                round(100 * t.get("BalanceTree", 0) / total, 1),
-                round(100 * t.get("PartitionTree", 0) / total, 1),
-                round(100 * t.get("TimeIntegration", 0) / total, 1),
+                round(rep["total_wall_s"], 3),
+                round(100 * rep["amr_fraction"], 1),
+                pct("amr/extract_mesh"),
+                pct("amr/balance"),
+                pct("amr/partition"),
+                pct("advection"),
             ]
         )
         comm = out["comm_per_rank"]

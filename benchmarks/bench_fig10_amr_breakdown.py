@@ -8,43 +8,54 @@ second while the solve costs hundreds of seconds; the AMR/solve ratio is
 below 1% at every core count.
 
 Executed: the serial RHEA loop with the per-function AMR timings from the
-Figure-4 driver, against the Stokes+transport solve time of the same
-cycle."""
+Figure-4 driver (its ``amr/*`` obs phases), against the Stokes+transport
+solve time (``stokes`` + ``advection``) of the same cycle."""
 
 import numpy as np
 
+from repro import obs
 from repro.perf import format_table
 from repro.rhea import MantleConvection, RheaConfig
 
 
+#: the Figure-4 functions of the serial driver, as obs phase paths
+AMR_FUNCS = ["mark", "coarsen", "refine", "balance", "extract_mesh", "interpolate"]
+
+
 def run_cycles(n_cycles=2, level=3):
+    """One :class:`~repro.obs.PhaseTimer` per ``sim.run(1)``; returns the
+    simulation and the per-cycle phase results."""
     cfg = RheaConfig(
         Ra=1e5, initial_level=level, min_level=2, max_level=level + 2,
         adapt_every=4, picard_iterations=1, stokes_tol=1e-6,
         target_elements=int(8**level * 1.3),
     )
     sim = MantleConvection(cfg)
-    sim.run(n_cycles)
-    return sim
+    per_cycle = []
+    for _ in range(n_cycles):
+        with obs.attached(obs.PhaseTimer(record_events=False)) as timer:
+            sim.run(1)
+        per_cycle.append(timer.results())
+    return sim, per_cycle
 
 
 def test_fig10_amr_vs_solve(record_table, benchmark):
-    sim = benchmark.pedantic(run_cycles, rounds=1, iterations=1)
+    sim, per_cycle = benchmark.pedantic(run_cycles, rounds=1, iterations=1)
     rows = []
-    for i, d in enumerate(sim.history):
-        t = d.timings
-        amr_funcs = ["MarkElements", "CoarsenTree", "RefineTree",
-                     "BalanceTree", "ExtractMesh", "InterpolateFields"]
-        amr = sum(t.get(k, 0.0) for k in amr_funcs)
-        solve = t.get("Stokes", 0.0) + t.get("TimeIntegration", 0.0)
+    for i, (d, res) in enumerate(zip(sim.history, per_cycle)):
+        def t(name):
+            return res[f"amr/{name}"]["wall_s"]
+
+        amr = sum(t(k) for k in AMR_FUNCS)
+        solve = res["stokes"]["wall_s"] + res["advection"]["wall_s"]
         rows.append(
             [
                 i + 1, d.n_elements,
-                round(t.get("MarkElements", 0), 4),
-                round(t.get("CoarsenTree", 0) + t.get("RefineTree", 0), 4),
-                round(t.get("BalanceTree", 0), 4),
-                round(t.get("ExtractMesh", 0), 4),
-                round(t.get("InterpolateFields", 0), 4),
+                round(t("mark"), 4),
+                round(t("coarsen") + t("refine"), 4),
+                round(t("balance"), 4),
+                round(t("extract_mesh"), 4),
+                round(t("interpolate"), 4),
                 round(solve, 3),
                 f"{100 * amr / solve:.2f}%",
             ]

@@ -3,8 +3,9 @@
 Runs the full Figure-4 cycle (MarkElements -> Coarsen/Refine -> Balance ->
 Partition -> ExtractMesh -> InterpolateFields -> TransferFields) on P
 simulated MPI ranks, advecting a thin spherical front with a rotating
-velocity, then prints the per-function timing breakdown and communication
-totals the Section-V benchmarks are built on.
+velocity, then prints the per-function timing breakdown (the obs phases
+of every rank, see OBSERVABILITY.md) and communication totals the
+Section-V benchmarks are built on.
 
 Checkpoint/restart: ``--checkpoint-every N`` snapshots the distributed
 state every N cycles into ``--checkpoint-dir``; ``--resume`` restarts
@@ -30,7 +31,6 @@ def main(p=4, cycles=3, checkpoint_every=None, checkpoint_dir="checkpoints_amr",
     from repro import obs
 
     workload = RotatingFrontWorkload(velocity=rotating_velocity(scale=3.0))
-    observe = trace is not None or report is not None
     checkpoint = None
     if checkpoint_every:
         from repro.checkpoint import Checkpointer
@@ -38,7 +38,7 @@ def main(p=4, cycles=3, checkpoint_every=None, checkpoint_dir="checkpoints_amr",
         checkpoint = Checkpointer(checkpoint_dir, every=checkpoint_every)
 
     def kernel(comm):
-        timer = obs.enable(comm) if observe else None
+        timer = obs.enable(comm, record_events=trace is not None)
         if resume:
             pipe = ParAmrPipeline.resume_from(comm, checkpoint_dir, workload=workload)
         else:
@@ -52,8 +52,7 @@ def main(p=4, cycles=3, checkpoint_every=None, checkpoint_dir="checkpoints_amr",
             pipe.cycles_done += 1
             if checkpoint is not None and checkpoint.due(pipe.cycles_done):
                 checkpoint.save_pipeline(pipe)
-        if timer is not None:
-            obs.disable()
+        obs.disable()
         # collect global quantities while the SPMD world is still alive
         # (collectives cannot be issued after run_spmd returns)
         return {
@@ -62,11 +61,9 @@ def main(p=4, cycles=3, checkpoint_every=None, checkpoint_dir="checkpoints_amr",
             "steps": pipe.steps_taken,
             "sim_time": pipe.sim_time,
             "start_cycle": start_cycle,
-            "timings": pipe.timing_breakdown(),
-            "amr_fraction": pipe.amr_fraction(),
             "history": pipe.adapt_history,
-            "phase_results": timer.results() if timer is not None else None,
-            "trace_data": timer.trace_data() if timer is not None else None,
+            "phase_results": timer.results(),
+            "trace_data": timer.trace_data(),
         }
 
     print(f"running the SPMD AMR pipeline on {p} simulated ranks ...")
@@ -79,10 +76,14 @@ def main(p=4, cycles=3, checkpoint_every=None, checkpoint_dir="checkpoints_amr",
     print(f"\nglobal elements: {pipe['n_global']}, levels {pipe['levels']}")
     print(f"steps taken: {pipe['steps']} (t = {pipe['sim_time']:.3f})")
 
-    print("\nper-function timing (rank 0, seconds):")
-    for name, t in sorted(pipe["timings"].items(), key=lambda kv: -kv[1]):
-        print(f"  {name:<18} {t:8.4f}")
-    print(f"  AMR fraction of total: {100 * pipe['amr_fraction']:.1f}%")
+    rep = obs.generate_report(
+        [r["phase_results"] for r in results], executed_ranks=p
+    )
+    print("\nper-function timing (max over ranks, seconds):")
+    roots = [(name, e) for name, e in rep["phases"].items() if e["root"]]
+    for name, e in sorted(roots, key=lambda kv: -kv[1]["wall_s"]["max"]):
+        print(f"  {name:<18} {e['wall_s']['max']:8.4f}")
+    print(f"  AMR fraction of total: {100 * rep['amr_fraction']:.1f}%")
 
     print("\nadaptation history (global):")
     for i, h in enumerate(pipe["history"]):
@@ -101,14 +102,9 @@ def main(p=4, cycles=3, checkpoint_every=None, checkpoint_dir="checkpoints_amr",
         print(f"chrome trace written to {trace!r} "
               "(open at https://ui.perfetto.dev)")
     if report is not None:
-        rep = obs.generate_report(
-            [r["phase_results"] for r in results], executed_ranks=p
-        )
         with open(report, "w", encoding="utf-8") as f:
             f.write(obs.markdown_report(rep) + "\n")
-        print(f"phase report written to {report!r} "
-              f"(AMR fraction {100 * rep['amr_fraction']:.1f}%)")
-
+        print(f"phase report written to {report!r}")
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])

@@ -1,9 +1,13 @@
 """The Figure-4 adaptation pipeline (serial driver).
 
 One adaptation step chains, in order: MARKELEMENTS -> COARSENTREE ->
-REFINETREE -> BALANCETREE -> EXTRACTMESH -> INTERPOLATEFIELDS, timing each
-stage and recording the element bookkeeping (refined / coarsened /
-balance-added / unchanged) that Figure 5 plots.
+REFINETREE -> BALANCETREE -> EXTRACTMESH -> INTERPOLATEFIELDS, each in
+its own :func:`repro.obs.phase` (``mark``, ``coarsen``, ``refine``,
+``balance``, ``extract_mesh``, ``interpolate``), and records the element
+bookkeeping (refined / coarsened / balance-added / unchanged) that
+Figure 5 plots.  Under the ``amr`` phase of
+:meth:`repro.rhea.MantleConvection.run` the stages land at the paths the
+SPMD pipeline records (``amr/mark``, ..., ``amr/interpolate``).
 
 The serial driver operates on a :class:`~repro.mesh.Mesh` and is what the
 RHEA application uses; the SPMD pipeline over distributed trees lives in
@@ -12,11 +16,11 @@ RHEA application uses; the SPMD pipeline over distributed trees lives in
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..mesh import Mesh, extract_mesh
 from ..mesh.fields import interpolate_fields
 from ..octree import balance
@@ -36,7 +40,6 @@ class AdaptReport:
     n_balance_added: int    # leaves created by BALANCETREE
     n_unchanged: int
     mark: MarkResult
-    timings: dict = field(default_factory=dict)
 
 
 def adapt_mesh(
@@ -69,39 +72,33 @@ def adapt_mesh(
     ``(new_mesh, new_fields, report)``.
     """
     tree = mesh.tree
-    t = {}
 
-    t0 = time.perf_counter()
-    mark = mark_elements(
-        eta, tree.levels, target, min_level=min_level, max_level=max_level, **mark_kwargs
-    )
-    t["MarkElements"] = time.perf_counter() - t0
+    with obs.phase("mark"):
+        mark = mark_elements(
+            eta, tree.levels, target, min_level=min_level, max_level=max_level,
+            **mark_kwargs,
+        )
 
     # COARSENTREE: never coarsen a leaf that is also marked for refinement.
-    t0 = time.perf_counter()
-    coarsen_mask = mark.coarsen & ~mark.refine
-    tree_c, nfam = tree.coarsen(coarsen_mask)
-    t["CoarsenTree"] = time.perf_counter() - t0
+    with obs.phase("coarsen"):
+        coarsen_mask = mark.coarsen & ~mark.refine
+        tree_c, nfam = tree.coarsen(coarsen_mask)
 
-    t0 = time.perf_counter()
-    refine_mask_c = relocate_refine_marks(tree.leaves, mark.refine, tree_c.leaves)
-    tree_r = tree_c.refine(refine_mask_c)
-    t["RefineTree"] = time.perf_counter() - t0
+    with obs.phase("refine"):
+        refine_mask_c = relocate_refine_marks(tree.leaves, mark.refine, tree_c.leaves)
+        tree_r = tree_c.refine(refine_mask_c)
 
-    t0 = time.perf_counter()
-    bres = balance(tree_r, connectivity)
-    t["BalanceTree"] = time.perf_counter() - t0
+    with obs.phase("balance"):
+        bres = balance(tree_r, connectivity)
 
-    t0 = time.perf_counter()
-    new_mesh = extract_mesh(bres.tree, mesh.domain)
-    t["ExtractMesh"] = time.perf_counter() - t0
+    with obs.phase("extract_mesh"):
+        new_mesh = extract_mesh(bres.tree, mesh.domain)
 
-    t0 = time.perf_counter()
-    new_fields = {}
-    if fields:
-        for k, v in fields.items():
-            new_fields[k] = interpolate_fields(mesh, v, new_mesh)
-    t["InterpolateFields"] = time.perf_counter() - t0
+    with obs.phase("interpolate"):
+        new_fields = {}
+        if fields:
+            for k, v in fields.items():
+                new_fields[k] = interpolate_fields(mesh, v, new_mesh)
 
     n_refined = int(mark.refine.sum())
     n_coarsened = 8 * nfam
@@ -113,6 +110,5 @@ def adapt_mesh(
         n_balance_added=bres.leaves_added,
         n_unchanged=len(tree) - n_refined - n_coarsened,
         mark=mark,
-        timings=t,
     )
     return new_mesh, new_fields, report

@@ -1,12 +1,15 @@
-"""The distributed Figure-4 adaptation pipeline, timed per function.
+"""The distributed Figure-4 adaptation pipeline, one obs phase per function.
 
 This is the end-to-end SPMD loop the paper benchmarks in Section V:
 explicit SUPG advection-diffusion of a sharp front, with the mesh
 re-adapted every N steps through NEWTREE / MARKELEMENTS / COARSENTREE /
 REFINETREE / BALANCETREE / PARTITIONTREE / EXTRACTMESH /
-INTERPOLATEFIELDS / TRANSFERFIELDS, every stage wall-clock timed and its
-communication counted (for the machine-model extrapolation to paper-scale
-core counts).
+INTERPOLATEFIELDS / TRANSFERFIELDS.  Every stage runs inside its own
+:func:`repro.obs.phase` (``amr/new_tree``, ``amr/mark``, ...,
+``amr/transfer``; time integration is ``advection``), so a bound
+:class:`~repro.obs.PhaseTimer` records its wall time and communication
+delta (for the machine-model extrapolation to paper-scale core counts)
+and :func:`repro.obs.generate_report` gives the AMR fraction.
 
 The workload (:class:`RotatingFrontWorkload`) mirrors the paper's: a thin
 spherical temperature front advected by a rotating velocity field, so the
@@ -16,7 +19,6 @@ are coarsened or refined at each adaptation step" (Fig. 5).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,8 +87,9 @@ class ParAmrPipeline:
     segment of the one-tree :class:`~repro.forest.ParForest`), mesh and
     temperature field.
 
-    All timing entries accumulate in ``self.timings`` (seconds, this
-    rank); communication totals are read from ``comm.stats``.
+    Per-function seconds are the phases of the rank's bound
+    :class:`~repro.obs.PhaseTimer` (none bound: nothing is timed);
+    communication totals are read from ``comm.stats``.
     """
 
     def __init__(
@@ -109,28 +112,23 @@ class ParAmrPipeline:
         self.min_level = min_level
         self.max_level = max_level
         self.connectivity = connectivity
-        self.timings: dict[str, float] = {}
         self.adapt_history: list[ParAdaptStats] = []
         self.steps_taken = 0
         self.sim_time = 0.0
         self.cycles_done = 0
 
-        t0 = time.perf_counter()
         if tree is not None:
             # restart path: ``tree`` is this rank's segment of an
             # already-balanced forest (checkpoints save post-balance
             # state), so NEWTREE and BALANCETREE are skipped
             self.pt = tree
-            self._tic("NewTree", t0)
         else:
-            self.pt = new_tree(comm, coarse_level)
-            self._tic("NewTree", t0)
-            t0 = time.perf_counter()
-            self.pt, _, _ = balance_tree(self.pt, connectivity)
-            self._tic("BalanceTree", t0)
-        t0 = time.perf_counter()
-        self.pm: ParMesh = extract_parmesh(self.pt)
-        self._tic("ExtractMesh", t0)
+            with obs.phase("amr/new_tree"):
+                self.pt = new_tree(comm, coarse_level)
+            with obs.phase("amr/balance"):
+                self.pt, _, _ = balance_tree(self.pt, connectivity)
+        with obs.phase("amr/extract_mesh"):
+            self.pm: ParMesh = extract_parmesh(self.pt)
         coords = self.pm.mesh.node_coords()
         T0 = self.workload.initial(coords)
         self.T = T0[self.pm.mesh.indep_nodes]
@@ -142,9 +140,6 @@ class ParAmrPipeline:
         from ..checkpoint import restore_pipeline
 
         return restore_pipeline(comm, path, workload=workload)
-
-    def _tic(self, name: str, t0: float) -> None:
-        self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
 
     # -- error indicator --------------------------------------------------------
 
@@ -168,7 +163,6 @@ class ParAmrPipeline:
         eta = self.indicator()
         n_before = self.pt.global_count()
 
-        t0 = time.perf_counter()
         with obs.phase("amr/mark"):
             mark = mark_elements(
                 eta,
@@ -178,54 +172,39 @@ class ParAmrPipeline:
                 min_level=self.min_level,
                 max_level=self.max_level,
             )
-        self._tic("MarkElements", t0)
 
-        t0 = time.perf_counter()
         with obs.phase("amr/coarsen"):
             coarsen_mask = mark.coarsen & ~mark.refine
             pt, nfam = coarsen_tree(self.pt, coarsen_mask)
             obs.counter("elements_coarsened", 8 * nfam)
-        self._tic("CoarsenTree", t0)
 
-        t0 = time.perf_counter()
         with obs.phase("amr/refine"):
             mask = relocate_refine_marks(self.pt.octs, mark.refine, pt.octs)
             n_refined = comm.allreduce(int(mask.sum()))
             pt = refine_tree(pt, mask)
             obs.counter("elements_marked_refine", int(mask.sum()))
-        self._tic("RefineTree", t0)
 
-        t0 = time.perf_counter()
         with obs.phase("amr/balance"):
             pt, added, _ = balance_tree(pt, self.connectivity)
             obs.counter("balance_added", added)
-        self._tic("BalanceTree", t0)
 
-        t0 = time.perf_counter()
         with obs.phase("amr/partition"):
             pt, plan = partition_tree(pt)
-        self._tic("PartitionTree", t0)
 
-        t0 = time.perf_counter()
         with obs.phase("amr/extract_mesh"):
             pm = extract_parmesh(pt)
-        self._tic("ExtractMesh", t0)
 
-        t0 = time.perf_counter()
         with obs.phase("amr/interpolate"):
             new_coords = pm.mesh.node_coords()
             vals = par_interpolate_at(old_pm, old_markers, u_full_old, new_coords)
             self.T = vals[pm.mesh.indep_nodes]
-        self._tic("InterpolateFields", t0)
 
-        t0 = time.perf_counter()
         with obs.phase("amr/transfer"):
             # TRANSFERFIELDS: per-element data rides the partition plan (here:
             # the post-adaptation error indicator placeholder, exercising the
             # same code path the paper times)
             elem_payload = np.zeros((plan.send_slices[-1][1], 1))
             plan.transfer(comm, elem_payload)
-        self._tic("TransferFields", t0)
 
         self.pt, self.pm = pt, pm
         n_after = pt.global_count()
@@ -247,7 +226,6 @@ class ParAmrPipeline:
     def _advance(self, cfl: float, plan) -> tuple[float, int]:
         """Build the transport operator on the current mesh and take the
         ``(dt, n_steps) = plan(cfl_dt)`` steps; returns that pair."""
-        t0 = time.perf_counter()
         with obs.phase("advection"):
             with obs.phase("build"):
                 eq = ParAdvectionDiffusion(
@@ -258,7 +236,6 @@ class ParAmrPipeline:
             obs.counter("advection_steps", n_steps)
         self.steps_taken += n_steps
         self.sim_time += n_steps * dt
-        self._tic("TimeIntegration", t0)
         return dt, n_steps
 
     def advance(self, n_steps: int, cfl: float = 0.4) -> float:
@@ -300,16 +277,3 @@ class ParAmrPipeline:
             self.cycles_done += 1
             if ckpt is not None and ckpt.due(self.cycles_done):
                 ckpt.save_pipeline(self)
-
-    # -- reporting --------------------------------------------------------------------
-
-    def timing_breakdown(self) -> dict[str, float]:
-        """This rank's accumulated per-function seconds."""
-        return dict(self.timings)
-
-    def amr_fraction(self) -> float:
-        """Fraction of total time spent in AMR functions (everything but
-        TimeIntegration) — the Figure-7 headline quantity."""
-        total = sum(self.timings.values())
-        amr = total - self.timings.get("TimeIntegration", 0.0)
-        return amr / total if total > 0 else 0.0

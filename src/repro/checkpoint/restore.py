@@ -183,7 +183,12 @@ def _restore_convection_impl(path: str, config, include_solver_state: bool):
     sim.edot_elem = g["state/edot_elem"].copy()
     sim.sim_time = float(manifest.time)
     sim.step_count = int(manifest.step)
-    sim.history = [StepDiagnostics(**d) for d in meta.get("history", [])]
+    history = meta.get("history", [])
+    for d in history:
+        # version-1 histories written before the per-cycle wall-time dict
+        # was retired still carry its ``timings`` key; phase times live in obs
+        d.pop("timings", None)
+    sim.history = [StepDiagnostics(**d) for d in history]
 
     if include_solver_state:
         if "solver/p_prev" in g:

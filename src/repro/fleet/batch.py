@@ -53,8 +53,6 @@ SOLVERS.md, "The fleet's hierarchies: one per viscosity law".)
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .. import obs
@@ -299,31 +297,22 @@ class BatchGroup:
     # -- one lockstep cycle ---------------------------------------------
 
     def cycle(self) -> list[StepDiagnostics]:
-        """Batched (Stokes solve -> advect) for every tenant; appends and
-        returns one per-job :class:`StepDiagnostics` (batch wall time is
-        split evenly across tenants in the ``timings`` dict — the
-        accountant refines attribution by per-job work counters)."""
+        """Batched (Stokes solve -> advect) for every tenant, inside the
+        ``fleet/stokes`` and ``fleet/advection`` phases (reported as the
+        Stokes and advection components, see
+        :func:`repro.obs.classify_phase`); appends and returns one per-job
+        :class:`StepDiagnostics`.  The group's wall time is billed by
+        :meth:`repro.fleet.FleetService.step`, not here."""
         cstats = operator_cache(self.mesh)
-        t0 = time.perf_counter()
         with obs.phase("fleet/stokes"):
             h0, m0 = cstats.hits, cstats.misses
             stats = self.solve_stokes()
             obs.counter("cache_hits", cstats.hits - h0)
             obs.counter("cache_misses", cstats.misses - m0)
-        t_stokes = time.perf_counter() - t0
-        t0 = time.perf_counter()
         with obs.phase("fleet/advection"):
             self.advance_temperature()
             obs.counter(
                 "advection_steps",
                 int(sum(s.config.adapt_every for s in self.sims)),
             )
-        t_adv = time.perf_counter() - t0
-
-        timings = {
-            "Stokes": t_stokes / self.nb,
-            "TimeIntegration": t_adv / self.nb,
-        }
-        return [
-            s.record_cycle(st, dict(timings)) for s, st in zip(self.sims, stats)
-        ]
+        return [s.record_cycle(st) for s, st in zip(self.sims, stats)]

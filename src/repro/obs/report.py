@@ -38,7 +38,8 @@ __all__ = [
     "job_phases",
 ]
 
-#: top-level phase name -> report component (everything else is "other")
+#: top-level phase name -> report component (everything else is "other";
+#: :func:`classify_phase` looks past ``fleet`` and ``job:<id>`` segments)
 PHASE_GROUPS = {
     "amr": "amr",
     "stokes": "stokes",
@@ -52,15 +53,23 @@ DEFAULT_CORE_COUNTS = (1, 8, 1024, 62464)
 
 
 def classify_phase(path: str) -> str:
-    """Report component of a phase path, from its first segment.
+    """Report component of a phase path, from its first segment after a
+    leading ``fleet`` segment and any ``job:<id>`` segment (the fleet's
+    batched and job-tagged phases aggregate like the drivers' own).
 
     Example::
 
-        classify_phase("amr/balance")   # -> "amr"
-        classify_phase("stokes/minres") # -> "stokes"
-        classify_phase("io")            # -> "other"
+        classify_phase("amr/balance")              # -> "amr"
+        classify_phase("stokes/minres")            # -> "stokes"
+        classify_phase("fleet/stokes")             # -> "stokes"
+        classify_phase("fleet/job:j3/checkpoint")  # -> "checkpoint"
+        classify_phase("io")                       # -> "other"
     """
-    return PHASE_GROUPS.get(path.split("/", 1)[0], "other")
+    parts = path.split("/")
+    if parts[0] == "fleet":
+        parts = parts[1:]
+    parts = [seg for seg in parts if not seg.startswith("job:")]
+    return PHASE_GROUPS.get(parts[0] if parts else "", "other")
 
 
 def job_phases(results: dict) -> dict:

@@ -18,8 +18,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .. import obs
 from ..amr import ParAmrPipeline, RotatingFrontWorkload
-from ..parallel import RANGER, CommStats, MachineModel, run_spmd_with_comms
+from ..parallel import (
+    RANGER,
+    CommStats,
+    MachineModel,
+    merge_stats,
+    run_spmd_with_comms,
+)
 
 __all__ = [
     "format_table",
@@ -69,39 +76,40 @@ def measured_pipeline_run(
 ) -> dict:
     """Execute the full SPMD AMR pipeline on ``p`` simulated ranks.
 
-    Returns per-function timing breakdown (max over ranks), the final
-    global element count, total steps, and the merged communication tally.
+    Every rank binds a :class:`~repro.obs.PhaseTimer`; returns the
+    :func:`~repro.obs.generate_report` of their phases as ``report``
+    (``report["phases"]["amr/balance"]["wall_s"]["max"]``,
+    ``report["amr_fraction"]``), its ``total_wall_s`` as ``total_time``,
+    the final global element count, the adaptation history, and the
+    per-rank share of the merged communication tally.
+
+    Example::
+
+        out = measured_pipeline_run(2, target=200, cycles=1)
+        out["report"]["phases"]["advection"]["wall_s"]["max"]
     """
 
     def kernel(comm):
-        pipe = ParAmrPipeline(
-            comm, workload=workload, coarse_level=coarse_level, max_level=max_level
-        )
-        pipe.run_cycles(cycles, steps_per_cycle, target)
-        return pipe.timing_breakdown(), pipe.pt.global_count(), pipe.adapt_history
+        timer = obs.enable(comm, record_events=False)
+        try:
+            pipe = ParAmrPipeline(
+                comm, workload=workload, coarse_level=coarse_level, max_level=max_level
+            )
+            pipe.run_cycles(cycles, steps_per_cycle, target)
+        finally:
+            obs.disable()
+        return timer.results(), pipe.pt.global_count(), pipe.adapt_history
 
     results, comms = run_spmd_with_comms(p, kernel)
-    timings: dict[str, float] = {}
-    for t, _, _ in results:
-        for k, v in t.items():
-            timings[k] = max(timings.get(k, 0.0), v)
-    stats = CommStats()
-    for c in comms:
-        s = c.stats
-        stats.p2p_messages += s.p2p_messages
-        stats.p2p_bytes += s.p2p_bytes
-        for k, v in s.collective_calls.items():
-            stats.collective_calls[k] = stats.collective_calls.get(k, 0) + v
-        for k, v in s.collective_bytes.items():
-            stats.collective_bytes[k] = stats.collective_bytes.get(k, 0) + v
-    n_elements = results[0][1]
+    report = obs.generate_report([r[0] for r in results], executed_ranks=p)
+    stats = merge_stats([c.stats for c in comms])
     return {
         "p": p,
-        "timings": timings,
-        "n_elements": n_elements,
+        "report": report,
+        "n_elements": results[0][1],
         "adapt_history": results[0][2],
         "comm_per_rank": _per_rank(stats, p),
-        "total_time": sum(timings.values()),
+        "total_time": report["total_wall_s"],
     }
 
 

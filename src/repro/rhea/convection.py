@@ -13,7 +13,6 @@ the flow, kappa = 1, and the Rayleigh number controls vigor.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -178,7 +177,6 @@ class StepDiagnostics:
     picard_iterations: int
     eta_min: float
     eta_max: float
-    timings: dict = field(default_factory=dict)
 
 
 def picard(sims: list, solve: Callable) -> list[dict]:
@@ -304,7 +302,8 @@ class MantleConvection:
         """Pre-adapt the mesh to the initial temperature before stepping
         (mirrors NEWTREE at a coarse level + refinement to the data)."""
         for _ in range(rounds):
-            self.adapt(target=target)
+            with obs.phase("amr"):
+                self.adapt(target=target)
             Tn = self._t_init(self.mesh.node_coords())
             self.T = self.mesh.expand(Tn[self.mesh.indep_nodes])
 
@@ -492,7 +491,7 @@ class MantleConvection:
             "prec_reuses": self._prec_lag.n_reuses,
         }
 
-    def record_cycle(self, stats: dict, timings: dict) -> StepDiagnostics:
+    def record_cycle(self, stats: dict) -> StepDiagnostics:
         """Append (and return) the diagnostics of the cycle just
         completed; ``stats`` is what :meth:`solve_stokes` returned."""
         d = StepDiagnostics(
@@ -506,7 +505,6 @@ class MantleConvection:
             picard_iterations=stats["picard_iterations"],
             eta_min=stats["eta_min"],
             eta_max=stats["eta_max"],
-            timings=timings,
         )
         self.history.append(d)
         return d
@@ -534,30 +532,22 @@ class MantleConvection:
 
             ckpt = Checkpointer.coerce(checkpoint)
         for _ in range(n_cycles):
-            timings = {}
             if adapt:
-                t0 = time.perf_counter()
                 with obs.phase("amr"):
                     report = self.adapt()
                     obs.counter("elements_marked_refine", report.n_refined)
                     obs.counter("elements_coarsened", report.n_coarsened)
-                timings["AMR"] = time.perf_counter() - t0
-                timings.update(report.timings)
             check_fault(None, self.step_count)
-            t0 = time.perf_counter()
             c0 = self.cache_stats()
             with obs.phase("stokes"):
                 stats = self.solve_stokes()
                 c1 = self.cache_stats()
                 obs.counter("cache_hits", c1["cache_hits"] - c0["cache_hits"])
                 obs.counter("cache_misses", c1["cache_misses"] - c0["cache_misses"])
-            timings["Stokes"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
             with obs.phase("advection"):
                 self.advance_temperature(cfg.adapt_every)
                 obs.counter("advection_steps", cfg.adapt_every)
-            timings["TimeIntegration"] = time.perf_counter() - t0
-            self.record_cycle(stats, timings)
+            self.record_cycle(stats)
             if ckpt is not None and ckpt.due(len(self.history)):
                 ckpt.save_convection(self)
         return self.history

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.amr import (
     ParAmrPipeline,
     RotatingFrontWorkload,
@@ -19,6 +20,9 @@ from repro.mesh import extract_mesh
 from repro.mesh.parmesh import extract_parmesh
 from repro.octree import LinearOctree, balance, balance_tree, new_tree, partition_tree
 from repro.parallel import run_spmd
+
+#: the Figure-4 functions both adaptation drivers time as ``amr/<name>``
+AMR_FUNCTIONS = ("mark", "coarsen", "refine", "balance", "extract_mesh", "interpolate")
 
 
 class TestMarkElements:
@@ -120,14 +124,39 @@ class TestSerialAdaptDriver:
         mesh = extract_mesh(balance(LinearOctree.uniform(3), "corner").tree)
         c = mesh.element_centers()
         eta = np.exp(-np.linalg.norm(c - 0.5, axis=1) ** 2 / 0.02)
-        new_mesh, _, rep = adapt_mesh(mesh, eta, target=700)
+        with obs.attached(obs.PhaseTimer()) as timer, obs.phase("amr"):
+            new_mesh, _, rep = adapt_mesh(mesh, eta, target=700)
         assert rep.n_after == new_mesh.n_elements
         assert rep.n_refined > 0
         assert rep.n_before == 512
-        assert set(rep.timings) >= {
-            "MarkElements", "CoarsenTree", "RefineTree",
-            "BalanceTree", "ExtractMesh", "InterpolateFields",
-        }
+        res = timer.results()
+        for name in AMR_FUNCTIONS:
+            assert res[f"amr/{name}"]["count"] == 1
+
+    def test_serial_run_records_the_pipeline_phase_paths(self):
+        """The serial driver and the P = 1 SPMD pipeline report the
+        Figure-4 functions under the same ``amr/*`` phase paths."""
+        from repro.rhea import MantleConvection, RheaConfig
+
+        want = {f"amr/{name}" for name in AMR_FUNCTIONS}
+        sim = MantleConvection(RheaConfig(
+            Ra=1e4, initial_level=2, min_level=1, max_level=3, adapt_every=1,
+            picard_iterations=1, target_elements=100,
+        ))
+        with obs.attached(obs.PhaseTimer()) as timer:
+            sim.run(1)
+        serial = {p for p in timer.results() if p in want}
+
+        def kernel(comm):
+            timer = obs.enable(comm)
+            try:
+                pipe = ParAmrPipeline(comm, coarse_level=2, max_level=3)
+                pipe.run_cycles(1, 1, target=100)
+            finally:
+                obs.disable()
+            return {p for p in timer.results() if p in want}
+
+        assert serial == run_spmd(1, kernel)[0] == want
 
     def test_field_transfer_preserves_linears(self):
         mesh = extract_mesh(LinearOctree.uniform(2))
@@ -214,21 +243,22 @@ class TestParAmrPipeline:
     @pytest.mark.parametrize("p", [1, 3])
     def test_cycles_run_and_track_target(self, p):
         def kernel(comm):
-            pipe = ParAmrPipeline(comm, coarse_level=2, max_level=5)
-            pipe.run_cycles(n_cycles=2, steps_per_cycle=3, target=300)
-            return (
-                pipe.pt.global_count(),
-                pipe.adapt_history[-1],
-                pipe.timing_breakdown(),
-                pipe.amr_fraction(),
-            )
+            timer = obs.enable(comm)
+            try:
+                pipe = ParAmrPipeline(comm, coarse_level=2, max_level=5)
+                pipe.run_cycles(n_cycles=2, steps_per_cycle=3, target=300)
+            finally:
+                obs.disable()
+            return pipe.pt.global_count(), pipe.adapt_history[-1], timer.results()
 
-        for n, stats, timings, frac in run_spmd(p, kernel):
+        for n, stats, res in run_spmd(p, kernel):
             assert 100 < n < 1200
             assert stats.n_after == n
             assert stats.n_refined + stats.n_coarsened > 0
-            assert "TimeIntegration" in timings and "BalanceTree" in timings
-            assert 0.0 < frac < 1.0
+            assert res["advection"]["count"] == 2
+            assert res["amr/new_tree"]["count"] == 1
+            assert res["amr/balance"]["count"] == 3  # NEWTREE's and two cycles'
+            assert 0.0 < obs.generate_report([res])["amr_fraction"] < 1.0
 
     @pytest.mark.parametrize("cycles,steps,target", [(2, 2, 250), (2, 3, 400)])
     def test_p_invariant_global_tree(self, cycles, steps, target):

@@ -8,6 +8,9 @@ and temperature within FP-reassociation noise of ghost-exchange
 summation (the same 1e-11 envelope the seed's P-invariance test uses).
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,8 @@ from repro.checkpoint import (
     list_checkpoints,
     save_pipeline,
 )
-from repro.checkpoint.format import shard_name, step_dirname
+from repro.checkpoint.format import MANIFEST_NAME, shard_name, step_dirname
+from repro.fleet import FleetService, ScenarioSpec
 from repro.mesh import node_keys
 from repro.octree import gather_tree
 from repro.parallel import InjectedFault, fault_injection, run_spmd
@@ -233,3 +237,45 @@ class TestConvectionRestart:
         assert res.history[-1].vrms == pytest.approx(
             ref.history[-1].vrms, rel=1e-6
         )
+
+
+def _add_retired_timings(root):
+    """Give every convection history entry under ``root`` the ``timings``
+    dict that format-version-1 checkpoints carried before the drivers'
+    per-cycle wall-time dict was retired; returns the entries touched."""
+    n = 0
+    for dirpath, _, files in os.walk(root):
+        if MANIFEST_NAME not in files:
+            continue
+        path = os.path.join(dirpath, MANIFEST_NAME)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for d in doc["meta"].get("history", []):
+            d["timings"] = {"AMR": 0.1, "Stokes": 1.0, "TimeIntegration": 0.2}
+            n += 1
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return n
+
+
+class TestRetiredTimingsKey:
+    def test_serial_resume(self, tmp_path):
+        root = str(tmp_path / "ck")
+        ref = MantleConvection(_small_cfg())
+        ref.run(2, checkpoint=Checkpointer(root, every=2))
+        assert _add_retired_timings(root) == 2
+        res = MantleConvection.resume_from(root, config=_small_cfg())
+        assert res.history == ref.history
+
+    def test_fleet_resume(self, tmp_path):
+        root = str(tmp_path / "fleet")
+        svc = FleetService(root=root)
+        svc.admit(ScenarioSpec(job_id="a", tenant="t0", initial_level=2,
+                               max_level=3, cycles=2))
+        svc.arm_budget(1)
+        svc.run()
+        assert _add_retired_timings(root) == 1
+        svc = FleetService.resume(root)
+        svc.run()
+        assert svc.statuses() == {"a": "done"}
+        assert len(svc.jobs["a"].sim.history) == 2

@@ -446,6 +446,18 @@ class TestBatchedSerialParity:
         assert counters["minres_iterations"] == sum(d.minres_iterations for d in diags)
         assert counters["minres_calls"] == max(d.picard_iterations for d in diags)
 
+    def test_report_classifies_fleet_phases(self):
+        """A report of one lockstep cycle books ``fleet/stokes`` and
+        ``fleet/advection`` as the Stokes and advection components."""
+        svc = FleetService()
+        sims = [svc.admit(s).sim for s in heterogeneous_specs(cycles=1)]
+        with obs.attached(obs.PhaseTimer()) as timer:
+            BatchGroup(sims).cycle()
+        fractions = obs.generate_report([timer.results()])["fractions"]
+        assert fractions["stokes"] > 0
+        assert fractions["advection"] > 0
+        assert fractions["other"] == 0
+
     def test_finished_temperature_column_is_frozen(self, monkeypatch):
         """Unequal ``adapt_every``: the column that runs out of steps
         keeps the bits it held when it finished (sanitize-verified at

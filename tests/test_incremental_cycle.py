@@ -253,9 +253,8 @@ class TestTransportBuildIsAttributed:
                     pipe.advance_time(0.01)
             finally:
                 obs.disable()
-            return timer.results(), pipe.timing_breakdown()
+            return timer.results()
 
-        res, timings = run_spmd(1, kernel)[0]
+        res = run_spmd(1, kernel)[0]
         assert res["advection/build"]["count"] == 1
         assert res["advection"]["wall_s"] >= res["advection/build"]["wall_s"] > 0
-        assert timings["TimeIntegration"] >= res["advection"]["wall_s"]

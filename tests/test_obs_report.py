@@ -97,6 +97,17 @@ def test_classify_phase_groups():
     assert classify_phase("io") == "other"
 
 
+def test_classify_phase_looks_past_fleet_and_job_segments():
+    assert classify_phase("fleet/stokes") == "stokes"
+    assert classify_phase("fleet/stokes/minres") == "stokes"
+    assert classify_phase("fleet/advection") == "advection"
+    assert classify_phase("fleet/job:j3/checkpoint") == "checkpoint"
+    assert classify_phase("fleet/job:j3/amr/mark") == "amr"
+    assert classify_phase("fleet/job:j3") == "other"
+    assert classify_phase("fleet") == "other"
+    assert classify_phase("io/fleet/stokes") == "other"
+
+
 def test_report_roots_exclude_nested_phases():
     out = _spmd_traces_and_results(2)
     rep = obs.generate_report([r["results"] for r in out], executed_ranks=2)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.parallel import CommStats
+from repro.amr import ParAmrPipeline
+from repro.parallel import CommStats, run_spmd_with_comms
 from repro.perf import (
     format_table,
     measured_pipeline_run,
@@ -73,7 +74,37 @@ class TestMeasuredRun:
         )
         assert out["p"] == 2
         assert out["n_elements"] > 50
-        assert out["total_time"] > 0
-        assert "TimeIntegration" in out["timings"]
+        assert out["total_time"] == out["report"]["total_wall_s"] > 0
+        phases = out["report"]["phases"]
+        assert phases["advection"]["count"] == 2  # one per rank
+        assert phases["amr/balance"]["wall_s"]["max"] > 0
+        assert 0.0 < out["report"]["amr_fraction"] < 1.0
         assert out["comm_per_rank"].total_collective_calls > 0
         assert len(out["adapt_history"]) == 1
+
+    def test_comm_per_rank_is_the_rank_mean(self):
+        """``comm_per_rank`` is the world tally divided by ``p``: the
+        same run's per-rank tallies, summed field by field, then
+        floor-divided (counts) or divided (collective bytes)."""
+        out = measured_pipeline_run(
+            2, coarse_level=2, max_level=4, target=200, cycles=1, steps_per_cycle=2
+        )
+
+        def kernel(comm):
+            pipe = ParAmrPipeline(comm, coarse_level=2, max_level=4)
+            pipe.run_cycles(1, 2, 200)
+            pipe.pt.global_count()
+
+        _, comms = run_spmd_with_comms(2, kernel)
+        calls, cbytes = {}, {}
+        for c in comms:
+            for k, v in c.stats.collective_calls.items():
+                calls[k] = calls.get(k, 0) + v
+            for k, v in c.stats.collective_bytes.items():
+                cbytes[k] = cbytes.get(k, 0) + v
+        got = out["comm_per_rank"]
+        assert got.p2p_messages == sum(c.stats.p2p_messages for c in comms) // 2
+        assert got.p2p_bytes == sum(c.stats.p2p_bytes for c in comms) // 2
+        assert got.collective_calls == {k: v // 2 for k, v in calls.items()}
+        assert got.collective_bytes == {k: v / 2 for k, v in cbytes.items()}
+        assert got.flops == 0.0

@@ -189,15 +189,20 @@ class TestAdaptation:
 
 class TestRunLoop:
     def test_short_run_produces_history(self):
+        from repro import obs
+
         sim = MantleConvection(small_config(target_elements=100))
-        hist = sim.run(2)
+        with obs.attached(obs.PhaseTimer()) as timer:
+            hist = sim.run(2)
         assert len(hist) == 2
         d = hist[-1]
         assert d.n_elements == sim.mesh.n_elements
         assert d.vrms >= 0
         assert np.isfinite(d.mean_T)
         assert d.minres_iterations > 0
-        assert "Stokes" in d.timings and "TimeIntegration" in d.timings
+        res = timer.results()
+        for name in ("amr", "amr/balance", "stokes", "advection"):
+            assert res[name]["count"] == 2
 
     def test_solver_counters_count_once(self):
         """``minres()`` emits the solver telemetry; the driver does not
