@@ -188,53 +188,31 @@ class Connectivity:
 
     # -- geometry --------------------------------------------------------------------
 
-    def tree_map(self, tree: int, ref: np.ndarray) -> np.ndarray:
-        """Geometry map: (n, 3) reference coords in [0, 1]^3 of ``tree``
-        to physical space (curved geometry when attached, else the
-        trilinear vertex map)."""
+    def tree_map(self, tree, ref: np.ndarray) -> np.ndarray:
+        """Geometry map: (n, 3) reference coords in [0, 1]^3 to physical
+        space (curved geometry when attached, else the trilinear vertex
+        map).  ``tree`` is one tree id or an (n,) array of per-point tree
+        ids; both give the same bits point by point."""
+        ref = np.asarray(ref, dtype=np.float64)
         if self.geometry is not None:
-            return self.geometry.map(self, tree, np.asarray(ref, dtype=np.float64))
+            return self.geometry.map(self, tree, ref)
         return self.trilinear_map(tree, ref)
 
-    def trilinear_map(self, tree: int, ref: np.ndarray) -> np.ndarray:
+    def trilinear_map(self, tree, ref: np.ndarray) -> np.ndarray:
         """The straight-sided trilinear vertex map (always available)."""
-        ref = np.asarray(ref, dtype=np.float64)
-        verts = self.vertices[self.tree_vertices[tree]]  # (8, 3)
-        x, y, z = ref[:, 0], ref[:, 1], ref[:, 2]
-        out = np.zeros((len(ref), 3))
-        for i in range(8):
-            w = (
-                (x if i & 1 else 1 - x)
-                * (y if (i >> 1) & 1 else 1 - y)
-                * (z if (i >> 2) & 1 else 1 - z)
-            )
-            out += w[:, None] * verts[i]
-        return out
+        return trilinear(self.vertices, self.tree_vertices[tree].T, ref)
 
-    def tree_map_jacobian(self, tree: int, ref: np.ndarray) -> np.ndarray:
+    def tree_map_jacobian(self, tree, ref: np.ndarray) -> np.ndarray:
         """(n, 3, 3) Jacobian ``d(phys)/d(ref)`` of the tree geometry map
-        at reference points in [0, 1]^3."""
+        at reference points in [0, 1]^3; ``tree`` as in :meth:`tree_map`."""
+        ref = np.asarray(ref, dtype=np.float64)
         if self.geometry is not None:
-            return self.geometry.jacobian(self, tree, np.asarray(ref, dtype=np.float64))
+            return self.geometry.jacobian(self, tree, ref)
         return self.trilinear_jacobian(tree, ref)
 
-    def trilinear_jacobian(self, tree: int, ref: np.ndarray) -> np.ndarray:
+    def trilinear_jacobian(self, tree, ref: np.ndarray) -> np.ndarray:
         """Jacobian of the straight-sided trilinear vertex map."""
-        ref = np.asarray(ref, dtype=np.float64)
-        verts = self.vertices[self.tree_vertices[tree]]  # (8, 3)
-        x, y, z = ref[:, 0], ref[:, 1], ref[:, 2]
-        J = np.zeros((len(ref), 3, 3))
-        for i in range(8):
-            fx = x if i & 1 else 1 - x
-            fy = y if (i >> 1) & 1 else 1 - y
-            fz = z if (i >> 2) & 1 else 1 - z
-            dfx = np.full_like(x, 1.0 if i & 1 else -1.0)
-            dfy = np.full_like(y, 1.0 if (i >> 1) & 1 else -1.0)
-            dfz = np.full_like(z, 1.0 if (i >> 2) & 1 else -1.0)
-            J[:, :, 0] += (dfx * fy * fz)[:, None] * verts[i]
-            J[:, :, 1] += (fx * dfy * fz)[:, None] * verts[i]
-            J[:, :, 2] += (fx * fy * dfz)[:, None] * verts[i]
-        return J
+        return trilinear_gradient(self.vertices, self.tree_vertices[tree].T, ref)[1]
 
     def boundary_faces(self) -> list[tuple[int, int]]:
         """All (tree, face) pairs on the forest boundary."""
@@ -244,6 +222,42 @@ class Connectivity:
             for f in range(6)
             if self.face_connections[t][f] is None
         ]
+
+
+def _corner_terms(values: np.ndarray, corners: np.ndarray, ref: np.ndarray):
+    """Per corner of the hexahedra: its values (gathered once, contiguous),
+    the three factors ``t`` or ``1 - t`` of its weight, and its bits."""
+    ref = np.asarray(ref, dtype=np.float64)
+    f = [(1 - ref[:, a], ref[:, a]) for a in range(3)]
+    for i, bits in enumerate(_CORNER_LATTICE):
+        yield (values[corners[i]], *(f[a][b] for a, b in enumerate(bits)), bits)
+
+
+def trilinear(values: np.ndarray, corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation of per-vertex ``values`` (n_vertices, k) at
+    (n, 3) points ``ref`` in [0, 1]^3 of hexahedra with vertex ids
+    ``corners``: (8,) for one hexahedron, (8, n) for one per point.  The
+    (n, k) result has the same bits point by point for both forms."""
+    value = np.zeros((len(ref), values.shape[1]))
+    for c, fx, fy, fz, _ in _corner_terms(values, corners, ref):
+        value += (fx * fy * fz)[:, None] * c
+    return value
+
+
+def trilinear_gradient(values: np.ndarray, corners: np.ndarray, ref: np.ndarray):
+    """:func:`trilinear` and its (n, k, 3) derivatives ``d/d(ref)``, in one
+    pass over the corners."""
+    value = np.zeros((len(ref), values.shape[1]))
+    grad = [np.zeros_like(value) for _ in range(3)]
+    for c, fx, fy, fz, bits in _corner_terms(values, corners, ref):
+        value += (fx * fy * fz)[:, None] * c
+        # the derivative of a factor is +-1 by the corner's bit on that axis
+        for g, d, b in zip(grad, (fy * fz, fx * fz, fx * fy), bits):
+            if b:
+                g += d[:, None] * c
+            else:
+                g -= d[:, None] * c
+    return value, np.stack(grad, axis=2)
 
 
 def unit_cube() -> Connectivity:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connectivity import Connectivity
+from .connectivity import Connectivity, trilinear, trilinear_gradient
 
 __all__ = ["cubed_sphere_connectivity", "cap_axes", "RadialProjectionGeometry"]
 
@@ -34,18 +34,19 @@ class RadialProjectionGeometry:
     curved shell instead of the chordal approximation.
     """
 
-    def map(self, conn, tree: int, ref: np.ndarray) -> np.ndarray:
-        P = conn.trilinear_map(tree, ref)
-        r = self._radius(conn, tree, ref)
+    def map(self, conn, tree, ref: np.ndarray) -> np.ndarray:
+        Pr = trilinear(self._vertex_radii(conn), conn.tree_vertices[tree].T, ref)
+        P, r = Pr[:, :3], Pr[:, 3]
         norm = np.linalg.norm(P, axis=1)
         return P / norm[:, None] * r[:, None]
 
-    def jacobian(self, conn, tree: int, ref: np.ndarray) -> np.ndarray:
+    def jacobian(self, conn, tree, ref: np.ndarray) -> np.ndarray:
         """Analytic Jacobian: x = r(ref) * N(ref) with N = P/|P|."""
-        P = conn.trilinear_map(tree, ref)
-        Jp = conn.trilinear_jacobian(tree, ref)  # dP/dref
-        r = self._radius(conn, tree, ref)
-        gr = self._radius_gradient(conn, tree, ref)  # dr/dref (n, 3)
+        Pr, G = trilinear_gradient(
+            self._vertex_radii(conn), conn.tree_vertices[tree].T, ref
+        )
+        P, r = Pr[:, :3], Pr[:, 3]
+        Jp, gr = G[:, :3], G[:, 3]  # dP/dref, dr/dref
         norm = np.linalg.norm(P, axis=1)
         N = P / norm[:, None]
         # dN/dref = (I - N N^T)/|P| @ dP/dref
@@ -54,37 +55,10 @@ class RadialProjectionGeometry:
         return N[:, :, None] * gr[:, None, :] + r[:, None, None] * dN
 
     @staticmethod
-    def _corner_radii(conn, tree: int) -> np.ndarray:
-        return np.linalg.norm(conn.vertices[conn.tree_vertices[tree]], axis=1)
-
-    def _radius(self, conn, tree: int, ref: np.ndarray) -> np.ndarray:
-        rad = self._corner_radii(conn, tree)
-        x, y, z = ref[:, 0], ref[:, 1], ref[:, 2]
-        out = np.zeros(len(ref))
-        for i in range(8):
-            w = (
-                (x if i & 1 else 1 - x)
-                * (y if (i >> 1) & 1 else 1 - y)
-                * (z if (i >> 2) & 1 else 1 - z)
-            )
-            out += w * rad[i]
-        return out
-
-    def _radius_gradient(self, conn, tree: int, ref: np.ndarray) -> np.ndarray:
-        rad = self._corner_radii(conn, tree)
-        x, y, z = ref[:, 0], ref[:, 1], ref[:, 2]
-        g = np.zeros((len(ref), 3))
-        for i in range(8):
-            fx = x if i & 1 else 1 - x
-            fy = y if (i >> 1) & 1 else 1 - y
-            fz = z if (i >> 2) & 1 else 1 - z
-            sx = 1.0 if i & 1 else -1.0
-            sy = 1.0 if (i >> 1) & 1 else -1.0
-            sz = 1.0 if (i >> 2) & 1 else -1.0
-            g[:, 0] += sx * fy * fz * rad[i]
-            g[:, 1] += fx * sy * fz * rad[i]
-            g[:, 2] += fx * fy * sz * rad[i]
-        return g
+    def _vertex_radii(conn) -> np.ndarray:
+        """(n_vertices, 4) vertex coordinates and radii: the trilinear map
+        P and the interpolated corner radius r are one 4-vector (P, r)."""
+        return np.column_stack([conn.vertices, np.linalg.norm(conn.vertices, axis=1)])
 
 # For each of the 6 cube faces: (normal axis, sign, u axis, v axis).
 _CAPS = [

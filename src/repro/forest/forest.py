@@ -190,13 +190,7 @@ class Forest:
 
     def leaf_centers(self) -> np.ndarray:
         """(n, 3) physical leaf centers through the tree geometry maps."""
-        out = np.empty((len(self), 3), dtype=np.float64)
-        ref = self.octs.centers()
-        offs = self.tree_offsets()
-        for t in range(self.n_trees):
-            sl = slice(offs[t], offs[t + 1])
-            out[sl] = self.conn.tree_map(t, ref[sl])
-        return out
+        return self.conn.tree_map(self.tree_ids, self.octs.centers())
 
     # -- adaptation -------------------------------------------------------------------
 

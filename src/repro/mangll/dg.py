@@ -172,30 +172,29 @@ class DGAdvection:
         ).astype(np.float64)
         return anchors + (ref + 1.0) * 0.5 * h[:, None]
 
+    def _metric(self, tids: np.ndarray, ref01: np.ndarray, hfrac: np.ndarray):
+        """Physical points, Jacobian determinant and inverse Jacobian of
+        the leaf map at (m, 3) tree-frame points ``ref01`` in [0, 1]^3 of
+        trees ``tids`` (m,), for leaves of half-length ``hfrac`` (m,) in
+        tree units: the tree map composed with the leaf scaling."""
+        J = self.conn.tree_map_jacobian(tids, ref01) * hfrac[:, None, None]
+        return self.conn.tree_map(tids, ref01), np.linalg.det(J), np.linalg.inv(J)
+
     def _build_geometry(self, velocity) -> None:
-        n, n3, ne = self.n, self.n3, self.ne
+        n3, ne = self.n3, self.ne
         g = self.kern.nodes  # 1-D LGL on [-1, 1]
         # volume node reference coords, C order [t, s, r]
         T, S, R = np.meshgrid(g, g, g, indexing="ij")
         ref = np.stack([R.ravel(), S.ravel(), T.ravel()], axis=1)  # (n3, 3)
         eids = np.repeat(np.arange(ne), n3)
-        ref_all = np.tile(ref, (ne, 1))
-        tree_coords = self._leaf_tree_coords(eids, ref_all) / ROOT_LEN  # in [0,1]
-        # physical nodes + tree Jacobians, tree by tree
-        self.x = np.empty((ne * n3, 3), dtype=np.float64)
-        Jtree = np.empty((ne * n3, 3, 3), dtype=np.float64)
-        tids_pernode = np.repeat(self.tree_ids, n3)
-        for t in np.unique(self.tree_ids):
-            sel = tids_pernode == t
-            self.x[sel] = self.conn.tree_map(t, tree_coords[sel])
-            Jtree[sel] = self.conn.tree_map_jacobian(t, tree_coords[sel])
-        # compose with leaf scaling: d(tree_ref)/d(leaf_local) = h_frac / 2
+        tree_coords = self._leaf_tree_coords(eids, np.tile(ref, (ne, 1))) / ROOT_LEN
+        # d(tree_ref)/d(leaf_local) = h_frac / 2
         hfrac = (self.octs.lengths().astype(np.float64) / ROOT_LEN)[eids] * 0.5
-        J = Jtree * hfrac[:, None, None]
-        self.detJ = np.linalg.det(J)
+        self.x, self.detJ, self.Jinv = self._metric(
+            np.repeat(self.tree_ids, n3), tree_coords, hfrac
+        )  # Jinv rows: d(ref_k)/d(x)
         if np.any(self.detJ <= 0):
             raise AssertionError("non-positive element Jacobian")
-        self.Jinv = np.linalg.inv(J)  # rows: d(ref_k)/d(x)
         w3 = np.einsum(
             "i,j,k->ijk", self.kern.weights, self.kern.weights, self.kern.weights
         ).ravel()
@@ -259,43 +258,6 @@ class DGAdvection:
         ref[:, t2] = S2.ravel()
         return ref
 
-    def _batched_metric(self, E: np.ndarray, f: int, quad: np.ndarray):
-        """Surface Jacobian (m, n2) and outward unit normal (m, n2, 3) of
-        face f of elements ``E`` at ``quad``: (m, n2, 3) points in the
-        frame of each element's own tree, from that element's geometry."""
-        axis, side = _FACE_AXIS_SIDE[f]
-        m = len(E)
-        n2 = self.n2
-        ref01 = (quad / ROOT_LEN).reshape(m * n2, 3)
-        tpt = np.repeat(self.tree_ids[E], n2)
-        Jt = np.empty((m * n2, 3, 3), dtype=np.float64)
-        for t in np.unique(tpt):
-            s = tpt == t
-            Jt[s] = self.conn.tree_map_jacobian(int(t), ref01[s])
-        hfrac = np.repeat(
-            self.octs.lengths()[E].astype(np.float64) / ROOT_LEN * 0.5, n2
-        )
-        J = Jt * hfrac[:, None, None]
-        detJ = np.linalg.det(J)
-        Jinv = np.linalg.inv(J)
-        nref = np.zeros(3, dtype=np.float64)
-        nref[axis] = 1.0 if side else -1.0
-        nvec = np.einsum("mkd,k->md", Jinv, nref) * detJ[:, None]
-        sj = np.linalg.norm(nvec, axis=1)
-        normal = nvec / sj[:, None]
-        return sj.reshape(m, n2), normal.reshape(m, n2, 3)
-
-    def _batched_phys(self, E: np.ndarray, quad: np.ndarray) -> np.ndarray:
-        """Tree-map of (m, n2, 3) tree-frame face points of elements ``E``."""
-        m, n2 = quad.shape[0], self.n2
-        pts = (quad / ROOT_LEN).reshape(m * n2, 3)
-        tpt = np.repeat(self.tree_ids[E], n2)
-        out = np.empty((m * n2, 3), dtype=np.float64)
-        for t in np.unique(tpt):
-            s = tpt == t
-            out[s] = self.conn.tree_map(int(t), pts[s])
-        return out.reshape(m, n2, 3)
-
     def _batched_interp(self, st: np.ndarray) -> np.ndarray:
         """(m, n2, n2) interpolation from a face's nodal values (t1
         fastest) to the face-local points ``st`` (m, n2, 2)."""
@@ -314,12 +276,20 @@ class DGAdvection:
         from an in-tree one by a frame change of the points handed to the
         other side: ``p_B = R p_A + o`` with the signed permutation ``R``
         of the connectivity, one exact product and one addition per
-        coordinate.  Appends to the instance lists, keyed ``6 e + f``."""
+        coordinate.
+
+        Where my own face nodes are the quadrature points (boundary,
+        conforming, fine side of a mortar), they are volume nodes — the
+        LGL end nodes are exactly +-1 — so their geometry and wind are
+        read off the volume arrays.  Only the coarse side, whose points
+        are the fine neighbor's nodes, evaluates its tree map, once per
+        batch.  Appends to the instance lists, keyed ``6 e + f``."""
         n2, n3 = self.n2, self.n3
         octs, conn, tids = self.octs, self.conn, self.tree_ids
         hf = octs.lengths().astype(np.float64)
         af = np.stack([octs.x, octs.y, octs.z], axis=1).astype(np.float64)
         w2 = np.einsum("i,j->ij", self.kern.weights, self.kern.weights).ravel()
+        a_nodes = np.asarray(velocity(self.x))  # the wind at every volume node
 
         # sort-merge joins on face descriptors classify every face and
         # resolve the four fine neighbors of each coarse face
@@ -349,16 +319,35 @@ class DGAdvection:
             out[x] = np.matmul(pts[x], R.transpose(0, 2, 1)) + o[:, None, :]
             return out
 
-        def surface(E, f, quad):
-            """Weighted surface Jacobian, ``a . n`` and physical points of
-            face f of elements ``E`` at ``quad`` (in their own frames)."""
-            sj, normal = self._batched_metric(E, f, quad)
-            xq = self._batched_phys(E, quad).reshape(-1, 3)
-            v = np.asarray(velocity(xq)).reshape(len(E), n2, 3)
-            return w2[None, :] * sj, np.einsum("mqd,mqd->mq", v, normal), xq
+        def surface(f, detJ, Jinv, v):
+            """Weighted surface Jacobian and ``a . n`` of face f, (m, n2)
+            each, from the leaf metric and wind at its m * n2 points."""
+            axis, side = _FACE_AXIS_SIDE[f]
+            nref = np.zeros(3, dtype=np.float64)
+            nref[axis] = 1.0 if side else -1.0
+            nvec = np.einsum("mkd,k->md", Jinv, nref) * detJ[:, None]
+            sj = np.linalg.norm(nvec, axis=1)
+            normal = (nvec / sj[:, None]).reshape(-1, n2, 3)
+            an = np.einsum("mqd,mqd->mq", v.reshape(-1, n2, 3), normal)
+            return w2[None, :] * sj.reshape(-1, n2), an
 
-        def emit_interior(E, G, f, fnb, quad, M, drive):
-            wsj, an, _ = surface(E, f, quad)
+        def own_face(E, f):
+            """:func:`surface` and the physical points of face f of
+            elements ``E`` at its own nodes, read off the volume nodes."""
+            idx = (E[:, None] * n3 + self._face_idx[f][None, :]).ravel()
+            wsj, an = surface(f, self.detJ[idx], self.Jinv[idx], a_nodes[idx])
+            return wsj, an, self.x[idx]
+
+        def coarse_face(E, f, quad):
+            """:func:`surface` of face f of elements ``E`` at the points
+            ``quad`` (m, n2, 3) in their own frames: the tree maps of all
+            of them in one call."""
+            ref01 = (quad / ROOT_LEN).reshape(-1, 3)
+            hfrac = np.repeat(hf[E] / ROOT_LEN * 0.5, n2)
+            xq, detJ, Jinv = self._metric(np.repeat(tids[E], n2), ref01, hfrac)
+            return surface(f, detJ, Jinv, np.asarray(velocity(xq)))
+
+        def emit_interior(E, G, f, fnb, M, drive, wsj, an):
             interior["mine"].append(E[:, None] * n3 + self._face_idx[f][None, :])
             interior["nb"].append(G[:, None] * n3 + self._face_idx[fnb][None, :])
             interior["M"].append(M)
@@ -380,7 +369,7 @@ class DGAdvection:
             # boundary faces of this direction
             E = np.flatnonzero(~fcls.valid[:, f])
             if len(E):
-                wsj, an, xq = surface(E, f, face_quads(E, f))
+                wsj, an, xq = own_face(E, f)
                 bdry["mine"].append(E[:, None] * n3 + self._face_idx[f][None, :])
                 bdry["wsj"].append(wsj)
                 bdry["an"].append(an)
@@ -395,9 +384,9 @@ class DGAdvection:
                 E = np.flatnonzero(sel & fcls.idrive[:, f])
                 if len(E):
                     G = fcls.g_nb[E, f]
-                    quad = face_quads(E, f)
-                    M = trace_operator(G, fnb, across(E, f, quad))
-                    emit_interior(E, G, f, fnb, quad, M, True)
+                    M = trace_operator(G, fnb, across(E, f, face_quads(E, f)))
+                    wsj, an, _ = own_face(E, f)
+                    emit_interior(E, G, f, fnb, M, True, wsj, an)
 
                 # coarse-side faces: each of the 4 fine neighbors drives,
                 # its face nodes brought into my frame
@@ -407,7 +396,8 @@ class DGAdvection:
                         G = fcls.subs[E, f, q]
                         quad = across(G, fnb, face_quads(G, fnb))
                         M = trace_operator(E, f, quad)
-                        emit_interior(E, G, f, fnb, quad, M, False)
+                        wsj, an = coarse_face(E, f, quad)
+                        emit_interior(E, G, f, fnb, M, False, wsj, an)
 
     def _finalize_faces(self, interior: dict, bdry: dict) -> None:
         """Classify the merged face instances and fold everything static

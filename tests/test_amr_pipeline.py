@@ -297,20 +297,35 @@ class TestParAmrPipeline:
     }
 
     @staticmethod
-    def front_cycles(p):
+    def front_cycles(p, assemble_owned=None):
         """Three cycles of the benchmark's front at its smoke size:
         ``(global leaves, level histogram, global dofs, element-corner
-        temperature in global curve order)``."""
+        temperature in global curve order)``.  ``assemble_owned``, when
+        given, replaces ``ParAdvectionDiffusion._assemble_owned`` on every
+        rank for the run: a worker process does not see a patch made in
+        this one, and the pool's workers outlive the run."""
         workload = RotatingFrontWorkload(velocity=rotating_velocity(scale=3.0))
+        original = ParAdvectionDiffusion._assemble_owned
 
         def kernel(comm):
-            pipe = ParAmrPipeline(comm, workload=workload, coarse_level=2, max_level=5)
-            for _ in range(3):
-                stats = pipe.adapt(1500)
-                pipe.advance_time(0.05, cfl=0.5)
-            pm = pipe.pm
-            corner = pm.mesh.expand(pipe.T)[pm.mesh.element_nodes[pm.owned_elements]]
-            parts = comm.gather(corner, root=0)
+            if assemble_owned is not None:
+                ParAdvectionDiffusion._assemble_owned = assemble_owned
+            try:
+                pipe = ParAmrPipeline(
+                    comm, workload=workload, coarse_level=2, max_level=5
+                )
+                for _ in range(3):
+                    stats = pipe.adapt(1500)
+                    pipe.advance_time(0.05, cfl=0.5)
+                pm = pipe.pm
+                corner = pm.mesh.expand(pipe.T)[
+                    pm.mesh.element_nodes[pm.owned_elements]
+                ]
+                # a collective: no thread rank is still assembling when
+                # another one restores the shared class below
+                parts = comm.gather(corner, root=0)
+            finally:
+                ParAdvectionDiffusion._assemble_owned = original
             return (
                 pipe.pt.global_count(),
                 stats.level_histogram,
@@ -334,19 +349,16 @@ class TestParAmrPipeline:
         assert self.digest(corner) == self.PINNED_DIGEST[p]
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_pinned_digest_moved_by_roundoff_only(self, p, monkeypatch):
+    def test_pinned_digest_moved_by_roundoff_only(self, p):
         """With the transport operator assembled by the COO build, the
         pipeline gives the digest pinned before the Galerkin product, and
         every corner temperature agrees with today's to 1e-12 relative."""
         from .oracles.assembly import assemble_owned_split
 
         corner = self.front_cycles(p)[3]
-        monkeypatch.setattr(
-            ParAdvectionDiffusion,
-            "_assemble_owned",
-            lambda eq, elem: assemble_owned_split(eq.pm, elem),
-        )
-        want = self.front_cycles(p)[3]
+        want = self.front_cycles(
+            p, lambda eq, elem: assemble_owned_split(eq.pm, elem)
+        )[3]
         assert self.digest(want) == self.ORACLE_DIGEST[p]
         assert np.all(np.abs(corner - want) <= 1e-12 * np.abs(want))
 

@@ -1,5 +1,7 @@
 """Tests for forest-of-octrees connectivity, transforms, and balance."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,64 @@ class TestCubedSphere:
                 np.testing.assert_allclose(xA, xB, atol=1e-9)
                 checked += 1
         assert checked == 24 * 4  # every lateral face is glued
+
+
+class TestPerPointTreeIds:
+    """``tree_map`` and ``tree_map_jacobian`` take an (n,) array of
+    per-point tree ids as well as one id: the array form is bitwise the
+    per-tree calls, and both are pinned to the digests of the per-tree
+    evaluation the array form replaced."""
+
+    CONNECTIVITIES = {
+        "curved_sphere": cubed_sphere_connectivity,
+        "straight_sphere": lambda: cubed_sphere_connectivity(curved=False),
+        "brick": lambda: brick_connectivity(2, 1, 1),
+    }
+    PINNED_DIGEST = {
+        ("curved_sphere", "tree_map"): "66e16e48800ff489b4df6596c3e1caa4",
+        ("curved_sphere", "tree_map_jacobian"): "01da0937e24204e6c901ed449083c80c",
+        ("straight_sphere", "tree_map"): "5c933021aa852444df974bb4a2a1c9b3",
+        ("straight_sphere", "tree_map_jacobian"): "ebe9f54ac755731aa2ce212810108a4f",
+        ("brick", "tree_map"): "facd95e7781f4871377f47a83a10f1d1",
+        ("brick", "tree_map_jacobian"): "7ab6abf01ecf69da2e69c9ae18bff37e",
+    }
+
+    @staticmethod
+    def points(conn):
+        """Per-point tree ids and reference points, faces and corners
+        of [0, 1]^3 included."""
+        rng = np.random.default_rng(0)
+        tids = rng.integers(0, conn.n_trees, 300)
+        ref = rng.random((300, 3))
+        ref[::5, 0] = 0.0
+        ref[::7, 1] = 1.0
+        ref[::9] = rng.integers(0, 2, (34, 3))
+        return tids, ref
+
+    @pytest.mark.parametrize("method", ["tree_map", "tree_map_jacobian"])
+    @pytest.mark.parametrize("name", list(CONNECTIVITIES))
+    def test_array_of_ids_equals_per_tree_calls(self, name, method):
+        conn = self.CONNECTIVITIES[name]()
+        tids, ref = self.points(conn)
+        got = getattr(conn, method)(tids, ref)
+        want = np.empty_like(got)
+        for t in range(conn.n_trees):
+            sel = tids == t
+            want[sel] = getattr(conn, method)(t, ref[sel])
+        assert got.shape == (len(ref), 3) + (3,) * (method == "tree_map_jacobian")
+        assert np.array_equal(got, want)
+        digest = hashlib.blake2b(want.tobytes(), digest_size=16).hexdigest()
+        assert digest == self.PINNED_DIGEST[name, method]
+
+    def test_scalar_tree_id(self):
+        """One tree id, a Python or a numpy int, maps every point."""
+        conn = cubed_sphere_connectivity()
+        _, ref = self.points(conn)
+        for t in (5, np.int64(5)):
+            x = conn.tree_map(t, ref)
+            J = conn.tree_map_jacobian(t, ref)
+            assert np.array_equal(x, conn.tree_map(np.full(len(ref), 5), ref))
+            assert np.array_equal(J, conn.tree_map_jacobian(np.full(len(ref), 5), ref))
 
 
 class TestForest:

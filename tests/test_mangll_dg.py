@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.forest import (
+    Connectivity,
     Forest,
     brick_connectivity,
     cubed_sphere_connectivity,
@@ -298,6 +299,36 @@ class TestBatchedFaceConstruction:
     def test_no_batch_faces_argument(self):
         with pytest.raises(TypeError):
             DGAdvection(cube_forest(1), 1, const_wind([1, 0, 0]), batch_faces=True)
+
+
+class TestTreeMapEvaluations:
+    """Boundary, conforming and fine-side face nodes are volume nodes, so
+    the constructor reads their geometry off the volume arrays: it
+    evaluates the tree Jacobian once for all volume nodes and otherwise
+    only at the coarse-mortar quadrature points (the fine neighbors'
+    nodes, n2 per instance)."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_jacobian_points(self, p, monkeypatch):
+        # the adapted sphere of test_mortars_on_every_orientation_class
+        conn = cubed_sphere_connectivity(r_inner=0.55, r_outer=1.0)
+        rng = np.random.default_rng(0)
+        f = Forest.uniform(conn, 0)
+        f = f.refine(rng.random(len(f)) < 0.5)
+        f, _ = f.refine(rng.random(len(f)) < 0.15).balance()
+        points = []
+        jacobian = Connectivity.tree_map_jacobian
+
+        def counted(self, tree, ref):
+            points.append(len(ref))
+            return jacobian(self, tree, ref)
+
+        monkeypatch.setattr(Connectivity, "tree_map_jacobian", counted)
+        dg = DGAdvection(f, p=p, velocity=solid_body_rotation([0.3, -0.2, 1.0]))
+        coarse = dg.face_census()["coarse_mortar"]
+        assert coarse > 0
+        assert points[0] == dg.ne * dg.n3
+        assert sum(points) == dg.ne * dg.n3 + dg.n2 * coarse
 
 
 class TestUnbalancedForestRejected:
