@@ -134,6 +134,31 @@ class TestTimeStepping:
         assert sim.sim_time == pytest.approx(3 * dt)
         assert sim.step_count == 3
 
+    #: ``(blake2b of sim.T, dt.hex())`` after four advection-limited steps
+    #: on a 176-element adapted mesh, per internal heating ``gamma``.
+    #: Recorded on a 2-core Intel Xeon (numpy 2.4.6, OpenBLAS 0.3.31)
+    ADVANCE_PINNED = {
+        0.0: ("6dbb2c1526563de06adb891b17cd0cd0", "0x1.deff4f94618ffp-16"),
+        0.5: ("fecb239197a640eac6a5000327621c1c", "0x1.deff4f94618ffp-16"),
+    }
+
+    @pytest.mark.parametrize("gamma", sorted(ADVANCE_PINNED))
+    def test_advance_pinned(self, gamma):
+        """The temperature advance on an adapted mesh with hanging nodes,
+        without and with internal heating, bit for bit."""
+        def T_init(c):
+            return 0.5 * (1 - np.tanh((c[:, 2] - 0.5) / 0.05))
+
+        sim = MantleConvection(small_config(Ra=1e6, gamma=gamma), T_init=T_init)
+        sim.adapt(target=200)
+        assert sim.mesh.n_independent < sim.mesh.n_nodes  # hanging nodes
+        sim.solve_stokes()
+        dt = sim.advance_temperature(4)
+        assert isinstance(dt, float)
+        assert sim.step_count == 4 and sim.sim_time == 4 * dt
+        digest = hashlib.blake2b(sim.T.tobytes(), digest_size=16).hexdigest()
+        assert (digest, dt.hex()) == self.ADVANCE_PINNED[gamma]
+
 
 class TestAdaptation:
     def test_adapt_keeps_target(self):
