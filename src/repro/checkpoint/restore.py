@@ -146,8 +146,12 @@ def restore_convection(path: str, config=None, include_solver_state: bool = True
     """Rebuild a :class:`~repro.rhea.convection.MantleConvection` from a
     ``convection`` checkpoint.
 
-    ``config`` must match the run that wrote the checkpoint (it is not
-    serialized — viscosity laws are code, not data); fields, counters,
+    ``config`` (``RheaConfig()`` when ``None``) must match the run that
+    wrote the checkpoint; viscosity laws are code, not data, so only the
+    fields the manifest records (``Ra``, ``domain``, ``adapt_every``,
+    ``velocity_bc``) are checked, and a mismatch raises
+    :class:`~repro.checkpoint.format.CheckpointError` naming every
+    differing field.  Fields, counters,
     diagnostics history, and — when present and requested — the
     warm-start solver state are restored.  The lagged GMG levels are
     re-assembled from the saved reference viscosity, bitwise the levels
@@ -161,7 +165,7 @@ def restore_convection(path: str, config=None, include_solver_state: bool = True
 
 
 def _restore_convection_impl(path: str, config, include_solver_state: bool):
-    from ..rhea.convection import MantleConvection, StepDiagnostics
+    from ..rhea.convection import MantleConvection, RheaConfig, StepDiagnostics
     from ..octree import LinearOctree, OctantArray
 
     path = resolve_checkpoint(path)
@@ -172,11 +176,21 @@ def _restore_convection_impl(path: str, config, include_solver_state: bool):
             f"checkpoint at {path!r} holds {meta.get('kind')!r} state, "
             "not a MantleConvection snapshot"
         )
+    cfg = config if config is not None else RheaConfig()
+    saved = meta.get("config", {})
+    given = {"Ra": float(cfg.Ra), "domain": [float(d) for d in cfg.domain],
+             "adapt_every": int(cfg.adapt_every), "velocity_bc": cfg.velocity_bc}
+    differ = [f"{k} (saved {saved[k]!r}, given {given[k]!r})"
+              for k in sorted(given) if k in saved and saved[k] != given[k]]
+    if differ:
+        raise CheckpointError(
+            f"checkpoint at {path!r} was written under another config: " + "; ".join(differ)
+        )
     leaves = OctantArray(
         g["octants/x"], g["octants/y"], g["octants/z"], g["octants/level"]
     )
     tree = LinearOctree(leaves, presorted=True)
-    sim = MantleConvection(config=config, tree=tree)
+    sim = MantleConvection(config=cfg, tree=tree)
     sim.T = g["field/T"].copy()
     sim.u = g["field/u"].copy()
     sim.eta_elem = g["state/eta_elem"].copy()

@@ -21,7 +21,7 @@ from .assembly import (
 )
 from .hexops import ElementOps
 from .paradvection import ParAdvectionDiffusion
-from .stokes import StokesSystem
+from .stokes import StokesSystem, node_mass
 
 __all__ = [
     "ElementOps",
@@ -39,5 +39,6 @@ __all__ = [
     "element_velocity_from_nodal",
     "supg_tau",
     "StokesSystem",
+    "node_mass",
     "ParAdvectionDiffusion",
 ]

@@ -34,13 +34,11 @@ _OPS = ElementOps()
 
 
 def element_velocity_from_nodal(mesh: Mesh, u_full: np.ndarray) -> np.ndarray:
-    """Per-element advection velocity: average of the 8 corner values.
-
-    ``u_full`` is (3, n_nodes) or (n_nodes, 3); returns (n_elements, 3).
-    """
+    """Per-element advection velocity: average of the 8 corner values of
+    the ``(n_nodes, 3)`` nodal field; returns ``(n_elements, 3)``."""
     u = np.asarray(u_full, dtype=np.float64)
-    if u.shape[0] == 3 and u.ndim == 2 and u.shape[1] != 3:
-        u = u.T
+    if u.shape != (mesh.n_nodes, 3):
+        raise ValueError(f"u_full must be (n_nodes, 3) = ({mesh.n_nodes}, 3), got {u.shape}")
     return u[mesh.element_nodes].mean(axis=1)
 
 
@@ -119,7 +117,8 @@ class AdvectionDiffusion:
         (nb, n_elements, 3) for a batch; fields are then ``(n, nb)`` and
         ``dt`` / ``cfl`` may be ``(nb,)``.
     source:
-        Uniform internal heating ``gamma`` (zero in a batch).
+        Uniform internal heating ``gamma``; scalar, or ``(nb,)`` in a
+        batch.
     dirichlet:
         List of ``(axis, side, value)`` tuples fixing the field on domain
         faces; remaining boundaries are natural (insulated).
@@ -130,7 +129,7 @@ class AdvectionDiffusion:
         mesh: Mesh,
         kappa,
         vel: np.ndarray,
-        source: float = 0.0,
+        source: float | np.ndarray = 0.0,
         dirichlet: list[tuple[int, int, float]] | None = None,
     ):
         self.mesh = mesh
@@ -138,11 +137,8 @@ class AdvectionDiffusion:
         self.vel = np.asarray(vel, dtype=np.float64)
         if self.vel.ndim not in (2, 3) or self.vel.shape[-2:] != (mesh.n_elements, 3):
             raise ValueError("vel must be (n_elements, 3) or (nb, n_elements, 3)")
-        batched = self.vel.ndim == 3
-        if batched and source != 0.0:
-            raise ValueError("batched advection supports source = 0 only")
         # per-dof vectors broadcast against T: (n,) serial, (n, 1) batched
-        col = (slice(None), None) if batched else slice(None)
+        col = (slice(None), None) if self.vel.ndim == 3 else slice(None)
         sizes = mesh.element_sizes()
         self.tau = supg_tau(sizes, self.vel, self.kappa)
 
@@ -153,11 +149,14 @@ class AdvectionDiffusion:
         mass_e = cache.get("elem_mass", lambda: _OPS.mass(sizes))
         self.ML = cache.get("lumped_mass", lambda: lumped_mass(mesh, mass_e))[col]
 
-        # source: gamma * int N_i, plus SUPG source tau * gamma * int a.grad N_i
-        load_e = source * mass_e.sum(axis=2)
-        if source != 0.0:
-            load_e += source * self.tau[:, None] * _OPS.streamline_load(sizes, self.vel)
-        self.b = assemble_rhs(mesh, load_e)[col]
+        # source: gamma * int N_i, plus SUPG source tau * gamma * int a.grad N_i;
+        # one load column per batch column
+        source = np.broadcast_to(np.asarray(source, dtype=np.float64), self.vel.shape[:-2])
+        gamma = source[..., None, None]
+        load_e = gamma * mass_e.sum(axis=2)
+        if np.any(source != 0.0):
+            load_e = load_e + gamma * self.tau[..., None] * _OPS.streamline_load(sizes, self.vel)
+        self.b = assemble_rhs(mesh, load_e)
 
         self.dirichlet = dirichlet or []
         self._bc_mask, values = dirichlet_dofs(mesh, self.dirichlet)

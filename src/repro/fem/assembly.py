@@ -191,12 +191,17 @@ def assemble_divergence(mesh: Mesh, elem_B: np.ndarray) -> sp.csr_matrix:
 
 
 def assemble_rhs(mesh: Mesh, elem_vecs: np.ndarray, constrain: bool = True) -> np.ndarray:
-    """Assemble (ne, 8) element load vectors into a global rhs."""
-    if elem_vecs.shape != (mesh.n_elements, 8):
+    """Assemble (ne, 8) element load vectors into a global rhs, or
+    (nb, ne, 8) ones into the columns of an (n, nb) rhs."""
+    if elem_vecs.ndim not in (2, 3) or elem_vecs.shape[-2:] != (mesh.n_elements, 8):
         raise ValueError("element vector array has wrong shape")
+    nb = 1 if elem_vecs.ndim == 2 else len(elem_vecs)
+    slots = mesh.element_nodes.ravel() + mesh.n_nodes * np.arange(nb)[:, None]
     b = np.bincount(
-        mesh.element_nodes.ravel(), weights=elem_vecs.ravel(), minlength=mesh.n_nodes
-    )
+        slots.ravel(), weights=elem_vecs.ravel(), minlength=nb * mesh.n_nodes
+    ).reshape(nb, mesh.n_nodes).T
+    if elem_vecs.ndim == 2:
+        b = b[:, 0]
     if not constrain:
         return b
     return mesh.Z.T @ b

@@ -61,7 +61,6 @@ __all__ = [
     "MatFreeAdvectionOperator",
     "apply_scalar_mass",
     "lumped_scalar_mass",
-    "batched_lumped_scalar_mass",
     "velocity_gather",
     "scalar_gather",
     "gauss_matrices",
@@ -324,38 +323,30 @@ def apply_scalar_mass(
     return gp.GT @ out_e.ravel()
 
 
-def lumped_scalar_mass(mesh: Mesh, coeff: np.ndarray | float = 1.0) -> np.ndarray:
+def lumped_scalar_mass(mesh: Mesh, coeff: np.ndarray) -> np.ndarray:
     """Row sums of the constrained scalar mass, computed matrix-free as
-    ``(Z^T M Z) 1`` — the tensor-path Schur diagonal ``Stilde``."""
-    d = apply_scalar_mass(mesh, np.ones(mesh.n_independent, dtype=np.float64), coeff)
-    if np.any(d <= 0):
-        raise AssertionError("non-positive lumped mass entry")
-    return d
+    ``(Z^T M Z) 1`` — the tensor-path Schur diagonal ``Stilde``.
 
-
-def batched_lumped_scalar_mass(mesh: Mesh, coeff: np.ndarray) -> np.ndarray:
-    """Per-scenario Schur diagonals in one sweep: ``coeff`` is
-    ``(nb, ne)`` and the result is ``(n, nb)``, column ``b`` equal to
-    ``lumped_scalar_mass(mesh, coeff[b])`` up to GEMM reassociation.
-
-    This is the batched-channel-scaling form used by the fleet engine:
-    the gather/backward GEMMs run once on the merged element-batch axis
-    instead of ``nb`` separate sparse passes.
+    ``coeff`` is ``(ne,)`` with an ``(n,)`` result, or ``(nb, ne)`` with
+    an ``(n, nb)`` result, column ``b`` the diagonal of ``coeff[b]`` (up
+    to GEMM reassociation): the gather and backward GEMMs run once on
+    the merged element-batch axis.
     """
     coeff = np.asarray(coeff, dtype=np.float64)
-    if coeff.ndim != 2:
-        raise ValueError("coeff must be (nb, ne)")
-    nb, ne = coeff.shape
+    if coeff.shape[-1:] != (mesh.n_elements,) or coeff.ndim > 2:
+        raise ValueError("coeff must be (ne,) or (nb, ne)")
+    cols = np.atleast_2d(coeff)
+    nb, ne = cols.shape
     gp = scalar_gather(mesh)
     w, _, _ = _geometry(mesh)
     ones = np.ones((mesh.n_independent, nb), dtype=np.float64)
     TqT = E8 @ (gp.G @ ones).reshape(8, ne * nb)
-    wc = (w[:, None] * coeff.T).reshape(-1)  # e * nb + b flat order
+    wc = (w[:, None] * cols.T).reshape(-1)  # e * nb + b flat order
     out_e = E8.T @ (wc[None, :] * TqT)
     d = gp.GT @ out_e.reshape(8 * ne, nb)
     if np.any(d <= 0):
         raise AssertionError("non-positive lumped mass entry")
-    return d
+    return d if coeff.ndim == 2 else d[:, 0]
 
 
 # -- SUPG advection-diffusion rate operator -------------------------------------
@@ -376,24 +367,17 @@ class MatFreeAdvectionOperator:
         ne = mesh.n_elements
         self.gp = scalar_gather(mesh)
         w, ih, _ = _geometry(mesh)
-        vel = np.asarray(vel, dtype=np.float64)
         # Batched mode mirrors MatFreeStokesOperator: vel (nb, ne, 3),
-        # tau (nb, ne), kappa scalar or (nb,), merged flat order e*nb+b.
-        self.nb = 1 if vel.ndim == 2 else int(vel.shape[0])
-        if vel.ndim == 2:  # serial layout (a width-1 batch stays batched)
-            self.velT = np.ascontiguousarray(vel.T)
-            self.w = w
-            self.wk = w * float(kappa)  # diffusive flux prefactor
-            wtau = w * np.asarray(tau, dtype=np.float64)
-        else:
-            ih = np.repeat(ih, self.nb, axis=0)
-            self.velT = np.ascontiguousarray(vel.transpose(2, 1, 0)).reshape(3, -1)
-            kb = np.broadcast_to(
-                np.asarray(kappa, dtype=np.float64), (self.nb,)
-            )
-            self.w = np.repeat(w, self.nb)
-            self.wk = (w[:, None] * kb[None, :]).ravel()
-            wtau = (w[:, None] * np.asarray(tau, dtype=np.float64).T).ravel()
+        # tau (nb, ne), kappa scalar or (nb,), merged flat order e*nb+b;
+        # the serial layout (ne, 3) is the nb = 1 case
+        vel = np.asarray(vel, dtype=np.float64).reshape(-1, ne, 3)
+        self.nb = len(vel)
+        ih = np.repeat(ih, self.nb, axis=0)
+        self.velT = np.ascontiguousarray(vel.transpose(2, 1, 0)).reshape(3, -1)
+        kb = np.broadcast_to(np.asarray(kappa, dtype=np.float64), (self.nb,))
+        self.w = np.repeat(w, self.nb)
+        self.wk = (w[:, None] * kb[None, :]).ravel()  # diffusive flux prefactor
+        wtau = (w[:, None] * np.asarray(tau, dtype=np.float64).reshape(self.nb, ne).T).ravel()
         self.ihT = np.ascontiguousarray(ih.T)  # (3, m)
         self.wtauvelT = wtau[None, :] * self.velT
         m = ne * self.nb

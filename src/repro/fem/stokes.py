@@ -41,7 +41,7 @@ from .assembly import (
 from .hexops import ElementOps
 from .matfree import MatFreeStokesOperator, lumped_scalar_mass
 
-__all__ = ["StokesSystem", "velocity_bcs", "poisson_blocks"]
+__all__ = ["StokesSystem", "node_mass", "velocity_bcs", "poisson_blocks"]
 
 _OPS = ElementOps()
 
@@ -76,6 +76,15 @@ def velocity_bcs(mesh: Mesh, bc: str) -> _BCInfo:
         return _BCInfo(dofs=dofs, per_component=per_component)
 
     return operator_cache(mesh).get(("stokes_bcs", bc), build)
+
+
+def node_mass(mesh: Mesh) -> sp.csr_matrix:
+    """The unconstrained consistent nodal mass (cached per mesh): the
+    Stokes body-force load of a nodal field ``f`` is ``Z^T (M f)``."""
+    return operator_cache(mesh).get(
+        "node_mass",
+        lambda: assemble_scalar(mesh, _OPS.mass(mesh.element_sizes()), constrain=False),
+    )
 
 
 def poisson_blocks(mesh: Mesh, viscosity: np.ndarray, bc: str) -> list[sp.csr_matrix]:
@@ -128,9 +137,7 @@ class StokesSystem:
             raise ValueError("viscosity must be per-element")
         if np.any(self.viscosity <= 0):
             raise ValueError("viscosity must be positive")
-        sizes = mesh.element_sizes()
         n = mesh.n_independent
-        cache = operator_cache(mesh)
         self._A = self._C = self._B = None
 
         # consistent body-force load
@@ -139,10 +146,7 @@ class StokesSystem:
             bf = np.asarray(body_force, dtype=np.float64)
             if bf.shape != (mesh.n_nodes, 3):
                 raise ValueError("body_force must be (n_nodes, 3)")
-            M_node = cache.get(
-                "node_mass",
-                lambda: assemble_scalar(mesh, _OPS.mass(sizes), constrain=False),
-            )
+            M_node = node_mass(mesh)
             for a in range(3):
                 self.f[a * n : (a + 1) * n] = mesh.Z.T @ (M_node @ bf[:, a])
 

@@ -9,14 +9,13 @@ gather/geometry traffic over all tenants — the per-scenario work
 collapses from ``B`` skinny matvecs into one wide one.
 
 No algorithm is defined here: the Picard iteration is
-:func:`repro.rhea.convection.picard` (the serial driver is its
-one-column case), the Krylov recurrence is
+:func:`repro.rhea.convection.picard`, the temperature advance is
+:func:`repro.rhea.convection.advect` (the serial driver is the
+one-column case of both), and the Krylov recurrence is
 :func:`repro.solvers.minres.batched_minres` (serial ``minres`` is its
-one-column case), and the explicit SUPG step is
-:class:`repro.fem.advection.AdvectionDiffusion` on ``(n, nb)`` fields.
-:class:`BatchGroup` owns the fleet's part: column packing, the per-law
-hierarchies with their Jacobi congruence, the compaction factory, and
-per-tenant step counts enforced through a mask.
+one-column case).  :class:`BatchGroup` owns the fleet's part: column
+packing, the per-law hierarchies with their Jacobi congruence and the
+compaction factory.
 
 Per-scenario physics stays exact: viscosity and Rayleigh number enter as
 batched channel scalings, and the recurrence carries an *active mask*
@@ -56,24 +55,14 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..analysis.sanitize import maybe_freeze, maybe_verify
-from ..fem.advection import AdvectionDiffusion, element_velocity_from_nodal
-from ..fem.assembly import assemble_scalar
-from ..fem.hexops import ElementOps
-from ..fem.matfree import (
-    MatFreeStokesOperator,
-    batched_lumped_scalar_mass,
-    scalar_gather,
-)
-from ..fem.stokes import velocity_bcs
+from ..fem.matfree import MatFreeStokesOperator, lumped_scalar_mass, scalar_gather
+from ..fem.stokes import node_mass, velocity_bcs
 from ..mesh.opcache import operator_cache
-from ..rhea.convection import THERMAL_BCS, StepDiagnostics, picard
+from ..rhea.convection import StepDiagnostics, advect, picard
 from ..solvers.gmg import GeometricMultigrid
 from ..solvers.minres import BatchedMinresResult, batched_minres
 
 __all__ = ["BatchedMinresResult", "batched_minres", "BatchGroup"]
-
-_OPS = ElementOps()
 
 
 def _poisson_diag(mesh, eta_b: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -123,10 +112,7 @@ class _LawSolve:
         self.D_ref = np.repeat(
             _poisson_diag(mesh, eta_ref, self.g_elem), np.diff(bounds), axis=1
         )  # each column's law reference, (n, nb)
-        M_node = operator_cache(mesh).get(
-            "node_mass",
-            lambda: assemble_scalar(mesh, _OPS.mass(sizes), constrain=False),
-        )
+        M_node = node_mass(mesh)
         self.F = np.zeros((4 * n, len(self.sims)))
         for j, s in enumerate(self.sims):  # lint: allow-loop (per-job rhs pack, O(B))
             self.F[2 * n : 3 * n, j] = mesh.Z.T @ (M_node @ (s.config.Ra * s.T))
@@ -145,7 +131,7 @@ class _LawSolve:
         # of the vcycle keeps the prec SPD while tracking each job's
         # local viscosity field, not just its overall scale
         S = np.sqrt(self.D_ref / _poisson_diag(mesh, eta_b, self.g_elem))
-        schur = batched_lumped_scalar_mass(mesh, 1.0 / eta_b)
+        schur = lumped_scalar_mass(mesh, 1.0 / eta_b)
 
         def make_prec(cols):
             # `cols` is sorted (compaction keeps survivors in order),
@@ -190,9 +176,9 @@ class BatchGroup:
 
     Every sim must hold the *same* :class:`~repro.mesh.Mesh` object (the
     fleet's :class:`~repro.fleet.service.MeshRegistry` interns structures
-    to guarantee this), the same velocity BC and domain, and zero
-    internal heating — everything else (Rayleigh number, viscosity law,
-    tolerances, Picard budget, step counts) may differ per tenant.
+    to guarantee this), the same velocity BC and domain — everything
+    else (Rayleigh number, internal heating, viscosity law, tolerances,
+    Picard budget, step counts) may differ per tenant.
     The group's per-law hierarchies are its own decision, not the serial
     driver's lagged one.  Internally the Stokes columns are packed law
     by law (laws sorted by qualified class name, tenants in the caller's order
@@ -227,8 +213,6 @@ class BatchGroup:
                 raise ValueError("velocity_bc must be uniform across a batch group")
             if tuple(c.domain) != tuple(cfg0.domain):
                 raise ValueError("domain must be uniform across a batch group")
-            if c.gamma != 0.0:
-                raise ValueError("batched advection supports gamma = 0 only")
         self.sims = list(sims)
         self.mesh = mesh
         self.nb = len(sims)
@@ -256,43 +240,10 @@ class BatchGroup:
     # -- temperature ----------------------------------------------------
 
     def advance_temperature(self) -> np.ndarray:
-        """Batched explicit Heun advection with per-job time steps.
-
-        One :class:`~repro.fem.advection.AdvectionDiffusion` over the
-        batch axis does the stepping.  Each job takes its own
-        ``adapt_every`` steps at its own CFL ``dt``; jobs whose step
-        count is exhausted are frozen bitwise by a per-micro-step mask
-        (and fingerprint-verified at unpack under ``REPRO_SANITIZE=1``).
-        Returns the per-job ``dt`` array.
-        """
-        mesh, sims = self.mesh, self.sims
-        eq = AdvectionDiffusion(
-            mesh,
-            np.array([s.config.kappa for s in sims]),
-            np.stack([element_velocity_from_nodal(mesh, s.u) for s in sims]),
-            dirichlet=THERMAL_BCS,
-        )
-        dt_b = eq.cfl_dt(np.array([s.config.cfl for s in sims]))
-        n_steps = np.array([s.config.adapt_every for s in sims])
-
-        Tm = np.stack([s.T[mesh.indep_nodes] for s in sims], axis=1)  # (n, nb)
-        frozen: list = [None] * self.nb
-        for t in range(int(n_steps.max())):  # lint: allow-loop (time stepping)
-            Tm = np.where(t < n_steps, eq.step(Tm, dt_b), Tm)
-            for j in np.flatnonzero(t + 1 == n_steps):  # lint: allow-loop (sanitize freeze, O(B))
-                frozen[j] = maybe_freeze(Tm[:, j].copy())
-        for j, tok in enumerate(frozen):  # lint: allow-loop (sanitize verify, O(B))
-            if tok is not None and n_steps[j] < n_steps.max():
-                maybe_verify(
-                    Tm[:, j], tok,
-                    context=f"fleet finished tenant temperature column {j}",
-                )
-
-        for j, s in enumerate(sims):  # lint: allow-loop (per-job unpack, O(B))
-            s.T = mesh.expand(Tm[:, j])
-            s.sim_time += int(n_steps[j]) * float(dt_b[j])
-            s.step_count += int(n_steps[j])
-        return dt_b
+        """Every tenant's ``adapt_every`` explicit steps at its own CFL
+        ``dt``, through :func:`~repro.rhea.convection.advect`; returns
+        the per-job ``dt`` array."""
+        return advect(self.sims, [s.config.adapt_every for s in self.sims])
 
     # -- one lockstep cycle ---------------------------------------------
 

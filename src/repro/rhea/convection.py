@@ -2,10 +2,13 @@
 
 Implements the solution strategy of Section III on top of the ALPS mesh
 layer: each time step splits into an explicit SUPG advection-diffusion
-update of temperature and a variable-viscosity Stokes solve for the flow,
-with the strain-rate-dependent (yielding) viscosity handled by Picard
-fixed-point iteration.  The mesh is re-adapted every ``adapt_every`` steps
-through the Figure-4 pipeline, transferring temperature and velocity.
+update of temperature (:func:`advect`) and a variable-viscosity Stokes
+solve for the flow, with the strain-rate-dependent (yielding) viscosity
+handled by Picard fixed-point iteration (:func:`picard`).  Both run on a
+block of same-mesh columns: the serial driver is one column, the fleet's
+lockstep group packs many.  The mesh is re-adapted every ``adapt_every``
+steps through the Figure-4 pipeline, transferring temperature and
+velocity.
 
 Nondimensionalization follows eqs. (1)-(3): buoyancy ``Ra T e_z`` drives
 the flow, kappa = 1, and the Rayleigh number controls vigor.
@@ -30,7 +33,9 @@ from ..solvers import LaggedStokesPreconditioner, minres
 from .error import combined_indicator
 from .viscosity import ArrheniusViscosity, element_temperature, strain_rate_invariant
 
-__all__ = ["ConfigError", "RheaConfig", "MantleConvection", "conductive_profile", "picard"]
+__all__ = [
+    "ConfigError", "RheaConfig", "MantleConvection", "advect", "conductive_profile", "picard",
+]
 
 #: temperature Dirichlet faces ``(axis, side, value)``: hot bottom, cold top
 THERMAL_BCS = [(2, 0, 1.0), (2, 1, 0.0)]
@@ -241,6 +246,47 @@ def picard(sims: list, solve: Callable) -> list[dict]:
     ]
 
 
+def advect(sims: list, n_steps) -> np.ndarray:
+    """Explicit SUPG transport of temperature with the frozen Stokes
+    velocity, one column per same-mesh :class:`MantleConvection` in
+    ``sims``: the serial driver is one column, the fleet's
+    :class:`~repro.fleet.batch.BatchGroup` packs many.  One
+    :class:`~repro.fem.advection.AdvectionDiffusion` carries every
+    column's diffusivity, velocity and internal heating; column ``j``
+    takes ``n_steps[j]`` steps at its own CFL ``dt``.
+
+    Unequal counts advance in integer segments between the distinct
+    stops; a finished column keeps the bits it held at its stop
+    (verified under ``REPRO_SANITIZE=1``).  Updates each sim's ``T``,
+    ``sim_time`` and ``step_count`` and returns the per-column ``dt``.
+    """
+    mesh = sims[0].mesh
+    cfgs = [s.config for s in sims]
+    eq = AdvectionDiffusion(
+        mesh,
+        np.array([c.kappa for c in cfgs]),
+        np.stack([element_velocity_from_nodal(mesh, s.u) for s in sims]),
+        source=np.array([c.gamma for c in cfgs]),
+        dirichlet=THERMAL_BCS,
+    )
+    dt = eq.cfl_dt(np.array([c.cfl for c in cfgs]))
+    n_steps = np.asarray(n_steps)
+    T = np.stack([s.T[mesh.indep_nodes] for s in sims], axis=1)  # (n, nb)
+    done, frozen = 0, {}
+    for stop in np.unique(n_steps):  # lint: allow-loop (one segment per distinct stop)
+        T = np.where(n_steps >= stop, eq.advance(T, dt, int(stop - done)), T)
+        done = stop
+        for j in np.flatnonzero(n_steps == stop):
+            frozen[j] = maybe_freeze(T[:, j])
+    for j, token in frozen.items():
+        maybe_verify(T[:, j], token, context=f"finished temperature column {j}")
+    for j, s in enumerate(sims):
+        s.T = mesh.expand(T[:, j])
+        s.sim_time += int(n_steps[j]) * float(dt[j])
+        s.step_count += int(n_steps[j])
+    return dt
+
+
 class MantleConvection:
     """Driver object holding the evolving mesh, fields, and solvers."""
 
@@ -383,20 +429,9 @@ class MantleConvection:
     # -- temperature -------------------------------------------------------------------
 
     def advance_temperature(self, n_steps: int) -> float:
-        """Advance the energy equation ``n_steps`` explicit steps with the
-        frozen Stokes velocity; returns the time step used."""
-        cfg = self.config
-        vel_e = element_velocity_from_nodal(self.mesh, self.u)
-        eq = AdvectionDiffusion(
-            self.mesh, cfg.kappa, vel_e, source=cfg.gamma, dirichlet=THERMAL_BCS
-        )
-        dt = eq.cfl_dt(cfg.cfl)
-        T_ind = self.T[self.mesh.indep_nodes]
-        T_ind = eq.advance(T_ind, dt, n_steps)
-        self.T = self.mesh.expand(T_ind)
-        self.sim_time += n_steps * dt
-        self.step_count += n_steps
-        return dt
+        """One column of :func:`advect`: ``n_steps`` explicit steps of the
+        energy equation; returns the time step used."""
+        return float(advect([self], [n_steps])[0])
 
     # -- adaptation --------------------------------------------------------------------
 

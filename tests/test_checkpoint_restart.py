@@ -8,6 +8,7 @@ and temperature within FP-reassociation noise of ghost-exchange
 summation (the same 1e-11 envelope the seed's P-invariance test uses).
 """
 
+import dataclasses
 import json
 import os
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.amr import ParAmrPipeline
 from repro.checkpoint import (
+    CheckpointError,
     Checkpointer,
     ShardIntegrityError,
     list_checkpoints,
@@ -219,6 +221,25 @@ class TestConvectionRestart:
         assert cycles[1] == cycles[0]
         assert res.history[-1].vrms == ref.history[-1].vrms
         np.testing.assert_array_equal(res.T, ref.T)
+
+    def test_mismatched_config_refused(self, tmp_path):
+        """A restore under a config that differs in a field the manifest
+        records is an error naming every differing field, not a run on a
+        silently different domain; ``config=None`` means the defaults."""
+        root = str(tmp_path / "ck")
+        saved = dataclasses.replace(_small_cfg(), Ra=1e5, domain=(2.0, 1.0, 1.0))
+        MantleConvection(saved).run(1, checkpoint=Checkpointer(root, every=1))
+        other = dataclasses.replace(_small_cfg(), Ra=1e3, adapt_every=2)
+        with pytest.raises(CheckpointError) as exc:
+            MantleConvection.resume_from(root, config=other)
+        msg = str(exc.value)
+        for name in ("Ra", "domain", "adapt_every"):
+            assert f"{name} (saved" in msg
+        assert "velocity_bc" not in msg
+        with pytest.raises(CheckpointError, match="adapt_every"):
+            MantleConvection.resume_from(root)
+        res = MantleConvection.resume_from(root, config=saved)
+        assert res.mesh.domain[0] == 2.0 and res.step_count == 4
 
     def test_resume_without_solver_state_still_tracks(self, tmp_path):
         """Dropping the warm-start payload changes iteration counts at

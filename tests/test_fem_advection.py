@@ -52,6 +52,16 @@ class TestElementVelocity:
         ev = element_velocity_from_nodal(mesh, u)
         np.testing.assert_allclose(ev, mesh.element_centers(), atol=1e-12)
 
+    def test_only_the_node_major_layout(self):
+        """``(n_nodes, 3)`` is the one layout; a transposed field is an
+        error, not a guess."""
+        mesh = make_mesh(1)
+        u = np.ones((mesh.n_nodes, 3))
+        with pytest.raises(ValueError, match="n_nodes, 3"):
+            element_velocity_from_nodal(mesh, u.T)
+        with pytest.raises(ValueError, match="n_nodes, 3"):
+            element_velocity_from_nodal(mesh, u[:-1])
+
 
 class TestAdvectionDiffusion:
     def test_steady_state_preserved(self):
@@ -168,8 +178,34 @@ class TestBatchAxis:
                 Tb[:, j], one.advance(T0[:, j], dt[j], 5), rtol=1e-12, atol=1e-14
             )
 
-    def test_batched_source_rejected(self):
-        mesh = make_mesh(1)
-        vel = np.zeros((2, mesh.n_elements, 3))
-        with pytest.raises(ValueError, match="source"):
-            AdvectionDiffusion(mesh, 1.0, vel, source=1.0)
+    def test_batched_source_matches_serial_instances(self):
+        """Per-column internal heating: each column's load is its serial
+        instance's load bit for bit and the columns advance as the serial
+        instances do (to 1e-12, the GEMM blocking above); a width-1 batch
+        is the serial solver bit for bit."""
+        mesh = make_mesh(2, adapt=True, seed=5)
+        rng = np.random.default_rng(11)
+        kappa = np.array([1e-3, 0.5, 0.05])
+        source = np.array([0.0, 1.0, 2.5])
+        vel = rng.standard_normal((3, mesh.n_elements, 3))
+        bcs = [(2, 0, 1.0), (2, 1, 0.0)]
+        T0 = rng.random((mesh.n_independent, 3))
+
+        batch = AdvectionDiffusion(mesh, kappa, vel, source=source, dirichlet=bcs)
+        assert batch.b.shape == (mesh.n_independent, 3)
+        dt = batch.cfl_dt(0.4)
+        Tb = batch.advance(T0, dt, 6)
+        for j in range(3):
+            one = AdvectionDiffusion(mesh, kappa[j], vel[j], source=source[j], dirichlet=bcs)
+            np.testing.assert_array_equal(batch.b[:, j], one.b)
+            T1 = one.advance(T0[:, j], dt[j], 6)
+            np.testing.assert_allclose(Tb[:, j], T1, rtol=1e-12, atol=1e-14)
+            col = AdvectionDiffusion(
+                mesh, kappa[j : j + 1], vel[j : j + 1], source=source[j : j + 1], dirichlet=bcs
+            )
+            np.testing.assert_array_equal(col.advance(T0[:, j : j + 1], dt[j : j + 1], 6)[:, 0], T1)
+        # a scalar source is every column's: column 1 above had source 1.0
+        alike = AdvectionDiffusion(mesh, kappa, vel, source=1.0, dirichlet=bcs)
+        np.testing.assert_array_equal(alike.b[:, 1], batch.b[:, 1])
+        with pytest.raises(ValueError):
+            AdvectionDiffusion(mesh, kappa[0], vel[0], source=source)

@@ -290,6 +290,23 @@ def test_scalar_mass_parity_plain_and_supg():
     )
 
 
+def test_lumped_scalar_mass_takes_a_batch_axis():
+    """``(nb, ne)`` coefficients give one Schur diagonal per column: at
+    nb = 1 bit for bit the ``(ne,)`` call, at nb = 3 each column its own
+    call to GEMM reassociation."""
+    mesh = make_mesh(level=2, seed=6)
+    rng = np.random.default_rng(9)
+    coeff = np.exp(rng.standard_normal((3, mesh.n_elements)))
+    one = lumped_scalar_mass(mesh, coeff[:1])
+    assert one.shape == (mesh.n_independent, 1)
+    np.testing.assert_array_equal(one[:, 0], lumped_scalar_mass(mesh, coeff[0]))
+    three = lumped_scalar_mass(mesh, coeff)
+    for j in range(3):
+        np.testing.assert_allclose(three[:, j], lumped_scalar_mass(mesh, coeff[j]), rtol=1e-12)
+    with pytest.raises(ValueError, match="coeff"):
+        lumped_scalar_mass(mesh, coeff[:, :-1])
+
+
 def test_operator_objects_are_rebindable():
     mesh = make_mesh(level=2)
     eta = viscosity(mesh, 1.0)

@@ -492,6 +492,26 @@ class TestBatchedSerialParity:
         together.advance_temperature()
         np.testing.assert_array_equal(group.sims[0].T, together.sims[0].T)
 
+    def test_internal_heating_matches_serial(self):
+        """Tenants with internal heating batch like any others: from one
+        solved state, each column of the group's advance is its tenant's
+        serial one-column advance to rounding, with the same ``dt``."""
+        svc = FleetService()
+        sims = [svc.admit(s).sim for s in heterogeneous_specs(cycles=1)]
+        for sim, gamma in zip(sims, (0.5, 0.0, 2.0)):
+            sim.config = dataclasses.replace(sim.config, gamma=gamma)
+        group = BatchGroup(sims)
+        group.solve_stokes()
+        serial = []
+        for sim in sims:
+            solo = MantleConvection(sim.config, mesh=sim.mesh)
+            solo.T, solo.u = sim.T.copy(), sim.u.copy()
+            serial.append((solo, solo.advance_temperature(sim.config.adapt_every)))
+        dt = group.advance_temperature()
+        for sim, (solo, dt_solo), dt_j in zip(sims, serial, dt):
+            assert dt_j == dt_solo and sim.sim_time == solo.sim_time
+            np.testing.assert_allclose(sim.T, solo.T, rtol=1e-12)
+
     def test_group_admission_checks(self):
         specs = heterogeneous_specs(cycles=1)
         svc = FleetService()

@@ -1,5 +1,6 @@
 """Tests for the fleet service: interning, scheduling, preemption."""
 
+import json
 import os
 from types import SimpleNamespace
 
@@ -262,6 +263,25 @@ class TestPreemptResume:
         os.rename(os.path.join(root, "b"), os.path.join(root, "a"))
         os.rename(os.path.join(root, "swap"), os.path.join(root, "b"))
         with pytest.raises(CheckpointError, match="stamped for job"):
+            FleetService.resume(root)
+
+    def test_mismatched_config_refused(self, tmp_path):
+        """A resumed spec whose config differs from the one its job's
+        checkpoint was written under is refused, naming the field."""
+        root = str(tmp_path / "fleet")
+        svc = FleetService(root=root)
+        for s in self.fleet_specs(cycles=2):
+            svc.admit(s)
+        svc.arm_budget(1)
+        svc.run()
+        path = os.path.join(root, "fleet.json")
+        with open(path) as f:
+            state = json.load(f)
+        (b,) = [d for d in state["specs"] if d["job_id"] == "b"]
+        b["Ra"] = 1e3
+        with open(path, "w") as f:
+            json.dump(state, f)
+        with pytest.raises(CheckpointError, match=r"Ra \(saved 30000\.0, given 1000\.0\)"):
             FleetService.resume(root)
 
     def test_preempt_requires_root(self):
