@@ -35,6 +35,7 @@ from .format import (
     read_manifest,
     read_shard,
 )
+from .snapshot import recorded_config
 
 __all__ = [
     "resolve_checkpoint",
@@ -177,11 +178,12 @@ def _restore_convection_impl(path: str, config, include_solver_state: bool):
             "not a MantleConvection snapshot"
         )
     cfg = config if config is not None else RheaConfig()
-    saved = meta.get("config", {})
-    given = {"Ra": float(cfg.Ra), "domain": [float(d) for d in cfg.domain],
-             "adapt_every": int(cfg.adapt_every), "velocity_bc": cfg.velocity_bc}
-    differ = [f"{k} (saved {saved[k]!r}, given {given[k]!r})"
-              for k in sorted(given) if k in saved and saved[k] != given[k]]
+    saved, given = meta.get("config", {}), recorded_config(cfg)
+    differ = [
+        f"{k} (saved {saved[k]!r}, given {given[k]!r})"
+        for k in sorted(given)
+        if k in saved and saved[k] != given[k]
+    ]
     if differ:
         raise CheckpointError(
             f"checkpoint at {path!r} was written under another config: " + "; ".join(differ)

@@ -28,8 +28,6 @@ import os
 import shutil
 from dataclasses import asdict
 
-import numpy as np
-
 from .. import obs
 from ..analysis.sanitize import maybe_freeze
 from .format import (
@@ -150,6 +148,18 @@ def convection_arrays(sim, include_solver_state: bool = True) -> dict:
     return arrays
 
 
+def recorded_config(cfg) -> dict:
+    """The :class:`~repro.rhea.convection.RheaConfig` fields a convection
+    checkpoint records and its restore checks (viscosity laws are code,
+    not data, and are not recorded)."""
+    return {
+        "Ra": cfg.Ra,
+        "domain": [float(d) for d in cfg.domain],
+        "adapt_every": cfg.adapt_every,
+        "velocity_bc": cfg.velocity_bc,
+    }
+
+
 def save_convection(
     sim, root: str, keep: int | None = 2, include_solver_state: bool = True,
     extra_meta: dict | None = None,
@@ -200,12 +210,7 @@ def _save_convection_impl(
             "kind": "convection",
             "n_elements": sim.mesh.n_elements,
             "history": [asdict(d) for d in sim.history],
-            "config": {
-                "Ra": cfg.Ra,
-                "domain": list(np.asarray(cfg.domain, dtype=np.float64)),
-                "adapt_every": cfg.adapt_every,
-                "velocity_bc": cfg.velocity_bc,
-            },
+            "config": recorded_config(cfg),
             "fields": ["T", "u"],
             **({"extra": extra_meta} if extra_meta is not None else {}),
         },

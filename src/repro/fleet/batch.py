@@ -262,8 +262,4 @@ class BatchGroup:
             obs.counter("cache_misses", cstats.misses - m0)
         with obs.phase("fleet/advection"):
             self.advance_temperature()
-            obs.counter(
-                "advection_steps",
-                int(sum(s.config.adapt_every for s in self.sims)),
-            )
         return [s.record_cycle(st) for s, st in zip(self.sims, stats)]

@@ -249,17 +249,15 @@ def picard(sims: list, solve: Callable) -> list[dict]:
 def advect(sims: list, n_steps) -> np.ndarray:
     """Explicit SUPG transport of temperature with the frozen Stokes
     velocity, one column per same-mesh :class:`MantleConvection` in
-    ``sims``: the serial driver is one column, the fleet's
-    :class:`~repro.fleet.batch.BatchGroup` packs many.  One
-    :class:`~repro.fem.advection.AdvectionDiffusion` carries every
-    column's diffusivity, velocity and internal heating; column ``j``
-    takes ``n_steps[j]`` steps at its own CFL ``dt``.
-
-    Unequal counts advance in integer segments between the distinct
-    stops; a finished column keeps the bits it held at its stop
-    (verified under ``REPRO_SANITIZE=1``).  Updates each sim's ``T``,
-    ``sim_time`` and ``step_count`` and returns the per-column ``dt``.
-    """
+    ``sims`` (the serial driver is one column, the fleet's
+    :class:`~repro.fleet.batch.BatchGroup` packs many): column ``j``
+    takes ``n_steps[j]`` steps at its own CFL ``dt`` with its own
+    diffusivity, velocity and internal heating.  Unequal counts advance
+    in integer segments between the distinct stops; a finished column
+    keeps the bits it held at its stop (verified under
+    ``REPRO_SANITIZE=1``).  Updates each sim's ``T``, ``sim_time`` and
+    ``step_count``, counts the steps (``advection_steps``) and returns
+    the per-column ``dt``."""
     mesh = sims[0].mesh
     cfgs = [s.config for s in sims]
     eq = AdvectionDiffusion(
@@ -284,6 +282,7 @@ def advect(sims: list, n_steps) -> np.ndarray:
         s.T = mesh.expand(T[:, j])
         s.sim_time += int(n_steps[j]) * float(dt[j])
         s.step_count += int(n_steps[j])
+    obs.counter("advection_steps", int(n_steps.sum()))
     return dt
 
 
@@ -581,7 +580,6 @@ class MantleConvection:
                 obs.counter("cache_misses", c1["cache_misses"] - c0["cache_misses"])
             with obs.phase("advection"):
                 self.advance_temperature(cfg.adapt_every)
-                obs.counter("advection_steps", cfg.adapt_every)
             self.record_cycle(stats)
             if ckpt is not None and ckpt.due(len(self.history)):
                 ckpt.save_convection(self)
