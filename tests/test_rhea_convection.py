@@ -160,6 +160,64 @@ class TestTimeStepping:
         assert (digest, dt.hex()) == self.ADVANCE_PINNED[gamma]
 
 
+def front(c):
+    """A sharp horizontal temperature front at mid-depth."""
+    return 0.5 * (1 - np.tanh((c[:, 2] - 0.5) / 0.05))
+
+
+class TestAdaptPinned:
+    """``MantleConvection.adapt`` on the 8 x 4 x 1 box, bit for bit.
+
+    Each case solves Stokes once on the uniform level-3 mesh (so the
+    velocity and the pressure warm start ride along) and adapts to each
+    target in turn; the pin is the last step's
+    ``(n_before, n_after, n_refined, n_coarsened, n_balance_added)`` and
+    one blake2b over the mesh arrays, ``T``, ``u`` and the pressure warm
+    start.  Recorded on a 2-core Intel Xeon (numpy 2.4.6, OpenBLAS 0.3.31).
+    """
+
+    CASES = {
+        # the conductive profile refines, the second step to level 5
+        "refine": (None, (700, 3000)),
+        # the front refines near mid-depth; coarsening the rest and
+        # BALANCETREE both act on the second step
+        "coarsen": (front, (700, 300)),
+    }
+    PINNED = {
+        "refine": ((708, 3046, 334, 0, 0), "9c5c34990a69b5126d1b29e7457b105d"),
+        "coarsen": ((1184, 771, 1, 512, 28), "b7becd5d2930e44ba12b8e4ac7bfb7d6"),
+    }
+
+    @staticmethod
+    def digest(sim) -> str:
+        m = sim.mesh
+        h = hashlib.blake2b(digest_size=16)
+        lv = m.leaves
+        for a in (
+            lv.x, lv.y, lv.z, lv.level, m.node_coords_int, m.element_nodes,
+            m.hanging, m.Z.data, m.Z.indices, m.Z.indptr, m.indep_nodes,
+            sim.T, sim.u, sim._p_prev,
+        ):
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_adapt_pinned(self, case):
+        T_init, targets = self.CASES[case]
+        sim = MantleConvection(
+            small_config(Ra=1e5, domain=(8.0, 4.0, 1.0), initial_level=3,
+                         max_level=5, picard_iterations=1),
+            T_init=T_init,
+        )
+        sim.solve_stokes()
+        for target in targets:
+            rep = sim.adapt(target=target)
+        counts = (rep.n_before, rep.n_after, rep.n_refined, rep.n_coarsened,
+                  rep.n_balance_added)
+        assert sim._p_prev_mesh is sim.mesh
+        assert (counts, self.digest(sim)) == self.PINNED[case]
+
+
 class TestAdaptation:
     def test_adapt_keeps_target(self):
         def T_init(c):
