@@ -1,14 +1,14 @@
 """RHEA: the coupled adaptive mantle convection simulation.
 
 Implements the solution strategy of Section III on top of the ALPS mesh
-layer: each time step splits into an explicit SUPG advection-diffusion
-update of temperature (:func:`advect`) and a variable-viscosity Stokes
-solve for the flow, with the strain-rate-dependent (yielding) viscosity
-handled by Picard fixed-point iteration (:func:`picard`).  Both run on a
-block of same-mesh columns: the serial driver is one column, the fleet's
-lockstep group packs many.  The mesh is re-adapted every ``adapt_every``
-steps through the Figure-4 pipeline, transferring temperature and
-velocity.
+layer: one cycle is a variable-viscosity Stokes solve for the flow, with
+the strain-rate-dependent (yielding) viscosity handled by Picard
+fixed-point iteration (:func:`picard`), then ``adapt_every`` explicit
+SUPG advection-diffusion steps of temperature with that velocity frozen
+(:func:`advect`).  Both run on a block of same-mesh columns: the serial
+driver is one column, the fleet's lockstep group packs many.  The mesh
+is re-adapted once per cycle through the Figure-4 pipeline, transferring
+temperature, velocity and the pressure warm start.
 
 Nondimensionalization follows eqs. (1)-(3): buoyancy ``Ra T e_z`` drives
 the flow, kappa = 1, and the Rayleigh number controls vigor.
@@ -307,6 +307,11 @@ class MantleConvection:
                 raise ValueError(
                     "MantleConvection needs mesh.tree (the extraction octree): "
                     "its geometric multigrid preconditioner coarsens that tree"
+                )
+            if not np.array_equal(mesh.domain, np.asarray(cfg.domain, dtype=np.float64)):
+                raise ValueError(
+                    f"mesh domain {tuple(map(float, mesh.domain))} is not "
+                    f"config.domain {tuple(map(float, cfg.domain))}"
                 )
             self.mesh = mesh
         else:

@@ -16,9 +16,16 @@ from repro.amr import (
 )
 from repro.amr.mark import relocate_refine_marks
 from repro.fem import AdvectionDiffusion, ParAdvectionDiffusion
-from repro.mesh import extract_mesh
+from repro.mesh import extract_mesh, node_keys
 from repro.mesh.parmesh import extract_parmesh
-from repro.octree import LinearOctree, balance, balance_tree, new_tree, partition_tree
+from repro.octree import (
+    LinearOctree,
+    balance,
+    balance_tree,
+    gather_tree,
+    new_tree,
+    partition_tree,
+)
 from repro.parallel import run_spmd
 
 #: the Figure-4 functions both adaptation drivers time as ``amr/<name>``
@@ -132,6 +139,51 @@ class TestSerialAdaptDriver:
         res = timer.results()
         for name in AMR_FUNCTIONS:
             assert res[f"amr/{name}"]["count"] == 1
+
+    @pytest.mark.parametrize("target", [700, 100])
+    def test_serial_equals_two_ranks_on_the_box(self, target):
+        """One step on the 8 x 4 x 1 box with the same global indicator:
+        the serial mesh is the gathered tree of the 2-rank pipeline's
+        step, with the same counts and the same transferred field at
+        every dof (the forest is the unit cube, so the box enters only
+        through the indicator and the field's scaling)."""
+        domain = np.array([8.0, 4.0, 1.0])
+        mesh = extract_mesh(LinearOctree.uniform(3), domain)
+        eta = np.exp(-np.sum((mesh.element_centers() - [2.0, 3.0, 0.5]) ** 2, axis=1))
+        wind = np.array([0.3, -0.2, 1.0])
+        keys = mesh.leaves.keys()
+
+        def kernel(comm):
+            pipe = ParAmrPipeline(comm, coarse_level=3, min_level=1, max_level=5)
+            pipe.indicator = lambda: eta[np.searchsorted(keys, pipe.pt.octs.keys())]
+            m = pipe.pm.mesh
+            pipe.T = m.node_coords()[m.indep_nodes] @ wind
+            stats = pipe.adapt(target)
+            m = pipe.pm.mesh
+            mine = pipe.pm.active & (pipe.pm.node_owner[m.indep_nodes] == comm.rank)
+            return (gather_tree(pipe.pt), stats,
+                    node_keys(m.node_coords_int[m.indep_nodes][mine]), pipe.T[mine])
+
+        T = mesh.node_coords() / domain @ wind
+        new_mesh, out, rep = adapt_mesh(mesh, eta, target, {"T": T}, min_level=1, max_level=5)
+        two = run_spmd(2, kernel)
+        for gathered, stats, _, _ in two:
+            np.testing.assert_array_equal(gathered.keys, new_mesh.leaves.keys())
+            np.testing.assert_array_equal(gathered.levels, new_mesh.leaves.level)
+            got = (stats.n_before, stats.n_after, stats.n_refined, stats.n_coarsened,
+                   stats.n_balance_added)
+            assert got == (rep.n_before, rep.n_after, rep.n_refined, rep.n_coarsened,
+                           rep.n_balance_added)
+        assert rep.n_coarsened > 0 if target == 100 else rep.n_refined > 0
+        dof_keys = np.concatenate([r[2] for r in two])
+        order = np.argsort(dof_keys)
+        indep = new_mesh.indep_nodes
+        want = np.argsort(node_keys(new_mesh.node_coords_int[indep]))
+        np.testing.assert_array_equal(
+            dof_keys[order], node_keys(new_mesh.node_coords_int[indep])[want]
+        )
+        vals = np.concatenate([r[3] for r in two])
+        np.testing.assert_allclose(vals[order], out["T"][indep][want], rtol=0, atol=1e-12)
 
     def test_serial_run_records_the_pipeline_phase_paths(self):
         """The serial driver and the P = 1 SPMD pipeline report the

@@ -52,6 +52,20 @@ class TestSetup:
         with pytest.raises(ValueError, match="mesh.tree"):
             MantleConvection(small_config(), mesh=mesh)
 
+    def test_mesh_on_another_domain_rejected(self):
+        """A unit-cube mesh under a config for the 1 x 1 x 2 box is
+        refused at construction (it would run, and look for the top at
+        z = 2 when it reports the Nusselt number)."""
+        from repro.mesh import extract_mesh
+        from repro.octree import LinearOctree
+
+        mesh = extract_mesh(LinearOctree.uniform(2))
+        with pytest.raises(
+            ValueError, match=r"\(1\.0, 1\.0, 1\.0\) is not config\.domain \(1\.0, 1\.0, 2\.0\)"
+        ):
+            MantleConvection(small_config(domain=(1, 1, 2)), mesh=mesh)
+        MantleConvection(small_config(domain=(1, 1, 1)), mesh=mesh)
+
     def test_conductive_profile_bounds(self):
         c = np.random.default_rng(0).random((100, 3))
         T = conductive_profile(c)
