@@ -4,9 +4,10 @@ Convection Simulation on Petascale Supercomputers" (SC 2008).
 Subpackages
 -----------
 parallel:
-    Simulated-MPI SPMD substrate (threads + MPI-like communicator) and the
-    Ranger machine model used to price measured operation counts at the
-    paper's core counts.
+    Simulated-MPI SPMD substrate (threads + MPI-like communicator), its
+    runtime sanitizer (CheckedComm, freeze guards, delivery fuzzer;
+    ``REPRO_SANITIZE=1``) and the Ranger machine model used to price
+    measured operation counts at the paper's core counts.
 octree:
     Morton-ordered linear octrees, serial and distributed; the parallel
     ALPS tree functions (NewTree, Refine/CoarsenTree, BalanceTree,
@@ -34,10 +35,6 @@ mangll:
 amr:
     The end-to-end adaptation pipeline of Figure 4 with per-function
     timing breakdowns.
-analysis:
-    Correctness tooling: the SPMD static linter (rules R1-R6), runtime
-    sanitizers (CheckedComm, freeze guards, delivery fuzzer), and the
-    markdown link checker run by the docs CI.
 checkpoint:
     Rank-sharded checkpoint/restart: self-describing manifests,
     digest-verified shards, resume onto any rank count via Morton-curve
@@ -50,6 +47,10 @@ obs:
     Observability: hierarchical per-rank phase timers with
     communication attribution, Chrome-trace export, and the paper's
     Table IV-VI-style report generator (see OBSERVABILITY.md).
+
+The developer checks — the SPMD static linter (rules R2-R6 and R10),
+the markdown link checker and the example-flag checker — are stdlib-only
+scripts in ``tools/`` at the repository root, not part of the package.
 """
 
 __version__ = "0.1.0"

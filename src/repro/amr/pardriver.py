@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .. import obs
+from ..checkpoint import Checkpointer
 from ..fem import ParAdvectionDiffusion
 from ..forest import FOREST_MAX_LEVEL, ParForest
 from ..mesh.parmesh import ParMesh, extract_parmesh, par_interpolate_at
@@ -256,24 +257,24 @@ class ParAmrPipeline:
         n_cycles: int,
         steps_per_cycle: int,
         target: int,
-        checkpoint=None,
+        checkpoint: Checkpointer | None = None,
     ) -> None:
         """The outer loop: adapt, advance, optionally snapshot.
 
-        ``checkpoint`` is a path / CheckpointConfig / Checkpointer (see
-        :mod:`repro.checkpoint.driver`); the fault-injection hook is
+        ``checkpoint`` is a :class:`~repro.checkpoint.Checkpointer` or
+        None (anything else raises ``TypeError``); the fault-injection hook is
         polled mid-cycle, between adaptation and time integration, so an
         armed fault loses exactly the work since the last snapshot.
         """
-        ckpt = None
-        if checkpoint is not None:
-            from ..checkpoint import Checkpointer
-
-            ckpt = Checkpointer.coerce(checkpoint)
+        if checkpoint is not None and not isinstance(checkpoint, Checkpointer):
+            raise TypeError(
+                "checkpoint= expects a Checkpointer or None, got "
+                f"{type(checkpoint).__name__}"
+            )
         for _ in range(n_cycles):
             self.adapt(target)
             check_fault(self.comm, self.steps_taken)
             self.advance(steps_per_cycle)
             self.cycles_done += 1
-            if ckpt is not None and ckpt.due(self.cycles_done):
-                ckpt.save_pipeline(self)
+            if checkpoint is not None and checkpoint.due(self.cycles_done):
+                checkpoint.save_pipeline(self)

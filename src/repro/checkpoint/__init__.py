@@ -14,7 +14,7 @@ wires periodic snapshots into ``ParAmrPipeline.run_cycles`` and
 step to exercise the crash path end to end.
 """
 
-from .driver import CheckpointConfig, Checkpointer
+from .driver import Checkpointer
 from .format import (
     FORMAT_VERSION,
     CheckpointError,
@@ -40,7 +40,6 @@ __all__ = [
     "ShardIntegrityError",
     "Manifest",
     "Checkpointer",
-    "CheckpointConfig",
     "save_pipeline",
     "save_convection",
     "restore_pipeline",

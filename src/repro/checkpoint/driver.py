@@ -2,30 +2,14 @@
 
 A :class:`Checkpointer` bundles the where (directory), the when (every N
 cycles), and the how much (retention); ``run_cycles``/``run`` accept one
-via their ``checkpoint=`` argument — or, for convenience, a plain path
-string or a :class:`CheckpointConfig`, both coerced here.
+via their ``checkpoint=`` argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .snapshot import save_convection, save_pipeline
 
-__all__ = ["CheckpointConfig", "Checkpointer"]
-
-
-@dataclass
-class CheckpointConfig:
-    """Declarative checkpoint policy."""
-
-    directory: str
-    #: snapshot every N completed cycles (0 disables periodic saves)
-    every: int = 1
-    #: retain the newest K checkpoints (None keeps everything)
-    keep: int | None = 2
-    #: serialize warm-start solver state (convection path)
-    include_solver_state: bool = True
+__all__ = ["Checkpointer"]
 
 
 class Checkpointer:
@@ -47,25 +31,6 @@ class Checkpointer:
         self.include_solver_state = include_solver_state
         self.last_path: str | None = None
         self.n_saved = 0
-
-    @classmethod
-    def coerce(cls, spec) -> "Checkpointer | None":
-        """None | path str | CheckpointConfig | Checkpointer -> policy."""
-        if spec is None or isinstance(spec, cls):
-            return spec
-        if isinstance(spec, CheckpointConfig):
-            return cls(
-                spec.directory,
-                every=spec.every,
-                keep=spec.keep,
-                include_solver_state=spec.include_solver_state,
-            )
-        if isinstance(spec, (str, bytes)) or hasattr(spec, "__fspath__"):
-            return cls(str(spec))
-        raise TypeError(
-            f"checkpoint= expects a path, CheckpointConfig, or Checkpointer; "
-            f"got {type(spec).__name__}"
-        )
 
     def due(self, cycles_done: int) -> bool:
         """True when ``cycles_done`` completed cycles call for a

@@ -168,7 +168,7 @@ class ShardInfo:
     nbytes: int
     digest: str
     arrays: list  # of ArrayEntry
-    #: optional :func:`repro.analysis.sanitize.freeze` token of the
+    #: optional :func:`repro.parallel.sanitize.freeze` token of the
     #: in-memory arrays at snapshot time (REPRO_SANITIZE=1 runs only);
     #: restore re-verifies the parsed arrays against it
     frozen: str | None = None

@@ -25,8 +25,8 @@ import os
 import numpy as np
 
 from .. import obs
-from ..analysis.sanitize import freeze, sanitize_enabled
 from ..octree.partree import sfc_segment
+from ..parallel.sanitize import freeze, sanitize_enabled
 from .format import (
     CheckpointError,
     Manifest,

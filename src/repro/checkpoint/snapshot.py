@@ -18,7 +18,7 @@ Two snapshot flavors, one per time loop:
 Both write atomically (stage into ``<dir>.tmp``, rename once the
 manifest is down) and prune old checkpoints to the newest ``keep``.
 Under ``REPRO_SANITIZE=1`` each shard's in-memory arrays are fingerprinted
-with :func:`repro.analysis.sanitize.freeze` and the token is stored in the
+with :func:`repro.parallel.sanitize.freeze` and the token is stored in the
 manifest for restore-time re-validation.
 """
 
@@ -29,7 +29,7 @@ import shutil
 from dataclasses import asdict
 
 from .. import obs
-from ..analysis.sanitize import maybe_freeze
+from ..parallel.sanitize import maybe_freeze
 from .format import (
     Manifest,
     ShardInfo,

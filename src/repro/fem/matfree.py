@@ -63,12 +63,10 @@ __all__ = [
     "lumped_scalar_mass",
     "velocity_gather",
     "scalar_gather",
-    "gauss_matrices",
     "saddle_apply_flops",
     "saddle_apply_bytes",
     "advection_apply_flops",
     "csr_apply_flops",
-    "csr_apply_bytes",
 ]
 
 _OPS = ElementOps()
@@ -99,11 +97,6 @@ G8 = np.stack([kron3(_E1, _E1, _D1), kron3(_E1, _D1, _E1), kron3(_D1, _E1, _E1)]
 _BWD_GRAD = np.concatenate([G8[0], G8[1], G8[2]], axis=0)  # (24, 8)
 _FWD_SCAL_T = np.concatenate([E8, G8[0], G8[1], G8[2]], axis=0)  # (32, 8)
 _BWD_SCAL_T = np.ascontiguousarray(_FWD_SCAL_T.T)  # (8, 32)
-
-
-def gauss_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """The (E8, G8) Gauss-point evaluation matrices (for tests/bench)."""
-    return E8, G8
 
 
 # -- cached constraint-folded gathers -------------------------------------------
@@ -439,9 +432,3 @@ def advection_apply_flops(n_elements: int) -> int:
 def csr_apply_flops(nnz: int) -> int:
     """Flops per assembled-CSR apply (one multiply-add per stored entry)."""
     return 2 * nnz
-
-
-def csr_apply_bytes(nnz: int, n_rows: int) -> int:
-    """Bytes streamed per assembled-CSR apply: 8-byte value + 8-byte
-    column index per entry, plus the gathered input and written output."""
-    return 16 * nnz + 8 * 2 * n_rows

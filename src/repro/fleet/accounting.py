@@ -22,7 +22,7 @@ checkpoint saves, restores — and are merged into the ledger walls.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..fem.matfree import advection_apply_flops, saddle_apply_flops
 from ..obs import job_phases
@@ -200,7 +200,3 @@ class FleetAccountant:
         with open(json_path, "w") as f:
             json.dump(self.json_report(), f, indent=2, sort_keys=True)
             f.write("\n")
-
-
-# dataclass `field` retained for ledger extensions
-_ = field

@@ -17,7 +17,7 @@ at preemption can be re-admitted by a later process on any rank count.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -188,7 +188,3 @@ class ScenarioSpec:
         if "domain" in kw:
             kw["domain"] = tuple(kw["domain"])
         return cls(**kw)
-
-
-# keep `field` imported for dataclass consumers extending specs
-_ = field

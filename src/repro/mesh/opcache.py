@@ -22,9 +22,10 @@ comparisons without touching any call sites.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from ..parallel.sanitize import freeze, sanitize_enabled, verify_frozen
 
 __all__ = [
     "MeshOperatorCache",
@@ -35,18 +36,6 @@ __all__ = [
 ]
 
 _ENABLED = True
-
-
-def _sanitizing() -> bool:
-    """Mutation guards active?  (env check inlined so the common path
-    pays no import; the guard module loads lazily on first use)"""
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-
-
-def _guard():
-    from ..analysis import sanitize
-
-    return sanitize
 
 
 @dataclass
@@ -103,7 +92,7 @@ class MeshOperatorCache:
         nothing is stored, so repeated calls exercise identical code.
         Under ``REPRO_SANITIZE=1`` every hit re-verifies the value's
         content fingerprint and raises
-        :class:`repro.analysis.sanitize.CacheMutationError` if the
+        :class:`repro.parallel.sanitize.CacheMutationError` if the
         memoized value was written in place since it was stored.
         """
         if not _ENABLED:
@@ -116,18 +105,18 @@ class MeshOperatorCache:
             _STATS.misses += 1
             value = builder()
             self.store[key] = value
-            if _sanitizing():
-                self.tokens[key] = _guard().freeze(value)
+            if sanitize_enabled():
+                self.tokens[key] = freeze(value)
             return value
         self.hits += 1
         _STATS.hits += 1
-        if _sanitizing():
+        if sanitize_enabled():
             token = self.tokens.get(key)
             if token is None:
                 # cached before sanitizing was switched on: adopt now
-                self.tokens[key] = _guard().freeze(value)
+                self.tokens[key] = freeze(value)
             else:
-                _guard().verify_frozen(value, token, context=f"opcache[{key!r}]")
+                verify_frozen(value, token, context=f"opcache[{key!r}]")
         return value
 
     def clear(self) -> None:

@@ -31,6 +31,7 @@ from ..forest.recursive import exchange_boundary_leaves
 from ..octree import OctantArray, ROOT_LEN, morton_encode
 from ..octree.partree import owners_of_keys, partition_markers
 from ..parallel import SimComm
+from ..parallel.sanitize import sanitize_enabled
 from .extract import Mesh, extract_submesh, node_keys
 
 __all__ = [
@@ -59,8 +60,6 @@ def _check_corner_balanced(pt: ParForest) -> None:
     """Sanitizer: verify the global tree is corner-balanced before ghost
     collection.  Collective (allgather) and symmetric — every rank sees
     the same violation count and raises together."""
-    from ..analysis.sanitize import sanitize_enabled
-
     if not sanitize_enabled():
         return
     from ..octree.balance import balance_violations

@@ -30,7 +30,7 @@ receiver owns what ``recv`` returns.
 The worker-side world (:class:`ProcWorld`) duck-types ``SimWorld`` —
 ``_slots``, ``_barrier`` (a real ``multiprocessing.Barrier`` with
 ``threading.Barrier`` semantics), ``_error``, ``abort``, ``post``,
-``fetch`` — so :class:`~repro.analysis.sanitize.CheckedComm` and the
+``fetch`` — so :class:`~repro.parallel.sanitize.CheckedComm` and the
 delivery fuzzer run **unchanged** on top and certify the backend
 bitwise-equivalent to the threaded oracle.
 

@@ -35,7 +35,8 @@ guards on every hit when sanitizing is enabled.
 
 Enabling
 --------
-``REPRO_SANITIZE=1`` in the environment switches both prongs on:
+``REPRO_SANITIZE=1`` in the environment (read by :func:`sanitize_enabled`
+and nowhere else) switches both prongs on:
 :func:`repro.parallel.simcomm.run_spmd` substitutes :class:`CheckedComm`
 for :class:`~repro.parallel.simcomm.SimComm`, and the cache guards
 activate.  Programmatic control: :func:`install` / :func:`uninstall`
@@ -52,6 +53,7 @@ barriers and of ``recv``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -62,7 +64,7 @@ from typing import Any
 
 import numpy as np
 
-from ..parallel.simcomm import (
+from .simcomm import (
     SimComm,
     SimWorld,
     SpmdAbort,
@@ -86,7 +88,6 @@ __all__ = [
 ]
 
 _THIS_DIR = os.path.dirname(os.path.abspath(__file__))
-_SIMCOMM_FILE = "simcomm.py"
 
 
 def sanitize_enabled() -> bool:
@@ -181,12 +182,8 @@ def _payload_signature(obj: Any) -> str:
 def _call_site() -> str:
     """``file.py:line`` of the nearest caller outside the comm layers."""
     for fs in reversed(traceback.extract_stack()):
-        base = os.path.basename(fs.filename)
-        if os.path.dirname(os.path.abspath(fs.filename)) == _THIS_DIR:
-            continue
-        if base == _SIMCOMM_FILE:
-            continue
-        return f"{base}:{fs.lineno}"
+        if os.path.dirname(os.path.abspath(fs.filename)) != _THIS_DIR:
+            return f"{os.path.basename(fs.filename)}:{fs.lineno}"
     return "<unknown>"
 
 
@@ -411,8 +408,9 @@ def _iter_arrays(obj: Any, _depth: int = 0):
     """Yield the ndarrays reachable from a cached value.
 
     Handles arrays, scipy sparse matrices (via their buffer triplet),
-    and list/tuple/dict containers; opaque objects are skipped (guard
-    call sites pass their arrays explicitly).
+    dataclass instances (via their fields) and list/tuple/dict
+    containers; other objects are skipped (guard call sites pass their
+    arrays explicitly).
     """
     if _depth > 6 or obj is None:
         return
@@ -425,7 +423,10 @@ def _iter_arrays(obj: Any, _depth: int = 0):
             for a in triplet:
                 yield from _iter_arrays(getattr(obj, a), _depth + 1)
             return
-    if isinstance(obj, (list, tuple)):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _iter_arrays(getattr(obj, f.name), _depth + 1)
+    elif isinstance(obj, (list, tuple)):
         for x in obj:
             yield from _iter_arrays(x, _depth + 1)
     elif isinstance(obj, dict):

@@ -462,7 +462,7 @@ class SimComm:
 
 #: when set, :func:`run_spmd` builds communicators through this factory
 #: instead of :class:`SimComm` — the substitution point for
-#: :class:`repro.analysis.sanitize.CheckedComm`
+#: :class:`repro.parallel.sanitize.CheckedComm`
 _COMM_FACTORY: Callable[[SimWorld, int], SimComm] | None = None
 
 
@@ -483,14 +483,12 @@ def _resolve_comm_factory() -> Callable[[SimWorld, int], SimComm]:
     else ``REPRO_SANITIZE`` substitutes CheckedComm, else plain SimComm.
     Shared with the process backend, whose workers resolve the factory
     the same way after applying the run envelope."""
-    factory = _COMM_FACTORY
-    if factory is None and os.environ.get("REPRO_SANITIZE", "") not in ("", "0"):
-        # sanitized mode requested via environment: substitute CheckedComm
-        # (lazy import; repro.analysis.sanitize imports this module)
-        from ..analysis.sanitize import CheckedComm
+    if _COMM_FACTORY is not None:
+        return _COMM_FACTORY
+    # lazy import: the sanitizer module imports this one
+    from .sanitize import CheckedComm, sanitize_enabled
 
-        factory = CheckedComm
-    return SimComm if factory is None else factory
+    return CheckedComm if sanitize_enabled() else SimComm
 
 
 def _build_comms(world: SimWorld) -> list[SimComm]:

@@ -23,12 +23,13 @@ import numpy as np
 
 from .. import obs
 from ..amr import adapt_mesh
-from ..analysis.sanitize import maybe_freeze, maybe_verify
+from ..checkpoint import Checkpointer
 from ..fem import AdvectionDiffusion, StokesSystem, element_velocity_from_nodal
 from ..forest import FOREST_MAX_LEVEL
 from ..mesh import Mesh, extract_mesh
 from ..mesh.opcache import operator_cache
 from ..octree import LinearOctree
+from ..parallel.sanitize import maybe_freeze, maybe_verify
 from ..solvers import LaggedStokesPreconditioner, minres
 from .error import combined_indicator
 from .viscosity import ArrheniusViscosity, element_temperature, strain_rate_invariant
@@ -551,25 +552,25 @@ class MantleConvection:
     # -- main loop ----------------------------------------------------------------------
 
     def run(
-        self, n_cycles: int, adapt: bool = True, checkpoint=None
+        self, n_cycles: int, adapt: bool = True, checkpoint: Checkpointer | None = None
     ) -> list[StepDiagnostics]:
         """Run ``n_cycles`` of (adapt -> Stokes solve -> advance
         temperature ``adapt_every`` steps), recording diagnostics.
 
-        ``checkpoint`` is a path / CheckpointConfig / Checkpointer (see
-        :mod:`repro.checkpoint.driver`); snapshots land after the cycles
+        ``checkpoint`` is a :class:`~repro.checkpoint.Checkpointer` or
+        None (anything else raises ``TypeError``); snapshots land after the cycles
         they complete, so a crash loses at most the current cycle.  The
         fault-injection hook of :mod:`repro.parallel.simcomm` is polled
         mid-cycle (serial drivers count as rank 0).
         """
         from ..parallel import check_fault
 
+        if checkpoint is not None and not isinstance(checkpoint, Checkpointer):
+            raise TypeError(
+                "checkpoint= expects a Checkpointer or None, got "
+                f"{type(checkpoint).__name__}"
+            )
         cfg = self.config
-        ckpt = None
-        if checkpoint is not None:
-            from ..checkpoint import Checkpointer
-
-            ckpt = Checkpointer.coerce(checkpoint)
         for _ in range(n_cycles):
             if adapt:
                 with obs.phase("amr"):
@@ -586,6 +587,6 @@ class MantleConvection:
             with obs.phase("advection"):
                 self.advance_temperature(cfg.adapt_every)
             self.record_cycle(stats)
-            if ckpt is not None and ckpt.due(len(self.history)):
-                ckpt.save_convection(self)
+            if checkpoint is not None and checkpoint.due(len(self.history)):
+                checkpoint.save_convection(self)
         return self.history

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import obs
+from ..parallel.sanitize import maybe_freeze, maybe_verify
 from .gmg import GMGStokesPreconditioner
 
 if TYPE_CHECKING:
@@ -100,8 +101,6 @@ class LaggedStokesPreconditioner:
             self.n_reuses += 1
             obs.counter("prec_reuses")
             if self._frozen_token is not None:
-                from ..analysis.sanitize import maybe_verify
-
                 maybe_verify(
                     self._frozen_state(),
                     self._frozen_token,
@@ -121,8 +120,6 @@ class LaggedStokesPreconditioner:
         self._mesh = stokes.mesh
         self._bc_kind = stokes.bc_kind
         self._eta_ref = eta.copy()
-        from ..analysis.sanitize import maybe_freeze
-
         self._frozen_token = maybe_freeze(self._frozen_state())
         return self._prec
 

@@ -39,12 +39,6 @@ class MinresResult:
     converged: bool
     residuals: list = field(default_factory=list)  # preconditioned norms
 
-    @property
-    def final_residual(self) -> float:
-        """Last recorded preconditioned residual norm (``inf`` before
-        any iteration)."""
-        return self.residuals[-1] if self.residuals else np.inf
-
 
 @dataclass
 class BatchedMinresResult:

@@ -1,10 +1,8 @@
-"""Doc-vs-argparse flag consistency checker (repro.analysis.docflags)."""
+"""Doc-vs-argparse flag consistency checker (tools/docflags.py)."""
 
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.docflags import check_repo, example_flags, main
+from tools.docflags import check_repo, example_flags, main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

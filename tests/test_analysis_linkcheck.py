@@ -1,8 +1,8 @@
-"""Unit tests for the markdown link checker (repro.analysis.linkcheck)."""
+"""Unit tests for the markdown link checker (tools/linkcheck.py)."""
 
 import textwrap
 
-from repro.analysis.linkcheck import (
+from tools.linkcheck import (
     check_file,
     check_paths,
     extract_links,

@@ -1,4 +1,4 @@
-"""Unit tests for the SPMD correctness linter (repro.analysis.lint).
+"""Unit tests for the SPMD correctness linter (tools/lint.py).
 
 Every rule (R2-R6, R10) is pinned with true-positive fixtures (the
 defect MUST be flagged) and false-positive fixtures (legitimate idioms
@@ -8,7 +8,7 @@ that MUST NOT be flagged), plus the suppression and baseline workflows.
 import json
 import textwrap
 
-from repro.analysis.lint import (
+from tools.lint import (
     Finding,
     apply_baseline,
     lint_source,

@@ -3,7 +3,7 @@
 Every row of the mutation matrix in EXPERIMENTS.md is a module-level
 kernel here carrying one deliberate bug of its class, run at P = 2 on the
 thread and the process backend under an explicitly installed
-:class:`~repro.analysis.sanitize.CheckedComm` with a 1 s timeout.  The
+:class:`~repro.parallel.sanitize.CheckedComm` with a 1 s timeout.  The
 kernels live at module level because a process worker imports this
 module to find them: a monkeypatch made in the parent never reaches a
 spawned worker.
@@ -24,11 +24,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis import lint, sanitize
 from repro.mesh import extract_mesh
 from repro.octree import LinearOctree
-from repro.parallel import procomm, run_spmd
+from repro.parallel import procomm, run_spmd, sanitize
 from repro.parallel.simcomm import set_comm_factory
+
+from tools import lint
 
 from . import test_forest_properties as pinned
 

@@ -1,4 +1,4 @@
-"""Runtime sanitizer tests (repro.analysis.sanitize).
+"""Runtime sanitizer tests (repro.parallel.sanitize).
 
 Covers the CheckedComm collective-divergence detector (structured
 mismatch reports instead of deadlocks), the seeded delivery fuzzer,
@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.analysis.sanitize import (
+from repro.fem import StokesSystem
+from repro.fem.stokes import velocity_bcs
+from repro.mesh import extract_mesh
+from repro.mesh.opcache import operator_cache
+from repro.octree import LinearOctree
+from repro.parallel import run_spmd
+from repro.parallel.sanitize import (
     CacheMutationError,
     CheckedComm,
     CollectiveMismatch,
@@ -23,11 +29,6 @@ from repro.analysis.sanitize import (
     uninstall,
     verify_frozen,
 )
-from repro.fem import StokesSystem
-from repro.mesh import extract_mesh
-from repro.mesh.opcache import operator_cache
-from repro.octree import LinearOctree
-from repro.parallel import run_spmd
 from repro.parallel.simcomm import get_comm_factory, run_spmd_with_comms
 from repro.solvers import LaggedStokesPreconditioner
 
@@ -276,6 +277,15 @@ class TestOpcacheGuard:
         sizes *= 2.0  # in-place write to the memoized array  # lint: disable=R2
         with pytest.raises(CacheMutationError, match="element_sizes"):
             mesh.element_sizes()
+
+    def test_mutating_cached_dataclass_fires_on_next_access(self, monkeypatch):
+        # the boundary-condition record is a dataclass: the fingerprint
+        # must cover the arrays in its fields
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        mesh = _mesh()
+        velocity_bcs(mesh, "free_slip").dofs[0] = -7
+        with pytest.raises(CacheMutationError, match="stokes_bcs"):
+            velocity_bcs(mesh, "free_slip")
 
     def test_token_adopted_for_pre_sanitize_entries(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)

@@ -11,6 +11,7 @@ summation (the same 1e-11 envelope the seed's P-invariance test uses).
 import dataclasses
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -300,3 +301,29 @@ class TestRetiredTimingsKey:
         svc.run()
         assert svc.statuses() == {"a": "done"}
         assert len(svc.jobs["a"].sim.history) == 2
+
+
+# a path, its bytes spelling and a Path: none of them is a policy
+NOT_A_CHECKPOINTER = ["ck", b"ck", pathlib.Path("ck")]
+
+
+class TestCheckpointArgument:
+    @pytest.mark.parametrize("spec", NOT_A_CHECKPOINTER, ids=repr)
+    def test_serial_run_refuses_non_checkpointer(self, spec, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sim = MantleConvection(_small_cfg())
+        with pytest.raises(TypeError, match="Checkpointer"):
+            sim.run(1, checkpoint=spec)
+        assert sim.history == [] and os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("spec", NOT_A_CHECKPOINTER, ids=repr)
+    def test_pipeline_refuses_non_checkpointer(self, spec, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+        def kernel(comm):
+            pipe = ParAmrPipeline(comm, coarse_level=2, max_level=3)
+            pipe.run_cycles(1, 1, 100, checkpoint=spec)
+
+        with pytest.raises(TypeError, match="Checkpointer"):
+            run_spmd(1, kernel)
+        assert os.listdir(tmp_path) == []

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.amr import ParAmrPipeline
-from repro.analysis import sanitize
+from repro.parallel import sanitize
 from repro.checkpoint import Checkpointer, list_checkpoints
 from repro.forest import ParForest, brick_connectivity, cubed_sphere_connectivity
 from repro.parallel import (

@@ -22,8 +22,8 @@ enforced — docs may legitimately show a subset of the flags.
 
 Usage::
 
-    python -m repro.analysis.docflags            # check ./ (repo root)
-    python -m repro.analysis.docflags path/to/repo
+    python tools/docflags.py            # check ./ (repo root)
+    python tools/docflags.py path/to/repo
 
 Exit status 1 if any drift is found, listing each as
 ``file:line: message``.

@@ -17,8 +17,8 @@ inline code spans are ignored.
 
 Usage::
 
-    python -m repro.analysis.linkcheck             # check ./**/*.md
-    python -m repro.analysis.linkcheck README.md docs/
+    python tools/linkcheck.py             # check ./**/*.md
+    python tools/linkcheck.py README.md docs/
 
 Exit status 1 if any dead link is found, listing each as
 ``file:line: message``.  Stdlib-only on purpose: the CI docs job runs
@@ -201,12 +201,12 @@ def check_paths(paths: list[str | Path], root: str | Path = ".") -> list[DeadLin
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: ``python -m repro.analysis.linkcheck [paths]``.
+    """CLI entry point: ``python tools/linkcheck.py [paths]``.
 
     Prints each dead link as ``file:line: message`` and returns 1 if
     any were found, else 0."""
     ap = argparse.ArgumentParser(
-        prog="python -m repro.analysis.linkcheck",
+        prog="python tools/linkcheck.py",
         description="Check relative links and anchors in markdown files.",
     )
     ap.add_argument("paths", nargs="*", default=["."], help="files or trees to check")

@@ -6,7 +6,7 @@ place, that the PR-1 vectorized kernels must not regrow per-element
 Python loops, or that an SPMD kernel must not read state armed in the
 parent interpreter.  This module encodes those invariants as six rules.
 Collective symmetry, send/recv pairing and buffer ownership are checked
-at runtime by :class:`repro.analysis.sanitize.CheckedComm`, not here.
+at runtime by :class:`repro.parallel.sanitize.CheckedComm`, not here.
 
 R2  **cache purity** — attribute writes, element writes (``x[...] =``),
     in-place operators (``x += ...``), and mutating ufunc calls
@@ -64,10 +64,10 @@ unrelated line-number drift.  New findings fail the run.
 
 Usage::
 
-    python -m repro.analysis.lint src/                 # auto-loads ./lint_baseline.json
-    python -m repro.analysis.lint src/ --baseline      # require the baseline file
-    python -m repro.analysis.lint src/ --no-baseline   # full finding list
-    python -m repro.analysis.lint src/ --write-baseline
+    python tools/lint.py src/ tools/                   # auto-loads ./lint_baseline.json
+    python tools/lint.py src/ tools/ --baseline        # require the baseline file
+    python tools/lint.py src/ tools/ --no-baseline     # full finding list
+    python tools/lint.py src/ tools/ --write-baseline
 
 Stdlib-only on purpose: CI lints before installing numpy/scipy.
 """
@@ -883,8 +883,8 @@ def write_baseline(findings: list[Finding], path: str | Path) -> None:
     ]
     payload = {
         "comment": (
-            "Grandfathered repro.analysis.lint findings. New findings fail; "
-            "regenerate with: python -m repro.analysis.lint src/ --write-baseline"
+            "Grandfathered tools/lint.py findings. New findings fail; "
+            "regenerate with: python tools/lint.py src/ tools/ --write-baseline"
         ),
         "findings": entries,
     }
@@ -909,7 +909,7 @@ def apply_baseline(findings: list[Finding], baseline: Counter) -> list[Finding]:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
+        prog="python tools/lint.py",
         description="SPMD correctness linter (rules R2-R6, R10) for this repository.",
     )
     ap.add_argument("paths", nargs="*", default=["src"], help="files or trees to lint")
