@@ -48,7 +48,7 @@ obs:
     communication attribution, Chrome-trace export, and the paper's
     Table IV-VI-style report generator (see OBSERVABILITY.md).
 
-The developer checks — the SPMD static linter (rules R2-R6 and R10),
+The developer checks — the SPMD static linter (rules R3-R6 and R10),
 the markdown link checker and the example-flag checker — are stdlib-only
 scripts in ``tools/`` at the repository root, not part of the package.
 """

@@ -23,12 +23,10 @@ class Checkpointer:
         directory: str,
         every: int = 1,
         keep: int | None = 2,
-        include_solver_state: bool = True,
     ):
         self.directory = directory
         self.every = int(every)
         self.keep = keep
-        self.include_solver_state = include_solver_state
         self.last_path: str | None = None
         self.n_saved = 0
 
@@ -51,13 +49,8 @@ class Checkpointer:
 
     def save_convection(self, sim) -> str:
         """Snapshot a serial :class:`~repro.rhea.MantleConvection`
-        (optionally with solver warm-start state) and return the step
-        directory path."""
-        self.last_path = save_convection(
-            sim,
-            self.directory,
-            keep=self.keep,
-            include_solver_state=self.include_solver_state,
-        )
+        (with its solver warm-start state) and return the step directory
+        path."""
+        self.last_path = save_convection(sim, self.directory, keep=self.keep)
         self.n_saved += 1
         return self.last_path

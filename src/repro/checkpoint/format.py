@@ -299,8 +299,8 @@ def write_shard(path: str, arrays: dict, frozen: str | None = None) -> ShardInfo
     )
 
 
-def read_shard(directory: str, info: ShardInfo, verify: bool = True) -> dict:
-    """Read and (by default) integrity-check one shard.
+def read_shard(directory: str, info: ShardInfo) -> dict:
+    """Read and integrity-check one shard.
 
     Raises :class:`ShardIntegrityError` naming the shard when the bytes
     do not hash to the manifest digest.
@@ -308,10 +308,9 @@ def read_shard(directory: str, info: ShardInfo, verify: bool = True) -> dict:
     path = os.path.join(directory, info.file)
     with open(path, "rb") as fh:
         payload = fh.read()
-    if verify:
-        actual = _digest(payload)
-        if actual != info.digest:
-            raise ShardIntegrityError(info.file, path, info.digest, actual)
+    actual = _digest(payload)
+    if actual != info.digest:
+        raise ShardIntegrityError(info.file, path, info.digest, actual)
     return unpack_arrays(payload, info.arrays)
 
 

@@ -126,8 +126,10 @@ def _save_pipeline_impl(pipe, root: str, keep: int | None) -> str:
     return final_dir
 
 
-def convection_arrays(sim, include_solver_state: bool = True) -> dict:
-    """The single-shard array set of a MantleConvection instance."""
+def convection_arrays(sim) -> dict:
+    """The single-shard array set of a MantleConvection instance, with
+    its solver warm-start state (the previous pressure on the same mesh
+    and the lagged preconditioner's viscosity reference)."""
     mesh = sim.mesh
     leaves = mesh.leaves
     arrays = {
@@ -140,11 +142,10 @@ def convection_arrays(sim, include_solver_state: bool = True) -> dict:
         "state/eta_elem": sim.eta_elem,
         "state/edot_elem": sim.edot_elem,
     }
-    if include_solver_state:
-        if sim._p_prev is not None and sim._p_prev_mesh is mesh:
-            arrays["solver/p_prev"] = sim._p_prev
-        if sim._prec_lag._eta_ref is not None:
-            arrays["solver/prec_eta_ref"] = sim._prec_lag._eta_ref
+    if sim._p_prev is not None and sim._p_prev_mesh is mesh:
+        arrays["solver/p_prev"] = sim._p_prev
+    if sim._prec_lag._eta_ref is not None:
+        arrays["solver/prec_eta_ref"] = sim._prec_lag._eta_ref
     return arrays
 
 
@@ -161,8 +162,7 @@ def recorded_config(cfg) -> dict:
 
 
 def save_convection(
-    sim, root: str, keep: int | None = 2, include_solver_state: bool = True,
-    extra_meta: dict | None = None,
+    sim, root: str, keep: int | None = 2, extra_meta: dict | None = None,
 ) -> str:
     """Serial snapshot of a MantleConvection run; returns the final path.
 
@@ -175,17 +175,14 @@ def save_convection(
 
     Example::
 
-        path = save_convection(sim, "ckpts", include_solver_state=True)
+        path = save_convection(sim, "ckpts")
     """
     with obs.phase("checkpoint/save"):
-        return _save_convection_impl(
-            sim, root, keep, include_solver_state, extra_meta
-        )
+        return _save_convection_impl(sim, root, keep, extra_meta)
 
 
 def _save_convection_impl(
-    sim, root: str, keep: int | None, include_solver_state: bool,
-    extra_meta: dict | None = None,
+    sim, root: str, keep: int | None, extra_meta: dict | None
 ) -> str:
     cfg = sim.config
     step = sim.step_count
@@ -196,7 +193,7 @@ def _save_convection_impl(
         shutil.rmtree(tmp_dir)
     os.makedirs(tmp_dir)
 
-    arrays = convection_arrays(sim, include_solver_state)
+    arrays = convection_arrays(sim)
     info = write_shard(
         os.path.join(tmp_dir, shard_name(0)),
         arrays,

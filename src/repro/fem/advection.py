@@ -42,11 +42,11 @@ def element_velocity_from_nodal(mesh: Mesh, u_full: np.ndarray) -> np.ndarray:
     return u[mesh.element_nodes].mean(axis=1)
 
 
-def supg_tau(sizes: np.ndarray, vel: np.ndarray, kappa, dt: float | None = None) -> np.ndarray:
+def supg_tau(sizes: np.ndarray, vel: np.ndarray, kappa) -> np.ndarray:
     """Per-element SUPG stabilization parameter.
 
     The standard inverse-quadrature form
-    ``tau = ((2|a|/h)^2 + (4 kappa C / h^2)^2 [+ (2/dt)^2])^{-1/2}``
+    ``tau = ((2|a|/h)^2 + (4 kappa C / h^2)^2)^{-1/2}``
     with ``h`` the smallest element edge; degenerates gracefully in both
     the advection- and diffusion-dominated limits.  ``vel`` is
     ``(ne, 3)`` with scalar ``kappa``, or ``(nb, ne, 3)`` with ``kappa``
@@ -56,8 +56,6 @@ def supg_tau(sizes: np.ndarray, vel: np.ndarray, kappa, dt: float | None = None)
     speed = np.linalg.norm(vel, axis=-1)
     kappa = np.asarray(kappa, dtype=np.float64)[..., None]
     terms = (2.0 * speed / h) ** 2 + (12.0 * kappa / h**2) ** 2
-    if dt is not None:
-        terms = terms + (2.0 / dt) ** 2
     return 1.0 / np.sqrt(np.maximum(terms, 1e-300))
 
 

@@ -59,14 +59,12 @@ from .hexops import ElementOps
 __all__ = [
     "MatFreeStokesOperator",
     "MatFreeAdvectionOperator",
-    "apply_scalar_mass",
     "lumped_scalar_mass",
     "velocity_gather",
     "scalar_gather",
     "saddle_apply_flops",
     "saddle_apply_bytes",
     "advection_apply_flops",
-    "csr_apply_flops",
 ]
 
 _OPS = ElementOps()
@@ -94,7 +92,6 @@ G8 = np.stack([kron3(_E1, _E1, _D1), kron3(_E1, _D1, _E1), kron3(_D1, _E1, _E1)]
 # value and all three reference derivatives of all elements at once.
 # Element-space arrays are ``(channels, ne)``, so the GEMMs are
 # ``(small, small) @ (small, ne)``.
-_BWD_GRAD = np.concatenate([G8[0], G8[1], G8[2]], axis=0)  # (24, 8)
 _FWD_SCAL_T = np.concatenate([E8, G8[0], G8[1], G8[2]], axis=0)  # (32, 8)
 _BWD_SCAL_T = np.ascontiguousarray(_FWD_SCAL_T.T)  # (8, 32)
 
@@ -280,40 +277,7 @@ class MatFreeStokesOperator:
         return self.gp.GT @ ((self.Me[24:, :24] @ Ue) * self.s**2).ravel()
 
 
-# -- scalar mass / lumped mass --------------------------------------------------
-
-
-def apply_scalar_mass(
-    mesh: Mesh,
-    x: np.ndarray,
-    coeff: np.ndarray | float = 1.0,
-    supg_vel: np.ndarray | None = None,
-    supg_tau: np.ndarray | None = None,
-) -> np.ndarray:
-    """Matrix-free ``(Z^T M(coeff) Z) x`` for the scalar (optionally
-    SUPG-weighted) mass: ``int (N_i + tau a . grad N_i) c N_j``.
-
-    With ``supg_vel``/``supg_tau`` this applies the streamline-weighted
-    mass (the matfree analogue of ``ElementOps.supg_mass``); without, the
-    plain Galerkin mass.
-    """
-    gp = scalar_gather(mesh)
-    w, ih, _ = _geometry(mesh)
-    ne = mesh.n_elements
-    TeT = (gp.G @ x).reshape(8, ne)
-    TqT = E8 @ TeT
-    wc = w * np.asarray(coeff, dtype=np.float64)
-    out_e = E8.T @ (wc[None, :] * TqT)
-    if supg_vel is not None:
-        tau = np.asarray(supg_tau, dtype=np.float64)
-        chan = (
-            (wc * tau)[None, None, :]
-            * np.ascontiguousarray(np.asarray(supg_vel, dtype=np.float64).T)[:, None, :]
-            * TqT[None, :, :]
-        )
-        chan *= np.ascontiguousarray(ih.T)[:, None, :]
-        out_e += _BWD_GRAD.T @ chan.reshape(24, ne)
-    return gp.GT @ out_e.ravel()
+# -- lumped scalar mass ---------------------------------------------------------
 
 
 def lumped_scalar_mass(mesh: Mesh, coeff: np.ndarray) -> np.ndarray:
@@ -427,8 +391,3 @@ def advection_apply_flops(n_elements: int) -> int:
     the pointwise flux combination)."""
     per_elem = 2 * 2 * 8 * 32 + 8 * (3 * 2 + 3 * 4 + 3)
     return per_elem * n_elements
-
-
-def csr_apply_flops(nnz: int) -> int:
-    """Flops per assembled-CSR apply (one multiply-add per stored entry)."""
-    return 2 * nnz

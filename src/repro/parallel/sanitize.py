@@ -206,6 +206,8 @@ class CheckedComm(SimComm):
     #: collective or send); overridable per-run with
     #: ``REPRO_SANITIZE_TIMEOUT`` (seconds)
     DEFAULT_TIMEOUT = 10.0
+    #: collectives per rank kept for divergence reports
+    MAX_HISTORY = 64
 
     def __init__(
         self,
@@ -213,14 +215,13 @@ class CheckedComm(SimComm):
         rank: int,
         timeout: float | None = None,
         fuzz_seed: int | None = None,
-        max_history: int = 64,
     ):
         super().__init__(world, rank)
         if timeout is None:
             timeout = _timeout_from_env()
         self.timeout = self.DEFAULT_TIMEOUT if timeout is None else float(timeout)
         self._seq = 0
-        self._history: deque = deque(maxlen=max_history)
+        self._history: deque = deque(maxlen=self.MAX_HISTORY)
         # shared registry of per-rank histories for divergence reports;
         # communicators are built sequentially in run_spmd, so plain
         # attribute initialization is race-free

@@ -42,8 +42,8 @@ __all__ = ["LaggedStokesPreconditioner"]
 
 class LaggedStokesPreconditioner:
     """Setup-amortizing wrapper around
-    :class:`repro.solvers.gmg.GMGStokesPreconditioner` (``prec_opts``
-    are its keyword arguments).
+    :class:`repro.solvers.gmg.GMGStokesPreconditioner` (``max_coarse``
+    goes to it).
 
     The paper reuses one multigrid setup across the ~16 time steps
     between mesh adaptations (Figures 8-9); :meth:`get` implements that
@@ -63,9 +63,9 @@ class LaggedStokesPreconditioner:
     leaves solver results bitwise identical to rebuild-every-pass.
     """
 
-    def __init__(self, rtol: float = 0.5, **prec_opts):
+    def __init__(self, rtol: float = 0.5, max_coarse: int = 80):
         self.rtol = float(rtol)
-        self.prec_opts = prec_opts
+        self.max_coarse = max_coarse
         self._prec: GMGStokesPreconditioner | None = None
         self._mesh = None
         self._bc_kind = None
@@ -116,7 +116,7 @@ class LaggedStokesPreconditioner:
                 self._prec.update_viscosity(eta)
                 self._prec.refresh_schur(stokes)
         else:
-            self._prec = GMGStokesPreconditioner(stokes, **self.prec_opts)
+            self._prec = GMGStokesPreconditioner(stokes, max_coarse=self.max_coarse)
         self._mesh = stokes.mesh
         self._bc_kind = stokes.bc_kind
         self._eta_ref = eta.copy()

@@ -77,6 +77,18 @@ __all__ = [
     "GMGStokesPreconditioner",
 ]
 
+#: the hierarchy stops at this many levels even if the coarsest is still
+#: above ``max_coarse``
+MAX_LEVELS = 20
+#: Chebyshev smoother: polynomial degree, safety factor on the power-
+#: iteration estimate of ``lmax``, width ``lmax / lmin`` of the targeted
+#: upper spectrum, and the power iterations and seed of that estimate
+CHEB_DEGREE = 3
+CHEB_LMAX_SCALE = 1.1
+CHEB_LMIN_RATIO = 8.0
+CHEB_POWER_ITERS = 12
+CHEB_SEED = 0
+
 
 # -- forest-derived grid hierarchy ----------------------------------------------
 
@@ -96,7 +108,7 @@ class GridHierarchy:
     elem_maps: list
 
 
-def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80, max_levels: int = 20) -> GridHierarchy:
+def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
     """Build (or fetch from the mesh's operator cache) the coarsening
     hierarchy of ``mesh``.
 
@@ -104,7 +116,8 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80, max_levels: int = 20) -> Gr
     complete sibling families actually coarsen — then re-balancing 2:1
     (corner connectivity, matching the fine mesh invariant) and
     re-extracting.  Stops when the independent-dof count drops to
-    ``max_coarse``, the tree stops shrinking, or ``max_levels`` is hit.
+    ``max_coarse``, the tree stops shrinking, or :data:`MAX_LEVELS` is
+    hit.
     Requires ``mesh.tree`` (distributed submeshes carry no tree).
     """
     if mesh.tree is None:
@@ -118,7 +131,7 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80, max_levels: int = 20) -> Gr
 
         meshes = [mesh]
         elem_maps = []
-        while meshes[-1].n_independent > max_coarse and len(meshes) < max_levels:
+        while meshes[-1].n_independent > max_coarse and len(meshes) < MAX_LEVELS:
             fine = meshes[-1]
             tree = fine.tree
             tree_c, n_fam = tree.coarsen(np.ones(len(tree), dtype=bool))
@@ -135,7 +148,7 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80, max_levels: int = 20) -> Gr
             elem_maps.append(emap.astype(np.int64))
         return GridHierarchy(meshes=meshes, elem_maps=elem_maps)
 
-    return operator_cache(mesh).get(("gmg_hierarchy", max_coarse, max_levels), build)
+    return operator_cache(mesh).get(("gmg_hierarchy", max_coarse), build)
 
 
 def coarse_viscosities(hier: GridHierarchy, eta: np.ndarray) -> list:
@@ -282,53 +295,44 @@ MatFreeScalarPoisson = StackedPoissonLevel
 
 
 class ChebyshevSmoother:
-    """Degree-``degree`` Chebyshev smoother on the Jacobi-preconditioned
-    operator ``D^{-1} A``, targeting the upper spectrum
-    ``[lmax/lmin_ratio, lmax]`` of each velocity component.
+    """Degree-:data:`CHEB_DEGREE` Chebyshev smoother on the
+    Jacobi-preconditioned operator ``D^{-1} A``, targeting the upper
+    spectrum ``[lmax/CHEB_LMIN_RATIO, lmax]`` of each velocity component.
 
     As an operator the zero-initial-guess application is a polynomial
     ``p(D^{-1}A) D^{-1}`` — symmetric w.r.t. the Euclidean inner product
     because ``D`` and ``A`` are — which is what makes the V-cycle below a
     valid SPD MINRES preconditioner block.  ``lmax`` (one value per
     component: the blocks of ``A`` differ by their Dirichlet rows) is a
-    deterministic power-iteration estimate inflated by ``lmax_scale``
-    (the standard safety margin against underestimation).  The
-    recurrence scalars depend only on ``lmin_ratio``, so the three
-    components share them and only the two Jacobi scalings are per-dof.
+    deterministic power-iteration estimate inflated by
+    :data:`CHEB_LMAX_SCALE` (the standard safety margin against
+    underestimation).  The recurrence scalars depend only on
+    :data:`CHEB_LMIN_RATIO`, so the three components share them and only
+    the two Jacobi scalings are per-dof.
     """
 
-    def __init__(
-        self,
-        op: StackedPoissonLevel,
-        degree: int = 3,
-        lmax_scale: float = 1.1,
-        lmin_ratio: float = 8.0,
-        power_iters: int = 12,
-        seed: int = 0,
-    ):
+    def __init__(self, op: StackedPoissonLevel):
         self.op = op
-        self.degree = int(degree)
-        self.lmax_scale = float(lmax_scale)
-        self.lmin_ratio = float(lmin_ratio)
         self.dinv = 1.0 / op.diagonal()
-        self.lmax = lmax_scale * self._estimate_lmax(power_iters, seed)
-        self.lmin = self.lmax / lmin_ratio
+        self.lmax = CHEB_LMAX_SCALE * self._estimate_lmax()
+        self.lmin = self.lmax / CHEB_LMIN_RATIO
         theta = 0.5 * (self.lmax + self.lmin)
         delta = 0.5 * (self.lmax - self.lmin)
-        self._sigma = (lmin_ratio + 1.0) / (lmin_ratio - 1.0)  # theta / delta
+        # theta / delta
+        self._sigma = (CHEB_LMIN_RATIO + 1.0) / (CHEB_LMIN_RATIO - 1.0)
         n = op.n // 3
         self._first = self.dinv / np.repeat(theta, n)
         self._step = 2.0 * self.dinv / np.repeat(delta, n)
 
-    def _estimate_lmax(self, iters: int, seed: int) -> np.ndarray:
+    def _estimate_lmax(self) -> np.ndarray:
         """Power iteration on ``D^{-1} A``, normalised per component so
         each block converges to its own largest eigenvalue (fixed seed:
         deterministic)."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(CHEB_SEED)
         x = np.tile(rng.standard_normal(self.op.n // 3), (3, 1))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         lam = np.ones(3)
-        for _ in range(iters):  # lint: allow-loop (power iteration)
+        for _ in range(CHEB_POWER_ITERS):  # lint: allow-loop (power iteration)
             y = (self.dinv * self.op.apply(x.ravel())).reshape(3, -1)
             lam = np.linalg.norm(y, axis=1)
             x = y / lam[:, None]
@@ -336,8 +340,8 @@ class ChebyshevSmoother:
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """One zero-initial-guess smoothing application ``x = S b``
-        (the three-term Chebyshev recurrence, ``degree - 1`` operator
-        applies) to a ``(3n,)`` vector or the columns of a ``(3n, nb)``
+        (the three-term Chebyshev recurrence, ``CHEB_DEGREE - 1``
+        operator applies) to a ``(3n,)`` vector or the columns of a ``(3n, nb)``
         block."""
         first, step = self._first, self._step
         if b.ndim == 2:
@@ -347,7 +351,7 @@ class ChebyshevSmoother:
         d = first * b
         x = d
         r = b
-        for _ in range(self.degree - 1):  # lint: allow-loop (poly degree)
+        for _ in range(CHEB_DEGREE - 1):  # lint: allow-loop (poly degree)
             r = r - self.op.apply(d)
             rho = 1.0 / (2.0 * sigma - rho_old)
             d = (rho * rho_old) * d + rho * (step * r)
@@ -381,7 +385,7 @@ class GeometricMultigrid:
     (:func:`masked_transfers`) — both cached per mesh — averages the
     element ``viscosity`` onto each level, assembles each level's
     operator and estimates its smoother bounds (``max_coarse`` goes to
-    the hierarchy, the other options to :class:`ChebyshevSmoother`).
+    the hierarchy).
 
     Cycle structure (pre-smooth, coarse-grid correction, post-smooth with
     the same symmetric smoother ``S``) makes one zero-initial-guess cycle
@@ -396,15 +400,9 @@ class GeometricMultigrid:
         mesh: Mesh,
         viscosity: np.ndarray,
         bc_kind: str,
-        degree: int = 3,
         max_coarse: int = 80,
-        lmax_scale: float = 1.1,
-        lmin_ratio: float = 8.0,
     ):
         self.bc_kind = bc_kind
-        self._smoother_opts = dict(
-            degree=degree, lmax_scale=lmax_scale, lmin_ratio=lmin_ratio
-        )
         with obs.phase("gmg_setup"):
             self.hierarchy = mesh_hierarchy(mesh, max_coarse=max_coarse)
             meshes = self.hierarchy.meshes
@@ -424,7 +422,7 @@ class GeometricMultigrid:
         for m, eta, (P, R) in zip(meshes, etas, self._transfers):  # lint: allow-loop (level count)
             op = StackedPoissonLevel(m, eta, self.bc_kind)
             smoother = (
-                None if m is meshes[-1] else ChebyshevSmoother(op, **self._smoother_opts)
+                None if m is meshes[-1] else ChebyshevSmoother(op)
             )
             self.levels.append(GMGLevel(op=op, smoother=smoother, P=P, R=R))
         op = self.levels[-1].op
@@ -492,18 +490,18 @@ class GeometricMultigrid:
 class GMGStokesPreconditioner:
     """The Stokes block preconditioner ``P = diag(Atilde, Stilde)`` of
     the drivers: ``Atilde`` applied as one :class:`GeometricMultigrid`
-    V-cycle over the stacked velocity components (``gmg_opts`` are its
-    keyword arguments) where the paper applies three AMG V-cycles, and
+    V-cycle over the stacked velocity components (``max_coarse`` goes to
+    it) where the paper applies three AMG V-cycles, and
     ``Stilde`` the inverse-viscosity-weighted lumped pressure mass.
     :class:`repro.solvers.blockprec.LaggedStokesPreconditioner` lags its
     setup.
     """
 
-    def __init__(self, stokes: StokesSystem, **gmg_opts):
+    def __init__(self, stokes: StokesSystem, max_coarse: int = 80):
         self.n = stokes.mesh.n_independent
         with obs.phase("prec_setup"):
             self.gmg = GeometricMultigrid(
-                stokes.mesh, stokes.viscosity, stokes.bc_kind, **gmg_opts
+                stokes.mesh, stokes.viscosity, stokes.bc_kind, max_coarse=max_coarse
             )
             self.refresh_schur(stokes)
         self.n_vcycles = 0

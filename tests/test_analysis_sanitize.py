@@ -274,7 +274,7 @@ class TestOpcacheGuard:
         mesh = _mesh()
         sizes = mesh.element_sizes()
         mesh.element_sizes()  # clean hit verifies fine
-        sizes *= 2.0  # in-place write to the memoized array  # lint: disable=R2
+        sizes *= 2.0  # in-place write to the memoized array
         with pytest.raises(CacheMutationError, match="element_sizes"):
             mesh.element_sizes()
 
@@ -293,7 +293,7 @@ class TestOpcacheGuard:
         centers = mesh.element_centers()  # cached without a token
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         mesh.element_centers()  # hit adopts a fingerprint
-        centers[0, 0] += 1.0  # lint: disable=R2 (deliberate mutation)
+        centers[0, 0] += 1.0  # deliberate mutation
         with pytest.raises(CacheMutationError):
             mesh.element_centers()
 

@@ -30,13 +30,6 @@ class TestSupgTau:
         tau = supg_tau(sizes, np.zeros((1, 3)), kappa=1.0)
         np.testing.assert_allclose(tau, 0.01 / 12.0, rtol=1e-6)
 
-    def test_dt_term_reduces_tau(self):
-        sizes = np.array([[0.1, 0.1, 0.1]])
-        vel = np.array([[1.0, 0.0, 0.0]])
-        t1 = supg_tau(sizes, vel, kappa=1e-3)
-        t2 = supg_tau(sizes, vel, kappa=1e-3, dt=1e-4)
-        assert t2 < t1
-
 
 class TestElementVelocity:
     def test_constant_field(self):

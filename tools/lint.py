@@ -1,32 +1,31 @@
 """SPMD correctness linter: repo-specific static rules over the AST.
 
-Generic linters cannot know that values handed out by
-:mod:`repro.mesh.opcache` are shared and must never be written in
-place, that the PR-1 vectorized kernels must not regrow per-element
-Python loops, or that an SPMD kernel must not read state armed in the
-parent interpreter.  This module encodes those invariants as six rules.
-Collective symmetry, send/recv pairing and buffer ownership are checked
-at runtime by :class:`repro.parallel.sanitize.CheckedComm`, not here.
+Generic linters cannot know that the vectorized hot kernels must not
+regrow per-element Python loops, that checkpoint bytes must not depend
+on dict or set order, or that an SPMD kernel must not read state armed
+in the parent interpreter.  This module encodes those invariants as
+five rules.  Collective symmetry, send/recv pairing and buffer
+ownership are checked at runtime by
+:class:`repro.parallel.sanitize.CheckedComm`, and cache purity (nobody
+writes into a value :mod:`repro.mesh.opcache` hands out) by the freeze
+guards of the same module under ``REPRO_SANITIZE=1``, not here.
 
-R2  **cache purity** — attribute writes, element writes (``x[...] =``),
-    in-place operators (``x += ...``), and mutating ufunc calls
-    (``np.add.at(x, ...)``, ``out=x``) applied to names bound from
-    ``operator_cache(...)`` / ``*cache*.get(...)`` or from the known
-    memoized mesh getters (``element_sizes``, ``element_centers``).
-    ``x.copy()`` launders the value; a plain alias or ``np.asarray``
-    does not.
+Path-scoped rules name their scope in a module-level table: a file is
+in scope when a directory of its path is in ``R3_PACKAGES`` /
+``R5_PACKAGES`` / ``R6_PACKAGES``, or (R4) when its stem is in
+``R4_MODULES``.
 
-R3  **dtype discipline** (hot packages ``fem/``, ``solvers/``,
-    ``mangll/`` only) — ``np.array`` / ``np.zeros`` / ``np.empty``
-    without an explicit ``dtype``, and float32/float64 mixing through a
-    literal-typed accumulator (``acc = 0.0`` then ``acc += f32_data``).
+R3  **dtype discipline** (``R3_PACKAGES``) — ``np.array`` /
+    ``np.zeros`` / ``np.empty`` without an explicit ``dtype``, and
+    float32/float64 mixing through a literal-typed accumulator
+    (``acc = 0.0`` then ``acc += f32_data``).
 
-R4  **hot-loop hygiene** (modules PR 1 vectorized: ``assembly``,
-    ``amg``, ``dg``, ``transfer``) — per-element Python ``for`` loops
-    (``range(...)`` over a non-trivial bound, or ``enumerate(...)``)
-    unless the line carries ``# lint: allow-loop``.
+R4  **hot-loop hygiene** (``R4_MODULES``, the vectorized hot modules) —
+    per-element Python ``for`` loops (``range(...)`` over a non-trivial
+    bound, or ``enumerate(...)``) unless the line carries
+    ``# lint: allow-loop``.
 
-R5  **serialization determinism** (``checkpoint/`` only) — iteration
+R5  **serialization determinism** (``R5_PACKAGES``) — iteration
     over ``dict.items()`` / ``.keys()`` / ``.values()`` (in ``for``
     statements or comprehensions) not wrapped in ``sorted(...)``, and
     iteration over ``set`` literals / ``set(...)`` values / set-typed
@@ -34,12 +33,12 @@ R5  **serialization determinism** (``checkpoint/`` only) — iteration
     insertion order or salted set order, which vary with code path,
     restart history, and interpreter run.
 
-R6  **public-API docstrings** (documented packages ``obs/``, ``perf/``,
-    ``checkpoint/`` only) — a module, top-level public class/function,
-    or public method of a public class without a docstring.  Names
-    starting with ``_`` (including dunders) and anything nested inside
-    a function are exempt.  These packages are the user-facing
-    instrumentation surface; their API reference is the docstrings.
+R6  **public-API docstrings** (``R6_PACKAGES``, the documented
+    packages) — a module, top-level public class/function, or public
+    method of a public class without a docstring.  Names starting with
+    ``_`` (including dunders) and anything nested inside a function are
+    exempt.  These packages are the user-facing surface; their API
+    reference is the docstrings.
 
 R10 **module-global mutable state read inside an SPMD kernel** — a
     function taking a comm-like parameter reads a module-level name
@@ -97,7 +96,6 @@ __all__ = [
 
 #: rule id -> short description (the catalog; mirrored in DESIGN.md)
 RULES = {
-    "R2": "in-place mutation of a cached/memoized value",
     "R3": "missing explicit dtype / float32-float64 mixing in hot path",
     "R4": "per-element Python loop in a vectorized hot module",
     "R5": "unordered dict/set iteration while serializing state",
@@ -146,9 +144,6 @@ R6_PACKAGES = ("obs", "perf", "checkpoint", "fleet", "solvers")
 
 #: dict-view methods whose iteration order is insertion order
 DICT_VIEW_METHODS = {"items", "keys", "values"}
-
-#: memoized getters on Mesh whose return values are cache-shared
-CACHED_GETTERS = {"element_sizes", "element_centers"}
 
 _SMALL_RANGE = 8  # `for a in range(3)` (components, corners) is not per-element
 
@@ -292,52 +287,6 @@ def _unordered_set_iter(node: ast.AST, set_names: set[str]) -> bool:
     return _set_valued_rhs(node, set_names)
 
 
-def _cache_handle_rhs(node: ast.AST) -> bool:
-    """RHS that yields a cache handle: ``operator_cache(mesh)``."""
-    if isinstance(node, ast.Call):
-        f = node.func
-        if isinstance(f, ast.Name) and f.id == "operator_cache":
-            return True
-        if isinstance(f, ast.Attribute) and f.attr == "operator_cache":
-            return True
-    return False
-
-
-def _cacheish_expr(node: ast.AST, handles: set[str]) -> bool:
-    """Receiver that is a cache: a handle name, ``*cache*``-named
-    name/attribute, or an inline ``operator_cache(...)`` call."""
-    if isinstance(node, ast.Name):
-        return node.id in handles or "cache" in node.id.lower()
-    if isinstance(node, ast.Attribute):
-        return "cache" in node.attr.lower()
-    if _cache_handle_rhs(node):
-        return True
-    return False
-
-
-def _cached_value_rhs(node: ast.AST, handles: set[str], cached: set[str]) -> bool:
-    """RHS that yields a *cached value* (shared, must not be mutated)."""
-    if isinstance(node, ast.Call):
-        f = node.func
-        if isinstance(f, ast.Attribute):
-            if f.attr == "get" and _cacheish_expr(f.value, handles):
-                return True
-            if f.attr in CACHED_GETTERS:
-                return True
-            # np.asarray(x) may alias x; x.view() aliases x
-            if f.attr in ("asarray", "view") and node.args and _names_in(node.args[0], cached):
-                return True
-            if f.attr == "view" and isinstance(f.value, ast.Name) and f.value.id in cached:
-                return True
-        if isinstance(f, ast.Name) and f.id == "asarray" and node.args and _names_in(node.args[0], cached):
-            return True
-        return False
-    # plain alias keeps the cached mark; arithmetic / .copy() launder it
-    if isinstance(node, ast.Name):
-        return node.id in cached
-    return False
-
-
 # --------------------------------------------------------------------------
 # the per-file visitor
 
@@ -346,8 +295,6 @@ def _cached_value_rhs(node: ast.AST, handles: set[str], cached: set[str]) -> boo
 class _Scope:
     """Per-function analysis state (copied into nested functions)."""
 
-    handles: set[str]
-    cached: set[str]
     f32_names: set[str]
     literal_accums: set[str]
     set_names: set[str]
@@ -365,7 +312,7 @@ class _FileLinter(ast.NodeVisitor):
         self.r4_active = stem in R4_MODULES
         self.r5_active = any(p in parts for p in R5_PACKAGES)
         self.r6_active = any(p in parts for p in R6_PACKAGES)
-        self._scope = _Scope(set(), set(), set(), set(), set())
+        self._scope = _Scope(set(), set(), set())
         # R6 context: (container kind, is a checked public surface)
         self._doc_ctx: list[tuple[str, bool]] = [("module", True)]
 
@@ -424,16 +371,10 @@ class _FileLinter(ast.NodeVisitor):
         self._doc_ctx.append(("func", False))
         outer = self._scope
         self._scope = _Scope(
-            handles=set(outer.handles),
-            cached=set(outer.cached),
             f32_names=set(),
             literal_accums=set(),
             set_names=set(outer.set_names),
         )
-        # parameters named like caches are treated as handles
-        for arg in list(node.args.args) + list(node.args.kwonlyargs):
-            if "cache" in arg.arg.lower():
-                self._scope.handles.add(arg.arg)
         try:
             self.generic_visit(node)
         finally:
@@ -450,43 +391,8 @@ class _FileLinter(ast.NodeVisitor):
             self._check_dict_iter(node.iter)
         self.generic_visit(node)
 
-    def visit_Call(self, node: ast.Call) -> None:
-        self._check_mutating_call(node)
-        self.generic_visit(node)
-
-    # -- R2: cache purity ---------------------------------------------------
-
-    def _check_mutating_call(self, node: ast.Call) -> None:
-        cached = self._scope.cached
-        f = node.func
-        # np.add.at(x, ...) / np.<ufunc>.at(x, ...)
-        if isinstance(f, ast.Attribute) and f.attr == "at" and node.args:
-            root = _root_name(node.args[0])
-            if root in cached:
-                self._emit(
-                    node,
-                    "R2",
-                    f"mutating ufunc '.at' call on cached value '{root}'",
-                )
-        # any call with out=<cached>
-        for kw in node.keywords:
-            if kw.arg == "out" and (root := _root_name(kw.value)) in cached:
-                self._emit(node, "R2", f"ufunc writes into cached value '{root}' via out=")
-
-    def _check_store(self, target: ast.AST, node: ast.AST, what: str) -> None:
-        cached = self._scope.cached
-        if isinstance(target, (ast.Subscript, ast.Attribute)):
-            root = _root_name(target)
-            if root in cached:
-                kind = "element write" if isinstance(target, ast.Subscript) else "attribute write"
-                self._emit(node, "R2", f"{kind} to cached value '{root}' ({what})")
-
     def visit_Assign(self, node: ast.Assign) -> None:
         scope = self._scope
-        for target in node.targets:
-            self._check_store(target, node, "assignment")
-        is_handle = _cache_handle_rhs(node.value)
-        is_cached = _cached_value_rhs(node.value, scope.handles, scope.cached)
         is_f32 = self._float32_rhs(node.value)
         is_set = _set_valued_rhs(node.value, scope.set_names)
         is_literal = isinstance(node.value, ast.Constant) and isinstance(
@@ -494,8 +400,6 @@ class _FileLinter(ast.NodeVisitor):
         ) and not isinstance(node.value.value, bool)
         for target in node.targets:
             for name in _target_names(target):
-                scope.handles.add(name) if is_handle else scope.handles.discard(name)
-                scope.cached.add(name) if is_cached else scope.cached.discard(name)
                 scope.f32_names.add(name) if is_f32 else scope.f32_names.discard(name)
                 scope.set_names.add(name) if is_set else scope.set_names.discard(name)
                 if is_literal:
@@ -504,22 +408,9 @@ class _FileLinter(ast.NodeVisitor):
                     scope.literal_accums.discard(name)
         self.generic_visit(node)
 
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._check_store(node.target, node, "assignment")
-            if isinstance(node.target, ast.Name):
-                scope = self._scope
-                if _cached_value_rhs(node.value, scope.handles, scope.cached):
-                    scope.cached.add(node.target.id)
-        self.generic_visit(node)
-
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         scope = self._scope
         target = node.target
-        if isinstance(target, ast.Name) and target.id in scope.cached:
-            self._emit(node, "R2", f"in-place operator on cached value '{target.id}'")
-        else:
-            self._check_store(target, node, "augmented assignment")
         # R3 mixing: float literal accumulator += float32 data
         if (
             self.r3_active
@@ -910,7 +801,7 @@ def apply_baseline(findings: list[Finding], baseline: Counter) -> list[Finding]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python tools/lint.py",
-        description="SPMD correctness linter (rules R2-R6, R10) for this repository.",
+        description="SPMD correctness linter (rules R3-R6, R10) for this repository.",
     )
     ap.add_argument("paths", nargs="*", default=["src"], help="files or trees to lint")
     ap.add_argument(
