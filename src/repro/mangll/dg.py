@@ -22,11 +22,14 @@ evaluations, so conforming faces, rotated faces, and mortar faces are all
 instances of the same mechanism.  The per-face probe loop this replaced is
 the test oracle ``tests/oracles/dg_faces.py``.
 
-That mechanism is how faces are *built*.  :meth:`DGAdvection.rate` applies
-them by class from static tables made once per forest (DESIGN.md section
-4j): a conforming face is a gather through a permuted index, only the two
-sides of a 2:1 mortar keep an interpolation operator, and every weight
-that does not depend on the field is folded in beforehand.
+That mechanism is how faces are *built*.  The semi-discrete operator is
+affine in ``u`` and fixed for the life of a mesh, so the constructor
+assembles it once (DESIGN.md section 4j): the volume term and every face
+class go into one CSR matrix ``L`` and the inflow into one vector ``g``,
+and :meth:`DGAdvection.rate` is the sparse mat-vec ``L u + g``.  A
+conforming face enters ``L`` through a permuted index, only the two sides
+of a 2:1 mortar contribute dense ``n2 x n2`` blocks, and every weight is
+folded into the entries.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .. import obs
 from ..forest import Connectivity, Forest, match_faces
@@ -80,15 +84,16 @@ _PERM_TOL = 1e-12
 
 @dataclass
 class _FaceBatch:
-    """Static operands of the surface term of :meth:`DGAdvection.rate`.
+    """The surface term of the DG operator, the face tables that
+    :meth:`DGAdvection._assemble` turns into entries of ``L`` and ``g``.
 
     Face instances are grouped by class, in this order: *conforming*
     (``nc``), *fine* side of a mortar (``nf``), *coarse* side (``ncs``),
     *boundary* (``nbd``); the array lengths carry the counts.  Quadrature
     weight, surface Jacobian, the upwind switch ``min(a.n, 0)``, the
     inverse mass and the sign of the lift are folded into ``w``, ``lift``,
-    ``wb`` and ``gb``, so ``rate`` adds ``bincount(mine, flux)`` and
-    applies no other factor.
+    ``wb`` and ``gb``: each instance adds its flux at the nodes ``mine``
+    and applies no other factor.
     """
 
     mine: np.ndarray   # (ni * n2,) node receiving each flux entry, all classes
@@ -101,6 +106,17 @@ class _FaceBatch:
     wb: np.ndarray     # (nbd, n2) weight of -u- on boundary faces
     gb: np.ndarray     # (nbd, n2) wb * inflow trace
     coarse_faces: int  # distinct (element, face) pairs behind the ncs instances
+
+
+def _census(fb: _FaceBatch) -> dict[str, int]:
+    """Instances per class of ``fb`` (:meth:`DGAdvection.face_census`)."""
+    return {
+        "conforming": len(fb.w) - len(fb.Mn),
+        "fine_mortar": len(fb.Mn),
+        "coarse_mortar": len(fb.Mq),
+        "boundary": len(fb.wb),
+        "coarse_faces": fb.coarse_faces,
+    }
 
 
 class DGAdvection:
@@ -118,6 +134,9 @@ class DGAdvection:
     inflow:
         Callable giving the exterior trace on forest-boundary faces
         (default zero).
+
+    The operator is affine and static: ``L`` (CSR) and ``g`` are
+    assembled once, and :meth:`rate` returns ``L u + g``.
 
     Raises ``ValueError`` (from :func:`repro.forest.faces.match_faces`)
     when the forest is not 2:1 face-balanced, inside a tree or across a
@@ -153,7 +172,11 @@ class DGAdvection:
             with obs.phase("faces"):
                 interior, bdry = self._face_instances(velocity)
             with obs.phase("rate_tables"):
-                self._finalize_faces(interior, bdry)
+                faces = self._finalize_faces(interior, bdry)
+                del interior, bdry  # freed before _assemble allocates
+                self._census = _census(faces)
+                self.L, self.g = self._assemble(faces)
+                obs.counter("dg_operator_nnz", self.L.nnz)
             for name, count in self.face_census().items():
                 obs.counter(f"dg_faces_{name}", count)
         self._rk = LowStorageRK45()
@@ -202,7 +225,8 @@ class DGAdvection:
         # advection coefficients c_k = a . grad(ref_k) at volume nodes
         a = velocity(self.x)
         c = np.einsum("mkd,md->mk", self.Jinv, a).reshape(ne, n3, 3)
-        # kept as -c_k in three contiguous (ne, n3) factors, the form rate() uses
+        # kept as -c_k in three contiguous (ne, n3) factors, the volume
+        # coefficients of L
         self._cneg = np.ascontiguousarray(-c.transpose(2, 0, 1))
 
     # -- face construction -----------------------------------------------------------
@@ -239,8 +263,9 @@ class DGAdvection:
         self._build_faces_batched(velocity, interior, bdry)
 
         def merge(d):
+            # pop: each field's batches are freed once merged (constructor peak)
             order = np.argsort(np.concatenate(d["key"]), kind="stable")
-            return {k: np.concatenate(v, axis=0)[order] for k, v in d.items()}
+            return {k: np.concatenate(d.pop(k), axis=0)[order] for k in list(d)}
 
         return merge(interior), merge(bdry)
 
@@ -399,33 +424,35 @@ class DGAdvection:
                         wsj, an = coarse_face(E, f, quad)
                         emit_interior(E, G, f, fnb, M, False, wsj, an)
 
-    def _finalize_faces(self, interior: dict, bdry: dict) -> None:
+    def _finalize_faces(self, interior: dict, bdry: dict) -> _FaceBatch:
         """Classify the merged face instances and fold everything static
-        into the operands of :meth:`rate` (see :class:`_FaceBatch`)."""
+        into the face tables (see :class:`_FaceBatch`)."""
         minv = 1.0 / self.Mdiag.ravel()
         mine, nb, M, drive = (interior[k] for k in ("mine", "nb", "M", "drive"))
         # upwind: f* - f^- = min(a.n, 0) (u+ - u-), weighted at the quad points
         s = interior["wsj"] * np.minimum(interior["an"], 0.0)
 
         # a driving face whose neighbor operator is a permutation is
-        # conforming: the operator becomes part of the gather index
+        # conforming: the operator becomes part of the gather index (R is
+        # reused for |M - R|, so one (ni, n2, n2) temporary is live)
         R = np.rint(M)
         perm = (
             drive
-            & (np.abs(M - R).max(axis=(1, 2), initial=0.0) <= _PERM_TOL)
             & ((R == 1.0).sum(axis=2) == 1).all(axis=1)
-            & ((R != 0.0).sum(axis=2) == 1).all(axis=1)
+            & (np.count_nonzero(R, axis=2) == 1).all(axis=1)
         )
+        pick = R.argmax(axis=2)
+        np.abs(np.subtract(M, R, out=R), out=R)
+        perm &= R.max(axis=(1, 2), initial=0.0) <= _PERM_TOL
+        del R
         # fold the permutation into the gather index, then group by class
-        nb = np.where(
-            perm[:, None], np.take_along_axis(nb, R.argmax(axis=2), axis=1), nb
-        )
+        nb = np.where(perm[:, None], np.take_along_axis(nb, pick, axis=1), nb)
         driving = np.concatenate([np.flatnonzero(perm), np.flatnonzero(drive & ~perm)])
         coarse = np.flatnonzero(~drive)
         order = np.concatenate([driving, coarse])
         Mq = M[coarse]
         wb = -bdry["wsj"] * np.minimum(bdry["an"], 0.0) * minv[bdry["mine"]]
-        self.faces = _FaceBatch(
+        return _FaceBatch(
             mine=np.concatenate([mine[order].ravel(), bdry["mine"].ravel()]),
             nb=nb[order].ravel(),
             w=-s[driving] * minv[mine[driving]],
@@ -437,21 +464,81 @@ class DGAdvection:
             coarse_faces=len(np.unique(interior["key"][coarse])),
         )
 
+    def _assemble(self, fb: _FaceBatch) -> tuple[sp.csr_matrix, np.ndarray]:
+        """``L`` (CSR, int32 indices) and ``g`` of ``rate(u) = L u + g``.
+
+        The volume term ``sum_k diag(-c_k) D_k`` has the same ``3n - 2``
+        columns in every row (the union pattern of the three derivative
+        matrices, diagonal included), so it is written as CSR directly.
+        The face classes are COO blocks, row ``mine`` throughout:
+        conforming ``w`` at the permuted neighbor node, fine side
+        ``w Mn``, coarse side ``lift`` at the fine neighbor's nodes and
+        ``-lift Mq`` at its own, and ``-w`` / ``-wb`` on the diagonal.
+        The CSR conversion and the final sum add the duplicates; the sparse
+        sum stores no exact zero, so the outflow half of every face (where
+        the upwind switch vanishes) does not enter ``L``.
+        """
+        n2, n3, ne, nd = self.n2, self.n3, self.ne, self.n_dof
+        kern = self.kern
+        D = (kern.Dr_full, kern.Ds_full, kern.Dt_full)
+        pattern = (D[0] != 0) | (D[1] != 0) | (D[2] != 0) | np.eye(n3, dtype=bool)
+        lr, lc = np.nonzero(pattern)  # row-major: each local row's columns, sorted
+        per_row = len(lc) // n3
+        lc = lc.astype(np.int32)
+
+        mine = fb.mine.reshape(-1, n2)
+        nb = fb.nb.reshape(-1, n2)
+        b = len(fb.w)
+        a, c = b - len(fb.Mn), b + len(fb.Mq)
+        blocks = [  # (rows, columns, values), broadcast to one shape each
+            (mine[:a], nb[:a], fb.w[:a]),
+            (mine[:b], mine[:b], -fb.w),
+            (mine[a:b, :, None], nb[a:b, None, :], fb.w[a:b, :, None] * fb.Mn),
+            (mine[b:c, :, None], nb[b:c, None, :], fb.lift),
+            (mine[b:c, :, None], mine[b:c, None, :], -np.matmul(fb.lift, fb.Mq)),
+            (mine[c:], mine[c:], -fb.wb),
+        ]
+        shapes = [np.broadcast_shapes(*(x.shape for x in blk)) for blk in blocks]
+        total = sum(int(np.prod(shape)) for shape in shapes)
+        rows = np.empty(total, dtype=np.int32)
+        cols = np.empty(total, dtype=np.int32)
+        vals = np.empty(total, dtype=np.float64)
+        at = 0
+        for blk, shape in zip(blocks, shapes):
+            m = int(np.prod(shape))
+            for dst, src in zip((rows, cols, vals), blk):
+                np.copyto(dst[at:at + m].reshape(shape), src, casting="unsafe")
+            at += m
+        del blocks
+        F = sp.coo_matrix((vals, (rows, cols)), shape=(nd, nd)).tocsr()
+        del rows, cols, vals
+
+        # volume entries in (element, local row, column) order, the CSR order
+        data = np.empty((ne, n3, per_row), dtype=np.float64)
+        Dv = [Dk[lr, lc].reshape(n3, per_row) for Dk in D]
+        np.multiply(self._cneg[0][:, :, None], Dv[0], out=data)
+        data += self._cneg[1][:, :, None] * Dv[1]
+        data += self._cneg[2][:, :, None] * Dv[2]
+        base = (np.arange(ne, dtype=np.int32) * n3)[:, None]
+        V = sp.csr_matrix(
+            (data.reshape(-1), (base + lc).reshape(-1),
+             np.arange(0, nd * per_row + 1, per_row, dtype=np.int32)),
+            shape=(nd, nd),
+        )
+        L = V + F
+        del V, F
+        L = L.copy()  # the sum's arrays are sized for V.nnz + F.nnz
+        g = np.bincount(mine[c:].ravel(), weights=fb.gb.ravel(), minlength=nd)
+        return L, g
+
     def face_census(self) -> dict[str, int]:
         """Face instances by class: ``conforming`` (neighbor trace is a
         pure gather), ``fine_mortar`` / ``coarse_mortar`` (the two sides
         of a 2:1 face, one instance per fine neighbor — the only
-        instances that keep an n2 x n2 operator), ``boundary``, and
+        instances with an n2 x n2 block in ``L``), ``boundary``, and
         ``coarse_faces``, the number of coarse element faces the mortars
         subdivide."""
-        fb = self.faces
-        return {
-            "conforming": len(fb.w) - len(fb.Mn),
-            "fine_mortar": len(fb.Mn),
-            "coarse_mortar": len(fb.Mq),
-            "boundary": len(fb.wb),
-            "coarse_faces": fb.coarse_faces,
-        }
+        return dict(self._census)
 
     # -- operator ---------------------------------------------------------------------
 
@@ -470,35 +557,11 @@ class DGAdvection:
             )
 
     def rate(self, u: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """du/dt = -a . grad(u) - lift(upwind flux jumps)."""
+        """du/dt = -a . grad(u) - lift(upwind flux jumps) = L u + g."""
         self._check_field(u)
         obs.counter("dg_rate_calls")
-        # volume term, accumulated in place on the fresh gradient arrays;
-        # the chain rule is pointwise, only the surface lift carries M^-1
-        dr, ds, dt_ = self.kern.gradient_tensor(u.reshape(self.ne, self.n3))
-        dr *= self._cneg[0]
-        ds *= self._cneg[1]
-        dt_ *= self._cneg[2]
-        dr += ds
-        dr += dt_
-        res = dr.reshape(-1)
-
-        fb = self.faces
-        b = len(fb.w)  # instances whose own face nodes are the quad points
-        a, c = b - len(fb.Mn), b + len(fb.Mq)
-        um = u.take(fb.mine).reshape(-1, self.n2)
-        up = u.take(fb.nb).reshape(-1, self.n2)
-        flux = np.empty_like(um)
-        # conforming and fine side: quadrature at my own face nodes
-        np.subtract(up[:a], um[:a], out=flux[:a])
-        np.subtract(np.matmul(fb.Mn, up[a:b, :, None])[:, :, 0], um[a:b], out=flux[a:b])
-        flux[:b] *= fb.w
-        # coarse side: jump at the fine neighbor's nodes, lifted back by Mq^T
-        jump = up[b:c] - np.matmul(fb.Mq, um[b:c, :, None])[:, :, 0]
-        flux[b:c] = np.matmul(fb.lift, jump[:, :, None])[:, :, 0]
-        # boundary: exterior trace is the static inflow
-        np.subtract(fb.gb, fb.wb * um[c:], out=flux[c:])
-        res += np.bincount(fb.mine, weights=flux.reshape(-1), minlength=self.n_dof)
+        res = self.L @ u
+        res += self.g
         return res
 
     # -- time stepping ------------------------------------------------------------------

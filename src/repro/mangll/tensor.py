@@ -17,12 +17,15 @@ experiment reported for Ranger (between p = 2 and p = 4); the benchmark
 variants with the paper's sustained rates.
 
 Both kernels return ``(du/dr, du/ds, du/dt)`` in reference coordinates;
-the DG solver composes the tensor-product one with metric terms (the
-matrix-based kernel exists for the Section VII kernel study).
+both exist for the Section VII kernel study.  The DG solver calls
+neither: it takes the 1-D nodes and weights and the three dense
+``(p+1)^3`` derivative matrices of :class:`DerivativeKernel` and
+assembles its volume term, metric terms included, into one sparse matrix
+per mesh (:mod:`repro.mangll.dg`).
 
 This module is the shared kernel layer for *all* element-batched tensor
-algebra in the code base: the DG solver uses :class:`DerivativeKernel`
-directly, and the low-order FEM matrix-free apply engine
+algebra in the code base: the DG solver builds on :class:`DerivativeKernel`,
+and the low-order FEM matrix-free apply engine
 (:mod:`repro.fem.matfree`) builds its fused Gauss-point evaluation
 matrices from the same 1-D factors through :func:`kron3` /
 :func:`contract_axis`.  Every kernel is batched over elements — operands
@@ -125,7 +128,8 @@ class DerivativeKernel:
         self.nodes, self.weights = lgl_nodes(p)
         self.D = diff_matrix(self.nodes)  # (n, n)
         n = self.n
-        # dense 3-D derivative matrices for the matrix-based variant
+        # dense 3-D derivative matrices: the matrix-based variant, and the
+        # pattern and entries of the DG volume term
         I = np.eye(n)
         self.Dr_full = kron3(I, I, self.D)
         self.Ds_full = kron3(I, self.D, I)

@@ -207,21 +207,26 @@ class TestSphereAdvection:
 
 
 def assert_equals_loop_builder(forest, dg, wind, u):
-    """Every face-instance array, every rate table and ``rate(u)`` of
-    ``dg`` is bitwise what the per-face probe loop of
-    ``tests/oracles/dg_faces.py`` gives."""
+    """Every face-instance array, every face table, the assembled ``L``
+    and ``g`` and ``rate(u)`` of ``dg`` are bitwise what the per-face probe
+    loop of ``tests/oracles/dg_faces.py`` gives."""
     ref = LoopFaceBuilder(forest, dg, wind).face_instances()
-    for got, want in zip(dg._face_instances(wind), ref):
-        assert got.keys() == want.keys()
+    got = dg._face_instances(wind)
+    for g, want in zip(got, ref):
+        assert g.keys() == want.keys()
         for k in want:
-            assert got[k].dtype == want[k].dtype, k
-            assert np.array_equal(got[k], want[k]), k
-    dg_loop = copy.copy(dg)
-    dg_loop._finalize_faces(*ref)
-    for fld in dataclasses.fields(dg.faces):
+            assert g[k].dtype == want[k].dtype, k
+            assert np.array_equal(g[k], want[k]), k
+    tables, ref_tables = dg._finalize_faces(*got), dg._finalize_faces(*ref)
+    for fld in dataclasses.fields(ref_tables):
         assert np.array_equal(
-            getattr(dg.faces, fld.name), getattr(dg_loop.faces, fld.name)
+            getattr(tables, fld.name), getattr(ref_tables, fld.name)
         ), fld.name
+    dg_loop = copy.copy(dg)
+    dg_loop.L, dg_loop.g = dg._assemble(ref_tables)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(dg_loop.L, name), getattr(dg.L, name)), name
+    assert np.array_equal(dg_loop.g, dg.g)
     assert np.array_equal(dg_loop.rate(u), dg.rate(u))
 
 

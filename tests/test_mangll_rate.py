@@ -1,8 +1,6 @@
 """``DGAdvection.rate`` against the per-instance dense-operator oracle,
-the face-class census behind its static tables, input validation at the
-solver boundary, and the ``dg/*`` observability hooks."""
-
-import dataclasses
+the face-class census and the sparsity of the assembled operator, input
+validation at the solver boundary, and the ``dg/*`` observability hooks."""
 
 import numpy as np
 import pytest
@@ -132,16 +130,30 @@ class TestFaceCensus:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_only_mortars_keep_operators(self, geometry, p):
-        """No dense identity (or permutation) operator is retained."""
+        """``L`` stores no identity or permutation block.  Per row: at most
+        the ``3p + 1`` volume columns (the face diagonals land on them), one
+        neighbor node per conforming face, ``n2`` per fine-side mortar and
+        ``2 n2`` per coarse-side mortar, counted only where the upwind weight
+        is non-zero (the outflow half is dropped).  A conforming face stored
+        as a dense ``n2 x n2`` block would add ``n2 - 1`` entries per row.
+        The census bound, which counts the outflow halves too, is the looser
+        second check."""
         forest, wind, inflow = geometry
         dg = DGAdvection(forest, p=p, velocity=wind, inflow=inflow)
-        c = dg.face_census()
-        dense = sum(
-            v.size
-            for v in dataclasses.asdict(dg.faces).values()
-            if isinstance(v, np.ndarray) and v.ndim == 3
+        fb = dg._finalize_faces(*dg._face_instances(wind))
+        n2, c = dg.n2, dg.face_census()
+        w_conf, w_fine = fb.w[: c["conforming"]], fb.w[c["conforming"]:]
+        lifted = np.abs(fb.lift).sum(axis=2)
+        bound = (
+            dg.n_dof * (3 * p + 1) + np.count_nonzero(w_conf)
+            + n2 * np.count_nonzero(w_fine) + 2 * n2 * np.count_nonzero(lifted)
         )
-        assert dense == (c["fine_mortar"] + 2 * c["coarse_mortar"]) * dg.n2**2
+        assert dg.L.nnz <= bound
+        assert dg.L.nnz <= dg.n_dof * (3 * p + 1) + n2 * (
+            2 * c["conforming"] + (n2 + 1) * c["fine_mortar"]
+            + 2 * n2 * c["coarse_mortar"] + c["boundary"]
+        )
+        assert dg.L.indices.dtype == dg.L.indptr.dtype == np.int32
 
 
 class TestBoundaryFlux:
@@ -205,6 +217,7 @@ class TestObservability:
         assert phases["dg/setup"]["counters"] == {
             f"dg_faces_{k}": v for k, v in dg.face_census().items()
         }
+        assert phases["dg/setup/rate_tables"]["counters"] == {"dg_operator_nnz": dg.L.nnz}
         # no phase is opened per rate call
         assert not any(p.startswith("dg/advance/") for p in phases)
         assert "dg/setup" in obs.markdown_report(rep)
