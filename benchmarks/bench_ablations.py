@@ -16,7 +16,7 @@
 
 import numpy as np
 
-from repro.fem import StokesSystem
+from repro.fem import ElementOps, StokesSystem, apply_dirichlet, assemble_vector
 from repro.mesh import extract_mesh
 from repro.octree import LinearOctree, balance
 from repro.parallel import run_spmd
@@ -116,7 +116,11 @@ def test_ablation_stokes_preconditioner(record_table, benchmark):
         rounds=1, iterations=1,
     )
 
-    diag = np.concatenate([st.A.diagonal(), st.schur_diagonal()])
+    # Jacobi: the diagonal of the assembled, Dirichlet-eliminated strain
+    # stiffness A beside the Schur diagonal
+    A = assemble_vector(mesh, ElementOps().strain_stiffness(mesh.element_sizes(), eta))
+    A = apply_dirichlet(A, None, st.bc.dofs)[0]
+    diag = np.concatenate([A.diagonal(), st.schur_diagonal()])
     diag = np.where(np.abs(diag) > 1e-14, np.abs(diag), 1.0)
     jacobi = minres(st.matvec, b, M=lambda r: r / diag, tol=1e-6, maxiter=1500)
 

@@ -214,11 +214,9 @@ def _restore_convection_impl(path: str, config, include_solver_state: bool):
             from ..fem import StokesSystem
 
             eta_ref = g["solver/prec_eta_ref"].copy()
-            st = StokesSystem(
-                sim.mesh,
-                eta_ref,
-                np.zeros((sim.mesh.n_nodes, 3)),
-                bc=sim.config.velocity_bc,
+            # no body force: the system only warms the lagged
+            # preconditioner
+            sim._prec_lag.get(
+                StokesSystem(sim.mesh, eta_ref, bc=sim.config.velocity_bc)
             )
-            sim._prec_lag.get(st)
     return sim

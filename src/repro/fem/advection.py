@@ -18,7 +18,7 @@ import numpy as np
 from ..mesh import Mesh
 from ..mesh.opcache import operator_cache
 from ..solvers.timestep import heun_step
-from .assembly import assemble_rhs, assemble_scalar, lumped_mass
+from .assembly import assemble_rhs, lumped_mass
 from .hexops import ElementOps
 from .matfree import MatFreeAdvectionOperator
 
@@ -96,8 +96,9 @@ class AdvectionDiffusion:
     """SUPG advection-diffusion operator with explicit time stepping.
 
     The operator is applied matrix-free through
-    :class:`repro.fem.matfree.MatFreeAdvectionOperator`; the assembled
-    ``A`` is built lazily on access.  Like its operator it carries an
+    :class:`repro.fem.matfree.MatFreeAdvectionOperator` and never
+    assembled (the tests' assembled reference is
+    ``tests/oracles/supg.py``).  Like its operator it carries an
     optional batch axis: ``nb`` independent fields on one mesh advance
     together as the columns of ``T``, each with its own velocity,
     diffusivity and time step (the fleet's lockstep group); the serial
@@ -140,7 +141,6 @@ class AdvectionDiffusion:
         sizes = mesh.element_sizes()
         self.tau = supg_tau(sizes, self.vel, self.kappa)
 
-        self._A = None
         self.matfree = MatFreeAdvectionOperator(mesh, self.kappa, self.vel, self.tau)
 
         cache = operator_cache(mesh)
@@ -161,18 +161,6 @@ class AdvectionDiffusion:
         self._bc_fill = values[self._bc_mask][col]
 
     # -- semi-discrete operator ---------------------------------------------
-
-    def _assemble_operator(self):
-        sizes = self.mesh.element_sizes()
-        elem = _OPS.supg_operator(sizes, self.vel, self.kappa, self.tau)
-        return assemble_scalar(self.mesh, elem)
-
-    @property
-    def A(self):
-        """Assembled SUPG operator (built on demand; serial only)."""
-        if self._A is None:
-            self._A = self._assemble_operator()
-        return self._A
 
     def apply_bcs(self, T: np.ndarray) -> np.ndarray:
         """Overwrite Dirichlet dofs with their prescribed values."""

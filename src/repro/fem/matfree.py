@@ -39,9 +39,10 @@ state lives in :func:`repro.mesh.opcache.operator_cache`, so it
 participates in the same structural invalidation and
 ``REPRO_SANITIZE=1`` freeze/verify guards as the assembly gathers.
 
-The assembled CSR blocks remain available to the parity tests;
-parity between the assembled and the element-kernel apply is pinned to
-1e-14 (saddle) and 1e-12 (transport) by the tests.
+The assembled CSR blocks are built only by the test oracles
+(``tests/oracles/stokes_blocks.py``); parity between the assembled and
+the element-kernel apply is pinned to 1e-14 (saddle) and 1e-12
+(transport) by the tests.
 """
 
 from __future__ import annotations
@@ -268,13 +269,6 @@ class MatFreeStokesOperator:
         out_u[:] = self.gu.GT @ Y[:24].reshape(shape)
         out_u += imask * u  # identity rows of apply_dirichlet
         return out
-
-    def apply_divergence(self, u: np.ndarray) -> np.ndarray:
-        """``B u`` alone (for divergence residual norms)."""
-        if self.nb != 1:
-            raise ValueError("apply_divergence is serial-only; slice one scenario")
-        Ue = (self.gu.G @ u).reshape(24, self.mesh.n_elements)
-        return self.gp.GT @ ((self.Me[24:, :24] @ Ue) * self.s**2).ravel()
 
 
 # -- lumped scalar mass ---------------------------------------------------------

@@ -29,15 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .. import obs
 from ..mesh import Mesh
 from ..mesh.opcache import operator_cache
-from .assembly import (
-    apply_dirichlet,
-    assemble_divergence,
-    assemble_scalar,
-    assemble_vector,
-)
+from .assembly import apply_dirichlet, assemble_scalar
 from .hexops import ElementOps
 from .matfree import MatFreeStokesOperator, lumped_scalar_mass
 
@@ -101,14 +95,20 @@ def poisson_blocks(mesh: Mesh, viscosity: np.ndarray, bc: str) -> list[sp.csr_ma
 
 
 class StokesSystem:
-    """Stokes blocks, boundary conditions, and the saddle operator used
-    by MINRES.
+    """The stabilised Stokes saddle problem of one Picard pass: the
+    operator ``[[A, B^T], [B, -C]]``, its consistent body-force load and
+    the block preconditioner's Schur diagonal ``Stilde``.  The serial
+    driver and the fleet's lockstep group both solve this one class.
 
-    The saddle operator is applied matrix-free through
-    :class:`repro.fem.matfree.MatFreeStokesOperator`; the assembled
-    blocks ``A``/``B``/``C`` are built lazily, only if something asks for
-    them (the multigrid preconditioner assembles its own scalar Poisson
-    blocks, :func:`poisson_blocks`, either way).
+    It carries an optional batch axis, read from the array shapes: a
+    ``(nb, ne)`` viscosity and an ``(n_nodes, 3, nb)`` body force make
+    ``nb`` same-mesh systems, whose :meth:`rhs`, :meth:`matvec` and
+    :meth:`schur_diagonal` carry a trailing ``nb`` axis.  The serial
+    system is the case without it.  The saddle operator is applied
+    matrix-free through
+    :class:`repro.fem.matfree.MatFreeStokesOperator`; its blocks are
+    never assembled (the multigrid preconditioner assembles its own
+    scalar Poisson blocks, :func:`poisson_blocks`).
 
     Parameters
     ----------
@@ -116,10 +116,12 @@ class StokesSystem:
         The mesh.
     viscosity:
         Per-element viscosity ``eta_e`` (may vary over many orders of
-        magnitude).
+        magnitude): ``(ne,)``, or ``(nb, ne)`` for a batch.
     body_force:
-        ``(n_nodes, 3)`` nodal body force density (e.g. ``Ra T e_r``); the
-        consistent load is the nodal mass applied per component.
+        Nodal body force density (e.g. ``Ra T e_z``, from
+        :func:`repro.rhea.convection.buoyancy`): ``(n_nodes, 3)``, or
+        ``(n_nodes, 3, nb)`` for a batch; the consistent load is the
+        nodal mass applied per component.
     bc:
         ``"free_slip"`` or ``"no_slip"``.
     """
@@ -132,83 +134,39 @@ class StokesSystem:
         bc: str = "free_slip",
     ):
         self.mesh = mesh
-        self.viscosity = np.asarray(viscosity, dtype=np.float64)
-        if self.viscosity.shape != (mesh.n_elements,):
-            raise ValueError("viscosity must be per-element")
-        if np.any(self.viscosity <= 0):
-            raise ValueError("viscosity must be positive")
+        self.viscosity = _per_element(mesh, viscosity)
+        batch = self.viscosity.shape[:-1]
         n = mesh.n_independent
-        self._A = self._C = self._B = None
+        self.n_u = 3 * n
+        self.n_p = n
+        self.bc_kind = bc
+        self.bc = velocity_bcs(mesh, bc)
+        self.matfree = MatFreeStokesOperator(mesh, self.viscosity, bc, self.bc.dofs)
 
-        # consistent body-force load
-        self.f = np.zeros(3 * n, dtype=np.float64)
+        # consistent body-force load; the Dirichlet values are
+        # homogeneous, so eliminating them from the rhs is zeroing the
+        # constrained entries (the operator side is folded into the
+        # matfree gather)
+        self.f = np.zeros((self.n_u, *batch), dtype=np.float64)
         if body_force is not None:
             bf = np.asarray(body_force, dtype=np.float64)
-            if bf.shape != (mesh.n_nodes, 3):
-                raise ValueError("body_force must be (n_nodes, 3)")
+            if bf.shape != (mesh.n_nodes, 3, *batch):
+                raise ValueError(
+                    f"body_force must be {(mesh.n_nodes, 3, *batch)} to match "
+                    f"the viscosity, got {bf.shape}"
+                )
             M_node = node_mass(mesh)
             for a in range(3):
                 self.f[a * n : (a + 1) * n] = mesh.Z.T @ (M_node @ bf[:, a])
-
-        # velocity boundary conditions
-        self.bc_kind = bc
-        self.bc = velocity_bcs(mesh, bc)
-        # Dirichlet values are homogeneous, so eliminating them from the
-        # rhs is just zeroing the constrained entries; the operator-side
-        # elimination is folded into the matfree gather
         self.f[self.bc.dofs] = 0.0
-        self.matfree = MatFreeStokesOperator(mesh, self.viscosity, bc, self.bc.dofs)
 
-        self.n_u = 3 * n
-        self.n_p = n
-
-    # -- assembled blocks (lazy) -------------------------------------------------
-
-    @property
-    def A(self) -> sp.csr_matrix:
-        """Dirichlet-eliminated strain stiffness (assembled on demand)."""
-        if self._A is None:
-            with obs.phase("assemble"):
-                A = assemble_vector(
-                    self.mesh,
-                    _OPS.strain_stiffness(self.mesh.element_sizes(), self.viscosity),
-                )
-                self._A, _ = apply_dirichlet(A, None, self.bc.dofs)
-        return self._A
-
-    @property
-    def C(self) -> sp.csr_matrix:
-        """Pressure stabilization block (assembled on demand)."""
-        if self._C is None:
-            with obs.phase("assemble"):
-                self._C = assemble_scalar(
-                    self.mesh,
-                    _OPS.pressure_stabilization(
-                        self.mesh.element_sizes(), self.viscosity
-                    ),
-                )
-        return self._C
-
-    @property
-    def B(self) -> sp.csr_matrix:
-        """Column-masked negative divergence (viscosity-independent,
-        cached per mesh/BC, assembled on demand)."""
-        if self._B is None:
-            with obs.phase("assemble"):
-                self._B = operator_cache(self.mesh).get(
-                    ("stokes_B", self.bc_kind), self._build_divergence
-                )
-        return self._B
-
-    def _build_divergence(self) -> sp.csr_matrix:
-        """-(divergence) with constrained-velocity columns zeroed."""
-        mesh = self.mesh
-        B = -assemble_divergence(mesh, _OPS.divergence(mesh.element_sizes()))
-        col_mask = np.ones(3 * mesh.n_independent)
-        col_mask[self.bc.dofs] = 0.0
-        return B @ sp.diags(col_mask)
-
-    # -- saddle operator -----------------------------------------------------------
+    def update_viscosity(self, viscosity: np.ndarray) -> None:
+        """Rebind the viscosity for a later Picard pass: same mesh, load,
+        boundary conditions and batch width, so only the operator's two
+        element scale vectors are recomputed."""
+        eta = _per_element(self.mesh, viscosity)
+        self.matfree.update_viscosity(eta)
+        self.viscosity = eta
 
     @property
     def n_dof(self) -> int:
@@ -219,24 +177,25 @@ class StokesSystem:
         return self.matfree.apply(x)
 
     def rhs(self) -> np.ndarray:
-        b = np.zeros(self.n_dof, dtype=np.float64)
+        """``[f; 0]``, with a trailing batch axis in a batch (a fresh
+        array per call)."""
+        b = np.zeros((self.n_dof, *self.f.shape[1:]), dtype=np.float64)
         b[: self.n_u] = self.f
         return b
 
-    def project_pressure_mean(self, x: np.ndarray) -> np.ndarray:
-        """Remove the constant-pressure null component (enclosed-flow
-        Stokes determines pressure only up to a constant)."""
-        out = x.copy()
-        p = out[self.n_u :]
-        p -= p.mean()
-        return out
-
-    # -- preconditioner ingredients ----------------------------------------------
-
     def schur_diagonal(self) -> np.ndarray:
-        """``Stilde``: inverse-viscosity-weighted lumped pressure mass."""
+        """``Stilde``: inverse-viscosity-weighted lumped pressure mass,
+        ``(n,)``, or ``(n, nb)`` in a batch."""
         return lumped_scalar_mass(self.mesh, 1.0 / self.viscosity)
 
-    def velocity_divergence_norm(self, x: np.ndarray) -> float:
-        """||B u|| — discrete divergence residual of a solution vector."""
-        return float(np.linalg.norm(self.matfree.apply_divergence(x[: self.n_u])))
+
+def _per_element(mesh: Mesh, viscosity: np.ndarray) -> np.ndarray:
+    """``viscosity`` as float64, checked to be ``(ne,)`` or ``(nb, ne)``
+    (finiteness and sign are checked by the operator)."""
+    eta = np.asarray(viscosity, dtype=np.float64)
+    if eta.ndim not in (1, 2) or eta.shape[-1] != mesh.n_elements:
+        raise ValueError(
+            f"viscosity must be per-element, (ne,) or (nb, ne) with ne = "
+            f"{mesh.n_elements}, got {eta.shape}"
+        )
+    return eta

@@ -2,18 +2,20 @@
 
 The fleet's throughput lever: ``B`` scenarios that share one interned
 mesh structure advance *together*, stacking their fields along the batch
-axis of the element-minor matrix-free kernels
-(:class:`repro.fem.matfree.MatFreeStokesOperator` and friends grow an
-``nb`` channel in PR 8).  Every GEMM in the apply then amortizes its
-gather/geometry traffic over all tenants — the per-scenario work
-collapses from ``B`` skinny matvecs into one wide one.
+axis of the element-minor matrix-free kernels (the saddle apply and the
+SUPG rate both take an ``nb`` channel).  Every GEMM in the apply then
+amortizes its gather/geometry traffic over all tenants — the
+per-scenario work collapses from ``B`` skinny matvecs into one wide one.
 
-No algorithm is defined here: the Picard iteration is
+No algorithm or discretisation is defined here: the Picard iteration is
 :func:`repro.rhea.convection.picard`, the temperature advance is
-:func:`repro.rhea.convection.advect` (the serial driver is the
-one-column case of both), and the Krylov recurrence is
+:func:`repro.rhea.convection.advect`, the Stokes problem of a pass —
+saddle operator, buoyancy load (:func:`repro.rhea.convection.buoyancy`),
+boundary conditions and Schur diagonal — is one batched
+:class:`repro.fem.StokesSystem` (the serial driver is the one-column
+case of all three), and the Krylov recurrence is
 :func:`repro.solvers.minres.batched_minres` (serial ``minres`` is its
-one-column case).  :class:`BatchGroup` owns the fleet's part: column
+one-column case).  :class:`BatchGroup` owns the fleet's policy: column
 packing, the per-law hierarchies with their Jacobi congruence and the
 compaction factory.
 
@@ -55,10 +57,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import obs
-from ..fem.matfree import MatFreeStokesOperator, lumped_scalar_mass, scalar_gather
-from ..fem.stokes import node_mass, velocity_bcs
+from ..fem import StokesSystem
+from ..fem.matfree import scalar_gather
 from ..mesh.opcache import operator_cache
-from ..rhea.convection import StepDiagnostics, advect, picard
+from ..rhea.convection import StepDiagnostics, advect, buoyancy, picard
 from ..solvers.gmg import GeometricMultigrid
 from ..solvers.minres import BatchedMinresResult, batched_minres
 
@@ -83,55 +85,51 @@ def _poisson_diag(mesh, eta_b: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 class _LawSolve:
     """The fleet's ``solve`` for :func:`~repro.rhea.convection.picard`:
-    one batched MINRES per pass over the law-packed columns.  One object
-    serves one cycle: its first call builds the per-law hierarchies, the
-    rhs and the wide operator, later calls only rebind the viscosity — a
-    state-independent schedule, so resume-after-preempt reproduces the
-    uninterrupted preconditioner sequence."""
+    one batched MINRES per pass over the law-packed columns of one
+    batched :class:`~repro.fem.StokesSystem`.  One object serves one
+    cycle: its first call builds the system on
+    :func:`~repro.rhea.convection.buoyancy` and the per-law hierarchies,
+    later calls only rebind the viscosity — a state-independent
+    schedule, so resume-after-preempt reproduces the uninterrupted
+    preconditioner sequence."""
 
     def __init__(self, mesh, sims: list, bounds: np.ndarray):
         self.mesh, self.sims, self.bounds = mesh, sims, bounds
         self.bc_kind = sims[0].config.velocity_bc
-        self.bc = velocity_bcs(mesh, self.bc_kind)
         self.tol = np.array([s.config.stokes_tol for s in sims])
         self.maxiter = np.array([s.config.stokes_maxiter for s in sims])
-        self.op = None
+        self.stokes = None
 
     def _first_pass(self, eta_b: np.ndarray) -> None:
         # one hierarchy per law, on the geometric mean of its columns'
         # viscosity; each pass's congruence absorbs per-job deviations
-        mesh, bounds, n = self.mesh, self.bounds, self.mesh.n_independent
-        sizes = mesh.element_sizes()
+        mesh, bounds = self.mesh, self.bounds
         spans = zip(bounds, bounds[1:])
         eta_ref = np.exp(
             [np.log(eta_b[lo:hi]).mean(axis=0) for lo, hi in spans]
         )  # (n_laws, ne)
         with obs.phase("prec_setup"):
             self.gmgs = [GeometricMultigrid(mesh, e, self.bc_kind) for e in eta_ref]
-        self.g_elem = np.prod(sizes, axis=1) ** (1.0 / 3.0)
+        self.g_elem = np.prod(mesh.element_sizes(), axis=1) ** (1.0 / 3.0)
         self.D_ref = np.repeat(
             _poisson_diag(mesh, eta_ref, self.g_elem), np.diff(bounds), axis=1
         )  # each column's law reference, (n, nb)
-        M_node = node_mass(mesh)
-        self.F = np.zeros((4 * n, len(self.sims)))
-        for j, s in enumerate(self.sims):  # lint: allow-loop (per-job rhs pack, O(B))
-            self.F[2 * n : 3 * n, j] = mesh.Z.T @ (M_node @ (s.config.Ra * s.T))
-        self.F[self.bc.dofs] = 0.0
-        self.op = MatFreeStokesOperator(mesh, eta_b, self.bc_kind, self.bc.dofs)
 
     def __call__(self, etas, guess, active):
         mesh, bounds, n = self.mesh, self.bounds, self.mesh.n_independent
         eta_b = np.stack(etas)
-        if self.op is None:
+        if self.stokes is None:
+            self.stokes = StokesSystem(mesh, eta_b, buoyancy(self.sims), bc=self.bc_kind)
             self._first_pass(eta_b)
         else:
-            self.op.update_viscosity(eta_b)
+            self.stokes.update_viscosity(eta_b)
+        st = self.stokes
         # per-column congruence K_j ~= T_j K_ref T_j around its law's
         # hierarchy: S = 1/T = sqrt(D_ref / D_j) applied on both sides
         # of the vcycle keeps the prec SPD while tracking each job's
         # local viscosity field, not just its overall scale
         S = np.sqrt(self.D_ref / _poisson_diag(mesh, eta_b, self.g_elem))
-        schur = lumped_scalar_mass(mesh, 1.0 / eta_b)
+        schur = st.schur_diagonal()
 
         def make_prec(cols):
             # `cols` is sorted (compaction keeps survivors in order),
@@ -158,14 +156,14 @@ class _LawSolve:
         def factory(cols):
             # compaction: rebuild the wide operator and the congruence
             # scalings on the surviving scenario columns only
-            sub = MatFreeStokesOperator(mesh, eta_b[cols], self.bc_kind, self.bc.dofs)
-            return sub.apply, make_prec(cols)
+            sub = StokesSystem(mesh, eta_b[cols], bc=self.bc_kind)
+            return sub.matvec, make_prec(cols)
 
-        F = self.F.copy()
+        F = st.rhs()
         F[:, ~active] = 0.0  # an inactive column converges untouched at 0
         res = batched_minres(
-            self.op.apply, F, M=make_prec(np.arange(len(etas))),
-            X0=guess(self.bc.dofs), tol=self.tol, maxiter=self.maxiter,
+            st.matvec, F, M=make_prec(np.arange(len(etas))),
+            X0=guess(st.bc.dofs), tol=self.tol, maxiter=self.maxiter,
             factory=factory,
         )
         return res.X, res.iterations, res.converged

@@ -1,6 +1,12 @@
 """RHEA: the adaptive mantle convection application (Sections II, III, VI)."""
 
-from .convection import ConfigError, MantleConvection, RheaConfig, conductive_profile
+from .convection import (
+    ConfigError,
+    MantleConvection,
+    RheaConfig,
+    buoyancy,
+    conductive_profile,
+)
 from .diagnostics import (
     depth_profile,
     depth_profiles_table,
@@ -25,6 +31,7 @@ __all__ = [
     "ConfigError",
     "MantleConvection",
     "RheaConfig",
+    "buoyancy",
     "conductive_profile",
     "depth_profile",
     "depth_profiles_table",

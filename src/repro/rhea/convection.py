@@ -11,7 +11,10 @@ is re-adapted once per cycle through the Figure-4 pipeline, transferring
 temperature, velocity and the pressure warm start.
 
 Nondimensionalization follows eqs. (1)-(3): buoyancy ``Ra T e_z`` drives
-the flow, kappa = 1, and the Rayleigh number controls vigor.
+the flow, kappa = 1, and the Rayleigh number controls vigor.  That body
+force is built in one place, :func:`buoyancy`, for one column or many;
+every Stokes solve, serial or batched, is a
+:class:`~repro.fem.StokesSystem` on it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .error import combined_indicator
 from .viscosity import ArrheniusViscosity, element_temperature, strain_rate_invariant
 
 __all__ = [
-    "ConfigError", "RheaConfig", "MantleConvection", "advect", "conductive_profile", "picard",
+    "ConfigError", "RheaConfig", "MantleConvection", "advect", "buoyancy",
+    "conductive_profile", "picard",
 ]
 
 #: temperature Dirichlet faces ``(axis, side, value)``: hot bottom, cold top
@@ -183,6 +187,18 @@ class StepDiagnostics:
     picard_iterations: int
     eta_min: float
     eta_max: float
+
+
+def buoyancy(sims: list) -> np.ndarray:
+    """The body force ``Ra T e_z`` of each same-mesh
+    :class:`MantleConvection` in ``sims``, as the ``(n_nodes, 3, nb)``
+    column block a batched :class:`~repro.fem.StokesSystem` takes (the
+    serial driver passes column 0).  The only place the Rayleigh number
+    meets the temperature."""
+    f = np.zeros((sims[0].mesh.n_nodes, 3, len(sims)))
+    for j, s in enumerate(sims):
+        f[:, 2, j] = s.config.Ra * s.T
+    return f
 
 
 def picard(sims: list, solve: Callable) -> list[dict]:
@@ -360,19 +376,16 @@ class MantleConvection:
 
     # -- Stokes ---------------------------------------------------------------------
 
-    def _body_force(self) -> np.ndarray:
-        f = np.zeros((self.mesh.n_nodes, 3))
-        f[:, 2] = self.config.Ra * self.T
-        return f
-
     def solve_stokes(self) -> dict:
-        """One column of :func:`picard`: each pass assembles the Stokes
+        """One column of :func:`picard`: each pass builds the Stokes
         system and solves it by MINRES with the drift-lagged block
         preconditioner.  Returns solver statistics."""
         cfg = self.config
 
         def solve(etas, guess, active):
-            st = StokesSystem(self.mesh, etas[0], self._body_force(), bc=cfg.velocity_bc)
+            st = StokesSystem(
+                self.mesh, etas[0], buoyancy([self])[..., 0], bc=cfg.velocity_bc
+            )
             prec = self._prec_lag.get(st)
             res = minres(
                 st.matvec, st.rhs(), M=prec.apply, x0=guess(st.bc.dofs)[:, 0],

@@ -516,14 +516,9 @@ class GMGStokesPreconditioner:
         z[n3:] = r[n3:] / self.schur_diag
         return z
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Alias for :meth:`apply` (callable-preconditioner protocol)."""
-        return self.apply(r)
-
     def refresh_schur(self, stokes: StokesSystem) -> None:
         """Rebind to a new system on the same mesh, refreshing only the
         cheap diagonal Schur approximation (the lagged-reuse path)."""
-        self.stokes = stokes
         self.schur_diag = stokes.schur_diagonal()
         if np.any(self.schur_diag <= 0):
             raise AssertionError("Schur diagonal must be positive")

@@ -1,12 +1,14 @@
 """Term-by-term SUPG element matrices: diffusion, convection and the
 streamline term as separate broadcast ``(n, 8, 8)`` sums, which
 ``ElementOps.supg_operator`` replaced with one ``(n, 9) @ (9, 64)``
-product."""
+product; and the assembled SUPG operator."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
+from repro.fem.assembly import assemble_scalar
 from repro.fem.hexops import ElementOps
 
 
@@ -36,3 +38,12 @@ def supg_operator_termwise(ops: ElementOps, sizes, vel, kappa, tau) -> np.ndarra
     elem += ops.convection(sizes, vel)
     elem += tau[:, None, None] * grad_grad(ops, sizes, vel)
     return elem
+
+
+def assembled_operator(eq) -> sp.csr_matrix:
+    """The SUPG operator of a serial
+    :class:`~repro.fem.advection.AdvectionDiffusion` as one assembled
+    CSR, the reference its matrix-free rate is checked against."""
+    sizes = eq.mesh.element_sizes()
+    elem = ElementOps().supg_operator(sizes, eq.vel, eq.kappa, eq.tau)
+    return assemble_scalar(eq.mesh, elem)

@@ -1,7 +1,8 @@
 """Parity and accounting tests for the matrix-free apply engine.
 
 The matrix-free applies must agree with the assembled-CSR operators
-(built here from the lazy ``A`` / ``B`` / ``C`` blocks) to machine
+(the ``A`` / ``B`` / ``C`` blocks of ``tests/oracles/stokes_blocks.py``
+and the SUPG operator of ``tests/oracles/supg.py``) to machine
 precision (the 2-point Gauss rule is exact for every Q1 integrand), on
 hanging-node meshes, under both BC kinds, and across extreme viscosity
 contrast.
@@ -9,7 +10,6 @@ contrast.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.fem import (
     AdvectionDiffusion,
@@ -17,7 +17,9 @@ from repro.fem import (
     apply_dirichlet,
     assemble_scalar,
     assemble_vector,
+    assembly_counts,
     lumped_mass,
+    reset_assembly_counts,
 )
 from repro.fem.hexops import ElementOps
 from repro.fem.matfree import (
@@ -38,7 +40,15 @@ from repro.mesh import extract_mesh
 from repro.parallel.machine import RANGER
 from repro.octree import LinearOctree, balance
 
+from .oracles.stokes_blocks import (
+    divergence_block,
+    saddle_matrix,
+    stabilization_block,
+    velocity_divergence_norm,
+    viscous_block,
+)
 from .oracles.saddle_tensor import TensorSaddleOperator
+from .oracles.supg import assembled_operator
 
 _OPS = ElementOps()
 
@@ -58,18 +68,13 @@ def viscosity(mesh, contrast):
     return np.exp(rng.uniform(0.0, np.log(contrast), mesh.n_elements))
 
 
-def assembled_saddle(st):
-    """``[[A, B^T], [B, -C]]`` from the lazily assembled blocks."""
-    return sp.bmat([[st.A, st.B.T], [st.B, -st.C]], format="csr")
-
-
 @pytest.mark.parametrize("bc", ["free_slip", "no_slip"])
 @pytest.mark.parametrize("contrast", [1.0, 1e6])
 def test_saddle_apply_parity(bc, contrast):
     mesh = make_mesh(level=2)
     st = StokesSystem(mesh, viscosity(mesh, contrast), bc=bc)
     x = np.random.default_rng(1).standard_normal(st.n_dof)
-    ref = assembled_saddle(st) @ x
+    ref = saddle_matrix(st) @ x
     assert np.max(np.abs(st.matvec(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -77,7 +82,7 @@ def test_saddle_parity_anisotropic_domain():
     mesh = make_mesh(level=3, seed=3, domain=(1.0, 1.3, 0.7))
     st = StokesSystem(mesh, viscosity(mesh, 1e4), bc="free_slip")
     x = np.random.default_rng(2).standard_normal(st.n_dof)
-    ref = assembled_saddle(st) @ x
+    ref = saddle_matrix(st) @ x
     assert np.max(np.abs(st.matvec(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -87,7 +92,8 @@ def test_divergence_and_schur_parity():
     st = StokesSystem(mesh, eta, bc="free_slip")
     x = np.random.default_rng(3).standard_normal(st.n_dof)
     assert np.isclose(
-        st.velocity_divergence_norm(x), np.linalg.norm(st.B @ x[: st.n_u]),
+        velocity_divergence_norm(st, x),
+        np.linalg.norm(divergence_block(st) @ x[: st.n_u]),
         rtol=1e-12,
     )
     d_ref = lumped_mass(mesh, _OPS.mass(mesh.element_sizes(), 1.0 / eta))
@@ -110,7 +116,7 @@ def test_element_matrix_apply_parity(bc, nb):
     op = MatFreeStokesOperator(mesh, eta if nb > 1 else eta[0], bc, bc_dofs)
     got = op.apply(X) if nb > 1 else op.apply(X[:, 0])[:, None]
     for j in range(nb):
-        ref = assembled_saddle(StokesSystem(mesh, eta[j], bc=bc)) @ X[:, j]
+        ref = saddle_matrix(StokesSystem(mesh, eta[j], bc=bc)) @ X[:, j]
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got[:, j] - ref)) <= 1e-14 * scale
         serial = MatFreeStokesOperator(mesh, eta[j], bc, bc_dofs).apply(X[:, j])
@@ -191,7 +197,7 @@ def test_minres_residual_history_matches_assembled_operator():
     bf[:, 2] = np.sin(np.pi * c[:, 0]) * np.cos(np.pi * c[:, 2])
     st = StokesSystem(mesh, eta, bf, bc="free_slip")
     prec = GMGStokesPreconditioner(st)
-    K = assembled_saddle(st)
+    K = saddle_matrix(st)
     res_t = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-8, maxiter=500)
     res_m = minres(lambda x: K @ x, st.rhs(), M=prec.apply, tol=1e-8, maxiter=500)
     assert res_t.converged and res_m.converged
@@ -203,14 +209,15 @@ def test_minres_residual_history_matches_assembled_operator():
 
 def test_tensor_mode_skips_saddle_assembly():
     mesh = make_mesh(level=2)
+    reset_assembly_counts()
     st = StokesSystem(mesh, viscosity(mesh, 1.0))
-    assert st._A is None and st._C is None and st._B is None
     x = np.random.default_rng(0).standard_normal(st.n_dof)
     st.matvec(x)
-    assert st._A is None  # matvec must not trigger assembly
-    # lazy blocks still available for AMG and the parity tests
-    assert st.A.shape == (st.n_u, st.n_u)
-    assert st.C.shape == (st.n_p, st.n_p)
+    # neither the build nor matvec triggers assembly
+    assert assembly_counts() == {"scalar": 0, "vector": 0, "divergence": 0}
+    # the assembled blocks are the parity tests' oracle
+    assert viscous_block(st).shape == (st.n_u, st.n_u)
+    assert stabilization_block(st).shape == (st.n_p, st.n_p)
 
 
 def test_dirichlet_rows_are_identity():
@@ -244,9 +251,10 @@ def test_supg_rate_parity():
     vel = rng.standard_normal((mesh.n_elements, 3))
     eq = AdvectionDiffusion(mesh, 1e-3, vel, source=0.7,
                             dirichlet=[(2, 0, 1.0), (2, 1, 0.0)])
+    A = assembled_operator(eq)
 
     def rate_assembled(T):
-        r = (eq.b - eq.A @ T) / eq.ML
+        r = (eq.b - A @ T) / eq.ML
         r[eq._bc_mask] = 0.0
         return r
 
@@ -301,7 +309,7 @@ def test_operator_objects_are_rebindable():
     mf.update_viscosity(eta2)
     st2 = StokesSystem(mesh, eta2, bc="free_slip")
     x = np.random.default_rng(9).standard_normal(st.n_dof)
-    ref = assembled_saddle(st2) @ x
+    ref = saddle_matrix(st2) @ x
     assert np.max(np.abs(mf.apply(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -334,7 +342,7 @@ def test_advection_operator_direct_apply_matches_assembled():
     eq = AdvectionDiffusion(mesh, 0.02, vel)
     op = MatFreeAdvectionOperator(mesh, 0.02, vel, eq.tau)
     T = rng.standard_normal(mesh.n_independent)
-    ref = eq.A @ T
+    ref = assembled_operator(eq) @ T
     assert np.max(np.abs(op.apply(T) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

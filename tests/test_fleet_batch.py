@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.fem import StokesSystem
 from repro.fleet import FleetService, ScenarioSpec, batch, batched_minres
 from repro.fleet.batch import BatchGroup
 from repro.mesh import extract_mesh
 from repro.octree import LinearOctree, balance
-from repro.rhea.convection import MantleConvection, RheaConfig
+from repro.rhea.convection import MantleConvection, RheaConfig, buoyancy
 from repro.solvers import mesh_hierarchy, minres
 
 
@@ -531,3 +532,27 @@ class TestBatchedSerialParity:
         stats = BatchGroup(twins).solve_stokes()
         assert all(st["converged"] and st["minres_iterations"] > 0 for st in stats)
         assert stats[0] == stats[1]
+
+
+class TestOneStokesProblem:
+    def test_first_pass_rhs_is_the_serial_system_bitwise(self, monkeypatch):
+        """The fleet's first-pass right-hand side is a batched
+        ``StokesSystem`` on ``buoyancy``: packed column ``p`` is, bit for
+        bit, the one-column system of tenant ``order[p]``."""
+        svc = FleetService()
+        sims = [svc.admit(s).sim for s in heterogeneous_specs(cycles=1)]
+        group = BatchGroup(sims)
+        seen = []
+
+        def recording_minres(A, B, **kw):
+            seen.append(B.copy())
+            return batched_minres(A, B, **kw)
+
+        monkeypatch.setattr(batch, "batched_minres", recording_minres)
+        group.solve_stokes()
+        F = seen[0]
+        assert F.shape == (4 * group.mesh.n_independent, len(sims))
+        for p, j in enumerate(group._order):
+            sim = sims[j]
+            one = StokesSystem(sim.mesh, sim.eta_elem, buoyancy([sim])[..., 0])
+            np.testing.assert_array_equal(F[:, p], one.rhs())
