@@ -39,10 +39,6 @@ checkpoint:
     Rank-sharded checkpoint/restart: self-describing manifests,
     digest-verified shards, resume onto any rank count via Morton-curve
     repartition.
-perf:
-    Scaling-experiment harness and table formatters behind the paper
-    figure scripts in ``benchmarks/`` (the benchmark itself is
-    ``python3 -m bench`` at the repository root).
 obs:
     Observability: hierarchical per-rank phase timers with
     communication attribution, Chrome-trace export, and the paper's

@@ -11,8 +11,8 @@ of a nodal field on a ``(p+1)^3`` spectral element:
   element, asymptotically optimal but smaller matrices.
 
 The crossover order between the two on a given machine is exactly the
-experiment reported for Ranger (between p = 2 and p = 4); the benchmark
-``benchmarks/bench_sec7_dg_kernels.py`` reproduces it on this host and
+experiment reported for Ranger (between p = 2 and p = 4); the figure
+test ``tests/figures/test_sec7_dg.py`` times it on this host and
 :meth:`repro.parallel.machine.MachineModel.t_element_kernel` prices both
 variants with the paper's sustained rates.
 

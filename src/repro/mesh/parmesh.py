@@ -59,13 +59,17 @@ class UnbalancedTreeError(RuntimeError):
 def _check_corner_balanced(pt: ParForest) -> None:
     """Sanitizer: verify the global tree is corner-balanced before ghost
     collection.  Collective (allgather) and symmetric — every rank sees
-    the same violation count and raises together."""
+    the same violation count and raises together.  The check's own
+    allgather is left out of the rank's communication tally, so a
+    sanitized run counts the traffic an unsanitized one does."""
     if not sanitize_enabled():
         return
     from ..octree.balance import balance_violations
     from ..octree.partree import gather_tree
 
+    tally = pt.comm.stats.snapshot()
     violations = balance_violations(gather_tree(pt), "corner")
+    pt.comm.stats = tally
     if violations:
         raise UnbalancedTreeError(violations)
 

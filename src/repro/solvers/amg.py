@@ -5,7 +5,7 @@ V-cycle of BoomerAMG (hypre).  Offline we build our own AMG from scratch:
 smoothed aggregation (Vanek/Mandel/Brezina), which for variable-coefficient
 scalar Poisson operators yields a bounded-convergence-factor V-cycle —
 the property the Figure-2 iteration counts depend on.  Here it is the
-subject of the Fig. 9 study (``benchmarks/bench_fig09_amg.py``) and of
+subject of the Fig. 9 study (``tests/figures/test_fig09_amg.py``) and of
 the AMG oracle of the tests; the Stokes drivers precondition with
 geometric multigrid (:mod:`repro.solvers.gmg`).
 

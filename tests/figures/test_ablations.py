@@ -18,10 +18,11 @@ import numpy as np
 
 from repro.fem import ElementOps, StokesSystem, apply_dirichlet, assemble_vector
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
+from repro.octree import LinearOctree, balance, new_tree, partition_tree, refine_tree
 from repro.parallel import run_spmd
-from repro.perf import format_table
 from repro.solvers import GMGStokesPreconditioner, minres
+
+from .harness import format_table
 
 
 def adapted_tree(seed=0, rounds=3, frac=0.25):
@@ -32,41 +33,32 @@ def adapted_tree(seed=0, rounds=3, frac=0.25):
     return tree
 
 
-def test_ablation_balance_connectivity(record_table, benchmark):
-    tree = benchmark.pedantic(adapted_tree, rounds=1, iterations=1)
-    rows = []
-    n_face = None
-    for conn in ("face", "edge", "corner"):
-        res = balance(tree, conn)
-        if conn == "face":
-            n_face = len(res.tree)
-        rows.append(
-            [conn, len(tree), len(res.tree), res.rounds,
-             f"{100 * (len(res.tree) / n_face - 1):.1f}%"]
-        )
-    table = format_table(
+def test_ablation_balance_connectivity():
+    tree = adapted_tree()
+    after = {conn: balance(tree, conn) for conn in ("face", "edge", "corner")}
+    n_face = len(after["face"].tree)
+    rows = [
+        [conn, len(tree), len(res.tree), res.rounds,
+         f"{100 * (len(res.tree) / n_face - 1):.1f}%"]
+        for conn, res in after.items()
+    ]
+    print(format_table(
         ["connectivity", "before", "after", "ripple rounds", "vs face"],
         rows,
         title="Ablation — 2:1 balance connectivity cost (paper uses face+edge; mesh pipeline uses corner)",
-    )
+    ))
     # stronger balance costs a bounded premium (tens of percent on this
     # adversarial random tree; far less on smooth solution-driven meshes)
     n_corner = rows[-1][2]
     assert n_corner <= 2.0 * n_face
-    record_table("ablation_balance", table)
 
 
-def test_ablation_weighted_partition(record_table, benchmark):
+def test_ablation_weighted_partition():
     """Unweighted cuts equalize counts but not cost; weighted cuts fix it."""
 
     def kernel(comm):
-        from repro.octree import new_tree, partition_tree, refine_tree
-
         pt = new_tree(comm, 2)
-        mask = np.zeros(len(pt), dtype=bool)
-        if comm.rank == 0:
-            mask[:] = True
-        pt = refine_tree(pt, mask)
+        pt = refine_tree(pt, np.full(len(pt), comm.rank == 0))
         # cost model: global first half of the curve is 10x as expensive
         def costs(pt):
             offset = comm.exscan(len(pt))
@@ -80,25 +72,21 @@ def test_ablation_weighted_partition(record_table, benchmark):
         cost_w = comm.allgather(float(costs(pt_w).sum()))
         return cost_u, cost_w
 
-    cost_u, cost_w = benchmark.pedantic(
-        lambda: run_spmd(4, kernel)[0], rounds=1, iterations=1
-    )
-    imb_u = max(cost_u) / (sum(cost_u) / len(cost_u))
-    imb_w = max(cost_w) / (sum(cost_w) / len(cost_w))
-    table = format_table(
+    cost_u, cost_w = run_spmd(4, kernel)[0]
+    imb_u, imb_w = (max(c) / (sum(c) / len(c)) for c in (cost_u, cost_w))
+    print(format_table(
         ["strategy", "per-rank cost", "imbalance (max/avg)"],
         [
             ["count-weighted", " ".join(f"{c:.0f}" for c in cost_u), round(imb_u, 2)],
             ["cost-weighted", " ".join(f"{c:.0f}" for c in cost_w), round(imb_w, 2)],
         ],
         title="Ablation — PARTITIONTREE with and without per-element weights",
-    )
+    ))
     assert imb_w < imb_u
     assert imb_w < 1.3
-    record_table("ablation_partition", table)
 
 
-def test_ablation_stokes_preconditioner(record_table, benchmark):
+def test_ablation_stokes_preconditioner():
     """Full block preconditioner vs naive diagonal scaling."""
     tree = balance(adapted_tree(seed=5, rounds=2), "corner").tree
     mesh = extract_mesh(tree)
@@ -111,10 +99,7 @@ def test_ablation_stokes_preconditioner(record_table, benchmark):
     b = st.rhs()
 
     prec = GMGStokesPreconditioner(st)
-    full = benchmark.pedantic(
-        lambda: minres(st.matvec, b, M=prec.apply, tol=1e-6, maxiter=1500),
-        rounds=1, iterations=1,
-    )
+    full = minres(st.matvec, b, M=prec.apply, tol=1e-6, maxiter=1500)
 
     # Jacobi: the diagonal of the assembled, Dirichlet-eliminated strain
     # stiffness A beside the Schur diagonal
@@ -124,14 +109,13 @@ def test_ablation_stokes_preconditioner(record_table, benchmark):
     diag = np.where(np.abs(diag) > 1e-14, np.abs(diag), 1.0)
     jacobi = minres(st.matvec, b, M=lambda r: r / diag, tol=1e-6, maxiter=1500)
 
-    table = format_table(
+    print(format_table(
         ["preconditioner", "iterations", "converged"],
         [
             ["block (GMG + 1/eta mass)", full.iterations, full.converged],
             ["Jacobi (diagonal)", jacobi.iterations, jacobi.converged],
         ],
         title="Ablation — Stokes preconditioner structure (10^4 viscosity contrast)",
-    )
+    ))
     assert full.converged
     assert full.iterations < jacobi.iterations or not jacobi.converged
-    record_table("ablation_preconditioner", table)

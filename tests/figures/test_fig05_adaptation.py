@@ -9,16 +9,13 @@ levels as the run progresses.
 We execute the same workload (thin rotating front) through the SPMD
 pipeline and print both panels' data."""
 
-import numpy as np
-
-from repro.amr import ParAmrPipeline
+from repro.amr import ParAmrPipeline, RotatingFrontWorkload, rotating_velocity
 from repro.parallel import run_spmd
-from repro.perf import format_table
+
+from .harness import format_table
 
 
 def run_adaptation_series(n_cycles=6, p=4, target=500):
-    from repro.amr import RotatingFrontWorkload, rotating_velocity
-
     # fast rotation so the front sweeps several cells between adaptations
     workload = RotatingFrontWorkload(velocity=rotating_velocity(scale=4.0))
 
@@ -33,37 +30,24 @@ def run_adaptation_series(n_cycles=6, p=4, target=500):
     return run_spmd(p, kernel)[0]
 
 
-def test_fig05_adaptation_extent(record_table, benchmark):
-    history = benchmark.pedantic(run_adaptation_series, rounds=1, iterations=1)
-    rows = []
-    for i, h in enumerate(history):
-        rows.append(
-            [
-                i + 1,
-                h.n_before,
-                h.n_refined,
-                h.n_coarsened,
-                h.n_balance_added,
-                h.n_unchanged,
-                h.n_after,
-                f"{h.n_refined + h.n_coarsened:d}",
-            ]
-        )
+def test_fig05_adaptation_extent():
+    history = run_adaptation_series()
     table = format_table(
         ["step", "before", "refined", "coarsened", "balance+", "unchanged", "after", "changed"],
-        rows,
+        [[i + 1, h.n_before, h.n_refined, h.n_coarsened, h.n_balance_added,
+          h.n_unchanged, h.n_after, h.n_refined + h.n_coarsened]
+         for i, h in enumerate(history)],
         title="Fig. 5 (left) — elements refined/coarsened/balance-added/unchanged per adaptation step",
     )
-    # right panel: level histograms at selected steps
-    hist_rows = []
+    # right panel: level histograms at every step
     levels = sorted({l for h in history for l in h.level_histogram})
-    for i, h in enumerate(history):
-        hist_rows.append([i + 1] + [h.level_histogram.get(l, 0) for l in levels])
     table += "\n\n" + format_table(
         ["step"] + [f"lvl{l}" for l in levels],
-        hist_rows,
+        [[i + 1] + [h.level_histogram.get(l, 0) for l in levels]
+         for i, h in enumerate(history)],
         title="Fig. 5 (right) — elements per octree level",
     )
+    print(table)
 
     # shape assertions vs the paper:
     later = history[2:]
@@ -80,4 +64,3 @@ def test_fig05_adaptation_extent(record_table, benchmark):
         assert h.n_balance_added <= max(h.n_refined + h.n_coarsened, 1)
     # 4. multiple levels populated
     assert len(history[-1].level_histogram) >= 3
-    record_table("fig05_adaptation", table)

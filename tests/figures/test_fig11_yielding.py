@@ -13,9 +13,10 @@ uniform mesh at the same finest resolution."""
 
 import numpy as np
 
-from repro.perf import format_table
 from repro.rhea import MantleConvection, RheaConfig, YieldingViscosity
 from repro.rhea.viscosity import element_temperature, strain_rate_invariant
+
+from .harness import format_table
 
 DOMAIN = (8.0, 4.0, 1.0)
 MAX_LEVEL = 6  # paper: 14; shrunk for pure-Python runtime
@@ -53,8 +54,8 @@ def run_yielding(n_cycles=3):
     return sim
 
 
-def test_fig11_yielding_simulation(record_table, benchmark):
-    sim = benchmark.pedantic(run_yielding, rounds=1, iterations=1)
+def test_fig11_yielding_simulation():
+    sim = run_yielding()
     mesh = sim.mesh
     law = sim.config.viscosity
 
@@ -90,8 +91,8 @@ def test_fig11_yielding_simulation(record_table, benchmark):
         ["mean level (elsewhere)", f"{levels[~yielded].mean():.2f}"],
         ["vrms", f"{sim.vrms():.3g}"],
     ]
-    table = format_table(["quantity", "value"], rows,
-                         title="Fig. 11 / Sec. VI — mantle convection with yielding (shrunk levels)")
+    print(format_table(["quantity", "value"], rows,
+                       title="Fig. 11 / Sec. VI — mantle convection with yielding (shrunk levels)"))
 
     # shape assertions vs the paper (the full 4 orders of magnitude need
     # the paper's 14-level resolution; the shrunk run still spans ~3)
@@ -104,4 +105,3 @@ def test_fig11_yielding_simulation(record_table, benchmark):
         # sit near the overall refinement level despite being thin
         assert levels[yielded].max() > 3
         assert levels[yielded].mean() >= levels.mean() - 0.5
-    record_table("fig11_yielding", table)

@@ -393,12 +393,12 @@ class TestR6TruePositives:
         assert any("public class 'Thing'" in m for m in msgs)
         assert any("public method 'run'" in m for m in msgs)
 
-    def test_active_in_perf_and_checkpoint_paths(self):
+    def test_active_in_solvers_and_checkpoint_paths(self):
         src = """
         def public():
             return 1
         """
-        assert rules(src, "src/repro/perf/fixture.py") == ["R6", "R6"]
+        assert rules(src, "src/repro/solvers/fixture.py") == ["R6", "R6"]
         assert rules(src, CKPT) == ["R6", "R6"]
 
 

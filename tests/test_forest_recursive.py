@@ -189,6 +189,18 @@ class TestRecursiveGhost:
             run_spmd(2, kernel)
         assert exc.value.violations > 0
 
+    def test_sanitize_check_is_not_counted(self, monkeypatch):
+        """The balance check's allgather is not charged to the tally."""
+
+        def kernel(comm):
+            pt = balance_tree(new_tree(comm, 2), "corner")[0]
+            collect_ghosts(pt)
+            return comm.stats
+
+        plain = run_spmd(2, kernel)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert run_spmd(2, kernel) == plain
+
 
 class TestRecursiveBalance:
     @pytest.mark.parametrize("p", PS)

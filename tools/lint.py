@@ -140,7 +140,7 @@ R5_PACKAGES = ("checkpoint",)
 #: user-facing instrumentation packages whose reference docs *are* the
 #: docstrings (see OBSERVABILITY.md); fleet joined in PR 8 (the
 #: multi-tenant service API is user-facing)
-R6_PACKAGES = ("obs", "perf", "checkpoint", "fleet", "solvers")
+R6_PACKAGES = ("obs", "checkpoint", "fleet", "solvers")
 
 #: dict-view methods whose iteration order is insertion order
 DICT_VIEW_METHODS = {"items", "keys", "values"}
