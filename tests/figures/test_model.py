@@ -3,9 +3,10 @@
 import pytest
 
 from repro.amr import ParAmrPipeline
-from repro.parallel import CommStats, merge_stats, run_spmd_with_comms
+from repro.parallel import RANGER, CommStats, merge_stats, run_spmd_with_comms
 
 from .harness import (
+    ADV_FLOPS_PER_ELEMENT_STEP,
     format_table,
     measured_pipeline_run,
     model_dg_weak_scaling,
@@ -63,6 +64,20 @@ class TestModelWeak:
         assert all(eff[i] >= eff[i + 1] for i in range(len(eff) - 1))
         assert eff[-1] > 0.2  # surface-to-volume keeps it reasonable
 
+    def test_compute_time_constant(self):
+        """Per-rank work is fixed, so each row's compute share is the same
+        at every P; only the communication share grows."""
+        rows = model_weak_scaling([1, 1024], 1000, 10, comm_template())
+        t_comm = [RANGER.t_comm(comm_template(), p) for p in (1, 1024)]
+        t_compute = [r["t_total"] - tc for r, tc in zip(rows, t_comm)]
+        t_flops = RANGER.t_flops(ADV_FLOPS_PER_ELEMENT_STEP * 1000 * 10)
+        assert t_compute == pytest.approx([t_flops, t_flops], rel=1e-12)
+        assert t_comm[1] > t_comm[0]
+
+    def test_elements_scale(self):
+        rows = model_weak_scaling([1, 8], 100, 1, comm_template())
+        assert rows[1]["elements"] == 800
+
 
 class TestModelStrong:
     def test_speedup_grows_then_saturates(self):
@@ -83,14 +98,26 @@ class TestModelStrong:
 
 
 class TestMeasuredRun:
+    def test_pipeline_run_collects_everything(self):
+        out = measured_pipeline_run(
+            2, coarse_level=2, max_level=4, target=200, cycles=1, steps_per_cycle=2
+        )
+        assert out["report"]["executed_ranks"] == 2
+        assert out["n_elements"] > 50
+        assert out["report"]["total_wall_s"] > 0
+        phases = out["report"]["phases"]
+        assert phases["advection"]["count"] == 2  # one per rank
+        assert phases["amr/balance"]["wall_s"]["max"] > 0
+        assert 0.0 < out["report"]["amr_fraction"] < 1.0
+        assert out["comm_per_rank"].total_collective_calls > 0
+        assert len(out["adapt_history"]) == 1
+
     def test_comm_per_rank_is_the_rank_mean(self):
         """``comm_per_rank`` is the world tally of the same run divided by
         ``p``: floor-divided counts, divided collective bytes."""
         out = measured_pipeline_run(
             2, coarse_level=2, max_level=4, target=200, cycles=1, steps_per_cycle=2
         )
-        assert len(out["adapt_history"]) == 1
-        assert out["report"]["phases"]["advection"]["count"] == 2  # one per rank
 
         def kernel(comm):
             pipe = ParAmrPipeline(comm, coarse_level=2, max_level=4)
