@@ -5,7 +5,7 @@ ghost layers) from octrees, and implements the field-transfer operations of
 the Figure-4 adaptation pipeline.
 """
 
-from .extract import Mesh, extract_mesh, extract_submesh, node_keys
+from .extract import Mesh, extract_leaves, extract_mesh, node_keys
 from .fields import interpolate_fields
 from .opcache import (
     MeshOperatorCache,
@@ -18,8 +18,8 @@ from .vtk import VtkSeries, write_vtk
 
 __all__ = [
     "Mesh",
+    "extract_leaves",
     "extract_mesh",
-    "extract_submesh",
     "node_keys",
     "interpolate_fields",
     "MeshOperatorCache",

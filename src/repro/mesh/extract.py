@@ -26,16 +26,22 @@ deep.  Full balance is a superset, so all paper invariants hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .. import obs
-from ..octree import ROOT_LEN
+from ..forest.forest import forest_key
+from ..octree import ROOT_LEN, morton_encode
 from ..octree.linear import LinearOctree as _LinearOctree
+from ..octree.traverse import owners_of_keys
 from .opcache import operator_cache
 
-__all__ = ["Mesh", "extract_mesh", "extract_submesh", "node_keys"]
+if TYPE_CHECKING:
+    from ..forest import ParForest
+
+__all__ = ["Mesh", "extract_leaves", "extract_mesh", "node_keys"]
 
 _R1 = np.uint64(ROOT_LEN + 1)
 
@@ -207,15 +213,86 @@ class Mesh:
         return vals
 
 
+def _sort_corners(leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one sort of EXTRACTMESH: number the corners of ``leaves``.
+
+    Each axis is put on the grid lines the leaf set uses (a coordinate's
+    rank among the used ones, looked up on the finest leaf's grid), so a
+    corner key takes only as many bits as there are lines, and the
+    ``element * 8 + corner`` index packs below it into one int64 down to
+    the deepest forest level.  The ranks are monotone, so the sorted
+    packed values order the nodes as :func:`node_keys` does (z, then y,
+    then x).  Returns the node coordinates (from each node's first
+    corner), ``element_nodes`` and the level of the finest leaf touching
+    each node (a segment maximum over the sorted corners).  The large
+    arrays are reused in place: first touch of fresh memory is a
+    sizeable share of this pass.
+    """
+    h = leaves.lengths()
+    ne = len(h)
+    if ne and int(h.min()) < 2:
+        raise ValueError("mesh extraction requires element level <= MAX_LEVEL - 1")
+    shift = int(h.min()).bit_length() - 1 if ne else 0
+    axes = (leaves.x, leaves.y, leaves.z)
+    rank, n_lines = [], []
+    for lo in axes:
+        ends = np.stack([lo, lo + h])  # (2, ne): low and high face
+        ends >>= shift
+        used = np.zeros((ROOT_LEN >> shift) + 1, dtype=bool)
+        used[ends] = True
+        line = np.cumsum(used) - 1
+        rank.append(line[ends])
+        n_lines.append(int(line[-1]) + 1)
+    (rx, ry, rz), (nx, ny, _) = rank, n_lines
+    key = np.empty((2, 2, 2, ne), dtype=np.int64)  # (z, y, x) of a corner
+    np.add((rz * ny)[:, None, None, :], ry[None, :, None, :], out=key)
+    key *= nx
+    key += rx[None, None, :, :]
+    # row c of the (8, ne) keys is corner c = x + 2y + 4z as in _CORNER;
+    # each key packs with its index element * 8 + c, so one sort of int64
+    # numbers every corner
+    key = key.reshape(8, ne)
+    bits = (8 * ne - 1).bit_length()
+    if ne and int(key[-1].max()) >> (63 - bits):
+        raise ValueError("corner keys of this leaf set do not fit in 63 bits")
+    key <<= bits
+    key |= np.arange(0, 8 * ne, 8)
+    key += np.arange(8)[:, None]
+    packed = key.reshape(-1)
+    packed.sort()
+    # node id of each sorted corner: 1 where the key changes, summed up
+    node = np.empty(8 * ne, dtype=np.int64)
+    np.bitwise_xor(packed[1:], packed[:-1], out=node[1:])
+    node[1:] >>= bits
+    node[:1] = 1
+    np.not_equal(node, 0, out=node)
+    first = np.flatnonzero(node)
+    np.cumsum(node, out=node)
+    node -= 1
+    packed &= (1 << bits) - 1  # the sorted corners' element * 8 + c
+    element_nodes = np.empty(8 * ne, dtype=np.int64)
+    element_nodes[packed] = node
+    el, c = packed[first] >> 3, packed[first] & 7
+    coords = np.empty((len(first), 3), dtype=np.int64)
+    h_el = h.take(el)
+    for a, lo in enumerate(axes):
+        coords[:, a] = lo.take(el) + ((c >> a) & 1) * h_el
+    packed >>= 3
+    finest = np.maximum.reduceat(leaves.level[packed], first) if ne else leaves.level
+    return coords, element_nodes.reshape(-1, 8), finest
+
+
 def _find_hanging_constraints(
     keys: np.ndarray,
     elements,  # OctantArray of the leaves
     element_nodes: np.ndarray,
+    finest: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Identify hanging nodes and their direct parent lists.
 
     ``keys`` are the sorted unique node keys that ``element_nodes``
-    indexes.  Returns ``(child_idx, parent_idx, weight)`` COO triplets
+    indexes, ``finest`` the level of the finest element touching each
+    node.  Returns ``(child_idx, parent_idx, weight)`` COO triplets
     where ``child_idx`` are node indices of hanging nodes (repeated per
     parent and per coarse element that sees them).
 
@@ -227,23 +304,21 @@ def _find_hanging_constraints(
     of a coarse edge can be absent, so *all* would miss nodes), and the
     parents are the element's own corners.
     """
-    h = elements.lengths()
-    if len(h) and int(h.min()) < 2:
-        raise ValueError("mesh extraction requires element level <= MAX_LEVEL - 1")
-    # smallest element touching each node: coarse levels first, fine overwrite
-    h_node = np.zeros(len(keys), dtype=h.dtype)
-    for size in np.unique(h)[::-1]:
-        h_node[element_nodes[h == size].ravel()] = size
-    fine = h_node[element_nodes] < h[:, None]  # (ne, 8)
+    fine = finest[element_nodes] > elements.level[:, None]  # (ne, 8)
+    near = np.flatnonzero(fine.view(np.uint64)[:, 0])  # any corner fine
+    fine, near_nodes = fine[near], element_nodes[near]
 
     # Edge midpoints hang with weight 1/2 to each endpoint, face centres
     # (= the midpoint of the face diagonal) with 1/4 to each face corner.
     # Node keys are linear in the coordinates, so the key of the midpoint
     # of corners a < b is a + (b - a) / 2 (the sum a + b can overflow).
-    e_el, e_k = np.nonzero(fine[:, _EDGES].any(axis=2))
-    f_el, f_k = np.nonzero(fine[:, _FACES].any(axis=2))
-    ends = element_nodes[e_el[:, None], _EDGES[e_k]]  # (m_e, 2)
-    quad = element_nodes[f_el[:, None], _FACES[f_k]]  # (m_f, 4)
+    e_el, e_k = np.nonzero(fine[:, _EDGES[:, 0]] | fine[:, _EDGES[:, 1]])
+    f_el, f_k = np.nonzero(
+        (fine[:, _FACES[:, 0]] | fine[:, _FACES[:, 1]])
+        | (fine[:, _FACES[:, 2]] | fine[:, _FACES[:, 3]])
+    )
+    ends = near_nodes[e_el[:, None], _EDGES[e_k]]  # (m_e, 2)
+    quad = near_nodes[f_el[:, None], _FACES[f_k]]  # (m_f, 4)
     lo = keys[np.concatenate([ends[:, 0], quad[:, 0]])]
     hi = keys[np.concatenate([ends[:, 1], quad[:, 3]])]
     cand = lo + ((hi - lo) >> np.uint64(1))
@@ -277,86 +352,143 @@ def _first_discovery(
     return child[keep], parent[keep], weight[keep]
 
 
-def extract_mesh(tree: _LinearOctree, domain=(1.0, 1.0, 1.0)) -> Mesh:
-    """Extract the hexahedral mesh and hanging-node constraints.
+def _constraint_operator(n_nodes: int, child, parent, weight):
+    """``(hanging, Z, indep_nodes, dof_of_node)`` from the de-duplicated
+    direct constraints.
 
-    ``tree`` must be complete and fully (corner-)balanced.
+    Transitive closure: substitute hanging parents by their own parents
+    until every parent is independent.  ``S = diag(independent) + direct``
+    keeps independent columns and expands hanging ones; parents belong to
+    strictly coarser elements so the chain terminates.
     """
-    mesh = extract_submesh(tree.leaves, domain)
-    mesh.tree = tree
-    return mesh
+    hanging = np.zeros(n_nodes, dtype=bool)
+    hanging[child] = True
+    direct = sp.csr_matrix((weight, (child, parent)), shape=(n_nodes, n_nodes))
+    indep_nodes = np.flatnonzero(~hanging)
+    dof_of_node = np.full(n_nodes, -1, dtype=np.int64)
+    dof_of_node[indep_nodes] = np.arange(len(indep_nodes))
+
+    closure = direct.copy()
+    subst = sp.diags((~hanging).astype(np.float64)) + direct
+    for _ in range(8):
+        if len(child) == 0 or not hanging[closure.indices].any():
+            break
+        closure = closure @ subst
+        closure.eliminate_zeros()
+    else:
+        raise AssertionError("hanging constraint closure did not terminate")
+
+    # Assemble Z in COO form: identity rows for independent nodes, closure
+    # rows for hanging nodes, columns renumbered to independent dofs.
+    hang_idx = np.flatnonzero(hanging)
+    ch = closure[hang_idx]
+    rows_h = np.repeat(hang_idx, np.diff(ch.indptr))
+    cols_h = dof_of_node[ch.indices]
+    if len(cols_h) and cols_h.min() < 0:
+        raise AssertionError("closure row references a hanging parent")
+    Z = sp.csr_matrix(
+        (
+            np.concatenate([np.ones(len(indep_nodes)), ch.data]),
+            (
+                np.concatenate([indep_nodes, rows_h]),
+                np.concatenate([np.arange(len(indep_nodes)), cols_h]),
+            ),
+        ),
+        shape=(n_nodes, len(indep_nodes)),
+    )
+    return hanging, Z, indep_nodes, dof_of_node
 
 
-def extract_submesh(leaves, domain=(1.0, 1.0, 1.0)) -> Mesh:
-    """Extract a mesh from an arbitrary (sorted, fully balanced) octant
-    set — the local + ghost element union of a distributed mesh.
+def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: np.ndarray) -> dict:
+    """Node ownership, active dofs, the global numbering of the owned
+    ones and the request / reply plan of the others; ``keys`` are the
+    independent nodes' :func:`node_keys` (sorted, globally unique).
 
-    Hanging-node classification is local: a node is detected as hanging
-    when the coarse element whose face/edge it bisects is present in the
-    set, which the ghost layer guarantees for all nodes of owned elements.
+    A node belongs to the rank whose leaf-key interval contains its
+    (clamped) position: the owner of the leaf the node is a corner of, in
+    the Morton sense.  Deterministic, globally consistent and computable
+    locally; the owning leaf touches the node, so the owner always has
+    the node in its own (active) mesh.
+    """
+    comm = pt.comm
+    clamped = np.minimum(mesh.node_coords_int, ROOT_LEN - 1)
+    ckeys = morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
+    node_owner = owners_of_keys(pt.markers(), forest_key(0, ckeys))
+
+    # active independent dofs: touched by at least one owned element, or
+    # a parent of a touched hanging node
+    indep = mesh.indep_nodes
+    touched = np.zeros(mesh.n_nodes, dtype=bool)
+    touched[mesh.element_nodes[owned].ravel()] = True
+    hang_touched = np.flatnonzero(touched & mesh.hanging)
+    if len(hang_touched):
+        touched[indep[mesh.Z[hang_touched].indices]] = True
+    active = touched[indep]
+
+    dof_owner = node_owner[indep]
+    owned_dofs = active & (dof_owner == comm.rank)
+    n_owned = int(owned_dofs.sum())
+    offset = comm.exscan(n_owned)
+    n_global = comm.allreduce(n_owned)
+    global_dof = np.full(len(indep), -1, dtype=np.int64)
+    global_dof[owned_dofs] = offset + np.arange(n_owned)
+
+    # handshake: request the ids of active dofs owned elsewhere by node key
+    need = np.flatnonzero(active & (dof_owner != comm.rank))
+    need = need[np.argsort(dof_owner[need], kind="stable")]
+    send_plan = np.split(need, np.searchsorted(dof_owner[need], np.arange(1, comm.size)))
+    got = comm.alltoall([keys[s] for s in send_plan])
+    serve_plan = [np.searchsorted(keys, buf) for buf in got]
+    for idx, buf in zip(serve_plan, got):
+        if len(buf) and not np.array_equal(keys[np.minimum(idx, len(keys) - 1)], buf):
+            raise AssertionError("requested shared dof not found on owner")
+    replies = comm.alltoall([global_dof[idx] for idx in serve_plan])
+    for s, buf in zip(send_plan, replies):
+        if np.any(buf < 0):
+            raise AssertionError("owner returned unnumbered dof")
+        global_dof[s] = buf
+    return dict(
+        node_owner=node_owner,
+        active=active,
+        global_dof=global_dof,
+        n_global=n_global,
+        send_plan=send_plan,
+        serve_plan=serve_plan,
+    )
+
+
+def extract_leaves(
+    leaves, domain=(1.0, 1.0, 1.0), pt: "ParForest | None" = None, owned=None
+) -> tuple[Mesh, dict | None]:
+    """EXTRACTMESH of a sorted, fully balanced leaf set in one numbering
+    pass: a whole tree's leaves, or a rank's owned + ghost union.
+
+    One sort of the corner keys gives the nodes, ``element_nodes`` and
+    the smallest leaf at each node; the hanging candidates are looked up
+    in the same node keys.  Hanging-node classification is local: a node
+    is detected as hanging when the coarse element whose face/edge it
+    bisects is present in the set, which the ghost layer guarantees for
+    all nodes of owned elements.
+
+    With ``pt`` (this rank's forest segment) and ``owned`` (mask of the
+    leaves it owns) the pass goes on to the dof numbering of
+    :class:`~repro.mesh.parmesh.ParMesh` (collective), returned as the
+    dict of its fields; without, that is ``None``.
     """
     domain = np.asarray(domain, dtype=np.float64)
     with obs.phase("nodes"):
-        h = leaves.lengths()
-        anchors = np.stack([leaves.x, leaves.y, leaves.z], axis=1)
-        corner_xyz = anchors[:, None, :] + _CORNER[None, :, :] * h[:, None, None]
-        all_keys = node_keys(corner_xyz.reshape(-1, 3))
-        keys, inverse = np.unique(all_keys, return_inverse=True)
-        element_nodes = inverse.reshape(-1, 8).astype(np.int64)
-        # recover coordinates of the unique nodes
-        x = (keys % _R1).astype(np.int64)
-        y = ((keys // _R1) % _R1).astype(np.int64)
-        z = (keys // (_R1 * _R1)).astype(np.int64)
-        coords = np.stack([x, y, z], axis=1)
-        n_nodes = len(keys)
+        coords, element_nodes, finest = _sort_corners(leaves)
+        keys = node_keys(coords)
 
-    with obs.phase("hanging"):
+    with obs.phase("constraints"):
         child, parent, weight = _first_discovery(
-            *_find_hanging_constraints(keys, leaves, element_nodes)
+            *_find_hanging_constraints(keys, leaves, element_nodes, finest)
         )
-        hanging = np.zeros(n_nodes, dtype=bool)
-        hanging[child] = True
-
-    with obs.phase("closure"):
-        direct = sp.csr_matrix((weight, (child, parent)), shape=(n_nodes, n_nodes))
-        indep_nodes = np.flatnonzero(~hanging)
-        dof_of_node = np.full(n_nodes, -1, dtype=np.int64)
-        dof_of_node[indep_nodes] = np.arange(len(indep_nodes))
-
-        # Transitive closure: substitute hanging parents by their own parents
-        # until every parent is independent.  S = diag(independent) + direct
-        # keeps independent columns and expands hanging ones; parents belong to
-        # strictly coarser elements so the chain terminates.
-        closure = direct.copy()
-        subst = sp.diags((~hanging).astype(np.float64)) + direct
-        for _ in range(8):
-            if len(child) == 0 or not hanging[closure.indices].any():
-                break
-            closure = closure @ subst
-            closure.eliminate_zeros()
-        else:
-            raise AssertionError("hanging constraint closure did not terminate")
-
-        # Assemble Z in COO form: identity rows for independent nodes, closure
-        # rows for hanging nodes, columns renumbered to independent dofs.
-        hang_idx = np.flatnonzero(hanging)
-        ch = closure[hang_idx]
-        rows_h = np.repeat(hang_idx, np.diff(ch.indptr))
-        cols_h = dof_of_node[ch.indices]
-        if len(cols_h) and cols_h.min() < 0:
-            raise AssertionError("closure row references a hanging parent")
-        Z = sp.csr_matrix(
-            (
-                np.concatenate([np.ones(len(indep_nodes)), ch.data]),
-                (
-                    np.concatenate([indep_nodes, rows_h]),
-                    np.concatenate([np.arange(len(indep_nodes)), cols_h]),
-                ),
-            ),
-            shape=(n_nodes, len(indep_nodes)),
+        hanging, Z, indep_nodes, dof_of_node = _constraint_operator(
+            len(keys), child, parent, weight
         )
 
-    return Mesh(
+    mesh = Mesh(
         tree=None,
         leaves=leaves,
         domain=domain,
@@ -367,3 +499,17 @@ def extract_submesh(leaves, domain=(1.0, 1.0, 1.0)) -> Mesh:
         indep_nodes=indep_nodes,
         dof_of_node=dof_of_node,
     )
+    if pt is None:
+        return mesh, None
+    with obs.phase("numbering"):
+        return mesh, _number_dofs(mesh, keys[indep_nodes], pt, owned)
+
+
+def extract_mesh(tree: _LinearOctree, domain=(1.0, 1.0, 1.0)) -> Mesh:
+    """Extract the hexahedral mesh and hanging-node constraints.
+
+    ``tree`` must be complete and fully (corner-)balanced.
+    """
+    mesh, _ = extract_leaves(tree.leaves, domain)
+    mesh.tree = tree
+    return mesh

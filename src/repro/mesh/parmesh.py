@@ -29,10 +29,10 @@ from .. import obs
 from ..forest import ParForest, forest_key
 from ..forest.recursive import exchange_boundary_leaves
 from ..octree import OctantArray, ROOT_LEN, morton_encode
-from ..octree.partree import owners_of_keys, partition_markers
+from ..octree.partree import owners_of_keys
 from ..parallel import SimComm
 from ..parallel.sanitize import sanitize_enabled
-from .extract import Mesh, extract_submesh, node_keys
+from .extract import Mesh, extract_leaves
 
 __all__ = [
     "ParMesh",
@@ -178,94 +178,21 @@ class ParMesh:
 
 
 def extract_parmesh(pt: ParForest, domain=(1.0, 1.0, 1.0)) -> ParMesh:
-    """Parallel EXTRACTMESH: ghost layer, union submesh, node ownership,
-    global numbering, and the shared-dof exchange plan."""
-    comm = pt.comm
+    """Parallel EXTRACTMESH: ghost layer, then the one numbering pass of
+    :func:`~repro.mesh.extract.extract_leaves` over the owned + ghost
+    union (node ownership, global numbering, shared-dof exchange plan)."""
     with obs.phase("ghost"):
-        ghosts, ghost_owner = collect_ghosts(pt)
-        # union, sorted by Morton key; track ownership
-        union = OctantArray.concat([pt.octs, ghosts])
-        owner_elem = np.concatenate(
-            [np.full(len(pt), comm.rank, dtype=np.int64), ghost_owner]
-        )
-        order = np.lexsort((union.level, union.keys()))
-        union = union[order]
-        owner_elem = owner_elem[order]
-        owned_mask = owner_elem == comm.rank
+        ghosts, _ = collect_ghosts(pt)
+        # the owned leaves are one segment of the curve, so the sorted
+        # ghosts fall before and after it: the merge of the two runs is
+        # one split of the ghosts (none when this rank holds no leaves)
+        cut = int(np.searchsorted(ghosts.keys(), pt.octs.keys()[:1]).sum())
+        union = OctantArray.concat([ghosts[:cut], pt.octs, ghosts[cut:]])
+        owned = np.zeros(len(union), dtype=bool)
+        owned[cut : cut + len(pt)] = True
 
-    mesh = extract_submesh(union, domain)
-
-    with obs.phase("numbering"):
-        # node ownership: the rank whose leaf-key interval contains the node's
-        # (clamped) position — i.e. the owner of the leaf the node sits on the
-        # corner of, in the Morton sense.  Deterministic, globally consistent,
-        # and computable locally; the owning leaf touches the node, so the
-        # owner always has the node in its own (active) mesh.
-        markers = partition_markers(pt)
-        clamped = np.minimum(mesh.node_coords_int, ROOT_LEN - 1)
-        ckeys = morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
-        node_owner = owners_of_keys(markers, forest_key(0, ckeys))
-
-        # active independent dofs: touched by at least one owned element
-        indep = mesh.indep_nodes
-        touched = np.zeros(mesh.n_nodes, dtype=bool)
-        touched[mesh.element_nodes[owned_mask].ravel()] = True
-        # hanging nodes activate their parents
-        hang_touched = np.flatnonzero(touched & mesh.hanging)
-        if len(hang_touched):
-            rows = mesh.Z[hang_touched]
-            touched[indep[rows.indices]] = True
-        active = touched[indep]
-
-        # global numbering of owned active dofs
-        dof_owner = node_owner[indep]
-        owned_dofs = active & (dof_owner == comm.rank)
-        n_owned = int(owned_dofs.sum())
-        offset = comm.exscan(n_owned)
-        n_global = comm.allreduce(n_owned)
-        global_dof = np.full(len(indep), -1, dtype=np.int64)
-        global_dof[owned_dofs] = offset + np.arange(n_owned)
-
-        # handshake: request ids of active dofs owned elsewhere, keyed by the
-        # node coordinate key (globally unique)
-        nkeys = node_keys(mesh.node_coords_int[indep])
-        reqs = []
-        req_idx = []
-        for r in range(comm.size):
-            sel = np.flatnonzero(active & (dof_owner == r) & (r != comm.rank))
-            reqs.append(nkeys[sel])
-            req_idx.append(sel)
-        got = comm.alltoall(reqs)
-        # serve: map requested keys to my dof indices
-        sorter = np.argsort(nkeys)
-        serve_plan = []
-        for r, buf in enumerate(got):
-            if len(buf) == 0:
-                serve_plan.append(np.zeros(0, dtype=np.int64))
-                continue
-            pos = np.searchsorted(nkeys[sorter], buf)
-            idx = sorter[pos]
-            if not np.array_equal(nkeys[idx], buf):
-                raise AssertionError("requested shared dof not found on owner")
-            serve_plan.append(idx)
-        replies = comm.alltoall([global_dof[serve_plan[r]] for r in range(comm.size)])
-        for r, buf in enumerate(replies):
-            if len(buf):
-                if np.any(buf < 0):
-                    raise AssertionError("owner returned unnumbered dof")
-                global_dof[req_idx[r]] = buf
-
-    return ParMesh(
-        comm=comm,
-        mesh=mesh,
-        owned_elements=owned_mask,
-        node_owner=node_owner,
-        active=active,
-        global_dof=global_dof,
-        n_global=n_global,
-        send_plan=req_idx,
-        serve_plan=serve_plan,
-    )
+    mesh, numbering = extract_leaves(union, domain, pt, owned)
+    return ParMesh(comm=pt.comm, mesh=mesh, owned_elements=owned, **numbering)
 
 
 def par_interpolate_at(

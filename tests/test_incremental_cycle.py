@@ -51,6 +51,7 @@ from .oracles.balance import (
 )
 from .oracles.forest_balance import balance_forest_full_sweep, ripple_forest_full_sweep
 from .oracles.constraints import first_discovery_loop
+from .oracles.mesh_extract import finest_level
 from .test_forest_recursive import build_ptree
 from .test_octree_balance import center_refined_tree
 
@@ -166,7 +167,7 @@ class TestRippleIsBounded:
 
 def raw_constraints(mesh):
     keys = node_keys(mesh.node_coords_int)
-    return _find_hanging_constraints(keys, mesh.leaves, mesh.element_nodes)
+    return _find_hanging_constraints(keys, mesh.leaves, mesh.element_nodes, finest_level(mesh))
 
 
 def hanging_kinds(mesh) -> set:

@@ -44,10 +44,10 @@ class TestSetup:
         """The GMG preconditioner coarsens the mesh's octree, so a mesh
         without one (a distributed submesh) fails here, not inside the
         first Stokes solve."""
-        from repro.mesh import extract_submesh
+        from repro.mesh import extract_leaves
         from repro.octree import LinearOctree
 
-        mesh = extract_submesh(LinearOctree.uniform(2).leaves)
+        mesh, _ = extract_leaves(LinearOctree.uniform(2).leaves)
         assert mesh.tree is None
         with pytest.raises(ValueError, match="mesh.tree"):
             MantleConvection(small_config(), mesh=mesh)

@@ -41,6 +41,7 @@ from repro.parallel import run_spmd
 
 from .oracles.assembly import assemble_owned_nodal, assemble_owned_split
 from .oracles.constraints import find_hanging_full
+from .oracles.mesh_extract import finest_level
 from .oracles.supg import supg_operator_termwise
 from .test_forest_recursive import build_ptree
 from .test_incremental_cycle import hanging_kinds
@@ -84,7 +85,7 @@ def check_constraints(mesh) -> int:
     number of hanging nodes."""
     keys = node_keys(mesh.node_coords_int)
     got = _first_discovery(
-        *_find_hanging_constraints(keys, mesh.leaves, mesh.element_nodes)
+        *_find_hanging_constraints(keys, mesh.leaves, mesh.element_nodes, finest_level(mesh))
     )
     want = _first_discovery(*find_hanging_full(keys, mesh.leaves))
     for g, w in zip(got, want):
@@ -241,7 +242,7 @@ class TestSubPhases:
             "advection/build": [
                 "geometry", "element_matrices", "assemble", "lumped_mass_exchange"
             ],
-            "amr/extract_mesh": ["ghost", "nodes", "hanging", "closure", "numbering"],
+            "amr/extract_mesh": ["ghost", "nodes", "constraints", "numbering"],
         }
         for res in run_spmd(2, kernel):
             for parent, children in tree.items():
