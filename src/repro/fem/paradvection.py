@@ -89,10 +89,13 @@ class ParAdvectionDiffusion:
             self.ML[~pm.active] = 1.0  # avoid divide-by-zero at inactive dofs
 
             # source: gamma * int N_i, plus SUPG source tau * gamma * int a.grad N_i
-            load = source * mass_rows
-            if source != 0.0:
+            # (none: the exchange would sum exact zeros)
+            if source == 0.0:
+                self.b = np.zeros(mesh.n_independent)
+            else:
+                load = source * mass_rows
                 load += source * self.tau[:, None] * _OPS.streamline_load(sizes, vel)
-            self.b = pm.exchange_sum(self._rhs_owned(load))
+                self.b = pm.exchange_sum(self._rhs_owned(load))
 
         self.dirichlet = dirichlet or []
         self._bc_mask, self._bc_values = dirichlet_dofs(mesh, self.dirichlet)
