@@ -196,9 +196,9 @@ class ParAmrPipeline:
             pm = extract_parmesh(pt)
 
         with obs.phase("amr/interpolate"):
-            new_coords = pm.mesh.node_coords()
-            vals = par_interpolate_at(old_pm, old_markers, u_full_old, new_coords)
-            self.T = vals[pm.mesh.indep_nodes]
+            # each point is evaluated on its own: ask only for the dofs
+            indep_coords = pm.mesh.node_coords()[pm.mesh.indep_nodes]
+            self.T = par_interpolate_at(old_pm, old_markers, u_full_old, indep_coords)
 
         with obs.phase("amr/transfer"):
             # TRANSFERFIELDS: per-element data rides the partition plan (here:

@@ -43,10 +43,10 @@ def interpolate_fields(old_mesh: Mesh, u_full_old: np.ndarray, new_mesh: Mesh) -
     """
     if not np.allclose(old_mesh.domain, new_mesh.domain):
         raise ValueError("meshes must share the physical domain")
-    pts = new_mesh.node_coords()
-    vals = old_mesh.interpolate_at(u_full_old, pts)
-    # Re-impose hanging consistency on the new mesh.  For nested trilinear
-    # meshes the evaluation is already consistent; this guards the
-    # coarsening direction where injection can break it at new hanging
-    # nodes whose parents changed.
-    return new_mesh.expand(vals[new_mesh.indep_nodes])
+    # Evaluate at the independent nodes only and re-impose hanging
+    # consistency on the new mesh.  For nested trilinear meshes the
+    # evaluation is already consistent; this guards the coarsening
+    # direction where injection can break it at new hanging nodes whose
+    # parents changed.
+    pts = new_mesh.node_coords()[new_mesh.indep_nodes]
+    return new_mesh.expand(old_mesh.interpolate_at(u_full_old, pts))
