@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .. import obs
 from ..forest.forest import forest_key
-from ..octree import ROOT_LEN, morton_encode
+from ..octree import MAX_LEVEL, ROOT_LEN, morton_encode
 from ..octree.linear import LinearOctree as _LinearOctree
 from ..octree.traverse import owners_of_keys
 from .opcache import operator_cache
@@ -44,6 +44,7 @@ if TYPE_CHECKING:
 __all__ = ["Mesh", "extract_leaves", "extract_mesh", "node_keys"]
 
 _R1 = np.uint64(ROOT_LEN + 1)
+_LEVEL_BITS = MAX_LEVEL.bit_length()
 
 # Corner offsets in units of the element edge length, vertex i at
 # ((i & 1), (i >> 1) & 1, (i >> 2) & 1) — x fastest, matching OctantArray.
@@ -178,8 +179,6 @@ class Mesh:
         """
         pts = np.asarray(points, dtype=np.float64) / self.domain  # unit cube
         pint = np.clip((pts * ROOT_LEN).astype(np.int64), 0, ROOT_LEN - 1)
-        from ..octree import morton_encode
-
         pkeys = morton_encode(pint[:, 0], pint[:, 1], pint[:, 2])
         eidx = np.searchsorted(self.leaves.keys(), pkeys, side="right") - 1
         leaves = self.leaves
@@ -219,14 +218,14 @@ def _sort_corners(leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each axis is put on the grid lines the leaf set uses (a coordinate's
     rank among the used ones, looked up on the finest leaf's grid), so a
     corner key takes only as many bits as there are lines, and the
-    ``element * 8 + corner`` index packs below it into one int64 down to
-    the deepest forest level.  The ranks are monotone, so the sorted
-    packed values order the nodes as :func:`node_keys` does (z, then y,
-    then x).  Returns the node coordinates (from each node's first
-    corner), ``element_nodes`` and the level of the finest leaf touching
-    each node (a segment maximum over the sorted corners).  The large
-    arrays are reused in place: first touch of fresh memory is a
-    sizeable share of this pass.
+    element's level and the ``element * 8 + corner`` index pack below it
+    into one int64 down to the deepest forest level.  The ranks are
+    monotone, so the sorted packed values order the nodes as
+    :func:`node_keys` does (z, then y, then x).  Returns the node
+    coordinates and the level of the finest leaf touching each node (both
+    from the node's first corner) and ``element_nodes``.  The large arrays
+    are reused in place: first touch of fresh memory is a sizeable share
+    of this pass.
     """
     h = leaves.lengths()
     ne = len(h)
@@ -248,25 +247,29 @@ def _sort_corners(leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.add((rz * ny)[:, None, None, :], ry[None, :, None, :], out=key)
     key *= nx
     key += rx[None, None, :, :]
-    # row c of the (8, ne) keys is corner c = x + 2y + 4z as in _CORNER;
-    # each key packs with its index element * 8 + c, so one sort of int64
-    # numbers every corner
+    # Row c of the (8, ne) keys is corner c = x + 2y + 4z as in _CORNER.
+    # Below each key go the element's MAX_LEVEL - level (so the finest
+    # element comes first among a node's corners) and the corner's index
+    # element * 8 + c: one sort of int64 numbers every corner.
     key = key.reshape(8, ne)
     bits = (8 * ne - 1).bit_length()
-    if ne and int(key[-1].max()) >> (63 - bits):
+    low = bits + _LEVEL_BITS
+    if ne and int(key[-1].max()) >> (63 - low):
         raise ValueError("corner keys of this leaf set do not fit in 63 bits")
+    key <<= _LEVEL_BITS
+    key |= MAX_LEVEL - leaves.level
     key <<= bits
     key |= np.arange(0, 8 * ne, 8)
     key += np.arange(8)[:, None]
     packed = key.reshape(-1)
     packed.sort()
-    # node id of each sorted corner: 1 where the key changes, summed up
+    # node id of each sorted corner: the running count of key changes
     node = np.empty(8 * ne, dtype=np.int64)
     np.bitwise_xor(packed[1:], packed[:-1], out=node[1:])
-    node[1:] >>= bits
-    node[:1] = 1
-    np.not_equal(node, 0, out=node)
-    first = np.flatnonzero(node)
+    new = node >= 1 << low
+    new[:1] = True
+    first = np.flatnonzero(new)
+    node[:] = new
     np.cumsum(node, out=node)
     node -= 1
     packed &= (1 << bits) - 1  # the sorted corners' element * 8 + c
@@ -277,8 +280,7 @@ def _sort_corners(leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     h_el = h.take(el)
     for a, lo in enumerate(axes):
         coords[:, a] = lo.take(el) + ((c >> a) & 1) * h_el
-    packed >>= 3
-    finest = np.maximum.reduceat(leaves.level[packed], first) if ne else leaves.level
+    finest = leaves.level.take(el)
     return coords, element_nodes.reshape(-1, 8), finest
 
 
@@ -357,7 +359,7 @@ def _constraint_operator(n_nodes: int, child, parent, weight):
     direct constraints.
 
     Transitive closure: substitute hanging parents by their own parents
-    until every parent is independent.  ``S = diag(independent) + direct``
+    until every parent is independent.  ``diag(independent) + direct``
     keeps independent columns and expands hanging ones; parents belong to
     strictly coarser elements so the chain terminates.
     """
@@ -368,12 +370,11 @@ def _constraint_operator(n_nodes: int, child, parent, weight):
     dof_of_node = np.full(n_nodes, -1, dtype=np.int64)
     dof_of_node[indep_nodes] = np.arange(len(indep_nodes))
 
-    closure = direct.copy()
-    subst = sp.diags((~hanging).astype(np.float64)) + direct
+    closure = direct
     for _ in range(8):
-        if len(child) == 0 or not hanging[closure.indices].any():
+        if not hanging[closure.indices].any():
             break
-        closure = closure @ subst
+        closure = closure @ (sp.diags((~hanging).astype(np.float64)) + direct)
         closure.eliminate_zeros()
     else:
         raise AssertionError("hanging constraint closure did not terminate")
@@ -399,7 +400,7 @@ def _constraint_operator(n_nodes: int, child, parent, weight):
     return hanging, Z, indep_nodes, dof_of_node
 
 
-def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: np.ndarray) -> dict:
+def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: slice) -> dict:
     """Node ownership, active dofs, the global numbering of the owned
     ones and the request / reply plan of the others; ``keys`` are the
     independent nodes' :func:`node_keys` (sorted, globally unique).
@@ -419,7 +420,7 @@ def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: np.ndarra
     # a parent of a touched hanging node
     indep = mesh.indep_nodes
     touched = np.zeros(mesh.n_nodes, dtype=bool)
-    touched[mesh.element_nodes[owned].ravel()] = True
+    touched[mesh.element_nodes[owned]] = True
     hang_touched = np.flatnonzero(touched & mesh.hanging)
     if len(hang_touched):
         touched[indep[mesh.Z[hang_touched].indices]] = True
@@ -458,7 +459,7 @@ def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: np.ndarra
 
 
 def extract_leaves(
-    leaves, domain=(1.0, 1.0, 1.0), pt: "ParForest | None" = None, owned=None
+    leaves, domain=(1.0, 1.0, 1.0), pt: "ParForest | None" = None, owned: slice | None = None
 ) -> tuple[Mesh, dict | None]:
     """EXTRACTMESH of a sorted, fully balanced leaf set in one numbering
     pass: a whole tree's leaves, or a rank's owned + ghost union.
@@ -470,8 +471,8 @@ def extract_leaves(
     bisects is present in the set, which the ghost layer guarantees for
     all nodes of owned elements.
 
-    With ``pt`` (this rank's forest segment) and ``owned`` (mask of the
-    leaves it owns) the pass goes on to the dof numbering of
+    With ``pt`` (this rank's forest segment) and ``owned`` (the slice of
+    ``leaves`` it owns) the pass goes on to the dof numbering of
     :class:`~repro.mesh.parmesh.ParMesh` (collective), returned as the
     dict of its fields; without, that is ``None``.
     """

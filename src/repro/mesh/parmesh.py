@@ -188,11 +188,12 @@ def extract_parmesh(pt: ParForest, domain=(1.0, 1.0, 1.0)) -> ParMesh:
         # one split of the ghosts (none when this rank holds no leaves)
         cut = int(np.searchsorted(ghosts.keys(), pt.octs.keys()[:1]).sum())
         union = OctantArray.concat([ghosts[:cut], pt.octs, ghosts[cut:]])
-        owned = np.zeros(len(union), dtype=bool)
-        owned[cut : cut + len(pt)] = True
+        owned = slice(cut, cut + len(pt))
 
     mesh, numbering = extract_leaves(union, domain, pt, owned)
-    return ParMesh(comm=pt.comm, mesh=mesh, owned_elements=owned, **numbering)
+    owned_elements = np.zeros(len(union), dtype=bool)
+    owned_elements[owned] = True
+    return ParMesh(comm=pt.comm, mesh=mesh, owned_elements=owned_elements, **numbering)
 
 
 def par_interpolate_at(
