@@ -308,7 +308,7 @@ def _find_hanging_constraints(
     """
     fine = finest[element_nodes] > elements.level[:, None]  # (ne, 8)
     near = np.flatnonzero(fine.view(np.uint64)[:, 0])  # any corner fine
-    fine, near_nodes = fine[near], element_nodes[near]
+    fine, corners = fine[near], element_nodes.reshape(-1)
 
     # Edge midpoints hang with weight 1/2 to each endpoint, face centres
     # (= the midpoint of the face diagonal) with 1/4 to each face corner.
@@ -319,12 +319,15 @@ def _find_hanging_constraints(
         (fine[:, _FACES[:, 0]] | fine[:, _FACES[:, 1]])
         | (fine[:, _FACES[:, 2]] | fine[:, _FACES[:, 3]])
     )
-    ends = near_nodes[e_el[:, None], _EDGES[e_k]]  # (m_e, 2)
-    quad = near_nodes[f_el[:, None], _FACES[f_k]]  # (m_f, 4)
+    ends = corners.take((near[e_el] * 8)[:, None] + _EDGES[e_k])  # (m_e, 2)
+    quad = corners.take((near[f_el] * 8)[:, None] + _FACES[f_k])  # (m_f, 4)
     lo = keys[np.concatenate([ends[:, 0], quad[:, 0]])]
     hi = keys[np.concatenate([ends[:, 1], quad[:, 3]])]
     cand = lo + ((hi - lo) >> np.uint64(1))
-    pos = np.minimum(np.searchsorted(keys, cand), len(keys) - 1)
+    # binary search is cheaper for sorted queries than the sort it costs
+    order = np.argsort(cand)
+    pos = np.empty(len(cand), dtype=np.int64)
+    pos[order] = np.minimum(np.searchsorted(keys, cand[order]), len(keys) - 1)
     (pos_e, pos_f), (hit_e, hit_f) = (
         np.split(a, [len(ends)]) for a in (pos, keys[pos] == cand)
     )
@@ -379,24 +382,22 @@ def _constraint_operator(n_nodes: int, child, parent, weight):
     else:
         raise AssertionError("hanging constraint closure did not terminate")
 
-    # Assemble Z in COO form: identity rows for independent nodes, closure
-    # rows for hanging nodes, columns renumbered to independent dofs.
-    hang_idx = np.flatnonzero(hanging)
-    ch = closure[hang_idx]
-    rows_h = np.repeat(hang_idx, np.diff(ch.indptr))
-    cols_h = dof_of_node[ch.indices]
+    # Z row by row in CSR: the identity entry of an independent node, the
+    # closure row (empty for independent nodes) of a hanging one, columns
+    # renumbered to independent dofs (monotone, so sorted rows stay sorted)
+    closure.sort_indices()
+    cols_h = dof_of_node[closure.indices]
     if len(cols_h) and cols_h.min() < 0:
         raise AssertionError("closure row references a hanging parent")
-    Z = sp.csr_matrix(
-        (
-            np.concatenate([np.ones(len(indep_nodes)), ch.data]),
-            (
-                np.concatenate([indep_nodes, rows_h]),
-                np.concatenate([np.arange(len(indep_nodes)), cols_h]),
-            ),
-        ),
-        shape=(n_nodes, len(indep_nodes)),
-    )
+    per_row = np.diff(closure.indptr)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(per_row + ~hanging, out=indptr[1:])
+    at = np.repeat(indptr[:-1] - closure.indptr[:-1], per_row) + np.arange(closure.nnz)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.ones(indptr[-1])
+    indices[indptr[indep_nodes]] = np.arange(len(indep_nodes))
+    indices[at], data[at] = cols_h, closure.data
+    Z = sp.csr_matrix((data, indices, indptr), shape=(n_nodes, len(indep_nodes)))
     return hanging, Z, indep_nodes, dof_of_node
 
 

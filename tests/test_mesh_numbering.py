@@ -1,8 +1,9 @@
 """The one numbering pass of EXTRACTMESH against the extractor it
 replaced (``tests/oracles/mesh_extract.py``), array for array.
 
-- serial: ``extract_mesh`` on random corner-balanced trees and on a tree
-  with a leaf at level 19, the deepest a forest allows (the widest
+- serial: ``extract_mesh`` on random corner-balanced trees, on
+  face-balanced ones (hanging parents: the transitive closure) and on a
+  tree with a leaf at level 19, the deepest a forest allows (the widest
   corner-key packing);
 - distributed: every rank's ``extract_parmesh`` on the unit cube at
   P = 1, 2 and 3 (the owned + ghost union, node ownership, active dofs,
@@ -95,17 +96,29 @@ class TestSerial:
     def test_uniform_tree(self):
         assert check_serial(LinearOctree.uniform(2)) == 0
 
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_hanging_parents_of_face_balanced_trees(self, seed):
+        """Face balance lets a hanging node's parent hang too, so ``Z``
+        comes out of the transitive closure (none of the corner-balanced
+        trees here has such a chain)."""
+        rng = np.random.default_rng(seed)
+        tree = LinearOctree.uniform(1)
+        for _ in range(3):
+            tree = tree.refine(rng.random(len(tree)) < 0.25)
+        check_serial(balance(tree, "face").tree)
+
     def test_leaf_at_the_deepest_forest_level(self):
         tree = deep_tree()
         assert tree.leaves.level.max() == FOREST_MAX_LEVEL
         assert check_serial(tree) > 0
-        # the coordinates do not fit one int64 with the corner index, the
-        # ranks of the used grid lines do
+        # on the finest leaf's grid the corner keys and indices would need
+        # more than 63 bits; the ranks of the grid lines in use fit
         mesh = extract_mesh(tree)
         assert (ROOT_LEN >> 2) ** 3 * 8 * mesh.n_elements > 2**63
         assert mesh.node_coords_int.max() == ROOT_LEN
 
-    def test_finest_level_is_the_segment_maximum(self):
+    def test_finest_level_per_node(self):
         from repro.mesh.extract import _sort_corners
 
         tree = refined_tree(seed=3, rounds=3, frac=0.2)
