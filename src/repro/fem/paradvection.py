@@ -89,10 +89,9 @@ class ParAdvectionDiffusion:
             self.ML[~pm.active] = 1.0  # avoid divide-by-zero at inactive dofs
 
             # source: gamma * int N_i, plus SUPG source tau * gamma * int a.grad N_i
-            # (none: the exchange would sum exact zeros)
-            if source == 0.0:
-                self.b = np.zeros(mesh.n_independent)
-            else:
+            # (a zero source is not exchanged: the sum would be exact zeros)
+            self.b = np.zeros(mesh.n_independent, dtype=np.float64)
+            if source != 0.0:
                 load = source * mass_rows
                 load += source * self.tau[:, None] * _OPS.streamline_load(sizes, vel)
                 self.b = pm.exchange_sum(self._rhs_owned(load))

@@ -213,45 +213,26 @@ class Mesh:
 
 
 def _sort_corners(leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one sort of EXTRACTMESH: number the corners of ``leaves``.
+    """The one sort: node coordinates, ``element_nodes`` and each node's
+    finest touching level (the last two read off the node's first corner).
 
-    Each axis is put on the grid lines the leaf set uses (a coordinate's
-    rank among the used ones, looked up on the finest leaf's grid), so a
-    corner key takes only as many bits as there are lines, and the
-    element's level and the ``element * 8 + corner`` index pack below it
-    into one int64 down to the deepest forest level.  The ranks are
-    monotone, so the sorted packed values order the nodes as
-    :func:`node_keys` does (z, then y, then x).  Returns the node
-    coordinates and the level of the finest leaf touching each node (both
-    from the node's first corner) and ``element_nodes``.  The large arrays
-    are reused in place: first touch of fresh memory is a sizeable share
-    of this pass.
-    """
+    A corner key counts the grid lines in use per axis (monotone, so the
+    nodes come out in :func:`node_keys` order), so it packs with
+    ``MAX_LEVEL - level`` (finest first) and ``element * 8 + corner``
+    into one int64 down to the deepest forest level."""
     h = leaves.lengths()
     ne = len(h)
     if ne and int(h.min()) < 2:
         raise ValueError("mesh extraction requires element level <= MAX_LEVEL - 1")
     shift = int(h.min()).bit_length() - 1 if ne else 0
     axes = (leaves.x, leaves.y, leaves.z)
-    rank, n_lines = [], []
-    for lo in axes:
-        ends = np.stack([lo, lo + h])  # (2, ne): low and high face
-        ends >>= shift
+    key = np.zeros((1, ne), dtype=np.int64)
+    for lo in axes[::-1]:  # (8, ne) in the end, row c = corner c of _CORNER
+        ends = np.stack([lo, lo + h]) >> shift  # low and high face
         used = np.zeros((ROOT_LEN >> shift) + 1, dtype=bool)
         used[ends] = True
         line = np.cumsum(used) - 1
-        rank.append(line[ends])
-        n_lines.append(int(line[-1]) + 1)
-    (rx, ry, rz), (nx, ny, _) = rank, n_lines
-    key = np.empty((2, 2, 2, ne), dtype=np.int64)  # (z, y, x) of a corner
-    np.add((rz * ny)[:, None, None, :], ry[None, :, None, :], out=key)
-    key *= nx
-    key += rx[None, None, :, :]
-    # Row c of the (8, ne) keys is corner c = x + 2y + 4z as in _CORNER.
-    # Below each key go the element's MAX_LEVEL - level (so the finest
-    # element comes first among a node's corners) and the corner's index
-    # element * 8 + c: one sort of int64 numbers every corner.
-    key = key.reshape(8, ne)
+        key = (key[:, None] * (int(line[-1]) + 1) + line[ends]).reshape(2 * len(key), ne)
     bits = (8 * ne - 1).bit_length()
     low = bits + _LEVEL_BITS
     if ne and int(key[-1].max()) >> (63 - low):
@@ -259,29 +240,18 @@ def _sort_corners(leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     key <<= _LEVEL_BITS
     key |= MAX_LEVEL - leaves.level
     key <<= bits
-    key |= np.arange(0, 8 * ne, 8)
-    key += np.arange(8)[:, None]
-    packed = key.reshape(-1)
+    key |= np.arange(0, 8 * ne, 8) + np.arange(8)[:, None]
+    packed = key.reshape(-1)  # sorted in place: first touch of fresh pages is costly
     packed.sort()
-    # node id of each sorted corner: the running count of key changes
-    node = np.empty(8 * ne, dtype=np.int64)
-    np.bitwise_xor(packed[1:], packed[:-1], out=node[1:])
-    new = node >= 1 << low
-    new[:1] = True
+    new = np.ones(8 * ne, dtype=bool)
+    new[1:] = (packed[1:] ^ packed[:-1]) >= 1 << low
     first = np.flatnonzero(new)
-    node[:] = new
-    np.cumsum(node, out=node)
-    node -= 1
-    packed &= (1 << bits) - 1  # the sorted corners' element * 8 + c
+    packed &= (1 << bits) - 1  # the sorted corners' element * 8 + corner
     element_nodes = np.empty(8 * ne, dtype=np.int64)
-    element_nodes[packed] = node
+    element_nodes[packed] = np.repeat(np.arange(len(first)), np.diff(first, append=8 * ne))
     el, c = packed[first] >> 3, packed[first] & 7
-    coords = np.empty((len(first), 3), dtype=np.int64)
-    h_el = h.take(el)
-    for a, lo in enumerate(axes):
-        coords[:, a] = lo.take(el) + ((c >> a) & 1) * h_el
-    finest = leaves.level.take(el)
-    return coords, element_nodes.reshape(-1, 8), finest
+    coords = np.stack([lo.take(el) + (c >> a & 1) * h.take(el) for a, lo in enumerate(axes)], 1)
+    return coords, element_nodes.reshape(-1, 8), leaves.level.take(el)
 
 
 def _find_hanging_constraints(
@@ -293,10 +263,9 @@ def _find_hanging_constraints(
     """Identify hanging nodes and their direct parent lists.
 
     ``keys`` are the sorted unique node keys that ``element_nodes``
-    indexes, ``finest`` the level of the finest element touching each
-    node.  Returns ``(child_idx, parent_idx, weight)`` COO triplets
-    where ``child_idx`` are node indices of hanging nodes (repeated per
-    parent and per coarse element that sees them).
+    indexes, ``finest`` the level of the finest element at each node.
+    Returns ``(child_idx, parent_idx, weight)`` COO triplets, a child
+    repeated per parent and per coarse element that sees it.
 
     The midpoint of an element's edge (the centre of its face) can only
     be a mesh node if a smaller element has a corner there, and that
@@ -324,8 +293,7 @@ def _find_hanging_constraints(
     lo = keys[np.concatenate([ends[:, 0], quad[:, 0]])]
     hi = keys[np.concatenate([ends[:, 1], quad[:, 3]])]
     cand = lo + ((hi - lo) >> np.uint64(1))
-    # binary search is cheaper for sorted queries than the sort it costs
-    order = np.argsort(cand)
+    order = np.argsort(cand)  # a binary search is faster on sorted queries
     pos = np.empty(len(cand), dtype=np.int64)
     pos[order] = np.minimum(np.searchsorted(keys, cand[order]), len(keys) - 1)
     (pos_e, pos_f), (hit_e, hit_f) = (
@@ -358,21 +326,17 @@ def _first_discovery(
 
 
 def _constraint_operator(n_nodes: int, child, parent, weight):
-    """``(hanging, Z, indep_nodes, dof_of_node)`` from the de-duplicated
-    direct constraints.
-
-    Transitive closure: substitute hanging parents by their own parents
-    until every parent is independent.  ``diag(independent) + direct``
-    keeps independent columns and expands hanging ones; parents belong to
-    strictly coarser elements so the chain terminates.
-    """
+    """``(hanging, Z, indep_nodes, dof_of_node)`` of the direct
+    constraints.  Their transitive closure substitutes hanging parents by
+    their own parents (``diag(independent) + direct``) until every parent
+    is independent; parents belong to strictly coarser elements, so the
+    chain ends."""
     hanging = np.zeros(n_nodes, dtype=bool)
     hanging[child] = True
     direct = sp.csr_matrix((weight, (child, parent)), shape=(n_nodes, n_nodes))
     indep_nodes = np.flatnonzero(~hanging)
     dof_of_node = np.full(n_nodes, -1, dtype=np.int64)
     dof_of_node[indep_nodes] = np.arange(len(indep_nodes))
-
     closure = direct
     for _ in range(8):
         if not hanging[closure.indices].any():
@@ -382,9 +346,9 @@ def _constraint_operator(n_nodes: int, child, parent, weight):
     else:
         raise AssertionError("hanging constraint closure did not terminate")
 
-    # Z row by row in CSR: the identity entry of an independent node, the
-    # closure row (empty for independent nodes) of a hanging one, columns
-    # renumbered to independent dofs (monotone, so sorted rows stay sorted)
+    # Z in CSR: an identity row per independent node, the closure row
+    # (empty at independent nodes) per hanging one, columns renumbered
+    # to independent dofs (monotone, so sorted rows stay sorted)
     closure.sort_indices()
     cols_h = dof_of_node[closure.indices]
     if len(cols_h) and cols_h.min() < 0:
@@ -393,8 +357,7 @@ def _constraint_operator(n_nodes: int, child, parent, weight):
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(per_row + ~hanging, out=indptr[1:])
     at = np.repeat(indptr[:-1] - closure.indptr[:-1], per_row) + np.arange(closure.nnz)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.ones(indptr[-1])
+    indices, data = np.empty(indptr[-1], dtype=np.int64), np.ones(indptr[-1])
     indices[indptr[indep_nodes]] = np.arange(len(indep_nodes))
     indices[at], data[at] = cols_h, closure.data
     Z = sp.csr_matrix((data, indices, indptr), shape=(n_nodes, len(indep_nodes)))
@@ -402,29 +365,21 @@ def _constraint_operator(n_nodes: int, child, parent, weight):
 
 
 def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: slice) -> dict:
-    """Node ownership, active dofs, the global numbering of the owned
-    ones and the request / reply plan of the others; ``keys`` are the
-    independent nodes' :func:`node_keys` (sorted, globally unique).
+    """The :class:`~repro.mesh.parmesh.ParMesh` numbering fields; ``keys``
+    are the independent nodes' :func:`node_keys` (sorted, global).
 
     A node belongs to the rank whose leaf-key interval contains its
-    (clamped) position: the owner of the leaf the node is a corner of, in
-    the Morton sense.  Deterministic, globally consistent and computable
-    locally; the owning leaf touches the node, so the owner always has
-    the node in its own (active) mesh.
-    """
+    (clamped) position, so its owner has it in its own active mesh."""
     comm = pt.comm
     clamped = np.minimum(mesh.node_coords_int, ROOT_LEN - 1)
     ckeys = morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
     node_owner = owners_of_keys(pt.markers(), forest_key(0, ckeys))
 
-    # active independent dofs: touched by at least one owned element, or
-    # a parent of a touched hanging node
+    # active: touched by an owned element, or a parent of a touched hanging node
     indep = mesh.indep_nodes
     touched = np.zeros(mesh.n_nodes, dtype=bool)
     touched[mesh.element_nodes[owned]] = True
-    hang_touched = np.flatnonzero(touched & mesh.hanging)
-    if len(hang_touched):
-        touched[indep[mesh.Z[hang_touched].indices]] = True
+    touched[indep[mesh.Z[np.flatnonzero(touched & mesh.hanging)].indices]] = True
     active = touched[indep]
 
     dof_owner = node_owner[indep]
@@ -449,69 +404,36 @@ def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: slice) ->
         if np.any(buf < 0):
             raise AssertionError("owner returned unnumbered dof")
         global_dof[s] = buf
-    return dict(
-        node_owner=node_owner,
-        active=active,
-        global_dof=global_dof,
-        n_global=n_global,
-        send_plan=send_plan,
-        serve_plan=serve_plan,
-    )
+    return dict(node_owner=node_owner, active=active, global_dof=global_dof,
+                n_global=n_global, send_plan=send_plan, serve_plan=serve_plan)
 
 
 def extract_leaves(
     leaves, domain=(1.0, 1.0, 1.0), pt: "ParForest | None" = None, owned: slice | None = None
 ) -> tuple[Mesh, dict | None]:
-    """EXTRACTMESH of a sorted, fully balanced leaf set in one numbering
-    pass: a whole tree's leaves, or a rank's owned + ghost union.
-
-    One sort of the corner keys gives the nodes, ``element_nodes`` and
-    the smallest leaf at each node; the hanging candidates are looked up
-    in the same node keys.  Hanging-node classification is local: a node
-    is detected as hanging when the coarse element whose face/edge it
-    bisects is present in the set, which the ghost layer guarantees for
-    all nodes of owned elements.
-
-    With ``pt`` (this rank's forest segment) and ``owned`` (the slice of
-    ``leaves`` it owns) the pass goes on to the dof numbering of
-    :class:`~repro.mesh.parmesh.ParMesh` (collective), returned as the
-    dict of its fields; without, that is ``None``.
-    """
-    domain = np.asarray(domain, dtype=np.float64)
+    """EXTRACTMESH of a sorted, fully balanced leaf set (a tree's leaves
+    or a rank's owned + ghost union) in one pass over one sort of the
+    corner keys.  A node hangs when the coarse element whose edge or face
+    it bisects is in the set, which the ghost layer guarantees for every
+    node of an owned element.  With ``pt`` (this rank's forest segment)
+    and ``owned`` (its slice of ``leaves``) it also returns the dof
+    numbering of :class:`~repro.mesh.parmesh.ParMesh` (collective)."""
     with obs.phase("nodes"):
         coords, element_nodes, finest = _sort_corners(leaves)
         keys = node_keys(coords)
-
     with obs.phase("constraints"):
-        child, parent, weight = _first_discovery(
-            *_find_hanging_constraints(keys, leaves, element_nodes, finest)
-        )
-        hanging, Z, indep_nodes, dof_of_node = _constraint_operator(
-            len(keys), child, parent, weight
-        )
-
-    mesh = Mesh(
-        tree=None,
-        leaves=leaves,
-        domain=domain,
-        node_coords_int=coords,
-        element_nodes=element_nodes,
-        hanging=hanging,
-        Z=Z,
-        indep_nodes=indep_nodes,
-        dof_of_node=dof_of_node,
-    )
+        raw = _find_hanging_constraints(keys, leaves, element_nodes, finest)
+        hanging, Z, indep, dof_of_node = _constraint_operator(len(keys), *_first_discovery(*raw))
+    mesh = Mesh(None, leaves, np.asarray(domain, dtype=np.float64), coords, element_nodes,
+                hanging, Z, indep, dof_of_node)
     if pt is None:
         return mesh, None
     with obs.phase("numbering"):
-        return mesh, _number_dofs(mesh, keys[indep_nodes], pt, owned)
+        return mesh, _number_dofs(mesh, keys[indep], pt, owned)
 
 
 def extract_mesh(tree: _LinearOctree, domain=(1.0, 1.0, 1.0)) -> Mesh:
-    """Extract the hexahedral mesh and hanging-node constraints.
-
-    ``tree`` must be complete and fully (corner-)balanced.
-    """
+    """The mesh of a complete, fully (corner-)balanced tree."""
     mesh, _ = extract_leaves(tree.leaves, domain)
     mesh.tree = tree
     return mesh

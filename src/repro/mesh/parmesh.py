@@ -97,10 +97,9 @@ def collect_ghosts(pt: ParForest) -> tuple[OctantArray, np.ndarray]:
     if not len(blk):
         return OctantArray.empty(), np.zeros(0, dtype=np.int64)
     own = np.repeat(np.arange(comm.size, dtype=np.int64), [len(b) for b in got])
-    ghosts = OctantArray.unpack(blk)
-    # each ghost arrives exactly once (from its owner): sort by key only
-    order = np.argsort(ghosts.keys())
-    return ghosts[order], own[order]
+    # each ghost arrives once, from its owner in its curve order, and the
+    # owners' segments follow the curve: the blocks are sorted by key
+    return OctantArray.unpack(blk), own
 
 
 @dataclass
