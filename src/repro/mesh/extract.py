@@ -293,15 +293,19 @@ def _find_hanging_constraints(
     lo = keys[np.concatenate([ends[:, 0], quad[:, 0]])]
     hi = keys[np.concatenate([ends[:, 1], quad[:, 3]])]
     cand = lo + ((hi - lo) >> np.uint64(1))
-    order = np.argsort(cand)  # a binary search is faster on sorted queries
-    pos = np.empty(len(cand), dtype=np.int64)
-    pos[order] = np.minimum(np.searchsorted(keys, cand[order]), len(keys) - 1)
-    (pos_e, pos_f), (hit_e, hit_f) = (
-        np.split(a, [len(ends)]) for a in (pos, keys[pos] == cand)
+    # Search in key order (a binary search is faster on sorted queries)
+    # and keep it: every discovery of a node carries the same rows, so
+    # rows sorted by child per kind are what _first_discovery sorts to.
+    order = np.argsort(cand)
+    pos = np.minimum(np.searchsorted(keys, cand[order]), len(keys) - 1)
+    hit = keys[pos] == cand[order]
+    on_edge = hit & (order < len(ends))
+    on_face = hit & (order >= len(ends))
+    child = np.concatenate([np.repeat(pos[on_edge], 2), np.repeat(pos[on_face], 4)])
+    parent = np.concatenate(
+        [ends[order[on_edge]].ravel(), quad[order[on_face] - len(ends)].ravel()]
     )
-    child = np.concatenate([np.repeat(pos_e[hit_e], 2), np.repeat(pos_f[hit_f], 4)])
-    parent = np.concatenate([ends[hit_e].ravel(), quad[hit_f].ravel()])
-    weight = np.repeat([0.5, 0.25], [2 * hit_e.sum(), 4 * hit_f.sum()])
+    weight = np.repeat([0.5, 0.25], [2 * on_edge.sum(), 4 * on_face.sum()])
     if np.any(parent < 0):
         raise AssertionError("constraint parent is not a mesh node")
     return child, parent, weight
