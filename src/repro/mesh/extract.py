@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from .. import obs
 from ..forest.forest import forest_key
-from ..octree import MAX_LEVEL, ROOT_LEN, morton_encode
+from ..octree import MAX_LEVEL, ROOT_LEN, key_range_size, morton_encode
 from ..octree.linear import LinearOctree as _LinearOctree
 from ..octree.traverse import owners_of_keys
 from .opcache import operator_cache
@@ -184,8 +184,6 @@ class Mesh:
         leaves = self.leaves
         # containment check (meaningful for submeshes whose leaves do not
         # tile the whole domain)
-        from ..octree import key_range_size
-
         safe = np.clip(eidx, 0, len(leaves) - 1)
         start = leaves.keys()[safe]
         inside = (eidx >= 0) & (pkeys >= start) & (
@@ -293,14 +291,13 @@ def _find_hanging_constraints(
     lo = keys[np.concatenate([ends[:, 0], quad[:, 0]])]
     hi = keys[np.concatenate([ends[:, 1], quad[:, 3]])]
     cand = lo + ((hi - lo) >> np.uint64(1))
-    # Search in key order (a binary search is faster on sorted queries)
-    # and keep it: every discovery of a node carries the same rows, so
-    # rows sorted by child per kind are what _first_discovery sorts to.
+    # Search in key order (a binary search is faster on sorted queries) and
+    # keep it: every discovery of a node carries the same rows, so rows
+    # sorted by child per kind are what _first_discovery sorts them to.
     order = np.argsort(cand)
     pos = np.minimum(np.searchsorted(keys, cand[order]), len(keys) - 1)
     hit = keys[pos] == cand[order]
-    on_edge = hit & (order < len(ends))
-    on_face = hit & (order >= len(ends))
+    on_edge, on_face = hit & (order < len(ends)), hit & (order >= len(ends))
     child = np.concatenate([np.repeat(pos[on_edge], 2), np.repeat(pos[on_face], 4)])
     parent = np.concatenate(
         [ends[order[on_edge]].ravel(), quad[order[on_face] - len(ends)].ravel()]
@@ -375,8 +372,7 @@ def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: slice) ->
     A node belongs to the rank whose leaf-key interval contains its
     (clamped) position, so its owner has it in its own active mesh."""
     comm = pt.comm
-    clamped = np.minimum(mesh.node_coords_int, ROOT_LEN - 1)
-    ckeys = morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
+    ckeys = morton_encode(*np.minimum(mesh.node_coords_int, ROOT_LEN - 1).T)
     node_owner = owners_of_keys(pt.markers(), forest_key(0, ckeys))
 
     # active: touched by an owned element, or a parent of a touched hanging node
@@ -428,8 +424,9 @@ def extract_leaves(
     with obs.phase("constraints"):
         raw = _find_hanging_constraints(keys, leaves, element_nodes, finest)
         hanging, Z, indep, dof_of_node = _constraint_operator(len(keys), *_first_discovery(*raw))
-    mesh = Mesh(None, leaves, np.asarray(domain, dtype=np.float64), coords, element_nodes,
-                hanging, Z, indep, dof_of_node)
+    mesh = Mesh(tree=None, leaves=leaves, domain=np.asarray(domain, dtype=np.float64),
+                node_coords_int=coords, element_nodes=element_nodes, hanging=hanging,
+                Z=Z, indep_nodes=indep, dof_of_node=dof_of_node)
     if pt is None:
         return mesh, None
     with obs.phase("numbering"):
