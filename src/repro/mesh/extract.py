@@ -212,12 +212,12 @@ class Mesh:
 
 def _sort_corners(leaves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one sort: node coordinates, ``element_nodes`` and each node's
-    finest touching level (the last two read off the node's first corner).
+    finest touching level (coordinates and level from its first corner).
 
-    A corner key counts the grid lines in use per axis (monotone, so the
-    nodes come out in :func:`node_keys` order), so it packs with
-    ``MAX_LEVEL - level`` (finest first) and ``element * 8 + corner``
-    into one int64 down to the deepest forest level."""
+    A corner's key ranks it among the grid lines in use on each axis:
+    monotone, so nodes come out in :func:`node_keys` order, and small, so
+    ``MAX_LEVEL - level`` (finest first) and ``element * 8 + corner`` pack
+    below it into one int64 down to the deepest forest level."""
     h = leaves.lengths()
     ne = len(h)
     if ne and int(h.min()) < 2:
