@@ -2,6 +2,7 @@
 round trips, digest verification, manifest validation, atomicity of the
 write protocol, and retention."""
 
+import hashlib
 import json
 import os
 
@@ -181,3 +182,54 @@ class TestDirectoryLayout:
         apply_retention(tmp_path, keep=None)
         apply_retention(tmp_path, keep=0)
         assert len(list_checkpoints(tmp_path)) == 3
+
+
+def _file_digests(path):
+    out = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            out[name] = hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
+    return out
+
+
+class TestPinnedSnapshotBytes:
+    """Every byte of two deterministic snapshots, pinned: a change to the
+    writer or the format that moves one byte fails here.  Sanitizing is
+    switched off so the manifests carry no ``frozen`` token."""
+
+    def test_convection_snapshot(self, tmp_path, monkeypatch):
+        from repro.checkpoint import save_convection
+        from repro.rhea.convection import MantleConvection, RheaConfig
+
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        sim = MantleConvection(RheaConfig(
+            Ra=1e4, initial_level=2, min_level=1, max_level=4, adapt_every=4,
+            picard_iterations=2, stokes_tol=1e-6, stokes_maxiter=300,
+        ))
+        sim.run(1)
+        path = save_convection(sim, str(tmp_path))
+        assert os.path.basename(path) == step_dirname(4)
+        assert _file_digests(path) == {
+            "manifest.json": "555941c7fd5808572703320f5f195ef2",
+            "shard_0000.bin": "2c31657503419e7be7a2ced6e071539e",
+        }
+
+    def test_pipeline_snapshot_two_ranks(self, tmp_path, monkeypatch):
+        from repro.amr import ParAmrPipeline
+        from repro.checkpoint import save_pipeline
+        from repro.parallel import run_spmd
+
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+
+        def kernel(comm):
+            pipe = ParAmrPipeline(comm, coarse_level=2, max_level=4)
+            pipe.run_cycles(n_cycles=1, steps_per_cycle=2, target=250)
+            return save_pipeline(pipe, str(tmp_path))
+
+        path = run_spmd(2, kernel)[0]
+        assert os.path.basename(path) == step_dirname(2)
+        assert _file_digests(path) == {
+            "manifest.json": "33a9764fcbe89320ec3f0f53f85d0468",
+            "shard_0000.bin": "2f5ca1af156b2063bdf1bf9e5f1dec47",
+            "shard_0001.bin": "593048dd5a81aa87fd06facae2817b6e",
+        }

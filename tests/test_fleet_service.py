@@ -284,6 +284,31 @@ class TestPreemptResume:
         with pytest.raises(CheckpointError, match=r"Ra \(saved 30000\.0, given 1000\.0\)"):
             FleetService.resume(root)
 
+    def test_truncated_tmp_manifest_is_ignored(self, tmp_path):
+        """A crash mid-write leaves a torn ``fleet.json.tmp`` beside the
+        last good ``fleet.json``; resume reads the good one only, and the
+        next save replaces the torn file."""
+        root = str(tmp_path / "fleet")
+        svc = FleetService(root=root)
+        for s in self.fleet_specs(cycles=2):
+            svc.admit(s)
+        svc.arm_budget(1)
+        svc.run()
+        path = os.path.join(root, "fleet.json")
+        with open(path, "rb") as f:
+            good = f.read()
+        with open(path + ".tmp", "wb") as f:
+            f.write(good[: len(good) // 2])
+        svc = FleetService.resume(root)
+        assert set(svc.statuses().values()) == {"preempted"}
+        assert all(j.cycles_done == 1 for j in svc.jobs.values())
+        svc.arm_budget(1)
+        svc.run()
+        assert not os.path.exists(path + ".tmp")
+        with open(path) as f:
+            state = json.load(f)
+        assert {d["status"] for d in state["status"].values()} == {"done"}
+
     def test_preempt_requires_root(self):
         svc = FleetService()
         svc.admit(spec("a"))
