@@ -50,6 +50,7 @@ __all__ = [
     "unpack_arrays",
     "write_shard",
     "read_shard",
+    "write_json",
     "write_manifest",
     "read_manifest",
     "list_checkpoints",
@@ -317,16 +318,22 @@ def read_shard(directory: str, info: ShardInfo) -> dict:
 # -- manifest / directory management ----------------------------------------
 
 
-def write_manifest(directory: str, manifest: Manifest) -> str:
-    """Atomically write ``manifest.json`` into ``directory`` (tmp file +
-    ``os.replace``) and return its path."""
-    path = os.path.join(directory, MANIFEST_NAME)
+def write_json(path: str, obj) -> str:
+    """Atomically write ``obj`` as sorted-key JSON to ``path`` (tmp file
+    + ``os.replace``, so a crash leaves the old file or the new one,
+    never a torn one) and return ``path``."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json(), fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
     return path
+
+
+def write_manifest(directory: str, manifest: Manifest) -> str:
+    """Atomically write ``manifest.json`` into ``directory`` and return
+    its path."""
+    return write_json(os.path.join(directory, MANIFEST_NAME), manifest.to_json())
 
 
 def read_manifest(directory: str) -> Manifest:

@@ -85,6 +85,28 @@ def load_checkpoint(path: str) -> tuple[Manifest, dict]:
     return manifest, out
 
 
+_KINDS = {"par_amr": "ParAmrPipeline", "convection": "MantleConvection"}
+
+
+def _load(path: str, kind: str):
+    """Read a ``kind`` checkpoint: returns ``(path, manifest, arrays,
+    leaves)`` with the resolved path, the global arrays of
+    :func:`load_checkpoint` and its global Morton-ordered leaves."""
+    from ..octree import OctantArray
+
+    path = resolve_checkpoint(path)
+    manifest, g = load_checkpoint(path)
+    if manifest.meta.get("kind") != kind:
+        raise CheckpointError(
+            f"checkpoint at {path!r} holds {manifest.meta.get('kind')!r} state, "
+            f"not a {_KINDS[kind]} snapshot"
+        )
+    leaves = OctantArray(
+        g["octants/x"], g["octants/y"], g["octants/z"], g["octants/level"]
+    )
+    return path, manifest, g, leaves
+
+
 def restore_pipeline(comm, path: str, workload=None):
     """Rebuild a :class:`~repro.amr.pardriver.ParAmrPipeline` on the
     calling SPMD world (any rank count) from a ``par_amr`` checkpoint.
@@ -94,53 +116,40 @@ def restore_pipeline(comm, path: str, workload=None):
     the ``checkpoint/restore`` phase when a :mod:`repro.obs` timer is
     bound.
     """
-    with obs.phase("checkpoint/restore"):
-        return _restore_pipeline_impl(comm, path, workload)
-
-
-def _restore_pipeline_impl(comm, path: str, workload):
     from ..amr.pardriver import ParAmrPipeline
     from ..forest import ParForest, unit_cube
-    from ..octree import OctantArray, morton_encode
 
-    path = resolve_checkpoint(path)
-    manifest, g = load_checkpoint(path)
-    meta = manifest.meta
-    if meta.get("kind") != "par_amr":
-        raise CheckpointError(
-            f"checkpoint at {path!r} holds {meta.get('kind')!r} state, "
-            "not a ParAmrPipeline snapshot"
+    with obs.phase("checkpoint/restore"):
+        _, manifest, g, leaves = _load(path, "par_amr")
+        meta = manifest.meta
+        lo, hi = sfc_segment(len(leaves), comm.size, comm.rank)
+        tree_ids = np.zeros(hi - lo, dtype=np.int64)
+        pipe = ParAmrPipeline(
+            comm,
+            workload=workload,
+            min_level=meta["min_level"],
+            max_level=meta["max_level"],
+            connectivity=meta["connectivity"],
+            tree=ParForest(comm, unit_cube(), tree_ids, leaves[lo:hi]),
         )
-    x, y, z = g["octants/x"], g["octants/y"], g["octants/z"]
-    lv = g["octants/level"]
-    lo, hi = sfc_segment(len(lv), comm.size, comm.rank)
-    local = OctantArray(x[lo:hi], y[lo:hi], z[lo:hi], lv[lo:hi])
-    pipe = ParAmrPipeline(
-        comm,
-        workload=workload,
-        min_level=meta["min_level"],
-        max_level=meta["max_level"],
-        connectivity=meta["connectivity"],
-        tree=ParForest(comm, unit_cube(), np.zeros(hi - lo, dtype=np.int64), local),
-    )
 
-    # scatter element-corner temperature back onto this rank's union mesh
-    mesh = pipe.pm.mesh
-    gkeys = morton_encode(x, y, z)
-    idx = np.searchsorted(gkeys, mesh.leaves.keys())
-    if not np.array_equal(gkeys[idx], mesh.leaves.keys()):
-        raise CheckpointError(
-            "restored mesh elements not found in checkpoint octants — "
-            "shards are inconsistent with the manifest"
-        )
-    u_full = np.zeros(mesh.n_nodes)
-    u_full[mesh.element_nodes.ravel()] = g["field/T"][idx].ravel()
-    pipe.T = u_full[mesh.indep_nodes]
+        # scatter element-corner temperature back onto this rank's union mesh
+        mesh = pipe.pm.mesh
+        gkeys = leaves.keys()
+        idx = np.searchsorted(gkeys, mesh.leaves.keys())
+        if not np.array_equal(gkeys[idx], mesh.leaves.keys()):
+            raise CheckpointError(
+                "restored mesh elements not found in checkpoint octants — "
+                "shards are inconsistent with the manifest"
+            )
+        u_full = np.zeros(mesh.n_nodes)
+        u_full[mesh.element_nodes.ravel()] = g["field/T"][idx].ravel()
+        pipe.T = u_full[mesh.indep_nodes]
 
-    pipe.steps_taken = int(meta["steps_taken"])
-    pipe.cycles_done = int(meta.get("cycles_done", 0))
-    pipe.sim_time = float(manifest.time)
-    return pipe
+        pipe.steps_taken = int(meta["steps_taken"])
+        pipe.cycles_done = int(meta.get("cycles_done", 0))
+        pipe.sim_time = float(manifest.time)
+        return pipe
 
 
 def restore_convection(path: str, config=None, include_solver_state: bool = True):
@@ -161,62 +170,48 @@ def restore_convection(path: str, config=None, include_solver_state: bool = True
     Recorded under the ``checkpoint/restore`` phase when a
     :mod:`repro.obs` timer is bound.
     """
-    with obs.phase("checkpoint/restore"):
-        return _restore_convection_impl(path, config, include_solver_state)
-
-
-def _restore_convection_impl(path: str, config, include_solver_state: bool):
     from ..rhea.convection import MantleConvection, RheaConfig, StepDiagnostics
-    from ..octree import LinearOctree, OctantArray
+    from ..octree import LinearOctree
 
-    path = resolve_checkpoint(path)
-    manifest, g = load_checkpoint(path)
-    meta = manifest.meta
-    if meta.get("kind") != "convection":
-        raise CheckpointError(
-            f"checkpoint at {path!r} holds {meta.get('kind')!r} state, "
-            "not a MantleConvection snapshot"
-        )
-    cfg = config if config is not None else RheaConfig()
-    saved, given = meta.get("config", {}), recorded_config(cfg)
-    differ = [
-        f"{k} (saved {saved[k]!r}, given {given[k]!r})"
-        for k in sorted(given)
-        if k in saved and saved[k] != given[k]
-    ]
-    if differ:
-        raise CheckpointError(
-            f"checkpoint at {path!r} was written under another config: " + "; ".join(differ)
-        )
-    leaves = OctantArray(
-        g["octants/x"], g["octants/y"], g["octants/z"], g["octants/level"]
-    )
-    tree = LinearOctree(leaves, presorted=True)
-    sim = MantleConvection(config=cfg, tree=tree)
-    sim.T = g["field/T"].copy()
-    sim.u = g["field/u"].copy()
-    sim.eta_elem = g["state/eta_elem"].copy()
-    sim.edot_elem = g["state/edot_elem"].copy()
-    sim.sim_time = float(manifest.time)
-    sim.step_count = int(manifest.step)
-    history = meta.get("history", [])
-    for d in history:
-        # version-1 histories written before the per-cycle wall-time dict
-        # was retired still carry its ``timings`` key; phase times live in obs
-        d.pop("timings", None)
-    sim.history = [StepDiagnostics(**d) for d in history]
-
-    if include_solver_state:
-        if "solver/p_prev" in g:
-            sim._p_prev = g["solver/p_prev"].copy()
-            sim._p_prev_mesh = sim.mesh
-        if "solver/prec_eta_ref" in g:
-            from ..fem import StokesSystem
-
-            eta_ref = g["solver/prec_eta_ref"].copy()
-            # no body force: the system only warms the lagged
-            # preconditioner
-            sim._prec_lag.get(
-                StokesSystem(sim.mesh, eta_ref, bc=sim.config.velocity_bc)
+    with obs.phase("checkpoint/restore"):
+        path, manifest, g, leaves = _load(path, "convection")
+        meta = manifest.meta
+        cfg = config if config is not None else RheaConfig()
+        saved, given = meta.get("config", {}), recorded_config(cfg)
+        differ = [
+            f"{k} (saved {saved[k]!r}, given {given[k]!r})"
+            for k in sorted(given)
+            if k in saved and saved[k] != given[k]
+        ]
+        if differ:
+            raise CheckpointError(
+                f"checkpoint at {path!r} was written under another config: " + "; ".join(differ)
             )
-    return sim
+        sim = MantleConvection(config=cfg, tree=LinearOctree(leaves, presorted=True))
+        sim.T = g["field/T"].copy()
+        sim.u = g["field/u"].copy()
+        sim.eta_elem = g["state/eta_elem"].copy()
+        sim.edot_elem = g["state/edot_elem"].copy()
+        sim.sim_time = float(manifest.time)
+        sim.step_count = int(manifest.step)
+        history = meta.get("history", [])
+        for d in history:
+            # version-1 histories written before the per-cycle wall-time dict
+            # was retired still carry its ``timings`` key; phase times live in obs
+            d.pop("timings", None)
+        sim.history = [StepDiagnostics(**d) for d in history]
+
+        if include_solver_state:
+            if "solver/p_prev" in g:
+                sim._p_prev = g["solver/p_prev"].copy()
+                sim._p_prev_mesh = sim.mesh
+            if "solver/prec_eta_ref" in g:
+                from ..fem import StokesSystem
+
+                eta_ref = g["solver/prec_eta_ref"].copy()
+                # no body force: the system only warms the lagged
+                # preconditioner
+                sim._prec_lag.get(
+                    StokesSystem(sim.mesh, eta_ref, bc=sim.config.velocity_bc)
+                )
+        return sim

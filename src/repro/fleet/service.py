@@ -34,7 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..checkpoint import resolve_checkpoint, restore_convection, save_convection
-from ..checkpoint.format import CheckpointError, read_manifest
+from ..checkpoint.format import CheckpointError, read_manifest, write_json
 from ..mesh import extract_mesh
 from ..mesh.opcache import operator_cache
 from ..octree import LinearOctree
@@ -272,12 +272,7 @@ class FleetService:
             # the whole job lifetime, not just the post-resume cycles
             "accounting": self.accountant.json_report()["jobs"],
         }
-        path = os.path.join(self.root, FLEET_MANIFEST)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(state, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
+        write_json(os.path.join(self.root, FLEET_MANIFEST), state)
 
     @classmethod
     def resume(cls, root: str) -> "FleetService":
