@@ -33,7 +33,6 @@ from ..octree.partree import (
     balance_tree,
     coarsen_tree,
     new_tree,
-    partition_markers,
     partition_tree,
     refine_tree,
 )
@@ -159,7 +158,6 @@ class ParAmrPipeline:
     def adapt(self, target: int) -> ParAdaptStats:
         comm = self.comm
         old_pm = self.pm
-        old_markers = partition_markers(self.pt)
         u_full_old = old_pm.mesh.expand(self.T)
         eta = self.indicator()
         n_before = self.pt.global_count()
@@ -198,7 +196,7 @@ class ParAmrPipeline:
         with obs.phase("amr/interpolate"):
             # each point is evaluated on its own: ask only for the dofs
             indep_coords = pm.mesh.node_coords()[pm.mesh.indep_nodes]
-            self.T = par_interpolate_at(old_pm, old_markers, u_full_old, indep_coords)
+            self.T = par_interpolate_at(old_pm, old_pm.markers, u_full_old, indep_coords)
 
         with obs.phase("amr/transfer"):
             # TRANSFERFIELDS: per-element data rides the partition plan (here:

@@ -365,15 +365,18 @@ def _constraint_operator(n_nodes: int, child, parent, weight):
     return hanging, Z, indep_nodes, dof_of_node
 
 
-def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: slice) -> dict:
+def _number_dofs(
+    mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: slice, markers: np.ndarray
+) -> dict:
     """The :class:`~repro.mesh.parmesh.ParMesh` numbering fields; ``keys``
-    are the independent nodes' :func:`node_keys` (sorted, global).
+    are the independent nodes' :func:`node_keys` (sorted, global) and
+    ``markers`` the tree's partition markers.
 
     A node belongs to the rank whose leaf-key interval contains its
     (clamped) position, so its owner has it in its own active mesh."""
     comm = pt.comm
     ckeys = morton_encode(*np.minimum(mesh.node_coords_int, ROOT_LEN - 1).T)
-    node_owner = owners_of_keys(pt.markers(), forest_key(0, ckeys))
+    node_owner = owners_of_keys(markers, forest_key(0, ckeys))
 
     # active: touched by an owned element, or a parent of a touched hanging node
     indep = mesh.indep_nodes
@@ -409,15 +412,17 @@ def _number_dofs(mesh: Mesh, keys: np.ndarray, pt: "ParForest", owned: slice) ->
 
 
 def extract_leaves(
-    leaves, domain=(1.0, 1.0, 1.0), pt: "ParForest | None" = None, owned: slice | None = None
+    leaves, domain=(1.0, 1.0, 1.0), pt: "ParForest | None" = None,
+    owned: slice | None = None, markers: np.ndarray | None = None,
 ) -> tuple[Mesh, dict | None]:
     """EXTRACTMESH of a sorted, fully balanced leaf set (a tree's leaves
     or a rank's owned + ghost union) in one pass over one sort of the
     corner keys.  A node hangs when the coarse element whose edge or face
     it bisects is in the set, which the ghost layer guarantees for every
-    node of an owned element.  With ``pt`` (this rank's forest segment)
-    and ``owned`` (its slice of ``leaves``) it also returns the dof
-    numbering of :class:`~repro.mesh.parmesh.ParMesh` (collective)."""
+    node of an owned element.  With ``pt`` (this rank's forest segment),
+    ``owned`` (its slice of ``leaves``) and ``markers`` (the forest's
+    partition markers) it also returns the dof numbering of
+    :class:`~repro.mesh.parmesh.ParMesh` (collective)."""
     with obs.phase("nodes"):
         coords, element_nodes, finest = _sort_corners(leaves)
         keys = node_keys(coords)
@@ -430,7 +435,7 @@ def extract_leaves(
     if pt is None:
         return mesh, None
     with obs.phase("numbering"):
-        return mesh, _number_dofs(mesh, keys[indep], pt, owned)
+        return mesh, _number_dofs(mesh, keys[indep], pt, owned, markers)
 
 
 def extract_mesh(tree: _LinearOctree, domain=(1.0, 1.0, 1.0)) -> Mesh:

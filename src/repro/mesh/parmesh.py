@@ -74,7 +74,9 @@ def _check_corner_balanced(pt: ParForest) -> None:
         raise UnbalancedTreeError(violations)
 
 
-def collect_ghosts(pt: ParForest) -> tuple[OctantArray, np.ndarray]:
+def collect_ghosts(
+    pt: ParForest, markers: np.ndarray
+) -> tuple[OctantArray, np.ndarray]:
     """Gather the ghost layer: all remote leaves adjacent (26-connectivity)
     to local leaves, in one alltoall.
 
@@ -85,14 +87,15 @@ def collect_ghosts(pt: ParForest) -> tuple[OctantArray, np.ndarray]:
     (:func:`repro.forest.recursive.exchange_boundary_leaves`; Isaac et
     al., arXiv:1406.0089) on the one-tree ``ParForest``.  The mesh layer
     needs one-deep ghost layers, so the tree must be fully
-    (corner-)balanced (checked under ``REPRO_SANITIZE=1``).
+    (corner-)balanced (checked under ``REPRO_SANITIZE=1``).  ``markers``
+    are the tree's :meth:`~repro.forest.ParForest.markers`.
 
     Returns the exact adjacency layer ``(ghosts, ghost_owner_ranks)``,
     sorted by Morton key.
     """
     _check_corner_balanced(pt)
     comm = pt.comm
-    got = exchange_boundary_leaves(pt, pt.markers(), pt.octs.pack())
+    got = exchange_boundary_leaves(pt, markers, pt.octs.pack())
     blk = np.concatenate(got, axis=0)
     if not len(blk):
         return OctantArray.empty(), np.zeros(0, dtype=np.int64)
@@ -117,6 +120,7 @@ class ParMesh:
     active: np.ndarray          # independent dofs touched by owned elements
     global_dof: np.ndarray      # global id per independent dof (-1 inactive)
     n_global: int               # global number of independent dofs
+    markers: np.ndarray         # the tree's partition markers (one allgather)
     # exchange plan
     send_plan: list = field(default_factory=list)   # per rank: my dof idx to send
     serve_plan: list = field(default_factory=list)  # per rank: my dof idx they reference
@@ -179,9 +183,12 @@ class ParMesh:
 def extract_parmesh(pt: ParForest, domain=(1.0, 1.0, 1.0)) -> ParMesh:
     """Parallel EXTRACTMESH: ghost layer, then the one numbering pass of
     :func:`~repro.mesh.extract.extract_leaves` over the owned + ghost
-    union (node ownership, global numbering, shared-dof exchange plan)."""
+    union (node ownership, global numbering, shared-dof exchange plan).
+    The tree's partition markers are allgathered once, here, and kept on
+    the :class:`ParMesh`."""
     with obs.phase("ghost"):
-        ghosts, _ = collect_ghosts(pt)
+        markers = pt.markers()
+        ghosts, _ = collect_ghosts(pt, markers)
         # the owned leaves are one segment of the curve, so the sorted
         # ghosts fall before and after it: the merge of the two runs is
         # one split of the ghosts (none when this rank holds no leaves)
@@ -189,10 +196,11 @@ def extract_parmesh(pt: ParForest, domain=(1.0, 1.0, 1.0)) -> ParMesh:
         union = OctantArray.concat([ghosts[:cut], pt.octs, ghosts[cut:]])
         owned = slice(cut, cut + len(pt))
 
-    mesh, numbering = extract_leaves(union, domain, pt, owned)
+    mesh, numbering = extract_leaves(union, domain, pt, owned, markers)
     owned_elements = np.zeros(len(union), dtype=bool)
     owned_elements[owned] = True
-    return ParMesh(comm=pt.comm, mesh=mesh, owned_elements=owned_elements, **numbering)
+    return ParMesh(comm=pt.comm, mesh=mesh, owned_elements=owned_elements,
+                   markers=markers, **numbering)
 
 
 def par_interpolate_at(
