@@ -94,7 +94,8 @@ def extract_submesh(leaves, domain=(1.0, 1.0, 1.0)) -> Mesh:
 def extract_parmesh(pt, domain=(1.0, 1.0, 1.0)) -> dict:
     """This rank's distributed mesh as a dict of the ``ParMesh`` fields."""
     comm = pt.comm
-    ghosts, ghost_owner = collect_ghosts(pt)
+    markers = partition_markers(pt)
+    ghosts, ghost_owner = collect_ghosts(pt, markers)
     union = OctantArray.concat([pt.octs, ghosts])
     owner_elem = np.concatenate([np.full(len(pt), comm.rank, dtype=np.int64), ghost_owner])
     order = np.lexsort((union.level, union.keys()))
@@ -102,7 +103,6 @@ def extract_parmesh(pt, domain=(1.0, 1.0, 1.0)) -> dict:
     owned_mask = owner_elem[order] == comm.rank
     mesh = extract_submesh(union, domain)
 
-    markers = partition_markers(pt)
     clamped = np.minimum(mesh.node_coords_int, ROOT_LEN - 1)
     ckeys = morton_encode(clamped[:, 0], clamped[:, 1], clamped[:, 2])
     node_owner = owners_of_keys(markers, forest_key(0, ckeys))

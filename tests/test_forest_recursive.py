@@ -122,7 +122,7 @@ def bruteforce_ghosts(pt):
 
 
 def assert_ghosts_exact(pt):
-    ghosts, owners = collect_ghosts(pt)
+    ghosts, owners = collect_ghosts(pt, partition_markers(pt))
     keys, levels, want_owners = bruteforce_ghosts(pt)
     np.testing.assert_array_equal(ghosts.keys(), keys)  # no missing, no extra
     np.testing.assert_array_equal(ghosts.level, levels)
@@ -183,7 +183,7 @@ class TestRecursiveGhost:
                 if comm.rank == 0:
                     mask[idx] = True
                 pt = refine_tree(pt, mask)
-            collect_ghosts(pt)
+            collect_ghosts(pt, partition_markers(pt))
 
         with pytest.raises(UnbalancedTreeError) as exc:
             run_spmd(2, kernel)
@@ -194,7 +194,7 @@ class TestRecursiveGhost:
 
         def kernel(comm):
             pt = balance_tree(new_tree(comm, 2), "corner")[0]
-            collect_ghosts(pt)
+            collect_ghosts(pt, partition_markers(pt))
             return comm.stats
 
         plain = run_spmd(2, kernel)

@@ -51,7 +51,7 @@ class TestCollectGhosts:
     def test_single_rank_no_ghosts(self):
         def kernel(comm):
             pt = build_ptree(comm, 2)
-            ghosts, owners = collect_ghosts(pt)
+            ghosts, owners = collect_ghosts(pt, partition_markers(pt))
             return len(ghosts)
 
         assert run_spmd(1, kernel) == [0]
@@ -60,9 +60,9 @@ class TestCollectGhosts:
     def test_ghosts_are_adjacent_remote_leaves(self, p):
         def kernel(comm):
             pt = build_ptree(comm, 2)
-            ghosts, owners = collect_ghosts(pt)
-            # every ghost is remote
             markers = partition_markers(pt)
+            ghosts, owners = collect_ghosts(pt, markers)
+            # every ghost is remote
             from repro.octree import owners_of_keys
 
             gowner = owners_of_keys(markers, forest_key(0, ghosts.keys()))
@@ -82,7 +82,7 @@ class TestCollectGhosts:
 
         def kernel(comm):
             pt = build_ptree(comm, 2, refine_seed=7)
-            ghosts, _ = collect_ghosts(pt)
+            ghosts, _ = collect_ghosts(pt, partition_markers(pt))
             g = gather_tree(pt)
             # brute force adjacency on the gathered tree
             local_keys = set(pt.octs.keys().tolist())
