@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mangll.tensor import kron3
+
 __all__ = ["ElementOps", "M1_UNIT", "K1_UNIT", "G1"]
 
 #: Unit-interval 1-D mass matrix (multiply by h).
@@ -37,11 +39,6 @@ M1_UNIT = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.float64) / 6.0
 K1_UNIT = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.float64)
 #: 1-D convection matrix integral N_i N_j' (h-independent).
 G1 = np.array([[-0.5, 0.5], [-0.5, 0.5]], dtype=np.float64)
-
-
-def _kron3(az: np.ndarray, ay: np.ndarray, ax: np.ndarray) -> np.ndarray:
-    """kron(Az, Ay, Ax) -> 8x8, vertex index i = ix + 2*iy + 4*iz."""
-    return np.kron(az, np.kron(ay, ax))
 
 
 class ElementOps:
@@ -54,22 +51,22 @@ class ElementOps:
     def __init__(self):
         M, K, G = M1_UNIT, K1_UNIT, G1
         # mass:     hx*hy*hz * MMM
-        self.MMM = _kron3(M, M, M)
+        self.MMM = kron3(M, M, M)
         # stiffness parts: Sxx scales by hy*hz/hx, etc.
-        self.Sxx = _kron3(M, M, K)
-        self.Syy = _kron3(M, K, M)
-        self.Szz = _kron3(K, M, M)
+        self.Sxx = kron3(M, M, K)
+        self.Syy = kron3(M, K, M)
+        self.Szz = kron3(K, M, M)
         # convection parts: Dx scales by hy*hz (G is h-free), etc.
-        self.Dx = _kron3(M, M, G)
-        self.Dy = _kron3(M, G, M)
-        self.Dz = _kron3(G, M, M)
+        self.Dx = kron3(M, M, G)
+        self.Dy = kron3(M, G, M)
+        self.Dz = kron3(G, M, M)
         # mixed derivative parts for SUPG: integral dN_i/da dN_j/db.
         # d/dx couples G^T in x; e.g. Sxy = integral dx(N_i) dy(N_j)
         # = (int Nx_i' Nx_j dx)(int Ny_i Ny_j' dy)(int Nz_i Nz_j dz)
         #   -> scale hz
-        self.Sxy = _kron3(M, G, G.T)
-        self.Sxz = _kron3(G, M, G.T)
-        self.Syz = _kron3(G, G.T, M)
+        self.Sxy = kron3(M, G, G.T)
+        self.Sxz = kron3(G, M, G.T)
+        self.Syz = kron3(G, G.T, M)
         #: (9, 64) rows Sxx, Syy, Szz, Dx, Dy, Dz and the symmetrized mixed parts
         mixed = [S + S.T for S in (self.Sxy, self.Sxz, self.Syz)]
         self.supg_basis = np.stack(

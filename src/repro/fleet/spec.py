@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ..rhea import ArrheniusViscosity, RheaConfig, YieldingViscosity
-from ..rhea.convection import conductive_profile
+from ..rhea.convection import _finite, conductive_profile
 
 __all__ = ["ScenarioSpec", "SpecError", "VISCOSITY_LAWS"]
 
@@ -40,13 +40,6 @@ class SpecError(ValueError):
         self.errors = list(errors)
         detail = "; ".join(f"{f}: {m}" for f, m in self.errors)
         super().__init__(f"invalid ScenarioSpec {job_id!r}: {detail}")
-
-
-def _is_finite(v) -> bool:
-    try:
-        return bool(np.isfinite(float(v)))
-    except (TypeError, ValueError):
-        return False
 
 
 @dataclass(frozen=True)
@@ -103,13 +96,13 @@ class ScenarioSpec:
         if self.viscosity_law not in VISCOSITY_LAWS:
             opts = " or ".join(repr(v) for v in VISCOSITY_LAWS)
             errors.append(("viscosity_law", f"must be {opts}, got {self.viscosity_law!r}"))
-        if not _is_finite(self.Ra) or float(self.Ra) < 0:
+        if not _finite(self.Ra) or float(self.Ra) < 0:
             errors.append(("Ra", f"must be a finite number >= 0, got {self.Ra!r}"))
-        if not _is_finite(self.eta0) or float(self.eta0) <= 0:
+        if not _finite(self.eta0) or float(self.eta0) <= 0:
             errors.append(("eta0", f"must be > 0, got {self.eta0!r}"))
         if self.viscosity_law == "yielding":
             if self.yield_stress is not None and (
-                not _is_finite(self.yield_stress) or float(self.yield_stress) <= 0
+                not _finite(self.yield_stress) or float(self.yield_stress) <= 0
             ):
                 errors.append(("yield_stress", f"must be > 0, got {self.yield_stress!r}"))
         elif self.yield_stress is not None:
@@ -124,7 +117,7 @@ class ScenarioSpec:
         if not isinstance(self.priority, (int, np.integer)):
             errors.append(("priority", f"must be an integer, got {self.priority!r}"))
         if self.deadline is not None and (
-            not _is_finite(self.deadline) or float(self.deadline) <= 0
+            not _finite(self.deadline) or float(self.deadline) <= 0
         ):
             errors.append(("deadline", f"must be > 0 (or None), got {self.deadline!r}"))
         if errors:
