@@ -47,8 +47,9 @@ from .format import (
 __all__ = ["save_pipeline", "save_convection", "pipeline_shard_arrays", "convection_arrays"]
 
 
-def _write_checkpoint(comm, root: str, step: int, time: float, arrays: dict,
-                      meta: dict, keep: int | None) -> str:
+def _write_checkpoint(
+    comm, root: str, step: int, time: float, arrays: dict, meta: dict, keep: int | None
+) -> str:
     """Collective write of one checkpoint; returns the final path.
 
     Rank 0 stages ``<root>/step_<step>.tmp``, every rank writes its
