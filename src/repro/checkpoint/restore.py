@@ -25,6 +25,7 @@ import os
 import numpy as np
 
 from .. import obs
+from ..octree import LinearOctree, OctantArray
 from ..octree.partree import sfc_segment
 from ..parallel.sanitize import freeze, sanitize_enabled
 from .format import (
@@ -92,8 +93,6 @@ def _load(path: str, kind: str):
     """Read a ``kind`` checkpoint: returns ``(path, manifest, arrays,
     leaves)`` with the resolved path, the global arrays of
     :func:`load_checkpoint` and its global Morton-ordered leaves."""
-    from ..octree import OctantArray
-
     path = resolve_checkpoint(path)
     manifest, g = load_checkpoint(path)
     if manifest.meta.get("kind") != kind:
@@ -171,7 +170,6 @@ def restore_convection(path: str, config=None, include_solver_state: bool = True
     :mod:`repro.obs` timer is bound.
     """
     from ..rhea.convection import MantleConvection, RheaConfig, StepDiagnostics
-    from ..octree import LinearOctree
 
     with obs.phase("checkpoint/restore"):
         path, manifest, g, leaves = _load(path, "convection")

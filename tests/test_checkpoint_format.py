@@ -1,6 +1,6 @@
 """Tests for the rank-sharded checkpoint container format: pack/unpack
 round trips, digest verification, manifest validation, atomicity of the
-write protocol, and retention."""
+write protocol, retention, and the pinned bytes of two whole snapshots."""
 
 import hashlib
 import json
@@ -9,12 +9,15 @@ import os
 import numpy as np
 import pytest
 
+from repro.amr import ParAmrPipeline
 from repro.checkpoint import (
     FORMAT_VERSION,
     ManifestError,
     ShardIntegrityError,
     latest_checkpoint,
     list_checkpoints,
+    save_convection,
+    save_pipeline,
 )
 from repro.checkpoint.format import (
     FORMAT_NAME,
@@ -30,6 +33,8 @@ from repro.checkpoint.format import (
     write_manifest,
     write_shard,
 )
+from repro.parallel import run_spmd
+from repro.rhea.convection import MantleConvection, RheaConfig
 
 
 def _sample_arrays(seed=0):
@@ -198,9 +203,6 @@ class TestPinnedSnapshotBytes:
     switched off so the manifests carry no ``frozen`` token."""
 
     def test_convection_snapshot(self, tmp_path, monkeypatch):
-        from repro.checkpoint import save_convection
-        from repro.rhea.convection import MantleConvection, RheaConfig
-
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         sim = MantleConvection(RheaConfig(
             Ra=1e4, initial_level=2, min_level=1, max_level=4, adapt_every=4,
@@ -215,10 +217,6 @@ class TestPinnedSnapshotBytes:
         }
 
     def test_pipeline_snapshot_two_ranks(self, tmp_path, monkeypatch):
-        from repro.amr import ParAmrPipeline
-        from repro.checkpoint import save_pipeline
-        from repro.parallel import run_spmd
-
         monkeypatch.setenv("REPRO_SANITIZE", "0")
 
         def kernel(comm):
