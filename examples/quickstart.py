@@ -2,7 +2,7 @@
 
 Covers the core workflow in ~60 lines:
 
-1. build and refine a linear octree, enforce 2:1 balance;
+1. build and refine an octree (the one-tree forest), enforce 2:1 balance;
 2. extract a hexahedral mesh with hanging-node constraints;
 3. assemble and solve a variable-coefficient Poisson problem;
 4. run one AMR cycle driven by an error indicator.
@@ -16,17 +16,16 @@ import scipy.sparse.linalg as spla
 from repro.amr import adapt_mesh
 from repro.fem import apply_dirichlet, assemble_scalar
 from repro.fem.hexops import ElementOps
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 from repro.rhea import gradient_indicator
 
 # 1. octree: start uniform, refine toward the domain center, balance 2:1
-tree = LinearOctree.uniform(3)
-centers = tree.leaves.centers()
+tree = Forest.uniform(unit_cube(), 3)
+centers = tree.octs.centers()
 mask = np.linalg.norm(centers - 0.5, axis=1) < 0.3
-tree = tree.refine(mask)
-tree = balance(tree, "corner").tree
-print(f"octree: {len(tree)} leaves, levels {tree.levels.min()}..{tree.levels.max()}")
+tree, _ = tree.refine(mask).balance("corner")
+print(f"octree: {len(tree)} leaves, levels {tree.octs.level.min()}..{tree.octs.level.max()}")
 
 # 2. mesh extraction (hanging nodes become algebraic constraints)
 mesh = extract_mesh(tree)

@@ -9,8 +9,9 @@ Figure 5 plots.  Under the ``amr`` phase of
 :meth:`repro.rhea.MantleConvection.run` the stages land at the paths the
 SPMD pipeline records (``amr/mark``, ..., ``amr/interpolate``).
 
-The serial driver operates on a :class:`~repro.mesh.Mesh` and is what the
-RHEA application uses; the SPMD pipeline over distributed trees lives in
+The serial driver operates on a :class:`~repro.mesh.Mesh`, whose tree is
+the one-tree :class:`~repro.forest.forest.Forest`, and is what the RHEA
+application uses; the SPMD pipeline over distributed trees lives in
 :mod:`repro.amr.pardriver`.
 """
 
@@ -23,7 +24,6 @@ import numpy as np
 from .. import obs
 from ..mesh import Mesh, extract_mesh
 from ..mesh.fields import interpolate_fields
-from ..octree import balance
 from .mark import MarkResult, mark_elements, relocate_refine_marks
 
 __all__ = ["AdaptReport", "adapt_mesh"]
@@ -75,7 +75,7 @@ def adapt_mesh(
 
     with obs.phase("mark"):
         mark = mark_elements(
-            eta, tree.levels, target, min_level=min_level, max_level=max_level,
+            eta, tree.octs.level, target, min_level=min_level, max_level=max_level,
             **mark_kwargs,
         )
 
@@ -85,14 +85,14 @@ def adapt_mesh(
         tree_c, nfam = tree.coarsen(coarsen_mask)
 
     with obs.phase("refine"):
-        refine_mask_c = relocate_refine_marks(tree.leaves, mark.refine, tree_c.leaves)
+        refine_mask_c = relocate_refine_marks(tree.octs, mark.refine, tree_c.octs)
         tree_r = tree_c.refine(refine_mask_c)
 
     with obs.phase("balance"):
-        bres = balance(tree_r, connectivity)
+        tree_b, n_added = tree_r.balance(connectivity)
 
     with obs.phase("extract_mesh"):
-        new_mesh = extract_mesh(bres.tree, mesh.domain)
+        new_mesh = extract_mesh(tree_b, mesh.domain)
 
     with obs.phase("interpolate"):
         new_fields = {}
@@ -104,10 +104,10 @@ def adapt_mesh(
     n_coarsened = 8 * nfam
     report = AdaptReport(
         n_before=len(tree),
-        n_after=len(bres.tree),
+        n_after=len(tree_b),
         n_refined=n_refined,
         n_coarsened=n_coarsened,
-        n_balance_added=bres.leaves_added,
+        n_balance_added=n_added,
         n_unchanged=len(tree) - n_refined - n_coarsened,
         mark=mark,
     )

@@ -196,7 +196,7 @@ class ParAmrPipeline:
         with obs.phase("amr/interpolate"):
             # each point is evaluated on its own: ask only for the dofs
             indep_coords = pm.mesh.node_coords()[pm.mesh.indep_nodes]
-            self.T = par_interpolate_at(old_pm, old_pm.markers, u_full_old, indep_coords)
+            self.T = par_interpolate_at(old_pm, u_full_old, indep_coords)
 
         with obs.phase("amr/transfer"):
             # TRANSFERFIELDS: per-element data rides the partition plan (here:

@@ -25,7 +25,8 @@ import os
 import numpy as np
 
 from .. import obs
-from ..octree import LinearOctree, OctantArray
+from ..forest import Forest, ParForest, unit_cube
+from ..octree import OctantArray
 from ..octree.partree import sfc_segment
 from ..parallel.sanitize import freeze, sanitize_enabled
 from .format import (
@@ -116,7 +117,6 @@ def restore_pipeline(comm, path: str, workload=None):
     bound.
     """
     from ..amr.pardriver import ParAmrPipeline
-    from ..forest import ParForest, unit_cube
 
     with obs.phase("checkpoint/restore"):
         _, manifest, g, leaves = _load(path, "par_amr")
@@ -185,7 +185,8 @@ def restore_convection(path: str, config=None, include_solver_state: bool = True
             raise CheckpointError(
                 f"checkpoint at {path!r} was written under another config: " + "; ".join(differ)
             )
-        sim = MantleConvection(config=cfg, tree=LinearOctree(leaves, presorted=True))
+        tree = Forest(unit_cube(), np.zeros(len(leaves), dtype=np.int64), leaves)
+        sim = MantleConvection(config=cfg, tree=tree)
         sim.T = g["field/T"].copy()
         sim.u = g["field/u"].copy()
         sim.eta_elem = g["state/eta_elem"].copy()

@@ -35,9 +35,9 @@ import numpy as np
 from .. import obs
 from ..checkpoint import resolve_checkpoint, restore_convection, save_convection
 from ..checkpoint.format import CheckpointError, read_manifest, write_json
+from ..forest import Forest, unit_cube
 from ..mesh import extract_mesh
 from ..mesh.opcache import operator_cache
-from ..octree import LinearOctree
 from ..rhea.convection import MantleConvection
 from .accounting import FleetAccountant, JobLedger
 from .batch import BatchGroup
@@ -88,8 +88,7 @@ class MeshRegistry:
         if key in self._uniform:
             self.shared += 1
             return self._uniform[key]
-        tree = LinearOctree.uniform(cfg.initial_level)
-        mesh = extract_mesh(tree, cfg.domain)
+        mesh = extract_mesh(Forest.uniform(unit_cube(), cfg.initial_level), cfg.domain)
         self._uniform[key] = mesh
         self._by_key[self.structure_key(mesh)] = mesh
         self.built += 1

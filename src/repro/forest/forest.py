@@ -8,9 +8,9 @@ segment of that curve and owns every algorithm that needs no
 communication (refine, coarsen, the 2:1 ripple, the checks); the serial
 forest is the segment that covers the whole curve, and
 :class:`~repro.forest.parforest.ParForest` is a segment plus a
-communicator.  The octree is the one-tree forest: serially
-(:func:`repro.octree.balance._one_tree`) and distributed, where the
-one-tree ``ParForest`` is the distributed octree of
+communicator.  The octree is the one-tree forest on ``unit_cube()``:
+serially (``Mesh.tree``, what the serial driver adapts) and distributed,
+where the one-tree ``ParForest`` is the distributed octree of
 :mod:`repro.octree.partree`.
 
 Composite key encoding: leaves are restricted to level <= 19 so every

@@ -34,12 +34,11 @@ import scipy.sparse as sp
 from .. import obs
 from ..forest.forest import forest_key
 from ..octree import MAX_LEVEL, ROOT_LEN, key_range_size, morton_encode
-from ..octree.linear import LinearOctree as _LinearOctree
 from ..octree.traverse import owners_of_keys
 from .opcache import operator_cache
 
 if TYPE_CHECKING:
-    from ..forest import ParForest
+    from ..forest import Forest, ParForest
 
 __all__ = ["Mesh", "extract_leaves", "extract_mesh", "node_keys"]
 
@@ -90,9 +89,10 @@ class Mesh:
     Attributes
     ----------
     tree:
-        The (balanced, complete) octree the mesh was extracted from, or
-        ``None`` for distributed submeshes (local + ghost octants), where
-        ``leaves`` holds the octant set directly.
+        The (balanced, complete) octree the mesh was extracted from — the
+        one-tree :class:`~repro.forest.forest.Forest` on ``unit_cube()``
+        — or ``None`` for distributed submeshes (local + ghost octants),
+        where ``leaves`` holds the octant set directly.
     domain:
         Physical size ``(Lx, Ly, Lz)`` of the root box; the unit cube is
         scaled anisotropically (this is how RHEA's 8 x 4 x 1 Cartesian
@@ -111,8 +111,8 @@ class Mesh:
         Node index of each independent dof (column order of ``Z``).
     """
 
-    tree: _LinearOctree | None
-    leaves: "object"  # OctantArray of the mesh elements (= tree.leaves when tree given)
+    tree: Forest | None
+    leaves: "object"  # OctantArray of the mesh elements (= tree.octs when tree given)
     domain: np.ndarray
     node_coords_int: np.ndarray
     element_nodes: np.ndarray
@@ -171,27 +171,40 @@ class Mesh:
         interpolated).  Works on (n_indep,) or (n_indep, k) arrays."""
         return self.Z @ u_indep
 
+    def point_keys(self, points: np.ndarray) -> np.ndarray:
+        """Morton keys of ``(m, 3)`` points clamped into the root box:
+        physical points (floating dtype, scaled by ``domain``) or lattice
+        points (integer dtype, in finest-cell units).  A point on a +max
+        face of the domain, or beyond it, lands in the last cell there."""
+        p = np.asarray(points)
+        if not np.issubdtype(p.dtype, np.integer):
+            p = p / self.domain * ROOT_LEN
+        pint = np.clip(p, 0, ROOT_LEN - 1).astype(np.int64)
+        return morton_encode(pint[:, 0], pint[:, 1], pint[:, 2])
+
+    def containing_leaf(self, points: np.ndarray) -> np.ndarray:
+        """Index into ``leaves`` of the leaf holding each of the points
+        (:meth:`point_keys` for the two kinds).  Raises ``ValueError`` for
+        a point outside the leaf set (a submesh need not tile the box)."""
+        pkeys = self.point_keys(points)
+        keys = self.leaves.keys()
+        eidx = np.searchsorted(keys, pkeys, side="right") - 1
+        safe = np.maximum(eidx, 0)
+        inside = (eidx >= 0) & (pkeys < keys[safe] + key_range_size(self.leaves.level[safe]))
+        if not np.all(inside):
+            raise ValueError("point outside the mesh's leaves")
+        return eidx
+
     def interpolate_at(self, u_full: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the trilinear FE field at physical points.
 
         ``points`` is (m, 3) inside the domain; returns (m,) values.
         Used by INTERPOLATEFIELDS (field transfer between meshes).
         """
-        pts = np.asarray(points, dtype=np.float64) / self.domain  # unit cube
-        pint = np.clip((pts * ROOT_LEN).astype(np.int64), 0, ROOT_LEN - 1)
-        pkeys = morton_encode(pint[:, 0], pint[:, 1], pint[:, 2])
-        eidx = np.searchsorted(self.leaves.keys(), pkeys, side="right") - 1
+        pts = np.asarray(points, dtype=np.float64)
+        eidx = self.containing_leaf(pts)
+        pts = pts / self.domain  # unit cube
         leaves = self.leaves
-        # containment check (meaningful for submeshes whose leaves do not
-        # tile the whole domain)
-        safe = np.clip(eidx, 0, len(leaves) - 1)
-        start = leaves.keys()[safe]
-        inside = (eidx >= 0) & (pkeys >= start) & (
-            pkeys < start + key_range_size(leaves.level[safe])
-        )
-        if not np.all(inside):
-            raise ValueError("interpolation point outside the local mesh")
-        eidx = safe
         h = leaves.lengths().astype(np.float64)
         # local coordinates in [0, 1]^3 within the containing element
         anchors = np.stack([leaves.x, leaves.y, leaves.z], axis=1).astype(np.float64)
@@ -375,8 +388,7 @@ def _number_dofs(
     A node belongs to the rank whose leaf-key interval contains its
     (clamped) position, so its owner has it in its own active mesh."""
     comm = pt.comm
-    ckeys = morton_encode(*np.minimum(mesh.node_coords_int, ROOT_LEN - 1).T)
-    node_owner = owners_of_keys(markers, forest_key(0, ckeys))
+    node_owner = owners_of_keys(markers, forest_key(0, mesh.point_keys(mesh.node_coords_int)))
 
     # active: touched by an owned element, or a parent of a touched hanging node
     indep = mesh.indep_nodes
@@ -438,8 +450,10 @@ def extract_leaves(
         return mesh, _number_dofs(mesh, keys[indep], pt, owned, markers)
 
 
-def extract_mesh(tree: _LinearOctree, domain=(1.0, 1.0, 1.0)) -> Mesh:
-    """The mesh of a complete, fully (corner-)balanced tree."""
-    mesh, _ = extract_leaves(tree.leaves, domain)
+def extract_mesh(tree: Forest, domain=(1.0, 1.0, 1.0)) -> Mesh:
+    """The mesh of a complete, fully (corner-)balanced one-tree forest."""
+    if tree.n_trees != 1:
+        raise ValueError(f"extract_mesh takes a one-tree forest, not {tree.n_trees} trees")
+    mesh, _ = extract_leaves(tree.octs, domain)
     mesh.tree = tree
     return mesh

@@ -28,7 +28,7 @@ import numpy as np
 from .. import obs
 from ..forest import ParForest, forest_key
 from ..forest.recursive import exchange_boundary_leaves
-from ..octree import OctantArray, ROOT_LEN, morton_encode
+from ..octree import OctantArray, directions_for
 from ..octree.partree import owners_of_keys
 from ..parallel import SimComm
 from ..parallel.sanitize import sanitize_enabled
@@ -64,11 +64,8 @@ def _check_corner_balanced(pt: ParForest) -> None:
     sanitized run counts the traffic an unsanitized one does."""
     if not sanitize_enabled():
         return
-    from ..octree.balance import balance_violations
-    from ..octree.partree import gather_tree
-
     tally = pt.comm.stats.snapshot()
-    violations = balance_violations(gather_tree(pt), "corner")
+    violations = int(pt.gather()._violations(directions_for("corner")).sum())
     pt.comm.stats = tally
     if violations:
         raise UnbalancedTreeError(violations)
@@ -203,23 +200,17 @@ def extract_parmesh(pt: ParForest, domain=(1.0, 1.0, 1.0)) -> ParMesh:
                    markers=markers, **numbering)
 
 
-def par_interpolate_at(
-    pm: ParMesh, markers: np.ndarray, u_full: np.ndarray, points: np.ndarray
-) -> np.ndarray:
+def par_interpolate_at(pm: ParMesh, u_full: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Parallel INTERPOLATEFIELDS: evaluate this rank's FE field queries at
     arbitrary physical points, routing each query to the rank whose leaf
-    range contains it (``markers``: the *source* tree's
-    :func:`~repro.octree.partree.partition_markers`).
+    range contains it (the markers ``pm`` was extracted with).
 
     ``u_full`` is the full node vector of ``pm.mesh``.  Returns one value
     per query point.
     """
     comm = pm.comm
     pts = np.asarray(points, dtype=np.float64)
-    unit = np.clip(pts / pm.mesh.domain, 0.0, 1.0 - 1e-15)
-    pint = (unit * ROOT_LEN).astype(np.int64)
-    pkeys = morton_encode(pint[:, 0], pint[:, 1], pint[:, 2])
-    owners = owners_of_keys(markers, forest_key(0, pkeys))
+    owners = owners_of_keys(pm.markers, forest_key(0, pm.mesh.point_keys(pts)))
     vals = np.empty(len(pts))
     send = []
     send_idx = []

@@ -1,18 +1,16 @@
-"""Octree substrate: Morton-ordered linear octrees, serial and distributed.
+"""Octree substrate: Morton keys, octant arrays and the curve helpers.
 
 This package implements the data structures of Section IV of the paper:
 Morton space-filling-curve keys (:mod:`.morton`), vectorized octant arrays
-(:mod:`.octants`), complete linear octrees with refinement/coarsening
-(:mod:`.linear`), and the distributed tree with the parallel ALPS
-functions NEWTREE / REFINETREE / COARSENTREE / BALANCETREE /
-PARTITIONTREE (:mod:`.partree`).  The distributed tree is the one-tree
-:class:`~repro.forest.parforest.ParForest`, and serial coarsening and
-2:1 balance (:mod:`.linear`, :mod:`.balance`) are the one-tree case of
-:mod:`repro.forest`'s, so octree levels are capped at its 19.
+(:mod:`.octants`), and the parallel ALPS functions NEWTREE / REFINETREE /
+COARSENTREE / BALANCETREE / PARTITIONTREE with the curve helpers they
+share with the forest (:mod:`.partree`).  The octree is the one-tree
+forest on ``unit_cube()``: serially a :class:`~repro.forest.forest.Forest`
+(refine, coarsen, 2:1 balance and the checks are its methods) and
+distributed a :class:`~repro.forest.parforest.ParForest`, so octree
+levels are capped at the forest's 19.
 """
 
-from .balance import BalanceResult, balance, balance_violations, is_balanced
-from .linear import LinearOctree, complete_from
 from .morton import (
     MAX_LEVEL,
     ROOT_LEN,
@@ -28,6 +26,7 @@ from .partree import (
     balance_tree,
     coarsen_tree,
     gather_tree,
+    is_balanced,
     new_tree,
     owners_of_keys,
     partition_markers,
@@ -46,12 +45,7 @@ __all__ = [
     "OctantArray",
     "DIRECTIONS",
     "directions_for",
-    "LinearOctree",
-    "complete_from",
-    "balance",
     "is_balanced",
-    "balance_violations",
-    "BalanceResult",
     "TransferPlan",
     "new_tree",
     "refine_tree",

@@ -41,11 +41,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..parallel import SimComm
-from .linear import LinearOctree
 from .traverse import owners_of_keys
 
 if TYPE_CHECKING:  # the forest imports the curve helpers below
-    from ..forest import ParForest
+    from ..forest import Forest, ParForest
 
 __all__ = [
     "new_tree",
@@ -60,6 +59,7 @@ __all__ = [
     "curve_cut",
     "repartition",
     "gather_tree",
+    "is_balanced",
     "TransferPlan",
 ]
 
@@ -158,8 +158,8 @@ def balance_tree(
     the insulation-layer neighbors until a convergence allreduce reports
     a global fixed point (Isaac et al., arXiv:1406.0089).  The 2:1
     closure of a complete octree is unique, so the result is the serial
-    :func:`~repro.octree.balance.balance` of the gathered tree for every
-    rank count.
+    :meth:`~repro.forest.forest.Forest.balance` of the gathered tree for
+    every rank count.
 
     Returns ``(tree, leaves_added, exchanges)``: the third value is the
     number of boundary exchanges (the insulation-propagation depth,
@@ -228,6 +228,13 @@ def partition_tree(
     return pt.partition(weights)
 
 
-def gather_tree(pt: ParForest) -> LinearOctree:
+def gather_tree(pt: ParForest) -> Forest:
     """Collect the full tree on every rank (verification/testing only)."""
-    return LinearOctree(pt.gather().octs, presorted=True)
+    return pt.gather()
+
+
+def is_balanced(tree: Forest, connectivity: str = "edge") -> bool:
+    """:meth:`Forest.is_balanced <repro.forest.forest.Forest.is_balanced>`
+    of a gathered or serial tree, under the name the benchmark's checks
+    call."""
+    return tree.is_balanced(connectivity)

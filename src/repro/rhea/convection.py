@@ -28,10 +28,9 @@ from .. import obs
 from ..amr import adapt_mesh
 from ..checkpoint import Checkpointer
 from ..fem import AdvectionDiffusion, StokesSystem, element_velocity_from_nodal
-from ..forest import FOREST_MAX_LEVEL
+from ..forest import FOREST_MAX_LEVEL, Forest, unit_cube
 from ..mesh import Mesh, extract_mesh
 from ..mesh.opcache import operator_cache
-from ..octree import LinearOctree
 from ..parallel.sanitize import maybe_freeze, maybe_verify
 from ..solvers import LaggedStokesPreconditioner, minres
 from .error import combined_indicator
@@ -310,7 +309,7 @@ class MantleConvection:
         self,
         config: RheaConfig | None = None,
         T_init: Callable[[np.ndarray], np.ndarray] | None = None,
-        tree: LinearOctree | None = None,
+        tree: Forest | None = None,
         mesh: Mesh | None = None,
     ):
         self.config = config or RheaConfig()
@@ -333,7 +332,7 @@ class MantleConvection:
             self.mesh = mesh
         else:
             if tree is None:
-                tree = LinearOctree.uniform(cfg.initial_level)
+                tree = Forest.uniform(unit_cube(), cfg.initial_level)
             self.mesh = extract_mesh(tree, cfg.domain)
         t_init = T_init or (lambda c: conductive_profile(c, domain=cfg.domain))
         self._t_init = t_init

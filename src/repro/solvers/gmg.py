@@ -30,11 +30,12 @@ variable-viscosity Stokes (PAPERS.md).  Design notes in DESIGN.md section
 
 Key facts the construction relies on:
 
-- ``LinearOctree.coarsen`` (the one-tree forest's ``Forest.coarsen``)
-  only replaces *complete* marked sibling families by their parent, and
-  2:1 re-balance of a coarsened tree never refines past the original, so every coarse leaf is an ancestor-or-self
-  of fine leaves: the coarse FE space is a *subspace* of the fine one
-  and the trilinear interpolation operator ``P`` is an exact embedding.
+- ``Forest.coarsen`` (``mesh.tree`` is the one-tree forest) only
+  replaces *complete* marked sibling families by their parent, and 2:1
+  re-balance of a coarsened tree never refines past the original, so
+  every coarse leaf is an ancestor-or-self of fine leaves: the coarse FE
+  space is a *subspace* of the fine one and the trilinear interpolation
+  operator ``P`` is an exact embedding.
 - Independent (non-hanging) nodes of the coarse mesh are independent
   nodes of the fine mesh, so ``P`` restricted to coincident nodes is the
   identity (the round-trip invariant pinned by the tests).
@@ -58,7 +59,6 @@ import scipy.sparse as sp
 from .. import obs
 from ..fem.stokes import poisson_blocks, velocity_bcs
 from ..mesh.opcache import operator_cache
-from ..octree import ROOT_LEN, balance
 
 if TYPE_CHECKING:
     from ..fem.stokes import StokesSystem
@@ -137,15 +137,14 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
             tree_c, n_fam = tree.coarsen(np.ones(len(tree), dtype=bool))
             if n_fam == 0:
                 break
-            tree_c = balance(tree_c, "corner").tree
+            tree_c, _ = tree_c.balance("corner")
             if len(tree_c) >= len(tree):
                 break  # balance refined everything back: no progress
             mesh_c = extract_mesh(tree_c, fine.domain)
             lv = fine.leaves
-            half = lv.lengths() // 2
-            emap = tree_c.find_containing(lv.x + half, lv.y + half, lv.z + half)
+            centers = np.stack([lv.x, lv.y, lv.z], axis=1) + (lv.lengths() // 2)[:, None]
             meshes.append(mesh_c)
-            elem_maps.append(emap.astype(np.int64))
+            elem_maps.append(mesh_c.containing_leaf(centers))
         return GridHierarchy(meshes=meshes, elem_maps=elem_maps)
 
     return operator_cache(mesh).get(("gmg_hierarchy", max_coarse), build)
@@ -184,11 +183,9 @@ def prolongation(mesh_f: Mesh, mesh_c: Mesh) -> sp.csr_matrix:
     def build():
         coords = mesh_f.node_coords_int[mesh_f.indep_nodes]
         nf = coords.shape[0]
-        # nodes on the +max domain faces lie on the boundary of the last
-        # octant; clamp the containment query into the root box
-        q = np.minimum(coords, ROOT_LEN - 1)
-        eidx = mesh_c.tree.find_containing(q[:, 0], q[:, 1], q[:, 2])
-        lv = mesh_c.tree.leaves
+        # nodes on the +max domain faces lie in the last octant there
+        eidx = mesh_c.containing_leaf(coords)
+        lv = mesh_c.leaves
         anchors = np.stack([lv.x, lv.y, lv.z], axis=1).astype(np.int64)[eidx]
         h = lv.lengths().astype(np.float64)[eidx]
         # loc components are dyadic rationals (integer coords, power-of-2

@@ -17,8 +17,9 @@
 import numpy as np
 
 from repro.fem import ElementOps, StokesSystem, apply_dirichlet, assemble_vector
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance, new_tree, partition_tree, refine_tree
+from repro.octree import directions_for, new_tree, partition_tree, refine_tree
 from repro.parallel import run_spmd
 from repro.solvers import GMGStokesPreconditioner, minres
 
@@ -27,7 +28,7 @@ from .harness import format_table
 
 def adapted_tree(seed=0, rounds=3, frac=0.25):
     rng = np.random.default_rng(seed)
-    tree = LinearOctree.uniform(2)
+    tree = Forest.uniform(unit_cube(), 2)
     for _ in range(rounds):
         tree = tree.refine(rng.random(len(tree)) < frac)
     return tree
@@ -35,12 +36,15 @@ def adapted_tree(seed=0, rounds=3, frac=0.25):
 
 def test_ablation_balance_connectivity():
     tree = adapted_tree()
-    after = {conn: balance(tree, conn) for conn in ("face", "edge", "corner")}
-    n_face = len(after["face"].tree)
+    # the ripple kernel of Forest.balance, for its round count
+    after = {
+        conn: tree._ripple(directions_for(conn), np.uint64(0), tree.fkey_end(), None, 64)
+        for conn in ("face", "edge", "corner")
+    }
+    n_face = len(after["face"][0])
     rows = [
-        [conn, len(tree), len(res.tree), res.rounds,
-         f"{100 * (len(res.tree) / n_face - 1):.1f}%"]
-        for conn, res in after.items()
+        [conn, len(tree), len(bt), rounds, f"{100 * (len(bt) / n_face - 1):.1f}%"]
+        for conn, (bt, rounds) in after.items()
     ]
     print(format_table(
         ["connectivity", "before", "after", "ripple rounds", "vs face"],
@@ -88,7 +92,7 @@ def test_ablation_weighted_partition():
 
 def test_ablation_stokes_preconditioner():
     """Full block preconditioner vs naive diagonal scaling."""
-    tree = balance(adapted_tree(seed=5, rounds=2), "corner").tree
+    tree = adapted_tree(seed=5, rounds=2).balance("corner")[0]
     mesh = extract_mesh(tree)
     z = mesh.element_centers()[:, 2]
     eta = np.exp(np.log(1e4) * z)

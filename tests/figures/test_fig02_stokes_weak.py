@@ -14,8 +14,8 @@ BoomerAMG (DESIGN.md section 2)."""
 import numpy as np
 
 from repro.fem import StokesSystem
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 from repro.solvers import GMGStokesPreconditioner, minres
 
 from .harness import format_table
@@ -38,9 +38,9 @@ def buoyancy(mesh):
 
 def solve_case(level, seed):
     rng = np.random.default_rng(seed)
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     tree = tree.refine(rng.random(len(tree)) < 0.15)
-    tree = balance(tree, "corner").tree
+    tree = tree.balance("corner")[0]
     mesh = extract_mesh(tree)
     st = StokesSystem(mesh, layered_viscosity(mesh), buoyancy(mesh))
     prec = GMGStokesPreconditioner(st)

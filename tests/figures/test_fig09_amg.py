@@ -20,8 +20,8 @@ import scipy.sparse as sp
 from repro import obs
 from repro.fem import apply_dirichlet, assemble_scalar
 from repro.fem.hexops import ElementOps
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 from repro.solvers import SmoothedAggregationAMG
 
 from .harness import format_table
@@ -40,9 +40,9 @@ def laplace_7pt(n):
 
 def fem_poisson(level, seed=0, contrast=1e4):
     rng = np.random.default_rng(seed)
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     tree = tree.refine(rng.random(len(tree)) < 0.2)
-    tree = balance(tree, "corner").tree
+    tree = tree.balance("corner")[0]
     mesh = extract_mesh(tree)
     z = mesh.element_centers()[:, 2]
     eta = np.exp(np.log(contrast) * z)

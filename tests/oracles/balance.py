@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.octree import LinearOctree, OctantArray, directions_for, morton_encode
-from repro.octree.balance import BalanceResult
+from repro.forest import Forest
+from repro.octree import OctantArray, directions_for, morton_encode
 from repro.octree.morton import key_range_size
 from repro.octree.partree import curve_markers, owners_of_keys
 from repro.octree.traverse import box_owner_pairs, dilated_boxes
@@ -80,16 +80,14 @@ def ripple_full_sweep(local, dirs, klo, khi, extra):
         rounds += 1
 
 
-def balance_full_sweep(tree: LinearOctree, connectivity: str = "edge") -> BalanceResult:
-    """Serial BALANCETREE by full sweeps."""
+def balance_full_sweep(tree: Forest, connectivity: str = "edge") -> tuple[Forest, int, int]:
+    """Serial BALANCETREE of the one-tree forest ``tree`` by full sweeps:
+    ``(tree, leaves_added, rounds)``."""
     leaves, rounds = ripple_full_sweep(
-        tree.leaves, directions_for(connectivity), np.uint64(0), key_range_size(0), None
+        tree.octs, directions_for(connectivity), np.uint64(0), key_range_size(0), None
     )
-    return BalanceResult(
-        tree=LinearOctree(leaves, presorted=True),
-        leaves_added=len(leaves) - len(tree),
-        rounds=rounds,
-    )
+    out = Forest(tree.conn, np.zeros(len(leaves), dtype=np.int64), leaves)
+    return out, len(leaves) - len(tree), rounds
 
 
 def morton_markers(comm, local: OctantArray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The forest as a Python list of per-tree ``LinearOctree``s, and the
+"""The forest as a Python list of per-tree sorted leaf arrays, and the
 full-sweep forest balance.
 
 ``TreeListForest`` is what ``repro.forest.Forest`` was before it became
@@ -8,7 +8,8 @@ violation marks and then walks every (tree, face) pair to carry the marks
 across glued faces.  The flat forest (in-place refine, one vectorised
 family merge and ripple over composite keys) must produce the same leaves,
 families merged and ``leaves_added``; ``TreeListForest`` shares none of
-its kernels.
+its kernels, and finds the leaf holding a point with its own binary
+search (``find_leaf``).
 
 ``coarsen_families`` is the octree's COARSENTREE before it became the
 one-tree forest's: every sibling-0 leaf whose eight consecutive leaves
@@ -31,17 +32,23 @@ import numpy as np
 
 from repro.forest.forest import forest_key
 from repro.forest.recursive import exchange_boundary_leaves
-from repro.octree import LinearOctree, OctantArray, ROOT_LEN, morton_encode
+from repro.octree import OctantArray, ROOT_LEN, morton_encode
 from repro.octree.morton import MAX_LEVEL
 from repro.octree.octants import directions_for
 
 
-def leaf_marks(tree: LinearOctree, dirs: np.ndarray) -> np.ndarray:
+def find_leaf(leaves: OctantArray, px, py, pz) -> np.ndarray:
+    """Index of the leaf of the sorted, complete tree ``leaves`` that
+    holds each integer point: every finest-level Morton key lies in
+    exactly one leaf's key interval."""
+    return np.searchsorted(leaves.keys(), morton_encode(px, py, pz), side="right") - 1
+
+
+def leaf_marks(leaves: OctantArray, dirs: np.ndarray) -> np.ndarray:
     """Mark leaves that are >= 2 levels coarser than a neighboring leaf."""
-    leaves = tree.leaves
     h = leaves.lengths()
-    mark = np.zeros(len(tree), dtype=bool)
-    levels = tree.levels.astype(np.int64)
+    mark = np.zeros(len(leaves), dtype=bool)
+    levels = leaves.level.astype(np.int64)
     for d in dirs:
         nx, ny, nz, ok = leaves.neighbor_anchors(d)
         if not ok.any():
@@ -49,7 +56,7 @@ def leaf_marks(tree: LinearOctree, dirs: np.ndarray) -> np.ndarray:
         px = nx[ok] + h[ok] // 2
         py = ny[ok] + h[ok] // 2
         pz = nz[ok] + h[ok] // 2
-        idx = tree.find_containing(px, py, pz)
+        idx = find_leaf(leaves, px, py, pz)
         viol = levels[idx] < levels[ok] - 1
         mark[idx[viol]] = True
     return mark
@@ -150,9 +157,9 @@ def balance_forest_full_sweep(pf, connectivity="edge", kernel=ripple_forest_full
 
 
 class TreeListForest:
-    """One complete :class:`LinearOctree` per connectivity tree."""
+    """One complete, Morton-sorted leaf array per connectivity tree."""
 
-    def __init__(self, conn, trees: list[LinearOctree]):
+    def __init__(self, conn, trees: list[OctantArray]):
         if len(trees) != conn.n_trees:
             raise ValueError("one octree per connectivity tree required")
         self.conn = conn
@@ -163,16 +170,13 @@ class TreeListForest:
         """Split a flat ``repro.forest.Forest`` at its tree boundaries."""
         return cls(
             forest.conn,
-            [
-                LinearOctree(forest.octs[forest.tree_ids == t], presorted=True)
-                for t in range(forest.conn.n_trees)
-            ],
+            [forest.octs[forest.tree_ids == t] for t in range(forest.conn.n_trees)],
         )
 
     def assert_same_leaves(self, forest) -> None:
         """``forest`` (flat) holds exactly these leaves: tree ids, anchors
         and levels ``array_equal`` in (tree, Morton) order."""
-        octs = OctantArray.concat([t.leaves for t in self.trees])
+        octs = OctantArray.concat(self.trees)
         tids = np.repeat(np.arange(len(self.trees)), [len(t) for t in self.trees])
         np.testing.assert_array_equal(forest.tree_ids, tids)
         for a in ("x", "y", "z", "level"):
@@ -197,8 +201,8 @@ class TreeListForest:
         offs = self.tree_offsets()
         new_trees, nfam = [], 0
         for i, t in enumerate(self.trees):
-            leaves, nf = coarsen_families(t.leaves, mask[offs[i] : offs[i + 1]])
-            new_trees.append(LinearOctree(leaves, presorted=True))
+            leaves, nf = coarsen_families(t, mask[offs[i] : offs[i + 1]])
+            new_trees.append(leaves)
             nfam += nf
         return TreeListForest(self.conn, new_trees), nfam
 
@@ -210,10 +214,9 @@ class TreeListForest:
         adjacent tree and the containing leaf is marked if it is two or
         more levels coarser.  Returns True if anything was marked."""
         changed = False
-        for tid, tree in enumerate(self.trees):
-            leaves = tree.leaves
+        for tid, leaves in enumerate(self.trees):
             h = leaves.lengths()
-            levels = tree.levels.astype(np.int64)
+            levels = leaves.level.astype(np.int64)
             for axis in range(3):
                 for side in (0, 1):
                     fc = self.conn.face_connections[tid][2 * axis + side]
@@ -231,8 +234,8 @@ class TreeListForest:
                     if np.any(q < 0) or np.any(q >= ROOT_LEN):
                         raise AssertionError("face transform left the neighbor tree")
                     nb = self.trees[fc.neighbor_tree]
-                    idx = nb.find_containing(q[:, 0], q[:, 1], q[:, 2])
-                    viol = nb.levels[idx].astype(np.int64) < levels[sel] - 1
+                    idx = find_leaf(nb, q[:, 0], q[:, 1], q[:, 2])
+                    viol = nb.level[idx].astype(np.int64) < levels[sel] - 1
                     if viol.any():
                         marks[fc.neighbor_tree][idx[viol]] = True
                         changed = True

@@ -16,16 +16,10 @@ from repro.amr import (
 )
 from repro.amr.mark import relocate_refine_marks
 from repro.fem import AdvectionDiffusion, ParAdvectionDiffusion
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh, node_keys
 from repro.mesh.parmesh import extract_parmesh
-from repro.octree import (
-    LinearOctree,
-    balance,
-    balance_tree,
-    gather_tree,
-    new_tree,
-    partition_tree,
-)
+from repro.octree import balance_tree, gather_tree, new_tree, partition_tree
 from repro.parallel import run_spmd
 
 #: the Figure-4 functions both adaptation drivers time as ``amr/<name>``
@@ -89,23 +83,23 @@ class TestRelocateRefineMarks:
     one)."""
 
     def test_marks_follow_leaves_through_coarsening(self):
-        tree = LinearOctree.uniform(2)
+        tree = Forest.uniform(unit_cube(), 2)
         refine = np.zeros(len(tree), dtype=bool)
         refine[[9, 40]] = True
         coarsen = np.zeros(len(tree), dtype=bool)
         coarsen[16:32] = True  # two complete families, neither marked
         tree_c, nfam = tree.coarsen(coarsen)
         assert nfam == 2
-        mask = relocate_refine_marks(tree.leaves, refine, tree_c.leaves)
+        mask = relocate_refine_marks(tree.octs, refine, tree_c.octs)
         assert mask.sum() == 2
         np.testing.assert_array_equal(
-            tree_c.leaves[mask].keys(), tree.leaves[refine].keys()
+            tree_c.octs[mask].keys(), tree.octs[refine].keys()
         )
-        np.testing.assert_array_equal(tree_c.levels[mask], 2)
+        np.testing.assert_array_equal(tree_c.octs.level[mask], 2)
 
     def test_no_marks(self):
-        tree = LinearOctree.uniform(1)
-        mask = relocate_refine_marks(tree.leaves, np.zeros(8, dtype=bool), tree.leaves)
+        tree = Forest.uniform(unit_cube(), 1)
+        mask = relocate_refine_marks(tree.octs, np.zeros(8, dtype=bool), tree.octs)
         assert mask.shape == (8,) and not mask.any()
 
     def test_coarsened_away_leaf_is_an_error_on_a_rank_segment_too(self):
@@ -128,7 +122,7 @@ class TestRelocateRefineMarks:
 
 class TestSerialAdaptDriver:
     def test_adapt_counts_and_timings(self):
-        mesh = extract_mesh(balance(LinearOctree.uniform(3), "corner").tree)
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 3).balance("corner")[0])
         c = mesh.element_centers()
         eta = np.exp(-np.linalg.norm(c - 0.5, axis=1) ** 2 / 0.02)
         with obs.attached(obs.PhaseTimer()) as timer, obs.phase("amr"):
@@ -148,7 +142,7 @@ class TestSerialAdaptDriver:
         every dof (the forest is the unit cube, so the box enters only
         through the indicator and the field's scaling)."""
         domain = np.array([8.0, 4.0, 1.0])
-        mesh = extract_mesh(LinearOctree.uniform(3), domain)
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 3), domain)
         eta = np.exp(-np.sum((mesh.element_centers() - [2.0, 3.0, 0.5]) ** 2, axis=1))
         wind = np.array([0.3, -0.2, 1.0])
         keys = mesh.leaves.keys()
@@ -168,8 +162,8 @@ class TestSerialAdaptDriver:
         new_mesh, out, rep = adapt_mesh(mesh, eta, target, {"T": T}, min_level=1, max_level=5)
         two = run_spmd(2, kernel)
         for gathered, stats, _, _ in two:
-            np.testing.assert_array_equal(gathered.keys, new_mesh.leaves.keys())
-            np.testing.assert_array_equal(gathered.levels, new_mesh.leaves.level)
+            np.testing.assert_array_equal(gathered.octs.keys(), new_mesh.leaves.keys())
+            np.testing.assert_array_equal(gathered.octs.level, new_mesh.leaves.level)
             got = (stats.n_before, stats.n_after, stats.n_refined, stats.n_coarsened,
                    stats.n_balance_added)
             assert got == (rep.n_before, rep.n_after, rep.n_refined, rep.n_coarsened,
@@ -211,7 +205,7 @@ class TestSerialAdaptDriver:
         assert serial == run_spmd(1, kernel)[0] == want
 
     def test_field_transfer_preserves_linears(self):
-        mesh = extract_mesh(LinearOctree.uniform(2))
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 2))
         coords = mesh.node_coords()
         T = coords[:, 0] + 2 * coords[:, 2]
         eta = np.linspace(0, 1, mesh.n_elements)
@@ -227,7 +221,7 @@ class TestParAdvectionPInvariance:
         wind = rotating_velocity(scale=2.0)
 
         # serial reference
-        tree = balance(LinearOctree.uniform(2), "corner").tree
+        tree = Forest.uniform(unit_cube(), 2).balance("corner")[0]
         mesh = extract_mesh(tree)
         centers = mesh.element_centers()
         eq = AdvectionDiffusion(mesh, 1e-4, wind(centers))
@@ -268,7 +262,7 @@ class TestParAdvectionPInvariance:
 
     def test_cfl_agrees_with_serial(self):
         wind = rotating_velocity(scale=1.0)
-        tree = balance(LinearOctree.uniform(2), "corner").tree
+        tree = Forest.uniform(unit_cube(), 2).balance("corner")[0]
         mesh = extract_mesh(tree)
         eq = AdvectionDiffusion(mesh, 1e-4, wind(mesh.element_centers()))
         dt_ref = eq.cfl_dt(0.4)
@@ -325,7 +319,7 @@ class TestParAmrPipeline:
             from repro.octree import gather_tree
 
             g = gather_tree(pipe.pt)
-            return g.keys.copy(), g.levels.copy()
+            return g.octs.keys().copy(), g.octs.level.copy()
 
         ref_keys, ref_levels = run_spmd(1, kernel)[0]
         for p in [2, 3, 4]:

@@ -24,8 +24,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree
 from repro.parallel import procomm, run_spmd, sanitize
 from repro.parallel.simcomm import set_comm_factory
 
@@ -110,7 +110,7 @@ def mutate_after_send_kernel(comm):
 
 def cached_operator_write_kernel(comm):
     """(d) A kernel scales a memoized mesh operator in place."""
-    mesh = extract_mesh(LinearOctree.uniform(1))
+    mesh = extract_mesh(Forest.uniform(unit_cube(), 1))
     sizes = mesh.element_sizes()
     sizes *= 2.0
     return mesh.element_sizes()

@@ -13,9 +13,9 @@ import scipy.sparse as sp
 
 from repro.fem import StokesSystem
 from repro.fem.stokes import velocity_bcs
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
 from repro.mesh.opcache import operator_cache
-from repro.octree import LinearOctree
 from repro.parallel import run_spmd
 from repro.parallel.sanitize import (
     CacheMutationError,
@@ -42,7 +42,7 @@ def _clean_factory():
 
 
 def _mesh(level=1):
-    return extract_mesh(LinearOctree.uniform(level))
+    return extract_mesh(Forest.uniform(unit_cube(), level))
 
 
 def _stokes(level=1):

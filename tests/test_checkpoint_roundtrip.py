@@ -35,8 +35,8 @@ def _state(comm, pipe):
     ks = node_keys(pm.mesh.node_coords_int[pm.mesh.indep_nodes])
     mine = pm.node_owner[pm.mesh.indep_nodes] == comm.rank
     return {
-        "keys": g.keys.copy(),
-        "levels": g.levels.copy(),
+        "keys": g.octs.keys().copy(),
+        "levels": g.octs.level.copy(),
         "node_keys": ks[mine],
         "T": pipe.T[mine].copy(),
         "steps": pipe.steps_taken,

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.fem import AdvectionDiffusion, element_velocity_from_nodal, supg_tau
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 
 
 def make_mesh(level=2, adapt=False, seed=0, domain=(1.0, 1.0, 1.0)):
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     if adapt:
         rng = np.random.default_rng(seed)
         tree = tree.refine(rng.random(len(tree)) < 0.3)
-        tree = balance(tree, "corner").tree
+        tree = tree.balance("corner")[0]
     return extract_mesh(tree, domain)
 
 

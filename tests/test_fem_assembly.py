@@ -15,8 +15,8 @@ from repro.fem import (
     lumped_mass,
 )
 from repro.fem.hexops import ElementOps
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 
 from .oracles.assembly import coo_divergence, coo_scalar, coo_vector
 
@@ -25,10 +25,10 @@ OPS = ElementOps()
 
 def adapted_mesh(seed=0, rounds=2, start=1, domain=(1.0, 1.0, 1.0)):
     rng = np.random.default_rng(seed)
-    tree = LinearOctree.uniform(start)
+    tree = Forest.uniform(unit_cube(), start)
     for _ in range(rounds):
         tree = tree.refine(rng.random(len(tree)) < 0.3)
-    return extract_mesh(balance(tree, "corner").tree, domain)
+    return extract_mesh(tree.balance("corner")[0], domain)
 
 
 def solve_poisson(mesh, f_exact, u_exact):
@@ -83,7 +83,7 @@ class TestConvergence:
 
         errs = []
         for lvl in (2, 3):
-            mesh = extract_mesh(LinearOctree.uniform(lvl))
+            mesh = extract_mesh(Forest.uniform(unit_cube(), lvl))
             errs.append(solve_poisson(mesh, f_exact, u_exact))
         rate = np.log2(errs[0] / errs[1])
         assert 1.6 < rate < 2.6
@@ -131,7 +131,7 @@ class TestRhs:
 
 class TestDirichletHelper:
     def test_values_and_symmetry(self):
-        mesh = extract_mesh(LinearOctree.uniform(1))
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 1))
         K = assemble_scalar(mesh, OPS.stiffness(mesh.element_sizes()))
         b = np.zeros(mesh.n_independent)
         dofs = np.array([0, 5])
@@ -142,7 +142,7 @@ class TestDirichletHelper:
         assert x[5] == pytest.approx(2.0)
 
     def test_boolean_mask_accepted(self):
-        mesh = extract_mesh(LinearOctree.uniform(1))
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 1))
         K = assemble_scalar(mesh, OPS.stiffness(mesh.element_sizes()))
         mask = np.zeros(mesh.n_independent, dtype=bool)
         mask[3] = True
@@ -158,7 +158,7 @@ def hanging_mesh(domain=(1.0, 1.0, 1.0)):
     from .test_incremental_cycle import hanging_kinds
     from .test_octree_balance import center_refined_tree
 
-    mesh = extract_mesh(balance(center_refined_tree(3), "corner").tree, domain)
+    mesh = extract_mesh(center_refined_tree(3).balance("corner")[0], domain)
     assert hanging_kinds(mesh) == {2, 4}
     return mesh
 

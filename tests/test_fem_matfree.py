@@ -36,9 +36,9 @@ from repro.mangll.tensor import (
     tensor_bytes,
     tensor_flops,
 )
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
 from repro.parallel.machine import RANGER
-from repro.octree import LinearOctree, balance
 
 from .oracles.stokes_blocks import (
     divergence_block,
@@ -54,10 +54,10 @@ _OPS = ElementOps()
 
 
 def make_mesh(level=2, seed=0, domain=(1.0, 1.0, 1.0)):
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     rng = np.random.default_rng(seed)
     tree = tree.refine(rng.random(len(tree)) < 0.25)
-    tree = balance(tree, "corner").tree
+    tree = tree.balance("corner")[0]
     return extract_mesh(tree, domain)
 
 

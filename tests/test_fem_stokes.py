@@ -6,8 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.fem import StokesSystem
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 from repro.solvers import GMGStokesPreconditioner, minres
 
 from .oracles.stokes_blocks import (
@@ -21,11 +21,11 @@ from .oracles.stokes_blocks import (
 
 
 def make_mesh(level=2, adapt=False, seed=0, domain=(1.0, 1.0, 1.0)):
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     if adapt:
         rng = np.random.default_rng(seed)
         tree = tree.refine(rng.random(len(tree)) < 0.25)
-        tree = balance(tree, "corner").tree
+        tree = tree.balance("corner")[0]
     return extract_mesh(tree, domain)
 
 

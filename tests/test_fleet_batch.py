@@ -10,8 +10,8 @@ from repro import obs
 from repro.fem import StokesSystem
 from repro.fleet import FleetService, ScenarioSpec, batch, batched_minres
 from repro.fleet.batch import BatchGroup
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 from repro.rhea.convection import MantleConvection, RheaConfig, buoyancy
 from repro.solvers import mesh_hierarchy, minres
 
@@ -303,9 +303,9 @@ class TestBatchedSerialParity:
         """The Jacobi surrogate scattered through the cached element
         gather equals the per-corner loop over all nodes restricted by
         ``Z^T``, on a mesh with hanging nodes."""
-        tree = LinearOctree.uniform(2)
+        tree = Forest.uniform(unit_cube(), 2)
         tree = tree.refine(np.random.default_rng(3).random(len(tree)) < 0.25)
-        mesh = extract_mesh(balance(tree, "corner").tree)
+        mesh = extract_mesh(tree.balance("corner")[0])
         assert mesh.hanging.any()
         rng = np.random.default_rng(4)
         eta_b = np.exp(rng.uniform(-3.0, 3.0, (5, mesh.n_elements)))

@@ -6,10 +6,11 @@
   families merged, ``leaves_added``), for every balance connectivity;
 - ``ParForest`` through the same adaptation at P in {1, 2, 3, 5, 7}
   gathers to the serial forest;
-- on ``unit_cube()`` the forest *is* the octree: the leaves of
-  ``LinearOctree.refine`` and ``octree.balance``, and of the octree's
-  family merge as it was before it became the forest's
-  (``coarsen_families``);
+- on ``unit_cube()`` the forest *is* the octree: its refine, coarsen and
+  balance give the leaves of re-sorted children, of the octree's family
+  merge as it was before it became the forest's (``coarsen_families``)
+  and of the Morton-key full sweep (``tests/oracles/balance.py``), and a
+  leaf deeper than the forest keys cannot enter it;
 - ``ParForest.coarsen`` makes one marker allgather and two all-to-alls
   per call whatever the tree count, and merges the families a partition
   marker splits;
@@ -32,7 +33,7 @@ from repro.forest import (
     cubed_sphere_connectivity,
     unit_cube,
 )
-from repro.octree import LinearOctree, OctantArray, balance, gather_tree, new_tree
+from repro.octree import OctantArray, gather_tree, new_tree
 from repro.forest.forest import forest_key
 from repro.octree.partree import (
     coarsen_tree,
@@ -43,6 +44,7 @@ from repro.octree.partree import (
 )
 from repro.parallel import run_spmd
 
+from .oracles.balance import balance_full_sweep
 from .oracles.forest_balance import TreeListForest, coarsen_families
 
 CONNS = {
@@ -135,18 +137,19 @@ class TestOctreeIsTheOneTreeCase:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_unit_cube_forest_equals_octree(self, seed, connectivity):
         rng = np.random.default_rng(seed)
-        tree, f = LinearOctree.uniform(1), Forest.uniform(unit_cube(), 1)
+        f = Forest.uniform(unit_cube(), 1)
         for _ in range(REFINE_ROUNDS):
             mask = rng.random(len(f)) < REFINE_FRAC
-            tree, f = tree.refine(mask), f.refine(mask)
-            assert f.octs.equals(tree.leaves)
+            leaves = OctantArray.concat([f.octs[~mask], f.octs[mask].children()]).sort()
+            f = f.refine(mask)
+            assert f.octs.equals(leaves)
         mask = rng.random(len(f)) < COARSEN_FRAC
-        leaves, nt = coarsen_families(tree.leaves, mask)
-        (tree, n_tree), (f, nf) = tree.coarsen(mask), f.coarsen(mask)
-        assert nt == nf == n_tree and f.octs.equals(leaves) and tree.leaves.equals(leaves)
-        res = balance(tree, connectivity)
+        leaves, nt = coarsen_families(f.octs, mask)
+        f, nf = f.coarsen(mask)
+        assert nt == nf and f.octs.equals(leaves)
+        want, added_w, _ = balance_full_sweep(f, connectivity)
         fb, added = f.balance(connectivity)
-        assert added == res.leaves_added and fb.octs.equals(res.tree.leaves)
+        assert added == added_w and fb.octs.equals(want.octs)
         assert not fb.tree_ids.any() and fb.is_complete()
 
 
@@ -206,11 +209,13 @@ class TestOneFamilyMerge:
             assert n == nfam
 
     def test_octree_deeper_than_the_forest_keys_raises(self):
-        tree = LinearOctree.uniform(1)
-        for _ in range(FOREST_MAX_LEVEL):
-            tree = tree.refine(np.arange(len(tree)) == 0)
+        """The octree is the one-tree forest: leaves deeper than its keys
+        encode cannot become a tree (a checkpoint's, say)."""
+        deep = OctantArray.root()
+        for _ in range(FOREST_MAX_LEVEL + 1):
+            deep = deep.refine(np.arange(len(deep)) == 0)
         with pytest.raises(ValueError, match=f"levels <= {FOREST_MAX_LEVEL}"):
-            tree.coarsen(np.ones(len(tree), dtype=bool))
+            Forest(unit_cube(), np.zeros(len(deep), dtype=np.int64), deep)
 
 
 class TestForestRejectsMalformedSegments:
@@ -314,7 +319,7 @@ class TestCurveCut:
     def _partition_tree(comm, weights_of):
         pt = new_tree(comm, 2)
         new, _ = partition_tree(pt, weights_of(len(pt)))
-        return gather_tree(pt).leaves, gather_tree(new).leaves, comm.allgather(len(new))
+        return gather_tree(pt).octs, gather_tree(new).octs, comm.allgather(len(new))
 
     @staticmethod
     def _partition_forest(comm, weights_of):

@@ -38,8 +38,6 @@ from repro.mangll import DGAdvection
 from repro.mesh import extract_mesh, node_keys
 from repro.mesh.parmesh import UnbalancedTreeError, collect_ghosts, extract_parmesh
 from repro.octree import (
-    LinearOctree,
-    balance,
     balance_tree,
     gather_tree,
     new_tree,
@@ -109,16 +107,16 @@ def bruteforce_ghosts(pt):
     tree whose closed box touches (face, edge or corner) the closed box
     of a local leaf, sorted by key.  Collective."""
     g = gather_tree(pt)
-    lv = g.leaves
+    lv = g.octs
     lo = np.stack([lv.x, lv.y, lv.z], axis=1)
     hi = lo + lv.lengths()[:, None]
-    is_local = np.isin(g.keys, pt.octs.keys())
+    is_local = np.isin(g.octs.keys(), pt.octs.keys())
     adjacent = np.zeros(len(lv), dtype=bool)
     for i in np.flatnonzero(is_local):
         adjacent |= np.all((lo <= hi[i]) & (hi >= lo[i]), axis=1)
     ghost = adjacent & ~is_local
-    owners = owners_of_keys(partition_markers(pt), forest_key(0, g.keys[ghost]))
-    return g.keys[ghost], lv.level[ghost], owners
+    owners = owners_of_keys(partition_markers(pt), forest_key(0, g.octs.keys()[ghost]))
+    return g.octs.keys()[ghost], lv.level[ghost], owners
 
 
 def assert_ghosts_exact(pt):
@@ -220,9 +218,9 @@ class TestRecursiveBalance:
                 assert got.octs.equals(want)
                 assert (added, exchanges) == (added_w, exch_w)
                 assert exchanges <= 3
-                serial = balance(gather_tree(pt), "corner")
-                assert gather_tree(got).leaves.equals(serial.tree.leaves)
-                assert added == serial.leaves_added
+                serial, added_s = gather_tree(pt).balance("corner")
+                assert gather_tree(got).octs.equals(serial.octs)
+                assert added == added_s
             return True
 
         assert all(run_spmd(p, kernel))
@@ -326,10 +324,10 @@ class TestExtractEquivalence:
         some element (set membership, no lookup kernel), and the closed
         constraint rows reproduce a linear field."""
         rng = np.random.default_rng(6)
-        tree = LinearOctree.uniform(2)
-        tree = balance(tree.refine(rng.random(len(tree)) < 0.4), "corner").tree
+        tree = Forest.uniform(unit_cube(), 2)
+        tree = tree.refine(rng.random(len(tree)) < 0.4).balance("corner")[0]
         mesh = extract_mesh(tree)
-        lv = tree.leaves
+        lv = tree.octs
         h = lv.lengths()[:, None, None]
         anchors = np.stack([lv.x, lv.y, lv.z], axis=1)[:, None, :]
         # the 27-point lattice of each element minus its 8 corners and center

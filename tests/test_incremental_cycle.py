@@ -1,7 +1,7 @@
 """The incremental AMR cycle against its whole-mesh oracles.
 
-- frontier-driven 2:1 balance (``repro.forest.Forest._ripple``, which
-  the octree reaches as the one-tree forest) == the full sweeps of
+- frontier-driven 2:1 balance (``repro.forest.Forest._ripple``, on the
+  octree as the one-tree forest) == the full sweeps of
   ``tests/oracles/balance.py`` (Morton keys) and
   ``tests/oracles/forest_balance.py`` (forest keys): identical leaves,
   per-call rounds, exchanges, leaves added and collective count, serial
@@ -24,22 +24,18 @@ from repro.amr import ParAmrPipeline
 from repro.amr.pardriver import rotating_velocity
 from repro.fem import ParAdvectionDiffusion, assemble_scalar, lumped_mass
 from repro.fem.hexops import ElementOps
+from repro.forest import FOREST_MAX_LEVEL, Forest, ParForest, unit_cube
 from repro.mesh import extract_mesh, node_keys
 from repro.mesh.extract import _find_hanging_constraints, _first_discovery
 from repro.mesh.parmesh import extract_parmesh
-from repro.forest import FOREST_MAX_LEVEL, Forest, ParForest, unit_cube
 from repro.octree import (
     ROOT_LEN,
-    LinearOctree,
     OctantArray,
-    balance,
     balance_tree,
     directions_for,
     gather_tree,
-    is_balanced,
     partition_tree,
 )
-from repro.octree.balance import _one_tree as one_tree
 from repro.octree.morton import key_range_size
 from repro.parallel import run_spmd
 
@@ -49,7 +45,11 @@ from .oracles.balance import (
     balance_tree_full_sweep,
     ripple_full_sweep,
 )
-from .oracles.forest_balance import balance_forest_full_sweep, ripple_forest_full_sweep
+from .oracles.forest_balance import (
+    balance_forest_full_sweep,
+    find_leaf,
+    ripple_forest_full_sweep,
+)
 from .oracles.constraints import first_discovery_loop
 from .oracles.mesh_extract import finest_level
 from .test_forest_recursive import build_ptree
@@ -59,23 +59,28 @@ CONNECTIVITIES = ["face", "edge", "corner"]
 OPS = ElementOps()
 
 
-def graded_tree(seed: int, rounds: int = 6) -> LinearOctree:
+def one_tree(leaves: OctantArray) -> Forest:
+    """The sorted ``leaves`` as the one-tree forest."""
+    return Forest(unit_cube(), np.zeros(len(leaves), dtype=np.int64), leaves)
+
+
+def graded_tree(seed: int, rounds: int = 6) -> Forest:
     """Random unbalanced tree: three random points are refined every round
     (level jumps up to ``rounds``, so balancing ripples for several rounds)
     on top of a sprinkle of random refinement."""
     rng = np.random.default_rng(seed)
-    tree = LinearOctree.uniform(1)
+    tree = Forest.uniform(unit_cube(), 1)
     spots = rng.integers(0, ROOT_LEN, (3, 3))
     for _ in range(rounds):
         mask = rng.random(len(tree)) < 0.04
-        mask[tree.find_containing(*spots.T)] = True
+        mask[find_leaf(tree.octs, *spots.T)] = True
         tree = tree.refine(mask)
     return tree
 
 
 def graded_ptree(comm, seed: int, rounds: int = 6):
     """The same tree, distributed in equal Morton segments."""
-    leaves = graded_tree(seed, rounds).leaves if comm.rank == 0 else OctantArray.empty()
+    leaves = graded_tree(seed, rounds).octs if comm.rank == 0 else OctantArray.empty()
     pt = ParForest(comm, unit_cube(), np.zeros(len(leaves), dtype=np.int64), leaves)
     return partition_tree(pt)[0]
 
@@ -85,11 +90,13 @@ class TestFrontierBalanceMatchesFullSweep:
     @given(seed=st.integers(0, 2**31), connectivity=st.sampled_from(CONNECTIVITIES))
     def test_serial(self, seed, connectivity):
         tree = graded_tree(seed)
-        got = balance(tree, connectivity)
-        want = balance_full_sweep(tree, connectivity)
-        assert got.tree.leaves.equals(want.tree.leaves)
-        assert (got.rounds, got.leaves_added) == (want.rounds, want.leaves_added)
-        assert is_balanced(got.tree, connectivity)
+        got, added = tree.balance(connectivity)
+        dirs = directions_for(connectivity)
+        _, rounds = tree._ripple(dirs, np.uint64(0), tree.fkey_end(), None, 64)
+        want, added_w, rounds_w = balance_full_sweep(tree, connectivity)
+        assert got.octs.equals(want.octs)
+        assert (rounds, added) == (rounds_w, added_w)
+        assert got.is_balanced(connectivity)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @settings(max_examples=8, deadline=None)
@@ -111,33 +118,31 @@ class TestFrontierBalanceMatchesFullSweep:
             return gather_tree(got)
 
         trees = run_spmd(p, kernel)
-        assert trees[0].leaves.equals(balance(graded_tree(seed), connectivity).tree.leaves)
+        assert trees[0].octs.equals(graded_tree(seed).balance(connectivity)[0].octs)
 
     def test_extra_only_start_from_a_fixed_point(self):
         """The post-exchange call samples ``extra`` alone; that is the full
         sweep only because the segment is already balanced against itself."""
-        tree = balance(graded_tree(3), "corner").tree
-        deep = center_refined_tree(6).leaves
+        f = graded_tree(3).balance("corner")[0]
+        deep = center_refined_tree(6).octs
         extra = deep[deep.level >= 5]
-        f = one_tree(tree.leaves)
         args = (directions_for("corner"), np.uint64(0), f.fkey_end(), one_tree(extra), 64)
         got, rounds = f._ripple(*args)
         want, rounds_w = ripple_forest_full_sweep(f, *args)
         assert got.octs.equals(want.octs) and rounds == rounds_w > 0
         octree, rounds_o = ripple_full_sweep(
-            tree.leaves, args[0], np.uint64(0), key_range_size(0), extra
+            f.octs, args[0], np.uint64(0), key_range_size(0), extra
         )
         assert got.octs.equals(octree) and rounds == rounds_o
 
 
 class TestRippleIsBounded:
     def test_round_cap_raises(self):
-        tree = center_refined_tree(8)
-        f = one_tree(tree.leaves)
+        f = center_refined_tree(8)
         args = (directions_for("edge"), np.uint64(0), f.fkey_end(), None)
         with pytest.raises(RuntimeError, match="did not converge"):
             f._ripple(*args, 3)
-        assert f._ripple(*args, FOREST_MAX_LEVEL)[1] == balance(tree).rounds
+        assert f._ripple(*args, FOREST_MAX_LEVEL)[1] == balance_full_sweep(f, "edge")[2]
 
     def test_corrupted_overlapping_input_terminates(self):
         """Leaves that overlap and are out of order break the sorted-tiling
@@ -149,14 +154,14 @@ class TestRippleIsBounded:
         dirs = directions_for("corner")
         raised = 0
         for depth in (6, 10, 12, 16, 18):
-            clean = center_refined_tree(depth).leaves
+            clean = center_refined_tree(depth)
             bad = OctantArray.concat(
-                [clean, OctantArray.uniform(1), OctantArray.uniform(2)]
+                [clean.octs, OctantArray.uniform(1), OctantArray.uniform(2)]
             )
             bad = bad[rng.permutation(len(bad))]
             with pytest.raises(ValueError, match="strictly increasing"):
-                balance(LinearOctree(bad, presorted=True), "corner")
-            f = one_tree(clean)._with(np.zeros(len(bad), dtype=np.int64), bad)
+                one_tree(bad)
+            f = clean._with(np.zeros(len(bad), dtype=np.int64), bad)
             try:
                 f._ripple(dirs, np.uint64(0), f.fkey_end(), None, FOREST_MAX_LEVEL)
             except RuntimeError as e:
@@ -177,7 +182,7 @@ def hanging_kinds(mesh) -> set:
 
 class TestRowSumLumping:
     def test_serial_matches_assembled(self):
-        tree = balance(center_refined_tree(3), "corner").tree
+        tree = center_refined_tree(3).balance("corner")[0]
         mesh = extract_mesh(tree)
         assert hanging_kinds(mesh) == {2, 4}
         rng = np.random.default_rng(1)
@@ -209,7 +214,7 @@ class TestRowSumLumping:
 
 class TestConstraintDeduplication:
     def test_matches_loop_on_a_mesh(self):
-        mesh = extract_mesh(balance(graded_tree(11, rounds=3), "corner").tree)
+        mesh = extract_mesh(graded_tree(11, rounds=3).balance("corner")[0])
         raw = raw_constraints(mesh)
         # the mesh has both kinds and sees hanging nodes more than once
         assert set(raw[2]) == {0.5, 0.25}
@@ -235,7 +240,7 @@ class TestConstraintDeduplication:
             assert (got[0] == 7).sum() == rows_kept
 
     def test_no_hanging_nodes(self):
-        mesh = extract_mesh(LinearOctree.uniform(2))
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 2))
         raw = raw_constraints(mesh)
         assert all(len(col) == 0 for col in _first_discovery(*raw))
 

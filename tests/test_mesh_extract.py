@@ -5,45 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 
 
 def refined_tree(seed=0, rounds=2, frac=0.3, start=1):
     rng = np.random.default_rng(seed)
-    tree = LinearOctree.uniform(start)
+    tree = Forest.uniform(unit_cube(), start)
     for _ in range(rounds):
         mask = rng.random(len(tree)) < frac
         tree = tree.refine(mask)
-    return balance(tree, "corner").tree
+    return tree.balance("corner")[0]
 
 
 def one_refined_tree():
     """Uniform level-1 tree with one leaf refined: the canonical
     hanging-node configuration."""
-    t = LinearOctree.uniform(1)
+    t = Forest.uniform(unit_cube(), 1)
     mask = np.zeros(8, dtype=bool)
     mask[0] = True
-    return balance(t.refine(mask), "corner").tree
+    return t.refine(mask).balance("corner")[0]
 
 
 class TestUniformMesh:
     def test_counts_level1(self):
-        m = extract_mesh(LinearOctree.uniform(1))
+        m = extract_mesh(Forest.uniform(unit_cube(), 1))
         assert m.n_elements == 8
         assert m.n_nodes == 27  # 3^3 lattice
         assert m.n_independent == 27
         assert not m.hanging.any()
 
     def test_counts_level2(self):
-        m = extract_mesh(LinearOctree.uniform(2))
+        m = extract_mesh(Forest.uniform(unit_cube(), 2))
         assert m.n_elements == 64
         assert m.n_nodes == 125  # 5^3
 
     def test_element_nodes_vertex_order(self):
         """Vertex i of an element sits at anchor + corner_offset(i)*h."""
-        m = extract_mesh(LinearOctree.uniform(1))
-        leaves = m.tree.leaves
+        m = extract_mesh(Forest.uniform(unit_cube(), 1))
+        leaves = m.tree.octs
         h = leaves.lengths()
         for i in range(8):
             dx, dy, dz = (i & 1), (i >> 1) & 1, (i >> 2) & 1
@@ -55,12 +55,12 @@ class TestUniformMesh:
             )
 
     def test_z_is_identity_for_conforming(self):
-        m = extract_mesh(LinearOctree.uniform(1))
+        m = extract_mesh(Forest.uniform(unit_cube(), 1))
         assert (m.Z - np.eye(27)).nnz == 0 if hasattr(m.Z - np.eye(27), "nnz") else True
         np.testing.assert_allclose(m.Z.toarray(), np.eye(27))
 
     def test_domain_scaling(self):
-        m = extract_mesh(LinearOctree.uniform(1), domain=(8.0, 4.0, 1.0))
+        m = extract_mesh(Forest.uniform(unit_cube(), 1), domain=(8.0, 4.0, 1.0))
         c = m.node_coords()
         assert c[:, 0].max() == 8.0
         assert c[:, 1].max() == 4.0
@@ -121,7 +121,7 @@ class TestHangingNodes:
 
 class TestBoundary:
     def test_boundary_mask_uniform(self):
-        m = extract_mesh(LinearOctree.uniform(1))
+        m = extract_mesh(Forest.uniform(unit_cube(), 1))
         assert m.boundary_node_mask().sum() == 26  # 27 - 1 interior
         assert m.boundary_node_mask(axis=0, side=0).sum() == 9
         assert m.boundary_node_mask(axis=2, side=1).sum() == 9
@@ -139,13 +139,13 @@ class TestInterpolateAt:
         np.testing.assert_allclose(vals, centers @ np.array([1.0, 2.0, 3.0]), atol=1e-9)
 
     def test_constant_field(self):
-        m = extract_mesh(LinearOctree.uniform(2))
+        m = extract_mesh(Forest.uniform(unit_cube(), 2))
         u = np.ones(m.n_nodes)
         pts = np.random.default_rng(0).random((50, 3))
         np.testing.assert_allclose(m.interpolate_at(u, pts), 1.0)
 
     def test_domain_scaled_interpolation(self):
-        m = extract_mesh(LinearOctree.uniform(2), domain=(8.0, 4.0, 1.0))
+        m = extract_mesh(Forest.uniform(unit_cube(), 2), domain=(8.0, 4.0, 1.0))
         coords = m.node_coords()
         f = coords[:, 0] * 0.25
         pts = np.array([[4.0, 2.0, 0.5], [8.0, 4.0, 1.0], [0.0, 0.0, 0.0]])
@@ -154,15 +154,13 @@ class TestInterpolateAt:
 
 class TestGuards:
     def test_max_level_guard(self):
-        from repro.octree import MAX_LEVEL
-        from repro.octree.linear import LinearOctree as LT
+        from repro.mesh import extract_leaves
+        from repro.octree import MAX_LEVEL, OctantArray
 
-        # a tree with a leaf at MAX_LEVEL cannot be meshed (midpoints
-        # would be fractional)
-        deep = LT.uniform(0)
+        # a leaf set with a leaf at MAX_LEVEL cannot be meshed (midpoints
+        # would be fractional); no tree reaches it, the forest caps at 19
+        deep = OctantArray.root()
         for _ in range(MAX_LEVEL):
-            mask = np.zeros(len(deep), dtype=bool)
-            mask[0] = True
-            deep = deep.refine(mask)
-        with pytest.raises(ValueError):
-            extract_mesh(deep)
+            deep = deep.refine(np.arange(len(deep)) == 0)
+        with pytest.raises(ValueError, match="element level <= MAX_LEVEL - 1"):
+            extract_leaves(deep)

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh, interpolate_fields
-from repro.octree import LinearOctree, balance
 
 
 def mesh_pair(seed=0):
     """An adapted mesh and a further-refined version of it."""
     rng = np.random.default_rng(seed)
-    t1 = balance(LinearOctree.uniform(2).refine(
-        rng.random(64) < 0.3), "corner").tree
+    t1, _ = Forest.uniform(unit_cube(), 2).refine(rng.random(64) < 0.3).balance("corner")
     m1 = extract_mesh(t1)
-    t2 = balance(t1.refine(rng.random(len(t1)) < 0.3), "corner").tree
+    t2 = t1.refine(rng.random(len(t1)) < 0.3).balance("corner")[0]
     m2 = extract_mesh(t2)
     return m1, m2
 
@@ -53,7 +52,7 @@ class TestInterpolateFields:
 
     def test_domain_mismatch_rejected(self):
         m1, _ = mesh_pair()
-        m3 = extract_mesh(LinearOctree.uniform(1), domain=(2.0, 1.0, 1.0))
+        m3 = extract_mesh(Forest.uniform(unit_cube(), 1), domain=(2.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             interpolate_fields(m1, np.zeros(m1.n_nodes), m3)
 

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.forest import FOREST_MAX_LEVEL
+from repro.forest import FOREST_MAX_LEVEL, Forest, unit_cube
 from repro.mesh import extract_mesh
 from repro.mesh.parmesh import extract_parmesh
-from repro.octree import ROOT_LEN, LinearOctree, balance
+from repro.octree import ROOT_LEN
 from repro.octree.partree import balance_tree, new_tree, partition_tree, refine_tree
 from repro.parallel import run_spmd
 
@@ -41,12 +41,12 @@ def contains(octs, point=POINT):
     )
 
 
-def deep_tree() -> LinearOctree:
+def deep_tree() -> Forest:
     """Serial corner-balanced tree with one leaf at FOREST_MAX_LEVEL."""
-    tree = LinearOctree.uniform(1)
-    while tree.leaves.level.max() < FOREST_MAX_LEVEL:
-        tree = tree.refine(contains(tree.leaves))
-    return balance(tree, "corner").tree
+    tree = Forest.uniform(unit_cube(), 1)
+    while tree.octs.level.max() < FOREST_MAX_LEVEL:
+        tree = tree.refine(contains(tree.octs))
+    return tree.balance("corner")[0]
 
 
 def deep_ptree(comm):
@@ -68,7 +68,7 @@ def assert_mesh_equal(got, want):
 
 def check_serial(tree) -> int:
     got = extract_mesh(tree)
-    assert_mesh_equal(got, oracle.extract_submesh(tree.leaves))
+    assert_mesh_equal(got, oracle.extract_submesh(tree.octs))
     return int(got.hanging.sum())
 
 
@@ -94,7 +94,7 @@ class TestSerial:
         check_serial(refined_tree(seed=seed, rounds=3, frac=0.2))
 
     def test_uniform_tree(self):
-        assert check_serial(LinearOctree.uniform(2)) == 0
+        assert check_serial(Forest.uniform(unit_cube(), 2)) == 0
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
@@ -103,14 +103,14 @@ class TestSerial:
         comes out of the transitive closure (none of the corner-balanced
         trees here has such a chain)."""
         rng = np.random.default_rng(seed)
-        tree = LinearOctree.uniform(1)
+        tree = Forest.uniform(unit_cube(), 1)
         for _ in range(3):
             tree = tree.refine(rng.random(len(tree)) < 0.25)
-        check_serial(balance(tree, "face").tree)
+        check_serial(tree.balance("face")[0])
 
     def test_leaf_at_the_deepest_forest_level(self):
         tree = deep_tree()
-        assert tree.leaves.level.max() == FOREST_MAX_LEVEL
+        assert tree.octs.level.max() == FOREST_MAX_LEVEL
         assert check_serial(tree) > 0
         # on the finest leaf's grid the corner keys and indices would need
         # more than 63 bits; the ranks of the grid lines in use fit
@@ -122,7 +122,7 @@ class TestSerial:
         from repro.mesh.extract import _sort_corners
 
         tree = refined_tree(seed=3, rounds=3, frac=0.2)
-        _, _, finest = _sort_corners(tree.leaves)
+        _, _, finest = _sort_corners(tree.octs)
         np.testing.assert_array_equal(finest, oracle.finest_level(extract_mesh(tree)))
 
 

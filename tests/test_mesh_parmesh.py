@@ -7,13 +7,11 @@ and interpolation results must be identical for any rank count.
 import numpy as np
 import pytest
 
-from repro.forest import forest_key
+from repro.forest import Forest, forest_key, unit_cube
 from repro.mesh import extract_mesh
 from repro.mesh.parmesh import collect_ghosts, extract_parmesh, par_interpolate_at
 from repro.octree import (
     ROOT_LEN,
-    LinearOctree,
-    balance,
     balance_tree,
     gather_tree,
     new_tree,
@@ -22,6 +20,8 @@ from repro.octree import (
 )
 from repro.octree.partree import partition_tree
 from repro.parallel import run_spmd
+
+from .oracles.forest_balance import find_leaf
 
 PS = [1, 2, 3, 5]
 
@@ -40,11 +40,11 @@ def build_ptree(comm, level=2, refine_seed=None):
 
 
 def serial_reference(level=2, refine_seed=None):
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     if refine_seed is not None:
         rng = np.random.default_rng(refine_seed)
         tree = tree.refine(rng.random(len(tree)) < 0.3)
-    return balance(tree, "corner").tree
+    return tree.balance("corner")[0]
 
 
 class TestCollectGhosts:
@@ -70,8 +70,8 @@ class TestCollectGhosts:
             np.testing.assert_array_equal(gowner, owners)
             # ghosts are valid octants of the global tree
             g = gather_tree(pt)
-            pos = np.searchsorted(g.keys, ghosts.keys())
-            assert np.array_equal(g.keys[pos], ghosts.keys())
+            pos = np.searchsorted(g.octs.keys(), ghosts.keys())
+            assert np.array_equal(g.octs.keys()[pos], ghosts.keys())
             return True
 
         assert all(run_spmd(p, kernel))
@@ -87,16 +87,16 @@ class TestCollectGhosts:
             # brute force adjacency on the gathered tree
             local_keys = set(pt.octs.keys().tolist())
             union_keys = local_keys | set(ghosts.keys().tolist())
-            lv = g.leaves
+            lv = g.octs
             h = lv.lengths()
             lo = np.stack([lv.x, lv.y, lv.z], axis=1)
             hi = lo + h[:, None]
-            is_local = np.isin(g.keys, pt.octs.keys())
+            is_local = np.isin(g.octs.keys(), pt.octs.keys())
             missing = 0
             for i in np.flatnonzero(is_local):
                 touch = np.all((lo <= hi[i]) & (hi >= lo[i]), axis=1)
                 for j in np.flatnonzero(touch):
-                    if int(g.keys[j]) not in union_keys:
+                    if int(g.octs.keys()[j]) not in union_keys:
                         missing += 1
             return missing
 
@@ -207,7 +207,7 @@ class TestNodeOwners:
             pm = extract_parmesh(pt)
             leaf_rank = np.repeat(np.arange(comm.size), comm.allgather(len(pt)))
             c = np.minimum(pm.mesh.node_coords_int, ROOT_LEN - 1)
-            want = leaf_rank[gather_tree(pt).find_containing(c[:, 0], c[:, 1], c[:, 2])]
+            want = leaf_rank[find_leaf(gather_tree(pt).octs, c[:, 0], c[:, 1], c[:, 2])]
             np.testing.assert_array_equal(pm.node_owner, want)
             return len(pt)
 
@@ -223,10 +223,9 @@ class TestParInterpolate:
             mesh = pm.mesh
             coords = mesh.node_coords()
             u_full = coords @ np.array([1.0, -2.0, 0.5]) + 3.0
-            markers = partition_markers(pt)
             rng = np.random.default_rng(100 + comm.rank)
             pts = rng.random((20, 3))
-            vals = par_interpolate_at(pm, markers, u_full, pts)
+            vals = par_interpolate_at(pm, u_full, pts)
             expect = pts @ np.array([1.0, -2.0, 0.5]) + 3.0
             np.testing.assert_allclose(vals, expect, atol=1e-9)
             return True

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh, write_vtk
-from repro.octree import LinearOctree, balance
 
 
 def small_mesh():
-    t = LinearOctree.uniform(1)
+    t = Forest.uniform(unit_cube(), 1)
     mask = np.zeros(8, dtype=bool)
     mask[0] = True
-    return extract_mesh(balance(t.refine(mask), "corner").tree)
+    return extract_mesh(t.refine(mask).balance("corner")[0])
 
 
 class TestWriteVtk:
@@ -44,7 +44,7 @@ class TestWriteVtk:
     def test_vtk_hex_ordering_is_right_handed(self, tmp_path):
         """The bottom quad (first 4 vertices) must be CCW seen from above
         (VTK_HEXAHEDRON convention) — signed volume positive."""
-        mesh = extract_mesh(LinearOctree.uniform(0))
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 0))
         path = tmp_path / "one.vtk"
         write_vtk(str(path), mesh)
         lines = path.read_text().splitlines()

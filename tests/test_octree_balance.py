@@ -1,4 +1,5 @@
-"""Unit + property tests for 2:1 balance (repro.octree.balance)."""
+"""Unit + property tests for 2:1 balance of the octree, the one-tree
+forest on ``unit_cube()`` (``Forest.balance`` / ``Forest.is_balanced``)."""
 
 import tracemalloc
 
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.octree import LinearOctree, balance, balance_violations, is_balanced
+from repro.forest import Forest, unit_cube
+from repro.octree import directions_for
+
+from .oracles.forest_balance import find_leaf
 
 
-def center_refined_tree(depth: int) -> LinearOctree:
+def center_refined_tree(depth: int) -> Forest:
     """Repeatedly refine the leaf anchored at the domain center.
 
     The center is a corner shared by all eight level-1 leaves, so the deep
@@ -22,10 +26,10 @@ def center_refined_tree(depth: int) -> LinearOctree:
     from repro.octree import ROOT_LEN
 
     mid = ROOT_LEN // 2
-    tree = LinearOctree.uniform(1)
+    tree = Forest.uniform(unit_cube(), 1)
     for _ in range(depth):
         mask = np.zeros(len(tree), dtype=bool)
-        idx = tree.find_containing(np.array([mid]), np.array([mid]), np.array([mid]))[0]
+        idx = find_leaf(tree.octs, np.array([mid]), np.array([mid]), np.array([mid]))[0]
         mask[idx] = True
         tree = tree.refine(mask)
     return tree
@@ -33,70 +37,69 @@ def center_refined_tree(depth: int) -> LinearOctree:
 
 class TestBalanceBasics:
     def test_uniform_is_balanced(self):
-        assert is_balanced(LinearOctree.uniform(2))
+        assert Forest.uniform(unit_cube(), 2).is_balanced()
 
     def test_single_refine_is_balanced(self):
-        t = LinearOctree.uniform(1)
+        t = Forest.uniform(unit_cube(), 1)
         mask = np.zeros(8, dtype=bool)
         mask[0] = True
-        assert is_balanced(t.refine(mask))
+        assert t.refine(mask).is_balanced()
 
     def test_two_level_jump_detected(self):
         t = center_refined_tree(2)  # origin leaf at level 3, neighbor at 1
-        assert not is_balanced(t)
-        assert balance_violations(t) > 0
+        assert not t.is_balanced()
+        assert t._violations(directions_for("edge")).sum() > 0
 
     def test_balance_fixes_violations(self):
         t = center_refined_tree(3)
-        res = balance(t)
-        assert is_balanced(res.tree)
-        assert res.tree.is_complete()
-        assert res.leaves_added > 0
-        assert res.rounds >= 1
+        bt, added = t.balance()
+        assert bt.is_balanced()
+        assert bt.is_complete()
+        assert added > 0
 
     def test_balance_idempotent(self):
         t = center_refined_tree(3)
-        res = balance(t)
-        res2 = balance(res.tree)
-        assert res2.leaves_added == 0
-        assert res2.tree.leaves.equals(res.tree.leaves)
+        bt, _ = t.balance()
+        bt2, added = bt.balance()
+        assert added == 0
+        assert bt2.octs.equals(bt.octs)
 
     def test_balance_keeps_original_leaves_or_descendants(self):
         """Balance only refines: every original leaf is either present or
         fully covered by descendants."""
         t = center_refined_tree(3)
-        res = balance(t)
-        orig_start, orig_end = t.leaves.key_ranges()
-        new_start = res.tree.keys
+        bt, _ = t.balance()
+        orig_start, orig_end = t.octs.key_ranges()
+        new_start = bt.octs.keys()
         # each original leaf's interval start must appear as a leaf anchor
         assert np.all(np.isin(orig_start, new_start))
 
     def test_ripple_depth(self):
         """Deep corner refinement requires multiple ripple rounds."""
         t = center_refined_tree(5)
-        res = balance(t)
-        assert res.rounds >= 2
-        assert is_balanced(res.tree)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            t.balance(max_rounds=2)
+        assert t.balance()[0].is_balanced()
 
     def test_nonconvergence_guard(self):
         t = center_refined_tree(4)
         with pytest.raises(RuntimeError):
-            balance(t, max_rounds=1)
+            t.balance(max_rounds=1)
 
 
 class TestConnectivityVariants:
     def test_face_weaker_than_edge_weaker_than_corner(self):
         t = center_refined_tree(4)
-        n_face = len(balance(t, "face").tree)
-        n_edge = len(balance(t, "edge").tree)
-        n_corner = len(balance(t, "corner").tree)
+        n_face = len(t.balance("face")[0])
+        n_edge = len(t.balance("edge")[0])
+        n_corner = len(t.balance("corner")[0])
         assert n_face <= n_edge <= n_corner
 
     def test_corner_balance_implies_edge_balance(self):
         t = center_refined_tree(4)
-        bt = balance(t, "corner").tree
-        assert is_balanced(bt, "edge")
-        assert is_balanced(bt, "face")
+        bt, _ = t.balance("corner")
+        assert bt.is_balanced("edge")
+        assert bt.is_balanced("face")
 
 
 class TestBalanceProperties:
@@ -104,33 +107,33 @@ class TestBalanceProperties:
     @settings(max_examples=15, deadline=None)
     def test_random_trees_balance(self, seed):
         rng = np.random.default_rng(seed)
-        tree = LinearOctree.uniform(1)
+        tree = Forest.uniform(unit_cube(), 1)
         for _ in range(3):
             mask = rng.random(len(tree)) < 0.25
             tree = tree.refine(mask)
-        res = balance(tree)
-        assert res.tree.is_complete()
-        assert is_balanced(res.tree)
+        bt, _ = tree.balance()
+        assert bt.is_complete()
+        assert bt.is_balanced()
         # balance never removes resolution
-        assert res.tree.levels.max() == tree.levels.max()
-        assert len(res.tree) >= len(tree)
+        assert bt.octs.level.max() == tree.octs.level.max()
+        assert len(bt) >= len(tree)
 
 
 class TestCheckMemory:
     def test_corner_check_peak_per_leaf(self):
-        """``is_balanced`` samples one direction at a time.  Sampling every
+        """``Forest.is_balanced`` samples one direction at a time.  Sampling every
         direction at once, as the forest's check once did, peaked near
         2 100 B per leaf; the bench runs this check on a gathered tree."""
         rng = np.random.default_rng(0)
-        tree = LinearOctree.uniform(3)
+        tree = Forest.uniform(unit_cube(), 3)
         for frac in (0.5, 0.2, 0.12):
             tree = tree.refine(rng.random(len(tree)) < frac)
-        tree = balance(tree, "corner").tree
+        tree, _ = tree.balance("corner")
         assert 15_000 < len(tree) < 30_000
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assert is_balanced(tree, "corner")
+            assert tree.is_balanced("corner")
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -9,10 +9,8 @@ serial algorithms.
 import numpy as np
 import pytest
 
-from repro.forest import forest_key
+from repro.forest import Forest, forest_key, unit_cube
 from repro.octree import (
-    LinearOctree,
-    balance,
     balance_tree,
     coarsen_tree,
     gather_tree,
@@ -24,6 +22,8 @@ from repro.octree import (
     refine_tree,
 )
 from repro.parallel import run_spmd
+
+from .test_octree_balance import center_refined_tree
 
 PS = [1, 2, 4, 7]
 
@@ -40,9 +40,9 @@ class TestNewTree:
             return gather_tree(pt)
 
         out = spmd(p, kernel)
-        serial = LinearOctree.uniform(2)
+        serial = Forest.uniform(unit_cube(), 2)
         for t in out:
-            assert t.leaves.equals(serial.leaves)
+            assert t.octs.equals(serial.octs)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_load_balanced(self, p):
@@ -64,7 +64,7 @@ class TestNewTree:
 
         out = spmd(4, kernel)
         assert all(o[0] == 64 for o in out)
-        serial = LinearOctree.uniform(2).keys
+        serial = Forest.uniform(unit_cube(), 2).octs.keys()
         for _, offset, keys in out:
             np.testing.assert_array_equal(keys, serial[offset : offset + len(keys)])
 
@@ -105,9 +105,9 @@ class TestRefineCoarsenParallel:
             pt = refine_tree(pt, gmask[offset : offset + len(pt)])
             return gather_tree(pt)
 
-        serial = LinearOctree.uniform(2).refine(np.arange(64) % 3 == 0)
+        serial = Forest.uniform(unit_cube(), 2).refine(np.arange(64) % 3 == 0)
         for t in spmd(p, kernel):
-            assert t.leaves.equals(serial.leaves)
+            assert t.octs.equals(serial.octs)
 
     def test_coarsen_local_families(self):
         def kernel(comm):
@@ -118,7 +118,7 @@ class TestRefineCoarsenParallel:
         # on 1 rank all 8 families coarsen -> uniform level 1
         (t, nfam), = spmd(1, kernel)
         assert nfam == 8
-        assert t.leaves.equals(LinearOctree.uniform(1).leaves)
+        assert t.octs.equals(Forest.uniform(unit_cube(), 1).octs)
 
     def test_coarsen_resolves_split_families(self):
         def kernel(comm):
@@ -129,7 +129,7 @@ class TestRefineCoarsenParallel:
         out = spmd(3, kernel)
         nfam, t = out[0]
         assert nfam == 1  # split family is still coarsened (P-invariance)
-        assert len(t) == 1 and t.levels[0] == 0
+        assert len(t) == 1 and t.octs.level[0] == 0
 
 
 class TestBalanceParallel:
@@ -160,25 +160,10 @@ class TestBalanceParallel:
             pt, added, rounds = balance_tree(pt)
             return gather_tree(pt), added, rounds
 
-        # serial reference
-        def serial_tree():
-            from repro.octree import ROOT_LEN
-
-            mid = ROOT_LEN // 2
-            t = LinearOctree.uniform(1)
-            for _ in range(4):
-                mask = np.zeros(len(t), dtype=bool)
-                idx = t.find_containing(
-                    np.array([mid]), np.array([mid]), np.array([mid])
-                )[0]
-                mask[idx] = True
-                t = t.refine(mask)
-            return t
-
-        ref = balance(serial_tree())
+        ref, ref_added = center_refined_tree(4).balance()
         for t, added, rounds in spmd(p, kernel):
-            assert t.leaves.equals(ref.tree.leaves)
-            assert added == ref.leaves_added
+            assert t.octs.equals(ref.octs)
+            assert added == ref_added
             assert is_balanced(t)
 
     @pytest.mark.parametrize("connectivity", ["face", "edge", "corner"])
@@ -226,7 +211,7 @@ class TestPartitionTree:
             return g_before, g_after
 
         for g_before, g_after in spmd(4, kernel):
-            assert g_before.leaves.equals(g_after.leaves)
+            assert g_before.octs.equals(g_after.octs)
 
     def test_transfer_plan_routes_element_data(self):
         def kernel(comm):

@@ -248,8 +248,8 @@ class TestWorkloadEquivalence:
 
             g = gather_tree(pipe.pt)
             return {
-                "keys": g.keys.copy(),
-                "levels": g.levels.copy(),
+                "keys": g.octs.keys().copy(),
+                "levels": g.octs.level.copy(),
                 "T": pipe.T.copy(),
                 "steps": pipe.steps_taken,
             }

@@ -12,7 +12,7 @@ from repro.mesh.opcache import (
     operator_cache,
     reset_cache_stats,
 )
-from repro.octree import LinearOctree
+from repro.forest import Forest, unit_cube
 from repro.rhea import MantleConvection, RheaConfig
 
 
@@ -65,7 +65,7 @@ def _mini_config(**kw):
 def _three_steps(cfg, cold=False):
     """Three (Stokes solve, one advection step) cycles; ``cold`` discards
     the previous solution before every solve, so MINRES starts from zero."""
-    sim = MantleConvection(cfg, tree=LinearOctree.uniform(cfg.initial_level))
+    sim = MantleConvection(cfg, tree=Forest.uniform(unit_cube(), cfg.initial_level))
     iters = 0
     for _ in range(3):
         if cold:

@@ -45,9 +45,9 @@ class TestSetup:
         without one (a distributed submesh) fails here, not inside the
         first Stokes solve."""
         from repro.mesh import extract_leaves
-        from repro.octree import LinearOctree
+        from repro.forest import Forest, unit_cube
 
-        mesh, _ = extract_leaves(LinearOctree.uniform(2).leaves)
+        mesh, _ = extract_leaves(Forest.uniform(unit_cube(), 2).octs)
         assert mesh.tree is None
         with pytest.raises(ValueError, match="mesh.tree"):
             MantleConvection(small_config(), mesh=mesh)
@@ -57,9 +57,9 @@ class TestSetup:
         refused at construction (it would run, and look for the top at
         z = 2 when it reports the Nusselt number)."""
         from repro.mesh import extract_mesh
-        from repro.octree import LinearOctree
+        from repro.forest import Forest, unit_cube
 
-        mesh = extract_mesh(LinearOctree.uniform(2))
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 2))
         with pytest.raises(
             ValueError, match=r"\(1\.0, 1\.0, 1\.0\) is not config\.domain \(1\.0, 1\.0, 2\.0\)"
         ):
@@ -260,7 +260,7 @@ class TestAdaptation:
         sim = MantleConvection(small_config(initial_level=3, max_level=5), T_init=T_init)
         sim.adapt(target=800)
         centers = sim.mesh.element_centers()
-        levels = sim.mesh.tree.levels
+        levels = sim.mesh.tree.octs.level
         near = np.abs(centers[:, 2] - 0.5) < 0.15
         far = np.abs(centers[:, 2] - 0.5) > 0.3
         assert levels[near].astype(float).mean() > levels[far].astype(float).mean()

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 from repro.rhea import depth_profile, plateness, surface_mobility
 from repro.rhea.diagnostics import depth_profiles_table
 
 
 def mesh(level=2, adapted=False):
-    t = LinearOctree.uniform(level)
+    t = Forest.uniform(unit_cube(), level)
     if adapted:
         rng = np.random.default_rng(0)
-        t = balance(t.refine(rng.random(len(t)) < 0.3), "corner").tree
+        t = t.refine(rng.random(len(t)) < 0.3).balance("corner")[0]
     return extract_mesh(t)
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree
 from repro.rhea import (
     ArrheniusViscosity,
     YieldingViscosity,
@@ -75,7 +75,7 @@ class TestYielding:
 class TestStrainRate:
     @staticmethod
     def mesh():
-        return extract_mesh(LinearOctree.uniform(2))
+        return extract_mesh(Forest.uniform(unit_cube(), 2))
 
     def test_rigid_translation_zero(self):
         m = self.mesh()
@@ -112,7 +112,7 @@ class TestStrainRate:
 
 class TestElementTemperature:
     def test_linear_gives_centers(self):
-        m = extract_mesh(LinearOctree.uniform(1))
+        m = extract_mesh(Forest.uniform(unit_cube(), 1))
         c = m.node_coords()
         T = c[:, 2]
         np.testing.assert_allclose(

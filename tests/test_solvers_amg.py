@@ -9,8 +9,8 @@ from repro import obs
 from repro.fem import StokesSystem, apply_dirichlet, assemble_scalar
 from repro.fem.hexops import ElementOps
 from repro.fem.stokes import poisson_blocks
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import LinearOctree, balance
 from repro.solvers import SmoothedAggregationAMG, aggregate, strength_graph
 
 from .oracles.aggregation import aggregate_reference
@@ -48,9 +48,9 @@ def poisson_fem(level=3, viscosity_contrast=1.0, seed=0):
     """Variable-coefficient FEM Poisson on an adapted mesh with Dirichlet
     boundary (the actual preconditioner block of the Stokes solver)."""
     rng = np.random.default_rng(seed)
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     tree = tree.refine(rng.random(len(tree)) < 0.2)
-    tree = balance(tree, "corner").tree
+    tree = tree.balance("corner")[0]
     mesh = extract_mesh(tree)
     eta = np.exp(rng.uniform(0, np.log(viscosity_contrast + 1e-300), mesh.n_elements)) \
         if viscosity_contrast > 1 else np.ones(mesh.n_elements)
@@ -65,7 +65,7 @@ def free_slip_blocks(level, contrast=1e3):
     """The three scalar Poisson blocks of a free-slip Stokes system on a
     uniform level-``level`` box (component ``a`` is pinned on its two
     normal faces: identity rows in the block)."""
-    mesh = extract_mesh(LinearOctree.uniform(level))
+    mesh = extract_mesh(Forest.uniform(unit_cube(), level))
     c = mesh.element_centers()
     eta = np.exp(np.log(contrast) * np.exp(-((c - 0.5) ** 2).sum(axis=1) / 0.08))
     return [sp.csr_matrix(K) for K in poisson_blocks(mesh, eta, "free_slip")]
@@ -436,7 +436,7 @@ class TestStokesIntegration:
         assert abs(stats["minres_iterations"] - 190) <= 0.03 * 190
 
     def test_setup_counters_show_the_coarsening(self):
-        mesh = extract_mesh(LinearOctree.uniform(3))
+        mesh = extract_mesh(Forest.uniform(unit_cube(), 3))
         st = StokesSystem(mesh, np.ones(mesh.n_elements), np.zeros((mesh.n_nodes, 3)))
         timer = obs.PhaseTimer()
         with obs.attached(timer):

@@ -28,8 +28,9 @@ import pytest
 
 from repro.fem import StokesSystem, assembly_counts, reset_assembly_counts
 from repro.fem.stokes import velocity_bcs
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.octree import ROOT_LEN, LinearOctree, balance
+from repro.octree import ROOT_LEN
 from repro.solvers import (
     ChebyshevSmoother,
     GeometricMultigrid,
@@ -50,21 +51,21 @@ from .oracles.stokes_blocks import project_pressure_mean
 
 def _mesh(level=2, frac=0.25, seed=0):
     """A hanging-node test mesh: uniform base + random refinement."""
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     if frac:
         rng = np.random.default_rng(seed)
         tree = tree.refine(rng.random(len(tree)) < frac)
-        tree = balance(tree, "corner").tree
+        tree = tree.balance("corner")[0]
     return extract_mesh(tree, (1.0, 1.0, 1.0))
 
 
 def _graded_mesh():
     """Three levels of refinement towards the top: 264 hanging nodes."""
-    tree = LinearOctree.uniform(2)
+    tree = Forest.uniform(unit_cube(), 2)
     for cut in (0.5, 0.75):
-        lv = tree.leaves
+        lv = tree.octs
         tree = tree.refine((lv.z + lv.lengths() // 2) / ROOT_LEN > cut)
-        tree = balance(tree, "corner").tree
+        tree = tree.balance("corner")[0]
     mesh = extract_mesh(tree, (1.0, 1.0, 1.0))
     assert mesh.hanging.sum() == 264
     return mesh
@@ -481,10 +482,10 @@ def _gmg_solve_kernel(comm, level, contrast):
     """One GMG-preconditioned Stokes solve per rank (identical problem on
     every rank: the digest must agree across ranks, rank counts, and
     backends)."""
-    tree = LinearOctree.uniform(level)
+    tree = Forest.uniform(unit_cube(), level)
     rng = np.random.default_rng(42)
     tree = tree.refine(rng.random(len(tree)) < 0.25)
-    tree = balance(tree, "corner").tree
+    tree = tree.balance("corner")[0]
     mesh = extract_mesh(tree, (1.0, 1.0, 1.0))
     c = mesh.node_coords()[mesh.element_nodes].mean(axis=1)
     eta = np.exp(np.log(contrast) * np.exp(-((c - 0.5) ** 2).sum(axis=1) / 0.08))

@@ -33,14 +33,16 @@ from repro.amr import ParAmrPipeline, RotatingFrontWorkload
 from repro.amr.pardriver import rotating_velocity
 from repro.fem import ParAdvectionDiffusion
 from repro.fem.hexops import ElementOps
+from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh, node_keys
 from repro.mesh.extract import _find_hanging_constraints, _first_discovery
 from repro.mesh.parmesh import extract_parmesh
-from repro.octree import ROOT_LEN, LinearOctree, balance, new_tree
+from repro.octree import ROOT_LEN, new_tree
 from repro.parallel import run_spmd
 
 from .oracles.assembly import assemble_owned_nodal, assemble_owned_split
 from .oracles.constraints import find_hanging_full
+from .oracles.forest_balance import find_leaf
 from .oracles.mesh_extract import finest_level
 from .oracles.supg import supg_operator_termwise
 from .test_forest_recursive import build_ptree
@@ -143,13 +145,13 @@ class TestHangingSearch:
 
     def test_keys_next_to_the_far_corner(self):
         """Node keys there are close to 2**63: the sum of two overflows."""
-        tree = LinearOctree.uniform(1)
-        far = tree.find_containing(*(np.array([ROOT_LEN - 1]),) * 3)[0]
-        tree = balance(tree.refine(np.arange(len(tree)) == far), "corner").tree
+        tree = Forest.uniform(unit_cube(), 1)
+        far = find_leaf(tree.octs, *(np.array([ROOT_LEN - 1]),) * 3)[0]
+        tree = tree.refine(np.arange(len(tree)) == far).balance("corner")[0]
         assert check_constraints(extract_mesh(tree)) == 12
 
     def test_no_hanging_nodes(self):
-        assert check_constraints(extract_mesh(LinearOctree.uniform(2))) == 0
+        assert check_constraints(extract_mesh(Forest.uniform(unit_cube(), 2))) == 0
 
 
 def check_assembly(pm, seed=0):
