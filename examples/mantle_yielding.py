@@ -67,7 +67,9 @@ def main(cycles=4, checkpoint_every=None, checkpoint_dir="checkpoints_yielding",
         checkpoint = Checkpointer(checkpoint_dir, every=checkpoint_every)
 
     if resume:
-        sim = MantleConvection.resume_from(checkpoint_dir, config=cfg)
+        from repro.checkpoint import restore_convection
+
+        sim = restore_convection(checkpoint_dir, config=cfg)
         print(f"resumed from checkpoint in {checkpoint_dir!r} at "
               f"step {sim.step_count} (t = {sim.sim_time:.3e}, "
               f"{len(sim.history)} cycles recorded)")

@@ -40,7 +40,9 @@ def main(p=4, cycles=3, checkpoint_every=None, checkpoint_dir="checkpoints_amr",
     def kernel(comm):
         timer = obs.enable(comm, record_events=trace is not None)
         if resume:
-            pipe = ParAmrPipeline.resume_from(comm, checkpoint_dir, workload=workload)
+            from repro.checkpoint import restore_pipeline
+
+            pipe = restore_pipeline(comm, checkpoint_dir, workload=workload)
         else:
             pipe = ParAmrPipeline(
                 comm, workload=workload, coarse_level=2, max_level=max_level

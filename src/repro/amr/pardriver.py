@@ -133,14 +133,6 @@ class ParAmrPipeline:
         T0 = self.workload.initial(coords)
         self.T = T0[self.pm.mesh.indep_nodes]
 
-    @classmethod
-    def resume_from(cls, comm: SimComm, path: str, workload=None) -> "ParAmrPipeline":
-        """Rebuild a pipeline from a checkpoint (any rank count); see
-        :func:`repro.checkpoint.restore_pipeline`."""
-        from ..checkpoint import restore_pipeline
-
-        return restore_pipeline(comm, path, workload=workload)
-
     # -- error indicator --------------------------------------------------------
 
     def indicator(self) -> np.ndarray:

@@ -18,9 +18,9 @@ Dirichlet mask, the elementwise CFL bound and the Heun step are the
 serial solver's functions (:mod:`repro.fem.advection`,
 :func:`repro.solvers.timestep.heun_step`).
 
-P-invariance: stepping a field here produces bitwise-comparable values to
-the serial :class:`~repro.fem.advection.AdvectionDiffusion` on the
-gathered mesh (verified in the test suite).
+P-invariance: stepping a field here agrees to round-off with the serial
+:class:`~repro.fem.advection.AdvectionDiffusion` on the gathered mesh
+(verified in the test suite).
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ a bad spec never touches a mesh), interns their meshes through a
 one batch group), and serves cooperative scheduling quanta: each
 :meth:`~FleetService.step` runs one lockstep
 :meth:`~repro.fleet.batch.BatchGroup.cycle` for the group the
-:class:`~repro.fleet.scheduler.FleetScheduler` picks.  No threads — the
-:meth:`~FleetService.ticks` generator yields between quanta, in the
-style of the repo's simulated-SPMD drivers.
+:class:`~repro.fleet.scheduler.FleetScheduler` picks.  No threads — a
+caller interleaves fleet progress with other work by calling
+:meth:`~FleetService.step` once per quantum.
 
 Preemption is checkpoint-based, mirroring the ``arm_fault`` discipline
 of :mod:`repro.parallel.simcomm`: :meth:`~FleetService.arm_budget` arms
@@ -197,12 +197,6 @@ class FleetService:
             if self._budget <= 0:
                 self.preempt_all()
         return True
-
-    def ticks(self):
-        """Cooperative driver: yields ``quanta_served`` after each
-        quantum; iterate to interleave fleet progress with other work."""
-        while self.step():
-            yield self.quanta_served
 
     def run(self, max_quanta: int | None = None) -> int:
         """Serve quanta until drained/preempted (or ``max_quanta``);

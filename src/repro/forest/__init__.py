@@ -6,7 +6,7 @@ from .connectivity import (
     brick_connectivity,
     unit_cube,
 )
-from .cubed_sphere import RadialProjectionGeometry, cap_axes, cubed_sphere_connectivity
+from .cubed_sphere import RadialProjectionGeometry, cubed_sphere_connectivity
 from .faces import FaceClassification, match_faces
 from .forest import FOREST_MAX_LEVEL, Forest, forest_key, sample_queries
 from .parforest import ParForest
@@ -19,7 +19,6 @@ __all__ = [
     "unit_cube",
     "cubed_sphere_connectivity",
     "RadialProjectionGeometry",
-    "cap_axes",
     "Forest",
     "ParForest",
     "FOREST_MAX_LEVEL",

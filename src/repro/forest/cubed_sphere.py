@@ -18,7 +18,7 @@ import numpy as np
 
 from .connectivity import Connectivity, trilinear, trilinear_gradient
 
-__all__ = ["cubed_sphere_connectivity", "cap_axes", "RadialProjectionGeometry"]
+__all__ = ["cubed_sphere_connectivity", "RadialProjectionGeometry"]
 
 
 class RadialProjectionGeometry:
@@ -69,11 +69,6 @@ _CAPS = [
     (2, +1, 0, 1),  # +z
     (2, -1, 0, 1),  # -z
 ]
-
-
-def cap_axes(cap: int) -> tuple[int, int, int, int]:
-    """(normal_axis, sign, u_axis, v_axis) of cap 0..5."""
-    return _CAPS[cap]
 
 
 def _cap_point(cap: int, u: float, v: float) -> np.ndarray:

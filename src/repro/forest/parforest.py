@@ -66,9 +66,6 @@ class ParForest(Forest):
         """Per-rank first composite keys; rank r owns [m[r], m[r+1])."""
         return curve_markers(self.comm, self.fkeys(), self.fkey_end())
 
-    def owners(self, markers: np.ndarray, qfkeys: np.ndarray) -> np.ndarray:
-        return owners_of_keys(markers, qfkeys)
-
     def global_count(self) -> int:
         """Leaves on all ranks (collective)."""
         return self.comm.allreduce(len(self))

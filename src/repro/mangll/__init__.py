@@ -1,7 +1,7 @@
 """MANGLL: high-order nodal DG on hexahedral spectral elements (Sec. VII)."""
 
 from .dg import DGAdvection, solid_body_rotation
-from .lgl import diff_matrix, lagrange_basis_at, lagrange_matrix, lgl_nodes
+from .lgl import diff_matrix, lagrange_basis_at, lgl_nodes
 from .tensor import DerivativeKernel, matrix_flops, tensor_flops
 from .transfer import dg_transfer
 
@@ -10,7 +10,6 @@ __all__ = [
     "solid_body_rotation",
     "lgl_nodes",
     "diff_matrix",
-    "lagrange_matrix",
     "lagrange_basis_at",
     "DerivativeKernel",
     "matrix_flops",

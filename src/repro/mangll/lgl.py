@@ -16,7 +16,6 @@ from numpy.polynomial import legendre as npleg
 __all__ = [
     "lgl_nodes",
     "diff_matrix",
-    "lagrange_matrix",
     "lagrange_basis_at",
 ]
 
@@ -52,12 +51,6 @@ def lagrange_basis_at(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
             if k != j:
                 out[:, j] *= (pts - nodes[k]) / (nodes[j] - nodes[k])
     return out
-
-
-def lagrange_matrix(nodes_from: np.ndarray, nodes_to: np.ndarray) -> np.ndarray:
-    """Interpolation matrix from values at ``nodes_from`` to values at
-    ``nodes_to`` (alias of :func:`lagrange_basis_at` with clearer intent)."""
-    return lagrange_basis_at(nodes_from, nodes_to)
 
 
 def diff_matrix(nodes: np.ndarray) -> np.ndarray:

@@ -27,10 +27,10 @@ This module is the shared kernel layer for *all* element-batched tensor
 algebra in the code base: the DG solver builds on :class:`DerivativeKernel`,
 and the low-order FEM matrix-free apply engine
 (:mod:`repro.fem.matfree`) builds its fused Gauss-point evaluation
-matrices from the same 1-D factors through :func:`kron3` /
-:func:`contract_axis`.  Every kernel is batched over elements — operands
-carry arbitrary leading batch axes ``(..., n^3)`` (elements, or elements
-x fields), so one call applies the operator to the whole mesh at once.
+matrices from the same 1-D factors through :func:`kron3`.  Every kernel
+is batched over elements — operands carry arbitrary leading batch axes
+``(..., n^3)`` (elements, or elements x fields), so one call applies the
+operator to the whole mesh at once.
 """
 
 from __future__ import annotations
@@ -158,20 +158,4 @@ class DerivativeKernel:
             return self.gradient_tensor(u)
         if variant == "matrix":
             return self.gradient_matrix(u)
-        raise ValueError(f"unknown variant {variant!r}")
-
-    def flops(self, variant: str, n_elements: int) -> int:
-        if variant == "tensor":
-            return tensor_flops(self.p) * n_elements
-        if variant == "matrix":
-            return matrix_flops(self.p) * n_elements
-        raise ValueError(f"unknown variant {variant!r}")
-
-    def bytes(self, variant: str, n_elements: int) -> int:
-        """Bytes streamed through memory by one gradient of ``n_elements``
-        elements (prices the bandwidth-bound side of the roofline)."""
-        if variant == "tensor":
-            return tensor_bytes(self.p) * n_elements
-        if variant == "matrix":
-            return matrix_bytes(self.p) * n_elements
         raise ValueError(f"unknown variant {variant!r}")

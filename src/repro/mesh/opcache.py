@@ -119,10 +119,6 @@ class MeshOperatorCache:
                 verify_frozen(value, token, context=f"opcache[{key!r}]")
         return value
 
-    def clear(self) -> None:
-        self.store.clear()
-        self.tokens.clear()
-
 
 def operator_cache(mesh) -> MeshOperatorCache:
     """The operator cache of a mesh, created on first access.

@@ -126,9 +126,6 @@ class ParMesh:
     def n_owned_elements(self) -> int:
         return int(self.owned_elements.sum())
 
-    def global_element_count(self) -> int:
-        return self.comm.allreduce(self.n_owned_elements)
-
     # -- communication -----------------------------------------------------------
 
     def exchange_sum(self, values: np.ndarray) -> np.ndarray:
@@ -162,18 +159,6 @@ class ParMesh:
         for r, buf in enumerate(back):
             if len(buf):
                 out[self.send_plan[r]] = buf
-        return out
-
-    def gather_global(self, values: np.ndarray) -> np.ndarray:
-        """Assemble the full global dof vector on every rank (testing)."""
-        mine = self.node_owner[self.mesh.indep_nodes] == self.comm.rank
-        gids = self.global_dof[mine]
-        vals = values[mine]
-        parts = self.comm.allgather(np.stack([gids.astype(np.float64), vals], axis=1))
-        out = np.zeros(self.n_global)
-        for p in parts:
-            if len(p):
-                out[p[:, 0].astype(np.int64)] = p[:, 1]
         return out
 
 

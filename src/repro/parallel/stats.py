@@ -113,7 +113,7 @@ class CommStats:
         return self.p2p_bytes + sum(self.collective_bytes.values())
 
     def snapshot(self) -> "CommStats":
-        """Return a deep copy so callers can diff before/after a phase."""
+        """Return a deep copy, independent of later records on this tally."""
         return CommStats(
             p2p_messages=self.p2p_messages,
             p2p_bytes=self.p2p_bytes,
@@ -121,29 +121,6 @@ class CommStats:
             collective_bytes=dict(self.collective_bytes),
             flops=self.flops,
         )
-
-    def merge(self, other: "CommStats") -> "CommStats":
-        """Pure pairwise merge: a new tally with summed counts.
-
-        Associative and commutative, so parent-side aggregation of
-        worker stats may fold partial merges in any order (the process
-        backend gathers rank stats as replies arrive).  Neither operand
-        is mutated; ``s.merge(s)`` correctly doubles every count.
-        """
-        out = self.snapshot()
-        out += other
-        return out
-
-    def __add__(self, other: "CommStats") -> "CommStats":
-        if not isinstance(other, CommStats):
-            return NotImplemented
-        return self.merge(other)
-
-    def __radd__(self, other):
-        # support sum(list_of_stats) whose seed is the int 0
-        if other == 0:
-            return self.snapshot()
-        return NotImplemented
 
     def __iadd__(self, other: "CommStats") -> "CommStats":
         """In-place accumulate ``other`` into this tally (aliasing-safe)."""
@@ -159,26 +136,6 @@ class CommStats:
         for k, v in list(other.collective_bytes.items()):
             self.collective_bytes[k] = self.collective_bytes.get(k, 0) + v
         return self
-
-    def since(self, earlier: "CommStats") -> "CommStats":
-        """Return the delta between this tally and an earlier snapshot."""
-        calls = {
-            k: v - earlier.collective_calls.get(k, 0)
-            for k, v in self.collective_calls.items()
-            if v - earlier.collective_calls.get(k, 0)
-        }
-        nbytes = {
-            k: v - earlier.collective_bytes.get(k, 0)
-            for k, v in self.collective_bytes.items()
-            if v - earlier.collective_bytes.get(k, 0)
-        }
-        return CommStats(
-            p2p_messages=self.p2p_messages - earlier.p2p_messages,
-            p2p_bytes=self.p2p_bytes - earlier.p2p_bytes,
-            collective_calls=calls,
-            collective_bytes=nbytes,
-            flops=self.flops - earlier.flops,
-        )
 
 
 def merge_stats(stats: list[CommStats]) -> CommStats:

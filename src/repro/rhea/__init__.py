@@ -7,14 +7,7 @@ from .convection import (
     buoyancy,
     conductive_profile,
 )
-from .diagnostics import (
-    depth_profile,
-    depth_profiles_table,
-    plateness,
-    surface_mobility,
-)
 from .error import (
-    adjoint_weighted_indicator,
     combined_indicator,
     element_gradient,
     gradient_indicator,
@@ -33,14 +26,9 @@ __all__ = [
     "RheaConfig",
     "buoyancy",
     "conductive_profile",
-    "depth_profile",
-    "depth_profiles_table",
-    "plateness",
-    "surface_mobility",
     "gradient_indicator",
     "viscosity_jump_indicator",
     "combined_indicator",
-    "adjoint_weighted_indicator",
     "element_gradient",
     "ArrheniusViscosity",
     "YieldingViscosity",

@@ -348,20 +348,6 @@ class MantleConvection:
         self._p_prev: np.ndarray | None = None  # pressure warm start
         self._p_prev_mesh: Mesh | None = None
 
-    @classmethod
-    def resume_from(
-        cls, path: str, config: RheaConfig | None = None,
-        include_solver_state: bool = True,
-    ) -> "MantleConvection":
-        """Rebuild a run from a checkpoint directory (or a root of them);
-        see :func:`repro.checkpoint.restore_convection`.  ``config`` must
-        match the run that saved the checkpoint."""
-        from ..checkpoint import restore_convection
-
-        return restore_convection(
-            path, config=config, include_solver_state=include_solver_state
-        )
-
     # -- initial adaptation -----------------------------------------------------
 
     def adapt_initial(self, rounds: int = 3, target: int | None = None) -> None:

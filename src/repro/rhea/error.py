@@ -5,32 +5,20 @@ The production criterion is a scaled gradient indicator on temperature
 combined with a viscosity-variation term so that yielding zones — where
 viscosity collapses over a few kilometers — are also refined (Section VI:
 "the finest grid covers the region of highest stress").
-
-An adjoint-weighted indicator (the "adjoint-based error estimators" the
-paper lists among RHEA's ingredients) is provided for goal-oriented
-refinement of the advection-diffusion equation: the primal residual is
-weighted by the gradient of a discrete adjoint solution transported by the
-reversed flow.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from ..fem import apply_dirichlet, assemble_scalar
-from ..fem.hexops import ElementOps
 from ..mesh import Mesh
 
 __all__ = [
     "gradient_indicator",
     "viscosity_jump_indicator",
     "combined_indicator",
-    "adjoint_weighted_indicator",
     "element_gradient",
 ]
-
-_OPS = ElementOps()
 
 
 def element_gradient(mesh: Mesh, f_full: np.ndarray) -> np.ndarray:
@@ -86,36 +74,3 @@ def combined_indicator(
         if vmx > 0:
             ind = ind + viscosity_weight * (v / vmx)
     return ind
-
-
-def adjoint_weighted_indicator(
-    mesh: Mesh,
-    T_full: np.ndarray,
-    vel_elem: np.ndarray,
-    kappa: float,
-    goal_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Goal-oriented indicator for steady advection-diffusion.
-
-    Solves the discrete adjoint ``A^T lam = g`` (advection reversed by the
-    transpose) for a goal functional ``g`` (default: mean temperature) and
-    returns ``eta_e = h_e |grad T|_e * h_e |grad lam|_e`` — the standard
-    dual-weighted-residual surrogate with gradient recovery.
-    """
-    sizes = mesh.element_sizes()
-    elem = _OPS.stiffness(sizes, kappa) + _OPS.convection(sizes, vel_elem)
-    A = assemble_scalar(mesh, elem)
-    n = mesh.n_independent
-    if goal_weights is None:
-        from ..fem import lumped_mass
-
-        goal_weights = lumped_mass(mesh, _OPS.mass(sizes))
-    bdofs = mesh.dof_of_node[np.flatnonzero(mesh.boundary_node_mask())]
-    bdofs = np.unique(bdofs[bdofs >= 0])
-    At, g = apply_dirichlet(A.T.tocsr(), goal_weights.copy(), bdofs, 0.0)
-    lam = spla.spsolve(At.tocsc(), g)
-    lam_full = mesh.expand(lam)
-    h = sizes.min(axis=1)
-    primal = h * np.linalg.norm(element_gradient(mesh, T_full), axis=1)
-    dual = h * np.linalg.norm(element_gradient(mesh, lam_full), axis=1)
-    return primal * dual

@@ -22,6 +22,8 @@ from repro.checkpoint import (
     Checkpointer,
     ShardIntegrityError,
     list_checkpoints,
+    restore_convection,
+    restore_pipeline,
     save_pipeline,
 )
 from repro.checkpoint.format import MANIFEST_NAME, shard_name, step_dirname
@@ -84,7 +86,7 @@ def _crash(p, root, fail_rank):
 
 def _resume(m, root):
     def kernel(comm):
-        pipe = ParAmrPipeline.resume_from(comm, root)
+        pipe = restore_pipeline(comm, root)
         pipe.run_cycles(CYCLES - pipe.cycles_done, STEPS, TARGET)
         return _state(comm, pipe)
 
@@ -148,7 +150,7 @@ class TestCorruptedRestore:
         shard.write_bytes(bytes(raw))
 
         def restore_kernel(comm):
-            ParAmrPipeline.resume_from(comm, root)
+            restore_pipeline(comm, root)
 
         with pytest.raises(ShardIntegrityError) as exc:
             run_spmd(1, restore_kernel)
@@ -183,7 +185,7 @@ class TestConvectionRestart:
                 sim.run(4, checkpoint=Checkpointer(root, every=1))
         assert [s for s, _ in list_checkpoints(root)] == [4, 8]
 
-        res = MantleConvection.resume_from(root, config=_small_cfg())
+        res = restore_convection(root, config=_small_cfg())
         assert res.step_count == 8 and len(res.history) == 2
         res.run(2)
 
@@ -206,7 +208,7 @@ class TestConvectionRestart:
         root = str(tmp_path / "ck")
         ref = MantleConvection(_small_cfg())
         ref.run(2, checkpoint=Checkpointer(root, every=1))
-        res = MantleConvection.resume_from(
+        res = restore_convection(
             root, config=_small_cfg(), include_solver_state=True
         )
         cycles = []
@@ -232,14 +234,14 @@ class TestConvectionRestart:
         MantleConvection(saved).run(1, checkpoint=Checkpointer(root, every=1))
         other = dataclasses.replace(_small_cfg(), Ra=1e3, adapt_every=2)
         with pytest.raises(CheckpointError) as exc:
-            MantleConvection.resume_from(root, config=other)
+            restore_convection(root, config=other)
         msg = str(exc.value)
         for name in ("Ra", "domain", "adapt_every"):
             assert f"{name} (saved" in msg
         assert "velocity_bc" not in msg
         with pytest.raises(CheckpointError, match="adapt_every"):
-            MantleConvection.resume_from(root)
-        res = MantleConvection.resume_from(root, config=saved)
+            restore_convection(root)
+        res = restore_convection(root, config=saved)
         assert res.mesh.domain[0] == 2.0 and res.step_count == 4
 
     def test_resume_without_solver_state_still_tracks(self, tmp_path):
@@ -252,7 +254,7 @@ class TestConvectionRestart:
 
         sim = MantleConvection(cfg)
         sim.run(2, checkpoint=Checkpointer(root, every=1))
-        res = MantleConvection.resume_from(
+        res = restore_convection(
             root, config=_small_cfg(), include_solver_state=False
         )
         res.run(1)
@@ -286,7 +288,7 @@ class TestRetiredTimingsKey:
         ref = MantleConvection(_small_cfg())
         ref.run(2, checkpoint=Checkpointer(root, every=2))
         assert _add_retired_timings(root) == 2
-        res = MantleConvection.resume_from(root, config=_small_cfg())
+        res = restore_convection(root, config=_small_cfg())
         assert res.history == ref.history
 
     def test_fleet_resume(self, tmp_path):

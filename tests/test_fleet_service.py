@@ -364,10 +364,12 @@ class TestAccounting:
 
 
 class TestServiceDrive:
-    def test_ticks_generator_interleaves(self):
+    def test_step_serves_one_quantum_at_a_time(self):
         svc = FleetService()
         svc.admit(spec("a", cycles=2))
-        served = list(svc.ticks())
+        served = []
+        while svc.step():
+            served.append(svc.quanta_served)
         assert served == [1, 2]
         assert svc.statuses() == {"a": "done"}
 

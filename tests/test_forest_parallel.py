@@ -14,7 +14,7 @@ from repro.forest import (
     forest_key,
     unit_cube,
 )
-from repro.octree import ROOT_LEN, morton_encode
+from repro.octree import ROOT_LEN, morton_encode, owners_of_keys
 from repro.parallel import run_spmd
 
 from .oracles.forest_balance import TreeListForest
@@ -149,7 +149,7 @@ class TestBalance:
             mask = np.zeros(len(pf), dtype=bool)
             idx = np.searchsorted(fkeys, target, side="right") - 1
             markers = pf.markers()
-            if pf.owners(markers, np.array([target]))[0] == comm.rank and len(pf):
+            if owners_of_keys(markers, np.array([target]))[0] == comm.rank and len(pf):
                 mask[idx] = True
             pf = pf.refine(mask)
         return pf

@@ -7,7 +7,6 @@ from repro.mangll import (
     DerivativeKernel,
     diff_matrix,
     lagrange_basis_at,
-    lagrange_matrix,
     lgl_nodes,
     matrix_flops,
     tensor_flops,
@@ -65,7 +64,7 @@ class TestDiffMatrix:
 class TestLagrange:
     def test_interpolation_identity(self):
         x, _ = lgl_nodes(3)
-        M = lagrange_matrix(x, x)
+        M = lagrange_basis_at(x, x)
         np.testing.assert_allclose(M, np.eye(4), atol=1e-12)
 
     def test_interpolation_exact_for_polynomials(self):
@@ -128,9 +127,8 @@ class TestDerivativeKernel:
     def test_flop_counts(self):
         assert matrix_flops(4) == 6 * 5**6
         assert tensor_flops(4) == 6 * 5**4
-        kern = DerivativeKernel(2)
-        assert kern.flops("matrix", 10) == 10 * 6 * 3**6
-        assert kern.flops("tensor", 10) == 10 * 6 * 3**4
+        assert matrix_flops(2) == 6 * 3**6
+        assert tensor_flops(2) == 6 * 3**4
 
     def test_flop_ratio_at_p6(self):
         """Paper: at p = 6 the tensor variant does ~20x fewer flops."""
@@ -143,5 +141,3 @@ class TestDerivativeKernel:
         kern = DerivativeKernel(1)
         with pytest.raises(ValueError):
             kern.gradient(np.zeros((1, 8)), "quantum")
-        with pytest.raises(ValueError):
-            kern.flops("quantum", 1)

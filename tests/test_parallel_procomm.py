@@ -16,7 +16,7 @@ import pytest
 
 from repro.amr import ParAmrPipeline
 from repro.parallel import sanitize
-from repro.checkpoint import Checkpointer, list_checkpoints
+from repro.checkpoint import Checkpointer, list_checkpoints, restore_pipeline
 from repro.forest import ParForest, brick_connectivity, cubed_sphere_connectivity
 from repro.parallel import (
     InjectedFault,
@@ -266,7 +266,7 @@ class TestWorkloadEquivalence:
             return None
 
         def resume_kernel(comm, root):
-            pipe = ParAmrPipeline.resume_from(comm, root)
+            pipe = restore_pipeline(comm, root)
             pipe.run_cycles(3 - pipe.cycles_done, 2, 300)
             return {"T": pipe.T.copy(), "steps": pipe.steps_taken}
 

@@ -195,16 +195,6 @@ class TestStats:
         assert s.p2p_messages == 1
         assert s.p2p_bytes == 64
 
-    def test_snapshot_and_since(self):
-        s = CommStats()
-        s.record_collective("allreduce", 8)
-        snap = s.snapshot()
-        s.record_collective("allreduce", 8)
-        s.record_p2p(100)
-        d = s.since(snap)
-        assert d.collective_calls["allreduce"] == 1
-        assert d.p2p_bytes == 100
-
     def test_merge(self):
         a, b = CommStats(), CommStats()
         a.record_p2p(10)

@@ -13,7 +13,6 @@ from repro.rhea import (
     conductive_profile,
     gradient_indicator,
     combined_indicator,
-    adjoint_weighted_indicator,
 )
 
 
@@ -361,11 +360,3 @@ class TestIndicators:
         base = combined_indicator(sim.mesh, sim.T, None)
         comb = combined_indicator(sim.mesh, sim.T, eta, viscosity_weight=1.0)
         assert comb[0] > base[0]
-
-    def test_adjoint_indicator_positive_and_finite(self):
-        sim = MantleConvection(small_config(initial_level=2))
-        vel = np.tile([1.0, 0.0, 0.0], (sim.mesh.n_elements, 1))
-        ind = adjoint_weighted_indicator(sim.mesh, sim.T, vel, kappa=0.1)
-        assert np.all(np.isfinite(ind))
-        assert np.all(ind >= 0)
-        assert ind.max() > 0
