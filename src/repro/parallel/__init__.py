@@ -3,9 +3,7 @@
 Public API:
 
 - :func:`run_spmd` / :func:`run_spmd_with_comms` — execute an SPMD kernel
-  on ``P`` ranks; ``backend="thread"`` (default) simulates ranks as
-  threads, ``backend="process"`` runs real worker processes over shared
-  memory (:mod:`repro.parallel.procomm`).
+  on ``P`` ranks, each simulated as a thread of this process.
 - :class:`SimComm` — the MPI-like communicator handed to each rank.
 - :class:`CommStats` — per-rank communication/flop accounting.
 - :class:`MachineModel` / :data:`RANGER` — alpha-beta performance model
@@ -19,7 +17,6 @@ from .simcomm import (
     SimWorld,
     SpmdAbort,
     arm_fault,
-    armed_fault,
     check_fault,
     disarm_fault,
     fault_injection,
@@ -36,7 +33,6 @@ __all__ = [
     "SpmdAbort",
     "InjectedFault",
     "arm_fault",
-    "armed_fault",
     "disarm_fault",
     "fault_injection",
     "check_fault",

@@ -17,7 +17,6 @@ we never claim to reproduce Ranger's absolute seconds.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -162,39 +161,6 @@ class MachineModel:
     def t_total(self, stats: CommStats, p: int) -> float:
         """Modeled compute + communication time for one rank's tally."""
         return self.t_flops(stats.flops) + self.t_comm(stats, p)
-
-    # -- anchoring to a measurement -------------------------------------------
-
-    def anchored_to(
-        self, stats: CommStats, p: int, measured_seconds: float
-    ) -> "MachineModel":
-        """A rescaled model whose ``t_total(stats, p)`` equals a measurement.
-
-        The process SPMD backend (:mod:`repro.parallel.procomm`) yields
-        *real* multi-core wall times at small ``p``; anchoring scales every
-        rate of this model by one common factor so the modeled time of the
-        measured tally reproduces the measured seconds exactly, and
-        extrapolations to paper-scale core counts start from a measured
-        point instead of a modeled one.  Shape (the relative cost of
-        latency, bandwidth, and compute) is deliberately preserved — only
-        the overall machine speed is recalibrated.
-        """
-        if measured_seconds <= 0.0:
-            raise ValueError(f"measured_seconds must be > 0, got {measured_seconds}")
-        modeled = self.t_total(stats, p)
-        if modeled <= 0.0:
-            raise ValueError("cannot anchor: the tally has no modeled cost")
-        f = measured_seconds / modeled
-        return dataclasses.replace(
-            self,
-            name=f"{self.name}@P{p}",
-            alpha=self.alpha * f,
-            beta=self.beta * f,
-            flop_rate=self.flop_rate / f,
-            mem_rate=self.mem_rate / f,
-            flop_rate_dense=self.flop_rate_dense / f,
-            flop_rate_tensor=self.flop_rate_tensor / f,
-        )
 
 
 #: Default Ranger-calibrated model (low-order FEM sustained rate).

@@ -112,11 +112,6 @@ class CollectiveMismatch(RuntimeError):
         super().__init__(message)
         self.report = report or {}
 
-    def __reduce__(self):
-        # preserve ``report`` across pickling (the process SPMD backend
-        # ships worker exceptions back to the parent)
-        return (CollectiveMismatch, (self.args[0], self.report))
-
 
 class RecvTimeout(RuntimeError):
     """Raised when a checked ``recv`` waits longer than the timeout: no
@@ -129,9 +124,6 @@ class RecvTimeout(RuntimeError):
             f"within {timeout:.1f}s (receive posted before its matching send?)"
         )
         self.source, self.dest, self.tag, self.timeout = source, dest, tag, timeout
-
-    def __reduce__(self):
-        return (RecvTimeout, (self.source, self.dest, self.tag, self.timeout))
 
 
 def _timeout_from_env() -> float | None:

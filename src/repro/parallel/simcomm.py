@@ -25,21 +25,10 @@ Use :func:`run_spmd` to execute a rank function on ``P`` simulated ranks::
 
 Exceptions raised by any rank abort the whole world (the barrier is broken
 so no thread hangs) and are re-raised in the caller.
-
-Backends
---------
-``run_spmd(..., backend="thread")`` (the default) runs thread-per-rank in
-this process; ``backend="process"`` dispatches the same kernel to the
-long-lived worker processes of :mod:`repro.parallel.procomm`, where each
-rank has its own interpreter (real cores, no GIL) and payloads move
-through shared memory.  ``REPRO_SPMD_BACKEND`` overrides the default for
-call sites that do not pass ``backend``.  The kwarg name ``backend`` is
-reserved — rank functions cannot take a keyword argument of that name.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -60,7 +49,6 @@ __all__ = [
     "InjectedFault",
     "arm_fault",
     "disarm_fault",
-    "armed_fault",
     "fault_injection",
     "check_fault",
 ]
@@ -80,20 +68,10 @@ class InjectedFault(RuntimeError):
         self.rank = rank
         self.step = step
 
-    def __reduce__(self):
-        # default exception pickling replays args=(message,) against the
-        # (rank, step) constructor; spell the constructor call out so the
-        # process backend can ship the fault back to the parent
-        return (InjectedFault, (self.rank, self.step))
 
-
-# One armed fault at a time, *per interpreter*: the driver loops poll it
-# via :func:`check_fault`, so a test can kill a chosen rank at a chosen
-# step and exercise the crash/restore path end to end.  The module global
-# is only the thread-backend fast path — the process backend re-arms a
-# worker-local copy from :func:`armed_fault` in every run envelope
-# (module state armed in the parent is invisible to worker interpreters)
-# and writes the fired state back through :func:`_mark_fault_fired`.
+# One armed fault at a time: the driver loops poll it via
+# :func:`check_fault`, so a test can kill a chosen rank at a chosen step
+# and exercise the crash/restore path end to end.
 _fault_lock = threading.Lock()
 _fault: dict | None = None
 
@@ -111,32 +89,6 @@ def disarm_fault() -> None:
     global _fault
     with _fault_lock:
         _fault = None
-
-
-def armed_fault() -> dict | None:
-    """Snapshot of the currently armed fault spec (or ``None``).
-
-    The process backend broadcasts this snapshot to every worker at
-    world construction so the fault can fire *inside* a worker
-    interpreter, where the parent's module global does not exist.
-    """
-    with _fault_lock:
-        return dict(_fault) if _fault is not None else None
-
-
-def _arm_fault_spec(spec: dict | None) -> None:
-    """Install a fault spec snapshot verbatim (worker-side re-arm)."""
-    global _fault
-    with _fault_lock:
-        _fault = dict(spec) if spec else None
-
-
-def _mark_fault_fired() -> None:
-    """Record that the armed fault fired in a worker process, preserving
-    the fire-at-most-once-per-arming contract across backends."""
-    with _fault_lock:
-        if _fault is not None:
-            _fault["fired"] = True
 
 
 @contextmanager
@@ -157,14 +109,14 @@ def check_fault(comm, step: int) -> None:
     ``comm=None`` means a serial driver (treated as rank 0).  Fires at
     most once per arming.
     """
-    f = _fault  # lint: disable=R10 — worker-local copy, re-armed per run envelope
+    f = _fault  # lint: disable=R10 — a test hook armed in this interpreter
     if f is None:
         return
     rank = comm.rank if comm is not None else 0
     if rank != f["rank"] or step < f["step"]:
         return
     with _fault_lock:
-        if f["fired"] or _fault is not f:  # lint: disable=R10
+        if f["fired"] or _fault is not f:  # lint: disable=R10 — re-armed since the read
             return
         f["fired"] = True
     raise InjectedFault(rank, step)
@@ -271,16 +223,13 @@ class SimWorld:
         except threading.BrokenBarrierError:
             raise SpmdAbort("another rank aborted") from None
 
-    # -- point-to-point transport (backend substitution point) -------------
+    # -- point-to-point transport ------------------------------------------
     #
     # SimComm delegates message delivery to the world through these two
-    # methods so communicator subclasses (CheckedComm, the fuzzer) stay
-    # transport-agnostic: the threaded world keeps an in-process mail
-    # dict, the process-backend world (procomm.ProcWorld) moves payloads
-    # across interpreters.  Either way the payload is copied exactly once
-    # and the receiver owns what it gets: this world copies at post, so a
-    # sender writing into its buffer after send() cannot reach the
-    # receiver (MPI's buffered-send semantics).
+    # methods, so communicator subclasses (CheckedComm, the fuzzer) share
+    # one mail dict.  The payload is copied exactly once, at post, and the
+    # receiver owns what it gets: a sender writing into its buffer after
+    # send() cannot reach the receiver (MPI's buffered-send semantics).
 
     def post(self, src: int, dest: int, tag: int, obj: Any) -> None:
         """Deliver a snapshot of ``obj`` on channel ``(src, dest, tag)``;
@@ -341,7 +290,7 @@ class SimComm:
         """Block until a message from ``source`` with ``tag`` arrives.
 
         The receiver owns the result: the world copied the payload once,
-        at post (threads) or out of shared memory at fetch (processes)."""
+        at post."""
         return self._world.fetch(source, self.rank, tag)
 
     def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
@@ -480,32 +429,13 @@ def get_comm_factory() -> Callable[[SimWorld, int], SimComm] | None:
 
 def _resolve_comm_factory() -> Callable[[SimWorld, int], SimComm]:
     """The communicator factory in effect: an installed factory wins,
-    else ``REPRO_SANITIZE`` substitutes CheckedComm, else plain SimComm.
-    Shared with the process backend, whose workers resolve the factory
-    the same way after applying the run envelope."""
+    else ``REPRO_SANITIZE`` substitutes CheckedComm, else plain SimComm."""
     if _COMM_FACTORY is not None:
         return _COMM_FACTORY
     # lazy import: the sanitizer module imports this one
     from .sanitize import CheckedComm, sanitize_enabled
 
     return CheckedComm if sanitize_enabled() else SimComm
-
-
-def _build_comms(world: SimWorld) -> list[SimComm]:
-    factory = _resolve_comm_factory()
-    return [factory(world, r) for r in range(world.nranks)]
-
-
-def _resolve_backend(backend: str | None) -> str:
-    """Explicit ``backend`` argument, else ``REPRO_SPMD_BACKEND``, else
-    ``"thread"``."""
-    if backend is None:
-        backend = os.environ.get("REPRO_SPMD_BACKEND", "").strip() or "thread"
-    if backend not in ("thread", "process"):
-        raise ValueError(
-            f"unknown SPMD backend {backend!r} (expected 'thread' or 'process')"
-        )
-    return backend
 
 
 def _run_threads(world: SimWorld, comms: list[SimComm], fn, args, kwargs):
@@ -536,52 +466,28 @@ def _run_threads(world: SimWorld, comms: list[SimComm], fn, args, kwargs):
     return results
 
 
-def run_spmd(
-    nranks: int, fn: Callable, *args, backend: str | None = None, **kwargs
-) -> list[Any]:
+def run_spmd(nranks: int, fn: Callable, *args, **kwargs) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``nranks`` simulated ranks.
 
     Returns the list of per-rank return values in rank order.  If any rank
     raises, the world is aborted and the first exception is re-raised.
 
-    ``backend="thread"`` (default) runs thread-per-rank in this process;
-    ``backend="process"`` runs each rank in a long-lived worker process
-    (:mod:`repro.parallel.procomm`) with shared-memory payload transport.
-    ``REPRO_SPMD_BACKEND`` supplies the default when ``backend`` is not
-    passed.  ``nranks == 1`` always runs inline on the calling thread
-    (fast path used heavily by tests; also what MPI does for one rank).
+    Each rank is a thread of this process.  ``nranks == 1`` runs inline
+    on the calling thread (fast path used heavily by tests; also what MPI
+    does for one rank).
     """
-    if _resolve_backend(backend) == "process" and nranks > 1:
-        from .procomm import run_spmd_process
-
-        return run_spmd_process(nranks, fn, args, kwargs)[0]
-    world = SimWorld(nranks)
-    comms = _build_comms(world)
-    if nranks == 1:
-        try:
-            return [fn(comms[0], *args, **kwargs)]
-        finally:
-            comms[0]._finalize()
-    return _run_threads(world, comms, fn, args, kwargs)
+    return run_spmd_with_comms(nranks, fn, *args, **kwargs)[0]
 
 
-def run_spmd_with_comms(
-    nranks: int, fn: Callable, *args, backend: str | None = None, **kwargs
-):
+def run_spmd_with_comms(nranks: int, fn: Callable, *args, **kwargs):
     """Like :func:`run_spmd` but also returns the communicators (for their
-    post-run ``stats``).  On the process backend the returned objects are
-    lightweight proxies carrying each worker's gathered ``stats`` (and any
-    still-bound obs timer results), not live communicators."""
-    if _resolve_backend(backend) == "process" and nranks > 1:
-        from .procomm import run_spmd_process
-
-        return run_spmd_process(nranks, fn, args, kwargs)
+    post-run ``stats``)."""
     world = SimWorld(nranks)
-    comms = _build_comms(world)
+    factory = _resolve_comm_factory()
+    comms = [factory(world, r) for r in range(nranks)]
     if nranks == 1:
         try:
             return [fn(comms[0], *args, **kwargs)], comms
         finally:
             comms[0]._finalize()
-    results = _run_threads(world, comms, fn, args, kwargs)
-    return results, comms
+    return _run_threads(world, comms, fn, args, kwargs), comms

@@ -1,12 +1,9 @@
 """Seeded SPMD bug classes, and the mechanism that catches each one.
 
 Every row of the mutation matrix in EXPERIMENTS.md is a module-level
-kernel here carrying one deliberate bug of its class, run at P = 2 on the
-thread and the process backend under an explicitly installed
-:class:`~repro.parallel.sanitize.CheckedComm` with a 1 s timeout.  The
-kernels live at module level because a process worker imports this
-module to find them: a monkeypatch made in the parent never reaches a
-spawned worker.
+kernel here carrying one deliberate bug of its class, run at P = 2 under
+an explicitly installed :class:`~repro.parallel.sanitize.CheckedComm`
+with a 1 s timeout.
 
 (a) a collective reached through a helper on one rank only;
 (b) two ranks issuing the same collectives in different orders;
@@ -14,7 +11,7 @@ spawned worker.
 (d) a sender writing into its buffer after ``send``, and a kernel writing
     into a memoized mesh operator;
 (e) an ``alltoall`` send list of the wrong length on one rank;
-(f) module-global state armed in the parent and read in a kernel;
+(f) module-global state read in a kernel, which lint R10 flags;
 (g) a collective skipped on every rank, which only the pinned collective
     count of the family merge sees.
 """
@@ -26,7 +23,7 @@ import pytest
 
 from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
-from repro.parallel import procomm, run_spmd, sanitize
+from repro.parallel import run_spmd, sanitize
 from repro.parallel.simcomm import set_comm_factory
 
 from tools import lint
@@ -37,21 +34,9 @@ P = 2
 TIMEOUT = 1.0
 N_TAGS = 8  # messages per mutate-after-send run: enough for the fuzzer to hold some
 
-BACKENDS = [
-    "thread",
-    pytest.param(
-        "process",
-        marks=pytest.mark.skipif(
-            not procomm.available(), reason="POSIX shared memory unavailable"
-        ),
-    ),
-]
-
-
 @pytest.fixture
 def checked(monkeypatch):
-    """CheckedComm with a short timeout, plus the cache freeze guards
-    (``REPRO_SANITIZE`` travels to process workers in the run envelope)."""
+    """CheckedComm with a short timeout, plus the cache freeze guards."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     sanitize.install(timeout=TIMEOUT)
     yield
@@ -60,10 +45,6 @@ def checked(monkeypatch):
 
 # --------------------------------------------------------------------------
 # the seeded kernels
-
-
-def rank_kernel(comm):
-    return comm.rank
 
 
 def _total(comm, x):
@@ -126,13 +107,14 @@ _STATE = {"scale": 1.5}
 
 
 def configure(scale):
-    """(f) Arm module state in this interpreter only."""
+    """(f) Writes into both names, so R10 treats ``_STATE`` as mutable
+    state rather than a read-only table."""
     _state["scale"] = scale
     _STATE["scale"] = scale
 
 
 def module_state_kernel(comm):
-    """(f) Reads the parent's module state: stale in a process worker."""
+    """(f) Reads module state: stale on a distributed-memory rank."""
     return comm.allreduce(_state["scale"])
 
 
@@ -159,49 +141,46 @@ class SkipsAcceptAlltoall(sanitize.CheckedComm):
 # the matrix
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestRuntimeCatches:
-    def test_a_collective_through_helper(self, backend, checked):
+    def test_a_collective_through_helper(self, checked):
         with pytest.raises(sanitize.CollectiveMismatch) as exc:
-            run_spmd(P, helper_collective_kernel, backend=backend)
+            run_spmd(P, helper_collective_kernel)
         sites = {m["site"] for m in exc.value.report.values()}
         assert len(sites) == 2  # the helper's line and the kernel's
 
-    def test_b_divergent_collective_order(self, backend, checked):
+    def test_b_divergent_collective_order(self, checked):
         with pytest.raises(sanitize.CollectiveMismatch) as exc:
-            run_spmd(P, collective_order_kernel, backend=backend)
+            run_spmd(P, collective_order_kernel)
         ops = {m["op"] for m in exc.value.report.values()}
         assert ops == {"allreduce[sum]", "allgather"}
 
-    def test_c_recv_before_send_times_out(self, backend, checked):
-        run_spmd(P, rank_kernel, backend=backend)  # warm the worker pool
+    def test_c_recv_before_send_times_out(self, checked):
         t0 = time.monotonic()
         with pytest.raises(sanitize.RecvTimeout) as exc:
-            run_spmd(P, recv_before_send_kernel, backend=backend)
+            run_spmd(P, recv_before_send_kernel)
         assert time.monotonic() - t0 < 2 * TIMEOUT
         e = exc.value
         assert (e.source, e.tag) == (1 - e.dest, 7)
         assert f"from rank {e.source} with tag 7" in str(e)
 
     @pytest.mark.parametrize("fuzz_seed", [None, 5])
-    def test_d_mutate_after_send(self, backend, checked, fuzz_seed):
+    def test_d_mutate_after_send(self, checked, fuzz_seed):
         sanitize.install(timeout=TIMEOUT, fuzz_seed=fuzz_seed)
-        (_, held), (got, _) = run_spmd(P, mutate_after_send_kernel, backend=backend)
+        (_, held), (got, _) = run_spmd(P, mutate_after_send_kernel)
         assert len(got) == N_TAGS
         for a in got:
             assert np.array_equal(a, np.arange(4, dtype=np.float64))
         assert (held > 0) == (fuzz_seed is not None)  # the hold queue was exercised
 
-    def test_d_write_into_cached_operator(self, backend, checked):
+    def test_d_write_into_cached_operator(self, checked):
         with pytest.raises(sanitize.CacheMutationError, match="element_sizes"):
-            run_spmd(P, cached_operator_write_kernel, backend=backend)
+            run_spmd(P, cached_operator_write_kernel)
 
-    def test_e_alltoall_count_mismatch(self, backend, checked):
+    def test_e_alltoall_count_mismatch(self, checked):
         with pytest.raises(ValueError, match="alltoall needs 2 entries, got 3"):
-            run_spmd(P, alltoall_count_kernel, backend=backend)
+            run_spmd(P, alltoall_count_kernel)
 
-    def test_g_collective_skipped_on_every_rank(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMD_BACKEND", backend)
+    def test_g_collective_skipped_on_every_rank(self):
         set_comm_factory(SkipsAcceptAlltoall)
         try:
             with pytest.raises(AssertionError, match=r"\(2, 192\) == \(3, 192\)"):
@@ -210,18 +189,10 @@ class TestRuntimeCatches:
             set_comm_factory(None)
 
 
-@pytest.mark.skipif(not procomm.available(), reason="POSIX shared memory unavailable")
 @pytest.mark.parametrize(
     "kernel, name",
     [(module_state_kernel, "_state"), (module_state_caps_kernel, "_STATE")],
 )
-def test_f_module_state_differs_across_backends_and_lint_flags_it(checked, kernel, name):
-    configure(3.0)
-    try:
-        threads = run_spmd(P, kernel, backend="thread")
-        workers = run_spmd(P, kernel, backend="process")
-    finally:
-        configure(1.5)
-    assert threads == [6.0, 6.0] and workers == [3.0, 3.0]
+def test_f_lint_flags_module_state(kernel, name):
     r10 = [f for f in lint.lint_file(__file__) if f.rule == "R10"]
     assert any(f"'{kernel.__name__}'" in f.message and f"'{name}'" in f.message for f in r10)

@@ -455,4 +455,4 @@ class TestTimeoutEnv:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv("REPRO_SANITIZE_TIMEOUT", value)
         with pytest.raises(ValueError, match="REPRO_SANITIZE_TIMEOUT"):
-            run_spmd(2, lambda comm: comm.allreduce(1), backend="thread")
+            run_spmd(2, lambda comm: comm.allreduce(1))

@@ -35,45 +35,3 @@ class TestRates:
         t2 = RANGER.t_collective("allreduce", 8, 1 << 20)
         assert t2 / t1 == pytest.approx(2.0, rel=0.05)  # 20/10 rounds
 
-
-class TestAnchoredTo:
-    def _tally(self):
-        from repro.parallel import CommStats
-
-        s = CommStats()
-        s.add_flops(1e7)
-        for _ in range(5):
-            s.record_collective("allreduce", 64)
-        s.record_p2p(1 << 16)
-        return s
-
-    def test_reproduces_measurement_exactly(self):
-        s = self._tally()
-        m = RANGER.anchored_to(s, 8, measured_seconds=0.25)
-        assert m.t_total(s, 8) == pytest.approx(0.25, rel=1e-12)
-        assert m.name == "ranger@P8"
-
-    def test_shape_preserved(self):
-        # anchoring rescales speed but not the relative cost structure:
-        # ratios between modeled times at different core counts survive
-        s = self._tally()
-        m = RANGER.anchored_to(s, 8, measured_seconds=1.7)
-        for p in (64, 4096):
-            ratio_ref = RANGER.t_comm(s, p) / RANGER.t_comm(s, 8)
-            ratio_anch = m.t_comm(s, p) / m.t_comm(s, 8)
-            assert ratio_anch == pytest.approx(ratio_ref, rel=1e-12)
-
-    def test_original_model_unchanged(self):
-        s = self._tally()
-        before = (RANGER.alpha, RANGER.beta, RANGER.flop_rate)
-        RANGER.anchored_to(s, 4, measured_seconds=0.1)
-        assert (RANGER.alpha, RANGER.beta, RANGER.flop_rate) == before
-
-    def test_rejects_bad_measurement(self):
-        s = self._tally()
-        with pytest.raises(ValueError):
-            RANGER.anchored_to(s, 8, measured_seconds=0.0)
-        from repro.parallel import CommStats
-
-        with pytest.raises(ValueError):
-            RANGER.anchored_to(CommStats(), 8, measured_seconds=1.0)

@@ -33,6 +33,11 @@ class TestRunSpmd:
         with pytest.raises(ValueError, match="boom"):
             run_spmd(4, kernel)
 
+    def test_backend_keyword_reaches_the_rank_function(self):
+        # run_spmd reserves no keyword: every one goes to the rank function
+        out = run_spmd(2, lambda comm, backend: backend, **{"backend": "x"})
+        assert out == ["x", "x"]
+
     def test_invalid_nranks(self):
         from repro.parallel import SimWorld
 

@@ -465,7 +465,7 @@ class TestLaggedGMG:
         assert lag.n_builds == 4
 
 
-# -- cross-backend / cross-rank bitwise equivalence -----------------------------
+# -- cross-rank bitwise equivalence --------------------------------------------
 
 
 def _state_digest(*arrays) -> str:
@@ -480,8 +480,7 @@ def _state_digest(*arrays) -> str:
 
 def _gmg_solve_kernel(comm, level, contrast):
     """One GMG-preconditioned Stokes solve per rank (identical problem on
-    every rank: the digest must agree across ranks, rank counts, and
-    backends)."""
+    every rank: the digest must agree across ranks and rank counts)."""
     tree = Forest.uniform(unit_cube(), level)
     rng = np.random.default_rng(42)
     tree = tree.refine(rng.random(len(tree)) < 0.25)
@@ -499,21 +498,14 @@ def _gmg_solve_kernel(comm, level, contrast):
     return _state_digest(np.asarray(res.residuals), res.x)
 
 
-class TestCrossBackendBitwise:
+class TestCrossRankBitwise:
     def test_digest_invariant(self, monkeypatch):
         from repro.parallel import run_spmd
-        from repro.parallel import procomm
 
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         digests = set()
         for p in (1, 2, 4):
-            digests.update(run_spmd(p, _gmg_solve_kernel, 1, 1e3, backend="thread"))
-        if procomm.available():
-            for p in (2, 4):
-                digests.update(
-                    run_spmd(p, _gmg_solve_kernel, 1, 1e3, backend="process")
-                )
-            procomm.shutdown_pools()
+            digests.update(run_spmd(p, _gmg_solve_kernel, 1, 1e3))
         assert len(digests) == 1
 
 

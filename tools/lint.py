@@ -43,14 +43,14 @@ R6  **public-API docstrings** (``R6_PACKAGES``, the documented
 R10 **module-global mutable state read inside an SPMD kernel** — a
     function taking a comm-like parameter reads a module-level name
     bound to a mutable value (list/dict/set literal or constructor) or
-    rebound through a ``global`` statement.  Under the threaded backend
-    all ranks share one interpreter and such reads happen to see the
-    caller's writes; under the process backend each worker has its own
-    copy of the module, so the read silently sees stale state (the
-    original ``_fault`` bug: a fault armed in the parent never fired in
-    workers).  State a kernel needs must travel through the world / run
-    envelope.  Dunders are exempt, and so are ALL_CAPS names that no
-    function rebinds or writes into (read-only tables).
+    rebound through a ``global`` statement.  Thread ranks share one
+    interpreter, so such reads happen to see the caller's writes; each
+    rank of a distributed-memory run (``mpi4py``, the API ``SimComm``
+    mirrors) holds its own copy of the module, so there the read sees
+    stale state.  State a kernel needs must travel through its
+    arguments or the communicator.  Dunders are exempt, and so are
+    ALL_CAPS names that no function rebinds or writes into (read-only
+    tables).
 
 Suppression and baselining
 --------------------------
@@ -115,9 +115,7 @@ R3_PACKAGES = ("fem", "solvers", "mangll")
 #: traverse / faces / recursive joined in PR 6 (the recursive forest
 #: algorithms on the AMR hot path are breadth-first vectorized);
 #: batch joined in PR 8 (the fleet's lockstep batched cycle is the
-#: multi-tenant hot path — only annotated O(B) per-job loops allowed);
-#: procomm joined in PR 9 (the shared-memory transport packs/unpacks
-#: every SPMD payload — per-element loops there tax every rank)
+#: multi-tenant hot path — only annotated O(B) per-job loops allowed)
 R4_MODULES = {
     "assembly",
     "amg",
@@ -129,7 +127,6 @@ R4_MODULES = {
     "faces",
     "recursive",
     "batch",
-    "procomm",
 }
 
 #: path fragments where R5 (serialization determinism) is enforced —

@@ -12,8 +12,8 @@ Every outermost function that no target enters is *uncalled*, keyed
 ``module:qualname`` (``repro.mesh.parmesh:ParMesh.exchange_sum``), so a
 key survives edits above it.
 
-Uncalled is not dead: the process backend, the sanitizer, the error
-classes and the test references are entered only by tier-1 tests.  The
+Uncalled is not dead: the sanitizer, the fault-injection hook, the
+error classes and the test references are entered only by tier-1 tests.  The
 grandfathered keys live in ``uncalled_baseline.json`` at the repo root,
 the way ``lint_baseline.json`` holds lint findings; a function that is
 uncalled and not in the baseline fails ``--baseline``.  A new capability
