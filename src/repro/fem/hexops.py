@@ -31,7 +31,7 @@ import numpy as np
 
 from ..mangll.tensor import kron3
 
-__all__ = ["ElementOps", "M1_UNIT", "K1_UNIT", "G1"]
+__all__ = ["ElementOps", "ElementMatrices", "M1_UNIT", "K1_UNIT", "G1"]
 
 #: Unit-interval 1-D mass matrix (multiply by h).
 M1_UNIT = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.float64) / 6.0
@@ -39,6 +39,36 @@ M1_UNIT = np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.float64) / 6.0
 K1_UNIT = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.float64)
 #: 1-D convection matrix integral N_i N_j' (h-independent).
 G1 = np.array([[-0.5, 0.5], [-0.5, 0.5]], dtype=np.float64)
+
+
+class ElementMatrices:
+    """``(ne, r, c)`` element matrices ``coef @ basis`` that are never held
+    whole: :meth:`take` forms those of a subset of elements, the interface
+    :func:`repro.fem.assembly.galerkin` reads element matrices through (a
+    dense ``(ne, r, c)`` array serves it as it is)."""
+
+    def __init__(self, coef: np.ndarray, basis: np.ndarray):
+        #: (ne, m) per-element coefficients
+        self.coef = coef
+        #: (m, r, c) shape matrices
+        self.basis = basis
+        self.shape = (len(coef), *basis.shape[1:])
+
+    def take(self, idx: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense ``(len(idx), r, c)`` matrices of elements ``idx``, as
+        ``ndarray.take`` (into ``out`` when given): each row of the product
+        rounds as it does in the product over all elements."""
+        if axis != 0:
+            raise ValueError("element matrices are taken along axis 0")
+        coef = self.coef[idx]
+        if out is None:
+            out = np.empty((len(coef), *self.shape[1:]), dtype=np.float64)
+        basis, flat = self.basis.reshape(len(self.basis), -1), out.reshape(len(coef), -1)
+        if len(coef) == 1:  # numpy evaluates a one-row product as a GEMV
+            flat[:] = (np.repeat(coef, 2, axis=0) @ basis)[:1]
+        else:
+            np.matmul(coef, basis, out=flat)
+        return out
 
 
 class ElementOps:
@@ -67,11 +97,11 @@ class ElementOps:
         self.Sxy = kron3(M, G, G.T)
         self.Sxz = kron3(G, M, G.T)
         self.Syz = kron3(G, G.T, M)
-        #: (9, 64) rows Sxx, Syy, Szz, Dx, Dy, Dz and the symmetrized mixed parts
+        #: (9, 8, 8) Sxx, Syy, Szz, Dx, Dy, Dz and the symmetrized mixed parts
         mixed = [S + S.T for S in (self.Sxy, self.Sxz, self.Syz)]
         self.supg_basis = np.stack(
             [self.Sxx, self.Syy, self.Szz, self.Dx, self.Dy, self.Dz, *mixed]
-        ).reshape(9, 64)
+        )
         #: (3, 8) column sums of Dx, Dy, Dz: ``int d_a N_i`` on the unit cube
         self.grad_integrals = np.stack(
             [D.sum(axis=0) for D in (self.Dx, self.Dy, self.Dz)]
@@ -110,11 +140,12 @@ class ElementOps:
 
     def supg_operator(
         self, sizes: np.ndarray, vel: np.ndarray, kappa, tau: np.ndarray
-    ) -> np.ndarray:
+    ) -> ElementMatrices:
         """SUPG element matrices ``kappa K + N(a) + tau G(a)``: diffusion,
         convection ``int N_i (a . grad N_j)`` and the streamline term
-        ``int (a.grad N_i)(a.grad N_j)``, as one ``(n, 9) @ (9, 64)``
-        product over the nine shape matrices of :attr:`supg_basis`."""
+        ``int (a.grad N_i)(a.grad N_j)``, as ``(n, 9)`` coefficients of the
+        nine shape matrices of :attr:`supg_basis`; a subset's ``(m, 8, 8)``
+        matrices are one ``(m, 9) @ (9, 64)`` product."""
         hx, hy, hz = sizes[:, 0], sizes[:, 1], sizes[:, 2]
         ax, ay, az = vel[:, 0], vel[:, 1], vel[:, 2]
         coef = np.stack(
@@ -132,7 +163,7 @@ class ElementOps:
             ],
             axis=1,
         )
-        return (coef @ self.supg_basis).reshape(-1, 8, 8)
+        return ElementMatrices(coef, self.supg_basis)
 
     def streamline_load(self, sizes: np.ndarray, vel: np.ndarray) -> np.ndarray:
         """``int a . grad N_i``, shape (n, 8): the SUPG part of the weight

@@ -13,7 +13,12 @@ Only what is distributed lives here: the owned-element CSR operator, the
 ``allreduce(min)`` of the CFL bound.  The operator is the serial
 assembly's Galerkin product (:func:`repro.fem.assembly.galerkin`) over
 the gather of the owned elements alone: hanging-node constraints fold in
-as the product runs, with no COO triple.  The stabilization parameter, the
+as the product runs, with no COO triple.  The SUPG element matrices enter
+it as nine coefficients per element
+(:class:`~repro.fem.hexops.ElementMatrices`), and the product forms each
+row block's ``8 x 8`` matrices as it goes, so no ``(n, 8, 8)`` array is
+held; the build records ``operator_bytes``, the bytes of the operator it
+keeps.  The stabilization parameter, the
 Dirichlet mask, the elementwise CFL bound and the Heun step are the
 serial solver's functions (:mod:`repro.fem.advection`,
 :func:`repro.solvers.timestep.heun_step`).
@@ -77,11 +82,15 @@ class ParAdvectionDiffusion:
             self._owned_sizes = sizes
             self._owned_vel = vel
 
-        # assemble from owned elements only, on union-mesh dofs
+        # assemble from owned elements only, on union-mesh dofs; the SUPG
+        # element matrices are nine coefficients per element until then
         with obs.phase("element_matrices"):
             elem = _OPS.supg_operator(sizes, vel, self.kappa, self.tau)
         with obs.phase("assemble"):
             self.A = self._assemble_owned(elem)
+            obs.counter(
+                "operator_bytes", self.A.data.nbytes + self.A.indices.nbytes + self.A.indptr.nbytes
+            )
         with obs.phase("lumped_mass_exchange"):
             mass_rows = sizes.prod(axis=1)[:, None] * _OPS.MMM.sum(axis=1)
             # rows of Z sum to one, so lumping Z^T M Z needs no matrix

@@ -71,9 +71,16 @@ def coo_divergence(mesh, elem_B: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix(mesh.Z.T @ B @ Z3(mesh))
 
 
-def assemble_owned_split(pm, elem_mats: np.ndarray) -> sp.csr_matrix:
+def dense(elem_mats) -> np.ndarray:
+    """The ``(ne, r, c)`` array of element matrices given through
+    ``take`` (a dense array or ``ElementMatrices``)."""
+    return elem_mats.take(np.arange(elem_mats.shape[0]), axis=0)
+
+
+def assemble_owned_split(pm, elem_mats) -> sp.csr_matrix:
     """``Z^T A Z`` of a rank's owned elements as one COO -> CSR: hanging-
     free elements in dof numbering, the rest through ``Z^T A_h Z``."""
+    elem_mats = dense(elem_mats)
     mesh = pm.mesh
     en = mesh.element_nodes[pm.owned_elements]
     dof = mesh.dof_of_node[en].astype(np.int32)
@@ -94,9 +101,10 @@ def assemble_owned_split(pm, elem_mats: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_independent,) * 2)
 
 
-def assemble_owned_nodal(pm, elem_mats: np.ndarray) -> sp.csr_matrix:
+def assemble_owned_nodal(pm, elem_mats) -> sp.csr_matrix:
     """``Z^T A Z`` with ``A`` scattered from a rank's owned elements in the
     node numbering of its union mesh."""
+    elem_mats = dense(elem_mats)
     mesh = pm.mesh
     en = mesh.element_nodes[pm.owned_elements]
     rows = np.repeat(en, 8, axis=1).ravel()

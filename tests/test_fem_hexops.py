@@ -4,6 +4,8 @@ import numpy as np
 
 from repro.fem.hexops import ElementOps
 
+from .oracles.assembly import dense
+
 OPS = ElementOps()
 SIZES = np.array([[1.0, 1.0, 1.0], [0.5, 0.25, 2.0]])
 
@@ -91,7 +93,7 @@ def streamline(sizes, vel):
     """``int (a.grad N_i)(a.grad N_j)``: the tau-weighted part of
     ``supg_operator`` (no diffusion, convection taken off)."""
     supg = OPS.supg_operator(sizes, vel, 0.0, np.ones(len(sizes)))
-    return supg - OPS.convection(sizes, vel)
+    return dense(supg) - OPS.convection(sizes, vel)
 
 
 class TestGradGrad:

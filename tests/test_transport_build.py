@@ -1,7 +1,8 @@
 """The per-adaptation transport set-up against its straightforward forms.
 
-- ``ElementOps.supg_operator`` (one GEMM over nine shape matrices) == the
-  term-by-term sum of ``tests/oracles/supg.py``;
+- ``ElementOps.supg_operator`` (nine coefficients per element over nine
+  shape matrices) == the term-by-term sum of ``tests/oracles/supg.py``,
+  and the matrices of any subset of elements round as the whole product;
 - ``_find_hanging_constraints`` (probes only where a smaller element
   touches) == the probe of every edge and face of every element
   (``tests/oracles/constraints.py``), on serial meshes and on the
@@ -15,13 +16,21 @@
   replaced (``tests/oracles/assembly.py``): hanging-free elements
   straight into dof numbering, and ``Z^T A Z`` of the node-numbered
   scatter; same pattern, entries within 1e-14 of their row's largest;
-- the build holds no COO triple: its allocation peak stays within 3x
-  the element matrices plus the operator;
+- the row blocks of ``galerkin`` do not change its result: scalar,
+  vector, divergence and owned-element transport operators on
+  hanging-node union meshes at P = 1, 2 and 3 are array-for-array equal
+  at the shipped block size, a tiny one and one block, also when the
+  first and last dofs are touched by no owned element;
+- the operator build holds a few row blocks, not the mesh: its traced
+  peak, less the operator and the gather, stays within six block
+  budgets on a 6 000- and a 24 000-element front mesh, where the
+  whole-mesh product took four times as much on the larger;
 - ``advection/build`` and ``amr/extract_mesh`` report their sub-phases.
 """
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +40,14 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.amr import ParAmrPipeline, RotatingFrontWorkload
 from repro.amr.pardriver import rotating_velocity
-from repro.fem import ParAdvectionDiffusion
+from repro.fem import (
+    ParAdvectionDiffusion,
+    assemble_divergence,
+    assemble_scalar,
+    assemble_vector,
+    assembly,
+)
+from repro.fem.assembly import gather
 from repro.fem.hexops import ElementOps
 from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh, node_keys
@@ -40,7 +56,7 @@ from repro.mesh.parmesh import extract_parmesh
 from repro.octree import ROOT_LEN, new_tree
 from repro.parallel import run_spmd
 
-from .oracles.assembly import assemble_owned_nodal, assemble_owned_split
+from .oracles.assembly import assemble_owned_nodal, assemble_owned_split, dense
 from .oracles.constraints import find_hanging_full
 from .oracles.forest_balance import find_leaf
 from .oracles.mesh_extract import finest_level
@@ -64,12 +80,26 @@ class TestSupgOperator:
         sizes *= 0.5 + rng.random((n, 3))
         vel = np.zeros((n, 3)) if still else 10.0 * rng.standard_normal((n, 3))
         tau = rng.random(n)
-        got = OPS.supg_operator(sizes, vel, kappa, tau)
+        got = dense(OPS.supg_operator(sizes, vel, kappa, tau))
         want = supg_operator_termwise(OPS, sizes, vel, kappa, tau)
         assert got.shape == want.shape == (n, 8, 8)
         scale = np.abs(want).max(axis=(1, 2), keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
         assert scale.min() > 0 or (kappa == 0.0 and still)
+
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_subsets_round_as_the_whole_product(self, seed):
+        """``take`` of any elements, one alone included (numpy computes a
+        one-row product as a GEMV), is bitwise the whole product's rows."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        sizes = 0.1 + rng.random((n, 3))
+        elem = OPS.supg_operator(sizes, rng.standard_normal((n, 3)), 1e-3, rng.random(n))
+        whole = dense(elem)
+        for m in (1, 2, n):
+            idx = np.sort(rng.choice(n, m, replace=False))
+            np.testing.assert_array_equal(elem.take(idx, axis=0), whole[idx])
 
     def test_streamline_load_is_the_supg_weight_of_a_unit_source(self):
         rng = np.random.default_rng(4)
@@ -202,30 +232,97 @@ class TestAssembleOwned:
         assert n_owned == n_hanging > 0
 
 
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def block_operators(comm, seed, trim):
+    """Scalar, vector and divergence operators of random element matrices
+    on a rank's union mesh and its owned-element transport operator (with
+    ``trim`` no owned element touches the first or the last dof), and the
+    mesh's hanging-node count."""
+    pm = extract_parmesh(build_ptree(comm, 2, refine_seed=seed))
+    mesh = pm.mesh
+    if trim:
+        ends = mesh.Z[mesh.element_nodes.ravel()][:, [0, mesh.n_independent - 1]]
+        touch = (ends.getnnz(axis=1) > 0).reshape(-1, 8).any(axis=1)
+        pm = replace(pm, owned_elements=np.flatnonzero(~touch))
+    ne = mesh.n_elements
+    rng = np.random.default_rng(seed)
+    transport = ParAdvectionDiffusion(pm, 1e-3, rotating_velocity()).A
+    if trim:
+        assert transport.getnnz(axis=1)[[0, -1]].tolist() == [0, 0]
+    return [
+        assemble_scalar(mesh, rng.standard_normal((ne, 8, 8))),
+        assemble_vector(mesh, rng.standard_normal((ne, 24, 24))),
+        assemble_divergence(mesh, rng.standard_normal((ne, 8, 24))),
+        transport,
+    ], int(mesh.hanging.sum())
+
+
+class TestGalerkinBlocks:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @given(seeds, st.integers(1, 2000), st.booleans())
+    @settings(max_examples=4, deadline=None)
+    def test_block_size_does_not_change_the_result(self, p, seed, tiny, trim):
+        runs = []
+        for block in (assembly.GALERKIN_BLOCK, tiny, 2**62):
+            with mock.patch.object(assembly, "GALERKIN_BLOCK", block):
+                runs.append(run_spmd(p, lambda comm: block_operators(comm, seed, trim)))
+        shipped, *others = runs
+        assert sum(n_hanging for _, n_hanging in shipped) > 0
+        for run in others:
+            for (got_rank, _), (want_rank, _) in zip(run, shipped):
+                for got, want in zip(got_rank, want_rank):
+                    assert_same_csr(got, want)
+
+
 class TestBuildMemory:
-    def test_peak_within_three_times_element_matrices_plus_operator(self):
-        """On a 6 028-element front mesh the allocation peak of the
-        transport build is 2.4x the bytes of its element matrices plus its
-        CSR operator; the COO build it replaced peaked at 3.4x."""
+    """The traced peak of the transport operator build (the Galerkin
+    product over the owned elements' gather, where the whole transport
+    build peaks), less what it keeps (the operator) and the gather it
+    builds, in block budgets: the bytes of one block's scalar
+    element-matrix rows, ``GALERKIN_BLOCK`` rows of eight doubles.  The
+    row-blocked product, its per-thread workspace included, measures 3.7
+    budgets at 6 028 owned elements and 5.2 at 24 704 (the workspace keeps
+    the largest of more blocks); the product over the whole mesh it
+    replaced measured 3.0 and 12.4, four times the mesh, four times the
+    memory."""
+
+    @staticmethod
+    def excess(target: int, max_level: int) -> tuple[int, float]:
         workload = RotatingFrontWorkload(velocity=rotating_velocity(scale=3.0))
 
         def kernel(comm):
-            pipe = ParAmrPipeline(comm, workload=workload, coarse_level=2, max_level=6)
+            pipe = ParAmrPipeline(comm, workload=workload, coarse_level=2, max_level=max_level)
             for _ in range(4):
-                pipe.adapt(6000)
+                pipe.adapt(target)
+            pm = pipe.pm
+            eq = ParAdvectionDiffusion(pm, workload.kappa, workload.velocity)
+            elem = OPS.supg_operator(eq._owned_sizes, eq._owned_vel, eq.kappa, eq.tau)
+            assembly._workspace.buffers.clear()  # the product allocates its workspace again
             tracemalloc.start()
             try:
-                eq = ParAdvectionDiffusion(pipe.pm, workload.kappa, workload.velocity)
-                peak = tracemalloc.get_traced_memory()[1]
+                base = tracemalloc.get_traced_memory()[0]
+                A = eq._assemble_owned(elem)
+                peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            elem = 8 * 64 * pipe.pm.n_owned_elements
-            A = eq.A
-            return pipe.pm, peak / (elem + A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+            mesh = pm.mesh
+            g = gather(mesh.Z[mesh.element_nodes[pm.owned_elements].ravel()])
+            kept = sum(a.nbytes for M in (A, g.G, g.GT) for a in (M.data, M.indices, M.indptr))
+            return pm.n_owned_elements, (peak - kept) / (assembly.GALERKIN_BLOCK * 8 * 8)
 
-        ((pm, ratio),) = run_spmd(1, kernel)
-        assert pm.n_owned_elements > 5000 and pm.mesh.hanging.any()
-        assert ratio <= 3.0
+        return run_spmd(1, kernel)[0]
+
+    def test_peak_is_a_few_blocks_not_the_mesh(self):
+        n_small, small = self.excess(6000, 6)
+        n_large, large = self.excess(24000, 7)
+        assert 5000 < n_small < 7000 and 20000 < n_large < 28000
+        assert small <= 6 and large <= 6
+        assert large <= 2 * small
 
 
 class TestSubPhases:
