@@ -11,11 +11,9 @@ from .assembly import (
     Z3,
     apply_dirichlet,
     assemble_divergence,
-    assemble_rhs,
     assemble_scalar,
     assemble_vector,
     assembly_counts,
-    lumped_mass,
     reset_assembly_counts,
     vector_dofs,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "assemble_scalar",
     "assemble_vector",
     "assemble_divergence",
-    "assemble_rhs",
-    "lumped_mass",
     "apply_dirichlet",
     "Z3",
     "vector_dofs",

@@ -55,8 +55,6 @@ __all__ = [
     "assemble_scalar",
     "assemble_vector",
     "assemble_divergence",
-    "assemble_rhs",
-    "lumped_mass",
     "apply_dirichlet",
     "Z3",
     "vector_dofs",
@@ -322,36 +320,6 @@ def assemble_divergence(mesh: Mesh, elem_B: np.ndarray) -> sp.csr_matrix:
     return galerkin(
         _element_gather(mesh, "scalar"), elem_B, _element_gather(mesh, "vector")
     )
-
-
-def assemble_rhs(mesh: Mesh, elem_vecs: np.ndarray, constrain: bool = True) -> np.ndarray:
-    """Assemble (ne, 8) element load vectors into a global rhs, or
-    (nb, ne, 8) ones into the columns of an (n, nb) rhs."""
-    if elem_vecs.ndim not in (2, 3) or elem_vecs.shape[-2:] != (mesh.n_elements, 8):
-        raise ValueError("element vector array has wrong shape")
-    nb = 1 if elem_vecs.ndim == 2 else len(elem_vecs)
-    slots = mesh.element_nodes.ravel() + mesh.n_nodes * np.arange(nb)[:, None]
-    b = np.bincount(
-        slots.ravel(), weights=elem_vecs.ravel(), minlength=nb * mesh.n_nodes
-    ).reshape(nb, mesh.n_nodes).T
-    if elem_vecs.ndim == 2:
-        b = b[:, 0]
-    if not constrain:
-        return b
-    return mesh.Z.T @ b
-
-
-def lumped_mass(mesh: Mesh, elem_mass: np.ndarray, constrain: bool = True) -> np.ndarray:
-    """Row-sum lumped mass vector from (ne, 8, 8) element mass matrices.
-
-    The lumped operator is consistent with the constrained Galerkin mass:
-    rows of ``Z`` sum to one, so the row sums of ``Z^T M Z`` are ``Z^T``
-    applied to the scattered element row sums — no matrix is assembled.
-    """
-    d = assemble_rhs(mesh, elem_mass.sum(axis=2), constrain=constrain)
-    if np.any(d <= 0):
-        raise AssertionError("non-positive lumped mass entry")
-    return d
 
 
 def apply_dirichlet(

@@ -4,10 +4,13 @@ MANGLL's kernel study contrasts *matrix-based* element application (one
 precomputed dense matrix per operator, large GEMMs over all elements)
 with *tensor-product* (sum-factorized) application that exploits the
 Kronecker structure of the reference element; on Ranger the dense side
-won below p = 4.  This module runs the MINRES saddle applies and the
-SUPG rate evaluations as batched dense element kernels over every
-element at once, so a viscosity update between Picard passes only
-rebinds per-element scalars instead of re-running sparse assembly.
+won below p = 4.  This module runs the MINRES saddle applies as
+batched dense element kernels over every element at once, so a
+viscosity update between Picard passes only rebinds per-element scalars
+instead of re-running sparse assembly.  The SUPG transport operator is
+not here: its solver takes 8 to 32 applies per build, where the
+assembled CSR is the faster (DESIGN.md §4l), so
+:class:`~repro.fem.advection.AdvectionDiffusion` assembles it.
 
 - **The Stokes saddle apply is the matrix-based side at p = 1.**  Every
   element of an extracted mesh is the largest element box scaled by
@@ -18,8 +21,8 @@ rebinds per-element scalars instead of re-running sparse assembly.
   on both sides by the per-element diagonal
   ``diag(sqrt(eta s) I_24, s^{3/2} / sqrt(eta) I_8)``: one
   ``(32, 32) @ (32, ne)`` GEMM per apply.
-- **The SUPG rate and the scalar mass are sum-factorized.**  Every
-  trilinear element matrix factors as ``kron(Az, Ay, Ax)`` of two-node
+- **The lumped scalar mass (the Schur diagonal) is sum-factorized.**
+  Every trilinear element matrix factors as ``kron(Az, Ay, Ax)`` of two-node
   1-D matrices and the 2-point Gauss rule on each axis integrates every
   Q1 integrand exactly, so forward-evaluating values and reference
   gradients at the Gauss points (GEMMs built from
@@ -41,8 +44,7 @@ participates in the same structural invalidation and
 
 The assembled CSR blocks are built only by the test oracles
 (``tests/oracles/stokes_blocks.py``); parity between the assembled and
-the element-kernel apply is pinned to 1e-14 (saddle) and 1e-12
-(transport) by the tests.
+the element-kernel apply is pinned to 1e-14 by the tests.
 """
 
 from __future__ import annotations
@@ -59,13 +61,11 @@ from .hexops import ElementOps
 
 __all__ = [
     "MatFreeStokesOperator",
-    "MatFreeAdvectionOperator",
     "lumped_scalar_mass",
     "velocity_gather",
     "scalar_gather",
     "saddle_apply_flops",
     "saddle_apply_bytes",
-    "advection_apply_flops",
 ]
 
 _OPS = ElementOps()
@@ -88,13 +88,6 @@ _D1 = np.array([[-1.0, 1.0], [-1.0, 1.0]], dtype=np.float64)  # d/dr of the two 
 E8 = kron3(_E1, _E1, _E1)
 #: (3, 8, 8) reference-gradient evaluation, axis order (x, y, z).
 G8 = np.stack([kron3(_E1, _E1, _D1), kron3(_E1, _D1, _E1), kron3(_D1, _E1, _E1)])
-
-# fused factors of the scalar kernels: one GEMM produces/consumes the
-# value and all three reference derivatives of all elements at once.
-# Element-space arrays are ``(channels, ne)``, so the GEMMs are
-# ``(small, small) @ (small, ne)``.
-_FWD_SCAL_T = np.concatenate([E8, G8[0], G8[1], G8[2]], axis=0)  # (32, 8)
-_BWD_SCAL_T = np.ascontiguousarray(_FWD_SCAL_T.T)  # (8, 32)
 
 
 # -- cached constraint-folded gathers -------------------------------------------
@@ -300,68 +293,6 @@ def lumped_scalar_mass(mesh: Mesh, coeff: np.ndarray) -> np.ndarray:
     return d if coeff.ndim == 2 else d[:, 0]
 
 
-# -- SUPG advection-diffusion rate operator -------------------------------------
-
-
-class MatFreeAdvectionOperator:
-    """Sum-factorized apply of the SUPG transport operator
-    ``kappa K + N(a) + tau G(a)`` (stiffness + convection + streamline
-    diffusion) used by :meth:`repro.fem.advection.AdvectionDiffusion.rate`.
-
-    One fused forward GEMM produces the value and all three reference
-    gradients at the Gauss points; one fused backward GEMM consumes the
-    mass channel and the three flux channels.
-    """
-
-    def __init__(self, mesh: Mesh, kappa, vel: np.ndarray, tau: np.ndarray):
-        self.mesh = mesh
-        ne = mesh.n_elements
-        self.gp = scalar_gather(mesh)
-        w, ih, _ = _geometry(mesh)
-        # Batched mode mirrors MatFreeStokesOperator: vel (nb, ne, 3),
-        # tau (nb, ne), kappa scalar or (nb,), merged flat order e*nb+b;
-        # the serial layout (ne, 3) is the nb = 1 case
-        vel = np.asarray(vel, dtype=np.float64).reshape(-1, ne, 3)
-        self.nb = len(vel)
-        ih = np.repeat(ih, self.nb, axis=0)
-        self.velT = np.ascontiguousarray(vel.transpose(2, 1, 0)).reshape(3, -1)
-        kb = np.broadcast_to(np.asarray(kappa, dtype=np.float64), (self.nb,))
-        self.w = np.repeat(w, self.nb)
-        self.wk = (w[:, None] * kb[None, :]).ravel()  # diffusive flux prefactor
-        wtau = (w[:, None] * np.asarray(tau, dtype=np.float64).reshape(self.nb, ne).T).ravel()
-        self.ihT = np.ascontiguousarray(ih.T)  # (3, m)
-        self.wtauvelT = wtau[None, :] * self.velT
-        m = ne * self.nb
-        self._f = np.empty((32, m), dtype=np.float64)
-        self._c = np.empty((32, m), dtype=np.float64)
-
-    def apply(self, T: np.ndarray) -> np.ndarray:
-        """``A T`` for the assembled-equivalent SUPG operator.
-
-        Batched mode: ``T`` is ``(n, nb)``, one scenario per column, and
-        the result matches that shape.
-        """
-        ne = self.mesh.n_elements
-        TeT = (self.gp.G @ T).reshape(8, ne * self.nb)
-        f = np.matmul(_FWD_SCAL_T, TeT, out=self._f)
-        g = f[8:].reshape(3, 8, -1)
-        g *= self.ihT[:, None, :]  # physical gradients
-        adv = np.einsum("be,bqe->qe", self.velT, g)  # a . grad T
-        c = self._c
-        # mass channel: w N_i (a . grad T); flux channels: test-gradient
-        # contractions of w (kappa grad T + tau (a . grad T) a), with the
-        # test-function metric 1/h folded in before the backward GEMM
-        np.multiply(adv, self.w[None, :], out=c[:8])
-        cg = c[8:].reshape(3, 8, -1)
-        np.multiply(g, self.wk[None, None, :], out=cg)
-        cg += self.wtauvelT[:, None, :] * adv[None, :, :]
-        cg *= self.ihT[:, None, :]
-        out_e = _BWD_SCAL_T @ c
-        if T.ndim == 1:
-            return self.gp.GT @ out_e.ravel()
-        return self.gp.GT @ out_e.reshape(8 * self.mesh.n_elements, self.nb)
-
-
 # -- flop / byte accounting (prices the kernel choice in MachineModel) ----------
 
 
@@ -378,10 +309,3 @@ def saddle_apply_bytes(n_elements: int, gather_nnz: int) -> int:
     (8-byte value + 8-byte column index per entry, both directions) plus
     one read + one write of each ``(32, ne)`` workspace ``X`` and ``Y``."""
     return 2 * 16 * gather_nnz + 8 * n_elements * 2 * (32 + 32)
-
-
-def advection_apply_flops(n_elements: int) -> int:
-    """Flops per tensor-variant SUPG rate apply (fused 8x32 GEMMs plus
-    the pointwise flux combination)."""
-    per_elem = 2 * 2 * 8 * 32 + 8 * (3 * 2 + 3 * 4 + 3)
-    return per_elem * n_elements

@@ -3,12 +3,12 @@
 Every fleet quantum advances a *group* of tenants through shared
 kernels, so attribution needs a policy.  The accountant uses the work
 counters the solvers already report per job — MINRES iterations, Picard
-passes, advection steps — and prices them with the analytic per-apply
-flop counts of the matrix-free kernels
-(:func:`repro.fem.matfree.saddle_apply_flops` /
-:func:`~repro.fem.matfree.advection_apply_flops`), so a tenant whose
-stiff rheology needs 3x the iterations is billed 3x the flops even
-though the wall clock ran once for the whole group.  Batch wall time and
+passes, advection steps — and prices them per apply: the analytic flop
+count of the matrix-free saddle kernel
+(:func:`repro.fem.matfree.saddle_apply_flops`) and ``2 nnz`` of the
+job's assembled SUPG operator, so a tenant whose stiff rheology needs 3x
+the iterations is billed 3x the flops even though the wall clock ran
+once for the whole group.  Batch wall time and
 operator-cache hits are split evenly across the group (they are true
 shared costs); communication bytes are zero in this serial offline
 reproduction and the field is kept so paper-scale SPMD runs can fill it
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from ..fem.matfree import advection_apply_flops, saddle_apply_flops
+from ..fem.matfree import saddle_apply_flops
 from ..obs import job_phases
 
 __all__ = ["JobLedger", "FleetAccountant"]
@@ -55,7 +55,7 @@ class FleetAccountant:
     Example::
 
         acct = FleetAccountant()
-        acct.charge_cycle(group, diags, mesh.n_elements, wall, hits, misses)
+        acct.charge_cycle(group, diags, mesh.n_elements, nnz, wall, hits, misses)
         print(acct.markdown_report())
     """
 
@@ -75,14 +75,16 @@ class FleetAccountant:
         group: list,
         diags: list,
         n_elements: int,
+        advection_nnz,
         wall_s: float,
         cache_hits: int = 0,
         cache_misses: int = 0,
     ) -> None:
         """Bill one lockstep cycle: per-job work counters price the
-        flops; shared wall time and cache traffic split evenly."""
+        flops (``advection_nnz``: each job's SUPG operator nonzeros);
+        shared wall time and cache traffic split evenly."""
         nb = max(len(group), 1)
-        for job, d in zip(group, diags):
+        for job, d, nnz in zip(group, diags, advection_nnz):
             led = self.ledger(job.job_id, job.tenant)
             led.cycles += 1
             led.minres_iterations += d.minres_iterations
@@ -91,9 +93,9 @@ class FleetAccountant:
             led.advection_steps += steps
             led.wall_s += wall_s / nb
             # one saddle apply per MINRES iteration; Heun takes two
-            # advection applies per step
+            # advection applies per step, a multiply-add per nonzero
             led.flops += saddle_apply_flops(n_elements) * d.minres_iterations
-            led.flops += 2 * advection_apply_flops(n_elements) * steps
+            led.flops += 2 * (2 * int(nnz)) * steps
             led.cache_hits += cache_hits / nb
             led.cache_misses += cache_misses / nb
 

@@ -240,8 +240,11 @@ class BatchGroup:
     def advance_temperature(self) -> np.ndarray:
         """Every tenant's ``adapt_every`` explicit steps at its own CFL
         ``dt``, through :func:`~repro.rhea.convection.advect`; returns
-        the per-job ``dt`` array."""
-        return advect(self.sims, [s.config.adapt_every for s in self.sims])
+        the per-job ``dt`` array and keeps each job's operator nonzeros
+        in ``advection_nnz`` (what :class:`~repro.fleet.FleetAccountant`
+        prices an apply by)."""
+        dt, self.advection_nnz = advect(self.sims, [s.config.adapt_every for s in self.sims])
+        return dt
 
     # -- one lockstep cycle ---------------------------------------------
 

@@ -179,7 +179,7 @@ class FleetService:
         wall = time.perf_counter() - t0
         self.scheduler.charge(group)
         self.accountant.charge_cycle(
-            group, diags, bg.mesh.n_elements, wall,
+            group, diags, bg.mesh.n_elements, bg.advection_nnz, wall,
             cache.hits - h0, cache.misses - m0,
         )
         for job in group:

@@ -273,7 +273,8 @@ def advect(sims: list, n_steps) -> np.ndarray:
     keeps the bits it held at its stop (verified under
     ``REPRO_SANITIZE=1``).  Updates each sim's ``T``, ``sim_time`` and
     ``step_count``, counts the steps (``advection_steps``) and returns
-    the per-column ``dt``."""
+    the per-column ``dt`` and the nonzeros of each column's operator
+    (what the fleet prices an apply by)."""
     mesh = sims[0].mesh
     cfgs = [s.config for s in sims]
     eq = AdvectionDiffusion(
@@ -299,7 +300,7 @@ def advect(sims: list, n_steps) -> np.ndarray:
         s.sim_time += int(n_steps[j]) * float(dt[j])
         s.step_count += int(n_steps[j])
     obs.counter("advection_steps", int(n_steps.sum()))
-    return dt
+    return dt, np.array([A.nnz for A in eq.A])
 
 
 class MantleConvection:
@@ -434,7 +435,7 @@ class MantleConvection:
     def advance_temperature(self, n_steps: int) -> float:
         """One column of :func:`advect`: ``n_steps`` explicit steps of the
         energy equation; returns the time step used."""
-        return float(advect([self], [n_steps])[0])
+        return float(advect([self], [n_steps])[0][0])
 
     # -- adaptation --------------------------------------------------------------------
 

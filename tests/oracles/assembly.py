@@ -18,10 +18,10 @@ The functions here are the paths that replaced:
 - ``poisson_blocks_dkd`` masks each velocity component's Dirichlet dofs
   with the products ``D K D + (I - D)``.
 
-``repro.fem.assembly.lumped_mass`` and ``ParAdvectionDiffusion`` apply
-``Z^T`` to the scattered element row sums (rows of ``Z`` sum to one); the
-``lumped_*_assembled`` functions assemble the constrained mass and sum its
-rows.
+The transport solver (``repro.fem.advection.AdvectionDiffusion``) lumps
+its mass by applying ``Z^T`` to the scattered element row sums (rows of
+``Z`` sum to one); the ``lumped_*_assembled`` functions assemble the
+constrained mass and sum its rows.
 """
 
 from __future__ import annotations

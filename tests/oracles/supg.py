@@ -1,15 +1,17 @@
 """Term-by-term SUPG element matrices: diffusion, convection and the
 streamline term as separate broadcast ``(n, 8, 8)`` sums, which
 ``ElementOps.supg_operator`` replaced with one ``(n, 9) @ (9, 64)``
-product; and the assembled SUPG operator."""
+product; and the SUPG operator assembled from them through the COO
+path."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.assembly import assemble_scalar
 from repro.fem.hexops import ElementOps
+
+from .assembly import coo_scalar
 
 
 def grad_grad(ops: ElementOps, sizes: np.ndarray, vel: np.ndarray) -> np.ndarray:
@@ -40,10 +42,11 @@ def supg_operator_termwise(ops: ElementOps, sizes, vel, kappa, tau) -> np.ndarra
     return elem
 
 
-def assembled_operator(eq) -> sp.csr_matrix:
-    """The SUPG operator of a serial
-    :class:`~repro.fem.advection.AdvectionDiffusion` as one assembled
-    CSR, the reference its matrix-free rate is checked against."""
-    sizes = eq.mesh.element_sizes()
-    elem = ElementOps().supg_operator(sizes, eq.vel, eq.kappa, eq.tau)
-    return assemble_scalar(eq.mesh, elem)
+def assembled_operator(mesh, kappa, vel, tau) -> sp.csr_matrix:
+    """The SUPG operator of one column of
+    :class:`~repro.fem.advection.AdvectionDiffusion` on ``mesh``: the
+    term-by-term element matrices through the COO scatter and ``Z^T A Z``
+    (``tests/oracles/assembly.py``), the reference the solver's Galerkin
+    product is checked against."""
+    elem = supg_operator_termwise(ElementOps(), mesh.element_sizes(), vel, kappa, tau)
+    return coo_scalar(mesh, elem)

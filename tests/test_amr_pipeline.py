@@ -216,8 +216,10 @@ class TestSerialAdaptDriver:
 
 class TestParAdvectionPInvariance:
     def test_distributed_step_matches_serial(self):
-        """The gold test: one explicit SUPG step on P ranks equals the
-        serial step, node for node."""
+        """The gold test: explicit SUPG steps on P ranks equal the serial
+        steps, node for node: bit for bit at P = 1, which runs the serial
+        solver's code on the same mesh, and to round-off at P = 2 and 4,
+        where the exchange sums shared dofs in another order."""
         wind = rotating_velocity(scale=2.0)
 
         # serial reference
@@ -256,7 +258,10 @@ class TestParAdvectionPInvariance:
             seen = 0
             for ks, vals in out:
                 for k, v in zip(ks, vals):
-                    assert ref_map[int(k)] == pytest.approx(v, abs=1e-11)
+                    if p == 1:
+                        assert ref_map[int(k)] == v
+                    else:
+                        assert ref_map[int(k)] == pytest.approx(v, abs=1e-11)
                     seen += 1
             assert seen == len(ref_map)
 
@@ -389,8 +394,8 @@ class TestParAmrPipeline:
         corner = self.front_cycles(p)[3]
         monkeypatch.setattr(
             ParAdvectionDiffusion,
-            "_assemble_owned",
-            lambda eq, elem: assemble_owned_split(eq.pm, elem),
+            "_assemble",
+            lambda eq, elems: [assemble_owned_split(eq.pm, e) for e in elems],
         )
         want = self.front_cycles(p)[3]
         assert self.digest(want) == self.ORACLE_DIGEST[p]

@@ -7,6 +7,8 @@ from repro.fem import AdvectionDiffusion, element_velocity_from_nodal, supg_tau
 from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
 
+from .oracles.supg import assembled_operator
+
 
 def make_mesh(level=2, adapt=False, seed=0, domain=(1.0, 1.0, 1.0)):
     tree = Forest.uniform(unit_cube(), level)
@@ -148,10 +150,8 @@ class TestBatchAxis:
     def test_columns_match_serial_instances(self):
         """``nb = 3`` columns with different diffusivity, velocity, time
         step and initial field advance as three serial solvers would:
-        the serial solver is the one-column case of the same code.
-        Agreement is to 1e-12, not ``array_equal``: BLAS blocks the
-        ``(32, 8) @ (8, ne * nb)`` GEMM differently from the
-        ``(8, ne)`` one, and a handful of entries move by one ulp."""
+        the serial solver is the one-column case of the same code, and
+        each column is its own CSR, so they agree bit for bit."""
         mesh = make_mesh(2, adapt=True, seed=3)
         rng = np.random.default_rng(7)
         nb = 3
@@ -167,15 +167,12 @@ class TestBatchAxis:
         for j in range(nb):
             one = AdvectionDiffusion(mesh, kappa[j], vel[j], dirichlet=bcs)
             assert one.cfl_dt([0.4, 0.25, 0.1][j]) == dt[j]
-            np.testing.assert_allclose(
-                Tb[:, j], one.advance(T0[:, j], dt[j], 5), rtol=1e-12, atol=1e-14
-            )
+            np.testing.assert_array_equal(Tb[:, j], one.advance(T0[:, j], dt[j], 5))
 
     def test_batched_source_matches_serial_instances(self):
         """Per-column internal heating: each column's load is its serial
-        instance's load bit for bit and the columns advance as the serial
-        instances do (to 1e-12, the GEMM blocking above); a width-1 batch
-        is the serial solver bit for bit."""
+        instance's load, and the columns advance as the serial instances
+        do, bit for bit; so does a width-1 batch."""
         mesh = make_mesh(2, adapt=True, seed=5)
         rng = np.random.default_rng(11)
         kappa = np.array([1e-3, 0.5, 0.05])
@@ -192,7 +189,7 @@ class TestBatchAxis:
             one = AdvectionDiffusion(mesh, kappa[j], vel[j], source=source[j], dirichlet=bcs)
             np.testing.assert_array_equal(batch.b[:, j], one.b)
             T1 = one.advance(T0[:, j], dt[j], 6)
-            np.testing.assert_allclose(Tb[:, j], T1, rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(Tb[:, j], T1)
             col = AdvectionDiffusion(
                 mesh, kappa[j : j + 1], vel[j : j + 1], source=source[j : j + 1], dirichlet=bcs
             )
@@ -202,3 +199,24 @@ class TestBatchAxis:
         np.testing.assert_array_equal(alike.b[:, 1], batch.b[:, 1])
         with pytest.raises(ValueError):
             AdvectionDiffusion(mesh, kappa[0], vel[0], source=source)
+
+    def test_operator_matches_termwise_assembly(self):
+        """Each column's operator is the SUPG operator assembled term by
+        term through the COO scatter and ``Z^T A Z``, on a mesh with
+        edge- and face-hanging nodes, to round-off; a one-column solver
+        holds the batch's CSR bit for bit."""
+        mesh = make_mesh(3, adapt=True, seed=5)
+        assert mesh.hanging.any()
+        rng = np.random.default_rng(10)
+        kappa = np.array([0.02, 1e-4, 0.0])
+        vel = rng.standard_normal((3, mesh.n_elements, 3))
+        batch = AdvectionDiffusion(mesh, kappa, vel)
+        T = rng.standard_normal((mesh.n_independent, 3))
+        for j, A in enumerate(batch.A):
+            want = assembled_operator(mesh, kappa[j], vel[j], batch.tau[j])
+            assert abs(A - want).max() <= 1e-13 * abs(want).max()
+            (one,) = AdvectionDiffusion(mesh, kappa[j], vel[j]).A
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(one, name), getattr(A, name))
+            ref = want @ T[:, j]
+            assert np.max(np.abs(A @ T[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))

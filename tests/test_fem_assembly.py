@@ -7,12 +7,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.fem import (
+    AdvectionDiffusion,
     apply_dirichlet,
     assemble_divergence,
-    assemble_rhs,
     assemble_scalar,
     assemble_vector,
-    lumped_mass,
 )
 from repro.fem.hexops import ElementOps
 from repro.forest import Forest, unit_cube
@@ -100,31 +99,32 @@ class TestConvergence:
         assert err < 0.05
 
 
+def transport(mesh, source=0.0):
+    """The transport solver at rest: its lumped mass and load are the
+    row-sum scatters through ``Z^T`` these tests check."""
+    return AdvectionDiffusion(mesh, 1.0, np.zeros((mesh.n_elements, 3)), source=source)
+
+
 class TestLumpedMass:
     def test_total_mass(self):
         mesh = adapted_mesh(seed=3, domain=(2.0, 1.0, 1.0))
-        ml = lumped_mass(mesh, OPS.mass(mesh.element_sizes()))
-        np.testing.assert_allclose(ml.sum(), 2.0, rtol=1e-12)
+        np.testing.assert_allclose(transport(mesh).ML.sum(), 2.0, rtol=1e-12)
 
     def test_positive(self):
-        mesh = adapted_mesh(seed=4)
-        ml = lumped_mass(mesh, OPS.mass(mesh.element_sizes()))
-        assert ml.min() > 0
+        assert transport(adapted_mesh(seed=4)).ML.min() > 0
 
 
 class TestRhs:
     def test_constant_load_total(self):
         mesh = adapted_mesh(seed=6)
-        load = OPS.mass(mesh.element_sizes()).sum(axis=2)  # int N_i per elem
-        b = assemble_rhs(mesh, load)
-        # sum over constrained rhs = integral of 1 (Z^T preserves totals
-        # since Z rows sum to 1 and column sums distribute)
-        np.testing.assert_allclose(b.sum(), 1.0, rtol=1e-12)
+        # unit heating at rest: the load is int N_i; its sum is the
+        # integral of 1 (Z^T preserves totals since Z rows sum to 1)
+        np.testing.assert_allclose(transport(mesh, source=1.0).b.sum(), 1.0, rtol=1e-12)
 
     def test_shape_checks(self):
         mesh = adapted_mesh(seed=6)
         with pytest.raises(ValueError):
-            assemble_rhs(mesh, np.zeros((3, 8)))
+            AdvectionDiffusion(mesh, 1.0, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             assemble_scalar(mesh, np.zeros((3, 8, 8)))
 

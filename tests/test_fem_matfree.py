@@ -1,9 +1,8 @@
 """Parity and accounting tests for the matrix-free apply engine.
 
 The matrix-free applies must agree with the assembled-CSR operators
-(the ``A`` / ``B`` / ``C`` blocks of ``tests/oracles/stokes_blocks.py``
-and the SUPG operator of ``tests/oracles/supg.py``) to machine
-precision (the 2-point Gauss rule is exact for every Q1 integrand), on
+(the ``A`` / ``B`` / ``C`` blocks of ``tests/oracles/stokes_blocks.py``)
+to machine precision (the 2-point Gauss rule is exact for every Q1 integrand), on
 hanging-node meshes, under both BC kinds, and across extreme viscosity
 contrast.
 """
@@ -18,14 +17,11 @@ from repro.fem import (
     assemble_scalar,
     assemble_vector,
     assembly_counts,
-    lumped_mass,
     reset_assembly_counts,
 )
 from repro.fem.hexops import ElementOps
 from repro.fem.matfree import (
-    MatFreeAdvectionOperator,
     MatFreeStokesOperator,
-    advection_apply_flops,
     lumped_scalar_mass,
     saddle_apply_bytes,
     saddle_apply_flops,
@@ -47,6 +43,7 @@ from .oracles.stokes_blocks import (
     velocity_divergence_norm,
     viscous_block,
 )
+from .oracles.assembly import lumped_mass_assembled
 from .oracles.saddle_tensor import TensorSaddleOperator
 from .oracles.supg import assembled_operator
 
@@ -96,7 +93,7 @@ def test_divergence_and_schur_parity():
         np.linalg.norm(divergence_block(st) @ x[: st.n_u]),
         rtol=1e-12,
     )
-    d_ref = lumped_mass(mesh, _OPS.mass(mesh.element_sizes(), 1.0 / eta))
+    d_ref = lumped_mass_assembled(mesh, _OPS.mass(mesh.element_sizes(), 1.0 / eta))
     np.testing.assert_allclose(st.schur_diagonal(), d_ref, rtol=1e-12)
 
 
@@ -251,7 +248,7 @@ def test_supg_rate_parity():
     vel = rng.standard_normal((mesh.n_elements, 3))
     eq = AdvectionDiffusion(mesh, 1e-3, vel, source=0.7,
                             dirichlet=[(2, 0, 1.0), (2, 1, 0.0)])
-    A = assembled_operator(eq)
+    A = assembled_operator(mesh, eq.kappa, eq.vel, eq.tau)
 
     def rate_assembled(T):
         r = (eq.b - A @ T) / eq.ML
@@ -262,7 +259,7 @@ def test_supg_rate_parity():
     ref = rate_assembled(T)
     got = eq.rate(T)
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-30)
-    # one full Heun step through the matrix-free rate
+    # one full Heun step through the solver's rate
     dt = 1e-4
     T0 = eq.apply_bcs(T)
     k1 = rate_assembled(T0)
@@ -278,7 +275,7 @@ def test_scalar_mass_parity_plain_and_supg():
     rng = np.random.default_rng(8)
     coeff = np.exp(rng.standard_normal(mesh.n_elements))
     np.testing.assert_allclose(
-        lumped_scalar_mass(mesh, coeff), lumped_mass(mesh, _OPS.mass(sizes, coeff)),
+        lumped_scalar_mass(mesh, coeff), lumped_mass_assembled(mesh, _OPS.mass(sizes, coeff)),
         rtol=1e-12,
     )
 
@@ -316,7 +313,6 @@ def test_operator_objects_are_rebindable():
 def test_flop_accounting_sane():
     ne = 1000
     assert saddle_apply_flops(ne) == saddle_apply_flops(1) * ne
-    assert advection_apply_flops(ne) == advection_apply_flops(1) * ne
     # at the default discretization the assembled saddle has ~190 nnz per
     # element row-block; the element kernel trades those sparse flops for
     # one 32x32 GEMM plus the two-sided scaling, ~2.2k dense flops
@@ -333,17 +329,6 @@ def test_variant_validation():
     with pytest.raises(TypeError, match="variant"):
         AdvectionDiffusion(mesh, 1.0, np.zeros((mesh.n_elements, 3)),
                            variant="matrix")
-
-
-def test_advection_operator_direct_apply_matches_assembled():
-    mesh = make_mesh(level=3, seed=5)
-    rng = np.random.default_rng(10)
-    vel = rng.standard_normal((mesh.n_elements, 3))
-    eq = AdvectionDiffusion(mesh, 0.02, vel)
-    op = MatFreeAdvectionOperator(mesh, 0.02, vel, eq.tau)
-    T = rng.standard_normal(mesh.n_independent)
-    ref = assembled_operator(eq) @ T
-    assert np.max(np.abs(op.apply(T) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # -- Section VII kernel-count model -------------------------------------------

@@ -11,7 +11,7 @@
 - the constraint operator's invariants on the same meshes: rows of ``Z``
   sum to one, no column of ``Z`` is a hanging node, trilinear fields pass
   through ``Mesh.expand`` exactly;
-- ``ParAdvectionDiffusion._assemble_owned`` (the Galerkin product over
+- ``AdvectionDiffusion._assemble`` (the Galerkin product over
   the owned elements' constraint-folded gather) == the COO paths it
   replaced (``tests/oracles/assembly.py``): hanging-free elements
   straight into dof numbering, and ``Z^T A Z`` of the node-numbered
@@ -185,15 +185,15 @@ class TestHangingSearch:
 
 
 def check_assembly(pm, seed=0):
-    """``_assemble_owned`` == the free/hanging split COO and ``Z^T A Z`` of
+    """``_assemble`` == the free/hanging split COO and ``Z^T A Z`` of
     the nodal scatter, for random element matrices and for the operator
     the solver steps with; returns the owned element count and how many
     of them have a hanging corner."""
     eq = ParAdvectionDiffusion(pm, 1e-3, rotating_velocity())
     n = pm.n_owned_elements
-    supg = OPS.supg_operator(eq._owned_sizes, eq._owned_vel, eq.kappa, eq.tau)
+    supg = OPS.supg_operator(eq.sizes, eq.vel, eq.kappa, eq.tau)
     random = np.random.default_rng(seed).standard_normal((n, 8, 8))
-    for got, elem in [(eq._assemble_owned(random), random), (eq.A, supg)]:
+    for got, elem in [(eq._assemble([random])[0], random), (eq.A[0], supg)]:
         want = assemble_owned_split(pm, elem)
         want.eliminate_zeros()
         assert got.nnz == want.nnz
@@ -251,7 +251,7 @@ def block_operators(comm, seed, trim):
         pm = replace(pm, owned_elements=np.flatnonzero(~touch))
     ne = mesh.n_elements
     rng = np.random.default_rng(seed)
-    transport = ParAdvectionDiffusion(pm, 1e-3, rotating_velocity()).A
+    (transport,) = ParAdvectionDiffusion(pm, 1e-3, rotating_velocity()).A
     if trim:
         assert transport.getnnz(axis=1)[[0, -1]].tolist() == [0, 0]
     return [
@@ -301,12 +301,12 @@ class TestBuildMemory:
                 pipe.adapt(target)
             pm = pipe.pm
             eq = ParAdvectionDiffusion(pm, workload.kappa, workload.velocity)
-            elem = OPS.supg_operator(eq._owned_sizes, eq._owned_vel, eq.kappa, eq.tau)
+            elem = OPS.supg_operator(eq.sizes, eq.vel, eq.kappa, eq.tau)
             assembly._workspace.buffers.clear()  # the product allocates its workspace again
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                A = eq._assemble_owned(elem)
+                (A,) = eq._assemble([elem])
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
