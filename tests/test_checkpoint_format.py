@@ -212,8 +212,8 @@ class TestPinnedSnapshotBytes:
         path = save_convection(sim, str(tmp_path))
         assert os.path.basename(path) == step_dirname(4)
         assert _file_digests(path) == {
-            "manifest.json": "555941c7fd5808572703320f5f195ef2",
-            "shard_0000.bin": "2c31657503419e7be7a2ced6e071539e",
+            "manifest.json": "8084472714077e5e017bfb773ba179c8",
+            "shard_0000.bin": "1637d0360cbf914a9d4423178382d2d9",
         }
 
     def test_pipeline_snapshot_two_ranks(self, tmp_path, monkeypatch):
