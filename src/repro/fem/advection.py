@@ -284,6 +284,7 @@ class AdvectionDiffusion:
         return heun_step(self.rate, self.apply_bcs(T), dt)
 
     def advance(self, T: np.ndarray, dt, n_steps: int) -> np.ndarray:
+        """``n_steps`` calls of :meth:`step` at ``dt``."""
         for _ in range(n_steps):
             T = self.step(T, dt)
         return T

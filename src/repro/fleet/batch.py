@@ -2,10 +2,11 @@
 
 The fleet's throughput lever: ``B`` scenarios that share one interned
 mesh structure advance *together*, stacking their fields along the batch
-axis of the element-minor matrix-free kernels (the saddle apply and the
-SUPG rate both take an ``nb`` channel).  Every GEMM in the apply then
-amortizes its gather/geometry traffic over all tenants — the
-per-scenario work collapses from ``B`` skinny matvecs into one wide one.
+axis of the element-minor matrix-free saddle kernel (it takes an ``nb``
+channel).  Every GEMM in the apply then amortizes its gather/geometry
+traffic over all tenants — the per-scenario work collapses from ``B``
+skinny matvecs into one wide one.  The SUPG transport solver keeps one
+assembled CSR per column (DESIGN.md §4l).
 
 No algorithm or discretisation is defined here: the Picard iteration is
 :func:`repro.rhea.convection.picard`, the temperature advance is

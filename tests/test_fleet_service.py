@@ -1,5 +1,6 @@
 """Tests for the fleet service: interning, scheduling, preemption."""
 
+import inspect
 import json
 import os
 from types import SimpleNamespace
@@ -9,6 +10,8 @@ import pytest
 
 from repro import obs
 from repro.checkpoint.format import CheckpointError
+from repro.fem import AdvectionDiffusion, element_velocity_from_nodal
+from repro.fem.matfree import saddle_apply_flops
 from repro.fleet import (
     FleetJob,
     FleetScheduler,
@@ -18,6 +21,7 @@ from repro.fleet import (
     SpecError,
 )
 from repro.mesh.opcache import operator_cache
+from repro.parallel import SimComm
 from repro.rhea import ConfigError, RheaConfig
 from repro.rhea.convection import MantleConvection
 
@@ -353,6 +357,21 @@ class TestAccounting:
         assert "fleet/job:a/checkpoint" in timer.results()
         assert report["jobs"]["a"]["exclusive_wall_s"] > 0
 
+    def test_flops_are_priced_per_apply(self):
+        """One quantum of one job: the saddle kernel's flops per MINRES
+        iteration, plus two advection applies per step at a multiply-add
+        per nonzero of the job's SUPG CSR, exactly."""
+        svc = FleetService()
+        svc.admit(spec("a", cycles=1))
+        assert svc.step()
+        sim = svc.jobs["a"].sim
+        cfg, mesh = sim.config, sim.mesh
+        vel = element_velocity_from_nodal(mesh, sim.u)
+        (A,) = AdvectionDiffusion(mesh, cfg.kappa, vel).A
+        want = saddle_apply_flops(mesh.n_elements) * sim.history[-1].minres_iterations
+        want += 2 * (2 * A.nnz) * cfg.adapt_every
+        assert svc.accountant.ledgers["a"].flops == want
+
     def test_markdown_report_lists_tenants_and_jobs(self):
         svc = FleetService()
         svc.admit(spec("a", "geo", cycles=1))
@@ -392,3 +411,26 @@ class TestServiceDrive:
         want = serial.history[-1]
         assert abs(got.vrms - want.vrms) / want.vrms < 1e-4
         assert np.isfinite(got.nusselt)
+
+
+class TestNoCommunication:
+    def test_serial_run_and_fleet_quantum_make_no_comm_call(self, monkeypatch):
+        """The serial driver and the fleet run on one rank: the transport
+        solver they share with the distributed pipeline gets no
+        ``ParMesh`` from them, so neither constructs or calls a
+        ``SimComm``."""
+        calls = []
+        for name, fn in list(vars(SimComm).items()):
+            if inspect.isfunction(fn):
+
+                def record(*args, _name=name, _fn=fn, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(SimComm, name, record)
+        config = RheaConfig(Ra=1e4, initial_level=2, min_level=1, max_level=3, adapt_every=2)
+        MantleConvection(config).run(1)
+        svc = FleetService()
+        svc.admit(spec("a", cycles=1))
+        assert svc.step()
+        assert calls == []
