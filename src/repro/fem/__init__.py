@@ -19,7 +19,7 @@ from .assembly import (
 )
 from .hexops import ElementOps
 from .paradvection import ParAdvectionDiffusion
-from .stokes import StokesSystem, node_mass
+from .stokes import StokesSystem
 
 __all__ = [
     "ElementOps",
@@ -35,6 +35,5 @@ __all__ = [
     "element_velocity_from_nodal",
     "supg_tau",
     "StokesSystem",
-    "node_mass",
     "ParAdvectionDiffusion",
 ]

@@ -106,21 +106,17 @@ def gather(G: sp.spmatrix, mask: np.ndarray | None = None) -> Gather:
 
 
 def vector_dofs(mesh: Mesh) -> np.ndarray:
-    """(ne, 24) component-blocked global velocity dofs of each element."""
-
-    def build():
-        n = mesh.n_nodes
-        en = mesh.element_nodes
-        return np.concatenate([a * n + en for a in range(3)], axis=1)
-
-    return operator_cache(mesh).get("vector_dofs", build)
+    """(ne, 24) component-blocked global velocity dofs of each element
+    (not cached: only gather builders, which are, take it)."""
+    n = mesh.n_nodes
+    en = mesh.element_nodes
+    return np.concatenate([a * n + en for a in range(3)], axis=1)
 
 
 def Z3(mesh: Mesh) -> sp.csr_matrix:
-    """Constraint operator for component-blocked vector fields (cached)."""
-    return operator_cache(mesh).get(
-        "Z3", lambda: sp.block_diag([mesh.Z] * 3, format="csr")
-    )
+    """Constraint operator for component-blocked vector fields (not
+    cached: only gather builders, which are, take it)."""
+    return sp.block_diag([mesh.Z] * 3, format="csr")
 
 
 def _element_gather(mesh: Mesh, kind: str) -> Gather:

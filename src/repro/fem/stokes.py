@@ -33,9 +33,9 @@ from ..mesh import Mesh
 from ..mesh.opcache import operator_cache
 from .assembly import apply_dirichlet, assemble_scalar
 from .hexops import ElementOps
-from .matfree import MatFreeStokesOperator, lumped_scalar_mass
+from .matfree import MatFreeStokesOperator, lumped_scalar_mass, scalar_gather
 
-__all__ = ["StokesSystem", "node_mass", "velocity_bcs", "poisson_blocks"]
+__all__ = ["StokesSystem", "velocity_bcs", "poisson_blocks"]
 
 _OPS = ElementOps()
 
@@ -72,13 +72,16 @@ def velocity_bcs(mesh: Mesh, bc: str) -> _BCInfo:
     return operator_cache(mesh).get(("stokes_bcs", bc), build)
 
 
-def node_mass(mesh: Mesh) -> sp.csr_matrix:
-    """The unconstrained consistent nodal mass (cached per mesh): the
-    Stokes body-force load of a nodal field ``f`` is ``Z^T (M f)``."""
-    return operator_cache(mesh).get(
-        "node_mass",
-        lambda: assemble_scalar(mesh, _OPS.mass(mesh.element_sizes()), constrain=False),
-    )
+def _mass_load(mesh: Mesh, f: np.ndarray) -> np.ndarray:
+    """The consistent load ``Z^T M f`` of a nodal field ``f``, ``(n_nodes,)``
+    or ``(n_nodes, nb)``, with ``M`` the unconstrained nodal mass: element
+    ``e`` contributes ``vol_e MMM f_e``, scattered through the cached
+    element-minor scalar gather, so no nodal mass is assembled."""
+    ne = mesh.n_elements
+    fe = f[mesh.element_nodes.T].reshape(8, -1)  # (8, ne nb): row i, e nb + b
+    vol = mesh.element_sizes().prod(axis=1)
+    ve = (_OPS.MMM @ fe).reshape(8, ne, -1) * vol[:, None]
+    return (scalar_gather(mesh).GT @ ve.reshape(8 * ne, -1)).reshape(-1, *f.shape[1:])
 
 
 def poisson_blocks(mesh: Mesh, viscosity: np.ndarray, bc: str) -> list[sp.csr_matrix]:
@@ -121,7 +124,7 @@ class StokesSystem:
         Nodal body force density (e.g. ``Ra T e_z``, from
         :func:`repro.rhea.convection.buoyancy`): ``(n_nodes, 3)``, or
         ``(n_nodes, 3, nb)`` for a batch; the consistent load is the
-        nodal mass applied per component.
+        nodal mass applied per non-zero component (:func:`_mass_load`).
     bc:
         ``"free_slip"`` or ``"no_slip"``.
     """
@@ -155,9 +158,9 @@ class StokesSystem:
                     f"body_force must be {(mesh.n_nodes, 3, *batch)} to match "
                     f"the viscosity, got {bf.shape}"
                 )
-            M_node = node_mass(mesh)
             for a in range(3):
-                self.f[a * n : (a + 1) * n] = mesh.Z.T @ (M_node @ bf[:, a])
+                if np.any(bf[:, a]):  # buoyancy is z-only
+                    self.f[a * n : (a + 1) * n] = _mass_load(mesh, bf[:, a])
         self.f[self.bc.dofs] = 0.0
 
     def update_viscosity(self, viscosity: np.ndarray) -> None:

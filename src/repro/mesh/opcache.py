@@ -3,15 +3,20 @@
 The Figure-8 breakdown makes the mantle-convection step >95% Stokes
 solve, and the Stokes solve in turn spends most of its setup rebuilding
 objects that depend only on the *mesh* — the constraint-folded element
-gathers, the block-diagonal constraint operator ``Z3``, element geometry factors,
-boundary dof sets — on every Picard pass and every time step.  Between
-mesh adaptations (every ``adapt_every`` ~ 16 steps) none of these change.
+gathers, element geometry factors, boundary dof sets — on every Picard
+pass and every time step.  Between mesh adaptations (every
+``adapt_every`` ~ 16 steps) none of these change.
 
 The cache attaches lazily to a :class:`~repro.mesh.extract.Mesh`
 instance, so invalidation is structural: ``adapt()`` produces a *new*
 mesh object, and with it a fresh, empty cache — no generation counters
-to keep in sync, nothing stale to drop.  Global hit/miss counters are
-kept for the benchmark (``mesh.opcache_hits`` / ``_misses``).
+to keep in sync, nothing stale to drop.  No cached value references
+the mesh that owns the cache (a builder that needs the mesh next to its
+value returns the rest, like ``solvers.gmg.mesh_hierarchy``), so the old
+mesh and its cache die by reference count when the driver lets go of
+it, without a ``gc`` pass.  Global hit/miss counters are kept for the
+benchmark (``mesh.opcache_hits`` / ``_misses``), and ``opcache_bytes``
+counts what the stored values hold.
 
 Memoization never changes arithmetic: cached values are exactly the
 arrays the builder would produce, so solver results with the cache on
@@ -25,7 +30,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from ..parallel.sanitize import freeze, sanitize_enabled, verify_frozen
+from .. import obs
+from ..parallel.sanitize import array_bytes, freeze, sanitize_enabled, verify_frozen
 
 __all__ = [
     "MeshOperatorCache",
@@ -90,8 +96,9 @@ class MeshOperatorCache:
 
         When caching is globally disabled the builder runs every time and
         nothing is stored, so repeated calls exercise identical code.
-        Under ``REPRO_SANITIZE=1`` every hit re-verifies the value's
-        content fingerprint and raises
+        A miss adds the bytes of the stored value's arrays to the
+        counter ``opcache_bytes``.  Under ``REPRO_SANITIZE=1`` every hit
+        re-verifies the value's content fingerprint and raises
         :class:`repro.parallel.sanitize.CacheMutationError` if the
         memoized value was written in place since it was stored.
         """
@@ -105,6 +112,7 @@ class MeshOperatorCache:
             _STATS.misses += 1
             value = builder()
             self.store[key] = value
+            obs.counter("opcache_bytes", array_bytes(value))
             if sanitize_enabled():
                 self.tokens[key] = freeze(value)
             return value

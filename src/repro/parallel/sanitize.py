@@ -79,6 +79,7 @@ __all__ = [
     "CacheMutationError",
     "sanitize_enabled",
     "freeze",
+    "array_bytes",
     "verify_frozen",
     "maybe_freeze",
     "maybe_verify",
@@ -443,6 +444,12 @@ def freeze(value: Any) -> str:
         count += 1
     h.update(count.to_bytes(4, "little"))
     return h.hexdigest()
+
+
+def array_bytes(value: Any) -> int:
+    """Bytes of the numpy state of ``value``: the arrays :func:`freeze`
+    fingerprints (CSR parts included), what holding it costs."""
+    return sum(a.nbytes for a in _iter_arrays(value))
 
 
 def verify_frozen(value: Any, token: str | None, context: str = "") -> None:

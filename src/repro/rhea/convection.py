@@ -444,6 +444,7 @@ class MantleConvection:
         transfers temperature, velocity and the pressure warm start to the
         new mesh."""
         cfg = self.config
+        self._prec_lag.invalidate()  # the old grid's levels go before the new grid comes
         target = target or cfg.target_elements or self.mesh.n_elements
         eta_ind = combined_indicator(
             self.mesh, self.T, self.eta_elem, cfg.viscosity_weight

@@ -116,6 +116,7 @@ class LaggedStokesPreconditioner:
                 self._prec.update_viscosity(eta)
                 self._prec.refresh_schur(stokes)
         else:
+            self.invalidate()  # never hold two grids' levels at once
             self._prec = GMGStokesPreconditioner(stokes, max_coarse=self.max_coarse)
         self._mesh = stokes.mesh
         self._bc_kind = stokes.bc_kind
@@ -124,8 +125,10 @@ class LaggedStokesPreconditioner:
         return self._prec
 
     def invalidate(self) -> None:
-        """Drop the lagged levels so the next :meth:`get` rebuilds
-        (tests use this to force a cold start)."""
+        """Drop the lagged levels and the grid they were built on, so the
+        next :meth:`get` rebuilds.  The serial driver calls it when it
+        adapts, which frees the old mesh's levels before the new mesh
+        exists."""
         self._prec = None
         self._mesh = None
         self._eta_ref = None

@@ -59,6 +59,7 @@ import scipy.sparse as sp
 from .. import obs
 from ..fem.stokes import poisson_blocks, velocity_bcs
 from ..mesh.opcache import operator_cache
+from ..parallel.sanitize import array_bytes
 
 if TYPE_CHECKING:
     from ..fem.stokes import StokesSystem
@@ -109,8 +110,11 @@ class GridHierarchy:
 
 
 def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
-    """Build (or fetch from the mesh's operator cache) the coarsening
-    hierarchy of ``mesh``.
+    """The coarsening hierarchy of ``mesh``: its coarse levels and
+    element maps come from the mesh's operator cache, and ``mesh`` is
+    put in front of them per call, so no cached value references the
+    mesh that owns the cache and an adapted-away mesh dies by reference
+    count (DESIGN.md section 4i).
 
     Levels are derived by marking *every* leaf for coarsening — only
     complete sibling families actually coarsen — then re-balancing 2:1
@@ -129,10 +133,9 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
     def build():
         from ..mesh import extract_mesh
 
-        meshes = [mesh]
-        elem_maps = []
-        while meshes[-1].n_independent > max_coarse and len(meshes) < MAX_LEVELS:
-            fine = meshes[-1]
+        coarse, elem_maps = [], []
+        fine = mesh
+        while fine.n_independent > max_coarse and len(coarse) + 1 < MAX_LEVELS:
             tree = fine.tree
             tree_c, n_fam = tree.coarsen(np.ones(len(tree), dtype=bool))
             if n_fam == 0:
@@ -143,11 +146,13 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
             mesh_c = extract_mesh(tree_c, fine.domain)
             lv = fine.leaves
             centers = np.stack([lv.x, lv.y, lv.z], axis=1) + (lv.lengths() // 2)[:, None]
-            meshes.append(mesh_c)
+            coarse.append(mesh_c)
             elem_maps.append(mesh_c.containing_leaf(centers))
-        return GridHierarchy(meshes=meshes, elem_maps=elem_maps)
+            fine = mesh_c
+        return tuple(coarse), tuple(elem_maps)
 
-    return operator_cache(mesh).get(("gmg_hierarchy", max_coarse), build)
+    coarse, elem_maps = operator_cache(mesh).get(("gmg_hierarchy", max_coarse), build)
+    return GridHierarchy(meshes=[mesh, *coarse], elem_maps=list(elem_maps))
 
 
 def coarse_viscosities(hier: GridHierarchy, eta: np.ndarray) -> list:
@@ -412,10 +417,12 @@ class GeometricMultigrid:
         """Everything the viscosity enters: per-level averages, level
         matrices, smoother bounds, and the dense coarsest solve, one
         ``(nc, nc)`` pseudo-inverse per component (pinv tolerates
-        semi-definiteness)."""
+        semi-definiteness).  The old levels and coarse inverse are
+        dropped first, so a rebuild never holds two sets; the bytes of
+        the new set are the counter ``gmg_level_bytes``."""
+        self.levels, self._coarse_inv = [], None
         meshes = self.hierarchy.meshes
         etas = coarse_viscosities(self.hierarchy, np.asarray(viscosity, np.float64))
-        self.levels = []
         for m, eta, (P, R) in zip(meshes, etas, self._transfers):  # lint: allow-loop (level count)
             op = StackedPoissonLevel(m, eta, self.bc_kind)
             smoother = (
@@ -428,6 +435,17 @@ class GeometricMultigrid:
         Ac = op.A.toarray().reshape(3, nc, 3, nc)[a, :, a, :]
         Ac = 0.5 * (Ac + Ac.transpose(0, 2, 1))
         self._coarse_inv = np.linalg.pinv(Ac, hermitian=True)
+        obs.counter("gmg_level_bytes", array_bytes(self._level_state()))
+
+    def _level_state(self) -> list:
+        """What :meth:`_build_levels` holds: per-level matrices and
+        diagonals, smoother scalings, and the coarse dense inverses."""
+        out = [self._coarse_inv]
+        for lvl in self.levels:  # lint: allow-loop (level count)
+            out.append([lvl.op.A, lvl.op.diagonal()])
+            if lvl.smoother is not None:
+                out.append([lvl.smoother.dinv, lvl.smoother._first, lvl.smoother._step])
+        return out
 
     def update_viscosity(self, viscosity: np.ndarray) -> None:
         """Rebuild what depends on the viscosity and keep the hierarchy
@@ -539,9 +557,4 @@ class GMGStokesPreconditioner:
         per-level matrices, smoother scalings and transfers, plus the
         coarse dense inverses — in-place mutation of any of these would
         break the lagging premise silently."""
-        out = [self.gmg._coarse_inv]
-        for lvl in self.gmg.levels:
-            out.append([lvl.op.A, lvl.P, lvl.R])
-            if lvl.smoother is not None:
-                out.append([lvl.smoother._first, lvl.smoother._step])
-        return out
+        return self.gmg._level_state() + [[lvl.P, lvl.R] for lvl in self.gmg.levels]

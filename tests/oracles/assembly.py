@@ -16,7 +16,10 @@ The functions here are the paths that replaced:
   ``assemble_owned_nodal`` is the node-numbered scatter of every owned
   element before that;
 - ``poisson_blocks_dkd`` masks each velocity component's Dirichlet dofs
-  with the products ``D K D + (I - D)``.
+  with the products ``D K D + (I - D)``;
+- ``node_mass`` is the assembled unconstrained nodal mass the Stokes load
+  ``Z^T (M f)`` was applied through before ``StokesSystem`` scattered
+  ``vol_e MMM f_e`` through the element gather.
 
 The transport solver (``repro.fem.advection.AdvectionDiffusion``) lumps
 its mass by applying ``Z^T`` to the scattered element row sums (rows of
@@ -69,6 +72,12 @@ def coo_divergence(mesh, elem_B: np.ndarray) -> sp.csr_matrix:
     shape = (mesh.n_nodes, 3 * mesh.n_nodes)
     B = _scatter(mesh.element_nodes, vector_dofs(mesh), elem_B, shape)
     return sp.csr_matrix(mesh.Z.T @ B @ Z3(mesh))
+
+
+def node_mass(mesh) -> sp.csr_matrix:
+    """The unconstrained consistent nodal mass ``M``: the Stokes
+    body-force load of a nodal field ``f`` is ``Z^T (M f)``."""
+    return assemble_scalar(mesh, ElementOps().mass(mesh.element_sizes()), constrain=False)
 
 
 def dense(elem_mats) -> np.ndarray:

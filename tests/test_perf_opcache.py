@@ -122,13 +122,14 @@ class TestInvalidation:
         assert sim.mesh is not old_mesh
         new_cache = operator_cache(sim.mesh)
         assert new_cache is not old_cache
-        assert "Z3" not in new_cache.store  # no Stokes operators carried over
+        key = ("mf_gather_u", "free_slip")  # the velocity gather
+        assert key not in new_cache.store  # no Stokes operators carried over
         # a solve on the adapted mesh repopulates with correctly-sized ops
         sim.solve_stokes()
-        Z3_old = old_cache.store["Z3"]
-        Z3_new = new_cache.store["Z3"]
-        assert Z3_new.shape[0] == 3 * sim.mesh.n_nodes
-        assert Z3_new.shape != Z3_old.shape
+        gu_old = old_cache.store[key]
+        gu_new = new_cache.store[key]
+        assert gu_new.G.shape == (24 * sim.mesh.n_elements, 3 * sim.mesh.n_independent)
+        assert gu_new.G.shape != gu_old.G.shape
 
     def test_lagged_prec_rebuilds_after_adapt(self):
         cfg = _mini_config(max_level=3, target_elements=100)

@@ -30,6 +30,7 @@ from repro.fem import StokesSystem, assembly_counts, reset_assembly_counts
 from repro.fem.stokes import velocity_bcs
 from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
+from repro.mesh.opcache import operator_cache
 from repro.octree import ROOT_LEN
 from repro.solvers import (
     ChebyshevSmoother,
@@ -118,8 +119,18 @@ class TestHierarchy:
             assert np.array_equal(e, np.full(m.n_elements, 3.5))
 
     def test_cached_per_mesh(self):
+        """The coarse levels and element maps are cached per mesh; the
+        fine mesh is put in front of them per call, so the cached value
+        does not hold the mesh that owns the cache."""
         mesh = _mesh()
-        assert mesh_hierarchy(mesh) is mesh_hierarchy(mesh)
+        a, b = mesh_hierarchy(mesh), mesh_hierarchy(mesh)
+        assert a.meshes[0] is b.meshes[0] is mesh
+        assert len(a.meshes) >= 2
+        assert all(x is y for x, y in zip(a.meshes[1:], b.meshes[1:]))
+        assert all(x is y for x, y in zip(a.elem_maps, b.elem_maps))
+        coarse, elem_maps = operator_cache(mesh).store[("gmg_hierarchy", 80)]
+        assert all(m is c for m, c in zip(a.meshes[1:], coarse))
+        assert all(c is not mesh for c in coarse)
 
     def test_requires_tree(self):
         mesh = _mesh(level=1, frac=0.0)
