@@ -212,8 +212,8 @@ class TestPinnedSnapshotBytes:
         path = save_convection(sim, str(tmp_path))
         assert os.path.basename(path) == step_dirname(4)
         assert _file_digests(path) == {
-            "manifest.json": "8084472714077e5e017bfb773ba179c8",
-            "shard_0000.bin": "1637d0360cbf914a9d4423178382d2d9",
+            "manifest.json": "9190a69d699fdc6b37bdce5c2fcdd8b2",
+            "shard_0000.bin": "908c3ff7ba0ae30ad6389e65d3589241",
         }
 
     def test_pipeline_snapshot_two_ranks(self, tmp_path, monkeypatch):
