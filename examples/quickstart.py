@@ -39,7 +39,8 @@ print(
 ops = ElementOps()
 eta = np.where(mesh.element_centers()[:, 2] > 0.5, 100.0, 1.0)
 K = assemble_scalar(mesh, ops.stiffness(mesh.element_sizes(), eta))
-b = mesh.Z.T @ (assemble_scalar(mesh, ops.mass(mesh.element_sizes()), constrain=False) @ np.ones(mesh.n_nodes))
+# the load of f = 1 is M 1 (rows of Z sum to one, so Z 1 is 1 on every node)
+b = assemble_scalar(mesh, ops.mass(mesh.element_sizes())) @ np.ones(mesh.n_independent)
 bdofs = mesh.dof_of_node[np.flatnonzero(mesh.boundary_node_mask())]
 K, b = apply_dirichlet(K, b, np.unique(bdofs[bdofs >= 0]))
 u = spla.spsolve(K.tocsc(), b)

@@ -50,10 +50,10 @@ def adapt_mesh(
     *,
     min_level: int = 0,
     max_level: int = 18,
-    connectivity: str = "corner",
-    **mark_kwargs,
+    tol: float = 0.05,
 ) -> tuple[Mesh, dict, AdaptReport]:
-    """Run one full adaptation step on a serial mesh.
+    """Run one full adaptation step on a serial mesh.  BALANCETREE
+    balances across corners, the invariant extraction needs.
 
     Parameters
     ----------
@@ -66,6 +66,8 @@ def adapt_mesh(
         band applies).
     fields:
         Optional dict of full node vectors to transfer to the new mesh.
+    min_level, max_level, tol:
+        Passed to :func:`~repro.amr.mark.mark_elements`.
 
     Returns
     -------
@@ -75,8 +77,7 @@ def adapt_mesh(
 
     with obs.phase("mark"):
         mark = mark_elements(
-            eta, tree.octs.level, target, min_level=min_level, max_level=max_level,
-            **mark_kwargs,
+            eta, tree.octs.level, target, tol=tol, min_level=min_level, max_level=max_level
         )
 
     # COARSENTREE: never coarsen a leaf that is also marked for refinement.
@@ -89,7 +90,7 @@ def adapt_mesh(
         tree_r = tree_c.refine(refine_mask_c)
 
     with obs.phase("balance"):
-        tree_b, n_added = tree_r.balance(connectivity)
+        tree_b, n_added = tree_r.balance("corner")
 
     with obs.phase("extract_mesh"):
         new_mesh = extract_mesh(tree_b, mesh.domain)

@@ -9,7 +9,7 @@ a bisection costing one allreduce per iteration:
 
 1. **Refinement threshold.**  If the mesh is below target, bisect
    ``theta_r`` so the refinement count supplies the deficit.  Otherwise
-   keep a fixed high threshold (``refine_frac * max(eta)``) so resolution
+   keep a fixed high threshold (``REFINE_FRAC * max(eta)``) so resolution
    keeps following the solution as it moves — the churn visible in
    Figure 5.
 2. **Coarsening threshold.**  Bisect ``theta_c`` in ``[0, theta_r)`` so
@@ -38,6 +38,12 @@ __all__ = ["mark_elements", "MarkResult", "relocate_refine_marks"]
 #: noise is ~4 orders of magnitude below the bucket width, making marks
 #: deterministic and rank-count-invariant.
 _QSCALE = 2.0**24
+#: at or above target, elements with ``eta > REFINE_FRAC * max(eta)`` are
+#: still refined (resolution follows the moving solution); coarsening
+#: compensates
+REFINE_FRAC = 0.5
+#: bisection steps per threshold before the best count seen is taken
+MAX_ITERATIONS = 30
 
 
 @dataclass
@@ -63,10 +69,8 @@ def mark_elements(
     *,
     comm=None,
     tol: float = 0.05,
-    refine_frac: float = 0.5,
     min_level: int = 0,
     max_level: int = 18,
-    max_iterations: int = 30,
 ) -> MarkResult:
     """Choose refine/coarsen masks whose expected outcome is ``target``
     elements (within ``tol`` relative tolerance).
@@ -81,10 +85,6 @@ def mark_elements(
         Desired global element count after adaptation.
     comm:
         Optional :class:`~repro.parallel.SimComm` for SPMD marking.
-    refine_frac:
-        When the mesh is at/above target, elements with
-        ``eta > refine_frac * max(eta)`` are still refined (resolution
-        follows the moving solution); coarsening compensates.
 
     Notes
     -----
@@ -120,7 +120,7 @@ def mark_elements(
         want = deficit / 7.0
         lo, hi = 0.0, 1.0
         best = None
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             iterations += 1
             s = 0.5 * (lo + hi)
             refine = (qeta > np.floor(s * _QSCALE)) & can_refine
@@ -136,17 +136,17 @@ def mark_elements(
         _, refine, s_r = best
         theta_r = emax * s_r
     else:
-        theta_r = emax * refine_frac
-        refine = (qeta > np.floor(refine_frac * _QSCALE)) & can_refine
+        theta_r = emax * REFINE_FRAC
+        refine = (qeta > np.floor(REFINE_FRAC * _QSCALE)) & can_refine
         r = _gsum(comm, refine.sum())
         # churn cap: following the solution must not blow the budget —
         # if the fixed threshold marks more than ~25% of the target's
         # worth of refinement, bisect the threshold up to the cap.
         cap = max(int(0.25 * target / 7), 1)
         if r > cap:
-            lo, hi = refine_frac, 1.0
-            best = (r, refine, refine_frac)
-            for _ in range(max_iterations):
+            lo, hi = REFINE_FRAC, 1.0
+            best = (r, refine, REFINE_FRAC)
+            for _ in range(MAX_ITERATIONS):
                 iterations += 1
                 s = 0.5 * (lo + hi)
                 refine = (qeta > np.floor(s * _QSCALE)) & can_refine
@@ -178,7 +178,7 @@ def mark_elements(
     else:
         lo, hi = 0.0, max(theta_r, emax * 1e-12)
         best = None
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             iterations += 1
             theta_c = 0.5 * (lo + hi)
             n_new, coarsen = expected(theta_c)

@@ -99,7 +99,6 @@ class ParAmrPipeline:
         coarse_level: int = 2,
         min_level: int = 1,
         max_level: int = 6,
-        connectivity: str = "corner",
         tree: ParForest | None = None,
     ):
         if max_level > FOREST_MAX_LEVEL:
@@ -111,7 +110,6 @@ class ParAmrPipeline:
         self.workload = workload or RotatingFrontWorkload()
         self.min_level = min_level
         self.max_level = max_level
-        self.connectivity = connectivity
         self.adapt_history: list[ParAdaptStats] = []
         self.steps_taken = 0
         self.sim_time = 0.0
@@ -126,7 +124,7 @@ class ParAmrPipeline:
             with obs.phase("amr/new_tree"):
                 self.pt = new_tree(comm, coarse_level)
             with obs.phase("amr/balance"):
-                self.pt, _, _ = balance_tree(self.pt, connectivity)
+                self.pt, _, _ = balance_tree(self.pt, "corner")
         with obs.phase("amr/extract_mesh"):
             self.pm: ParMesh = extract_parmesh(self.pt)
         coords = self.pm.mesh.node_coords()
@@ -137,13 +135,10 @@ class ParAmrPipeline:
 
     def indicator(self) -> np.ndarray:
         """h * |grad T| over owned elements."""
-        from ..rhea.error import element_gradient
+        from ..rhea.error import gradient_indicator
 
         mesh = self.pm.mesh
-        u_full = mesh.expand(self.T)
-        g = element_gradient(mesh, u_full)
-        h = mesh.element_sizes().min(axis=1)
-        return (h * np.linalg.norm(g, axis=1))[self.pm.owned_elements]
+        return gradient_indicator(mesh, mesh.expand(self.T))[self.pm.owned_elements]
 
     # -- one adaptation step ----------------------------------------------------------
 
@@ -176,7 +171,7 @@ class ParAmrPipeline:
             obs.counter("elements_marked_refine", int(mask.sum()))
 
         with obs.phase("amr/balance"):
-            pt, added, _ = balance_tree(pt, self.connectivity)
+            pt, added, _ = balance_tree(pt, "corner")
             obs.counter("balance_added", added)
 
         with obs.phase("amr/partition"):

@@ -119,8 +119,13 @@ def restore_pipeline(comm, path: str, workload=None):
     from ..amr.pardriver import ParAmrPipeline
 
     with obs.phase("checkpoint/restore"):
-        _, manifest, g, leaves = _load(path, "par_amr")
+        path, manifest, g, leaves = _load(path, "par_amr")
         meta = manifest.meta
+        if meta.get("connectivity") != "corner":
+            raise CheckpointError(
+                f"checkpoint at {path!r} was balanced with connectivity "
+                f"{meta.get('connectivity')!r}; the pipeline balances 'corner'"
+            )
         lo, hi = sfc_segment(len(leaves), comm.size, comm.rank)
         tree_ids = np.zeros(hi - lo, dtype=np.int64)
         pipe = ParAmrPipeline(
@@ -128,7 +133,6 @@ def restore_pipeline(comm, path: str, workload=None):
             workload=workload,
             min_level=meta["min_level"],
             max_level=meta["max_level"],
-            connectivity=meta["connectivity"],
             tree=ParForest(comm, unit_cube(), tree_ids, leaves[lo:hi]),
         )
 
@@ -151,7 +155,7 @@ def restore_pipeline(comm, path: str, workload=None):
         return pipe
 
 
-def restore_convection(path: str, config=None, include_solver_state: bool = True):
+def restore_convection(path: str, config=None):
     """Rebuild a :class:`~repro.rhea.convection.MantleConvection` from a
     ``convection`` checkpoint.
 
@@ -161,7 +165,7 @@ def restore_convection(path: str, config=None, include_solver_state: bool = True
     ``velocity_bc``) are checked, and a mismatch raises
     :class:`~repro.checkpoint.format.CheckpointError` naming every
     differing field.  Fields, counters,
-    diagnostics history, and — when present and requested — the
+    diagnostics history, and — when present — the
     warm-start solver state are restored.  The lagged GMG levels are
     re-assembled from the saved reference viscosity, bitwise the levels
     the uninterrupted run carried, so the next cycle makes the same
@@ -200,17 +204,14 @@ def restore_convection(path: str, config=None, include_solver_state: bool = True
             d.pop("timings", None)
         sim.history = [StepDiagnostics(**d) for d in history]
 
-        if include_solver_state:
-            if "solver/p_prev" in g:
-                sim._p_prev = g["solver/p_prev"].copy()
-                sim._p_prev_mesh = sim.mesh
-            if "solver/prec_eta_ref" in g:
-                from ..fem import StokesSystem
+        if "solver/p_prev" in g:
+            sim._p_prev = g["solver/p_prev"].copy()
+            sim._p_prev_mesh = sim.mesh
+        if "solver/prec_eta_ref" in g:
+            from ..fem import StokesSystem
 
-                eta_ref = g["solver/prec_eta_ref"].copy()
-                # no body force: the system only warms the lagged
-                # preconditioner
-                sim._prec_lag.get(
-                    StokesSystem(sim.mesh, eta_ref, bc=sim.config.velocity_bc)
-                )
+            eta_ref = g["solver/prec_eta_ref"].copy()
+            # no body force: the system only warms the lagged
+            # preconditioner
+            sim._prec_lag.get(StokesSystem(sim.mesh, eta_ref, bc=sim.config.velocity_bc))
         return sim

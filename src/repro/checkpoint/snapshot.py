@@ -124,7 +124,7 @@ def save_pipeline(pipe, root: str, keep: int | None = 2) -> str:
             "cycles_done": pipe.cycles_done,
             "min_level": pipe.min_level,
             "max_level": pipe.max_level,
-            "connectivity": pipe.connectivity,
+            "connectivity": "corner",
             "fields": ["T"],
         }
         return _write_checkpoint(pipe.comm, root, pipe.steps_taken, pipe.sim_time,

@@ -12,9 +12,7 @@ acts on independent dofs directly — the matrix form of the element-level
 constraint enforcement described in Section IV ("algebraic constraints on
 hanging nodes impose continuity").  scipy's sparse-sparse product
 (Gustavson, row by row) sums the duplicates as it goes: no COO triple, no
-sort plan and no separate ``Z^T A Z`` product.  The unconstrained
-operators (``constrain=False``) use the plain node incidence as their
-gather.
+sort plan and no separate ``Z^T A Z`` product.
 
 :func:`galerkin` evaluates the product in row blocks of the output, each
 holding about :data:`GALERKIN_BLOCK` entries of ``G_r^T``: a block takes
@@ -122,14 +120,12 @@ def Z3(mesh: Mesh) -> sp.csr_matrix:
 def _element_gather(mesh: Mesh, kind: str) -> Gather:
     """The element-major gather of ``mesh`` (cached): row ``8 e + i``
     (``24 e + 8 a + i`` for ``"vector"``) is the ``Z`` row (``Z3`` row of
-    component ``a``; for ``"node"`` the unit row) of vertex ``i`` of
-    element ``e``."""
+    component ``a``) of vertex ``i`` of element ``e``."""
 
     def build():
         if kind == "vector":
             return gather(Z3(mesh)[vector_dofs(mesh).ravel()])
-        Z = mesh.Z if kind == "scalar" else sp.identity(mesh.n_nodes, format="csr")
-        return gather(Z[mesh.element_nodes.ravel()])
+        return gather(mesh.Z[mesh.element_nodes.ravel()])
 
     return operator_cache(mesh).get(("gather", kind), build)
 
@@ -281,16 +277,13 @@ def galerkin(rows: Gather, elem_mats, cols: Gather) -> sp.csr_matrix:
     return A
 
 
-def assemble_scalar(mesh: Mesh, elem_mats: np.ndarray, constrain: bool = True) -> sp.csr_matrix:
-    """Assemble (ne, 8, 8) element matrices into a global scalar operator.
-
-    With ``constrain=True`` (default) the result acts on independent dofs
-    (``Z^T A Z``); otherwise on all mesh nodes.
-    """
+def assemble_scalar(mesh: Mesh, elem_mats: np.ndarray) -> sp.csr_matrix:
+    """Assemble (ne, 8, 8) element matrices into the constrained global
+    scalar operator ``Z^T A Z`` on the independent dofs."""
     if elem_mats.shape != (mesh.n_elements, 8, 8):
         raise ValueError("element matrix array has wrong shape")
     _ASSEMBLY_COUNTS["scalar"] += 1
-    g = _element_gather(mesh, "scalar" if constrain else "node")
+    g = _element_gather(mesh, "scalar")
     return galerkin(g, elem_mats, g)
 
 

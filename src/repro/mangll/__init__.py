@@ -2,7 +2,7 @@
 
 from .dg import DGAdvection, solid_body_rotation
 from .lgl import diff_matrix, lagrange_basis_at, lgl_nodes
-from .tensor import DerivativeKernel, matrix_flops, tensor_flops
+from .tensor import DerivativeKernel
 from .transfer import dg_transfer
 
 __all__ = [
@@ -12,7 +12,5 @@ __all__ = [
     "diff_matrix",
     "lagrange_basis_at",
     "DerivativeKernel",
-    "matrix_flops",
-    "tensor_flops",
     "dg_transfer",
 ]

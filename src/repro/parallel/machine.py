@@ -50,7 +50,8 @@ class MachineModel:
     beta: float = 1.0e-9
     flop_rate: float = 0.58e9
     mem_rate: float = 1.2e9
-    #: Sustained rate of the *matrix-based* element kernel: large dense
+    #: Sustained rate of the *matrix-based* element kernel of the Section
+    #: VII study (``tests/figures/kernels.py`` prices it): large dense
     #: GEMMs run near peak (the paper reports up to ~4.4 Gflop/s/core for
     #: high-order dense element kernels on Ranger).
     flop_rate_dense: float = 4.4e9
@@ -76,36 +77,6 @@ class MachineModel:
     def t_stream(self, nbytes: float) -> float:
         """Time to stream ``nbytes`` through one core's memory system."""
         return nbytes / self.mem_rate
-
-    def t_element_kernel(self, p: int, variant: str, n_elements: int) -> float:
-        """Modeled time of one element-gradient sweep over ``n_elements``
-        order-``p`` elements with the chosen kernel variant.
-
-        Roofline form: the compute time at the variant's sustained rate
-        (``flop_rate_dense`` for matrix-based GEMMs, ``flop_rate_tensor``
-        for sum-factorized contractions) lower-bounded by the time to
-        stream the element data (:func:`repro.mangll.tensor.matrix_bytes`
-        / ``tensor_bytes``).  Flop counts are the Section VII
-        ``6 (p+1)^6`` vs ``6 (p+1)^4`` per element.
-        """
-        from ..mangll.tensor import (  # imported here: mangll -> solvers
-            matrix_bytes,  # -> (type-only) fem would otherwise cycle at init
-            matrix_flops,
-            tensor_bytes,
-            tensor_flops,
-        )
-
-        if variant == "matrix":
-            nflops = matrix_flops(p) * n_elements
-            nbytes = matrix_bytes(p) * n_elements
-            rate = self.flop_rate_dense
-        elif variant == "tensor":
-            nflops = tensor_flops(p) * n_elements
-            nbytes = tensor_bytes(p) * n_elements
-            rate = self.flop_rate_tensor
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        return max(nflops / rate, self.t_stream(nbytes))
 
     def t_p2p(self, nbytes: float, nmessages: int = 1) -> float:
         """Time for point-to-point traffic from one rank's perspective."""

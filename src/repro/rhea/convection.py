@@ -43,6 +43,11 @@ __all__ = [
 
 #: temperature Dirichlet faces ``(axis, side, value)``: hot bottom, cold top
 THERMAL_BCS = [(2, 0, 1.0), (2, 1, 0.0)]
+#: weight of the strain-rate-localization term in the refinement
+#: criterion (refines yielding zones / plate boundaries, Sec. VI)
+STRAIN_WEIGHT = 0.3
+#: MARKELEMENTS tolerance on the element count after adaptation
+MARK_TOL = 0.08
 
 
 class ConfigError(ValueError):
@@ -96,14 +101,10 @@ class RheaConfig:
     stokes_tol: float = 1e-6
     stokes_maxiter: int = 500
     viscosity_weight: float = 0.5
-    #: weight of the strain-rate-localization term in the refinement
-    #: criterion (refines yielding zones / plate boundaries, Sec. VI)
-    strain_weight: float = 0.3
     #: refinement boost for elements where the plastic yield limiter is
     #: active — drives the ~1.5 km resolution in the weak zones of Fig. 11
     yield_weight: float = 0.75
     velocity_bc: str = "free_slip"
-    mark_tol: float = 0.08
     #: lagged multigrid setup: reuse the preconditioner hierarchy until
     #: the element viscosity drifts past this relative threshold;
     #: ``0.0`` reuses only for bitwise-unchanged viscosity, which is
@@ -454,8 +455,8 @@ class MantleConvection:
         # (2 eta edot), not strain rate, is the right localizer: the
         # low-viscosity interior strains fast at low stress.
         stress = 2.0 * self.eta_elem * self.edot_elem
-        if cfg.strain_weight > 0 and stress.max() > 0:
-            eta_ind = eta_ind + cfg.strain_weight * (stress / stress.max())
+        if stress.max() > 0:
+            eta_ind = eta_ind + STRAIN_WEIGHT * (stress / stress.max())
         # plastic yielding zones (weak plate boundaries) are refined
         # directly: yielding caps the stress at sigma_y, so neither the
         # thermal nor the stress term can single them out
@@ -475,7 +476,7 @@ class MantleConvection:
         new_mesh, new_fields, report = adapt_mesh(
             self.mesh, eta_ind, target, fields,
             min_level=cfg.min_level, max_level=cfg.max_level,
-            tol=cfg.mark_tol,
+            tol=MARK_TOL,
         )
         self.mesh = new_mesh
         self.T = np.clip(new_fields["T"], 0.0, 1.5)

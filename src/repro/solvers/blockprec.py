@@ -42,8 +42,7 @@ __all__ = ["LaggedStokesPreconditioner"]
 
 class LaggedStokesPreconditioner:
     """Setup-amortizing wrapper around
-    :class:`repro.solvers.gmg.GMGStokesPreconditioner` (``max_coarse``
-    goes to it).
+    :class:`repro.solvers.gmg.GMGStokesPreconditioner`.
 
     The paper reuses one multigrid setup across the ~16 time steps
     between mesh adaptations (Figures 8-9); :meth:`get` implements that
@@ -63,9 +62,8 @@ class LaggedStokesPreconditioner:
     leaves solver results bitwise identical to rebuild-every-pass.
     """
 
-    def __init__(self, rtol: float = 0.5, max_coarse: int = 80):
+    def __init__(self, rtol: float):
         self.rtol = float(rtol)
-        self.max_coarse = max_coarse
         self._prec: GMGStokesPreconditioner | None = None
         self._mesh = None
         self._bc_kind = None
@@ -117,7 +115,7 @@ class LaggedStokesPreconditioner:
                 self._prec.refresh_schur(stokes)
         else:
             self.invalidate()  # never hold two grids' levels at once
-            self._prec = GMGStokesPreconditioner(stokes, max_coarse=self.max_coarse)
+            self._prec = GMGStokesPreconditioner(stokes)
         self._mesh = stokes.mesh
         self._bc_kind = stokes.bc_kind
         self._eta_ref = eta.copy()

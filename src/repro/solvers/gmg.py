@@ -78,8 +78,10 @@ __all__ = [
     "GMGStokesPreconditioner",
 ]
 
-#: the hierarchy stops at this many levels even if the coarsest is still
-#: above ``max_coarse``
+#: the hierarchy coarsens until a level has at most this many independent
+#: dofs, or has :data:`MAX_LEVELS` levels even if the coarsest is still
+#: above it
+MAX_COARSE = 80
 MAX_LEVELS = 20
 #: Chebyshev smoother: polynomial degree, safety factor on the power-
 #: iteration estimate of ``lmax``, width ``lmax / lmin`` of the targeted
@@ -109,7 +111,7 @@ class GridHierarchy:
     elem_maps: list
 
 
-def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
+def mesh_hierarchy(mesh: Mesh) -> GridHierarchy:
     """The coarsening hierarchy of ``mesh``: its coarse levels and
     element maps come from the mesh's operator cache, and ``mesh`` is
     put in front of them per call, so no cached value references the
@@ -120,8 +122,8 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
     complete sibling families actually coarsen — then re-balancing 2:1
     (corner connectivity, matching the fine mesh invariant) and
     re-extracting.  Stops when the independent-dof count drops to
-    ``max_coarse``, the tree stops shrinking, or :data:`MAX_LEVELS` is
-    hit.
+    :data:`MAX_COARSE`, the tree stops shrinking, or :data:`MAX_LEVELS`
+    is hit.
     Requires ``mesh.tree`` (distributed submeshes carry no tree).
     """
     if mesh.tree is None:
@@ -135,7 +137,7 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
 
         coarse, elem_maps = [], []
         fine = mesh
-        while fine.n_independent > max_coarse and len(coarse) + 1 < MAX_LEVELS:
+        while fine.n_independent > MAX_COARSE and len(coarse) + 1 < MAX_LEVELS:
             tree = fine.tree
             tree_c, n_fam = tree.coarsen(np.ones(len(tree), dtype=bool))
             if n_fam == 0:
@@ -151,7 +153,7 @@ def mesh_hierarchy(mesh: Mesh, max_coarse: int = 80) -> GridHierarchy:
             fine = mesh_c
         return tuple(coarse), tuple(elem_maps)
 
-    coarse, elem_maps = operator_cache(mesh).get(("gmg_hierarchy", max_coarse), build)
+    coarse, elem_maps = operator_cache(mesh).get(("gmg_hierarchy", MAX_COARSE), build)
     return GridHierarchy(meshes=[mesh, *coarse], elem_maps=list(elem_maps))
 
 
@@ -386,8 +388,7 @@ class GeometricMultigrid:
     (:func:`mesh_hierarchy`) and the masked transfers between its levels
     (:func:`masked_transfers`) — both cached per mesh — averages the
     element ``viscosity`` onto each level, assembles each level's
-    operator and estimates its smoother bounds (``max_coarse`` goes to
-    the hierarchy).
+    operator and estimates its smoother bounds.
 
     Cycle structure (pre-smooth, coarse-grid correction, post-smooth with
     the same symmetric smoother ``S``) makes one zero-initial-guess cycle
@@ -397,16 +398,10 @@ class GeometricMultigrid:
     a MINRES preconditioner block, like one AMG V-cycle per component.
     """
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        viscosity: np.ndarray,
-        bc_kind: str,
-        max_coarse: int = 80,
-    ):
+    def __init__(self, mesh: Mesh, viscosity: np.ndarray, bc_kind: str):
         self.bc_kind = bc_kind
         with obs.phase("gmg_setup"):
-            self.hierarchy = mesh_hierarchy(mesh, max_coarse=max_coarse)
+            self.hierarchy = mesh_hierarchy(mesh)
             meshes = self.hierarchy.meshes
             self._transfers = [(None, None)] + [
                 masked_transfers(f, c, bc_kind) for f, c in zip(meshes, meshes[1:])
@@ -454,22 +449,6 @@ class GeometricMultigrid:
         with obs.phase("gmg_setup"):
             self._build_levels(viscosity)
 
-    @property
-    def n_levels(self) -> int:
-        """Number of grid levels (including the dense coarsest one)."""
-        return len(self.levels)
-
-    def grid_sizes(self) -> list:
-        """Independent-dof count per level and component, finest first."""
-        return [lvl.op.n // 3 for lvl in self.levels]
-
-    @property
-    def operator_complexity(self) -> float:
-        """Total nonzeros over all level matrices / fine nonzeros (the
-        same measure AMG reports)."""
-        nnz = [lvl.op.A.nnz for lvl in self.levels]
-        return sum(nnz) / max(nnz[0], 1)
-
     def _cycle(self, k: int, b: np.ndarray) -> np.ndarray:
         if k == len(self.levels) - 1:
             with obs.phase("stokes/gmg/coarse"):
@@ -505,19 +484,17 @@ class GeometricMultigrid:
 class GMGStokesPreconditioner:
     """The Stokes block preconditioner ``P = diag(Atilde, Stilde)`` of
     the drivers: ``Atilde`` applied as one :class:`GeometricMultigrid`
-    V-cycle over the stacked velocity components (``max_coarse`` goes to
-    it) where the paper applies three AMG V-cycles, and
+    V-cycle over the stacked velocity components where the paper applies
+    three AMG V-cycles, and
     ``Stilde`` the inverse-viscosity-weighted lumped pressure mass.
     :class:`repro.solvers.blockprec.LaggedStokesPreconditioner` lags its
     setup.
     """
 
-    def __init__(self, stokes: StokesSystem, max_coarse: int = 80):
+    def __init__(self, stokes: StokesSystem):
         self.n = stokes.mesh.n_independent
         with obs.phase("prec_setup"):
-            self.gmg = GeometricMultigrid(
-                stokes.mesh, stokes.viscosity, stokes.bc_kind, max_coarse=max_coarse
-            )
+            self.gmg = GeometricMultigrid(stokes.mesh, stokes.viscosity, stokes.bc_kind)
             self.refresh_schur(stokes)
         self.n_vcycles = 0
 
@@ -542,15 +519,6 @@ class GMGStokesPreconditioner:
         """:meth:`GeometricMultigrid.update_viscosity` (the lagged path's
         rebuild on an unchanged mesh)."""
         self.gmg.update_viscosity(viscosity)
-
-    @property
-    def operator_complexity(self) -> float:
-        """Operator complexity of the level-matrix hierarchy."""
-        return self.gmg.operator_complexity
-
-    def grid_sizes(self) -> list:
-        """Independent-dof count per level (per velocity component)."""
-        return self.gmg.grid_sizes()
 
     def frozen_state(self) -> list:
         """Arrays fingerprinted by the lagged-preconditioner sanitizer:

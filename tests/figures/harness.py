@@ -24,8 +24,9 @@ from typing import Sequence
 
 from repro import obs
 from repro.amr import ParAmrPipeline
-from repro.mangll import tensor_flops
 from repro.parallel import RANGER, CommStats, merge_stats, run_spmd_with_comms
+
+from .kernels import tensor_flops
 
 #: Explicit SUPG advection-diffusion: ~2 sparse matvecs (27-point stencil)
 #: plus stabilization per predictor-corrector step.

@@ -8,7 +8,7 @@ flops in the full operator and runs about twice as fast despite a far
 lower flop rate.  Executed here: both kernels over p = 1..8, timed by obs
 phases and printed with analytic flop counts and effective flop rates;
 asserted: the two gradients agree, and the crossover modeled by
-:meth:`MachineModel.t_element_kernel` falls between p = 2 and p = 4.
+:func:`kernels.t_element_kernel` falls between p = 2 and p = 4.
 
 Weak scaling.  Paper: "for order p = 4, we observe 90% parallel
 efficiency on 16,384 cores relative to 64 cores, and for order p = 6 we
@@ -24,16 +24,11 @@ import numpy as np
 
 from repro import obs
 from repro.forest import Forest, cubed_sphere_connectivity
-from repro.mangll import (
-    DerivativeKernel,
-    DGAdvection,
-    matrix_flops,
-    solid_body_rotation,
-    tensor_flops,
-)
+from repro.mangll import DerivativeKernel, DGAdvection, solid_body_rotation
 from repro.parallel import RANGER
 
 from .harness import format_table, model_dg_weak_scaling
+from .kernels import gradient, matrix_flops, t_element_kernel, tensor_flops
 
 ORDERS = [1, 2, 3, 4, 6, 8]
 TOTAL_NODES = 300_000  # ~0.3M nodal values per measurement
@@ -49,12 +44,12 @@ def test_sec7_kernel_crossover():
             grads = {}
             for variant in ("matrix", "tensor"):
                 with obs.phase(variant):
-                    grads[variant] = kern.gradient(u, variant)
+                    grads[variant] = gradient(kern, u, variant)
         gm, gt = (np.stack(grads[v]) for v in ("matrix", "tensor"))
         assert np.abs(gm - gt).max() <= 1e-12 * np.abs(gm).max()
         t_mat, t_ten = (timer.results()[v]["wall_s"] for v in ("matrix", "tensor"))
-        modeled[p] = (RANGER.t_element_kernel(p, "matrix", ne)
-                      / RANGER.t_element_kernel(p, "tensor", ne))
+        modeled[p] = (t_element_kernel(RANGER, p, "matrix", ne)
+                      / t_element_kernel(RANGER, p, "tensor", ne))
         rows.append(
             [
                 p, ne,

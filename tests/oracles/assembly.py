@@ -17,7 +17,9 @@ The functions here are the paths that replaced:
   element before that;
 - ``poisson_blocks_dkd`` masks each velocity component's Dirichlet dofs
   with the products ``D K D + (I - D)``;
-- ``node_mass`` is the assembled unconstrained nodal mass the Stokes load
+- ``node_scalar`` assembles on all mesh nodes, the Galerkin product
+  over the plain node incidence (the unconstrained ``assemble_scalar``
+  of before); ``node_mass`` is the nodal mass the Stokes load
   ``Z^T (M f)`` was applied through before ``StokesSystem`` scattered
   ``vol_e MMM f_e`` through the element gather.
 
@@ -33,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.fem import Z3, assemble_scalar, vector_dofs
+from repro.fem.assembly import galerkin, gather
 from repro.fem.hexops import ElementOps
 from repro.fem.stokes import velocity_bcs
 
@@ -74,10 +77,18 @@ def coo_divergence(mesh, elem_B: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix(mesh.Z.T @ B @ Z3(mesh))
 
 
+def node_scalar(mesh, elem_mats: np.ndarray) -> sp.csr_matrix:
+    """``(ne, 8, 8)`` element matrices assembled on all mesh nodes: the
+    Galerkin product over the node incidence, whose row ``8 e + i`` is
+    the unit row of vertex ``i`` of element ``e``."""
+    g = gather(sp.identity(mesh.n_nodes, format="csr")[mesh.element_nodes.ravel()])
+    return galerkin(g, elem_mats, g)
+
+
 def node_mass(mesh) -> sp.csr_matrix:
     """The unconstrained consistent nodal mass ``M``: the Stokes
     body-force load of a nodal field ``f`` is ``Z^T (M f)``."""
-    return assemble_scalar(mesh, ElementOps().mass(mesh.element_sizes()), constrain=False)
+    return node_scalar(mesh, ElementOps().mass(mesh.element_sizes()))
 
 
 def dense(elem_mats) -> np.ndarray:

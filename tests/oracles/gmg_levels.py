@@ -106,8 +106,8 @@ class ComponentCycle:
     as ``P.T`` per call), dense coarsest solve built by applying the
     coarse operator to the identity."""
 
-    def __init__(self, mesh, viscosity, bc_kind, axis, max_coarse=80, **smoother_opts):
-        hier = mesh_hierarchy(mesh, max_coarse=max_coarse)
+    def __init__(self, mesh, viscosity, bc_kind, axis, **smoother_opts):
+        hier = mesh_hierarchy(mesh)
         etas = coarse_viscosities(hier, viscosity)
         self.ops, self.smoothers, self.P = [], [], [None]
         for i, m in enumerate(hier.meshes):

@@ -348,7 +348,7 @@ class TestLaggedPrecGuard:
     def test_gmg_restriction_mutation_detected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         st = _stokes(level=2)
-        lag = LaggedStokesPreconditioner(rtol=0.5, max_coarse=30)
+        lag = LaggedStokesPreconditioner(rtol=0.5)
         prec = lag.get(st)
         prec.gmg.levels[1].R.data[0] += 1.0
         with pytest.raises(CacheMutationError, match="GMG hierarchy"):

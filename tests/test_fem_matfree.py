@@ -14,7 +14,6 @@ from repro.fem import (
     AdvectionDiffusion,
     StokesSystem,
     apply_dirichlet,
-    assemble_scalar,
     assemble_vector,
     assembly_counts,
     reset_assembly_counts,
@@ -26,16 +25,11 @@ from repro.fem.matfree import (
     saddle_apply_bytes,
     saddle_apply_flops,
 )
-from repro.mangll.tensor import (
-    matrix_bytes,
-    matrix_flops,
-    tensor_bytes,
-    tensor_flops,
-)
 from repro.forest import Forest, unit_cube
 from repro.mesh import extract_mesh
 from repro.parallel.machine import RANGER
 
+from .figures.kernels import gradient_bytes, matrix_flops, t_element_kernel, tensor_flops
 from .oracles.stokes_blocks import (
     divergence_block,
     saddle_matrix,
@@ -43,7 +37,7 @@ from .oracles.stokes_blocks import (
     velocity_divergence_norm,
     viscous_block,
 )
-from .oracles.assembly import lumped_mass_assembled
+from .oracles.assembly import lumped_mass_assembled, node_mass
 from .oracles.saddle_tensor import TensorSaddleOperator
 from .oracles.supg import assembled_operator
 
@@ -234,7 +228,7 @@ def test_rhs_dirichlet_zeroed_matches_matrix_path():
     eta = viscosity(mesh, 10.0)
     st = StokesSystem(mesh, eta, bf, bc="free_slip")
     sizes = mesh.element_sizes()
-    M_node = assemble_scalar(mesh, _OPS.mass(sizes), constrain=False)
+    M_node = node_mass(mesh)
     load = np.concatenate([mesh.Z.T @ (M_node @ bf[:, a]) for a in range(3)])
     A_raw = assemble_vector(mesh, _OPS.strain_stiffness(sizes, eta))
     _, f_ref = apply_dirichlet(A_raw, load, st.bc.dofs)
@@ -348,7 +342,7 @@ def test_kernel_bytes_model():
     # both kernels stream one field read and one gradient write per axis;
     # the dense operator / 1-D factors are cache-resident and not charged
     for p in (1, 2, 4):
-        assert matrix_bytes(p) == tensor_bytes(p) == 8 * 6 * (p + 1) ** 3
+        assert gradient_bytes(p) == 8 * 6 * (p + 1) ** 3
 
 
 def test_machine_model_crossover_in_paper_band():
@@ -356,10 +350,10 @@ def test_machine_model_crossover_in_paper_band():
     # order of magnitude less for short tensor contractions), the modeled
     # crossover must land between p = 2 and p = 4 as reported on Ranger.
     ne = 1024
-    t2_m = RANGER.t_element_kernel(2, "matrix", ne)
-    t2_t = RANGER.t_element_kernel(2, "tensor", ne)
-    t4_m = RANGER.t_element_kernel(4, "matrix", ne)
-    t4_t = RANGER.t_element_kernel(4, "tensor", ne)
+    t2_m = t_element_kernel(RANGER, 2, "matrix", ne)
+    t2_t = t_element_kernel(RANGER, 2, "tensor", ne)
+    t4_m = t_element_kernel(RANGER, 4, "matrix", ne)
+    t4_t = t_element_kernel(RANGER, 4, "tensor", ne)
     assert t2_m <= t2_t  # matrix kernel wins at low order
     assert t4_t <= t4_m  # tensor kernel wins at high order
 
@@ -369,12 +363,12 @@ def test_machine_model_uses_selected_variant_counts():
     # variant's flop count divided by that variant's sustained rate
     ne = 1
     p = 6
-    t_m = RANGER.t_element_kernel(p, "matrix", ne)
-    t_t = RANGER.t_element_kernel(p, "tensor", ne)
+    t_m = t_element_kernel(RANGER, p, "matrix", ne)
+    t_t = t_element_kernel(RANGER, p, "tensor", ne)
     assert t_m >= matrix_flops(p) * ne / RANGER.flop_rate_dense * (1 - 1e-12)
     assert t_t >= tensor_flops(p) * ne / RANGER.flop_rate_tensor * (1 - 1e-12)
     # and never below the streaming bound
-    assert t_m >= RANGER.t_stream(matrix_bytes(p) * ne)
-    assert t_t >= RANGER.t_stream(tensor_bytes(p) * ne)
+    assert t_m >= RANGER.t_stream(gradient_bytes(p) * ne)
+    assert t_t >= RANGER.t_stream(gradient_bytes(p) * ne)
     with pytest.raises(ValueError, match="variant"):
-        RANGER.t_element_kernel(2, "banana", 1)
+        t_element_kernel(RANGER, 2, "banana", 1)

@@ -161,7 +161,7 @@ class TestPreconditioner:
         mesh = make_mesh(level=2)  # two grid levels, not only the dense one
         st = StokesSystem(mesh, np.ones(mesh.n_elements))
         prec = GMGStokesPreconditioner(st)
-        assert prec.gmg.n_levels == 2
+        assert len(prec.gmg.levels) == 2
         rng = np.random.default_rng(3)
         x, y = rng.standard_normal((2, st.n_dof))
         assert x @ prec.apply(y) == pytest.approx(y @ prec.apply(x), rel=1e-9)

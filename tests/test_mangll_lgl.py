@@ -8,10 +8,16 @@ from repro.mangll import (
     diff_matrix,
     lagrange_basis_at,
     lgl_nodes,
+)
+
+from .figures.kernels import (
+    contract_axis,
+    gradient,
+    gradient_matrix,
+    gradient_tensor,
     matrix_flops,
     tensor_flops,
 )
-from repro.mangll.tensor import contract_axis
 
 
 class TestLglNodes:
@@ -86,7 +92,7 @@ class TestDerivativeKernel:
         kern = DerivativeKernel(p)
         rng = np.random.default_rng(0)
         u = rng.standard_normal((5, (p + 1) ** 3))
-        for a, b in zip(kern.gradient_matrix(u), kern.gradient_tensor(u)):
+        for a, b in zip(gradient_matrix(kern, u), gradient_tensor(kern, u)):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     @pytest.mark.parametrize("p", range(1, 9))
@@ -95,11 +101,11 @@ class TestDerivativeKernel:
         and each field's gradient equals that of the field alone."""
         kern = DerivativeKernel(p)
         u = np.random.default_rng(p).standard_normal((4, 3, (p + 1) ** 3))
-        tensor = kern.gradient(u, "tensor")
-        for a, b in zip(kern.gradient(u, "matrix"), tensor):
+        tensor = gradient(kern, u, "tensor")
+        for a, b in zip(gradient(kern, u, "matrix"), tensor):
             assert b.shape == u.shape
             assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
-        for a, b in zip(kern.gradient_tensor(u[:, 1]), tensor):
+        for a, b in zip(gradient_tensor(kern, u[:, 1]), tensor):
             np.testing.assert_array_equal(a, b[:, 1])
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -119,7 +125,7 @@ class TestDerivativeKernel:
         g = kern.nodes
         T, S, R = np.meshgrid(g, g, g, indexing="ij")
         u = (2 * R + 3 * S - S * T).ravel()[None, :]
-        dr, ds, dt = kern.gradient_tensor(u)
+        dr, ds, dt = gradient_tensor(kern, u)
         np.testing.assert_allclose(dr[0], 2.0, atol=1e-11)
         np.testing.assert_allclose(ds[0], (3 - T).ravel(), atol=1e-11)
         np.testing.assert_allclose(dt[0], (-S).ravel(), atol=1e-11)
@@ -140,4 +146,4 @@ class TestDerivativeKernel:
     def test_unknown_variant(self):
         kern = DerivativeKernel(1)
         with pytest.raises(ValueError):
-            kern.gradient(np.zeros((1, 8)), "quantum")
+            gradient(kern, np.zeros((1, 8)), "quantum")

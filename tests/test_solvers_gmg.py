@@ -39,6 +39,7 @@ from repro.solvers import (
     LaggedStokesPreconditioner,
     StackedPoissonLevel,
     coarse_viscosities,
+    gmg,
     mesh_hierarchy,
     minres,
     prolongation,
@@ -48,6 +49,14 @@ from repro.solvers.gmg import CHEB_LMIN_RATIO, masked_transfers
 from .oracles.amg_block import StokesBlockPreconditioner
 from .oracles.gmg_levels import MatFreeScalarPoisson, loop_vcycle
 from .oracles.stokes_blocks import project_pressure_mean
+
+
+@pytest.fixture
+def max_coarse(monkeypatch):
+    """Set ``gmg.MAX_COARSE`` for one test, so small meshes get three
+    levels (the hierarchy cache key carries the limit: no hierarchy
+    cached under another one is read)."""
+    return lambda n: monkeypatch.setattr(gmg, "MAX_COARSE", n)
 
 
 def _mesh(level=2, frac=0.25, seed=0):
@@ -88,15 +97,18 @@ def _hanging_hierarchy(contrast=1e6):
     at high contrast (what every level-operator test runs on)."""
     mesh = _mesh(level=2, frac=0.25, seed=1)
     eta, _ = _problem(mesh, contrast=contrast)
-    hier = mesh_hierarchy(mesh, max_coarse=30)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gmg, "MAX_COARSE", 30)
+        hier = mesh_hierarchy(mesh)
     assert len(hier.meshes) >= 3 and all(m.hanging.any() for m in hier.meshes[:2])
     return hier.meshes, coarse_viscosities(hier, eta)
 
 
 class TestHierarchy:
-    def test_levels_shrink_and_nest(self):
+    def test_levels_shrink_and_nest(self, max_coarse):
+        max_coarse(30)
         mesh = _mesh(level=2, frac=0.3)
-        hier = mesh_hierarchy(mesh, max_coarse=30)
+        hier = mesh_hierarchy(mesh)
         sizes = [m.n_independent for m in hier.meshes]
         assert len(sizes) >= 3
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
@@ -110,9 +122,10 @@ class TestHierarchy:
                 assert np.all(f >= c)
                 assert np.all(f + hf <= c + hc)
 
-    def test_constant_viscosity_preserved(self):
+    def test_constant_viscosity_preserved(self, max_coarse):
+        max_coarse(30)
         mesh = _mesh()
-        hier = mesh_hierarchy(mesh, max_coarse=30)
+        hier = mesh_hierarchy(mesh)
         etas = coarse_viscosities(hier, np.full(mesh.n_elements, 3.5))
         for e, m in zip(etas, hier.meshes):
             assert e.shape == (m.n_elements,)
@@ -141,9 +154,10 @@ class TestHierarchy:
 
 class TestProlongation:
     @pytest.mark.parametrize("frac", [0.0, 0.35])
-    def test_linear_fields_exact(self, frac):
+    def test_linear_fields_exact(self, frac, max_coarse):
+        max_coarse(30)
         mesh = _mesh(level=2, frac=frac, seed=3)
-        hier = mesh_hierarchy(mesh, max_coarse=30)
+        hier = mesh_hierarchy(mesh)
         mf, mc = hier.meshes[0], hier.meshes[1]
         P = prolongation(mf, mc)
 
@@ -154,11 +168,12 @@ class TestProlongation:
         assert np.max(np.abs(P @ lin(mc) - lin(mf))) < 1e-13
 
     @pytest.mark.parametrize("frac", [0.0, 0.35])
-    def test_identity_at_coincident_nodes(self, frac):
+    def test_identity_at_coincident_nodes(self, frac, max_coarse):
+        max_coarse(30)
         # coarse independent nodes are fine independent nodes, and the
         # embedding restricted to them is exactly the identity
         mesh = _mesh(level=2, frac=frac, seed=4)
-        hier = mesh_hierarchy(mesh, max_coarse=30)
+        hier = mesh_hierarchy(mesh)
         mf, mc = hier.meshes[0], hier.meshes[1]
         P = prolongation(mf, mc)
         fpos = {
@@ -213,15 +228,16 @@ class TestMatFreeOperator:
                 assert np.max(np.abs(op.diagonal() - ref)) < 1e-12 * np.max(ref)
 
     @pytest.mark.parametrize("bc_kind", ["free_slip", "no_slip"])
-    def test_stacked_vcycle_matches_component_loop(self, bc_kind):
+    def test_stacked_vcycle_matches_component_loop(self, bc_kind, max_coarse):
+        max_coarse(30)
         mesh = _mesh(level=2, frac=0.25, seed=1)
         eta, bf = _problem(mesh, contrast=1e6)
         st = StokesSystem(mesh, eta, bf, bc=bc_kind)
-        prec = GMGStokesPreconditioner(st, max_coarse=30)
-        assert prec.gmg.n_levels >= 3
+        prec = GMGStokesPreconditioner(st)
+        assert len(prec.gmg.levels) >= 3
         r = np.random.default_rng(5).standard_normal(3 * mesh.n_independent)
         z = prec.gmg.vcycle(r)
-        z_ref = loop_vcycle(mesh, eta, bc_kind, r, max_coarse=30)
+        z_ref = loop_vcycle(mesh, eta, bc_kind, r)
         assert np.max(np.abs(z - z_ref)) < 1e-12 * np.max(np.abs(z_ref))
 
     def test_viscosity_update_reweights(self):
@@ -264,13 +280,14 @@ class TestChebyshev:
 
 
 class TestVcycleSPD:
-    def test_vcycle_is_spd(self):
+    def test_vcycle_is_spd(self, max_coarse):
+        max_coarse(20)
         mesh = _mesh(level=1, frac=0.6, seed=6)
         eta, bf = _problem(mesh, contrast=1e3)
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
-        prec = GMGStokesPreconditioner(st, max_coarse=20)
+        prec = GMGStokesPreconditioner(st)
         g = prec.gmg
-        assert g.n_levels >= 2
+        assert len(g.levels) >= 2
         n = g.levels[0].op.n
         M = np.stack([g.vcycle(e) for e in np.eye(n)], axis=1)
         sym = np.max(np.abs(M - M.T)) / np.max(np.abs(M))
@@ -278,18 +295,19 @@ class TestVcycleSPD:
         w = np.linalg.eigvalsh(0.5 * (M + M.T))
         assert w.min() > 0
 
-    def test_stored_restriction_matches_per_call_transpose(self):
+    def test_stored_restriction_matches_per_call_transpose(self, max_coarse):
         """The cycle restricts through the CSR ``R`` stored next to the
         masked prolongation; the reference below takes ``P.T`` per call
         (summation order may differ)."""
+        max_coarse(20)
         mesh = _mesh(level=2, frac=0.3, seed=4)
         eta, bf = _problem(mesh, contrast=1e3)
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
-        g = GMGStokesPreconditioner(st, max_coarse=20).gmg
-        assert g.n_levels >= 3
+        g = GMGStokesPreconditioner(st).gmg
+        assert len(g.levels) >= 3
 
         def cycle_ref(k, b):
-            if k == g.n_levels - 1:
+            if k == len(g.levels) - 1:
                 return (g._coarse_inv @ b.reshape(3, -1, 1)).ravel()
             lvl, P = g.levels[k], g.levels[k + 1].P
             x = lvl.smoother.apply(b)
@@ -302,19 +320,14 @@ class TestVcycleSPD:
         z, z_ref = g.vcycle(b), cycle_ref(0, b)
         assert np.max(np.abs(z - z_ref)) <= 1e-13 * np.max(np.abs(z_ref))
 
-    def test_transfers_cached_per_mesh_and_bc(self):
+    def test_transfers_cached_per_mesh_and_bc(self, max_coarse):
+        max_coarse(20)
         mesh = _mesh(level=2, frac=0.3, seed=4)
         eta, bf = _problem(mesh)
-        hier = mesh_hierarchy(mesh, max_coarse=20)
-        fs = GMGStokesPreconditioner(
-            StokesSystem(mesh, eta, bf, bc="free_slip"), max_coarse=20
-        )
-        again = GMGStokesPreconditioner(
-            StokesSystem(mesh, 2.0 * eta, bf, bc="free_slip"), max_coarse=20
-        )
-        ns = GMGStokesPreconditioner(
-            StokesSystem(mesh, eta, bf, bc="no_slip"), max_coarse=20
-        )
+        hier = mesh_hierarchy(mesh)
+        fs = GMGStokesPreconditioner(StokesSystem(mesh, eta, bf, bc="free_slip"))
+        again = GMGStokesPreconditioner(StokesSystem(mesh, 2.0 * eta, bf, bc="free_slip"))
+        ns = GMGStokesPreconditioner(StokesSystem(mesh, eta, bf, bc="no_slip"))
         assert fs.gmg.levels[1].P is again.gmg.levels[1].P
         assert fs.gmg.levels[1].R is masked_transfers(*hier.meshes[:2], "free_slip")[1]
         assert ns.gmg.levels[1].P.nnz < fs.gmg.levels[1].P.nnz
@@ -328,7 +341,7 @@ class TestBlockVcycle:
     def test_block_is_columnwise_and_spd(self, bc_kind):
         mesh = _graded_mesh()
         g = GeometricMultigrid(mesh, _problem(mesh, contrast=1e4)[0], bc_kind)
-        assert g.n_levels >= 3
+        assert len(g.levels) >= 3
         rng = np.random.default_rng(11)
         X, Y = rng.standard_normal((2, 3 * mesh.n_independent, 7))
         VX, VY = g.vcycle(X), g.vcycle(Y)
@@ -349,7 +362,7 @@ class TestBlockVcycle:
         g = GeometricMultigrid(mesh, _problem(mesh, contrast=1e4)[0], "free_slip")
 
         def cycle_ref(k, b):
-            if k == g.n_levels - 1:
+            if k == len(g.levels) - 1:
                 return (g._coarse_inv @ b.reshape(3, -1, 1)).ravel()
             lvl, up = g.levels[k], g.levels[k + 1]
             x = lvl.smoother.apply(b)
@@ -360,10 +373,10 @@ class TestBlockVcycle:
         assert np.array_equal(g.vcycle(b), cycle_ref(0, b))
 
     def test_single_level_is_the_dense_inverse(self):
-        mesh = _mesh(level=1, frac=0.0)  # 27 nodes <= max_coarse
+        mesh = _mesh(level=1, frac=0.0)  # 27 nodes <= MAX_COARSE
         eta, _ = _problem(mesh, contrast=1e2)
         g = GeometricMultigrid(mesh, eta, "free_slip")
-        assert g.n_levels == 1 and g.levels[0].smoother is None
+        assert len(g.levels) == 1 and g.levels[0].smoother is None
         B = np.random.default_rng(12).standard_normal((3 * mesh.n_independent, 5))
         want = np.linalg.pinv(g.levels[0].op.A.toarray(), hermitian=True) @ B
         for got in (g.vcycle(B), np.stack([g.vcycle(b) for b in B.T], axis=1)):
@@ -395,8 +408,8 @@ class TestStokesPreconditioner:
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
         reset_assembly_counts()
         prec = GMGStokesPreconditioner(st)
-        per_build = {"scalar": prec.gmg.n_levels, "vector": 0, "divergence": 0}
-        assert prec.gmg.n_levels >= 2
+        per_build = {"scalar": len(prec.gmg.levels), "vector": 0, "divergence": 0}
+        assert len(prec.gmg.levels) >= 2
         assert assembly_counts() == per_build
         res = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-6, maxiter=400)
         assert res.converged
@@ -417,7 +430,7 @@ class TestStokesPreconditioner:
             _, bf = _problem(mesh)
             st = StokesSystem(mesh, np.ones(mesh.n_elements), bf, bc="free_slip")
             prec = GMGStokesPreconditioner(st)
-            assert prec.gmg.n_levels >= 3
+            assert len(prec.gmg.levels) >= 3
             res = minres(st.matvec, st.rhs(), M=prec.apply, tol=1e-6, maxiter=100)
             assert res.converged
             return res.iterations
@@ -440,22 +453,14 @@ class TestStokesPreconditioner:
         r = np.linspace(-1, 1, st2.n_dof)
         assert np.array_equal(prec.apply(r), fresh.apply(r))
 
-    def test_operator_complexity_and_grid_sizes(self):
-        mesh = _mesh(level=2, frac=0.2, seed=9)
-        eta, bf = _problem(mesh)
-        st = StokesSystem(mesh, eta, bf, bc="free_slip")
-        prec = GMGStokesPreconditioner(st, max_coarse=30)
-        sizes = prec.grid_sizes()
-        assert sizes[0] == mesh.n_independent
-        assert 1.0 < prec.operator_complexity < 2.0
-
 
 class TestLaggedGMG:
-    def test_reuse_and_invalidate(self):
+    def test_reuse_and_invalidate(self, max_coarse):
+        max_coarse(20)
         mesh = _mesh(level=1, frac=0.5, seed=10)
         eta, bf = _problem(mesh)
         st = StokesSystem(mesh, eta, bf, bc="free_slip")
-        lag = LaggedStokesPreconditioner(rtol=0.5, max_coarse=20)
+        lag = LaggedStokesPreconditioner(rtol=0.5)
         p1 = lag.get(st)
         assert isinstance(p1, GMGStokesPreconditioner)
         assert lag.get(st) is p1
@@ -466,7 +471,7 @@ class TestLaggedGMG:
         assert lag.get(st2) is p1 and p1.gmg.levels[1].P is P1
         assert (lag.n_builds, lag.n_reuses) == (2, 1)
         r = np.linspace(-1, 1, st2.n_dof)
-        fresh = GMGStokesPreconditioner(st2, max_coarse=20)
+        fresh = GMGStokesPreconditioner(st2)
         assert np.array_equal(p1.apply(r), fresh.apply(r))
         # another boundary condition or an invalidate builds a new one
         p3 = lag.get(StokesSystem(mesh, eta * 3.0, bf, bc="no_slip"))

@@ -13,16 +13,26 @@ Every outermost function that no target enters is *uncalled*, keyed
 key survives edits above it.
 
 Uncalled is not dead: the sanitizer, the fault-injection hook, the
-error classes and the test references are entered only by tier-1 tests.  The
-grandfathered keys live in ``uncalled_baseline.json`` at the repo root,
-the way ``lint_baseline.json`` holds lint findings; a function that is
-uncalled and not in the baseline fails ``--baseline``.  A new capability
-therefore lands with a caller in a run, or with a baseline entry that a
-reviewer reads.
+error classes and the test references are entered only by tier-1 tests.
+
+The same profile checks the options of the functions a run does enter.
+For every defaulted parameter of an entered outermost function it
+records whether any call passed a value other than the default (not the
+default object, and not ``==`` to it as a true scalar).  A parameter no
+call overrides is *unset*, keyed ``module:qualname(param)``: an option
+that exists where no two runs set different values, which is a constant
+(DESIGN.md, "An option exists where two runs set different values").
+
+The grandfathered keys of both kinds live in ``uncalled_baseline.json``
+at the repo root (``"uncalled"`` and ``"unset"``), the way
+``lint_baseline.json`` holds lint findings; an uncalled function or an
+unset option that is not in the baseline fails ``--baseline``.  A new
+capability or option therefore lands with a caller in a run, or with a
+baseline entry that a reviewer reads.
 
 Usage (repo root; numpy and scipy installed)::
 
-    python tools/uncalled.py                   # list uncalled functions
+    python tools/uncalled.py                   # list uncalled functions and unset options
     python tools/uncalled.py --baseline        # exit 1 on any not baselined
     python tools/uncalled.py --write-baseline  # regenerate the baseline
 
@@ -34,6 +44,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
 import json
 import os
 import subprocess
@@ -41,15 +52,18 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
     "TARGETS",
     "Function",
+    "Recording",
     "outermost_functions",
     "record_entries",
     "uncalled",
+    "unset_options",
     "load_baseline",
     "write_baseline",
     "main",
@@ -87,13 +101,15 @@ TARGETS: dict[str, tuple[str, str, object]] = {
 
 @dataclass(frozen=True)
 class Function:
-    """One outermost function: its file relative to the source root and
-    its line span (``first`` is the first decorator's line, which is the
-    ``co_firstlineno`` of the function's code object)."""
+    """One outermost function: its file relative to the source root, its
+    line span (``first`` is the first decorator's line, which is the
+    ``co_firstlineno`` of the function's code object) and the names of
+    its parameters that have a default (its options)."""
 
     path: str
     first: int
     last: int
+    options: tuple[str, ...]
 
     @property
     def lines(self) -> int:
@@ -107,11 +123,21 @@ def _module_name(rel: Path) -> str:
     return ".".join(parts)
 
 
+def _options(args: ast.arguments) -> tuple[str, ...]:
+    """Names of the parameters with a default value."""
+    pos = [a.arg for a in args.posonlyargs + args.args]
+    named = pos[len(pos) - len(args.defaults):] if args.defaults else []
+    named += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return tuple(named)
+
+
 def _walk(body, prefix: str, rel: str, out: dict[str, Function], mod: str) -> None:
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            out[f"{mod}:{prefix}{node.name}"] = Function(rel, first, node.end_lineno)
+            out[f"{mod}:{prefix}{node.name}"] = Function(
+                rel, first, node.end_lineno, _options(node.args)
+            )
         elif isinstance(node, ast.ClassDef):
             _walk(node.body, f"{prefix}{node.name}.", rel, out, mod)
         else:
@@ -136,34 +162,95 @@ def outermost_functions(src: Path = SRC, package: str = "repro") -> dict[str, Fu
 # -- the dynamic side: every function a run enters ---------------------------
 
 
+@dataclass
+class Recording:
+    """What :func:`record_entries` saw in the files under its source
+    root: ``entries``, the ``(path, first_line)`` of every function
+    entered, and ``overridden``, the ``(path, first_line, parameter)`` of
+    each watched option that some call passed a non-default value."""
+
+    entries: set = field(default_factory=set)
+    overridden: set = field(default_factory=set)
+
+
+def _is_default(value, default) -> bool:
+    """``value`` is ``default``, or ``==`` to it as a true scalar (an
+    array compared elementwise, or an ``==`` that raises, is a different
+    value)."""
+    if value is default:
+        return True
+    try:
+        eq = value == default
+    except Exception:
+        return False
+    return (isinstance(eq, bool) or getattr(eq, "shape", None) == ()) and bool(eq)
+
+
+def _defaults(code) -> dict:
+    """``{parameter: default}`` of the function whose code is ``code``
+    (found once per code object among the code's referrers), or ``{}``."""
+    fn = next(
+        (r for r in gc.get_referrers(code)
+         if isinstance(r, types.FunctionType) and r.__code__ is code),
+        None,
+    )
+    if fn is None:
+        return {}
+    pos = code.co_varnames[: code.co_argcount]
+    vals = fn.__defaults__ or ()
+    out = dict(zip(pos[len(pos) - len(vals):], vals))
+    out.update(fn.__kwdefaults__ or {})
+    return out
+
+
 @contextlib.contextmanager
-def record_entries(src: Path = SRC):
+def record_entries(src: Path = SRC, functions: dict[str, Function] | None = None):
     """Record the Python functions entered in this process, in every
-    thread started inside the block, as a set of ``(path, first_line)``
-    pairs for files under ``src`` (filled in when the block exits)."""
-    seen: dict[int, object] = {}
+    thread started inside the block, as a :class:`Recording` of files
+    under ``src`` (filled in when the block exits).  The options of
+    ``functions`` (outermost functions under ``src``) are watched: each
+    call compares its arguments with the defaults until every one has
+    been overridden."""
+    root = os.path.realpath(src)
+    watch = {(f.path, f.first) for f in (functions or {}).values() if f.options}
+    # id(code) -> [code, rel path, the watched options not yet overridden]
+    seen: dict[int, list] = {}
+    rec = Recording()
+
+    def first_sight(code) -> list:
+        path = os.path.realpath(code.co_filename)
+        rel = None
+        if path.startswith(root + os.sep):
+            rel = Path(os.path.relpath(path, root)).as_posix()
+        todo = _defaults(code) if (rel, code.co_firstlineno) in watch else {}
+        return [code, rel, todo]  # holding the code keeps its id unique
 
     def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            if id(code) not in seen:
-                seen[id(code)] = code  # holding the code keeps its id unique
+        if event != "call":
+            return
+        code = frame.f_code
+        slot = seen.get(id(code))
+        if slot is None:
+            slot = seen[id(code)] = first_sight(code)
+        todo = slot[2]
+        if todo:
+            args = frame.f_locals
+            for name, default in list(todo.items()):
+                if not _is_default(args.get(name, default), default):
+                    todo.pop(name, None)
+                    rec.overridden.add((slot[1], code.co_firstlineno, name))
 
-    entries: set[tuple[str, int]] = set()
     old = sys.getprofile()
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
-        yield entries
+        yield rec
     finally:
         sys.setprofile(old)
         threading.setprofile(None)
-        root = os.path.realpath(src)
-        for code in seen.values():
-            path = os.path.realpath(code.co_filename)
-            if path.startswith(root + os.sep):
-                rel = Path(os.path.relpath(path, root)).as_posix()
-                entries.add((rel, code.co_firstlineno))
+        for code, rel, _ in seen.values():
+            if rel is not None:
+                rec.entries.add((rel, code.co_firstlineno))
 
 
 def uncalled(functions: dict[str, Function], entries) -> list[str]:
@@ -172,13 +259,25 @@ def uncalled(functions: dict[str, Function], entries) -> list[str]:
     return sorted(k for k, f in functions.items() if (f.path, f.first) not in hit)
 
 
+def unset_options(functions: dict[str, Function], entries, overridden) -> list[str]:
+    """Sorted ``module:qualname(param)`` keys of the options of entered
+    functions that no call overrode."""
+    hit, done = set(entries), set(overridden)
+    return sorted(
+        f"{k}({name})"
+        for k, f in functions.items() if (f.path, f.first) in hit
+        for name in f.options if (f.path, f.first, name) not in done
+    )
+
+
 def _run_target(name: str, out: str) -> None:
-    """Child process: run one target under :func:`record_entries` and
-    write the entries as JSON to ``out``."""
+    """Child process: run one target under :func:`record_entries`,
+    watching the options of every outermost function, and write the
+    recording as JSON to ``out``."""
     import runpy
 
     kind, what, arg = TARGETS[name]
-    with record_entries() as entries:
+    with record_entries(functions=outermost_functions()) as rec:
         try:
             if kind == "bench":
                 sys.argv = ["bench", *arg]
@@ -191,17 +290,18 @@ def _run_target(name: str, out: str) -> None:
         except SystemExit as e:
             if e.code not in (None, 0):
                 raise
-    Path(out).write_text(json.dumps(sorted(entries)), encoding="utf-8")
+    doc = {"entries": sorted(rec.entries), "overridden": sorted(rec.overridden)}
+    Path(out).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def probe(names=None) -> set[tuple[str, int]]:
+def probe(names=None) -> Recording:
     """Run each target in a fresh subprocess inside a temporary
-    directory; the union of their entries."""
+    directory; the union of their recordings."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC), str(ROOT)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    union: set[tuple[str, int]] = set()
+    union = Recording()
     for name in names or TARGETS:
         with tempfile.TemporaryDirectory(prefix="uncalled-") as tmp:
             out = os.path.join(tmp, "entries.json")
@@ -214,29 +314,34 @@ def probe(names=None) -> set[tuple[str, int]]:
             if done.returncode != 0:
                 tail = "\n".join(done.stderr.splitlines()[-20:])
                 raise RuntimeError(f"target {name} failed ({done.returncode}):\n{tail}")
-            got = {tuple(e) for e in json.loads(Path(out).read_text(encoding="utf-8"))}
+            doc = json.loads(Path(out).read_text(encoding="utf-8"))
+            got = {tuple(e) for e in doc["entries"]}
             print(f"  {name:<20} {len(got):5d} functions entered "
                   f"({time.perf_counter() - t0:.1f} s)", file=sys.stderr)
-            union |= got
+            union.entries |= got
+            union.overridden |= {tuple(o) for o in doc["overridden"]}
     return union
 
 
 # -- baseline ------------------------------------------------------------------
 
 
-def load_baseline(path: str | Path) -> set[str]:
+def load_baseline(path: str | Path) -> dict[str, set[str]]:
+    """``{"uncalled": function keys, "unset": option keys}``."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return set(data["uncalled"])
+    return {kind: set(data.get(kind, [])) for kind in ("uncalled", "unset")}
 
 
-def write_baseline(keys, path: str | Path) -> None:
+def write_baseline(keys, unset, path: str | Path) -> None:
     payload = {
         "comment": (
-            "src/repro functions that no benchmark workload or example enters "
-            "(tools/uncalled.py). A function missing here fails --baseline; "
-            "regenerate with: python tools/uncalled.py --write-baseline"
+            "src/repro functions that no benchmark workload or example enters, "
+            "and options (defaulted parameters) of entered functions that none "
+            "of them overrides (tools/uncalled.py). A key missing here fails "
+            "--baseline; regenerate with: python tools/uncalled.py --write-baseline"
         ),
         "uncalled": sorted(keys),
+        "unset": sorted(unset),
     }
     Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
@@ -247,51 +352,66 @@ def write_baseline(keys, path: str | Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python tools/uncalled.py",
-        description="List the src/repro functions that no workload or example enters.",
+        description="List the src/repro functions that no workload or example enters, "
+                    "and the options of the entered ones that none of them overrides.",
     )
     ap.add_argument(
         "--baseline", nargs="?", const=DEFAULT_BASELINE, default=None, metavar="PATH",
-        help=f"exit 1 on an uncalled function not in the baseline "
+        help=f"exit 1 on an uncalled function or unset option not in the baseline "
              f"(default path: {DEFAULT_BASELINE})",
     )
     ap.add_argument(
         "--write-baseline", nargs="?", const=DEFAULT_BASELINE, default=None,
-        metavar="PATH", help="write the uncalled functions as the new baseline",
+        metavar="PATH", help="write the uncalled functions and unset options as the new baseline",
     )
     args = ap.parse_args(argv)
 
     functions = outermost_functions()
     print(f"probing {len(TARGETS)} targets:", file=sys.stderr)
-    keys = uncalled(functions, probe())
+    rec = probe()
+    keys = uncalled(functions, rec.entries)
+    unset = unset_options(functions, rec.entries, rec.overridden)
     n_lines = sum(functions[k].lines for k in keys)
+    none = set(keys)
+    n_options = sum(len(f.options) for k, f in functions.items() if k not in none)
     summary = (f"{len(keys)} of {len(functions)} outermost functions "
-               f"({n_lines} lines) are entered by no target")
+               f"({n_lines} lines) are entered by no target; {len(unset)} of the "
+               f"{n_options} options of the entered ones are overridden by none")
 
     if args.write_baseline:
-        write_baseline(keys, args.write_baseline)
+        write_baseline(keys, unset, args.write_baseline)
         print(f"{summary}; wrote {args.write_baseline}")
         return 0
     if args.baseline is None:
         for k in keys:
             f = functions[k]
             print(f"{k}  (src/{f.path}:{f.first}, {f.lines} lines)")
+        for k in unset:
+            f = functions[k[: k.index("(")]]
+            print(f"{k}  (src/{f.path}:{f.first}, option)")
         print(summary)
         return 0
     if not Path(args.baseline).exists():
         print(f"error: baseline file {args.baseline!r} not found", file=sys.stderr)
         return 2
     base = load_baseline(args.baseline)
-    fresh = [k for k in keys if k not in base]
+    fresh = [k for k in keys if k not in base["uncalled"]]
     for k in fresh:
         f = functions[k]
         print(f"src/{f.path}:{f.first}: {k} is entered by no workload or example "
               f"and is not in {args.baseline}")
-    stale = sorted(base - set(keys))
+    fresh_unset = [k for k in unset if k not in base["unset"]]
+    for k in fresh_unset:
+        f = functions[k[: k.index("(")]]
+        print(f"src/{f.path}:{f.first}: option {k} is overridden by no workload or "
+              f"example and is not in {args.baseline} (make it a constant)")
+    stale = sorted((base["uncalled"] - set(keys)) | (base["unset"] - set(unset)))
     if stale:
-        print(f"note: {len(stale)} baseline entries are now entered or gone "
+        print(f"note: {len(stale)} baseline entries are now entered, set or gone "
               f"(regenerate with --write-baseline): {', '.join(stale)}")
-    print(f"{summary}; {len(fresh)} not in the baseline")
-    return 1 if fresh else 0
+    print(f"{summary}; {len(fresh)} functions and {len(fresh_unset)} options "
+          f"not in the baseline")
+    return 1 if fresh or fresh_unset else 0
 
 
 if __name__ == "__main__":
